@@ -233,12 +233,11 @@ def _run_sweep_degenerate(cfg: RunConfig, out: Path, quiet: bool) -> None:
     control = _build_problem(cfg)
     vol = control.volatility_data(grid)
     initial, source = control.transformed_data(grid)
-    conj = (ConjugateHamiltonian.quadratic(cfg.cost.alpha1, cfg.cost.alpha2)
-            if cfg.cost.kind == "quadratic"
-            else ConjugateHamiltonian.for_cost(cfg.cost))
+    conj = ConjugateHamiltonian.for_cost(cfg.cost)
     sweep = solve_degenerate(grid, conj, vol, initial, source, cfg.T, cfg.eps,
                              ladder=cfg.ladder,
-                             drift=control.drift_data(grid))
+                             drift=control.drift_data(grid),
+                             cfg=_solver_cfg(cfg, cfg.eps))
     rows = []
     for i, level in enumerate(sweep.levels):
         rep = sweep.bound_reports[i]
@@ -266,16 +265,13 @@ def _run_solve_2d(cfg: RunConfig, out: Path, quiet: bool) -> None:
                          for p in parts)
         return b[0, 0] * pxx + 2.0 * b[0, 1] * pxy + b[1, 1] * pyy
 
-    conj = (ConjugateHamiltonian.quadratic(cfg.cost.alpha1, cfg.cost.alpha2)
-            if cfg.cost.kind == "quadratic"
-            else ConjugateHamiltonian.for_cost(cfg.cost))
     problem = Problem2D(
         grid=grid2, a=cfg.a_matrix,
         sigma0=np.asarray(cfg.sigma0_2d(X, Y), dtype=float) + np.zeros_like(X),
         initial=-l_of(cfg.g0_2d_parts),
         source=-l_of(cfg.g_2d_parts),
-        horizon=cfg.T2, conj=conj)
-    sol = mild_solve_2d(problem, cfg.eps, tol_res=cfg.tol_res)
+        horizon=cfg.T2, conj=ConjugateHamiltonian.for_cost(cfg.cost))
+    sol = mild_solve_2d(problem, cfg.eps, cfg=_solver_cfg(cfg, cfg.eps))
 
     def rows_of(table, margin=0):
         n = grid2.n

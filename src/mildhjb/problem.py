@@ -78,13 +78,10 @@ class ControlProblem:
 
     def conjugate(self, grid: Grid1D) -> ConjugateHamiltonian:
         """Closed form when quadratic, otherwise a table sized to the data."""
-        if self.cost.kind == "quadratic":
-            return ConjugateHamiltonian.quadratic(self.cost.alpha1,
-                                                  self.cost.alpha2)
         initial, _ = self.transformed_data(grid)
         smax2 = float(np.max(_table(self.sigma, grid.x) ** 2))
         p_abs = max(1.0, 4.0 * smax2 * float(np.max(np.abs(initial))))
-        return ConjugateHamiltonian.tabulate(self.cost, -p_abs, p_abs)
+        return ConjugateHamiltonian.for_cost(self.cost, p_abs)
 
     def discretize(self, grid: Grid1D,
                    conj: Optional[ConjugateHamiltonian] = None,

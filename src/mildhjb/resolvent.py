@@ -14,6 +14,10 @@ stalls: a shifted Picard iteration ``y <- R_{lam+delta}(eta + delta*y)`` and
 a vanishing-viscosity homotopy that adds ``-nu*y'' + nu*value(m*y)`` and
 tracks the solution down ``nu -> 0``.
 
+``solve_resolvent`` works on any operand with ``residual``, ``newton_step``
+(the Jacobian solve), ``shape``, ``lam0``, ``grid.norm1``, ``conj`` and
+``half_sigma_sq``: ``EllipticOperands`` in 1-D, ``twodim.Problem2D`` in 2-D.
+
 The solved map is an L1 contraction in ``eta`` with constant
 ``1/(lam - lam0)``, ``lam0 = sup|f'|``; the returned object carries a freshly
 recomputed residual as a certificate.
@@ -99,6 +103,42 @@ class EllipticOperands:
         """Contraction shift floor, sup|f'| (0 without drift)."""
         return 0.0 if self.drift is None else self.drift.slope_sup
 
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.grid.n,)
+
+    def residual(self, lam, nu, y, eta) -> np.ndarray:
+        """lam*y + A(y) + B(y) - eta, plus the viscosity terms when nu > 0."""
+        r = lam * y + apply_A(self, y) - eta
+        if nu > 0:
+            r -= nu * diff2(self.grid, y)
+            r += nu * self.conj.value(self.half_sigma_sq * y)
+        if self.perturbation is not None:
+            r += apply_B(self.perturbation, y)
+        return r
+
+    def newton_step(self, lam, nu, y, r) -> np.ndarray:
+        """Solve J(y) delta = -r with the banded Jacobian."""
+        grid, m = self.grid, self.half_sigma_sq
+        h, h2 = grid.h, grid.h**2
+        slope = self.conj.derivative(m * y) * m
+        c = slope + nu
+        diag = lam + 2.0 * c / h2 + nu * slope
+        upper = -c[1:] / h2
+        lower = -c[:-1] / h2
+        if self.drift is not None:
+            f = self.drift.f
+            diag = diag + np.abs(f) / h
+            upper = upper - np.maximum(f[:-1], 0.0) / h
+            lower = lower + np.minimum(f[1:], 0.0) / h
+        if self.perturbation is not None:
+            diag = diag - 2.0 * self.perturbation.f1
+        ab = np.zeros((3, grid.n))
+        ab[0, 1:] = upper
+        ab[1] = diag
+        ab[2, :-1] = lower
+        return solve_banded((1, 1), ab, -r)
+
 
 @dataclass(frozen=True)
 class ResolventConfig:
@@ -112,17 +152,11 @@ class ResolventConfig:
     lam: float
     tol_res: float = 1e-10
     max_iter: int = 100
-    damping: float = 1.0
-    picard_target: float = 0.5
     nu: float = 0.0
 
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if not 0 < self.damping <= 1:
-            raise ValueError(f"damping must be in (0, 1], got {self.damping}")
-        if not 0 < self.picard_target < 1:
-            raise ValueError("picard_target must be in (0, 1)")
 
 
 @dataclass
@@ -144,58 +178,24 @@ def apply_A(ops: EllipticOperands, y) -> np.ndarray:
     return out
 
 
-def _residual(ops, lam, nu, y, eta):
-    r = lam * y + apply_A(ops, y) - eta
-    if nu > 0:
-        r -= nu * diff2(ops.grid, y)
-        r += nu * ops.conj.value(ops.half_sigma_sq * y)
-    if ops.perturbation is not None:
-        r += apply_B(ops.perturbation, y)
-    return r
-
-
-def _jacobian_banded(ops, lam, nu, y):
-    """Tridiagonal-plus-diagonal Jacobian in solve_banded layout."""
-    grid, m = ops.grid, ops.half_sigma_sq
-    h, h2 = grid.h, grid.h**2
-    slope = ops.conj.derivative(m * y) * m
-    c = slope + nu
-    diag = lam + 2.0 * c / h2 + nu * slope
-    upper = -c[1:] / h2
-    lower = -c[:-1] / h2
-    if ops.drift is not None:
-        f = ops.drift.f
-        diag = diag + np.abs(f) / h
-        upper = upper - np.maximum(f[:-1], 0.0) / h
-        lower = lower + np.minimum(f[1:], 0.0) / h
-    if ops.perturbation is not None:
-        diag = diag - 2.0 * ops.perturbation.f1
-    ab = np.zeros((3, grid.n))
-    ab[0, 1:] = upper
-    ab[1] = diag
-    ab[2, :-1] = lower
-    return ab
-
-
-def _newton(ops, lam, nu, eta, y0, tol, max_iter, damping):
+def _newton(ops, lam, nu, eta, y0, tol, max_iter):
     """Damped Newton; returns (y, iterations, residual_norm, converged)."""
     grid = ops.grid
     y = y0.copy()
-    r = _residual(ops, lam, nu, y, eta)
+    r = ops.residual(lam, nu, y, eta)
     rnorm = grid.norm1(r)
     for it in range(max_iter):
         if rnorm <= tol:
             return y, it, rnorm, True
-        ab = _jacobian_banded(ops, lam, nu, y)
         try:
-            delta = solve_banded((1, 1), ab, -r)
+            delta = ops.newton_step(lam, nu, y, r)
         except np.linalg.LinAlgError:
             return y, it, rnorm, False
-        omega = damping
+        omega = 1.0
         accepted = False
         for _ in range(30):
             y_try = y + omega * delta
-            r_try = _residual(ops, lam, nu, y_try, eta)
+            r_try = ops.residual(lam, nu, y_try, eta)
             rnorm_try = grid.norm1(r_try)
             if np.isfinite(rnorm_try) and rnorm_try < rnorm:
                 y, r, rnorm = y_try, r_try, rnorm_try
@@ -207,16 +207,17 @@ def _newton(ops, lam, nu, eta, y0, tol, max_iter, damping):
     return y, max_iter, rnorm, rnorm <= tol
 
 
-def solve_resolvent(ops: EllipticOperands, cfg: ResolventConfig, eta,
+def solve_resolvent(ops, cfg: ResolventConfig, eta,
                     y_init=None) -> ResolventResult:
     """Solve ``lam*y + A(y) + B(y) = eta`` to the configured L1 residual.
 
-    Raises ``ValueError`` when the shift does not clear the drift slope
-    bound, and ``ResolventError`` when every strategy exhausts its budget.
+    ``ops`` is any operand object (see the module docstring).  Raises
+    ``ValueError`` when the shift does not clear the drift slope bound, and
+    ``ResolventError`` when every strategy exhausts its budget.
     """
     eta = np.asarray(eta, dtype=float)
-    if eta.shape != (ops.grid.n,):
-        raise ValueError(f"eta has shape {eta.shape}, expected ({ops.grid.n},)")
+    if eta.shape != ops.shape:
+        raise ValueError(f"eta has shape {eta.shape}, expected {ops.shape}")
     if not np.all(np.isfinite(eta)):
         raise ValueError("eta contains non-finite entries")
     lam0 = ops.lam0
@@ -229,7 +230,7 @@ def solve_resolvent(ops: EllipticOperands, cfg: ResolventConfig, eta,
         else eta / cfg.lam
 
     y, iters, rnorm, ok = _newton(ops, cfg.lam, cfg.nu, eta, y0,
-                                  tol, cfg.max_iter, cfg.damping)
+                                  tol, cfg.max_iter)
     fallback = ""
     if not ok:
         y, iters2, rnorm, ok = _picard(ops, cfg, eta, y, tol)
@@ -242,25 +243,25 @@ def solve_resolvent(ops: EllipticOperands, cfg: ResolventConfig, eta,
     if not ok:
         raise ResolventError("resolvent iteration budget exhausted", rnorm)
 
-    certificate = ops.grid.norm1(_residual(ops, cfg.lam, cfg.nu, y, eta))
+    certificate = ops.grid.norm1(ops.residual(cfg.lam, cfg.nu, y, eta))
     out_of_table = not ops.conj.covers(ops.half_sigma_sq * y)
     return ResolventResult(y, certificate, iters, fallback, out_of_table)
 
 
 def _picard(ops, cfg, eta, y, tol):
     """Shifted fixed point: y <- R_{lam+delta}(eta + delta*y)."""
-    q = cfg.picard_target
-    delta = max(q * (cfg.lam - ops.lam0) / (1.0 - q), 1.0)
+    # delta = lam - lam0 puts the Picard contraction factor at 1/2
+    delta = max(cfg.lam - ops.lam0, 1.0)
     total = 0
     for _ in range(200):
         inner, it, rnorm_in, ok = _newton(
             ops, cfg.lam + delta, cfg.nu, eta + delta * y, y,
-            tol * 0.5, cfg.max_iter, cfg.damping)
+            tol * 0.5, cfg.max_iter)
         total += it
         if not ok:
             return y, total, rnorm_in, False
         y = inner
-        rnorm = ops.grid.norm1(_residual(ops, cfg.lam, cfg.nu, y, eta))
+        rnorm = ops.grid.norm1(ops.residual(cfg.lam, cfg.nu, y, eta))
         if rnorm <= tol:
             return y, total, rnorm, True
     return y, total, rnorm, False
@@ -275,10 +276,10 @@ def _homotopy(ops, cfg, eta, y0, tol):
         if cfg.nu and nu <= cfg.nu:
             break
         y, it, rnorm, ok = _newton(ops, cfg.lam, nu, eta, y,
-                                   tol, cfg.max_iter, cfg.damping)
+                                   tol, cfg.max_iter)
         total += it
         if not ok:
             return y, total, rnorm, False
     y, it, rnorm, ok = _newton(ops, cfg.lam, cfg.nu, eta, y,
-                               tol, cfg.max_iter, cfg.damping)
+                               tol, cfg.max_iter)
     return y, total + it, rnorm, ok

@@ -34,6 +34,7 @@ __all__ = [
     "mild_solve",
     "refine_until",
     "step",
+    "step_lengths",
 ]
 
 
@@ -142,24 +143,29 @@ def _energies(ops: EllipticOperands, y) -> tuple[float, float]:
     return pot, dis
 
 
+def step_lengths(horizon: float, eps: float) -> list[float]:
+    """Full steps of eps, then the remainder as one shortened step.
+
+    A remainder of at most eps/100 is dropped; a horizon shorter than eps
+    (but above eps/100) is one step of length horizon.
+    """
+    n_full = int(math.floor(horizon / eps + 1e-12))
+    remainder = horizon - n_full * eps
+    return [eps] * n_full + ([remainder] if remainder > eps / 100.0 else [])
+
+
 def mild_solve(problem: TransformedProblem, eps: float,
                cfg: Optional[ResolventConfig] = None,
                max_snapshots: int = 4001) -> MildSolution:
     """Iterate the implicit step across the horizon, recording diagnostics.
 
-    A trailing remainder shorter than eps/100 is dropped, otherwise it is
-    taken as one shortened step; either way the choice is visible in
-    ``step_times`` and ``partial_step``.  A horizon shorter than one step
-    takes no steps at all: the initial snapshot covers it.
+    Steps follow ``step_lengths``; whether a shortened final step was taken
+    is visible in ``step_times`` and ``partial_step``.
     """
     if not eps > 0:
         raise ValueError(f"step size must be positive, got {eps}")
-    T = problem.horizon
-    n_full = int(math.floor(T / eps + 1e-12))
-    remainder = T - n_full * eps
-    if n_full == 0 or remainder <= eps / 100.0:
-        remainder = 0.0
-    lengths = [eps] * n_full + ([remainder] if remainder else [])
+    lengths = step_lengths(problem.horizon, eps)
+    remainder = lengths[-1] if lengths and lengths[-1] != eps else 0.0
     total = len(lengths)
     stride = max(1, -(-(total + 1) // max_snapshots))
 

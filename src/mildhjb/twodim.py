@@ -7,9 +7,11 @@ The elliptic operator is built from the factor matrix ``a`` through
 
 discretized with 3-point stencils on the axes and the 4-corner centered
 stencil for the cross term, all closed by zero ghosts.  The implicit step
-solves ``lam*y - L(value(m0*y)) = eta`` by Newton with a sparse 9-point
-Jacobian; without drift the resolvent is an L1 contraction with constant
-exactly ``1/lam``.
+solves ``lam*y - L(value(m0*y)) = eta`` with ``Problem2D`` (sparse 9-point
+Jacobian) as the operand of ``resolvent.solve_resolvent``: one
+Newton/Picard/homotopy solver, one residual certificate and one step
+schedule serve both 1-D and 2-D.  Without drift the resolvent is an L1
+contraction with constant exactly ``1/lam``.
 
 The centered cross stencil is not sign-preserving for strongly anisotropic
 ``b``; when ``2|b12| > min(b11, b22)`` a warning is issued and comparison
@@ -18,16 +20,18 @@ style checks should be skipped.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .conjugate import ConjugateHamiltonian
+from .resolvent import ResolventConfig, solve_resolvent
+from .stepper import step_lengths
 
 __all__ = [
     "Grid2D",
@@ -85,6 +89,8 @@ class Problem2D:
     horizon: float
     conj: ConjugateHamiltonian
 
+    lam0 = 0.0  # drift-free: the resolvent's contraction shift floor is 0
+
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
         object.__setattr__(self, "a", a)
@@ -114,8 +120,12 @@ class Problem2D:
         return self.a @ self.a.T
 
     @cached_property
-    def half_sigma0_sq(self) -> np.ndarray:
+    def half_sigma_sq(self) -> np.ndarray:
         return 0.5 * self.sigma0**2
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.grid.n, self.grid.n)
 
     @cached_property
     def operator_matrix(self) -> sp.csr_matrix:
@@ -131,6 +141,28 @@ class Problem2D:
                + b[1, 1] * sp.kron(eye, second)
                + 2.0 * b[0, 1] * sp.kron(first, first))
         return lap.tocsr()
+
+    def _apply_matrix(self, z) -> np.ndarray:
+        return (self.operator_matrix @ z.ravel()).reshape(self.shape)
+
+    def residual(self, lam, nu, y, eta) -> np.ndarray:
+        """lam*y - L(value(m0*y)) - eta, plus nu*(value(m0*y) - L(y))."""
+        w = self.conj.value(self.half_sigma_sq * y)
+        r = lam * y - self._apply_matrix(w) - eta
+        if nu > 0:
+            r -= nu * self._apply_matrix(y)
+            r += nu * w
+        return r
+
+    def newton_step(self, lam, nu, y, r) -> np.ndarray:
+        """Solve J(y) delta = -r with the sparse 9-point Jacobian."""
+        m = self.half_sigma_sq
+        slope = sp.diags((self.conj.derivative(m * y) * m).ravel())
+        lap = self.operator_matrix
+        jac = lam * sp.identity(lap.shape[0], format="csr") - lap @ slope
+        if nu > 0:
+            jac = jac + nu * (slope - lap)
+        return spsolve(jac.tocsc(), -r.ravel()).reshape(self.shape)
 
 
 def apply_L(problem: Problem2D, z) -> np.ndarray:
@@ -160,51 +192,17 @@ def solve_L(problem: Problem2D, z) -> np.ndarray:
     return phi.reshape(n, n)
 
 
-def _residual_2d(problem, lam, y_flat, eta_flat):
-    m = problem.half_sigma0_sq.ravel()
-    w = problem.conj.value(m * y_flat)
-    return lam * y_flat - problem.operator_matrix @ w - eta_flat
-
-
 def solve_resolvent_2d(problem: Problem2D, lam: float, eta,
                        tol_res: float = 1e-10, max_iter: int = 60,
                        y_init=None) -> tuple[np.ndarray, float, int]:
-    """Newton solve of lam*y - L(value(m0*y)) = eta on the full node set.
+    """Solve lam*y - L(value(m0*y)) = eta on the full node set.
 
-    Returns (y, residual_l1, iterations).
+    Returns (y, residual_l1, iterations) from ``resolvent.solve_resolvent``,
+    which raises ``ResolventError`` when every strategy exhausts its budget.
     """
-    grid = problem.grid
-    eta_flat = np.asarray(eta, dtype=float).ravel()
-    m = problem.half_sigma0_sq.ravel()
-    tol = tol_res * max(1.0, grid.norm1(eta))
-    y = (np.asarray(y_init, dtype=float).ravel().copy()
-         if y_init is not None else eta_flat / lam)
-    lap = problem.operator_matrix
-    r = _residual_2d(problem, lam, y, eta_flat)
-    rnorm = grid.h**2 * float(np.sum(np.abs(r)))
-    eye = sp.identity(lap.shape[0], format="csr")
-    for it in range(max_iter):
-        if rnorm <= tol:
-            return y.reshape(grid.n, grid.n), rnorm, it
-        slope = problem.conj.derivative(m * y) * m
-        jac = (lam * eye - lap @ sp.diags(slope)).tocsc()
-        delta = spsolve(jac, -r)
-        omega = 1.0
-        for _ in range(30):
-            y_try = y + omega * delta
-            r_try = _residual_2d(problem, lam, y_try, eta_flat)
-            rnorm_try = grid.h**2 * float(np.sum(np.abs(r_try)))
-            if np.isfinite(rnorm_try) and rnorm_try < rnorm:
-                y, r, rnorm = y_try, r_try, rnorm_try
-                break
-            omega *= 0.5
-        else:
-            raise RuntimeError(
-                f"2-D Newton stalled at residual {rnorm:.3e}")
-    if rnorm > tol:
-        raise RuntimeError(
-            f"2-D Newton budget exhausted at residual {rnorm:.3e}")
-    return y.reshape(grid.n, grid.n), rnorm, max_iter
+    res = solve_resolvent(problem, ResolventConfig(lam, tol_res, max_iter),
+                          eta, y_init=y_init)
+    return res.y, res.residual, res.iterations
 
 
 @dataclass
@@ -222,16 +220,15 @@ class MildSolution2D:
 
 
 def mild_solve_2d(problem: Problem2D, eps: float,
-                  tol_res: float = 1e-10) -> MildSolution2D:
-    """Implicit stepping of y_t - L(value(m0*y)) = source over the horizon."""
+                  cfg: Optional[ResolventConfig] = None) -> MildSolution2D:
+    """Implicit stepping of y_t - L(value(m0*y)) = source over the horizon.
+
+    Steps follow ``stepper.step_lengths``; ``cfg`` supplies ``tol_res`` and
+    ``max_iter`` (the shift is 1/dt at each step, ``nu`` is not used).
+    """
     if not eps > 0:
         raise ValueError(f"step size must be positive, got {eps}")
-    T = problem.horizon
-    n_full = int(math.floor(T / eps + 1e-12))
-    remainder = T - n_full * eps
-    if remainder <= eps / 100.0:
-        remainder = 0.0
-    lengths = [eps] * n_full + ([remainder] if remainder else [])
+    cfg = cfg if cfg is not None else ResolventConfig(lam=1.0 / eps)
     grid = problem.grid
     y = problem.initial.copy()
     times = [0.0]
@@ -239,10 +236,11 @@ def mild_solve_2d(problem: Problem2D, eps: float,
     masses = [grid.integral(y)]
     residuals = [0.0]
     t = 0.0
-    for dt in lengths:
+    for dt in step_lengths(problem.horizon, eps):
         eta = problem.source + y / dt
         y, rnorm, _ = solve_resolvent_2d(problem, 1.0 / dt, eta,
-                                         tol_res=tol_res, y_init=y)
+                                         tol_res=cfg.tol_res,
+                                         max_iter=cfg.max_iter, y_init=y)
         t += dt
         times.append(t)
         snaps.append(y.copy())

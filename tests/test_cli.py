@@ -63,6 +63,50 @@ dir = out
 seed = 9
 """
 
+DEGENERATE = """
+mode = sweep-degenerate
+
+[problem]
+sigma = x*exp(-x^2)
+g = exp(-x^2)
+g0 = exp(-x^2)
+T = 0.05
+
+[cost]
+kind = quadratic
+alpha1 = 1.0
+
+[grid]
+L = 8
+n = 81
+
+[solver]
+eps = 0.025
+
+[degenerate]
+ladder = 1e-1 1e-2 1e-3
+"""
+
+SOLVE_2D = """
+mode = solve-2d
+
+[2d]
+L = 6
+n = 21
+a = 1 1 0 ; 0 0 1
+sigma0 = 2^0.5 + 0*x + 0*y
+g = exp(-x^2 - y^2)
+g0 = exp(-x^2 - y^2)
+T = 0.02
+
+[cost]
+kind = quadratic
+alpha1 = 1.0
+
+[solver]
+eps = 0.01
+"""
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -103,7 +147,8 @@ nodes = 201
 
 
 def test_solve_with_short_horizon_emits_single_snapshot(tmp_path):
-    cfg = write(tmp_path, "s.cfg", SOLVE.format(T=0.005))
+    # below eps/100 the horizon is dropped as a negligible remainder
+    cfg = write(tmp_path, "s.cfg", SOLVE.format(T=1e-4))
     out = tmp_path / "out"
     assert run("solve", str(cfg), out_dir=str(out), quiet=True) == 0
     _, data = read_table(out / "fields" / "y.csv")
@@ -171,6 +216,18 @@ def test_solver_failure_returns_structured_error(tmp_path, capsys):
     assert "need eps <" in err
 
 
+@pytest.mark.parametrize("mode, text, key", [
+    ("sweep-degenerate", DEGENERATE, "tol_res = 1e-300"),
+    ("solve-2d", SOLVE_2D, "max_iter = 1"),
+], ids=["sweep-degenerate", "solve-2d"])
+def test_solver_keys_reach_the_solver(tmp_path, capsys, mode, text, key):
+    # an unreachable tolerance or a one-iteration budget must fail the run
+    cfg = write(tmp_path, "k.cfg",
+                text.replace("[solver]", f"[solver]\n{key}"))
+    assert run(mode, str(cfg), out_dir=str(tmp_path / "o"), quiet=True) == 1
+    assert "type: ResolventError" in capsys.readouterr().err
+
+
 def test_value_mode_reports_inner_window(tmp_path):
     cfg = write(tmp_path, "v.cfg", SOLVE.format(T=0.1).replace(
         "mode = solve", "mode = value"))
@@ -206,29 +263,7 @@ def test_sweep_eps_gap_series(tmp_path):
 
 
 def test_sweep_degenerate_report(tmp_path):
-    cfg = write(tmp_path, "d.cfg", """
-mode = sweep-degenerate
-
-[problem]
-sigma = x*exp(-x^2)
-g = exp(-x^2)
-g0 = exp(-x^2)
-T = 0.05
-
-[cost]
-kind = quadratic
-alpha1 = 1.0
-
-[grid]
-L = 8
-n = 81
-
-[solver]
-eps = 0.025
-
-[degenerate]
-ladder = 1e-1 1e-2 1e-3
-""")
+    cfg = write(tmp_path, "d.cfg", DEGENERATE)
     out = tmp_path / "out"
     assert run("sweep-degenerate", str(cfg), out_dir=str(out), quiet=True) == 0
     _, data = read_table(out / "reports" / "degenerate_sweep.csv")
@@ -239,25 +274,7 @@ ladder = 1e-1 1e-2 1e-3
 
 
 def test_solve_2d_artifacts(tmp_path):
-    cfg = write(tmp_path, "t.cfg", """
-mode = solve-2d
-
-[2d]
-L = 6
-n = 21
-a = 1 1 0 ; 0 0 1
-sigma0 = 2^0.5 + 0*x + 0*y
-g = exp(-x^2 - y^2)
-g0 = exp(-x^2 - y^2)
-T = 0.02
-
-[cost]
-kind = quadratic
-alpha1 = 1.0
-
-[solver]
-eps = 0.01
-""")
+    cfg = write(tmp_path, "t.cfg", SOLVE_2D)
     out = tmp_path / "out"
     assert run("solve-2d", str(cfg), out_dir=str(out), quiet=True) == 0
     header, data = read_table(out / "fields" / "y2d_final.csv")
@@ -281,8 +298,9 @@ def test_simulate_optional_path_dump(tmp_path):
 
 
 def test_solve_2d_value_slice_recovers_terminal_cost(tmp_path):
-    # a horizon shorter than one step leaves y = -L(g0); the reconstructed
-    # value must then reproduce g0 away from the truncation boundary
+    # a horizon shorter than one step is marched as one step of length T,
+    # which moves y = -L(g0) only slightly; the reconstructed value must
+    # then reproduce g0 away from the truncation boundary
     cfg = write(tmp_path, "t.cfg", """
 mode = solve-2d
 

@@ -200,6 +200,17 @@ def test_budget_exhaustion_raises():
         solve_resolvent(ops, ResolventConfig(lam=3.0, max_iter=0), eta)
 
 
+def test_budget_exhaustion_raises_in_2d():
+    from mildhjb.twodim import Grid2D, Problem2D, solve_resolvent_2d
+    g = Grid2D(3.0, 11)
+    X, Y = g.mesh
+    zeros = np.zeros((g.n, g.n))
+    prob = Problem2D(g, np.eye(2), np.full((g.n, g.n), np.sqrt(2.0)), zeros,
+                     zeros, 0.1, ConjugateHamiltonian.quadratic())
+    with pytest.raises(ResolventError):
+        solve_resolvent_2d(prob, 3.0, np.exp(-X**2 - Y**2), max_iter=0)
+
+
 def test_out_of_table_flagged():
     from mildhjb.conjugate import RunningCost
     cost = RunningCost.from_callable(lambda u: u * u, alpha1=1.0)
@@ -218,7 +229,7 @@ def test_vanishing_volatility_rejected():
 
 
 def test_picard_fallback_solves_near_the_shift_floor():
-    from mildhjb.resolvent import _picard, _residual
+    from mildhjb.resolvent import _picard
     g = Grid1D(10.0, 201)
     drift = tanh_drift(g)
     ops = quad_ops(g, drift=drift, use_perturbation=False)

@@ -60,12 +60,16 @@ def test_step_size_cap_is_enforced():
 
 
 def test_short_horizon_keeps_initial_snapshot_only():
+    # a horizon of at most eps/100 is dropped as a negligible remainder
     g = Grid1D(10.0, 201)
-    problem = quad_problem(g, horizon=0.005)
+    problem = quad_problem(g, horizon=5e-5)
     sol = mild_solve(problem, eps=0.01)
     assert len(sol.snapshots) == 1
     np.testing.assert_array_equal(sol.final, problem.initial)
-    np.testing.assert_array_equal(sol.at_time(0.004), problem.initial)
+    np.testing.assert_array_equal(sol.at_time(4e-5), problem.initial)
+    # above eps/100 the horizon is one step of its own length
+    short = mild_solve(quad_problem(g, horizon=0.005), eps=0.01)
+    np.testing.assert_array_equal(short.step_times, [0.0, 0.005])
 
 
 def test_partial_final_step_recorded():

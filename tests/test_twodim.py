@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from mildhjb.conjugate import ConjugateHamiltonian
+from mildhjb.grid import Grid1D
+from mildhjb.resolvent import (EllipticOperands, ResolventConfig,
+                               solve_resolvent)
+from mildhjb.stepper import TransformedProblem, mild_solve
 from mildhjb.twodim import (Grid2D, Problem2D, apply_L, mild_solve_2d,
                             solve_L, solve_resolvent_2d)
 
@@ -118,6 +122,38 @@ def test_resolvent_contraction_is_one_over_lambda():
         assert ratio <= 1.0 / lam + 1e-9
 
 
+@pytest.mark.parametrize("horizon", [5e-5, 0.005, 0.025, 0.5])
+def test_step_times_match_the_1d_schedule(horizon):
+    g1 = Grid1D(5.0, 21)
+    ops = EllipticOperands.build(g1, CONJ, np.sqrt(2.0))
+    sol1 = mild_solve(TransformedProblem(ops, np.zeros(g1.n), np.zeros(g1.n),
+                                         horizon), 0.01)
+    sol2 = mild_solve_2d(make_problem(Grid2D(3.0, 11), np.eye(2),
+                                      horizon=horizon), 0.01)
+    np.testing.assert_array_equal(sol2.times, sol1.step_times)
+
+
+def test_viscosity_homotopy_reaches_the_plain_equation():
+    from mildhjb.resolvent import _homotopy
+    g = Grid2D(6.0, 31)
+    X, Y = g.mesh
+    prob = make_problem(g, np.array([[1.2, 0.0], [0.3, 1.0]]))
+    eta = 4.0 * np.exp(-(X**2 + Y**2))
+    direct = solve_resolvent(prob, ResolventConfig(lam=10.0), eta)
+    gaps = []
+    for nu in (1e-2, 1e-4):
+        reg = solve_resolvent(prob, ResolventConfig(lam=10.0, nu=nu), eta)
+        assert reg.iterations <= 10  # Newton with the exact Jacobian
+        gaps.append(g.norm1(reg.y - direct.y))
+    assert gaps[0] > gaps[1]
+    cfg = ResolventConfig(lam=10.0)
+    tol = cfg.tol_res * max(1.0, g.norm1(eta))
+    start = 50.0 * np.sin(X) * np.cos(Y)  # deliberately terrible guess
+    y, _, rnorm, ok = _homotopy(prob, cfg, eta, start, tol)
+    assert ok and rnorm <= tol
+    np.testing.assert_allclose(y, direct.y, atol=1e-7)
+
+
 def test_mass_conserved_without_source():
     g = Grid2D(6.0, 41)
     X, Y = g.mesh
@@ -152,7 +188,7 @@ def test_nonlinear_march_matches_explicit_oracle():
     source = 0.5 * np.exp(-(X**2 + Y**2))
     prob = Problem2D(g, a, np.full((g.n, g.n), np.sqrt(2.0)), y0, source,
                      0.02, CONJ)
-    m0 = prob.half_sigma0_sq
+    m0 = prob.half_sigma_sq
     y = y0.copy()
     dt = 2e-5
     for _ in range(1000):
