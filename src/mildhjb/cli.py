@@ -301,8 +301,8 @@ def _run_solve_2d(cfg: RunConfig, out: Path, quiet: bool) -> None:
 
 def _run_conjugate_table(cfg: RunConfig, out: Path, quiet: bool) -> None:
     ps = np.linspace(cfg.p_min, cfg.p_max, cfg.p_nodes)
-    rows = [(p, conjugate(cfg.cost, p), conjugate_derivative(cfg.cost, p),
-             potential(cfg.cost, p)) for p in ps]
+    rows = zip(ps, conjugate(cfg.cost, ps), conjugate_derivative(cfg.cost, ps),
+               [potential(cfg.cost, p) for p in ps])
     _write_csv(out / "reports" / "conjugate_table.csv",
                "conjugate of the running cost; columns: argument, value, "
                "derivative, potential",

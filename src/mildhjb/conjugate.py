@@ -9,8 +9,9 @@ is convex and nondecreasing, its derivative is the maximizing control (the
 resolvent of the cost subgradient plus the normal cone at 0, hence clamped
 at 0), and the potential is the antiderivative of the conjugate vanishing
 at 0.  A closed-form quadratic backend covers ``h(u) = a1*u^2 + a2``; any
-other convex cost goes through bracketed numeric maximization, optionally
-tabulated once for fast vectorized evaluation inside the solver.
+other convex cost goes through a bracketed numeric maximization that treats
+an array of arguments together, one cost evaluation per iteration for all
+of them, optionally tabulated once for fast interpolation inside the solver.
 """
 
 from __future__ import annotations
@@ -48,12 +49,17 @@ class RunningCost:
     ``"callable"`` (user-supplied ``h``).  ``alpha1 > 0`` and ``alpha2 >= 0``
     certify the lower bound ``h(u) >= alpha1*u^2 + alpha2``, which is checked
     by sampling at construction together with midpoint convexity.
+
+    ``h`` is called once on a whole array of controls, of any shape, and
+    should return an array of the same shape.  When it raises ``TypeError``
+    or ``ValueError`` (as code written for floats does on an array) or
+    returns another shape, it is called on each control as a float instead.
     """
 
     kind: str
     alpha1: float
     alpha2: float = 0.0
-    h: Optional[Callable[[float], float]] = None
+    h: Optional[Callable[[np.ndarray | float], np.ndarray | float]] = None
     probe_max: float = 10.0
 
     def __post_init__(self):
@@ -80,13 +86,18 @@ class RunningCost:
     def evaluate(self, u):
         """Cost of a control; only defined for u >= 0."""
         u = np.asarray(u, dtype=float)
-        if np.any(u < 0):
+        if (u < 0).any():
             raise ValueError("running cost is only defined for u >= 0")
         if self.kind == "quadratic":
             return self.alpha1 * u * u + self.alpha2
-        if u.ndim == 0:
-            return float(self.h(float(u)))
-        return np.array([float(self.h(float(v))) for v in u])
+        try:
+            vals = np.asarray(self.h(u), dtype=float)
+            if vals.shape != u.shape:
+                raise TypeError
+        except (TypeError, ValueError):
+            vals = np.array([float(self.h(float(v))) for v in u.ravel()]
+                            ).reshape(u.shape)
+        return float(vals) if u.ndim == 0 else vals
 
     def _validate_samples(self, tol: float = 1e-9):
         u = np.linspace(0.0, self.probe_max, 201)
@@ -106,121 +117,132 @@ class RunningCost:
             raise CostValidationError(f"midpoint convexity fails near u={u[k]:g}")
 
 
-def _bracket_top(cost: RunningCost, p: float) -> float:
-    # coercivity confines any maximizer of p*u - h(u) to this interval
+_SCAN = 65     # coarse samples per node before the golden section search
+_BLOCK = 256   # nodes maximized together by ``tabulate``; bounds the scan array
+
+
+def _maximize(cost: RunningCost, p):
+    """Smallest maximizer of p*u - h(u) over u >= 0, its value, and a tie flag.
+
+    Elementwise over an array ``p``: every node runs the same coarse scan,
+    golden section search, Newton polish and tie bisection, and leaves each
+    iterative stage at its own iteration; only the nodes still iterating
+    are evaluated.
+    """
+    p = np.asarray(p, dtype=float)
+    shape, p = p.shape, p.ravel()
+
+    def gain(pk, u):
+        return pk * u - cost.evaluate(u)
+
+    # coercivity confines any maximizer to [0, top]
     h0 = float(cost.evaluate(0.0))
-    return (abs(p) + abs(h0)) / cost.alpha1 + 1.0
+    top = (np.abs(p) + abs(h0)) / cost.alpha1 + 1.0
+    u_scan = np.linspace(0.0, top, _SCAN, axis=-1)
+    g_scan = gain(p[:, None], u_scan)
+    scale = 1e-10 * (1.0 + np.max(np.abs(g_scan), axis=-1, keepdims=True))
+    rises = g_scan[:, 1:] > g_scan[:, :-1] + scale
+    falls = g_scan[:, 1:] < g_scan[:, :-1] - scale
+    if np.any(rises & np.logical_or.accumulate(falls, axis=-1)):
+        raise NonConvexCostError(
+            "gain p*u - h(u) is not unimodal; cost appears non-convex")
 
-
-def _scan_unimodal(gain, top: float, samples: int = 65):
-    """Coarse scan of the gain; raises if it has more than one interior peak."""
-    u = np.linspace(0.0, top, samples)
-    g = np.array([gain(v) for v in u])
-    scale = 1e-10 * (1.0 + float(np.max(np.abs(g))))
-    rises = g[1:] > g[:-1] + scale
-    falls = g[1:] < g[:-1] - scale
-    seen_fall = False
-    for r, f in zip(rises, falls):
-        if f:
-            seen_fall = True
-        elif r and seen_fall:
-            raise NonConvexCostError(
-                "gain p*u - h(u) is not unimodal; cost appears non-convex")
-    return u, g
-
-
-def _golden(gain, lo: float, hi: float, iters: int = 80) -> float:
+    # golden section search on the scan cell pair around the best sample
+    nodes = np.arange(p.size)
+    best = u_scan[nodes, np.argmax(g_scan, axis=-1)]
+    step = u_scan[:, 1] - u_scan[:, 0]
+    a, b = best - step, best + step
+    a, b = np.where(a > 0.0, a, 0.0), np.where(b < top, b, top)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    gc, gd = gain(c), gain(d)
-    for _ in range(iters):
-        if b - a < 1e-14 * (1.0 + abs(a) + abs(b)):
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    gc, gd = gain(p, c), gain(p, d)
+    u_star = np.empty_like(p)
+    k, pk = nodes, p
+    for _ in range(80):
+        done = b - a < 1e-14 * (1.0 + a + b)  # a, b >= 0
+        if done.any():
+            u_star[k[done]] = 0.5 * (a[done] + b[done])
+            k, pk, a, b, c, d, gc, gd = (
+                v[~done] for v in (k, pk, a, b, c, d, gc, gd))
+            if not k.size:
+                break
+        left = gc > gd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        cut = invphi * (b - a)
+        x = np.where(left, b - cut, a + cut)
+        gx = gain(pk, x)
+        c, d, gc, gd = (np.where(left, x, d), np.where(left, c, x),
+                        np.where(left, gx, gd), np.where(left, gc, gx))
+    u_star[k] = 0.5 * (a + b)
+
+    # Newton polish of interior maximizers from central differences
+    k = np.nonzero(u_star > 0)[0]
+    eps = 1e-6 * (1.0 + u_star[k])
+    for _ in range(4):
+        u = u_star[k]
+        inside = ~((u - eps < 0.0) | (u + eps > top[k]))
+        k, eps, u = k[inside], eps[inside], u[inside]
+        if not k.size:
             break
-        if gc > gd:
-            b, d, gd = d, c, gc
-            c = b - invphi * (b - a)
-            gc = gain(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + invphi * (b - a)
-            gd = gain(d)
-    return 0.5 * (a + b)
+        gp, gm, g0 = gain(p[k], np.stack([u + eps, u - eps, u]))
+        g1 = (gp - gm) / (2 * eps)
+        # float_power is libm's pow, which can round eps**2 unlike eps*eps
+        g2 = (gp - 2 * g0 + gm) / np.float_power(eps, 2)
+        concave = np.isfinite(g2) & (g2 < -1e-30)
+        k, eps, u, g0 = k[concave], eps[concave], u[concave], g0[concave]
+        u_new = u - g1[concave] / g2[concave]
+        u_new = np.where(0.0 > u_new, 0.0, u_new)
+        u_new = np.where(top[k] < u_new, top[k], u_new)
+        better = ~(gain(p[k], u_new) < g0)
+        k, eps = k[better], eps[better]
+        u_star[k] = u_new[better]
 
-
-def _newton_polish(gain, u: float, lo: float, hi: float, steps: int = 4) -> float:
-    eps = 1e-6 * (1.0 + abs(u))
-    if u - eps < lo or u + eps > hi:
-        return u
-    for _ in range(steps):
-        if u - eps < lo or u + eps > hi:
-            break
-        g1 = (gain(u + eps) - gain(u - eps)) / (2 * eps)
-        g2 = (gain(u + eps) - 2 * gain(u) + gain(u - eps)) / eps**2
-        if not np.isfinite(g2) or g2 >= -1e-30:
-            break
-        step = g1 / g2
-        u_new = min(max(u - step, lo), hi)
-        if gain(u_new) < gain(u):
-            break
-        u = u_new
-    return u
-
-
-def _maximize(cost: RunningCost, p: float) -> tuple[float, float, bool]:
-    """Smallest maximizer of p*u - h(u) over u >= 0, its value, and a tie flag."""
-    def gain(u):
-        return p * u - float(cost.evaluate(u))
-
-    top = _bracket_top(cost, p)
-    u_scan, g_scan = _scan_unimodal(gain, top)
-    k = int(np.argmax(g_scan))
-    step = u_scan[1] - u_scan[0]
-    lo = max(0.0, u_scan[k] - step)
-    hi = min(top, u_scan[k] + step)
-    u_star = _golden(gain, lo, hi)
-    if u_star > 0:
-        u_star = _newton_polish(gain, u_star, 0.0, top)
-    g_star = gain(u_star)
-    if gain(0.0) >= g_star:
-        return 0.0, gain(0.0), False
+    g_star = gain(p, u_star)
+    g_zero = p * 0.0 - h0
+    at_zero = g_zero >= g_star
     # ties: bisect the rising edge to the smallest u attaining the maximum
-    tie_tol = 1e-11 * (1.0 + abs(g_star))
-    eligible = np.nonzero(g_scan >= g_star - tie_tol)[0]
-    tie = eligible.size > 2
-    if tie:
-        first = int(eligible[0])
-        a = u_scan[first - 1] if first > 0 else 0.0
-        b = min(u_scan[first], u_star)
+    level = g_star - 1e-11 * (1.0 + np.abs(g_star))
+    eligible = g_scan >= level[:, None]
+    tie = ~at_zero & (np.sum(eligible, axis=-1) > 2)
+    k = np.nonzero(tie)[0]
+    if k.size:
+        first = np.argmax(eligible[k], axis=-1)
+        a = np.where(first > 0, u_scan[k, first - 1], 0.0)
+        b = u_scan[k, first]
+        b = np.where(u_star[k] < b, u_star[k], b)
         for _ in range(80):
             mid = 0.5 * (a + b)
-            if gain(mid) >= g_star - tie_tol:
-                b = mid
-            else:
-                a = mid
-        u_star = b
-    return float(u_star), float(g_star), bool(tie)
+            up = gain(p[k], mid) >= level[k]
+            a, b = np.where(up, a, mid), np.where(up, mid, b)
+        u_star[k] = b
+    u_star = np.where(at_zero, 0.0, u_star)
+    g_star = np.where(at_zero, g_zero, g_star)
+    return u_star.reshape(shape), g_star.reshape(shape), tie.reshape(shape)
 
 
-def conjugate(cost: RunningCost, p: float) -> float:
-    """sup over u >= 0 of (p*u - h(u))."""
+def conjugate(cost: RunningCost, p):
+    """sup over u >= 0 of (p*u - h(u)); elementwise, a float for a scalar."""
     if cost.kind == "quadratic":
-        return float(max(p, 0.0) ** 2 / (4.0 * cost.alpha1) - cost.alpha2)
-    _, value, _ = _maximize(cost, float(p))
-    return value
+        # float_power is libm's pow, as the scalar ``**`` uses
+        value = (np.float_power(np.maximum(p, 0.0), 2) / (4.0 * cost.alpha1)
+                 - cost.alpha2)
+    else:
+        _, value, _ = _maximize(cost, p)
+    return float(value) if np.ndim(p) == 0 else value
 
 
-def conjugate_derivative(cost: RunningCost, p: float) -> float:
+def conjugate_derivative(cost: RunningCost, p):
     """The maximizing control; 0 for every p below the cost slope at 0.
 
-    When the cost is affine on a segment the maximizer is not unique; the
-    smallest one is returned (ties broken toward zero volatility).
+    Elementwise, a float for a scalar.  When the cost is affine on a segment
+    the maximizer is not unique; the smallest one is returned (ties broken
+    toward zero volatility).
     """
     if cost.kind == "quadratic":
-        return float(max(p, 0.0) / (2.0 * cost.alpha1))
-    u_star, _, _ = _maximize(cost, float(p))
-    return u_star
+        u_star = np.maximum(p, 0.0) / (2.0 * cost.alpha1)
+    else:
+        u_star, _, _ = _maximize(cost, p)
+    return float(u_star) if np.ndim(p) == 0 else u_star
 
 
 def potential(cost: RunningCost, r: float) -> float:
@@ -316,19 +338,12 @@ class ConjugateHamiltonian:
         if not p_min < p_max:
             raise ValueError("need p_min < p_max")
         grid = np.linspace(float(p_min), float(p_max), int(nodes))
-        vals = np.empty_like(grid)
-        ders = np.empty_like(grid)
-        ties = False
-        for i, p in enumerate(grid):
-            u, g, tie = _maximize(cost, float(p))
-            ders[i] = u
-            vals[i] = g
-            ties = ties or tie
-        # trapezoid integral of the tabulated value, anchored so that the
-        # interpolated potential vanishes exactly at 0
+        blocks = [_maximize(cost, grid[i:i + _BLOCK])
+                  for i in range(0, grid.size, _BLOCK)]
+        ders, vals, ties = (np.concatenate(column) for column in zip(*blocks))
+        # trapezoid integral of the tabulated value
         pots = np.concatenate(
             ([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))))
-        pots -= np.interp(0.0, grid, pots)
         lip = float(np.max(np.abs(np.diff(ders) / np.diff(grid))))
 
         def value(p):
@@ -354,11 +369,13 @@ class ConjugateHamiltonian:
                 above, pots[-1] + vals[-1] * d1 + 0.5 * ders[-1] * d1 * d1, core)
             return core
 
+        # anchored so that the potential vanishes at 0, also off the table
+        pots -= pot(0.0)
         return cls("tabulated", value, derivative, pot,
                    derivative_lipschitz=lip,
                    derivative_at_zero=float(np.interp(0.0, grid, ders)),
                    p_range=(float(p_min), float(p_max)),
-                   ties_detected=ties)
+                   ties_detected=bool(ties.any()))
 
     @classmethod
     def for_cost(cls, cost: RunningCost, p_abs: float = 50.0, nodes: int = 4097):

@@ -391,10 +391,13 @@ class Expression:
                             f"{len(args)} arguments")
         env = dict(zip(self.variables, (np.asarray(a, dtype=float)
                                         for a in args)))
-        result = _evaluate(self.node, env)
+        result = np.asarray(_evaluate(self.node, env), dtype=float)
         shape = np.broadcast_shapes(*(np.shape(a) for a in args)) if args else ()
-        return np.broadcast_to(np.asarray(result, dtype=float), shape).copy() \
-            if shape else float(result)
+        if not shape:
+            return float(result)
+        if result.shape != shape:
+            result = np.broadcast_to(result, shape)
+        return result.copy()
 
     def derivative(self, var: str | None = None) -> "Expression":
         var = var if var is not None else self.variables[0]

@@ -104,18 +104,6 @@ def _initial_states(cfg: SimConfig) -> np.ndarray:
     return np.full(cfg.n_paths, float(cfg.x0))
 
 
-def _cost_vector(cost, u):
-    vals = cost.evaluate(u) if cost.kind == "quadratic" else None
-    if vals is None:
-        try:
-            vals = np.asarray(cost.h(u), dtype=float)
-            if vals.shape != u.shape:
-                raise TypeError
-        except Exception:
-            vals = np.array([float(cost.h(float(v))) for v in u])
-    return vals
-
-
 def _fsum_mean_var(samples: np.ndarray) -> tuple[float, float]:
     n = samples.size
     mean = math.fsum(samples.tolist()) / n
@@ -156,7 +144,7 @@ def simulate_cost(problem: ControlProblem, policy: Policy, cfg: SimConfig,
                 t = k * dt
                 u = np.maximum(np.asarray(act(t, x), dtype=float), 0.0)
                 run += (np.asarray(problem.g(x), dtype=float)
-                        + _cost_vector(problem.cost, u)) * dt
+                        + problem.cost.evaluate(u)) * dt
                 x = (x + np.asarray(drift(x), dtype=float) * dt
                      + np.sqrt(u) * np.asarray(problem.sigma(x), dtype=float)
                      * sqrt_dt * z[:, k])

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from mildhjb.conjugate import (ConjugateHamiltonian, CostValidationError,
                                NonConvexCostError, RunningCost, conjugate,
                                conjugate_derivative, potential)
+from mildhjb.expressions import parse_expression
 
 QUAD = RunningCost.quadratic(1.0, 0.0)
 
@@ -194,3 +197,85 @@ def test_tabulated_derivative_is_nonnegative_with_linear_growth_cap():
     cap = float(np.max(ders / (np.abs(ps) + 1.0)))
     assert np.isfinite(cap)
     assert np.all(ders <= cap * (np.abs(ps) + 1.0) + 1e-12)
+
+
+def simulate_cost():
+    # the expression cost of the simulate benchmark workload
+    return RunningCost.from_callable(parse_expression("u^2 + 0.25*u", ("u",)),
+                                     alpha1=1.0)
+
+
+def test_table_nodes_equal_pointwise_conjugate_exactly():
+    cost = simulate_cost()
+    table = ConjugateHamiltonian.for_cost(cost)
+    nodes = np.linspace(-50.0, 50.0, 4097)[::64]
+    values = table.value(nodes)
+    derivatives = table.derivative(nodes)
+    for p, value, derivative in zip(nodes, values, derivatives):
+        assert value == conjugate(cost, p)
+        assert derivative == conjugate_derivative(cost, p)
+    np.testing.assert_array_equal(conjugate(cost, nodes), values)
+    np.testing.assert_array_equal(conjugate_derivative(cost, nodes), derivatives)
+
+
+def test_table_keeps_smallest_maximizer_at_tie_nodes():
+    cost = piecewise_flat_cost()
+    grid = np.linspace(-3.0, 3.0, 7)
+    assert 2.0 in grid
+    table = ConjugateHamiltonian.tabulate(cost, -3.0, 3.0, nodes=7)
+    assert table.ties_detected
+    for p, value, derivative in zip(grid, table.value(grid),
+                                    table.derivative(grid)):
+        assert value == conjugate(cost, p)
+        assert derivative == conjugate_derivative(cost, p)
+    assert float(table.derivative(2.0)) == pytest.approx(1.0, abs=1e-3)
+
+
+def test_scalar_only_cost_tabulates_like_its_array_twin():
+    scalar = RunningCost.from_callable(lambda u: u * u + max(u - 1.0, 0.0),
+                                       alpha1=1.0)
+    array = RunningCost.from_callable(
+        lambda u: u * u + np.maximum(u - 1.0, 0.0), alpha1=1.0)
+    ps = np.linspace(-4.0, 6.0, 301)
+    a = ConjugateHamiltonian.tabulate(scalar, -4.0, 6.0, nodes=301)
+    b = ConjugateHamiltonian.tabulate(array, -4.0, 6.0, nodes=301)
+    np.testing.assert_array_equal(a.value(ps), b.value(ps))
+    np.testing.assert_array_equal(a.derivative(ps), b.derivative(ps))
+    np.testing.assert_array_equal(a.potential(ps), b.potential(ps))
+    assert a.derivative_lipschitz == b.derivative_lipschitz
+
+
+def test_cost_evaluates_arrays_of_any_shape():
+    scalar = RunningCost.from_callable(lambda u: u * u + max(u - 1.0, 0.0),
+                                       alpha1=1.0)
+    u = np.linspace(0.0, 3.0, 12).reshape(3, 4)
+    vals = scalar.evaluate(u)
+    assert vals.shape == (3, 4)
+    np.testing.assert_array_equal(vals, u * u + np.maximum(u - 1.0, 0.0))
+    assert isinstance(scalar.evaluate(2.0), float)
+
+
+def test_nonconvex_cost_detected_when_tabulating():
+    dipped = RunningCost.from_callable(
+        lambda u: u * u - 6.0 * np.exp(-4.0 * (u - 6.0) ** 2),
+        alpha1=0.75, probe_max=2.0)
+    with pytest.raises(NonConvexCostError):
+        ConjugateHamiltonian.tabulate(dipped, 0.0, 6.0, nodes=65)
+
+
+def test_tabulate_is_a_classmethod_with_a_node_count():
+    # the benchmark's per-layer tracer wraps it and reads ``nodes``
+    assert isinstance(inspect.getattr_static(ConjugateHamiltonian, "tabulate"),
+                      classmethod)
+    assert "nodes" in inspect.signature(ConjugateHamiltonian.tabulate).parameters
+
+
+@pytest.mark.parametrize("p_min, p_max", [(0.5, 3.0), (-3.0, -0.5)])
+def test_potential_vanishes_at_zero_off_the_table(p_min, p_max):
+    cost = RunningCost.from_callable(lambda u: u * u + 0.25 * u, alpha1=1.0)
+    table = ConjugateHamiltonian.tabulate(cost, p_min, p_max, nodes=257)
+    assert abs(float(table.potential(0.0))) <= 1e-15
+    for r in (p_min, 0.5 * (p_min + p_max), p_max):
+        grid = np.linspace(0.0, r, 4001)
+        oracle = float(trapezoid(table.value(grid), grid))
+        assert float(table.potential(r)) == pytest.approx(oracle, abs=1e-6)
