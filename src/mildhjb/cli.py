@@ -39,6 +39,8 @@ def _fmt(value) -> str:
 
 
 def _cell(v) -> str:
+    if isinstance(v, str):
+        return v
     if isinstance(v, (bool, np.bool_)):
         return str(bool(v))
     if isinstance(v, (int, np.integer)):
@@ -53,8 +55,7 @@ def _write_csv(path: Path, comment: str, header: list[str], rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -64,8 +65,12 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _field_rows(times, xs, tables):
+    # cells leave here formatted: x once per table, a snapshot in one pass
+    xs = [_fmt(x) for x in xs]
     for t, table in zip(times, tables):
-        for x, v in zip(xs, table):
+        values = map(repr, np.asarray(table, dtype=float).tolist())
+        t = _fmt(t)
+        for x, v in zip(xs, values):
             yield (t, x, v)
 
 
@@ -100,16 +105,15 @@ def _run_solve(cfg: RunConfig, out: Path, quiet: bool) -> None:
     _write_csv(out / "reports" / "energy.csv",
                "per-step energy series; columns: time, potential, dissipation",
                ["t", "potential", "dissipation"],
-               zip(sol.step_times, sol.energy_potential, sol.dissipation))
+               zip(sol.times, report.potential, report.dissipation))
     _write_text(out / "reports" / "summary.txt",
-                f"steps = {len(sol.step_times) - 1}\n"
+                f"steps = {len(sol.times) - 1}\n"
                 f"partial_step = {_fmt(sol.partial_step)}\n"
-                f"snapshot_stride = {sol.stride}\n"
                 f"potential_max = {_fmt(report.potential_max)}\n"
                 f"dissipation_total = {_fmt(report.dissipation_total)}\n"
                 f"implied_constant = {_fmt(report.implied_constant)}\n")
     if not quiet:
-        print(f"solved {len(sol.step_times) - 1} steps; artifacts in {out}")
+        print(f"solved {len(sol.times) - 1} steps; artifacts in {out}")
 
 
 def _value_tables(cfg: RunConfig):

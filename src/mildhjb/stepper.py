@@ -7,9 +7,9 @@ Each step is one resolvent solve with shift ``1/eps``:
 and the piecewise-constant interpolant of the snapshots is the approximate
 mild solution.  ``refine_until`` halves ``eps`` and measures the sup-in-time
 L1 gap between successive refinements, the computable Cauchy certificate for
-the limit.  Per-snapshot energy diagnostics track the potential integral
-``h * sum j(m*y)/sigma^2`` and the flux dissipation
-``h * sum ((value(m*y))_x)^2``.
+the limit.  Every step is stored.  ``energy_report`` computes, per
+snapshot, the potential integral ``h * sum j(m*y)/sigma^2`` and the flux
+dissipation ``h * sum ((value(m*y))_x)^2``.
 """
 
 from __future__ import annotations
@@ -78,40 +78,32 @@ class StepDiagnostics:
 
 @dataclass
 class MildSolution:
-    """Snapshots of one implicit run plus per-step diagnostics.
+    """Every snapshot of one implicit run plus per-step diagnostics.
 
-    ``step_times`` covers every step taken (including a shortened final step
-    when the horizon is not a multiple of ``eps``); snapshots are stored at
-    ``stored_index`` with stride ``stride`` (1 unless the snapshot budget
-    forced thinning).  The energy series are recorded at every step.
+    ``snapshots[i]`` is the state at ``times[i]``; the times cover every step
+    taken, including a shortened final step when the horizon is not a
+    multiple of ``eps``.
     """
 
     eps: float
-    grid: Grid1D
-    step_times: np.ndarray
-    stored_index: np.ndarray
+    operands: EllipticOperands
+    times: np.ndarray
     snapshots: np.ndarray
-    stride: int
     partial_step: float
     diagnostics: list[StepDiagnostics]
-    energy_potential: np.ndarray
-    dissipation: np.ndarray
 
     @property
-    def times(self) -> np.ndarray:
-        """Times of the stored snapshots."""
-        return self.step_times[self.stored_index]
+    def grid(self) -> Grid1D:
+        return self.operands.grid
 
     @property
     def final(self) -> np.ndarray:
         return self.snapshots[-1]
 
     def at_time(self, t: float) -> np.ndarray:
-        """Piecewise-constant evaluation: the stored snapshot covering t."""
-        i = int(np.searchsorted(self.step_times, t, side="right")) - 1
-        i = min(max(i, 0), len(self.step_times) - 1)
-        pos = int(np.searchsorted(self.stored_index, i, side="right")) - 1
-        return self.snapshots[max(pos, 0)]
+        """Piecewise-constant evaluation: the snapshot covering t."""
+        i = int(np.searchsorted(self.times, t, side="right")) - 1
+        return self.snapshots[max(i, 0)]
 
 
 def step(problem: TransformedProblem, eps: float, y_prev,
@@ -155,36 +147,25 @@ def step_lengths(horizon: float, eps: float) -> list[float]:
 
 
 def mild_solve(problem: TransformedProblem, eps: float,
-               cfg: Optional[ResolventConfig] = None,
-               max_snapshots: int = 4001) -> MildSolution:
-    """Iterate the implicit step across the horizon, recording diagnostics.
+               cfg: Optional[ResolventConfig] = None) -> MildSolution:
+    """Iterate the implicit step across the horizon, storing every step.
 
     Steps follow ``step_lengths``; whether a shortened final step was taken
-    is visible in ``step_times`` and ``partial_step``.
+    is visible in ``times`` and ``partial_step``.  The snapshots take
+    ``(steps + 1) * n * 8`` bytes.
     """
     if not eps > 0:
         raise ValueError(f"step size must be positive, got {eps}")
     lengths = step_lengths(problem.horizon, eps)
     remainder = lengths[-1] if lengths and lengths[-1] != eps else 0.0
-    total = len(lengths)
-    stride = max(1, -(-(total + 1) // max_snapshots))
-
-    times = [0.0]
-    kept_idx = [0]
-    kept = [np.asarray(problem.initial, dtype=float).copy()]
-    e_pot, e_dis = _energies(problem.operands, kept[0])
-    pots, diss = [e_pot], [e_dis]
-    diags: list[StepDiagnostics] = []
-
     grid = problem.operands.grid
-    y = kept[0]
-    t = 0.0
+    ys = np.empty((len(lengths) + 1, grid.n))
+    ys[0] = problem.initial
+    diags: list[StepDiagnostics] = []
     for i, dt in enumerate(lengths, start=1):
-        eta = problem.source + y / dt
-        res = step(problem, dt, y, cfg=cfg)
-        y = res.y
-        t += dt
-        times.append(t)
+        eta = problem.source + ys[i - 1] / dt
+        res = step(problem, dt, ys[i - 1], cfg=cfg)
+        ys[i] = res.y
         diags.append(StepDiagnostics(
             residual=res.residual,
             iterations=res.iterations,
@@ -192,26 +173,12 @@ def mild_solve(problem: TransformedProblem, eps: float,
             out_of_table=res.out_of_table,
             eta_inf=grid.norm_inf(eta),
             eta_l1=grid.norm1(eta),
-            y_inf=grid.norm_inf(y),
-            y_l1=grid.norm1(y)))
-        e_pot, e_dis = _energies(problem.operands, y)
-        pots.append(e_pot)
-        diss.append(e_dis)
-        if i % stride == 0 or i == total:
-            kept_idx.append(i)
-            kept.append(y.copy())
-
-    return MildSolution(
-        eps=eps,
-        grid=problem.operands.grid,
-        step_times=np.asarray(times),
-        stored_index=np.asarray(kept_idx, dtype=int),
-        snapshots=np.asarray(kept),
-        stride=stride,
-        partial_step=remainder,
-        diagnostics=diags,
-        energy_potential=np.asarray(pots),
-        dissipation=np.asarray(diss))
+            y_inf=grid.norm_inf(res.y),
+            y_l1=grid.norm1(res.y)))
+    times = np.concatenate(([0.0], np.cumsum(lengths)))
+    return MildSolution(eps=eps, operands=problem.operands, times=times,
+                        snapshots=ys, partial_step=remainder,
+                        diagnostics=diags)
 
 
 @dataclass
@@ -223,13 +190,20 @@ class RefineResult:
 
 
 def sup_time_gap(coarse: MildSolution, fine: MildSolution) -> float:
-    """sup over time of the L1 distance between two piecewise-constant runs."""
+    """sup over time of the L1 distance between two piecewise-constant runs.
+
+    The runs are compared at every step time of either run, each through its
+    snapshot covering that time; each distinct pair of covering snapshots is
+    compared once.
+    """
+    times = np.concatenate((fine.times, coarse.times))
+    pairs = np.unique(np.stack(
+        [np.searchsorted(run.times, times, side="right") - 1
+         for run in (fine, coarse)], axis=1), axis=0)
     grid = fine.grid
     gap = 0.0
-    for t in fine.times:
-        gap = max(gap, grid.norm1(fine.at_time(t) - coarse.at_time(t)))
-    for t in coarse.times:
-        gap = max(gap, grid.norm1(fine.at_time(t) - coarse.at_time(t)))
+    for i, j in pairs:
+        gap = max(gap, grid.norm1(fine.snapshots[i] - coarse.snapshots[j]))
     return gap
 
 
@@ -256,25 +230,30 @@ def refine_until(problem: TransformedProblem, tol: float, eps0: float,
 
 @dataclass
 class EnergyReport:
+    potential: np.ndarray
+    dissipation: np.ndarray
     potential_max: float
     dissipation_total: float
     implied_constant: float
 
 
 def energy_report(sol: MildSolution) -> EnergyReport:
-    """Max potential energy, cumulative dissipation, and their combined bound.
+    """Energy series of every snapshot, max potential, cumulative
+    dissipation, and their combined bound.
 
     Raises if either series is non-finite; stability of these numbers under
     eps-refinement is the computable content of the energy estimate.
     """
-    pots = sol.energy_potential
-    diss = sol.dissipation
+    pots, diss = np.array([_energies(sol.operands, y)
+                           for y in sol.snapshots]).T
     if not (np.all(np.isfinite(pots)) and np.all(np.isfinite(diss))):
         raise ArithmeticError("energy series contain non-finite entries")
-    steps = np.diff(sol.step_times)
+    steps = np.diff(sol.times)
     cum = np.concatenate(([0.0], np.cumsum(steps * diss[1:])))
     implied = float(np.max(2.0 * pots + cum))
     return EnergyReport(
+        potential=pots,
+        dissipation=diss,
         potential_max=float(np.max(pots)),
         dissipation_total=float(cum[-1]),
         implied_constant=implied)

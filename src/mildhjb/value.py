@@ -58,7 +58,7 @@ def reconstruct_value(sol: MildSolution, horizon: float | None = None
                       ) -> ValueFunction:
     """Green-solve every stored snapshot and reverse the time axis."""
     grid = sol.grid
-    T = float(horizon) if horizon is not None else float(sol.step_times[-1])
+    T = float(horizon) if horizon is not None else float(sol.times[-1])
     fwd_times = sol.times
     value_times = T - fwd_times[::-1]
     ys = sol.snapshots[::-1]

@@ -1,5 +1,3 @@
-import filecmp
-
 import numpy as np
 import pytest
 
@@ -170,16 +168,28 @@ def test_simulate_is_byte_deterministic(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_manifest_round_trip_reproduces_artifacts(tmp_path):
-    cfg = write(tmp_path, "s.cfg", SOLVE.format(T=0.1))
+def artifacts(out):
+    """Every file under fields/ and reports/, by path relative to out."""
+    return {path.relative_to(out): path.read_bytes()
+            for sub in ("fields", "reports")
+            for path in sorted((out / sub).rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("mode, text", [
+    ("solve", SOLVE.format(T=0.1)),
+    ("sweep-eps", SOLVE.format(T=0.1).replace(
+        "mode = solve", "mode = sweep-eps").replace(
+        "eps = 0.02", "eps = 0.02\nrefine_tol = 1e-3\nrefine_levels = 2")),
+], ids=["solve", "sweep-eps"])
+def test_manifest_round_trip_reproduces_artifacts(tmp_path, mode, text):
+    cfg = write(tmp_path, "s.cfg", text)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run("solve", str(cfg), out_dir=str(out1), quiet=True) == 0
-    assert run("solve", str(out1 / "manifest.txt"), out_dir=str(out2),
+    assert run(mode, str(cfg), out_dir=str(out1), quiet=True) == 0
+    assert run(mode, str(out1 / "manifest.txt"), out_dir=str(out2),
                quiet=True) == 0
-    cmp = filecmp.dircmp(out1, out2, ignore=["manifest.txt"])
-    assert not cmp.diff_files
-    assert (out1 / "fields" / "y.csv").read_bytes() == \
-        (out2 / "fields" / "y.csv").read_bytes()
+    first = artifacts(out1)
+    assert {path.parts[0] for path in first} == {"fields", "reports"}
+    assert artifacts(out2) == first
 
 
 def test_seed_override_lands_in_manifest(tmp_path):

@@ -69,7 +69,7 @@ def test_short_horizon_keeps_initial_snapshot_only():
     np.testing.assert_array_equal(sol.at_time(4e-5), problem.initial)
     # above eps/100 the horizon is one step of its own length
     short = mild_solve(quad_problem(g, horizon=0.005), eps=0.01)
-    np.testing.assert_array_equal(short.step_times, [0.0, 0.005])
+    np.testing.assert_array_equal(short.times, [0.0, 0.005])
 
 
 def test_partial_final_step_recorded():
@@ -77,8 +77,8 @@ def test_partial_final_step_recorded():
     problem = quad_problem(g, horizon=0.025)
     sol = mild_solve(problem, eps=0.01)
     assert sol.partial_step == pytest.approx(0.005)
-    assert sol.step_times[-1] == pytest.approx(0.025)
-    assert len(sol.step_times) == 4
+    assert sol.times[-1] == pytest.approx(0.025)
+    assert len(sol.times) == 4
 
 
 def test_heat_solution_against_kernel():
@@ -170,17 +170,6 @@ def test_positivity_preserved_without_drift():
     assert float(np.min(sol.snapshots)) >= -1e-9
 
 
-def test_snapshot_thinning_keeps_last():
-    g = Grid1D(10.0, 201)
-    problem = heat_problem(g, horizon=0.05)
-    sol = mild_solve(problem, 1e-3, max_snapshots=11)
-    assert sol.stride > 1
-    assert sol.stored_index[-1] == len(sol.step_times) - 1
-    assert len(sol.snapshots) <= 12
-    full = mild_solve(problem, 1e-3)
-    np.testing.assert_allclose(sol.final, full.final, atol=1e-12)
-
-
 def test_sup_time_gap_between_refinements():
     g = Grid1D(10.0, 201)
     problem = heat_problem(g, horizon=0.1)
@@ -189,6 +178,32 @@ def test_sup_time_gap_between_refinements():
     gap = sup_time_gap(coarse, fine)
     endpoint = g.norm1(coarse.final - fine.final)
     assert gap >= endpoint > 0
+
+
+def test_sup_time_gap_is_exact_over_every_step():
+    # on [k*eps, (k+1)*eps) the coarse run is step k and the fine run is
+    # steps 2k and 2k+1; eps is a power of two, so the step times align
+    problem = heat_problem(Grid1D(10.0, 21), horizon=0.5)
+    coarse = mild_solve(problem, 2.0**-12)
+    fine = mild_solve(problem, 2.0**-13)
+    g, ys, zs = fine.grid, fine.snapshots, coarse.snapshots
+    expected = g.norm1(fine.final - coarse.final)
+    for k in range(len(zs) - 1):
+        expected = max(expected, g.norm1(ys[2 * k] - zs[k]),
+                       g.norm1(ys[2 * k + 1] - zs[k]))
+    assert sup_time_gap(coarse, fine) == expected
+
+
+def test_refine_until_certifies_every_step_of_a_long_run():
+    # the finest level takes 4,096 steps, all stored; its gap is about
+    # 3.4e-4, so a tolerance of 1e-4 must not pass
+    problem = heat_problem(Grid1D(10.0, 21), horizon=0.5)
+    result = refine_until(problem, tol=1e-4, eps0=2.0**-12, max_levels=1)
+    assert result.converged is False
+    assert result.gaps[0] > 1e-4
+    sol = result.solution
+    assert len(sol.times) == len(sol.snapshots) == 4097
+    np.testing.assert_array_equal(sol.times, np.arange(4097) * 2.0**-13)
 
 
 def test_every_step_carries_a_residual_certificate():

@@ -130,7 +130,7 @@ def test_step_times_match_the_1d_schedule(horizon):
                                          horizon), 0.01)
     sol2 = mild_solve_2d(make_problem(Grid2D(3.0, 11), np.eye(2),
                                       horizon=horizon), 0.01)
-    np.testing.assert_array_equal(sol2.times, sol1.step_times)
+    np.testing.assert_array_equal(sol2.times, sol1.times)
 
 
 def test_viscosity_homotopy_reaches_the_plain_equation():
