@@ -15,7 +15,7 @@ from .conjugate import (ConjugateHamiltonian, CostValidationError,
 from .degenerate import (DegenerateSweep, VolatilityData, check_linf_bound,
                          solve_degenerate, sup_bound)
 from .drift import DriftData, apply_B
-from .grid import (Grid1D, diff1_central, diff1_upwind, diff2,
+from .grid import (Grid1D, Grid2D, diff1_central, diff1_upwind, diff2,
                    green_constants, poisson_gradient, poisson_solve)
 from .montecarlo import (ComparisonReport, McReport, SimConfig,
                          SimulationError, compare_policies, simulate_cost)
@@ -25,8 +25,8 @@ from .resolvent import (EllipticOperands, ResolventConfig, ResolventError,
 from .stepper import (EnergyReport, MildSolution, RefineResult,
                       TransformedProblem, energy_report, mild_solve,
                       refine_until, step, sup_time_gap)
-from .twodim import (Grid2D, MildSolution2D, Problem2D, apply_L,
-                     mild_solve_2d, solve_L, solve_resolvent_2d)
+from .twodim import (Problem2D, apply_L, mild_solve_2d, solve_L,
+                     solve_resolvent_2d)
 from .value import (FeedbackPolicy, ValueFunction, interpolate_policy,
                     reconstruct_value, synthesize_feedback)
 

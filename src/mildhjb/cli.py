@@ -23,12 +23,12 @@ from .config import MODES, RunConfig, parse_config
 from .conjugate import (ConjugateHamiltonian, conjugate, conjugate_derivative,
                         potential)
 from .degenerate import solve_degenerate
-from .grid import Grid1D
+from .grid import Grid1D, Grid2D
 from .montecarlo import SimConfig, compare_policies
 from .problem import ControlProblem
 from .resolvent import ResolventConfig
 from .stepper import energy_report, mild_solve, refine_until
-from .twodim import Grid2D, Problem2D, mild_solve_2d, solve_L
+from .twodim import Problem2D, mild_solve_2d, solve_L
 from .value import reconstruct_value, synthesize_feedback
 
 __all__ = ["main", "run"]
@@ -89,6 +89,7 @@ def _solver_cfg(cfg: RunConfig, eps: float) -> ResolventConfig:
 
 def _inner_slice(grid: Grid1D) -> slice:
     # reconstructed value tables are reported on the inner 80% of the mesh
+    # (of each axis in 2-D)
     margin = int(round(0.1 * (grid.n - 1)))
     return slice(margin, grid.n - margin)
 
@@ -277,10 +278,9 @@ def _run_solve_2d(cfg: RunConfig, out: Path, quiet: bool) -> None:
         horizon=cfg.T2, conj=ConjugateHamiltonian.for_cost(cfg.cost))
     sol = mild_solve_2d(problem, cfg.eps, cfg=_solver_cfg(cfg, cfg.eps))
 
-    def rows_of(table, margin=0):
-        n = grid2.n
-        for i in range(margin, n - margin):
-            for j in range(margin, n - margin):
+    def rows_of(table, inner=slice(None)):
+        for i in range(grid2.n)[inner]:
+            for j in range(grid2.n)[inner]:
                 yield (i, j, grid2.x[i], grid2.x[j], table[i, j])
 
     _write_csv(out / "fields" / "y2d_initial.csv",
@@ -290,16 +290,16 @@ def _run_solve_2d(cfg: RunConfig, out: Path, quiet: bool) -> None:
                "final transformed state; columns: i, j, x, y, value",
                ["i", "j", "x", "y", "value"], rows_of(sol.final))
     phi = solve_L(problem, sol.final)
-    inner = int(round(0.1 * (grid2.n - 1)))
     _write_csv(out / "fields" / "value2d_final.csv",
                "reconstructed value at the initial time, inner 80% of the "
                "mesh; columns: i, j, x, y, value",
-               ["i", "j", "x", "y", "value"], rows_of(phi, margin=inner))
+               ["i", "j", "x", "y", "value"], rows_of(phi, _inner_slice(grid2)))
+    masses = sol.masses
     _write_csv(out / "reports" / "mass.csv",
                "discrete integral per step; columns: time, mass",
-               ["t", "mass"], zip(sol.times, sol.masses))
+               ["t", "mass"], zip(sol.times, masses))
     if not quiet:
-        drift = abs(sol.masses[-1] - sol.masses[0])
+        drift = abs(masses[-1] - masses[0])
         print(f"2-D run complete; mass drift {drift:.3e}")
 
 

@@ -100,8 +100,6 @@ class RunConfig:
     n2: int = 41
     a_matrix: Optional[np.ndarray] = None
     sigma0_2d: Optional[Expression] = None
-    g_2d: Optional[Expression] = None
-    g0_2d: Optional[Expression] = None
     g_2d_parts: Optional[tuple] = None
     g0_2d_parts: Optional[tuple] = None
     T2: float = 0.0
@@ -410,8 +408,6 @@ def parse_config(text: str, mode_override: Optional[str] = None
                                    required=True, mode=mode)
         g02, g02_line = v.expression("2d", "g0", variables=("x", "y"),
                                      required=True, mode=mode)
-        cfg.g_2d = g2
-        cfg.g0_2d = g02
 
         def second_partials(expr, line, field):
             dx = v.derived(expr, line, field, var="x")

@@ -1,9 +1,9 @@
-"""Truncated 1-D mesh, finite-difference stencils, and the Dirichlet Green solve.
+"""Truncated meshes, 1-D finite-difference stencils, and the Dirichlet Green solve.
 
-Grid functions ("fields") are plain float arrays aligned with ``Grid1D.x``;
-the grid object carries the geometry and the discrete norms.  All stencils
-close with zero ghost values outside the mesh, the discrete counterpart of
-integrable data decaying at infinity.
+Grid functions ("fields") are plain float arrays aligned with ``Grid1D.x``
+or ``Grid2D.mesh``; the grid object carries the geometry and the discrete
+norms.  All stencils close with zero ghost values outside the mesh, the
+discrete counterpart of integrable data decaying at infinity.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from scipy.linalg import solve_banded
 
 __all__ = [
     "Grid1D",
+    "Grid2D",
     "diff1_central",
     "diff1_upwind",
     "diff2",
@@ -27,14 +28,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform mesh of ``n`` nodes on [-L, L], symmetric about 0.
+    """Uniform mesh of ``n`` nodes per axis on [-L, L]^dim, symmetric about 0.
 
     ``n`` must be odd (so 0 is a node) and at least 5; the spacing is
-    ``h = 2L/(n-1)``.
+    ``h = 2L/(n-1)`` and each node carries the weight ``h**dim``.
     """
 
     half_width: float
     n: int
+
+    dim = 1
 
     def __post_init__(self):
         if not self.half_width > 0:
@@ -52,14 +55,25 @@ class Grid1D:
         return self.h * (np.arange(self.n) - (self.n - 1) // 2)
 
     def norm1(self, values) -> float:
-        """Discrete L1 norm, h * sum |v_k|."""
-        return self.h * float(np.sum(np.abs(values)))
+        """Discrete L1 norm, h**dim * sum |v_k|."""
+        return self.h**self.dim * float(np.sum(np.abs(values)))
 
     def norm_inf(self, values) -> float:
         return float(np.max(np.abs(values)))
 
     def integral(self, values) -> float:
-        return self.h * float(np.sum(values))
+        return self.h**self.dim * float(np.sum(values))
+
+
+class Grid2D(Grid1D):
+    """The square [-L, L]^2 with the same ``n`` nodes on both axes."""
+
+    dim = 2
+
+    @cached_property
+    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(X, Y) with X varying along axis 0 and Y along axis 1."""
+        return np.meshgrid(self.x, self.x, indexing="ij")
 
 
 def diff2(grid: Grid1D, values) -> np.ndarray:

@@ -7,9 +7,11 @@ Each step is one resolvent solve with shift ``1/eps``:
 and the piecewise-constant interpolant of the snapshots is the approximate
 mild solution.  ``refine_until`` halves ``eps`` and measures the sup-in-time
 L1 gap between successive refinements, the computable Cauchy certificate for
-the limit.  Every step is stored.  ``energy_report`` computes, per
-snapshot, the potential integral ``h * sum j(m*y)/sigma^2`` and the flux
-dissipation ``h * sum ((value(m*y))_x)^2``.
+the limit.  Every step is stored.  The march takes any operand of
+``resolvent.solve_resolvent`` (``EllipticOperands``, ``twodim.Problem2D``).
+``energy_report`` (1-D only) computes, per snapshot, the potential integral
+``h * sum j(m*y)/sigma^2`` and the flux dissipation
+``h * sum ((value(m*y))_x)^2``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransformedProblem:
-    """Initial state, forcing, and horizon for the transformed equation."""
+    """Initial state, forcing, and horizon on any resolvent operand."""
 
     operands: EllipticOperands
     initial: np.ndarray
@@ -48,11 +50,11 @@ class TransformedProblem:
     horizon: float
 
     def __post_init__(self):
-        n = self.operands.grid.n
+        shape = self.operands.shape
         for name in ("initial", "source"):
             v = getattr(self, name)
-            if v.shape != (n,):
-                raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
+            if v.shape != shape:
+                raise ValueError(f"{name} has shape {v.shape}, expected {shape}")
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} contains non-finite entries")
         if not self.horizon > 0:
@@ -80,9 +82,9 @@ class StepDiagnostics:
 class MildSolution:
     """Every snapshot of one implicit run plus per-step diagnostics.
 
-    ``snapshots[i]`` is the state at ``times[i]``; the times cover every step
-    taken, including a shortened final step when the horizon is not a
-    multiple of ``eps``.
+    ``snapshots[i]`` is the state at ``times[i] = min(i*eps, horizon)``; the
+    times cover every step taken, including a shortened final step when the
+    horizon is not a multiple of ``eps``.
     """
 
     eps: float
@@ -99,6 +101,11 @@ class MildSolution:
     @property
     def final(self) -> np.ndarray:
         return self.snapshots[-1]
+
+    @property
+    def masses(self) -> np.ndarray:
+        """Discrete integral of every snapshot."""
+        return np.array([self.grid.integral(y) for y in self.snapshots])
 
     def at_time(self, t: float) -> np.ndarray:
         """Piecewise-constant evaluation: the snapshot covering t."""
@@ -151,15 +158,16 @@ def mild_solve(problem: TransformedProblem, eps: float,
     """Iterate the implicit step across the horizon, storing every step.
 
     Steps follow ``step_lengths``; whether a shortened final step was taken
-    is visible in ``times`` and ``partial_step``.  The snapshots take
-    ``(steps + 1) * n * 8`` bytes.
+    is visible in ``times`` and ``partial_step``.  Step times are exact
+    multiples of eps, so runs at eps and eps/2 meet at the same times.  The
+    snapshots take ``(steps + 1) * 8`` bytes per node.
     """
     if not eps > 0:
         raise ValueError(f"step size must be positive, got {eps}")
     lengths = step_lengths(problem.horizon, eps)
     remainder = lengths[-1] if lengths and lengths[-1] != eps else 0.0
     grid = problem.operands.grid
-    ys = np.empty((len(lengths) + 1, grid.n))
+    ys = np.empty((len(lengths) + 1, *problem.operands.shape))
     ys[0] = problem.initial
     diags: list[StepDiagnostics] = []
     for i, dt in enumerate(lengths, start=1):
@@ -175,7 +183,7 @@ def mild_solve(problem: TransformedProblem, eps: float,
             eta_l1=grid.norm1(eta),
             y_inf=grid.norm_inf(res.y),
             y_l1=grid.norm1(res.y)))
-    times = np.concatenate(([0.0], np.cumsum(lengths)))
+    times = np.minimum(eps * np.arange(len(lengths) + 1), problem.horizon)
     return MildSolution(eps=eps, operands=problem.operands, times=times,
                         snapshots=ys, partial_step=remainder,
                         diagnostics=diags)
@@ -238,8 +246,8 @@ class EnergyReport:
 
 
 def energy_report(sol: MildSolution) -> EnergyReport:
-    """Energy series of every snapshot, max potential, cumulative
-    dissipation, and their combined bound.
+    """Energy series of every snapshot of a 1-D run, max potential,
+    cumulative dissipation, and their combined bound.
 
     Raises if either series is non-finite; stability of these numbers under
     eps-refinement is the computable content of the energy estimate.

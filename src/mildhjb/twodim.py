@@ -8,9 +8,10 @@ The elliptic operator is built from the factor matrix ``a`` through
 discretized with 3-point stencils on the axes and the 4-corner centered
 stencil for the cross term, all closed by zero ghosts.  The implicit step
 solves ``lam*y - L(value(m0*y)) = eta`` with ``Problem2D`` (sparse 9-point
-Jacobian) as the operand of ``resolvent.solve_resolvent``: one
-Newton/Picard/homotopy solver, one residual certificate and one step
-schedule serve both 1-D and 2-D.  Without drift the resolvent is an L1
+Jacobian) as the operand of ``resolvent.solve_resolvent``, and
+``mild_solve_2d`` is ``stepper.mild_solve`` on that operand: one
+Newton/Picard/homotopy solver, one residual certificate, one march and one
+solution type serve both 1-D and 2-D.  Without drift the resolvent is an L1
 contraction with constant exactly ``1/lam``.
 
 The centered cross stencil is not sign-preserving for strongly anisotropic
@@ -30,51 +31,18 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .conjugate import ConjugateHamiltonian
+from .grid import Grid2D
 from .resolvent import ResolventConfig, solve_resolvent
-from .stepper import step_lengths
+from .stepper import MildSolution, TransformedProblem, mild_solve
 
 __all__ = [
     "Grid2D",
-    "MildSolution2D",
     "Problem2D",
     "apply_L",
     "mild_solve_2d",
     "solve_L",
     "solve_resolvent_2d",
 ]
-
-
-@dataclass(frozen=True)
-class Grid2D:
-    """Uniform mesh on the square [-L, L]^2, odd node count per axis."""
-
-    half_width: float
-    n: int
-
-    def __post_init__(self):
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
-        if self.n < 5 or self.n % 2 == 0:
-            raise ValueError(f"node count must be odd and >= 5, got {self.n}")
-
-    @property
-    def h(self) -> float:
-        return 2.0 * self.half_width / (self.n - 1)
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        return self.h * (np.arange(self.n) - (self.n - 1) // 2)
-
-    @cached_property
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X, Y) with X varying along axis 0 and Y along axis 1."""
-        return np.meshgrid(self.x, self.x, indexing="ij")
-
-    def norm1(self, values) -> float:
-        return self.h**2 * float(np.sum(np.abs(values)))
-
-    def integral(self, values) -> float:
-        return self.h**2 * float(np.sum(values))
 
 
 @dataclass(frozen=True)
@@ -205,48 +173,14 @@ def solve_resolvent_2d(problem: Problem2D, lam: float, eta,
     return res.y, res.residual, res.iterations
 
 
-@dataclass
-class MildSolution2D:
-    eps: float
-    grid: Grid2D
-    times: np.ndarray
-    snapshots: np.ndarray
-    masses: np.ndarray
-    residuals: np.ndarray
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.snapshots[-1]
-
-
 def mild_solve_2d(problem: Problem2D, eps: float,
-                  cfg: Optional[ResolventConfig] = None) -> MildSolution2D:
+                  cfg: Optional[ResolventConfig] = None) -> MildSolution:
     """Implicit stepping of y_t - L(value(m0*y)) = source over the horizon.
 
-    Steps follow ``stepper.step_lengths``; ``cfg`` supplies ``tol_res`` and
-    ``max_iter`` (the shift is 1/dt at each step, ``nu`` is not used).
+    The march is ``stepper.mild_solve`` with ``problem`` as the operand, so
+    the 2-D run has the same schedule, diagnostics and refinement
+    certificate as the 1-D one.
     """
-    if not eps > 0:
-        raise ValueError(f"step size must be positive, got {eps}")
-    cfg = cfg if cfg is not None else ResolventConfig(lam=1.0 / eps)
-    grid = problem.grid
-    y = problem.initial.copy()
-    times = [0.0]
-    snaps = [y.copy()]
-    masses = [grid.integral(y)]
-    residuals = [0.0]
-    t = 0.0
-    for dt in step_lengths(problem.horizon, eps):
-        eta = problem.source + y / dt
-        y, rnorm, _ = solve_resolvent_2d(problem, 1.0 / dt, eta,
-                                         tol_res=cfg.tol_res,
-                                         max_iter=cfg.max_iter, y_init=y)
-        t += dt
-        times.append(t)
-        snaps.append(y.copy())
-        masses.append(grid.integral(y))
-        residuals.append(rnorm)
-    return MildSolution2D(eps=eps, grid=grid, times=np.asarray(times),
-                          snapshots=np.asarray(snaps),
-                          masses=np.asarray(masses),
-                          residuals=np.asarray(residuals))
+    return mild_solve(TransformedProblem(problem, problem.initial,
+                                         problem.source, problem.horizon),
+                      eps, cfg=cfg)

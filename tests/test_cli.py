@@ -180,7 +180,8 @@ def artifacts(out):
     ("sweep-eps", SOLVE.format(T=0.1).replace(
         "mode = solve", "mode = sweep-eps").replace(
         "eps = 0.02", "eps = 0.02\nrefine_tol = 1e-3\nrefine_levels = 2")),
-], ids=["solve", "sweep-eps"])
+    ("solve-2d", SOLVE_2D),
+], ids=["solve", "sweep-eps", "solve-2d"])
 def test_manifest_round_trip_reproduces_artifacts(tmp_path, mode, text):
     cfg = write(tmp_path, "s.cfg", text)
     out1, out2 = tmp_path / "a", tmp_path / "b"

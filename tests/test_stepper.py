@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import mildhjb.stepper as stepper
 from conftest import desk_problem, heat_exact, heat_problem, tanh_drift
 from mildhjb.conjugate import ConjugateHamiltonian
-from mildhjb.grid import Grid1D
+from mildhjb.grid import Grid1D, Grid2D
 from mildhjb.resolvent import EllipticOperands
 from mildhjb.stepper import (TransformedProblem, energy_report, mild_solve,
                              refine_until, step, sup_time_gap)
+from mildhjb.twodim import Problem2D
 
 
 def quad_problem(grid, horizon=0.5, use_perturbation=True, drift=None,
@@ -180,12 +182,29 @@ def test_sup_time_gap_between_refinements():
     assert gap >= endpoint > 0
 
 
-def test_sup_time_gap_is_exact_over_every_step():
+def planar_problem():
+    """Drift-free 2-D problem with a cross term and a Gaussian start."""
+    g = Grid2D(3.0, 11)
+    X, Y = g.mesh
+    prob = Problem2D(g, [[1.2, 0.0], [0.3, 1.0]],
+                     np.full((g.n, g.n), np.sqrt(2.0)),
+                     np.exp(-(X**2 + Y**2)), np.zeros((g.n, g.n)), 0.05,
+                     ConjugateHamiltonian.quadratic())
+    return TransformedProblem(prob, prob.initial, prob.source, prob.horizon)
+
+
+@pytest.mark.parametrize("make, eps", [
+    (lambda: heat_problem(Grid1D(10.0, 21), horizon=0.5), 2.0**-12),
+    (lambda: heat_problem(Grid1D(10.0, 21), horizon=0.5), 0.01),
+    (planar_problem, 0.01),
+], ids=["1d-dyadic", "1d-decimal", "2d"])
+def test_sup_time_gap_is_exact_over_every_step(make, eps):
     # on [k*eps, (k+1)*eps) the coarse run is step k and the fine run is
-    # steps 2k and 2k+1; eps is a power of two, so the step times align
-    problem = heat_problem(Grid1D(10.0, 21), horizon=0.5)
-    coarse = mild_solve(problem, 2.0**-12)
-    fine = mild_solve(problem, 2.0**-13)
+    # steps 2k and 2k+1, whether or not eps is a power of two
+    problem = make()
+    coarse = mild_solve(problem, eps)
+    fine = mild_solve(problem, eps / 2)
+    np.testing.assert_array_equal(fine.times[::2], coarse.times)
     g, ys, zs = fine.grid, fine.snapshots, coarse.snapshots
     expected = g.norm1(fine.final - coarse.final)
     for k in range(len(zs) - 1):
@@ -204,6 +223,26 @@ def test_refine_until_certifies_every_step_of_a_long_run():
     sol = result.solution
     assert len(sol.times) == len(sol.snapshots) == 4097
     np.testing.assert_array_equal(sol.times, np.arange(4097) * 2.0**-13)
+
+
+def test_refine_until_certifies_a_2d_run(monkeypatch):
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(mild_solve(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(stepper, "mild_solve", recorded)
+    result = refine_until(planar_problem(), tol=1e-6, eps0=0.01, max_levels=3)
+    assert result.converged is False
+    assert len(result.gaps) == 3
+    assert result.gaps[0] > result.gaps[1] > result.gaps[2] > 0
+    assert [sol.eps for sol in runs] == result.eps_levels
+    for sol in runs:
+        steps = round(0.05 / sol.eps)
+        assert sol.snapshots.shape == (steps + 1, 11, 11)
+        assert len(sol.diagnostics) == steps
+    assert result.solution is runs[-1]
 
 
 def test_every_step_carries_a_residual_certificate():
