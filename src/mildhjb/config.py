@@ -11,6 +11,7 @@ derivatives, so the transformed data entering the solver is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -158,6 +159,15 @@ def _split_file(text: str):
     return top, sections, errors
 
 
+def _finite(raw: str) -> Optional[float]:
+    """float(raw) when it spells a finite number (not inf, nan or 1e999)."""
+    try:
+        value = float(raw)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 class _Validator:
     def __init__(self, sections):
         self.sections = sections
@@ -182,10 +192,10 @@ class _Validator:
         raw, line = self.get(section, key, required, None, mode)
         if raw is None:
             return default
-        try:
-            value = float(raw)
-        except ValueError:
-            self.error(line, f"[{section}] {key}", f"not a number: {raw!r}")
+        value = _finite(raw)
+        if value is None:
+            self.error(line, f"[{section}] {key}",
+                       f"not a finite number: {raw!r}")
             return default
         if check is not None and not check(value):
             self.error(line, f"[{section}] {key}",
@@ -238,28 +248,24 @@ class _Validator:
         raw, line = self.get(section, key)
         if raw is None:
             raw = default_raw
-        parts = raw.replace(",", " ").split()
-        values = []
-        for p in parts:
-            try:
-                values.append(float(p))
-            except ValueError:
-                self.error(line, f"[{section}] {key}", f"not a number: {p!r}")
-                return ()
+        values = tuple(_finite(p) for p in raw.replace(",", " ").split())
+        if None in values:
+            self.error(line, f"[{section}] {key}",
+                       f"entries must be finite numbers: {raw!r}")
+            return ()
         if not values:
             self.error(line, f"[{section}] {key}", f"empty list ({describe})")
-        return tuple(values)
+        return values
 
     def matrix(self, section, key, rows, required=False, mode=""):
         raw, line = self.get(section, key, required, None, mode)
         if raw is None:
             return None
-        try:
-            data = [[float(v) for v in row.replace(",", " ").split()]
-                    for row in raw.split(";")]
-        except ValueError:
+        data = [[_finite(v) for v in row.replace(",", " ").split()]
+                for row in raw.split(";")]
+        if any(None in row for row in data):
             self.error(line, f"[{section}] {key}", f"matrix entries must be "
-                       f"numbers: {raw!r}")
+                       f"finite numbers: {raw!r}")
             return None
         widths = {len(r) for r in data}
         if len(data) != rows or len(widths) != 1 or 0 in widths:

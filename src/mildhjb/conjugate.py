@@ -263,10 +263,9 @@ class ConjugateHamiltonian:
     control injected at zero curvature, 0 for every cost with a minimum at 0.
     """
 
-    def __init__(self, backend, value_fn, derivative_fn, potential_fn,
+    def __init__(self, value_fn, derivative_fn, potential_fn,
                  derivative_lipschitz, derivative_at_zero=0.0, p_range=None,
                  ties_detected=False):
-        self.backend = backend
         self._value = value_fn
         self._derivative = derivative_fn
         self._potential = potential_fn
@@ -304,14 +303,13 @@ class ConjugateHamiltonian:
         def pot(r):
             return np.maximum(r, 0.0) ** 3 / (12.0 * a1) - a2 * r
 
-        return cls("closed-form", value, derivative, pot,
+        return cls(value, derivative, pot,
                    derivative_lipschitz=1.0 / (2.0 * a1))
 
     @classmethod
     def linear(cls):
         """Identity conjugate; turns the flux into plain diffusion (test stub)."""
-        return cls("closed-form",
-                   lambda p: p + 0.0,
+        return cls(lambda p: p + 0.0,
                    lambda p: np.ones_like(p),
                    lambda r: 0.5 * r * r,
                    derivative_lipschitz=0.0,
@@ -320,8 +318,7 @@ class ConjugateHamiltonian:
     @classmethod
     def zero(cls):
         """Vanishing conjugate; switches the nonlinear flux off (test stub)."""
-        return cls("closed-form",
-                   lambda p: np.zeros_like(p),
+        return cls(lambda p: np.zeros_like(p),
                    lambda p: np.zeros_like(p),
                    lambda r: np.zeros_like(r),
                    derivative_lipschitz=0.0)
@@ -371,7 +368,7 @@ class ConjugateHamiltonian:
 
         # anchored so that the potential vanishes at 0, also off the table
         pots -= pot(0.0)
-        return cls("tabulated", value, derivative, pot,
+        return cls(value, derivative, pot,
                    derivative_lipschitz=lip,
                    derivative_at_zero=float(np.interp(0.0, grid, ders)),
                    p_range=(float(p_min), float(p_max)),

@@ -116,11 +116,6 @@ class BoundReport:
     passed: bool
     min_slack: float
 
-    @property
-    def worst_step(self) -> int:
-        slack = np.where(self.certified, self.bounds - self.y_inf, np.inf)
-        return int(np.argmin(slack))
-
 
 def check_linf_bound(sol: MildSolution, conj: ConjugateHamiltonian,
                      vol: VolatilityData, regularization: float

@@ -63,7 +63,7 @@ class DriftData:
         return self.grid.norm1(self.f2)
 
     def perturbation_bound(self) -> float:
-        """Measured L1 operator bound of the nonlocal perturbation."""
+        """L1 bound of the nonlocal perturbation (exact Green constant)."""
         _, c_grad = green_constants(self.grid)
         return self.curvature_l1 * c_grad + 2.0 * self.slope_sup
 

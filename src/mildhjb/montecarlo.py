@@ -34,6 +34,9 @@ __all__ = [
 
 Policy = Union[FeedbackPolicy, float, Callable]
 
+# a run fails when more than this share of its paths turn non-finite
+MAX_EXCLUDED_FRACTION = 0.01
+
 
 class SimulationError(RuntimeError):
     """Too many paths blew up for the estimate to be trustworthy."""
@@ -48,7 +51,6 @@ class SimConfig:
     seed: int
     x0: Union[float, Callable] = 0.0
     block: int = 4096
-    max_excluded_fraction: float = 0.01
 
     def __post_init__(self):
         if self.n_paths < 2:
@@ -153,7 +155,7 @@ def simulate_cost(problem: ControlProblem, policy: Policy, cfg: SimConfig,
         alive_all[start:stop] = np.isfinite(x) & np.isfinite(run)
 
     excluded = int(np.sum(~alive_all))
-    if excluded > cfg.max_excluded_fraction * cfg.n_paths:
+    if excluded > MAX_EXCLUDED_FRACTION * cfg.n_paths:
         raise SimulationError(
             f"{excluded}/{cfg.n_paths} paths excluded (non-finite state)")
     good = costs[alive_all]

@@ -94,11 +94,6 @@ class EllipticOperands:
         return 2.0 * self.half_sigma_sq
 
     @property
-    def rho(self) -> float:
-        """Volatility floor min|sigma| on the grid."""
-        return float(np.sqrt(2.0 * np.min(self.half_sigma_sq)))
-
-    @property
     def lam0(self) -> float:
         """Contraction shift floor, sup|f'| (0 without drift)."""
         return 0.0 if self.drift is None else self.drift.slope_sup

@@ -114,8 +114,7 @@ class MildSolution:
 
 
 def step(problem: TransformedProblem, eps: float, y_prev,
-         cfg: Optional[ResolventConfig] = None,
-         y_guess=None) -> ResolventResult:
+         cfg: Optional[ResolventConfig] = None) -> ResolventResult:
     """One implicit step of length eps from y_prev (a single resolvent solve)."""
     if not eps > 0:
         raise ValueError(f"step size must be positive, got {eps}")
@@ -129,8 +128,7 @@ def step(problem: TransformedProblem, eps: float, y_prev,
     base = cfg if cfg is not None else ResolventConfig(lam=lam)
     if base.lam != lam:
         base = replace(base, lam=lam)
-    guess = y_guess if y_guess is not None else y_prev
-    return solve_resolvent(problem.operands, base, eta, y_init=guess)
+    return solve_resolvent(problem.operands, base, eta, y_init=y_prev)
 
 
 def _energies(ops: EllipticOperands, y) -> tuple[float, float]:

@@ -59,16 +59,10 @@ def reconstruct_value(sol: MildSolution, horizon: float | None = None
     """Green-solve every stored snapshot and reverse the time axis."""
     grid = sol.grid
     T = float(horizon) if horizon is not None else float(sol.times[-1])
-    fwd_times = sol.times
-    value_times = T - fwd_times[::-1]
     ys = sol.snapshots[::-1]
-    phi = np.empty_like(ys)
-    phi_x = np.empty_like(ys)
-    for i, y in enumerate(ys):
-        phi[i] = poisson_solve(grid, y)
-        phi_x[i] = poisson_gradient(grid, y)
-    return ValueFunction(grid=grid, horizon=T, times=value_times,
-                         phi=phi, phi_x=phi_x, curvature=-ys)
+    return ValueFunction(grid=grid, horizon=T, times=T - sol.times[::-1],
+                         phi=poisson_solve(grid, ys),
+                         phi_x=poisson_gradient(grid, ys), curvature=-ys)
 
 
 @dataclass

@@ -211,6 +211,15 @@ def test_validation_failure_exit_code_and_messages(tmp_path, capsys):
     assert "[cost] alpha1" in err
 
 
+def test_non_finite_tolerance_is_a_validation_error(tmp_path, capsys):
+    # tol_res = inf would accept any iterate as converged
+    cfg = write(tmp_path, "inf.cfg", SOLVE.format(T=0.1).replace(
+        "eps = 0.02", "eps = 0.02\ntol_res = inf"))
+    assert run("solve", str(cfg), out_dir=str(tmp_path / "o"),
+               quiet=True) == 2
+    assert "[solver] tol_res" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert run("solve", str(tmp_path / "nope.cfg")) == 2
     assert "cannot read config" in capsys.readouterr().err

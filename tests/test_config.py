@@ -152,8 +152,12 @@ def test_presets_expand():
     assert float(cfg.g(1.0)) == pytest.approx(np.exp(-1.0))
 
 
-def test_twod_config():
-    text = """
+SIMULATE = DESK.replace("mode = solve", "mode = simulate") + """
+[sim]
+paths = 100
+"""
+
+TWOD = """
 mode = solve-2d
 
 [2d]
@@ -172,13 +176,35 @@ alpha1 = 1.0
 [solver]
 eps = 0.01
 """
-    cfg, errors = parse_config(text)
+
+
+def test_twod_config():
+    cfg, errors = parse_config(TWOD)
     assert errors == []
     assert cfg.a_matrix.shape == (2, 3)
     assert cfg.g0_2d_parts is not None
     pxx, pxy, pyy = cfg.g0_2d_parts
     # cross partial of exp(-x^2-y^2) is 4xy exp(-x^2-y^2)
     assert float(pxy(0.5, 0.5)) == pytest.approx(4 * 0.25 * np.exp(-0.5))
+
+
+@pytest.mark.parametrize("text, old, new, field", [
+    (DESK, "T = 0.5", "T = inf", "[problem] T"),
+    (DESK, "eps = 0.01", "eps = 0.01\ntol_res = inf", "[solver] tol_res"),
+    (SIMULATE, "paths = 100", "paths = 100\nx0 = nan", "[sim] x0"),
+    (DESK, "L = 10", "L = 1e999", "[grid] L"),
+    (SIMULATE, "paths = 100", "paths = 100\nbaselines = 0 inf",
+     "[sim] baselines"),
+    (TWOD, "a = 1 1 0 ; 0 0 1", "a = inf 0 ; 0 1", "[2d] a"),
+], ids=["T", "tol_res", "x0", "L", "baselines", "a"])
+def test_non_finite_numbers_rejected(text, old, new, field):
+    assert parse_config(text)[1] == []
+    bad = text.replace(old, new)
+    cfg, errors = parse_config(bad)
+    assert cfg is None
+    line = bad.splitlines().index(new.split("\n")[-1]) + 1
+    assert [(e.field, e.line) for e in errors] == [(field, line)]
+    assert "finite" in errors[0].message
 
 
 def test_echo_round_trips():

@@ -27,13 +27,34 @@ def test_poisson_zero_source():
     np.testing.assert_array_equal(poisson_gradient(g, np.zeros(g.n)), 0.0)
 
 
-def test_poisson_quadratic_exact():
-    # -psi'' = 2 with psi(+-1) = 0 has psi = 1 - x^2; the stencil is exact
-    g = Grid1D(1.0, 81)
+@pytest.mark.parametrize("L,n", [(1.0, 81), (10.0, 20001)])
+def test_poisson_quadratic_exact(L, n):
+    # -psi'' = 2 with psi(+-L) = 0 has psi = L^2 - x^2; the stencil is exact
+    g = Grid1D(L, n)
     psi = poisson_solve(g, np.full(g.n, 2.0))
-    assert np.max(np.abs(psi - (1.0 - g.x**2))) <= 1e-12
+    assert np.max(np.abs(psi - (L**2 - g.x**2))) <= 1e-12 * L**2
     grad = poisson_gradient(g, np.full(g.n, 2.0))
-    assert np.max(np.abs(grad[1:-1] + 2.0 * g.x[1:-1])) <= 1e-12
+    assert np.max(np.abs(grad[1:-1] + 2.0 * g.x[1:-1])) <= 1e-12 * L**2
+
+
+def test_poisson_solve_ignores_boundary_source_values():
+    g = Grid1D(2.0, 21)
+    z = np.random.default_rng(4).standard_normal(g.n)
+    cut = z.copy()
+    cut[[0, -1]] = 0.0
+    np.testing.assert_array_equal(poisson_solve(g, z), poisson_solve(g, cut))
+
+
+def test_poisson_solves_a_stack_row_by_row():
+    g = Grid1D(10.0, 201)
+    rng = np.random.default_rng(11)
+    ys = rng.standard_normal((51, g.n))[::-1]  # reversed view, as in value.py
+    psi = poisson_solve(g, ys)
+    grad = poisson_gradient(g, ys)
+    assert psi.shape == grad.shape == ys.shape
+    for k, y in enumerate(ys):
+        np.testing.assert_array_equal(psi[k], poisson_solve(g, y))
+        np.testing.assert_array_equal(grad[k], poisson_gradient(g, y))
 
 
 def test_poisson_parity():
@@ -67,6 +88,18 @@ def test_poisson_stability_constant():
         psi = poisson_solve(g, z)
         grad = diff1_central(g, psi)
         assert np.max(np.abs(psi)) + np.max(np.abs(grad)) <= bound + 1e-9
+
+
+@pytest.mark.parametrize("n", [5, 11, 201])
+def test_green_constants_are_the_operator_norms(n):
+    # brute force over the unit nodal sources (L1 norm h each); a boundary
+    # source is ignored by the solve, so the interior ones attain the norms
+    g = Grid1D(3.0, n)
+    psi = poisson_solve(g, np.eye(n))
+    grad = diff1_central(g, psi)
+    c_val, c_grad = green_constants(g)
+    assert abs(np.max(np.abs(psi)) / g.h - c_val) <= 1e-12
+    assert abs(np.max(np.abs(grad)) / g.h - c_grad) <= 1e-12
 
 
 def test_diff2_inverts_poisson():

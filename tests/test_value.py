@@ -3,7 +3,7 @@ import pytest
 
 from conftest import desk_problem
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
-from mildhjb.grid import Grid1D, diff2
+from mildhjb.grid import Grid1D, diff1_central, diff2
 from mildhjb.resolvent import EllipticOperands
 from mildhjb.stepper import TransformedProblem, mild_solve
 from mildhjb.value import (FeedbackPolicy, ValueFunction, interpolate_policy,
@@ -47,6 +47,12 @@ def test_curvature_consistency():
                                    atol=1e-9)
     np.testing.assert_allclose(vf.curvature[-1], -sol.snapshots[0],
                                atol=1e-14)
+
+
+def test_value_slope_is_the_centered_difference_of_the_value():
+    _, sol, vf = desk_value()
+    assert vf.phi.shape == vf.phi_x.shape == sol.snapshots.shape
+    np.testing.assert_array_equal(vf.phi_x, diff1_central(vf.grid, vf.phi))
 
 
 def test_value_times_reverse_snapshot_times():
