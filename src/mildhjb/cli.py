@@ -24,7 +24,8 @@ from .conjugate import (ConjugateHamiltonian, conjugate, conjugate_derivative,
                         potential)
 from .degenerate import solve_degenerate
 from .grid import Grid1D, Grid2D
-from .montecarlo import SimConfig, compare_policies
+from .montecarlo import (SEED_RANGE, SimConfig, compare_policies,
+                         seed_in_range)
 from .problem import ControlProblem
 from .resolvent import ResolventConfig
 from .stepper import energy_report, mild_solve, refine_until
@@ -342,6 +343,10 @@ def _write_manifest(cfg: RunConfig, out: Path, elapsed: float) -> None:
 def run(mode: str, config_path: str, out_dir: str | None = None,
         seed: int | None = None, quiet: bool = False) -> int:
     """Execute one mode; returns the process exit code."""
+    if seed is not None and not seed_in_range(seed):
+        print(f"error: --seed: out of range ({SEED_RANGE}): {seed}",
+              file=sys.stderr)
+        return 2
     try:
         text = Path(config_path).read_text()
     except OSError as exc:

@@ -20,6 +20,7 @@ import numpy as np
 from .conjugate import CostValidationError, RunningCost
 from .expressions import (DifferentiationError, Expression, ExpressionError,
                           parse_expression)
+from .montecarlo import SEED_RANGE, seed_in_range
 
 __all__ = ["ConfigError", "RunConfig", "parse_config"]
 
@@ -431,7 +432,7 @@ def parse_config(text: str, mode_override: Optional[str] = None
 
     cfg.out_dir = v.get("output", "dir", default="out")[0] or "out"
     seed = v.integer("output", "seed", default=0,
-                     check=lambda s: s >= 0, describe=">= 0")
+                     check=seed_in_range, describe=SEED_RANGE)
     cfg.seed = seed if seed is not None else 0
 
     cfg.raw = v.used

@@ -8,8 +8,11 @@ with ``u_k = max(0, policy(t_k, X_k))`` and the running cost accumulated by
 left-endpoint quadrature.  Each path owns a counter-based random stream
 keyed by (seed, path index), so runs are reproducible bit for bit and two
 policies simulated at the same seed see identical noise (common random
-numbers).  Reductions over paths use exact summation, making the report
-independent of the accumulation order.
+numbers).  One march steps every compared policy as one row of a
+(policies, paths) state on the same noise, in blocks of ``_BLOCK`` paths; it
+holds one block of noise at a time (``_BLOCK * steps * 8`` bytes).
+Reductions over paths use exact summation, making the report independent of
+the accumulation order.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .problem import ControlProblem
-from .value import FeedbackPolicy
 
 __all__ = [
     "ComparisonReport",
@@ -32,10 +34,21 @@ __all__ = [
     "simulate_cost",
 ]
 
-Policy = Union[FeedbackPolicy, float, Callable]
+# a float is a constant control; a FeedbackPolicy is a callable (t, x) -> u
+Policy = Union[float, Callable]
 
 # a run fails when more than this share of its paths turn non-finite
 MAX_EXCLUDED_FRACTION = 0.01
+
+# paths stepped, and noise held, at a time
+_BLOCK = 4096
+
+# a seed is one 64-bit word of the Philox key
+SEED_RANGE = "0 <= seed <= 2**64 - 1"
+
+
+def seed_in_range(seed: int) -> bool:
+    return 0 <= seed <= 2**64 - 1
 
 
 class SimulationError(RuntimeError):
@@ -50,17 +63,14 @@ class SimConfig:
     dt: float
     seed: int
     x0: Union[float, Callable] = 0.0
-    block: int = 4096
 
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValueError("need at least two paths for a standard error")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.block < 1:
-            raise ValueError("block must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not seed_in_range(self.seed):
+            raise ValueError(f"seed out of range ({SEED_RANGE}): {self.seed}")
 
 
 @dataclass
@@ -73,19 +83,6 @@ class McReport:
     ci_low: float
     ci_high: float
     samples: Optional[np.ndarray] = None
-
-
-def _as_policy(policy: Policy) -> Callable:
-    if isinstance(policy, FeedbackPolicy):
-        return policy
-    if callable(policy):
-        return policy
-    level = float(policy)
-
-    def constant(t, x):
-        return np.full_like(np.asarray(x, dtype=float), level)
-
-    return constant
 
 
 def _path_normals(seed: int, first: int, count: int, steps: int) -> np.ndarray:
@@ -102,70 +99,78 @@ def _initial_states(cfg: SimConfig) -> np.ndarray:
     if callable(cfg.x0):
         key = np.array([cfg.seed, np.uint64(2**64 - 1)], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        return np.asarray(cfg.x0(rng, cfg.n_paths), dtype=float)
+        x0 = np.asarray(cfg.x0(rng, cfg.n_paths), dtype=float)
+        if x0.shape != (cfg.n_paths,):
+            raise ValueError(f"x0 sampler returned shape {x0.shape}, "
+                             f"expected ({cfg.n_paths},)")
+        return x0
     return np.full(cfg.n_paths, float(cfg.x0))
 
 
-def _fsum_mean_var(samples: np.ndarray) -> tuple[float, float]:
-    n = samples.size
-    mean = math.fsum(samples.tolist()) / n
-    var = math.fsum(((samples - mean) ** 2).tolist()) / (n - 1)
-    return mean, var
+def _report(label: str, costs, alive, keep_samples: bool) -> McReport:
+    excluded = int(np.sum(~alive))
+    if excluded > MAX_EXCLUDED_FRACTION * costs.size:
+        raise SimulationError(
+            f"{excluded}/{costs.size} paths excluded (non-finite state)")
+    good = costs[alive]
+    n = good.size
+    mean = math.fsum(good.tolist()) / n
+    var = math.fsum(((good - mean) ** 2).tolist()) / (n - 1)
+    stderr = math.sqrt(var / n)
+    return McReport(
+        label=label, n_paths=n, n_excluded=excluded,
+        mean=mean, stderr=stderr,
+        ci_low=mean - 1.96 * stderr, ci_high=mean + 1.96 * stderr,
+        samples=good if keep_samples else None)
 
 
-def simulate_cost(problem: ControlProblem, policy: Policy, cfg: SimConfig,
-                  label: str = "policy", keep_samples: bool = False,
-                  noise: Optional[np.ndarray] = None) -> McReport:
-    """Estimate the expected cost of one policy.
-
-    ``noise`` can inject a precomputed (n_paths, steps) normal array (used by
-    ``compare_policies`` to share one draw across policies); by default the
-    per-path streams are generated from the seed.  Paths that leave the
-    finite range are excluded and counted; more than the configured fraction
-    of exclusions raises ``SimulationError``.
-    """
-    act = _as_policy(policy)
-    T = problem.horizon
-    steps = max(1, int(round(T / cfg.dt)))
-    dt = T / steps
+def _simulate(problem: ControlProblem, policies: Sequence[Policy],
+              labels: Sequence[str], cfg: SimConfig,
+              keep_samples: bool) -> list[McReport]:
+    """One report per policy, each one row of a (policies, paths) state."""
+    acts = [p if callable(p) else (lambda t, x, c=float(p): c)
+            for p in policies]
+    steps = max(1, int(round(problem.horizon / cfg.dt)))
+    dt = problem.horizon / steps
     sqrt_dt = math.sqrt(dt)
     drift = problem.f if problem.f is not None else (lambda x: 0.0 * x)
+    x0 = _initial_states(cfg)
+    costs = np.empty((len(acts), cfg.n_paths))
+    alive = np.empty(costs.shape, dtype=bool)
 
-    x_all = _initial_states(cfg)
-    costs = np.empty(cfg.n_paths)
-    alive_all = np.empty(cfg.n_paths, dtype=bool)
-
-    for start in range(0, cfg.n_paths, cfg.block):
-        stop = min(start + cfg.block, cfg.n_paths)
-        z = (noise[start:stop] if noise is not None
-             else _path_normals(cfg.seed, start, stop - start, steps))
-        x = x_all[start:stop].copy()
-        run = np.zeros(stop - start)
+    for start in range(0, cfg.n_paths, _BLOCK):
+        stop = min(start + _BLOCK, cfg.n_paths)
+        z = _path_normals(cfg.seed, start, stop - start, steps)
+        x = np.tile(x0[start:stop], (len(acts), 1))
+        run = np.zeros(x.shape)
         with np.errstate(all="ignore"):
             for k in range(steps):
                 t = k * dt
-                u = np.maximum(np.asarray(act(t, x), dtype=float), 0.0)
+                u = np.maximum(np.stack([
+                    np.broadcast_to(np.asarray(act(t, row), dtype=float),
+                                    row.shape)
+                    for act, row in zip(acts, x)]), 0.0)
                 run += (np.asarray(problem.g(x), dtype=float)
                         + problem.cost.evaluate(u)) * dt
                 x = (x + np.asarray(drift(x), dtype=float) * dt
                      + np.sqrt(u) * np.asarray(problem.sigma(x), dtype=float)
                      * sqrt_dt * z[:, k])
             run += np.asarray(problem.g0(x), dtype=float)
-        costs[start:stop] = run
-        alive_all[start:stop] = np.isfinite(x) & np.isfinite(run)
+        costs[:, start:stop] = run
+        alive[:, start:stop] = np.isfinite(x) & np.isfinite(run)
+        del z  # release this block's noise before drawing the next
+    return [_report(*row, keep_samples) for row in zip(labels, costs, alive)]
 
-    excluded = int(np.sum(~alive_all))
-    if excluded > MAX_EXCLUDED_FRACTION * cfg.n_paths:
-        raise SimulationError(
-            f"{excluded}/{cfg.n_paths} paths excluded (non-finite state)")
-    good = costs[alive_all]
-    mean, var = _fsum_mean_var(good)
-    stderr = math.sqrt(var / good.size)
-    return McReport(
-        label=label, n_paths=int(good.size), n_excluded=excluded,
-        mean=mean, stderr=stderr,
-        ci_low=mean - 1.96 * stderr, ci_high=mean + 1.96 * stderr,
-        samples=good.copy() if keep_samples else None)
+
+def simulate_cost(problem: ControlProblem, policy: Policy, cfg: SimConfig,
+                  label: str = "policy",
+                  keep_samples: bool = False) -> McReport:
+    """Estimate the expected cost of one policy.
+
+    Paths that turn non-finite are excluded and counted; more than
+    ``MAX_EXCLUDED_FRACTION`` of them raises ``SimulationError``.
+    """
+    return _simulate(problem, [policy], [label], cfg, keep_samples)[0]
 
 
 @dataclass
@@ -191,13 +196,10 @@ def compare_policies(problem: ControlProblem, feedback: Policy,
     """Evaluate the feedback against constant controls on shared noise."""
     if not baselines:
         raise ValueError("need at least one baseline control level")
-    steps = max(1, int(round(problem.horizon / cfg.dt)))
-    noise = _path_normals(cfg.seed, 0, cfg.n_paths, steps)
-    fb = simulate_cost(problem, feedback, cfg, label="feedback",
-                       keep_samples=keep_samples, noise=noise)
-    rows = [simulate_cost(problem, float(c), cfg, label=f"constant {c:g}",
-                          keep_samples=keep_samples, noise=noise)
-            for c in baselines]
+    fb, *rows = _simulate(
+        problem, [feedback, *baselines],
+        ["feedback", *(f"constant {c:g}" for c in baselines)],
+        cfg, keep_samples)
     best = min(rows, key=lambda r: r.mean)
     return ComparisonReport(
         feedback=fb, baselines=rows,

@@ -32,6 +32,8 @@ def _table(fn, x):
 class ControlProblem:
     """Coefficients (f, sigma), costs (g, g0, running cost), and horizon.
 
+    The coefficients must accept arrays of any shape: grids tabulate them on
+    1-D node arrays, and Monte Carlo calls them on (policies, paths) states.
     Optional analytic derivatives sharpen the grid data; any that are
     missing are replaced by central differences of the sampled tables.
     ``f=None`` means zero drift.

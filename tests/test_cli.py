@@ -202,6 +202,19 @@ def test_seed_override_lands_in_manifest(tmp_path):
     assert "seed = 123" in manifest
 
 
+@pytest.mark.parametrize("mode", ["solve", "simulate"])
+@pytest.mark.parametrize("seed", ["-3", "18446744073709551616"])
+def test_out_of_range_seed_override_is_a_validation_error(tmp_path, capsys,
+                                                          mode, seed):
+    # the manifest echoes the seed, so it must pass the config's own rule
+    cfg = write(tmp_path, "m.cfg", SIMULATE)
+    out = tmp_path / "out"
+    assert main([mode, "--config", str(cfg), "--out", str(out),
+                 "--seed", seed, "--quiet"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validation_failure_exit_code_and_messages(tmp_path, capsys):
     cfg = write(tmp_path, "bad.cfg", SOLVE.format(T=0.1).replace(
         "alpha1 = 1.0", "alpha1 = -2"))

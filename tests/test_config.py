@@ -207,6 +207,20 @@ def test_non_finite_numbers_rejected(text, old, new, field):
     assert "finite" in errors[0].message
 
 
+@pytest.mark.parametrize("seed, ok", [
+    ("0", True), ("18446744073709551615", True),
+    ("-1", False), ("18446744073709551616", False)])
+def test_seed_is_one_philox_key_word(seed, ok):
+    # a seed is one 64-bit word of the Monte Carlo stream key
+    cfg, errors = parse_config(DESK.replace("seed = 42", f"seed = {seed}"))
+    if ok:
+        assert errors == [] and cfg.seed == int(seed)
+    else:
+        assert cfg is None
+        assert [e.field for e in errors] == ["[output] seed"]
+        assert "out of range" in errors[0].message
+
+
 def test_echo_round_trips():
     cfg, _ = parse_config(DESK)
     text = cfg.echo()

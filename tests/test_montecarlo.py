@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mildhjb import montecarlo
 from mildhjb.conjugate import RunningCost
 from mildhjb.grid import Grid1D
 from mildhjb.montecarlo import (SimConfig, SimulationError, compare_policies,
@@ -16,6 +17,16 @@ def brownian_problem(horizon=1.0):
         sigma=lambda x: np.ones_like(x),
         g=lambda x: x * x,
         g0=lambda x: 0.0 * x,
+        cost=RunningCost.quadratic(1.0, 0.0),
+        horizon=horizon)
+
+
+def desk_problem(horizon=0.5):
+    return ControlProblem(
+        f=np.tanh,
+        sigma=lambda x: np.sqrt(2.0) + 0.1 * np.sin(x),
+        g=lambda x: np.exp(-x**2),
+        g0=lambda x: np.exp(-x**2),
         cost=RunningCost.quadratic(1.0, 0.0),
         horizon=horizon)
 
@@ -67,15 +78,62 @@ def test_seed_determinism():
     np.testing.assert_array_equal(a.samples, b.samples)
 
 
-def test_block_size_does_not_change_results():
+def test_block_size_does_not_change_results(monkeypatch):
     problem = brownian_problem()
-    base = simulate_cost(problem, 0.5, SimConfig(n_paths=600, dt=2e-3, seed=3),
-                         keep_samples=True)
-    small = simulate_cost(problem, 0.5,
-                          SimConfig(n_paths=600, dt=2e-3, seed=3, block=64),
-                          keep_samples=True)
-    np.testing.assert_array_equal(base.samples, small.samples)
-    assert base.mean == small.mean
+    cfg = SimConfig(n_paths=600, dt=2e-3, seed=3)
+
+    def both():
+        return [simulate_cost(problem, 0.5, cfg, keep_samples=True),
+                *compare_policies(problem, 0.5, [0.0, 1.0], cfg,
+                                  keep_samples=True).rows()]
+
+    base = both()
+    monkeypatch.setattr(montecarlo, "_BLOCK", 64)
+    for a, b in zip(base, both(), strict=True):
+        np.testing.assert_array_equal(a.samples, b.samples)
+        assert a.mean == b.mean
+
+
+def test_comparison_rows_equal_single_policy_runs(monkeypatch):
+    # three blocks, the last one partial
+    monkeypatch.setattr(montecarlo, "_BLOCK", 64)
+    problem = desk_problem(horizon=0.25)
+    grid = Grid1D(5.0, 41)
+    times = np.linspace(0.0, 0.25, 6)
+    u = 0.2 + 0.1 * np.abs(grid.x)[None, :] + times[:, None]
+    feedback = FeedbackPolicy(grid, 0.25, times, u)
+    baselines = [0, 0.3, 1.0]
+    cfg = SimConfig(n_paths=150, dt=5e-3, seed=31)
+    rows = compare_policies(problem, feedback, baselines, cfg,
+                            keep_samples=True).rows()
+    for row, policy in zip(rows, [feedback, *baselines], strict=True):
+        single = simulate_cost(problem, policy, cfg, keep_samples=True)
+        np.testing.assert_array_equal(row.samples, single.samples)
+        assert row.mean == single.mean and row.stderr == single.stderr
+
+
+def test_comparison_draws_noise_one_block_at_a_time(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_BLOCK", 64)
+    draws = []
+    draw = montecarlo._path_normals
+
+    def spy(seed, first, count, steps):
+        draws.append((first, count))
+        return draw(seed, first, count, steps)
+
+    monkeypatch.setattr(montecarlo, "_path_normals", spy)
+    compare_policies(brownian_problem(horizon=0.1), 0.5, [0.0, 1.0],
+                     SimConfig(n_paths=129, dt=1e-2, seed=3))
+    assert draws == [(0, 64), (64, 64), (128, 1)]
+
+
+def test_scalar_returning_policy_equals_constant_pathwise():
+    problem = brownian_problem(horizon=0.5)
+    cfg = SimConfig(n_paths=200, dt=1e-3, seed=37)
+    comparison = compare_policies(problem, lambda t, x: 0.8, [0.8], cfg,
+                                  keep_samples=True)
+    np.testing.assert_array_equal(comparison.feedback.samples,
+                                  comparison.baselines[0].samples)
 
 
 def test_constant_feedback_table_equals_constant_policy_pathwise():
@@ -149,6 +207,14 @@ def test_config_validation():
         SimConfig(n_paths=10, dt=1e-3, seed=-1)
 
 
+def test_largest_seed_runs_and_the_next_is_rejected():
+    # a seed is one 64-bit word of the Philox key
+    cfg = SimConfig(n_paths=4, dt=1e-2, seed=2**64 - 1)
+    assert math.isfinite(simulate_cost(brownian_problem(0.1), 0.5, cfg).mean)
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(n_paths=4, dt=1e-2, seed=2**64)
+
+
 def test_sampled_initial_state_is_deterministic():
     problem = brownian_problem(horizon=0.25)
 
@@ -159,6 +225,17 @@ def test_sampled_initial_state_is_deterministic():
     a = simulate_cost(problem, 0.5, cfg, keep_samples=True)
     b = simulate_cost(problem, 0.5, cfg, keep_samples=True)
     np.testing.assert_array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("size, shape", [
+    (lambda n: n + 5, "(25,)"), (lambda n: (n, 2), "(20, 2)")],
+    ids=["too-long", "two-columns"])
+def test_sampler_of_the_wrong_shape_is_rejected(size, shape):
+    cfg = SimConfig(n_paths=20, dt=1e-2, seed=3,
+                    x0=lambda rng, n: rng.normal(size=size(n)))
+    with pytest.raises(ValueError) as err:
+        simulate_cost(brownian_problem(horizon=0.1), 0.5, cfg)
+    assert shape in str(err.value) and "(20,)" in str(err.value)
 
 
 def test_exact_reduction_matches_fsum():
