@@ -279,10 +279,14 @@ def _run_solve_2d(cfg: RunConfig, out: Path, quiet: bool) -> None:
         horizon=cfg.T2, conj=ConjugateHamiltonian.for_cost(cfg.cost))
     sol = mild_solve_2d(problem, cfg.eps, cfg=_solver_cfg(cfg, cfg.eps))
 
+    # cells leave here formatted: node labels once, values a row at a time
+    labels = [(str(i), x) for i, x in enumerate(map(repr, grid2.x.tolist()))]
+
     def rows_of(table, inner=slice(None)):
-        for i in range(grid2.n)[inner]:
-            for j in range(grid2.n)[inner]:
-                yield (i, j, grid2.x[i], grid2.x[j], table[i, j])
+        cells = labels[inner]
+        for (i, x), row in zip(cells, table[inner, inner]):
+            for (j, y), v in zip(cells, row.tolist()):
+                yield (i, j, x, y, repr(v))
 
     _write_csv(out / "fields" / "y2d_initial.csv",
                "initial transformed state; columns: i, j, x, y, value",

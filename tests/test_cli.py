@@ -261,6 +261,22 @@ def test_solver_keys_reach_the_solver(tmp_path, capsys, mode, text, key):
     assert "type: ResolventError" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("sigma0", [
+    "2^0.5 + 0.1*x^0.5 + 0*y",  # NaN where x < 0
+    "exp(30*x^2) + 0*y",        # overflows to inf
+], ids=["nan", "inf"])
+def test_solve_2d_rejects_non_finite_sigma0(tmp_path, capsys, sigma0):
+    cfg = write(tmp_path, "s.cfg", SOLVE_2D.replace(
+        "sigma0 = 2^0.5 + 0*x + 0*y", f"sigma0 = {sigma0}"))
+    assert run("solve-2d", str(cfg), out_dir=str(tmp_path / "o"),
+               quiet=True) == 1
+    err = capsys.readouterr().err
+    assert "type: ValueError" in err
+    assert "sigma0 contains non-finite entries" in err
+
+
 def test_value_mode_reports_inner_window(tmp_path):
     cfg = write(tmp_path, "v.cfg", SOLVE.format(T=0.1).replace(
         "mode = solve", "mode = value"))

@@ -65,6 +65,19 @@ def test_factor_matrix_validation():
         make_problem(g, np.array([[1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("sigma0", np.nan), ("sigma0", np.inf), ("a", np.nan), ("a", np.inf),
+])
+def test_non_finite_coefficients_rejected(field, bad):
+    g = Grid2D(3.0, 11)
+    sigma0 = np.full((g.n, g.n), np.sqrt(2.0))
+    a = np.eye(2)
+    (sigma0 if field == "sigma0" else a)[0, 0] = bad
+    with pytest.raises(ValueError, match=f"{field} contains non-finite"):
+        Problem2D(g, a, sigma0, np.zeros((g.n, g.n)), np.zeros((g.n, g.n)),
+                  0.1, CONJ)
+
+
 def test_strong_anisotropy_warns():
     g = Grid2D(3.0, 31)
     a = np.array([[1.0, 0.9], [0.9, 1.0]])  # b12 close to b11, b22
@@ -197,3 +210,73 @@ def test_nonlinear_march_matches_explicit_oracle():
     gap_fine = g.norm1(mild_solve_2d(prob, 5e-4).final - y)
     assert gap_coarse <= 2e-3          # frozen from the oracle run
     assert gap_fine <= 0.6 * gap_coarse
+
+
+def full_jacobian_step(prob, lam, nu, y, r):
+    # the assembled 9-point Jacobian lam*I - L S + nu*(S - L), solved whole
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
+    m = prob.half_sigma_sq
+    slope = sp.diags((prob.conj.derivative(m * y) * m).ravel())
+    lap = prob.operator_matrix
+    jac = (lam * sp.identity(lap.shape[0]) - lap @ slope
+           + nu * (slope - lap))
+    return spsolve(jac.tocsc(), -r.ravel()).reshape(y.shape)
+
+
+def spy_on_spsolve(monkeypatch):
+    import mildhjb.twodim as twodim
+
+    shapes = []
+
+    def spy(matrix, rhs):
+        shapes.append(matrix.shape)
+        return real(matrix, rhs)
+
+    real = twodim.spsolve
+    monkeypatch.setattr(twodim, "spsolve", spy)
+    return shapes
+
+
+def tabulated_expression_conjugate():
+    from mildhjb.conjugate import RunningCost
+    from mildhjb.expressions import parse_expression
+
+    cost = RunningCost.from_callable(
+        parse_expression("u^2 + 0.25*u", ("u",)), alpha1=1.0)
+    return ConjugateHamiltonian.tabulate(cost, -20.0, 20.0, nodes=513)
+
+
+@pytest.mark.parametrize("conj, nu", [
+    (CONJ, 0.0), (CONJ, 1e-2), (tabulated_expression_conjugate(), 0.0),
+], ids=["quadratic", "quadratic-viscous", "tabulated-expression"])
+def test_newton_step_solves_only_the_active_block(monkeypatch, conj, nu):
+    g = Grid2D(3.0, 15)
+    X, Y = g.mesh
+    prob = make_problem(g, np.array([[1.2, 0.0], [0.3, 1.0]]), conj=conj)
+    rng = np.random.default_rng(21)
+    y = 3.0 * np.sin(2.0 * X) * np.cos(Y) + 0.1  # both signs
+    r = rng.standard_normal(y.shape)
+    lam = 40.0
+    expected = full_jacobian_step(prob, lam, nu, y, r)
+    active = np.count_nonzero(
+        conj.derivative(prob.half_sigma_sq * y) * prob.half_sigma_sq + nu)
+    assert active == g.n * g.n if nu > 0 else 0 < active < g.n * g.n
+    shapes = spy_on_spsolve(monkeypatch)
+    delta = prob.newton_step(lam, nu, y, r)
+    assert shapes == [(active, active)]
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(delta - expected)) <= 1e-12 * scale
+
+
+def test_newton_step_without_active_columns_is_diagonal(monkeypatch):
+    g = Grid2D(3.0, 15)
+    X, Y = g.mesh
+    prob = make_problem(g, np.eye(2))
+    y = -np.exp(-(X**2 + Y**2))
+    r = np.random.default_rng(22).standard_normal(y.shape)
+    shapes = spy_on_spsolve(monkeypatch)
+    delta = prob.newton_step(40.0, 0.0, y, r)
+    assert shapes == []
+    np.testing.assert_array_equal(delta, -r / 40.0)
