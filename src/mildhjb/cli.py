@@ -56,7 +56,9 @@ def _write_csv(path: Path, comment: str, header: list[str], rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        # a str row is already joined
+        fh.writelines((row if isinstance(row, str)
+                       else ",".join(map(_cell, row))) + "\n" for row in rows)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -66,13 +68,13 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _field_rows(times, xs, tables):
-    # cells leave here formatted: x once per table, a snapshot in one pass
-    xs = [_fmt(x) for x in xs]
+    # rows leave here joined: x once per table, a snapshot in one pass
+    xs = [f",{_fmt(x)}," for x in xs]
     for t, table in zip(times, tables):
         values = map(repr, np.asarray(table, dtype=float).tolist())
         t = _fmt(t)
         for x, v in zip(xs, values):
-            yield (t, x, v)
+            yield t + x + v
 
 
 def _build_problem(cfg: RunConfig) -> ControlProblem:
@@ -146,7 +148,7 @@ def _run_value(cfg: RunConfig, out: Path, quiet: bool) -> None:
 
 def _policy_of(cfg: RunConfig):
     problem, sol, vf = _value_tables(cfg)
-    return problem, synthesize_feedback(vf, problem.operands)
+    return vf, synthesize_feedback(vf, problem.operands)
 
 
 def _write_policy(policy, out: Path) -> None:
@@ -177,7 +179,7 @@ def _run_policy(cfg: RunConfig, out: Path, quiet: bool) -> None:
 
 def _run_simulate(cfg: RunConfig, out: Path, quiet: bool) -> None:
     problem = _build_problem(cfg)
-    _, policy = _policy_of(cfg)
+    vf, policy = _policy_of(cfg)
     _write_policy(policy, out)
     sim = SimConfig(n_paths=cfg.paths,
                     dt=cfg.dt if cfg.dt is not None else cfg.T / 1000.0,
@@ -201,6 +203,8 @@ def _run_simulate(cfg: RunConfig, out: Path, quiet: bool) -> None:
     best = comparison.best_baseline
     _write_text(out / "reports" / "summary.txt",
                 f"feedback_mean = {_fmt(comparison.feedback.mean)}\n"
+                f"pde_value_at_x0 = "
+                f"{_fmt(np.interp(sim.x0, vf.grid.x, vf.phi[0]))}\n"
                 f"best_baseline = {best.label}\n"
                 f"best_baseline_mean = {_fmt(best.mean)}\n"
                 f"feedback_beats_baselines = {comparison.feedback_beats_baselines}\n"
@@ -279,14 +283,14 @@ def _run_solve_2d(cfg: RunConfig, out: Path, quiet: bool) -> None:
         horizon=cfg.T2, conj=ConjugateHamiltonian.for_cost(cfg.cost))
     sol = mild_solve_2d(problem, cfg.eps, cfg=_solver_cfg(cfg, cfg.eps))
 
-    # cells leave here formatted: node labels once, values a row at a time
-    labels = [(str(i), x) for i, x in enumerate(map(repr, grid2.x.tolist()))]
+    # rows leave here joined: node labels once, values a row at a time
+    labels = list(enumerate(map(repr, grid2.x.tolist())))
 
     def rows_of(table, inner=slice(None)):
         cells = labels[inner]
         for (i, x), row in zip(cells, table[inner, inner]):
             for (j, y), v in zip(cells, row.tolist()):
-                yield (i, j, x, y, repr(v))
+                yield f"{i},{j},{x},{y},{v!r}"
 
     _write_csv(out / "fields" / "y2d_initial.csv",
                "initial transformed state; columns: i, j, x, y, value",

@@ -15,6 +15,7 @@ The perturbation is bounded on L1 with constant
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,10 +53,23 @@ class DriftData:
                if f2 is not None else diff1_central(grid, f1v))
         return cls(grid, fv, f1v, f2v)
 
-    @property
+    @cached_property
     def slope_sup(self) -> float:
         """sup |f'| on the grid, the quasi-accretivity shift of the operator."""
         return float(np.max(np.abs(self.f1)))
+
+    @cached_property
+    def upwind(self) -> tuple[np.ndarray, ...]:
+        """The upwind transport ``-f*y'``, computed once: the forward-slope
+        mask ``f >= 0`` and the Jacobian's ``|f|/h`` on the diagonal,
+        ``-max(f[:-1], 0)/h`` above it and ``min(f[1:], 0)/h`` below it."""
+        f, h = self.f, self.grid.h
+        return (f >= 0.0, np.abs(f) / h, np.maximum(f[:-1], 0.0) / h,
+                np.minimum(f[1:], 0.0) / h)
+
+    @cached_property
+    def two_f1(self) -> np.ndarray:
+        return 2.0 * self.f1
 
     @property
     def curvature_l1(self) -> float:
@@ -71,4 +85,4 @@ class DriftData:
 def apply_B(drift: DriftData, y) -> np.ndarray:
     """f'' * (green(y))' - 2 f' * y, nodewise."""
     return (drift.f2 * poisson_gradient(drift.grid, y)
-            - 2.0 * drift.f1 * np.asarray(y, dtype=float))
+            - drift.two_f1 * np.asarray(y, dtype=float))

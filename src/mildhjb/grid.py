@@ -46,7 +46,7 @@ class Grid1D:
         if self.n < 5 or self.n % 2 == 0:
             raise ValueError(f"node count must be odd and >= 5, got {self.n}")
 
-    @property
+    @cached_property
     def h(self) -> float:
         return 2.0 * self.half_width / (self.n - 1)
 
@@ -57,13 +57,18 @@ class Grid1D:
 
     def norm1(self, values) -> float:
         """Discrete L1 norm, h**dim * sum |v_k|."""
-        return self.h**self.dim * float(np.sum(np.abs(values)))
+        return self.h**self.dim * float(np.abs(values).sum())
 
     def norm_inf(self, values) -> float:
-        return float(np.max(np.abs(values)))
+        return float(np.abs(values).max())
 
     def integral(self, values) -> float:
-        return self.h**self.dim * float(np.sum(values))
+        return self.h**self.dim * float(np.asarray(values).sum())
+
+    @cached_property
+    def _ramp(self) -> np.ndarray:
+        """k/(n - 1) at node k, the linear part of the Green solve."""
+        return np.arange(self.n) / (self.n - 1)
 
 
 class Grid2D(Grid1D):
@@ -102,17 +107,18 @@ def diff1_upwind(grid: Grid1D, values, wind) -> np.ndarray:
 
     Forward difference where ``wind >= 0``, backward where ``wind < 0``, with
     zero ghost values; this pairing makes a transport term ``-wind * slope``
-    monotone, which is what the elliptic operator needs.
+    monotone, which is what the elliptic operator needs.  A boolean ``wind``
+    is taken as the mask ``wind >= 0`` itself.
     """
     v = np.asarray(values, dtype=float)
-    h = grid.h
-    forward = np.empty_like(v)
-    forward[:-1] = (v[1:] - v[:-1]) / h
-    forward[-1] = -v[-1] / h
-    backward = np.empty_like(v)
-    backward[1:] = forward[:-1]
-    backward[0] = v[0] / h
-    return np.where(np.asarray(wind) >= 0.0, forward, backward)
+    wind = np.asarray(wind)
+    # d[k] = (v[k] - v[k-1])/h, zero ghosts: forward d[1:], backward d[:-1]
+    d = np.empty(v.size + 1)
+    np.subtract(v[1:], v[:-1], out=d[1:-1])
+    d[0] = v[0]
+    d[-1] = -v[-1]
+    d /= grid.h
+    return np.where(wind if wind.dtype == bool else wind >= 0.0, d[1:], d[:-1])
 
 
 def poisson_solve(grid: Grid1D, source) -> np.ndarray:
@@ -124,10 +130,9 @@ def poisson_solve(grid: Grid1D, source) -> np.ndarray:
     ignored; a ``(..., n)`` stack is solved along its last axis.
     """
     z = np.asarray(source, dtype=float)
-    n = z.shape[-1]
     s = np.zeros_like(z)
-    s[..., 2:] = np.cumsum(np.cumsum(z[..., 1:-1], axis=-1), axis=-1)
-    return grid.h**2 * (np.arange(n) / (n - 1) * s[..., -1:] - s)
+    s[..., 2:] = z[..., 1:-1].cumsum(axis=-1).cumsum(axis=-1)
+    return grid.h**2 * (grid._ramp * s[..., -1:] - s)
 
 
 def poisson_gradient(grid: Grid1D, source) -> np.ndarray:

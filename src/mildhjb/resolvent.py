@@ -14,6 +14,13 @@ stalls: a shifted Picard iteration ``y <- R_{lam+delta}(eta + delta*y)`` and
 a vanishing-viscosity homotopy that adds ``-nu*y'' + nu*value(m*y)`` and
 tracks the solution down ``nu -> 0``.
 
+The 1-D Jacobian is solved by LAPACK ``gtsv`` called directly: for these
+bands ``solve_banded`` runs the same routine, so the bits are the same,
+without its validation.  The time-independent stencil parts
+(``DriftData.upwind``, ``DriftData.two_f1``) are computed once per drift.
+``gtsv`` does not check its input, so ``_newton`` rejects a non-finite
+starting residual with ``ValueError``.
+
 ``solve_resolvent`` works on any operand with ``residual``, ``newton_step``
 (the Jacobian solve), ``shape``, ``lam0``, ``grid.norm1``, ``conj`` and
 ``half_sigma_sq``: ``EllipticOperands`` in 1-D, ``twodim.Problem2D`` in 2-D.
@@ -25,11 +32,12 @@ recomputed residual as a certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv as _gtsv
 
 from .conjugate import ConjugateHamiltonian
 from .drift import DriftData, apply_B
@@ -113,26 +121,27 @@ class EllipticOperands:
         return r
 
     def newton_step(self, lam, nu, y, r) -> np.ndarray:
-        """Solve J(y) delta = -r with the banded Jacobian."""
-        grid, m = self.grid, self.half_sigma_sq
-        h, h2 = grid.h, grid.h**2
+        """Solve J(y) delta = -r with the tridiagonal Jacobian (LAPACK gtsv).
+
+        Raises ``np.linalg.LinAlgError`` on a zero pivot.
+        """
+        m, h2 = self.half_sigma_sq, self.grid.h**2
         slope = self.conj.derivative(m * y) * m
         c = slope + nu
         diag = lam + 2.0 * c / h2 + nu * slope
         upper = -c[1:] / h2
         lower = -c[:-1] / h2
         if self.drift is not None:
-            f = self.drift.f
-            diag = diag + np.abs(f) / h
-            upper = upper - np.maximum(f[:-1], 0.0) / h
-            lower = lower + np.minimum(f[1:], 0.0) / h
+            _, f_diag, f_upper, f_lower = self.drift.upwind
+            diag += f_diag
+            upper -= f_upper
+            lower += f_lower
         if self.perturbation is not None:
-            diag = diag - 2.0 * self.perturbation.f1
-        ab = np.zeros((3, grid.n))
-        ab[0, 1:] = upper
-        ab[1] = diag
-        ab[2, :-1] = lower
-        return solve_banded((1, 1), ab, -r)
+            diag -= self.perturbation.two_f1
+        *_, delta, info = _gtsv(lower, diag, upper, -r, 1, 1, 1, 1)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return delta
 
 
 @dataclass(frozen=True)
@@ -152,6 +161,17 @@ class ResolventConfig:
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
+        if not (math.isfinite(self.tol_res) and self.tol_res > 0):
+            raise ValueError(
+                f"tol_res must be finite and positive, got {self.tol_res}")
+        if (isinstance(self.max_iter, bool)
+                or not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter < 0):
+            raise ValueError("max_iter must be a non-negative integer, "
+                             f"got {self.max_iter!r}")
+        if not (math.isfinite(self.nu) and self.nu >= 0):
+            raise ValueError(
+                f"nu must be finite and non-negative, got {self.nu}")
 
 
 @dataclass
@@ -168,8 +188,8 @@ def apply_A(ops: EllipticOperands, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     out = -diff2(ops.grid, ops.conj.value(ops.half_sigma_sq * y))
     if ops.drift is not None:
-        f = ops.drift.f
-        out -= f * diff1_upwind(ops.grid, y, f)
+        drift = ops.drift
+        out -= drift.f * diff1_upwind(ops.grid, y, drift.upwind[0])
     return out
 
 
@@ -179,6 +199,9 @@ def _newton(ops, lam, nu, eta, y0, tol, max_iter):
     y = y0.copy()
     r = ops.residual(lam, nu, y, eta)
     rnorm = grid.norm1(r)
+    if not math.isfinite(rnorm):
+        # LAPACK does not check its input; a step from here would be NaN
+        raise ValueError("residual is not finite at the starting guess")
     for it in range(max_iter):
         if rnorm <= tol:
             return y, it, rnorm, True
@@ -213,7 +236,7 @@ def solve_resolvent(ops, cfg: ResolventConfig, eta,
     eta = np.asarray(eta, dtype=float)
     if eta.shape != ops.shape:
         raise ValueError(f"eta has shape {eta.shape}, expected {ops.shape}")
-    if not np.all(np.isfinite(eta)):
+    if not np.isfinite(eta).all():
         raise ValueError("eta contains non-finite entries")
     lam0 = ops.lam0
     if cfg.lam <= lam0:

@@ -114,8 +114,12 @@ class MildSolution:
 
 
 def step(problem: TransformedProblem, eps: float, y_prev,
-         cfg: Optional[ResolventConfig] = None) -> ResolventResult:
-    """One implicit step of length eps from y_prev (a single resolvent solve)."""
+         cfg: Optional[ResolventConfig] = None,
+         eta: Optional[np.ndarray] = None) -> ResolventResult:
+    """One implicit step of length eps from y_prev (a single resolvent solve).
+
+    ``eta = source + y_prev/eps`` is formed here unless the caller passes it.
+    """
     if not eps > 0:
         raise ValueError(f"step size must be positive, got {eps}")
     cap = problem.max_step()
@@ -123,12 +127,17 @@ def step(problem: TransformedProblem, eps: float, y_prev,
         raise ValueError(
             f"step size {eps:g} too large for the drift slope bound; "
             f"need eps < {cap:g}")
+    if eta is None:
+        eta = problem.source + y_prev / eps
+    return solve_resolvent(problem.operands, _shifted(cfg, eps), eta,
+                           y_init=y_prev)
+
+
+def _shifted(cfg: Optional[ResolventConfig], eps: float) -> ResolventConfig:
     lam = 1.0 / eps
-    eta = problem.source + y_prev / eps
-    base = cfg if cfg is not None else ResolventConfig(lam=lam)
-    if base.lam != lam:
-        base = replace(base, lam=lam)
-    return solve_resolvent(problem.operands, base, eta, y_init=y_prev)
+    if cfg is None:
+        return ResolventConfig(lam=lam)
+    return cfg if cfg.lam == lam else replace(cfg, lam=lam)
 
 
 def _energies(ops: EllipticOperands, y) -> tuple[float, float]:
@@ -168,9 +177,10 @@ def mild_solve(problem: TransformedProblem, eps: float,
     ys = np.empty((len(lengths) + 1, *problem.operands.shape))
     ys[0] = problem.initial
     diags: list[StepDiagnostics] = []
+    step_cfg = _shifted(cfg, eps)  # step() shifts a shortened last step
     for i, dt in enumerate(lengths, start=1):
         eta = problem.source + ys[i - 1] / dt
-        res = step(problem, dt, ys[i - 1], cfg=cfg)
+        res = step(problem, dt, ys[i - 1], cfg=step_cfg, eta=eta)
         ys[i] = res.y
         diags.append(StepDiagnostics(
             residual=res.residual,

@@ -346,6 +346,28 @@ def test_simulate_optional_path_dump(tmp_path):
     assert labels == {"feedback", "constant 0", "constant 0.5"}
 
 
+@pytest.mark.parametrize("x0", [0.0, 0.1])
+def test_simulate_summary_reports_the_pde_value_at_x0(tmp_path, x0):
+    # phi(0, x0) from the same reconstruction that value mode writes
+    text = SIMULATE.replace("x0 = 0.0", f"x0 = {x0}")
+    cfg = write(tmp_path, "m.cfg", text)
+    assert run("simulate", str(cfg), out_dir=str(tmp_path / "sim"),
+               quiet=True) == 0
+    assert run("value", str(cfg), out_dir=str(tmp_path / "val"),
+               quiet=True) == 0
+    lines = (tmp_path / "sim" / "reports" / "summary.txt").read_text()
+    summary = dict(line.split(" = ") for line in lines.splitlines())
+    assert list(summary)[:2] == ["feedback_mean", "pde_value_at_x0"]
+    _, data = read_table(tmp_path / "val" / "fields" / "value.csv")
+    phi0 = {float(r[1]): float(r[2]) for r in data if float(r[0]) == 0.0}
+    if x0 in phi0:
+        assert summary["pde_value_at_x0"] == repr(phi0[x0])
+    else:
+        expected = 0.5 * (phi0[0.0] + phi0[0.2])
+        assert float(summary["pde_value_at_x0"]) == pytest.approx(
+            expected, rel=1e-12)
+
+
 def test_solve_2d_value_slice_recovers_terminal_cost(tmp_path):
     # a horizon shorter than one step is marched as one step of length T,
     # which moves y = -L(g0) only slightly; the reconstructed value must

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from conftest import tanh_drift
 from mildhjb.conjugate import ConjugateHamiltonian
@@ -287,3 +290,91 @@ def test_offset_cost_keeps_the_solver_stable():
     res = solve_resolvent(ops, ResolventConfig(lam=5.0), eta)
     assert res.residual <= 1e-10 * max(1.0, g.norm1(eta))
     assert np.all(np.isfinite(res.y))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol_res", -1.0),
+    ("tol_res", 0.0),
+    ("tol_res", math.nan),
+    ("tol_res", math.inf),
+    ("max_iter", -1),
+    ("max_iter", 2.5),
+    ("max_iter", True),
+    ("nu", -0.5),
+    ("nu", math.nan),
+    ("nu", math.inf),
+])
+def test_config_rejects_invalid_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        ResolventConfig(lam=3.0, **{field: value})
+
+
+def test_config_accepts_a_zero_iteration_budget():
+    assert ResolventConfig(lam=3.0, max_iter=0).max_iter == 0
+
+
+def banded_jacobian(ops, lam, nu, y):
+    """The 1-D Newton Jacobian in ``solve_banded``'s (1, 1) layout."""
+    grid, m = ops.grid, ops.half_sigma_sq
+    h, h2 = grid.h, grid.h**2
+    slope = ops.conj.derivative(m * y) * m
+    c = slope + nu
+    diag = lam + 2.0 * c / h2 + nu * slope
+    upper = -c[1:] / h2
+    lower = -c[:-1] / h2
+    if ops.drift is not None:
+        f = ops.drift.f
+        diag = diag + np.abs(f) / h
+        upper = upper - np.maximum(f[:-1], 0.0) / h
+        lower = lower + np.minimum(f[1:], 0.0) / h
+    if ops.perturbation is not None:
+        diag = diag - 2.0 * ops.perturbation.f1
+    ab = np.zeros((3, grid.n))
+    ab[0, 1:] = upper
+    ab[1] = diag
+    ab[2, :-1] = lower
+    return ab
+
+
+@pytest.mark.parametrize("with_drift, with_perturbation, nu", [
+    (False, False, 0.0),
+    (False, False, 1e-4),
+    (True, False, 0.0),
+    (True, True, 0.0),
+    (True, True, 1e-2),
+])
+def test_newton_step_equals_banded_solve_bit_for_bit(with_drift,
+                                                     with_perturbation, nu):
+    g = Grid1D(10.0, 101)
+    drift = tanh_drift(g) if with_drift else None
+    ops = quad_ops(g, drift=drift, use_perturbation=with_perturbation)
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal(g.n)  # both signs: some slopes clamp at 0
+    r = ops.residual(8.0, nu, y, rng.standard_normal(g.n))
+    step = ops.newton_step(8.0, nu, y, r)
+    banded = solve_banded((1, 1), banded_jacobian(ops, 8.0, nu, y), -r)
+    assert step.tobytes() == banded.tobytes()
+
+
+def test_zero_pivot_raises_and_newton_gives_up():
+    from mildhjb.resolvent import _newton
+    g = Grid1D(5.0, 21)
+    # a vanishing flux and no shift leave the zero matrix
+    ops = EllipticOperands.build(g, ConjugateHamiltonian.zero(), 1.0)
+    eta = np.exp(-g.x**2)
+    with pytest.raises(np.linalg.LinAlgError):
+        ops.newton_step(0.0, 0.0, np.zeros(g.n), -eta)
+    y, iters, rnorm, ok = _newton(ops, 0.0, 0.0, eta, np.zeros(g.n),
+                                  1e-10, 10)
+    assert not ok and iters == 0
+    assert rnorm == g.norm1(eta)
+
+
+def test_non_finite_residual_is_a_value_error():
+    # the flux overflows at the starting guess; LAPACK would return NaN
+    g = Grid1D(10.0, 101)
+    ops = quad_ops(g, drift=tanh_drift(g))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="not finite"):
+        solve_resolvent(ops, ResolventConfig(lam=3.0), np.exp(-g.x**2),
+                        y_init=np.full(g.n, 1e200))

@@ -4,6 +4,7 @@ A refactor that renames or drops one of them breaks every traced benchmark
 run, so installing the tracer is checked here, in a fresh interpreter.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +20,53 @@ def test_tracer_installs_on_every_site():
          str(ROOT / "perfbench")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+TRACED_MARCH = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import numpy as np
+import layers
+from mildhjb import stepper
+from mildhjb.conjugate import ConjugateHamiltonian
+from mildhjb.drift import DriftData
+from mildhjb.grid import Grid1D
+from mildhjb.resolvent import EllipticOperands
+
+tracer = layers.install()
+residuals = [0]
+residual = EllipticOperands.residual
+
+
+def counted(self, *args):
+    residuals[0] += 1
+    return residual(self, *args)
+
+
+EllipticOperands.residual = counted
+grid = Grid1D(5.0, 41)
+drift = DriftData.from_callables(grid, np.tanh)
+ops = EllipticOperands.build(grid, ConjugateHamiltonian.quadratic(),
+                             np.sqrt(2.0), drift=drift)
+y0 = (4.0 * grid.x**2 - 2.0) * np.exp(-grid.x**2)
+problem = stepper.TransformedProblem(ops, y0, np.zeros(grid.n), 0.1)
+stepper.mild_solve(problem, 0.025)
+print(json.dumps({"residuals": residuals[0],
+                  "calls": tracer.summary()["calls"]}))
+"""
+
+
+def test_traced_march_calls_the_perturbation_per_residual():
+    # the trace times the perturbation and its Green solve through these
+    # names; a residual that bypassed them would read as free
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_MARCH, str(ROOT / "src"),
+         str(ROOT / "perfbench")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    calls, residuals = record["calls"], record["residuals"]
+    assert residuals > 0
+    assert calls["stepper.step"] == calls["resolvent.solve"] == 4
+    assert calls["drift.apply_B"] >= residuals
+    assert calls["grid.green"] >= residuals
