@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,7 @@ def _write_csv(path: Path, comment: str, header: list[str], rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        # a str row is already joined
+        # a str row is already joined (it may hold several rows)
         fh.writelines((row if isinstance(row, str)
                        else ",".join(map(_cell, row))) + "\n" for row in rows)
 
@@ -67,14 +68,34 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _joined_rows(blocks):
+    """Table rows ``lead + head + repr(v)``, joined into one string per block.
+
+    ``blocks`` yields ``(lead, heads, values)``: ``lead`` starts every row of
+    the block, ``heads`` holds the rest of each row's leading cells with
+    their commas, and ``values`` the floats, one per row.  A table streams a
+    block (a snapshot, a mesh row) at a time and is never held whole.
+    """
+    for lead, heads, values in blocks:
+        cells = map(add, heads,
+                    map(repr, np.asarray(values, dtype=float).tolist()))
+        yield lead + ("\n" + lead).join(cells)
+
+
 def _field_rows(times, xs, tables):
-    # rows leave here joined: x once per table, a snapshot in one pass
-    xs = [f",{_fmt(x)}," for x in xs]
-    for t, table in zip(times, tables):
-        values = map(repr, np.asarray(table, dtype=float).tolist())
-        t = _fmt(t)
-        for x, v in zip(xs, values):
-            yield t + x + v
+    """Rows ``t,x,value`` of each snapshot in ``tables``."""
+    heads = [f",{_fmt(x)}," for x in xs]
+    return _joined_rows((_fmt(t), heads, table)
+                        for t, table in zip(times, tables))
+
+
+def _mesh_rows(xs, table, inner=slice(None)):
+    """Rows ``i,j,x,y,value`` of a 2-D field on the ``inner`` nodes of each
+    axis."""
+    labels = map(repr, np.asarray(xs, dtype=float).tolist())
+    cells = list(enumerate(labels))[inner]
+    return _joined_rows(("", [f"{i},{j},{x},{y}," for j, y in cells], row)
+                        for (i, x), row in zip(cells, table[inner, inner]))
 
 
 def _build_problem(cfg: RunConfig) -> ControlProblem:
@@ -283,26 +304,19 @@ def _run_solve_2d(cfg: RunConfig, out: Path, quiet: bool) -> None:
         horizon=cfg.T2, conj=ConjugateHamiltonian.for_cost(cfg.cost))
     sol = mild_solve_2d(problem, cfg.eps, cfg=_solver_cfg(cfg, cfg.eps))
 
-    # rows leave here joined: node labels once, values a row at a time
-    labels = list(enumerate(map(repr, grid2.x.tolist())))
-
-    def rows_of(table, inner=slice(None)):
-        cells = labels[inner]
-        for (i, x), row in zip(cells, table[inner, inner]):
-            for (j, y), v in zip(cells, row.tolist()):
-                yield f"{i},{j},{x},{y},{v!r}"
-
     _write_csv(out / "fields" / "y2d_initial.csv",
                "initial transformed state; columns: i, j, x, y, value",
-               ["i", "j", "x", "y", "value"], rows_of(sol.snapshots[0]))
+               ["i", "j", "x", "y", "value"],
+               _mesh_rows(grid2.x, sol.snapshots[0]))
     _write_csv(out / "fields" / "y2d_final.csv",
                "final transformed state; columns: i, j, x, y, value",
-               ["i", "j", "x", "y", "value"], rows_of(sol.final))
+               ["i", "j", "x", "y", "value"], _mesh_rows(grid2.x, sol.final))
     phi = solve_L(problem, sol.final)
     _write_csv(out / "fields" / "value2d_final.csv",
                "reconstructed value at the initial time, inner 80% of the "
                "mesh; columns: i, j, x, y, value",
-               ["i", "j", "x", "y", "value"], rows_of(phi, _inner_slice(grid2)))
+               ["i", "j", "x", "y", "value"],
+               _mesh_rows(grid2.x, phi, _inner_slice(grid2)))
     masses = sol.masses
     _write_csv(out / "reports" / "mass.csv",
                "discrete integral per step; columns: time, mass",

@@ -21,19 +21,26 @@ without its validation.  The time-independent stencil parts
 ``gtsv`` does not check its input, so ``_newton`` rejects a non-finite
 starting residual with ``ValueError``.
 
-``solve_resolvent`` works on any operand with ``residual``, ``newton_step``
+``solve_resolvent`` works on any operand with ``terms``, ``newton_step``
 (the Jacobian solve), ``shape``, ``lam0``, ``grid.norm1``, ``conj`` and
 ``half_sigma_sq``: ``EllipticOperands`` in 1-D, ``twodim.Problem2D`` in 2-D.
+``terms(nu, y)`` is the one full operator evaluation at ``y``: ``a = A(y)``
+and an ordered list of tails (the ``nu`` terms, then ``B(y)``).  Neither
+depends on ``lam`` or ``eta``, so an ``Iterate`` keeps them with ``y`` and
+assembles every residual at ``y`` as ``((lam*y + a) - eta)`` plus each tail.
+A solve warm-started from an earlier result on the same operand and ``nu``
+(the previous time step) starts from its terms without evaluating them again.
 
 The solved map is an L1 contraction in ``eta`` with constant
-``1/(lam - lam0)``, ``lam0 = sup|f'|``; the returned object carries a freshly
-recomputed residual as a certificate.
+``1/(lam - lam0)``, ``lam0 = sup|f'|``; the returned object carries as its
+certificate the L1 residual that the converging strategy computed at the
+returned ``y``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -110,15 +117,19 @@ class EllipticOperands:
     def shape(self) -> tuple[int]:
         return (self.grid.n,)
 
+    def terms(self, nu, y) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``A(y)`` and the tails: the viscosity terms when nu > 0, then B(y)."""
+        tails = []
+        if nu > 0:
+            tails.append(-nu * diff2(self.grid, y))
+            tails.append(nu * self.conj.value(self.half_sigma_sq * y))
+        if self.perturbation is not None:
+            tails.append(apply_B(self.perturbation, y))
+        return apply_A(self, y), tails
+
     def residual(self, lam, nu, y, eta) -> np.ndarray:
         """lam*y + A(y) + B(y) - eta, plus the viscosity terms when nu > 0."""
-        r = lam * y + apply_A(self, y) - eta
-        if nu > 0:
-            r -= nu * diff2(self.grid, y)
-            r += nu * self.conj.value(self.half_sigma_sq * y)
-        if self.perturbation is not None:
-            r += apply_B(self.perturbation, y)
-        return r
+        return Iterate.evaluate(self, nu, y).residual(lam, eta)
 
     def newton_step(self, lam, nu, y, r) -> np.ndarray:
         """Solve J(y) delta = -r with the tridiagonal Jacobian (LAPACK gtsv).
@@ -174,13 +185,47 @@ class ResolventConfig:
                 f"nu must be finite and non-negative, got {self.nu}")
 
 
+@dataclass(frozen=True)
+class Iterate:
+    """A field ``y`` with its operator terms on one operand at one ``nu``.
+
+    The terms (``a = A(y)`` and the tails, see ``EllipticOperands.terms``)
+    do not depend on ``lam`` or ``eta``, so one evaluation serves every
+    residual at ``y``.  They are valid only for ``ops`` and ``nu``.
+    """
+
+    ops: object
+    nu: float
+    y: np.ndarray
+    a: np.ndarray
+    tails: list
+
+    @classmethod
+    def evaluate(cls, ops, nu, y) -> "Iterate":
+        """One full operator evaluation at ``y``."""
+        return cls(ops, nu, y, *ops.terms(nu, y))
+
+    def residual(self, lam, eta) -> np.ndarray:
+        """``((lam*y + a) - eta)``, then ``+= tail`` for each tail."""
+        r = lam * self.y
+        r += self.a
+        r -= eta
+        for tail in self.tails:
+            r += tail
+        return r
+
+
 @dataclass
 class ResolventResult:
+    """A solve's ``y`` and certificate; ``iterate`` keeps the terms at ``y``."""
+
     y: np.ndarray
     residual: float
     iterations: int
     fallback: str = ""
     out_of_table: bool = False
+    iterate: Optional[Iterate] = field(default=None, repr=False,
+                                       compare=False)
 
 
 def apply_A(ops: EllipticOperands, y) -> np.ndarray:
@@ -193,45 +238,48 @@ def apply_A(ops: EllipticOperands, y) -> np.ndarray:
     return out
 
 
-def _newton(ops, lam, nu, eta, y0, tol, max_iter):
-    """Damped Newton; returns (y, iterations, residual_norm, converged)."""
-    grid = ops.grid
-    y = y0.copy()
-    r = ops.residual(lam, nu, y, eta)
+def _newton(ops, lam, eta, start: Iterate, tol, max_iter):
+    """Damped Newton at ``start.nu``; returns (iterate, iterations,
+    residual_norm, converged), the norm being the returned iterate's."""
+    grid, nu = ops.grid, start.nu
+    cur = start
+    r = cur.residual(lam, eta)
     rnorm = grid.norm1(r)
     if not math.isfinite(rnorm):
         # LAPACK does not check its input; a step from here would be NaN
         raise ValueError("residual is not finite at the starting guess")
     for it in range(max_iter):
         if rnorm <= tol:
-            return y, it, rnorm, True
+            return cur, it, rnorm, True
         try:
-            delta = ops.newton_step(lam, nu, y, r)
+            delta = ops.newton_step(lam, nu, cur.y, r)
         except np.linalg.LinAlgError:
-            return y, it, rnorm, False
+            return cur, it, rnorm, False
         omega = 1.0
-        accepted = False
         for _ in range(30):
-            y_try = y + omega * delta
-            r_try = ops.residual(lam, nu, y_try, eta)
+            trial = Iterate.evaluate(ops, nu, cur.y + omega * delta)
+            r_try = trial.residual(lam, eta)
             rnorm_try = grid.norm1(r_try)
             if np.isfinite(rnorm_try) and rnorm_try < rnorm:
-                y, r, rnorm = y_try, r_try, rnorm_try
-                accepted = True
+                cur, r, rnorm = trial, r_try, rnorm_try
                 break
             omega *= 0.5
-        if not accepted:
-            return y, it + 1, rnorm, False
-    return y, max_iter, rnorm, rnorm <= tol
+        else:
+            return cur, it + 1, rnorm, False
+    return cur, max_iter, rnorm, rnorm <= tol
 
 
-def solve_resolvent(ops, cfg: ResolventConfig, eta,
-                    y_init=None) -> ResolventResult:
+def solve_resolvent(ops, cfg: ResolventConfig, eta, y_init=None,
+                    warm: Optional[ResolventResult] = None) -> ResolventResult:
     """Solve ``lam*y + A(y) + B(y) = eta`` to the configured L1 residual.
 
-    ``ops`` is any operand object (see the module docstring).  Raises
-    ``ValueError`` when the shift does not clear the drift slope bound, and
-    ``ResolventError`` when every strategy exhausts its budget.
+    ``ops`` is any operand object (see the module docstring).  The solve
+    starts from ``eta/lam``, from ``y_init``, or, in place of ``y_init``,
+    from ``warm``: the result of an earlier solve on ``ops`` with the same
+    ``nu``, whose stored terms then give the starting residual.  Raises
+    ``ValueError`` when the shift does not clear the drift slope bound or a
+    warm start belongs to another operand or ``nu``, and ``ResolventError``
+    when every strategy exhausts its budget.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape != ops.shape:
@@ -244,60 +292,68 @@ def solve_resolvent(ops, cfg: ResolventConfig, eta,
             f"shift lam={cfg.lam:g} must exceed the drift slope bound "
             f"lam0={lam0:g}")
     tol = cfg.tol_res * max(1.0, ops.grid.norm1(eta))
-    y0 = np.asarray(y_init, dtype=float).copy() if y_init is not None \
-        else eta / cfg.lam
+    if warm is not None:
+        start = warm.iterate
+        if start is None or start.ops is not ops or start.nu != cfg.nu:
+            raise ValueError("warm start was not solved on this operand "
+                             f"with nu={cfg.nu:g}")
+    else:
+        y0 = np.array(y_init, dtype=float) if y_init is not None \
+            else eta / cfg.lam
+        start = Iterate.evaluate(ops, cfg.nu, y0)
 
-    y, iters, rnorm, ok = _newton(ops, cfg.lam, cfg.nu, eta, y0,
-                                  tol, cfg.max_iter)
+    cur, iters, rnorm, ok = _newton(ops, cfg.lam, eta, start,
+                                    tol, cfg.max_iter)
     fallback = ""
     if not ok:
-        y, iters2, rnorm, ok = _picard(ops, cfg, eta, y, tol)
+        cur, iters2, rnorm, ok = _picard(ops, cfg, eta, cur, tol)
         iters += iters2
         fallback = "picard"
     if not ok:
-        y, iters3, rnorm, ok = _homotopy(ops, cfg, eta, y0, tol)
+        cur, iters3, rnorm, ok = _homotopy(ops, cfg, eta, start.y, tol)
         iters += iters3
         fallback = "homotopy"
     if not ok:
         raise ResolventError("resolvent iteration budget exhausted", rnorm)
 
-    certificate = ops.grid.norm1(ops.residual(cfg.lam, cfg.nu, y, eta))
+    y = cur.y
     out_of_table = not ops.conj.covers(ops.half_sigma_sq * y)
-    return ResolventResult(y, certificate, iters, fallback, out_of_table)
+    return ResolventResult(y, rnorm, iters, fallback, out_of_table, cur)
 
 
-def _picard(ops, cfg, eta, y, tol):
+def _picard(ops, cfg, eta, cur: Iterate, tol):
     """Shifted fixed point: y <- R_{lam+delta}(eta + delta*y)."""
     # delta = lam - lam0 puts the Picard contraction factor at 1/2
     delta = max(cfg.lam - ops.lam0, 1.0)
     total = 0
     for _ in range(200):
         inner, it, rnorm_in, ok = _newton(
-            ops, cfg.lam + delta, cfg.nu, eta + delta * y, y,
+            ops, cfg.lam + delta, eta + delta * cur.y, cur,
             tol * 0.5, cfg.max_iter)
         total += it
         if not ok:
-            return y, total, rnorm_in, False
-        y = inner
-        rnorm = ops.grid.norm1(ops.residual(cfg.lam, cfg.nu, y, eta))
+            return cur, total, rnorm_in, False
+        cur = inner
+        rnorm = ops.grid.norm1(cur.residual(cfg.lam, eta))
         if rnorm <= tol:
-            return y, total, rnorm, True
-    return y, total, rnorm, False
+            return cur, total, rnorm, True
+    return cur, total, rnorm, False
 
 
-def _homotopy(ops, cfg, eta, y0, tol):
+def _homotopy(ops, cfg, eta, y, tol):
     """Warm-start chain down the viscosity ladder, finishing at the target."""
-    y = y0.copy()
     total = 0
-    rnorm = np.inf
     for nu in _NU_LADDER:
         if cfg.nu and nu <= cfg.nu:
             break
-        y, it, rnorm, ok = _newton(ops, cfg.lam, nu, eta, y,
-                                   tol, cfg.max_iter)
+        cur, it, rnorm, ok = _newton(ops, cfg.lam, eta,
+                                     Iterate.evaluate(ops, nu, y),
+                                     tol, cfg.max_iter)
         total += it
         if not ok:
-            return y, total, rnorm, False
-    y, it, rnorm, ok = _newton(ops, cfg.lam, cfg.nu, eta, y,
-                               tol, cfg.max_iter)
-    return y, total + it, rnorm, ok
+            return cur, total, rnorm, False
+        y = cur.y
+    cur, it, rnorm, ok = _newton(ops, cfg.lam, eta,
+                                 Iterate.evaluate(ops, cfg.nu, y),
+                                 tol, cfg.max_iter)
+    return cur, total + it, rnorm, ok

@@ -115,10 +115,13 @@ class MildSolution:
 
 def step(problem: TransformedProblem, eps: float, y_prev,
          cfg: Optional[ResolventConfig] = None,
-         eta: Optional[np.ndarray] = None) -> ResolventResult:
+         eta: Optional[np.ndarray] = None,
+         warm: Optional[ResolventResult] = None) -> ResolventResult:
     """One implicit step of length eps from y_prev (a single resolvent solve).
 
     ``eta = source + y_prev/eps`` is formed here unless the caller passes it.
+    ``warm`` is the result whose ``y`` is ``y_prev`` (the previous step's):
+    the solve then starts from its stored operator terms.
     """
     if not eps > 0:
         raise ValueError(f"step size must be positive, got {eps}")
@@ -130,7 +133,7 @@ def step(problem: TransformedProblem, eps: float, y_prev,
     if eta is None:
         eta = problem.source + y_prev / eps
     return solve_resolvent(problem.operands, _shifted(cfg, eps), eta,
-                           y_init=y_prev)
+                           y_init=y_prev, warm=warm)
 
 
 def _shifted(cfg: Optional[ResolventConfig], eps: float) -> ResolventConfig:
@@ -178,9 +181,10 @@ def mild_solve(problem: TransformedProblem, eps: float,
     ys[0] = problem.initial
     diags: list[StepDiagnostics] = []
     step_cfg = _shifted(cfg, eps)  # step() shifts a shortened last step
+    res = None  # each step starts from the previous one's terms
     for i, dt in enumerate(lengths, start=1):
         eta = problem.source + ys[i - 1] / dt
-        res = step(problem, dt, ys[i - 1], cfg=step_cfg, eta=eta)
+        res = step(problem, dt, ys[i - 1], cfg=step_cfg, eta=eta, warm=res)
         ys[i] = res.y
         diags.append(StepDiagnostics(
             residual=res.residual,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mildhjb import cli
 from mildhjb.cli import main, run
 
 SOLVE = """
@@ -399,3 +400,35 @@ eps = 0.01
         x, y, value = float(row[2]), float(row[3]), float(row[4])
         worst = max(worst, abs(value - np.exp(-x * x - y * y)))
     assert worst <= 2e-2
+
+
+# signed zeros, the smallest subnormal, huge and integer-valued floats
+AWKWARD = np.array([[-0.0, 5e-324, 1e300, 2.0],
+                    [3.0, -1e300, 0.1, -7.0],
+                    [1e16, 0.0, -5e-324, 123456789.0],
+                    [-2.5, 1e-300, 4.0, -0.0]])
+
+
+def _reference_csv(header, rows):
+    lines = ["# table", ",".join(header)]
+    lines += [",".join(map(cli._cell, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_streamed_field_tables_match_per_row_reference(tmp_path):
+    times, xs = np.array([0.0, 0.5, 1.0, 3.0]), AWKWARD[0]
+    path = tmp_path / "fields.csv"
+    cli._write_csv(path, "table", ["t", "x", "y"],
+                   cli._field_rows(times, xs, AWKWARD))
+    assert path.read_bytes() == _reference_csv(
+        ["t", "x", "y"],
+        [(t, x, v) for t, table in zip(times, AWKWARD)
+         for x, v in zip(xs, table)])
+    header = ["i", "j", "x", "y", "value"]
+    for inner in (slice(None), slice(1, 3)):
+        cli._write_csv(path, "table", header,
+                       cli._mesh_rows(AWKWARD[1], AWKWARD, inner))
+        nodes = list(enumerate(AWKWARD[1]))[inner]
+        assert path.read_bytes() == _reference_csv(
+            header, [(i, j, x, y, AWKWARD[i, j])
+                     for i, x in nodes for j, y in nodes])

@@ -7,8 +7,10 @@ from scipy.linalg import solve_banded
 from conftest import tanh_drift
 from mildhjb.conjugate import ConjugateHamiltonian
 from mildhjb.grid import Grid1D
-from mildhjb.resolvent import (EllipticOperands, ResolventConfig,
-                               ResolventError, apply_A, solve_resolvent)
+from mildhjb import resolvent
+from mildhjb.resolvent import (EllipticOperands, Iterate, ResolventConfig,
+                               ResolventError, ResolventResult, apply_A,
+                               solve_resolvent)
 
 
 def wavy_sigma(x):
@@ -239,10 +241,11 @@ def test_picard_fallback_solves_near_the_shift_floor():
     cfg = ResolventConfig(lam=drift.slope_sup + 0.05)
     eta = 3.0 * np.exp(-g.x**2)
     tol = cfg.tol_res * max(1.0, g.norm1(eta))
-    y, _, rnorm, ok = _picard(ops, cfg, eta, np.zeros(g.n), tol)
+    end, _, rnorm, ok = _picard(ops, cfg, eta,
+                                Iterate.evaluate(ops, 0.0, np.zeros(g.n)), tol)
     assert ok and rnorm <= tol
     direct = solve_resolvent(ops, cfg, eta)
-    np.testing.assert_allclose(y, direct.y, atol=1e-7)
+    np.testing.assert_allclose(end.y, direct.y, atol=1e-7)
 
 
 def test_homotopy_fallback_reaches_the_plain_equation():
@@ -254,10 +257,10 @@ def test_homotopy_fallback_reaches_the_plain_equation():
     eta = 4.0 * np.exp(-g.x**2)
     tol = cfg.tol_res * max(1.0, g.norm1(eta))
     start = 50.0 * np.sin(g.x)  # deliberately terrible initial guess
-    y, _, rnorm, ok = _homotopy(ops, cfg, eta, start, tol)
+    end, _, rnorm, ok = _homotopy(ops, cfg, eta, start, tol)
     assert ok and rnorm <= tol
     direct = solve_resolvent(ops, cfg, eta)
-    np.testing.assert_allclose(y, direct.y, atol=1e-7)
+    np.testing.assert_allclose(end.y, direct.y, atol=1e-7)
 
 
 def test_kinked_conjugate_table_still_solved():
@@ -364,7 +367,8 @@ def test_zero_pivot_raises_and_newton_gives_up():
     eta = np.exp(-g.x**2)
     with pytest.raises(np.linalg.LinAlgError):
         ops.newton_step(0.0, 0.0, np.zeros(g.n), -eta)
-    y, iters, rnorm, ok = _newton(ops, 0.0, 0.0, eta, np.zeros(g.n),
+    _, iters, rnorm, ok = _newton(ops, 0.0, eta,
+                                  Iterate.evaluate(ops, 0.0, np.zeros(g.n)),
                                   1e-10, 10)
     assert not ok and iters == 0
     assert rnorm == g.norm1(eta)
@@ -378,3 +382,49 @@ def test_non_finite_residual_is_a_value_error():
             pytest.raises(ValueError, match="not finite"):
         solve_resolvent(ops, ResolventConfig(lam=3.0), np.exp(-g.x**2),
                         y_init=np.full(g.n, 1e200))
+    # a warm start is checked the same way
+    with np.errstate(over="ignore", invalid="ignore"):
+        blown = Iterate.evaluate(ops, 0.0, np.full(g.n, 1e200))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="not finite"):
+        solve_resolvent(ops, ResolventConfig(lam=3.0), np.exp(-g.x**2),
+                        warm=ResolventResult(blown.y, 0.0, 0, iterate=blown))
+
+
+def _refuse_picard(ops, cfg, eta, cur, tol):
+    return cur, 0, math.inf, False
+
+
+@pytest.mark.parametrize("exit_", ["newton", "picard", "homotopy"])
+def test_certificate_is_the_residual_at_the_returned_y(monkeypatch, exit_):
+    g = Grid1D(10.0, 101)
+    ops = quad_ops(g, drift=tanh_drift(g))
+    eta = np.exp(-g.x**2)
+    cfg = ResolventConfig(lam=2.0)
+    y_init = eta / cfg.lam
+    if exit_ != "newton":
+        # lam = 2 sup f' leaves a zero Jacobian row at x = 0 where the
+        # control clamps, so Newton meets a zero pivot from this start
+        y_init = 50.0 * np.sin(g.x)
+    if exit_ == "homotopy":
+        # no small case stalls Picard but not the homotopy; refuse Picard
+        monkeypatch.setattr(resolvent, "_picard", _refuse_picard)
+    res = solve_resolvent(ops, cfg, eta, y_init=y_init)
+    assert res.fallback == ("" if exit_ == "newton" else exit_)
+    assert res.residual == g.norm1(ops.residual(cfg.lam, cfg.nu, res.y, eta))
+
+
+def test_warm_start_must_match_the_operand_and_nu():
+    g = Grid1D(10.0, 101)
+    ops = quad_ops(g, drift=tanh_drift(g))
+    eta = np.exp(-g.x**2)
+    prev = solve_resolvent(ops, ResolventConfig(lam=3.0), eta)
+    warm = solve_resolvent(ops, ResolventConfig(lam=4.0), eta, warm=prev)
+    cold = solve_resolvent(ops, ResolventConfig(lam=4.0), eta, y_init=prev.y)
+    assert warm.y.tobytes() == cold.y.tobytes()
+    assert (warm.residual, warm.iterations) == (cold.residual, cold.iterations)
+    other = quad_ops(g, drift=tanh_drift(g))
+    for wrong_ops, nu in ((ops, 1e-4), (other, 0.0)):
+        with pytest.raises(ValueError, match="warm start"):
+            solve_resolvent(wrong_ops, ResolventConfig(lam=4.0, nu=nu), eta,
+                            warm=prev)

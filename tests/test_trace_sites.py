@@ -34,16 +34,16 @@ from mildhjb.grid import Grid1D
 from mildhjb.resolvent import EllipticOperands
 
 tracer = layers.install()
-residuals = [0]
-residual = EllipticOperands.residual
+evaluations = [0]
+terms = EllipticOperands.terms
 
 
 def counted(self, *args):
-    residuals[0] += 1
-    return residual(self, *args)
+    evaluations[0] += 1
+    return terms(self, *args)
 
 
-EllipticOperands.residual = counted
+EllipticOperands.terms = counted
 grid = Grid1D(5.0, 41)
 drift = DriftData.from_callables(grid, np.tanh)
 ops = EllipticOperands.build(grid, ConjugateHamiltonian.quadratic(),
@@ -51,22 +51,23 @@ ops = EllipticOperands.build(grid, ConjugateHamiltonian.quadratic(),
 y0 = (4.0 * grid.x**2 - 2.0) * np.exp(-grid.x**2)
 problem = stepper.TransformedProblem(ops, y0, np.zeros(grid.n), 0.1)
 stepper.mild_solve(problem, 0.025)
-print(json.dumps({"residuals": residuals[0],
+print(json.dumps({"evaluations": evaluations[0],
                   "calls": tracer.summary()["calls"]}))
 """
 
 
 def test_traced_march_calls_the_perturbation_per_residual():
     # the trace times the perturbation and its Green solve through these
-    # names; a residual that bypassed them would read as free
+    # names; a full operator evaluation (every residual is assembled from
+    # one) that bypassed them would read as free
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_MARCH, str(ROOT / "src"),
          str(ROOT / "perfbench")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout.splitlines()[-1])
-    calls, residuals = record["calls"], record["residuals"]
-    assert residuals > 0
+    calls, evaluations = record["calls"], record["evaluations"]
+    assert evaluations > 0
     assert calls["stepper.step"] == calls["resolvent.solve"] == 4
-    assert calls["drift.apply_B"] >= residuals
-    assert calls["grid.green"] >= residuals
+    assert calls["drift.apply_B"] >= evaluations
+    assert calls["grid.green"] >= evaluations

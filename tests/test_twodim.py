@@ -162,9 +162,20 @@ def test_viscosity_homotopy_reaches_the_plain_equation():
     cfg = ResolventConfig(lam=10.0)
     tol = cfg.tol_res * max(1.0, g.norm1(eta))
     start = 50.0 * np.sin(X) * np.cos(Y)  # deliberately terrible guess
-    y, _, rnorm, ok = _homotopy(prob, cfg, eta, start, tol)
+    end, _, rnorm, ok = _homotopy(prob, cfg, eta, start, tol)
     assert ok and rnorm <= tol
-    np.testing.assert_allclose(y, direct.y, atol=1e-7)
+    np.testing.assert_allclose(end.y, direct.y, atol=1e-7)
+
+
+@pytest.mark.parametrize("nu", [0.0, 1e-3])
+def test_certificate_is_the_residual_at_the_returned_y(nu):
+    g = Grid2D(6.0, 31)
+    X, Y = g.mesh
+    prob = make_problem(g, np.array([[1.2, 0.0], [0.3, 1.0]]))
+    eta = 4.0 * np.exp(-(X**2 + Y**2))
+    cfg = ResolventConfig(lam=10.0, nu=nu)
+    res = solve_resolvent(prob, cfg, eta)
+    assert res.residual == g.norm1(prob.residual(cfg.lam, cfg.nu, res.y, eta))
 
 
 def test_mass_conserved_without_source():
