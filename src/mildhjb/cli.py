@@ -106,8 +106,8 @@ def _build_problem(cfg: RunConfig) -> ControlProblem:
         sigma_x=cfg.sigma_x, sigma_xx=cfg.sigma_xx)
 
 
-def _solver_cfg(cfg: RunConfig, eps: float) -> ResolventConfig:
-    return ResolventConfig(lam=1.0 / eps, tol_res=cfg.tol_res,
+def _solver_cfg(cfg: RunConfig) -> ResolventConfig:
+    return ResolventConfig(lam=1.0 / cfg.eps, tol_res=cfg.tol_res,
                            max_iter=cfg.max_iter)
 
 
@@ -120,7 +120,7 @@ def _inner_slice(grid: Grid1D) -> slice:
 
 def _run_solve(cfg: RunConfig, out: Path, quiet: bool) -> None:
     problem = _build_problem(cfg).discretize(Grid1D(cfg.L, cfg.n))
-    sol = mild_solve(problem, cfg.eps, cfg=_solver_cfg(cfg, cfg.eps))
+    sol = mild_solve(problem, cfg.eps, cfg=_solver_cfg(cfg))
     grid = sol.grid
     _write_csv(out / "fields" / "y.csv",
                "transformed state snapshots; columns: time, state, value",
@@ -141,14 +141,14 @@ def _run_solve(cfg: RunConfig, out: Path, quiet: bool) -> None:
         print(f"solved {len(sol.times) - 1} steps; artifacts in {out}")
 
 
-def _value_tables(cfg: RunConfig):
-    problem = _build_problem(cfg).discretize(Grid1D(cfg.L, cfg.n))
-    sol = mild_solve(problem, cfg.eps, cfg=_solver_cfg(cfg, cfg.eps))
-    return problem, sol, reconstruct_value(sol, horizon=cfg.T)
+def _value_tables(cfg: RunConfig, control: ControlProblem):
+    problem = control.discretize(Grid1D(cfg.L, cfg.n))
+    sol = mild_solve(problem, cfg.eps, cfg=_solver_cfg(cfg))
+    return problem, reconstruct_value(sol, horizon=cfg.T)
 
 
 def _run_value(cfg: RunConfig, out: Path, quiet: bool) -> None:
-    _, sol, vf = _value_tables(cfg)
+    _, vf = _value_tables(cfg, _build_problem(cfg))
     inner = _inner_slice(vf.grid)
     xs = vf.grid.x[inner]
     _write_csv(out / "fields" / "value.csv",
@@ -167,8 +167,8 @@ def _run_value(cfg: RunConfig, out: Path, quiet: bool) -> None:
               f"sup|phi_x| = {sup_slope:.6g}")
 
 
-def _policy_of(cfg: RunConfig):
-    problem, sol, vf = _value_tables(cfg)
+def _policy_of(cfg: RunConfig, control: ControlProblem):
+    problem, vf = _value_tables(cfg, control)
     return vf, synthesize_feedback(vf, problem.operands)
 
 
@@ -192,7 +192,7 @@ def _write_policy(policy, out: Path) -> None:
 
 
 def _run_policy(cfg: RunConfig, out: Path, quiet: bool) -> None:
-    _, policy = _policy_of(cfg)
+    _, policy = _policy_of(cfg, _build_problem(cfg))
     _write_policy(policy, out)
     if not quiet:
         print(f"policy table written; max control = {float(policy.u.max()):.6g}")
@@ -200,7 +200,7 @@ def _run_policy(cfg: RunConfig, out: Path, quiet: bool) -> None:
 
 def _run_simulate(cfg: RunConfig, out: Path, quiet: bool) -> None:
     problem = _build_problem(cfg)
-    vf, policy = _policy_of(cfg)
+    vf, policy = _policy_of(cfg, problem)
     _write_policy(policy, out)
     sim = SimConfig(n_paths=cfg.paths,
                     dt=cfg.dt if cfg.dt is not None else cfg.T / 1000.0,
@@ -238,7 +238,7 @@ def _run_simulate(cfg: RunConfig, out: Path, quiet: bool) -> None:
 def _run_sweep_eps(cfg: RunConfig, out: Path, quiet: bool) -> None:
     problem = _build_problem(cfg).discretize(Grid1D(cfg.L, cfg.n))
     result = refine_until(problem, cfg.refine_tol, cfg.eps,
-                          cfg=_solver_cfg(cfg, cfg.eps),
+                          cfg=_solver_cfg(cfg),
                           max_levels=cfg.refine_levels)
     rows = [(level, eps, gap) for level, (eps, gap) in
             enumerate(zip(result.eps_levels[1:], result.gaps), start=1)]
@@ -268,7 +268,7 @@ def _run_sweep_degenerate(cfg: RunConfig, out: Path, quiet: bool) -> None:
     sweep = solve_degenerate(grid, conj, vol, initial, source, cfg.T, cfg.eps,
                              ladder=cfg.ladder,
                              drift=control.drift_data(grid),
-                             cfg=_solver_cfg(cfg, cfg.eps))
+                             cfg=_solver_cfg(cfg))
     rows = []
     for i, level in enumerate(sweep.levels):
         rep = sweep.bound_reports[i]
@@ -302,7 +302,7 @@ def _run_solve_2d(cfg: RunConfig, out: Path, quiet: bool) -> None:
         initial=-l_of(cfg.g0_2d_parts),
         source=-l_of(cfg.g_2d_parts),
         horizon=cfg.T2, conj=ConjugateHamiltonian.for_cost(cfg.cost))
-    sol = mild_solve_2d(problem, cfg.eps, cfg=_solver_cfg(cfg, cfg.eps))
+    sol = mild_solve_2d(problem, cfg.eps, cfg=_solver_cfg(cfg))
 
     _write_csv(out / "fields" / "y2d_initial.csv",
                "initial transformed state; columns: i, j, x, y, value",

@@ -318,12 +318,6 @@ def parse_config(text: str, mode_override: Optional[str] = None
             cfg.sigma_x = v.derived(sig_expr, sig_line, "[problem] sigma")
             cfg.sigma_xx = v.derived(sig_expr, sig_line, "[problem] sigma",
                                      order=2)
-        elif sig_expr is not None:
-            try:
-                cfg.sigma_x = sig_expr.derivative()
-                cfg.sigma_xx = cfg.sigma_x.derivative()
-            except DifferentiationError:
-                pass  # only the degenerate sweep requires these
 
     if needs_cost:
         kind_raw, kind_line = v.get("cost", "kind", required=True, mode=mode)

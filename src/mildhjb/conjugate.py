@@ -375,8 +375,8 @@ class ConjugateHamiltonian:
                    ties_detected=bool(ties.any()))
 
     @classmethod
-    def for_cost(cls, cost: RunningCost, p_abs: float = 50.0, nodes: int = 4097):
+    def for_cost(cls, cost: RunningCost, p_abs: float = 50.0):
         """Closed form for the quadratic backend, a table otherwise."""
         if cost.kind == "quadratic":
             return cls.quadratic(cost.alpha1, cost.alpha2)
-        return cls.tabulate(cost, -p_abs, p_abs, nodes)
+        return cls.tabulate(cost, -p_abs, p_abs)

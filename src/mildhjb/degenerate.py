@@ -152,7 +152,6 @@ def solve_degenerate(grid: Grid1D, conj: ConjugateHamiltonian,
                      vol: VolatilityData, initial, source, horizon: float,
                      eps: float, ladder=DEFAULT_LADDER,
                      drift: Optional[DriftData] = None,
-                     use_perturbation: bool = True,
                      cfg: Optional[ResolventConfig] = None) -> DegenerateSweep:
     """Run the stepper at every regularization level of a decreasing ladder."""
     levels = [float(v) for v in ladder]
@@ -164,8 +163,7 @@ def solve_degenerate(grid: Grid1D, conj: ConjugateHamiltonian,
         ops = EllipticOperands(
             grid=grid, conj=conj,
             half_sigma_sq=0.5 * (vol.sigma**2 + level),
-            drift=drift,
-            perturbation=drift if use_perturbation else None)
+            drift=drift, perturbation=drift)
         problem = TransformedProblem(ops, np.asarray(initial, dtype=float),
                                      np.asarray(source, dtype=float), horizon)
         sol = mild_solve(problem, eps, cfg=cfg)

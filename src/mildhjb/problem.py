@@ -86,12 +86,11 @@ class ControlProblem:
         return ConjugateHamiltonian.for_cost(self.cost, p_abs)
 
     def discretize(self, grid: Grid1D,
-                   conj: Optional[ConjugateHamiltonian] = None,
-                   use_perturbation: bool = True) -> TransformedProblem:
+                   conj: Optional[ConjugateHamiltonian] = None
+                   ) -> TransformedProblem:
         """Assemble the transformed Cauchy problem on one grid."""
         conj = conj if conj is not None else self.conjugate(grid)
-        ops = EllipticOperands.build(
-            grid, conj, self.sigma, drift=self.drift_data(grid),
-            use_perturbation=use_perturbation)
+        ops = EllipticOperands.build(grid, conj, self.sigma,
+                                     drift=self.drift_data(grid))
         initial, source = self.transformed_data(grid)
         return TransformedProblem(ops, initial, source, self.horizon)

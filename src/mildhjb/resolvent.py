@@ -28,8 +28,8 @@ starting residual with ``ValueError``.
 and an ordered list of tails (the ``nu`` terms, then ``B(y)``).  Neither
 depends on ``lam`` or ``eta``, so an ``Iterate`` keeps them with ``y`` and
 assembles every residual at ``y`` as ``((lam*y + a) - eta)`` plus each tail.
-A solve warm-started from an earlier result on the same operand and ``nu``
-(the previous time step) starts from its terms without evaluating them again.
+A solve warm-started from an earlier result on the same operand (the
+previous time step) starts from its terms without evaluating them again.
 
 The solved map is an L1 contraction in ``eta`` with constant
 ``1/(lam - lam0)``, ``lam0 = sup|f'|``; the returned object carries as its
@@ -127,10 +127,6 @@ class EllipticOperands:
             tails.append(apply_B(self.perturbation, y))
         return apply_A(self, y), tails
 
-    def residual(self, lam, nu, y, eta) -> np.ndarray:
-        """lam*y + A(y) + B(y) - eta, plus the viscosity terms when nu > 0."""
-        return Iterate.evaluate(self, nu, y).residual(lam, eta)
-
     def newton_step(self, lam, nu, y, r) -> np.ndarray:
         """Solve J(y) delta = -r with the tridiagonal Jacobian (LAPACK gtsv).
 
@@ -159,15 +155,13 @@ class EllipticOperands:
 class ResolventConfig:
     """Shift and iteration controls for one resolvent solve.
 
-    ``tol_res`` is relative to ``max(1, ||eta||_1)``.  ``nu`` selects the
-    regularized system directly (0 is the plain equation).  ``lam`` must
-    exceed the drift slope bound for the contraction regime to apply.
+    ``tol_res`` is relative to ``max(1, ||eta||_1)``.  ``lam`` must exceed
+    the drift slope bound for the contraction regime to apply.
     """
 
     lam: float
     tol_res: float = 1e-10
     max_iter: int = 100
-    nu: float = 0.0
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -180,9 +174,6 @@ class ResolventConfig:
                 or self.max_iter < 0):
             raise ValueError("max_iter must be a non-negative integer, "
                              f"got {self.max_iter!r}")
-        if not (math.isfinite(self.nu) and self.nu >= 0):
-            raise ValueError(
-                f"nu must be finite and non-negative, got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -275,11 +266,11 @@ def solve_resolvent(ops, cfg: ResolventConfig, eta, y_init=None,
 
     ``ops`` is any operand object (see the module docstring).  The solve
     starts from ``eta/lam``, from ``y_init``, or, in place of ``y_init``,
-    from ``warm``: the result of an earlier solve on ``ops`` with the same
-    ``nu``, whose stored terms then give the starting residual.  Raises
-    ``ValueError`` when the shift does not clear the drift slope bound or a
-    warm start belongs to another operand or ``nu``, and ``ResolventError``
-    when every strategy exhausts its budget.
+    from ``warm``: the result of an earlier solve on ``ops``, whose stored
+    terms then give the starting residual.  Raises ``ValueError`` when the
+    shift does not clear the drift slope bound or a warm start belongs to
+    another operand, and ``ResolventError`` when every strategy exhausts its
+    budget.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape != ops.shape:
@@ -294,13 +285,12 @@ def solve_resolvent(ops, cfg: ResolventConfig, eta, y_init=None,
     tol = cfg.tol_res * max(1.0, ops.grid.norm1(eta))
     if warm is not None:
         start = warm.iterate
-        if start is None or start.ops is not ops or start.nu != cfg.nu:
-            raise ValueError("warm start was not solved on this operand "
-                             f"with nu={cfg.nu:g}")
+        if start is None or start.ops is not ops:
+            raise ValueError("warm start was not solved on this operand")
     else:
         y0 = np.array(y_init, dtype=float) if y_init is not None \
             else eta / cfg.lam
-        start = Iterate.evaluate(ops, cfg.nu, y0)
+        start = Iterate.evaluate(ops, 0.0, y0)
 
     cur, iters, rnorm, ok = _newton(ops, cfg.lam, eta, start,
                                     tol, cfg.max_iter)
@@ -341,19 +331,14 @@ def _picard(ops, cfg, eta, cur: Iterate, tol):
 
 
 def _homotopy(ops, cfg, eta, y, tol):
-    """Warm-start chain down the viscosity ladder, finishing at the target."""
+    """Warm-start chain down the viscosity ladder, finishing at nu = 0."""
     total = 0
-    for nu in _NU_LADDER:
-        if cfg.nu and nu <= cfg.nu:
-            break
+    for nu in (*_NU_LADDER, 0.0):
         cur, it, rnorm, ok = _newton(ops, cfg.lam, eta,
                                      Iterate.evaluate(ops, nu, y),
                                      tol, cfg.max_iter)
         total += it
         if not ok:
-            return cur, total, rnorm, False
+            break
         y = cur.y
-    cur, it, rnorm, ok = _newton(ops, cfg.lam, eta,
-                                 Iterate.evaluate(ops, cfg.nu, y),
-                                 tol, cfg.max_iter)
-    return cur, total + it, rnorm, ok
+    return cur, total, rnorm, ok

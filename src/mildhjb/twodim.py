@@ -38,7 +38,7 @@ from scipy.sparse.linalg import spsolve
 
 from .conjugate import ConjugateHamiltonian
 from .grid import Grid2D
-from .resolvent import Iterate, ResolventConfig, solve_resolvent
+from .resolvent import ResolventConfig, solve_resolvent
 from .stepper import MildSolution, TransformedProblem, mild_solve
 
 __all__ = [
@@ -129,10 +129,6 @@ class Problem2D:
         w = self.conj.value(self.half_sigma_sq * y)
         tails = [-nu * self._apply_matrix(y), nu * w] if nu > 0 else []
         return -self._apply_matrix(w), tails
-
-    def residual(self, lam, nu, y, eta) -> np.ndarray:
-        """lam*y - L(value(m0*y)) - eta, plus nu*(value(m0*y) - L(y))."""
-        return Iterate.evaluate(self, nu, y).residual(lam, eta)
 
     def newton_step(self, lam, nu, y, r) -> np.ndarray:
         """Solve J(y) delta = -r, factoring only the non-diagonal columns of J.

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from conftest import tanh_drift
+from conftest import desk_problem, tanh_drift
 from mildhjb.conjugate import ConjugateHamiltonian
 from mildhjb.grid import Grid1D
-from mildhjb import resolvent
 from mildhjb.resolvent import (EllipticOperands, Iterate, ResolventConfig,
-                               ResolventError, ResolventResult, apply_A,
-                               solve_resolvent)
+                               ResolventError, ResolventResult, _newton,
+                               apply_A, solve_resolvent)
 
 
 def wavy_sigma(x):
@@ -170,11 +169,17 @@ def test_viscosity_homotopy_consistency():
     drift = tanh_drift(g)
     ops = quad_ops(g, drift=drift)
     eta = np.exp(-g.x**2) * 3.0
-    base = solve_resolvent(ops, ResolventConfig(lam=3.0), eta).y
+    cfg = ResolventConfig(lam=3.0)
+    base = solve_resolvent(ops, cfg, eta).y
+    tol = cfg.tol_res * max(1.0, g.norm1(eta))
     gaps = []
     for nu in (1e-2, 1e-4, 1e-6):
-        reg = solve_resolvent(ops, ResolventConfig(lam=3.0, nu=nu), eta).y
-        gaps.append(g.norm1(reg - base))
+        # each rung of the homotopy, solved on its own from eta/lam
+        reg, _, _, ok = _newton(ops, cfg.lam, eta,
+                                Iterate.evaluate(ops, nu, eta / cfg.lam),
+                                tol, cfg.max_iter)
+        assert ok
+        gaps.append(g.norm1(reg.y - base))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 1e-4
 
@@ -303,9 +308,6 @@ def test_offset_cost_keeps_the_solver_stable():
     ("max_iter", -1),
     ("max_iter", 2.5),
     ("max_iter", True),
-    ("nu", -0.5),
-    ("nu", math.nan),
-    ("nu", math.inf),
 ])
 def test_config_rejects_invalid_fields(field, value):
     with pytest.raises(ValueError, match=field):
@@ -353,14 +355,13 @@ def test_newton_step_equals_banded_solve_bit_for_bit(with_drift,
     ops = quad_ops(g, drift=drift, use_perturbation=with_perturbation)
     rng = np.random.default_rng(5)
     y = rng.standard_normal(g.n)  # both signs: some slopes clamp at 0
-    r = ops.residual(8.0, nu, y, rng.standard_normal(g.n))
+    r = Iterate.evaluate(ops, nu, y).residual(8.0, rng.standard_normal(g.n))
     step = ops.newton_step(8.0, nu, y, r)
     banded = solve_banded((1, 1), banded_jacobian(ops, 8.0, nu, y), -r)
     assert step.tobytes() == banded.tobytes()
 
 
 def test_zero_pivot_raises_and_newton_gives_up():
-    from mildhjb.resolvent import _newton
     g = Grid1D(5.0, 21)
     # a vanishing flux and no shift leave the zero matrix
     ops = EllipticOperands.build(g, ConjugateHamiltonian.zero(), 1.0)
@@ -391,27 +392,30 @@ def test_non_finite_residual_is_a_value_error():
                         warm=ResolventResult(blown.y, 0.0, 0, iterate=blown))
 
 
-def _refuse_picard(ops, cfg, eta, cur, tol):
-    return cur, 0, math.inf, False
-
-
 @pytest.mark.parametrize("exit_", ["newton", "picard", "homotopy"])
-def test_certificate_is_the_residual_at_the_returned_y(monkeypatch, exit_):
-    g = Grid1D(10.0, 101)
-    ops = quad_ops(g, drift=tanh_drift(g))
-    eta = np.exp(-g.x**2)
-    cfg = ResolventConfig(lam=2.0)
-    y_init = eta / cfg.lam
-    if exit_ != "newton":
-        # lam = 2 sup f' leaves a zero Jacobian row at x = 0 where the
-        # control clamps, so Newton meets a zero pivot from this start
-        y_init = 50.0 * np.sin(g.x)
+def test_certificate_is_the_residual_at_the_returned_y(exit_):
     if exit_ == "homotopy":
-        # no small case stalls Picard but not the homotopy; refuse Picard
-        monkeypatch.setattr(resolvent, "_picard", _refuse_picard)
+        # on the desk problem at lam = 1.5, Newton and Picard both stall
+        # from the default start eta/lam and the homotopy solves it
+        g = Grid1D(10.0, 201)
+        problem = desk_problem().discretize(g)
+        ops, cfg = problem.operands, ResolventConfig(lam=1.5)
+        eta = -3.0 * problem.initial + 4.0 * np.exp(-g.x**2)
+        y_init = None
+    else:
+        g = Grid1D(10.0, 101)
+        ops = quad_ops(g, drift=tanh_drift(g))
+        eta = np.exp(-g.x**2)
+        cfg = ResolventConfig(lam=2.0)
+        y_init = eta / cfg.lam
+        if exit_ == "picard":
+            # lam = 2 sup f' leaves a zero Jacobian row at x = 0 where the
+            # control clamps, so Newton meets a zero pivot from this start
+            y_init = 50.0 * np.sin(g.x)
     res = solve_resolvent(ops, cfg, eta, y_init=y_init)
     assert res.fallback == ("" if exit_ == "newton" else exit_)
-    assert res.residual == g.norm1(ops.residual(cfg.lam, cfg.nu, res.y, eta))
+    residual = Iterate.evaluate(ops, 0.0, res.y).residual(cfg.lam, eta)
+    assert res.residual == g.norm1(residual)
 
 
 def test_warm_start_must_match_the_operand_and_nu():
@@ -424,7 +428,5 @@ def test_warm_start_must_match_the_operand_and_nu():
     assert warm.y.tobytes() == cold.y.tobytes()
     assert (warm.residual, warm.iterations) == (cold.residual, cold.iterations)
     other = quad_ops(g, drift=tanh_drift(g))
-    for wrong_ops, nu in ((ops, 1e-4), (other, 0.0)):
-        with pytest.raises(ValueError, match="warm start"):
-            solve_resolvent(wrong_ops, ResolventConfig(lam=4.0, nu=nu), eta,
-                            warm=prev)
+    with pytest.raises(ValueError, match="warm start"):
+        solve_resolvent(other, ResolventConfig(lam=4.0), eta, warm=prev)

@@ -3,8 +3,8 @@ import pytest
 
 from mildhjb.conjugate import ConjugateHamiltonian
 from mildhjb.grid import Grid1D
-from mildhjb.resolvent import (EllipticOperands, ResolventConfig,
-                               solve_resolvent)
+from mildhjb.resolvent import (EllipticOperands, Iterate, ResolventConfig,
+                               _newton, solve_resolvent)
 from mildhjb.stepper import TransformedProblem, mild_solve
 from mildhjb.twodim import (Grid2D, Problem2D, apply_L, mild_solve_2d,
                             solve_L, solve_resolvent_2d)
@@ -152,15 +152,18 @@ def test_viscosity_homotopy_reaches_the_plain_equation():
     X, Y = g.mesh
     prob = make_problem(g, np.array([[1.2, 0.0], [0.3, 1.0]]))
     eta = 4.0 * np.exp(-(X**2 + Y**2))
-    direct = solve_resolvent(prob, ResolventConfig(lam=10.0), eta)
+    cfg = ResolventConfig(lam=10.0)
+    direct = solve_resolvent(prob, cfg, eta)
+    tol = cfg.tol_res * max(1.0, g.norm1(eta))
     gaps = []
     for nu in (1e-2, 1e-4):
-        reg = solve_resolvent(prob, ResolventConfig(lam=10.0, nu=nu), eta)
-        assert reg.iterations <= 10  # Newton with the exact Jacobian
+        # each rung of the homotopy, solved on its own from eta/lam
+        reg, iterations, _, ok = _newton(
+            prob, cfg.lam, eta, Iterate.evaluate(prob, nu, eta / cfg.lam),
+            tol, cfg.max_iter)
+        assert ok and iterations <= 10  # Newton with the exact Jacobian
         gaps.append(g.norm1(reg.y - direct.y))
     assert gaps[0] > gaps[1]
-    cfg = ResolventConfig(lam=10.0)
-    tol = cfg.tol_res * max(1.0, g.norm1(eta))
     start = 50.0 * np.sin(X) * np.cos(Y)  # deliberately terrible guess
     end, _, rnorm, ok = _homotopy(prob, cfg, eta, start, tol)
     assert ok and rnorm <= tol
@@ -173,9 +176,20 @@ def test_certificate_is_the_residual_at_the_returned_y(nu):
     X, Y = g.mesh
     prob = make_problem(g, np.array([[1.2, 0.0], [0.3, 1.0]]))
     eta = 4.0 * np.exp(-(X**2 + Y**2))
-    cfg = ResolventConfig(lam=10.0, nu=nu)
-    res = solve_resolvent(prob, cfg, eta)
-    assert res.residual == g.norm1(prob.residual(cfg.lam, cfg.nu, res.y, eta))
+    cfg = ResolventConfig(lam=10.0)
+    if nu == 0.0:
+        res = solve_resolvent(prob, cfg, eta)
+        y, certificate = res.y, res.residual
+    else:
+        # a homotopy rung certifies its iterate the same way
+        tol = cfg.tol_res * max(1.0, g.norm1(eta))
+        end, _, certificate, ok = _newton(
+            prob, cfg.lam, eta, Iterate.evaluate(prob, nu, eta / cfg.lam),
+            tol, cfg.max_iter)
+        assert ok
+        y = end.y
+    residual = Iterate.evaluate(prob, nu, y).residual(cfg.lam, eta)
+    assert certificate == g.norm1(residual)
 
 
 def test_mass_conserved_without_source():
