@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "ConjugateHamiltonian",
@@ -250,6 +249,9 @@ def potential(cost: RunningCost, r: float) -> float:
     if cost.kind == "quadratic":
         a1, a2 = cost.alpha1, cost.alpha2
         return float(max(r, 0.0) ** 3 / (12.0 * a1) - a2 * r)
+    # scipy.integrate dominates the package's import time; only the
+    # conjugate-table mode needs it
+    from scipy.integrate import quad
     value, _ = quad(lambda p: conjugate(cost, p), 0.0, float(r), limit=200)
     return float(value)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .conjugate import ConjugateHamiltonian
 from .drift import DriftData
-from .grid import Grid1D, diff1_central
+from .grid import Grid1D, tabulate
 from .resolvent import EllipticOperands, ResolventConfig
 from .stepper import MildSolution, TransformedProblem, mild_solve, sup_time_gap
 
@@ -54,13 +54,7 @@ class VolatilityData:
 
     @classmethod
     def from_callables(cls, grid, sigma, sigma1=None, sigma2=None):
-        x = grid.x
-        s = np.asarray(sigma(x), dtype=float) + np.zeros_like(x)
-        s1 = (np.asarray(sigma1(x), dtype=float) + np.zeros_like(x)
-              if sigma1 is not None else diff1_central(grid, s))
-        s2 = (np.asarray(sigma2(x), dtype=float) + np.zeros_like(x)
-              if sigma2 is not None else diff1_central(grid, s1))
-        return cls(grid, s, s1, s2)
+        return cls(grid, *tabulate(grid, sigma, sigma1, sigma2))
 
     @property
     def slope_product_sup(self) -> float:
@@ -107,9 +101,13 @@ def sup_bound(conj: ConjugateHamiltonian, vol: VolatilityData,
 
 @dataclass
 class BoundReport:
-    """Per-step sup-norm certificates for one ladder level."""
+    """Per-step sup-norm certificates for one ladder level.
 
-    lam: float
+    ``lams`` holds the shift each step was solved at: ``1/eps``, and
+    ``1/partial_step`` for a shortened last step.
+    """
+
+    lams: np.ndarray
     bounds: np.ndarray
     y_inf: np.ndarray
     certified: np.ndarray
@@ -121,9 +119,11 @@ def check_linf_bound(sol: MildSolution, conj: ConjugateHamiltonian,
                      vol: VolatilityData, regularization: float
                      ) -> BoundReport:
     """Certify every recorded step of a run against its constant barrier."""
-    lam = 1.0 / sol.eps
+    lams = np.full(len(sol.diagnostics), 1.0 / sol.eps)
+    if sol.partial_step:
+        lams[-1] = 1.0 / sol.partial_step
     bounds, y_inf, certified = [], [], []
-    for d in sol.diagnostics:
+    for lam, d in zip(lams, sol.diagnostics):
         m = sup_bound(conj, vol, regularization, lam, d.eta_inf)
         certified.append(m is not None)
         bounds.append(np.inf if m is None else m)
@@ -133,7 +133,7 @@ def check_linf_bound(sol: MildSolution, conj: ConjugateHamiltonian,
     certified = np.asarray(certified, dtype=bool)
     ok = bool(np.all(certified) and np.all(y_inf <= bounds))
     slack = float(np.min(bounds - y_inf)) if bounds.size else np.inf
-    return BoundReport(lam=lam, bounds=bounds, y_inf=y_inf,
+    return BoundReport(lams=lams, bounds=bounds, y_inf=y_inf,
                        certified=certified, passed=ok, min_slack=slack)
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid1D, diff1_central, green_constants, poisson_gradient
+from .grid import Grid1D, green_constants, poisson_gradient, tabulate
 
 __all__ = ["DriftData", "apply_B"]
 
@@ -45,13 +45,7 @@ class DriftData:
     @classmethod
     def from_callables(cls, grid: Grid1D, f, f1=None, f2=None) -> "DriftData":
         """Tabulate f; derivatives fall back to central differences of f."""
-        x = grid.x
-        fv = np.asarray(f(x), dtype=float) + np.zeros_like(x)
-        f1v = (np.asarray(f1(x), dtype=float) + np.zeros_like(x)
-               if f1 is not None else diff1_central(grid, fv))
-        f2v = (np.asarray(f2(x), dtype=float) + np.zeros_like(x)
-               if f2 is not None else diff1_central(grid, f1v))
-        return cls(grid, fv, f1v, f2v)
+        return cls(grid, *tabulate(grid, f, f1, f2))
 
     @cached_property
     def slope_sup(self) -> float:

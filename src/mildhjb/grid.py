@@ -24,6 +24,7 @@ __all__ = [
     "green_constants",
     "poisson_gradient",
     "poisson_solve",
+    "tabulate",
 ]
 
 
@@ -100,6 +101,21 @@ def diff1_central(grid: Grid1D, values) -> np.ndarray:
     out[..., 0] = (v[..., 1] - v[..., 0]) / grid.h
     out[..., -1] = (v[..., -1] - v[..., -2]) / grid.h
     return out
+
+
+def tabulate(grid: Grid1D, fn, *derivatives) -> list[np.ndarray]:
+    """``fn`` and its successive derivatives sampled on the nodes.
+
+    Each entry of ``derivatives`` is the next derivative as a callable, or
+    None for the central difference of the table before it.  Samples are
+    broadcast to the node array, so a callable may return a constant.
+    """
+    x = grid.x
+    tables = []
+    for d in (fn, *derivatives):
+        tables.append(np.asarray(d(x), dtype=float) + np.zeros_like(x)
+                      if d is not None else diff1_central(grid, tables[-1]))
+    return tables
 
 
 def diff1_upwind(grid: Grid1D, values, wind) -> np.ndarray:

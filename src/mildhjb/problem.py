@@ -17,15 +17,11 @@ import numpy as np
 from .conjugate import ConjugateHamiltonian, RunningCost
 from .degenerate import VolatilityData
 from .drift import DriftData
-from .grid import Grid1D, diff1_central
+from .grid import Grid1D, tabulate
 from .resolvent import EllipticOperands
 from .stepper import TransformedProblem
 
 __all__ = ["ControlProblem"]
-
-
-def _table(fn, x):
-    return np.asarray(fn(x), dtype=float) + np.zeros_like(x)
 
 
 @dataclass(frozen=True)
@@ -67,30 +63,23 @@ class ControlProblem:
 
     def transformed_data(self, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
         """(initial, source) = (-g0'', -g'') tabulated on the grid."""
-        x = grid.x
-        if self.g0_xx is not None:
-            initial = -_table(self.g0_xx, x)
-        else:
-            initial = -diff1_central(grid, diff1_central(grid, _table(self.g0, x)))
-        if self.g_xx is not None:
-            source = -_table(self.g_xx, x)
-        else:
-            source = -diff1_central(grid, diff1_central(grid, _table(self.g, x)))
-        return initial, source
-
-    def conjugate(self, grid: Grid1D) -> ConjugateHamiltonian:
-        """Closed form when quadratic, otherwise a table sized to the data."""
-        initial, _ = self.transformed_data(grid)
-        smax2 = float(np.max(_table(self.sigma, grid.x) ** 2))
-        p_abs = max(1.0, 4.0 * smax2 * float(np.max(np.abs(initial))))
-        return ConjugateHamiltonian.for_cost(self.cost, p_abs)
+        return (-tabulate(grid, self.g0, None, self.g0_xx)[2],
+                -tabulate(grid, self.g, None, self.g_xx)[2])
 
     def discretize(self, grid: Grid1D,
                    conj: Optional[ConjugateHamiltonian] = None
                    ) -> TransformedProblem:
-        """Assemble the transformed Cauchy problem on one grid."""
-        conj = conj if conj is not None else self.conjugate(grid)
-        ops = EllipticOperands.build(grid, conj, self.sigma,
-                                     drift=self.drift_data(grid))
+        """Assemble the transformed Cauchy problem on one grid.
+
+        Without ``conj`` the cost's conjugate is the closed form when
+        quadratic, otherwise a table sized to the data.
+        """
         initial, source = self.transformed_data(grid)
+        sigma = tabulate(grid, self.sigma)[0]
+        if conj is None:
+            smax2 = float(np.max(sigma**2))
+            p_abs = max(1.0, 4.0 * smax2 * float(np.max(np.abs(initial))))
+            conj = ConjugateHamiltonian.for_cost(self.cost, p_abs)
+        ops = EllipticOperands.build(grid, conj, sigma,
+                                     drift=self.drift_data(grid))
         return TransformedProblem(ops, initial, source, self.horizon)

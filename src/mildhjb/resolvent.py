@@ -11,8 +11,8 @@ algorithm is damped Newton with the tridiagonal-plus-diagonal Jacobian (the
 nonlocal part of the perturbation is kept on the residual side only, where it
 is harmless because it is bounded).  Two globally convergent fallbacks cover
 stalls: a shifted Picard iteration ``y <- R_{lam+delta}(eta + delta*y)`` and
-a vanishing-viscosity homotopy that adds ``-nu*y'' + nu*value(m*y)`` and
-tracks the solution down ``nu -> 0``.
+a continuation in the shift that solves at ``lam + c*delta`` for a fixed
+ladder of ``c`` down to 0, each rung starting from the previous rung's end.
 
 The 1-D Jacobian is solved by LAPACK ``gtsv`` called directly: for these
 bands ``solve_banded`` runs the same routine, so the bits are the same,
@@ -24,17 +24,18 @@ starting residual with ``ValueError``.
 ``solve_resolvent`` works on any operand with ``terms``, ``newton_step``
 (the Jacobian solve), ``shape``, ``lam0``, ``grid.norm1``, ``conj`` and
 ``half_sigma_sq``: ``EllipticOperands`` in 1-D, ``twodim.Problem2D`` in 2-D.
-``terms(nu, y)`` is the one full operator evaluation at ``y``: ``a = A(y)``
-and an ordered list of tails (the ``nu`` terms, then ``B(y)``).  Neither
-depends on ``lam`` or ``eta``, so an ``Iterate`` keeps them with ``y`` and
-assembles every residual at ``y`` as ``((lam*y + a) - eta)`` plus each tail.
-A solve warm-started from an earlier result on the same operand (the
-previous time step) starts from its terms without evaluating them again.
+``terms(y)`` is the one full operator evaluation at ``y``: ``a = A(y)`` and
+the tails (``B(y)`` in 1-D, none in 2-D).  Neither depends on ``lam`` or
+``eta``, so an ``Iterate`` keeps them with ``y`` and assembles every
+residual at ``y`` as ``((lam*y + a) - eta)`` plus each tail; a warm start
+(the previous time step) and each continuation rung reuse them.
 
-The solved map is an L1 contraction in ``eta`` with constant
-``1/(lam - lam0)``, ``lam0 = sup|f'|``; the returned object carries as its
-certificate the L1 residual that the converging strategy computed at the
-returned ``y``.
+Only shifts above ``shift_floor(ops) = 2*lam0``, ``lam0 = sup|f'|``, are
+admitted (where the control binds, the Jacobian's diagonal is
+``lam - 2f'``), and the march reads the same floor.  The solved map is an
+L1 contraction in ``eta`` with constant ``1/(lam - lam0)``; the returned
+object carries as its certificate the L1 residual that the converging
+strategy computed at the returned ``y``.
 """
 
 from __future__ import annotations
@@ -56,10 +57,12 @@ __all__ = [
     "ResolventError",
     "ResolventResult",
     "apply_A",
+    "shift_floor",
     "solve_resolvent",
 ]
 
-_NU_LADDER = (1e-2, 1e-4, 1e-6)
+# multiples of max(lam - lam0, 1) added to the shift, rung by rung
+_CONTINUATION = (8.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.125, 0.0625, 0.0)
 
 
 class ResolventError(RuntimeError):
@@ -117,27 +120,22 @@ class EllipticOperands:
     def shape(self) -> tuple[int]:
         return (self.grid.n,)
 
-    def terms(self, nu, y) -> tuple[np.ndarray, list[np.ndarray]]:
-        """``A(y)`` and the tails: the viscosity terms when nu > 0, then B(y)."""
-        tails = []
-        if nu > 0:
-            tails.append(-nu * diff2(self.grid, y))
-            tails.append(nu * self.conj.value(self.half_sigma_sq * y))
-        if self.perturbation is not None:
-            tails.append(apply_B(self.perturbation, y))
+    def terms(self, y) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``A(y)`` and the tails: ``B(y)`` when the perturbation is on."""
+        tails = ([] if self.perturbation is None
+                 else [apply_B(self.perturbation, y)])
         return apply_A(self, y), tails
 
-    def newton_step(self, lam, nu, y, r) -> np.ndarray:
+    def newton_step(self, lam, y, r) -> np.ndarray:
         """Solve J(y) delta = -r with the tridiagonal Jacobian (LAPACK gtsv).
 
         Raises ``np.linalg.LinAlgError`` on a zero pivot.
         """
         m, h2 = self.half_sigma_sq, self.grid.h**2
         slope = self.conj.derivative(m * y) * m
-        c = slope + nu
-        diag = lam + 2.0 * c / h2 + nu * slope
-        upper = -c[1:] / h2
-        lower = -c[:-1] / h2
+        diag = lam + 2.0 * slope / h2
+        upper = -slope[1:] / h2
+        lower = -slope[:-1] / h2
         if self.drift is not None:
             _, f_diag, f_upper, f_lower = self.drift.upwind
             diag += f_diag
@@ -178,23 +176,22 @@ class ResolventConfig:
 
 @dataclass(frozen=True)
 class Iterate:
-    """A field ``y`` with its operator terms on one operand at one ``nu``.
+    """A field ``y`` with its operator terms on one operand.
 
     The terms (``a = A(y)`` and the tails, see ``EllipticOperands.terms``)
     do not depend on ``lam`` or ``eta``, so one evaluation serves every
-    residual at ``y``.  They are valid only for ``ops`` and ``nu``.
+    residual at ``y``.  They are valid only for ``ops``.
     """
 
     ops: object
-    nu: float
     y: np.ndarray
     a: np.ndarray
     tails: list
 
     @classmethod
-    def evaluate(cls, ops, nu, y) -> "Iterate":
+    def evaluate(cls, ops, y) -> "Iterate":
         """One full operator evaluation at ``y``."""
-        return cls(ops, nu, y, *ops.terms(nu, y))
+        return cls(ops, y, *ops.terms(y))
 
     def residual(self, lam, eta) -> np.ndarray:
         """``((lam*y + a) - eta)``, then ``+= tail`` for each tail."""
@@ -229,10 +226,15 @@ def apply_A(ops: EllipticOperands, y) -> np.ndarray:
     return out
 
 
+def shift_floor(ops) -> float:
+    """``2*lam0``: ``solve_resolvent`` admits only shifts above it."""
+    return 2.0 * ops.lam0
+
+
 def _newton(ops, lam, eta, start: Iterate, tol, max_iter):
-    """Damped Newton at ``start.nu``; returns (iterate, iterations,
-    residual_norm, converged), the norm being the returned iterate's."""
-    grid, nu = ops.grid, start.nu
+    """Damped Newton; returns (iterate, iterations, residual_norm,
+    converged), the norm being the returned iterate's."""
+    grid = ops.grid
     cur = start
     r = cur.residual(lam, eta)
     rnorm = grid.norm1(r)
@@ -243,12 +245,12 @@ def _newton(ops, lam, eta, start: Iterate, tol, max_iter):
         if rnorm <= tol:
             return cur, it, rnorm, True
         try:
-            delta = ops.newton_step(lam, nu, cur.y, r)
+            delta = ops.newton_step(lam, cur.y, r)
         except np.linalg.LinAlgError:
             return cur, it, rnorm, False
         omega = 1.0
         for _ in range(30):
-            trial = Iterate.evaluate(ops, nu, cur.y + omega * delta)
+            trial = Iterate.evaluate(ops, cur.y + omega * delta)
             r_try = trial.residual(lam, eta)
             rnorm_try = grid.norm1(r_try)
             if np.isfinite(rnorm_try) and rnorm_try < rnorm:
@@ -268,7 +270,7 @@ def solve_resolvent(ops, cfg: ResolventConfig, eta, y_init=None,
     starts from ``eta/lam``, from ``y_init``, or, in place of ``y_init``,
     from ``warm``: the result of an earlier solve on ``ops``, whose stored
     terms then give the starting residual.  Raises ``ValueError`` when the
-    shift does not clear the drift slope bound or a warm start belongs to
+    shift does not clear ``shift_floor(ops)`` or a warm start belongs to
     another operand, and ``ResolventError`` when every strategy exhausts its
     budget.
     """
@@ -277,11 +279,11 @@ def solve_resolvent(ops, cfg: ResolventConfig, eta, y_init=None,
         raise ValueError(f"eta has shape {eta.shape}, expected {ops.shape}")
     if not np.isfinite(eta).all():
         raise ValueError("eta contains non-finite entries")
-    lam0 = ops.lam0
-    if cfg.lam <= lam0:
+    floor = shift_floor(ops)
+    if not cfg.lam > floor:
         raise ValueError(
-            f"shift lam={cfg.lam:g} must exceed the drift slope bound "
-            f"lam0={lam0:g}")
+            f"shift lam={cfg.lam:g} must exceed twice the drift slope bound, "
+            f"2*lam0={floor:g}")
     tol = cfg.tol_res * max(1.0, ops.grid.norm1(eta))
     if warm is not None:
         start = warm.iterate
@@ -290,7 +292,7 @@ def solve_resolvent(ops, cfg: ResolventConfig, eta, y_init=None,
     else:
         y0 = np.array(y_init, dtype=float) if y_init is not None \
             else eta / cfg.lam
-        start = Iterate.evaluate(ops, 0.0, y0)
+        start = Iterate.evaluate(ops, y0)
 
     cur, iters, rnorm, ok = _newton(ops, cfg.lam, eta, start,
                                     tol, cfg.max_iter)
@@ -300,9 +302,9 @@ def solve_resolvent(ops, cfg: ResolventConfig, eta, y_init=None,
         iters += iters2
         fallback = "picard"
     if not ok:
-        cur, iters3, rnorm, ok = _homotopy(ops, cfg, eta, start.y, tol)
+        cur, iters3, rnorm, ok = _continuation(ops, cfg, eta, start, tol)
         iters += iters3
-        fallback = "homotopy"
+        fallback = "continuation"
     if not ok:
         raise ResolventError("resolvent iteration budget exhausted", rnorm)
 
@@ -330,15 +332,15 @@ def _picard(ops, cfg, eta, cur: Iterate, tol):
     return cur, total, rnorm, False
 
 
-def _homotopy(ops, cfg, eta, y, tol):
-    """Warm-start chain down the viscosity ladder, finishing at nu = 0."""
+def _continuation(ops, cfg, eta, cur: Iterate, tol):
+    """Newton down the shifts ``lam + c*delta`` (``delta`` as in Picard),
+    each rung from the previous rung's iterate, finishing at ``lam``."""
+    delta = max(cfg.lam - ops.lam0, 1.0)
     total = 0
-    for nu in (*_NU_LADDER, 0.0):
-        cur, it, rnorm, ok = _newton(ops, cfg.lam, eta,
-                                     Iterate.evaluate(ops, nu, y),
+    for c in _CONTINUATION:
+        cur, it, rnorm, ok = _newton(ops, cfg.lam + c * delta, eta, cur,
                                      tol, cfg.max_iter)
         total += it
         if not ok:
             break
-        y = cur.y
     return cur, total, rnorm, ok

@@ -24,7 +24,7 @@ import numpy as np
 
 from .grid import Grid1D, diff1_central
 from .resolvent import (EllipticOperands, ResolventConfig, ResolventResult,
-                        solve_resolvent)
+                        shift_floor, solve_resolvent)
 
 __all__ = [
     "EnergyReport",
@@ -61,9 +61,10 @@ class TransformedProblem:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
 
     def max_step(self) -> float:
-        """Largest admissible step, 1/(2 sup|f'|) (unbounded without drift)."""
-        lam0 = self.operands.lam0
-        return math.inf if lam0 == 0 else 0.5 / lam0
+        """Admissible steps are below 1/shift_floor (unbounded without
+        drift)."""
+        floor = shift_floor(self.operands)
+        return math.inf if floor == 0 else 1.0 / floor
 
 
 @dataclass(frozen=True)
@@ -125,11 +126,10 @@ def step(problem: TransformedProblem, eps: float, y_prev,
     """
     if not eps > 0:
         raise ValueError(f"step size must be positive, got {eps}")
-    cap = problem.max_step()
-    if eps >= cap:
+    if not 1.0 / eps > shift_floor(problem.operands):
         raise ValueError(
             f"step size {eps:g} too large for the drift slope bound; "
-            f"need eps < {cap:g}")
+            f"need eps < {problem.max_step():g}")
     if eta is None:
         eta = problem.source + y_prev / eps
     return solve_resolvent(problem.operands, _shifted(cfg, eps), eta,

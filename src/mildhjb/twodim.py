@@ -10,7 +10,7 @@ stencil for the cross term, all closed by zero ghosts.  The implicit step
 solves ``lam*y - L(value(m0*y)) = eta`` with ``Problem2D`` (sparse 9-point
 Jacobian) as the operand of ``resolvent.solve_resolvent``, and
 ``mild_solve_2d`` is ``stepper.mild_solve`` on that operand: one
-Newton/Picard/homotopy solver, one residual certificate, one march and one
+Newton/Picard/continuation solver, one residual certificate, one march and one
 solution type serve both 1-D and 2-D.  Without drift the resolvent is an L1
 contraction with constant exactly ``1/lam``.
 
@@ -123,46 +123,39 @@ class Problem2D:
     def _apply_matrix(self, z) -> np.ndarray:
         return (self.operator_matrix @ z.ravel()).reshape(self.shape)
 
-    def terms(self, nu, y) -> tuple[np.ndarray, list[np.ndarray]]:
-        """``-L(value(m0*y))`` and, when nu > 0, the tails ``-nu*L(y)``
-        and ``nu*value(m0*y)``."""
-        w = self.conj.value(self.half_sigma_sq * y)
-        tails = [-nu * self._apply_matrix(y), nu * w] if nu > 0 else []
-        return -self._apply_matrix(w), tails
+    def terms(self, y) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``-L(value(m0*y))`` and no tails."""
+        return -self._apply_matrix(self.conj.value(self.half_sigma_sq * y)), []
 
-    def newton_step(self, lam, nu, y, r) -> np.ndarray:
+    def newton_step(self, lam, y, r) -> np.ndarray:
         """Solve J(y) delta = -r, factoring only the non-diagonal columns of J.
 
-        ``J = diag(lam + nu*s) - L diag(w)`` with the slope
-        ``s = value'(m0*y)*m0`` and the weight ``w = s + nu``.  Where the
-        constraint ``u >= 0`` binds (and ``nu = 0``), ``w_j = 0`` and column
-        ``j`` of J is diagonal, so only the block on the active set
-        ``A = {w != 0}`` needs a sparse LU:
+        ``J = lam*I - L diag(s)`` with the slope ``s = value'(m0*y)*m0``.
+        Where the constraint ``u >= 0`` binds, ``s_j = 0`` and column ``j``
+        of J is ``lam*e_j``, so only the block on the active set
+        ``A = {s != 0}`` needs a sparse LU:
 
-            (diag(lam + nu*s_A) - L[A, A] diag(w_A)) delta_A = -r_A,
+            (lam*I - L[A, A] diag(s_A)) delta_A = -r_A,
 
         and every other entry follows from one matvec,
-        ``delta = (-r + L z) / (lam + nu*s)`` with ``z = w*delta`` on A and 0
-        elsewhere.  The elimination is exact; with ``nu > 0`` every column is
-        active and this is the full solve.
+        ``delta = (-r + L z) / lam`` with ``z = s*delta`` on A and 0
+        elsewhere.  The elimination is exact.
         """
         m = self.half_sigma_sq
         s = (self.conj.derivative(m * y) * m).ravel()
-        w = s + nu
-        diag = lam + nu * s
         rhs = -r.ravel()
-        active = np.flatnonzero(w)
+        active = np.flatnonzero(s)
         if active.size == 0:
-            return (rhs / diag).reshape(self.shape)
+            return (rhs / lam).reshape(self.shape)
         lap = self.operator_matrix
-        w_a = w[active]
+        s_a = s[active]
         block = lap[active][:, active]  # a copy; L stores every diagonal
-        block.data *= -w_a[block.indices]
-        block.setdiag(block.diagonal() + diag[active])
+        block.data *= -s_a[block.indices]
+        block.setdiag(block.diagonal() + lam)
         delta_a = spsolve(block.tocsc(), rhs[active])
         z = np.zeros_like(rhs)
-        z[active] = w_a * delta_a
-        delta = (rhs + lap @ z) / diag
+        z[active] = s_a * delta_a
+        delta = (rhs + lap @ z) / lam
         delta[active] = delta_a
         return delta.reshape(self.shape)
 

@@ -432,3 +432,19 @@ def test_streamed_field_tables_match_per_row_reference(tmp_path):
         assert path.read_bytes() == _reference_csv(
             header, [(i, j, x, y, AWKWARD[i, j])
                      for i, x in nodes for j, y in nodes])
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # quadrature serves only the conjugate-table mode; importing it costs
+    # most of the package's import time
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mildhjb.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

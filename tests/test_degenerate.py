@@ -116,3 +116,22 @@ def test_each_level_satisfies_energy_finiteness():
         assert np.isfinite(report.potential_max)
         assert np.isfinite(report.dissipation_total)
         assert report.dissipation_total >= 0.0
+
+
+@pytest.mark.parametrize("eps", [0.03, 0.2])
+def test_shortened_last_step_is_certified_at_its_own_shift(eps):
+    from conftest import desk_problem
+    grid = Grid1D(10.0, 101)
+    control = desk_problem(horizon=0.5)
+    initial, source = control.transformed_data(grid)
+    vol = control.volatility_data(grid)
+    conj = ConjugateHamiltonian.linear()
+    sweep = solve_degenerate(grid, conj, vol, initial, source, 0.5, eps,
+                             ladder=(0.1,), drift=control.drift_data(grid))
+    sol, report = sweep.solutions[0], sweep.bound_reports[0]
+    assert 0.0 < sol.partial_step < eps
+    # the last step solved lam = 1/partial_step, not 1/eps
+    last = sup_bound(conj, vol, 0.1, 1.0 / sol.partial_step,
+                     sol.diagnostics[-1].eta_inf)
+    assert report.bounds[-1] == last
+    assert report.y_inf[-1] <= last

@@ -164,26 +164,6 @@ def test_order_preservation_without_drift():
         assert np.min(y_high - y_low) >= -10 * cfg.tol_res
 
 
-def test_viscosity_homotopy_consistency():
-    g = Grid1D(10.0, 201)
-    drift = tanh_drift(g)
-    ops = quad_ops(g, drift=drift)
-    eta = np.exp(-g.x**2) * 3.0
-    cfg = ResolventConfig(lam=3.0)
-    base = solve_resolvent(ops, cfg, eta).y
-    tol = cfg.tol_res * max(1.0, g.norm1(eta))
-    gaps = []
-    for nu in (1e-2, 1e-4, 1e-6):
-        # each rung of the homotopy, solved on its own from eta/lam
-        reg, _, _, ok = _newton(ops, cfg.lam, eta,
-                                Iterate.evaluate(ops, nu, eta / cfg.lam),
-                                tol, cfg.max_iter)
-        assert ok
-        gaps.append(g.norm1(reg.y - base))
-    assert gaps[0] > gaps[1] > gaps[2]
-    assert gaps[2] <= 1e-4
-
-
 def test_residual_certificate():
     g = Grid1D(10.0, 201)
     ops = quad_ops(g, drift=tanh_drift(g))
@@ -243,32 +223,17 @@ def test_picard_fallback_solves_near_the_shift_floor():
     g = Grid1D(10.0, 201)
     drift = tanh_drift(g)
     ops = quad_ops(g, drift=drift, use_perturbation=False)
-    cfg = ResolventConfig(lam=drift.slope_sup + 0.05)
+    cfg = ResolventConfig(lam=2.0 * drift.slope_sup + 0.05)
     eta = 3.0 * np.exp(-g.x**2)
     tol = cfg.tol_res * max(1.0, g.norm1(eta))
     end, _, rnorm, ok = _picard(ops, cfg, eta,
-                                Iterate.evaluate(ops, 0.0, np.zeros(g.n)), tol)
+                                Iterate.evaluate(ops, np.zeros(g.n)), tol)
     assert ok and rnorm <= tol
     direct = solve_resolvent(ops, cfg, eta)
     np.testing.assert_allclose(end.y, direct.y, atol=1e-7)
 
 
-def test_homotopy_fallback_reaches_the_plain_equation():
-    from mildhjb.resolvent import _homotopy
-    g = Grid1D(10.0, 201)
-    drift = tanh_drift(g)
-    ops = quad_ops(g, drift=drift)
-    cfg = ResolventConfig(lam=3.0)
-    eta = 4.0 * np.exp(-g.x**2)
-    tol = cfg.tol_res * max(1.0, g.norm1(eta))
-    start = 50.0 * np.sin(g.x)  # deliberately terrible initial guess
-    end, _, rnorm, ok = _homotopy(ops, cfg, eta, start, tol)
-    assert ok and rnorm <= tol
-    direct = solve_resolvent(ops, cfg, eta)
-    np.testing.assert_allclose(end.y, direct.y, atol=1e-7)
-
-
-def test_kinked_conjugate_table_still_solved():
+def kinked_table(half_width, nodes):
     # piecewise-flat cost slope puts a kink in the tabulated derivative
     from mildhjb.conjugate import RunningCost
 
@@ -278,13 +243,31 @@ def test_kinked_conjugate_table_still_solved():
                         np.where(u <= 2, 2 * u - 1, u * u - 2 * u + 3))
 
     cost = RunningCost.from_callable(h, alpha1=0.5)
-    table = ConjugateHamiltonian.tabulate(cost, -30.0, 30.0, nodes=2049)
+    return ConjugateHamiltonian.tabulate(cost, -half_width, half_width,
+                                         nodes=nodes)
+
+
+def kinked_desk_solve(ratio, a, c, w, amp, table=None):
+    """The desk problem with the kinked conjugate at lam = ratio*sup|f'|,
+    from the default start, for eta = a*initial + amp*exp(-((x-c)/w)^2)."""
+    g = Grid1D(10.0, 201)
+    if table is None:
+        table = kinked_table(50.0, 4097)
+    problem = desk_problem().discretize(g, conj=table)
+    ops = problem.operands
+    cfg = ResolventConfig(lam=ratio * ops.lam0)
+    eta = a * problem.initial + amp * np.exp(-((g.x - c) / w) ** 2)
+    return ops, cfg, eta, solve_resolvent(ops, cfg, eta)
+
+
+def test_kinked_conjugate_table_still_solved():
+    table = kinked_table(30.0, 2049)
     g = Grid1D(10.0, 201)
     drift = tanh_drift(g)
     ops = EllipticOperands.build(g, table, np.sqrt(2.0), drift=drift)
     rng = np.random.default_rng(3)
     eta = 5.0 * np.exp(-g.x**2) + rng.standard_normal(g.n)
-    res = solve_resolvent(ops, ResolventConfig(lam=1.2), eta)
+    res = solve_resolvent(ops, ResolventConfig(lam=2.2), eta)
     assert res.residual <= 1e-10 * max(1.0, g.norm1(eta))
 
 
@@ -318,15 +301,14 @@ def test_config_accepts_a_zero_iteration_budget():
     assert ResolventConfig(lam=3.0, max_iter=0).max_iter == 0
 
 
-def banded_jacobian(ops, lam, nu, y):
+def banded_jacobian(ops, lam, y):
     """The 1-D Newton Jacobian in ``solve_banded``'s (1, 1) layout."""
     grid, m = ops.grid, ops.half_sigma_sq
     h, h2 = grid.h, grid.h**2
     slope = ops.conj.derivative(m * y) * m
-    c = slope + nu
-    diag = lam + 2.0 * c / h2 + nu * slope
-    upper = -c[1:] / h2
-    lower = -c[:-1] / h2
+    diag = lam + 2.0 * slope / h2
+    upper = -slope[1:] / h2
+    lower = -slope[:-1] / h2
     if ops.drift is not None:
         f = ops.drift.f
         diag = diag + np.abs(f) / h
@@ -341,23 +323,21 @@ def banded_jacobian(ops, lam, nu, y):
     return ab
 
 
-@pytest.mark.parametrize("with_drift, with_perturbation, nu", [
-    (False, False, 0.0),
-    (False, False, 1e-4),
-    (True, False, 0.0),
-    (True, True, 0.0),
-    (True, True, 1e-2),
+@pytest.mark.parametrize("with_drift, with_perturbation", [
+    (False, False),
+    (True, False),
+    (True, True),
 ])
 def test_newton_step_equals_banded_solve_bit_for_bit(with_drift,
-                                                     with_perturbation, nu):
+                                                     with_perturbation):
     g = Grid1D(10.0, 101)
     drift = tanh_drift(g) if with_drift else None
     ops = quad_ops(g, drift=drift, use_perturbation=with_perturbation)
     rng = np.random.default_rng(5)
     y = rng.standard_normal(g.n)  # both signs: some slopes clamp at 0
-    r = Iterate.evaluate(ops, nu, y).residual(8.0, rng.standard_normal(g.n))
-    step = ops.newton_step(8.0, nu, y, r)
-    banded = solve_banded((1, 1), banded_jacobian(ops, 8.0, nu, y), -r)
+    r = Iterate.evaluate(ops, y).residual(8.0, rng.standard_normal(g.n))
+    step = ops.newton_step(8.0, y, r)
+    banded = solve_banded((1, 1), banded_jacobian(ops, 8.0, y), -r)
     assert step.tobytes() == banded.tobytes()
 
 
@@ -367,9 +347,9 @@ def test_zero_pivot_raises_and_newton_gives_up():
     ops = EllipticOperands.build(g, ConjugateHamiltonian.zero(), 1.0)
     eta = np.exp(-g.x**2)
     with pytest.raises(np.linalg.LinAlgError):
-        ops.newton_step(0.0, 0.0, np.zeros(g.n), -eta)
+        ops.newton_step(0.0, np.zeros(g.n), -eta)
     _, iters, rnorm, ok = _newton(ops, 0.0, eta,
-                                  Iterate.evaluate(ops, 0.0, np.zeros(g.n)),
+                                  Iterate.evaluate(ops, np.zeros(g.n)),
                                   1e-10, 10)
     assert not ok and iters == 0
     assert rnorm == g.norm1(eta)
@@ -385,37 +365,49 @@ def test_non_finite_residual_is_a_value_error():
                         y_init=np.full(g.n, 1e200))
     # a warm start is checked the same way
     with np.errstate(over="ignore", invalid="ignore"):
-        blown = Iterate.evaluate(ops, 0.0, np.full(g.n, 1e200))
+        blown = Iterate.evaluate(ops, np.full(g.n, 1e200))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="not finite"):
         solve_resolvent(ops, ResolventConfig(lam=3.0), np.exp(-g.x**2),
                         warm=ResolventResult(blown.y, 0.0, 0, iterate=blown))
 
 
-@pytest.mark.parametrize("exit_", ["newton", "picard", "homotopy"])
+@pytest.mark.parametrize("exit_", ["newton", "picard", "continuation"])
 def test_certificate_is_the_residual_at_the_returned_y(exit_):
-    if exit_ == "homotopy":
-        # on the desk problem at lam = 1.5, Newton and Picard both stall
-        # from the default start eta/lam and the homotopy solves it
-        g = Grid1D(10.0, 201)
-        problem = desk_problem().discretize(g)
-        ops, cfg = problem.operands, ResolventConfig(lam=1.5)
-        eta = -3.0 * problem.initial + 4.0 * np.exp(-g.x**2)
-        y_init = None
-    else:
+    # the kinked exits depend on rounding, so every digit is kept
+    if exit_ == "newton":
         g = Grid1D(10.0, 101)
         ops = quad_ops(g, drift=tanh_drift(g))
         eta = np.exp(-g.x**2)
-        cfg = ResolventConfig(lam=2.0)
-        y_init = eta / cfg.lam
-        if exit_ == "picard":
-            # lam = 2 sup f' leaves a zero Jacobian row at x = 0 where the
-            # control clamps, so Newton meets a zero pivot from this start
-            y_init = 50.0 * np.sin(g.x)
-    res = solve_resolvent(ops, cfg, eta, y_init=y_init)
+        cfg = ResolventConfig(lam=2.5)
+        res = solve_resolvent(ops, cfg, eta, y_init=eta / cfg.lam)
+    elif exit_ == "picard":
+        ops, cfg, eta, res = kinked_desk_solve(
+            2.01, -2.5, 2.5, 1.3, 4.5, table=kinked_table(30.0, 2049))
+    else:
+        ops, cfg, eta, res = kinked_desk_solve(
+            2.1, 3.1493230417277944, -2.5123199550458555,
+            1.8480920627117889, 5.4462192735322823)
     assert res.fallback == ("" if exit_ == "newton" else exit_)
-    residual = Iterate.evaluate(ops, 0.0, res.y).residual(cfg.lam, eta)
-    assert res.residual == g.norm1(residual)
+    residual = Iterate.evaluate(ops, res.y).residual(cfg.lam, eta)
+    assert res.residual == ops.grid.norm1(residual)
+
+
+def test_continuation_solves_where_newton_and_picard_stall():
+    ops, cfg, eta, res = kinked_desk_solve(
+        2.01, -2.5726197705191423, 2.5980526328675886, 1.3017609528846403,
+        4.5663163002398122)
+    assert res.fallback == "continuation"
+    assert res.residual <= cfg.tol_res * max(1.0, ops.grid.norm1(eta))
+
+
+def test_shift_at_most_twice_the_slope_bound_rejected_up_front():
+    g = Grid1D(10.0, 201)
+    problem = desk_problem().discretize(g, conj=kinked_table(50.0, 4097))
+    ops = problem.operands
+    with pytest.raises(ValueError, match="twice the drift slope bound"):
+        solve_resolvent(ops, ResolventConfig(lam=1.5 * ops.lam0),
+                        problem.initial)
 
 
 def test_warm_start_must_match_the_operand_and_nu():

@@ -4,7 +4,7 @@ import pytest
 from mildhjb.conjugate import ConjugateHamiltonian
 from mildhjb.grid import Grid1D
 from mildhjb.resolvent import (EllipticOperands, Iterate, ResolventConfig,
-                               _newton, solve_resolvent)
+                               solve_resolvent)
 from mildhjb.stepper import TransformedProblem, mild_solve
 from mildhjb.twodim import (Grid2D, Problem2D, apply_L, mild_solve_2d,
                             solve_L, solve_resolvent_2d)
@@ -146,50 +146,15 @@ def test_step_times_match_the_1d_schedule(horizon):
     np.testing.assert_array_equal(sol2.times, sol1.times)
 
 
-def test_viscosity_homotopy_reaches_the_plain_equation():
-    from mildhjb.resolvent import _homotopy
+def test_certificate_is_the_residual_at_the_returned_y():
     g = Grid2D(6.0, 31)
     X, Y = g.mesh
     prob = make_problem(g, np.array([[1.2, 0.0], [0.3, 1.0]]))
     eta = 4.0 * np.exp(-(X**2 + Y**2))
     cfg = ResolventConfig(lam=10.0)
-    direct = solve_resolvent(prob, cfg, eta)
-    tol = cfg.tol_res * max(1.0, g.norm1(eta))
-    gaps = []
-    for nu in (1e-2, 1e-4):
-        # each rung of the homotopy, solved on its own from eta/lam
-        reg, iterations, _, ok = _newton(
-            prob, cfg.lam, eta, Iterate.evaluate(prob, nu, eta / cfg.lam),
-            tol, cfg.max_iter)
-        assert ok and iterations <= 10  # Newton with the exact Jacobian
-        gaps.append(g.norm1(reg.y - direct.y))
-    assert gaps[0] > gaps[1]
-    start = 50.0 * np.sin(X) * np.cos(Y)  # deliberately terrible guess
-    end, _, rnorm, ok = _homotopy(prob, cfg, eta, start, tol)
-    assert ok and rnorm <= tol
-    np.testing.assert_allclose(end.y, direct.y, atol=1e-7)
-
-
-@pytest.mark.parametrize("nu", [0.0, 1e-3])
-def test_certificate_is_the_residual_at_the_returned_y(nu):
-    g = Grid2D(6.0, 31)
-    X, Y = g.mesh
-    prob = make_problem(g, np.array([[1.2, 0.0], [0.3, 1.0]]))
-    eta = 4.0 * np.exp(-(X**2 + Y**2))
-    cfg = ResolventConfig(lam=10.0)
-    if nu == 0.0:
-        res = solve_resolvent(prob, cfg, eta)
-        y, certificate = res.y, res.residual
-    else:
-        # a homotopy rung certifies its iterate the same way
-        tol = cfg.tol_res * max(1.0, g.norm1(eta))
-        end, _, certificate, ok = _newton(
-            prob, cfg.lam, eta, Iterate.evaluate(prob, nu, eta / cfg.lam),
-            tol, cfg.max_iter)
-        assert ok
-        y = end.y
-    residual = Iterate.evaluate(prob, nu, y).residual(cfg.lam, eta)
-    assert certificate == g.norm1(residual)
+    res = solve_resolvent(prob, cfg, eta)
+    residual = Iterate.evaluate(prob, res.y).residual(cfg.lam, eta)
+    assert res.residual == g.norm1(residual)
 
 
 def test_mass_conserved_without_source():
@@ -237,16 +202,15 @@ def test_nonlinear_march_matches_explicit_oracle():
     assert gap_fine <= 0.6 * gap_coarse
 
 
-def full_jacobian_step(prob, lam, nu, y, r):
-    # the assembled 9-point Jacobian lam*I - L S + nu*(S - L), solved whole
+def full_jacobian_step(prob, lam, y, r):
+    # the assembled 9-point Jacobian lam*I - L S, solved whole
     import scipy.sparse as sp
     from scipy.sparse.linalg import spsolve
 
     m = prob.half_sigma_sq
     slope = sp.diags((prob.conj.derivative(m * y) * m).ravel())
     lap = prob.operator_matrix
-    jac = (lam * sp.identity(lap.shape[0]) - lap @ slope
-           + nu * (slope - lap))
+    jac = lam * sp.identity(lap.shape[0]) - lap @ slope
     return spsolve(jac.tocsc(), -r.ravel()).reshape(y.shape)
 
 
@@ -273,10 +237,10 @@ def tabulated_expression_conjugate():
     return ConjugateHamiltonian.tabulate(cost, -20.0, 20.0, nodes=513)
 
 
-@pytest.mark.parametrize("conj, nu", [
-    (CONJ, 0.0), (CONJ, 1e-2), (tabulated_expression_conjugate(), 0.0),
-], ids=["quadratic", "quadratic-viscous", "tabulated-expression"])
-def test_newton_step_solves_only_the_active_block(monkeypatch, conj, nu):
+@pytest.mark.parametrize("conj", [
+    CONJ, tabulated_expression_conjugate(),
+], ids=["quadratic", "tabulated-expression"])
+def test_newton_step_solves_only_the_active_block(monkeypatch, conj):
     g = Grid2D(3.0, 15)
     X, Y = g.mesh
     prob = make_problem(g, np.array([[1.2, 0.0], [0.3, 1.0]]), conj=conj)
@@ -284,12 +248,12 @@ def test_newton_step_solves_only_the_active_block(monkeypatch, conj, nu):
     y = 3.0 * np.sin(2.0 * X) * np.cos(Y) + 0.1  # both signs
     r = rng.standard_normal(y.shape)
     lam = 40.0
-    expected = full_jacobian_step(prob, lam, nu, y, r)
+    expected = full_jacobian_step(prob, lam, y, r)
     active = np.count_nonzero(
-        conj.derivative(prob.half_sigma_sq * y) * prob.half_sigma_sq + nu)
-    assert active == g.n * g.n if nu > 0 else 0 < active < g.n * g.n
+        conj.derivative(prob.half_sigma_sq * y) * prob.half_sigma_sq)
+    assert 0 < active < g.n * g.n
     shapes = spy_on_spsolve(monkeypatch)
-    delta = prob.newton_step(lam, nu, y, r)
+    delta = prob.newton_step(lam, y, r)
     assert shapes == [(active, active)]
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(delta - expected)) <= 1e-12 * scale
@@ -302,6 +266,6 @@ def test_newton_step_without_active_columns_is_diagonal(monkeypatch):
     y = -np.exp(-(X**2 + Y**2))
     r = np.random.default_rng(22).standard_normal(y.shape)
     shapes = spy_on_spsolve(monkeypatch)
-    delta = prob.newton_step(40.0, 0.0, y, r)
+    delta = prob.newton_step(40.0, y, r)
     assert shapes == []
     np.testing.assert_array_equal(delta, -r / 40.0)
