@@ -27,8 +27,6 @@ from .degenerate import solve_degenerate
 from .grid import Grid1D, Grid2D
 from .montecarlo import (SEED_RANGE, SimConfig, compare_policies,
                          seed_in_range)
-from .problem import ControlProblem
-from .resolvent import ResolventConfig
 from .stepper import energy_report, mild_solve, refine_until
 from .twodim import Problem2D, mild_solve_2d, solve_L
 from .value import reconstruct_value, synthesize_feedback
@@ -98,19 +96,6 @@ def _mesh_rows(xs, table, inner=slice(None)):
                         for (i, x), row in zip(cells, table[inner, inner]))
 
 
-def _build_problem(cfg: RunConfig) -> ControlProblem:
-    return ControlProblem(
-        sigma=cfg.sigma, g=cfg.g, g0=cfg.g0, cost=cfg.cost, horizon=cfg.T,
-        f=cfg.f, f_x=cfg.f_x, f_xx=cfg.f_xx,
-        g_xx=cfg.g_xx, g0_xx=cfg.g0_xx,
-        sigma_x=cfg.sigma_x, sigma_xx=cfg.sigma_xx)
-
-
-def _solver_cfg(cfg: RunConfig) -> ResolventConfig:
-    return ResolventConfig(lam=1.0 / cfg.eps, tol_res=cfg.tol_res,
-                           max_iter=cfg.max_iter)
-
-
 def _inner_slice(grid: Grid1D) -> slice:
     # reconstructed value tables are reported on the inner 80% of the mesh
     # (of each axis in 2-D)
@@ -119,8 +104,8 @@ def _inner_slice(grid: Grid1D) -> slice:
 
 
 def _run_solve(cfg: RunConfig, out: Path, quiet: bool) -> None:
-    problem = _build_problem(cfg).discretize(Grid1D(cfg.L, cfg.n))
-    sol = mild_solve(problem, cfg.eps, cfg=_solver_cfg(cfg))
+    problem = cfg.problem.discretize(Grid1D(cfg.L, cfg.n))
+    sol = mild_solve(problem, cfg.eps, cfg=cfg.solver)
     grid = sol.grid
     _write_csv(out / "fields" / "y.csv",
                "transformed state snapshots; columns: time, state, value",
@@ -141,14 +126,14 @@ def _run_solve(cfg: RunConfig, out: Path, quiet: bool) -> None:
         print(f"solved {len(sol.times) - 1} steps; artifacts in {out}")
 
 
-def _value_tables(cfg: RunConfig, control: ControlProblem):
-    problem = control.discretize(Grid1D(cfg.L, cfg.n))
-    sol = mild_solve(problem, cfg.eps, cfg=_solver_cfg(cfg))
-    return problem, reconstruct_value(sol, horizon=cfg.T)
+def _value_tables(cfg: RunConfig):
+    problem = cfg.problem.discretize(Grid1D(cfg.L, cfg.n))
+    sol = mild_solve(problem, cfg.eps, cfg=cfg.solver)
+    return problem, reconstruct_value(sol, horizon=cfg.problem.horizon)
 
 
 def _run_value(cfg: RunConfig, out: Path, quiet: bool) -> None:
-    _, vf = _value_tables(cfg, _build_problem(cfg))
+    _, vf = _value_tables(cfg)
     inner = _inner_slice(vf.grid)
     xs = vf.grid.x[inner]
     _write_csv(out / "fields" / "value.csv",
@@ -167,8 +152,8 @@ def _run_value(cfg: RunConfig, out: Path, quiet: bool) -> None:
               f"sup|phi_x| = {sup_slope:.6g}")
 
 
-def _policy_of(cfg: RunConfig, control: ControlProblem):
-    problem, vf = _value_tables(cfg, control)
+def _policy_of(cfg: RunConfig):
+    problem, vf = _value_tables(cfg)
     return vf, synthesize_feedback(vf, problem.operands)
 
 
@@ -192,19 +177,18 @@ def _write_policy(policy, out: Path) -> None:
 
 
 def _run_policy(cfg: RunConfig, out: Path, quiet: bool) -> None:
-    _, policy = _policy_of(cfg, _build_problem(cfg))
+    _, policy = _policy_of(cfg)
     _write_policy(policy, out)
     if not quiet:
         print(f"policy table written; max control = {float(policy.u.max()):.6g}")
 
 
 def _run_simulate(cfg: RunConfig, out: Path, quiet: bool) -> None:
-    problem = _build_problem(cfg)
-    vf, policy = _policy_of(cfg, problem)
+    problem = cfg.problem
+    vf, policy = _policy_of(cfg)
     _write_policy(policy, out)
-    sim = SimConfig(n_paths=cfg.paths,
-                    dt=cfg.dt if cfg.dt is not None else cfg.T / 1000.0,
-                    seed=cfg.seed, x0=cfg.x0)
+    dt = cfg.dt if cfg.dt is not None else problem.horizon / 1000.0
+    sim = SimConfig(n_paths=cfg.paths, dt=dt, seed=cfg.seed, x0=cfg.x0)
     comparison = compare_policies(problem, policy, cfg.baselines, sim,
                                   keep_samples=cfg.dump_paths)
     if cfg.dump_paths:
@@ -236,9 +220,8 @@ def _run_simulate(cfg: RunConfig, out: Path, quiet: bool) -> None:
 
 
 def _run_sweep_eps(cfg: RunConfig, out: Path, quiet: bool) -> None:
-    problem = _build_problem(cfg).discretize(Grid1D(cfg.L, cfg.n))
-    result = refine_until(problem, cfg.refine_tol, cfg.eps,
-                          cfg=_solver_cfg(cfg),
+    problem = cfg.problem.discretize(Grid1D(cfg.L, cfg.n))
+    result = refine_until(problem, cfg.refine_tol, cfg.eps, cfg=cfg.solver,
                           max_levels=cfg.refine_levels)
     rows = [(level, eps, gap) for level, (eps, gap) in
             enumerate(zip(result.eps_levels[1:], result.gaps), start=1)]
@@ -261,14 +244,13 @@ def _run_sweep_eps(cfg: RunConfig, out: Path, quiet: bool) -> None:
 
 def _run_sweep_degenerate(cfg: RunConfig, out: Path, quiet: bool) -> None:
     grid = Grid1D(cfg.L, cfg.n)
-    control = _build_problem(cfg)
+    control = cfg.problem
     vol = control.volatility_data(grid)
     initial, source = control.transformed_data(grid)
-    conj = ConjugateHamiltonian.for_cost(cfg.cost)
-    sweep = solve_degenerate(grid, conj, vol, initial, source, cfg.T, cfg.eps,
-                             ladder=cfg.ladder,
-                             drift=control.drift_data(grid),
-                             cfg=_solver_cfg(cfg))
+    conj = ConjugateHamiltonian.for_cost(control.cost)
+    sweep = solve_degenerate(grid, conj, vol, initial, source,
+                             control.horizon, cfg.eps, ladder=cfg.ladder,
+                             drift=control.drift_data(grid), cfg=cfg.solver)
     rows = []
     for i, level in enumerate(sweep.levels):
         rep = sweep.bound_reports[i]
@@ -302,7 +284,7 @@ def _run_solve_2d(cfg: RunConfig, out: Path, quiet: bool) -> None:
         initial=-l_of(cfg.g0_2d_parts),
         source=-l_of(cfg.g_2d_parts),
         horizon=cfg.T2, conj=ConjugateHamiltonian.for_cost(cfg.cost))
-    sol = mild_solve_2d(problem, cfg.eps, cfg=_solver_cfg(cfg))
+    sol = mild_solve_2d(problem, cfg.eps, cfg=cfg.solver)
 
     _write_csv(out / "fields" / "y2d_initial.csv",
                "initial transformed state; columns: i, j, x, y, value",

@@ -21,6 +21,8 @@ from .conjugate import CostValidationError, RunningCost
 from .expressions import (DifferentiationError, Expression, ExpressionError,
                           parse_expression)
 from .montecarlo import SEED_RANGE, seed_in_range
+from .problem import ControlProblem
+from .resolvent import ResolventConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_config"]
 
@@ -52,33 +54,23 @@ class ConfigError:
 
 @dataclass
 class RunConfig:
-    """Validated run description; raw strings kept for the manifest echo."""
+    """Validated run description; raw strings kept for the manifest echo.
+
+    ``problem`` (the 1-D modes) and ``solver`` (every mode that marches)
+    are the library objects the runners start from.
+    """
 
     mode: str
     raw: dict = dc_field(default_factory=dict)
 
-    # 1-D problem
-    T: float = 0.0
-    f: Optional[Expression] = None
-    f_x: Optional[Expression] = None
-    f_xx: Optional[Expression] = None
-    sigma: Optional[Expression] = None
-    sigma_x: Optional[Expression] = None
-    sigma_xx: Optional[Expression] = None
-    g: Optional[Expression] = None
-    g_xx: Optional[Expression] = None
-    g0: Optional[Expression] = None
-    g0_xx: Optional[Expression] = None
-
-    # cost
+    problem: Optional[ControlProblem] = None
     cost: Optional[RunningCost] = None
 
     # grid / solver
     L: float = 10.0
     n: int = 201
     eps: float = 1e-2
-    tol_res: float = 1e-10
-    max_iter: int = 100
+    solver: Optional[ResolventConfig] = None
     refine_tol: float = 1e-3
     refine_levels: int = 8
 
@@ -169,6 +161,13 @@ def _finite(raw: str) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
+def _integer(raw: str) -> Optional[int]:
+    try:
+        return int(raw)
+    except ValueError:
+        return None
+
+
 class _Validator:
     def __init__(self, sections):
         self.sections = sections
@@ -189,14 +188,14 @@ class _Validator:
         return entry[0], entry[1]
 
     def number(self, section, key, required=False, default=None, mode="",
-               check=None, describe=""):
+               check=None, describe="", parse=_finite,
+               noun="a finite number"):
         raw, line = self.get(section, key, required, None, mode)
         if raw is None:
             return default
-        value = _finite(raw)
+        value = parse(raw)
         if value is None:
-            self.error(line, f"[{section}] {key}",
-                       f"not a finite number: {raw!r}")
+            self.error(line, f"[{section}] {key}", f"not {noun}: {raw!r}")
             return default
         if check is not None and not check(value):
             self.error(line, f"[{section}] {key}",
@@ -204,21 +203,9 @@ class _Validator:
             return default
         return value
 
-    def integer(self, section, key, required=False, default=None, mode="",
-                check=None, describe=""):
-        raw, line = self.get(section, key, required, None, mode)
-        if raw is None:
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            self.error(line, f"[{section}] {key}", f"not an integer: {raw!r}")
-            return default
-        if check is not None and not check(value):
-            self.error(line, f"[{section}] {key}",
-                       f"out of range ({describe}): {raw}")
-            return default
-        return value
+    def integer(self, section, key, **kwargs):
+        return self.number(section, key, parse=_integer, noun="an integer",
+                           **kwargs)
 
     def expression(self, section, key, variables=("x",), required=False,
                    mode=""):
@@ -297,27 +284,28 @@ def parse_config(text: str, mode_override: Optional[str] = None
 
     cfg = RunConfig(mode=mode or "")
 
+    problem = {}  # ControlProblem fields, all but the cost
     if needs_problem:
-        cfg.T = v.number("problem", "T", required=True, mode=mode,
-                         check=lambda t: t > 0, describe="T > 0") or 0.0
+        problem["horizon"] = v.number("problem", "T", required=True,
+                                      mode=mode, check=lambda t: t > 0,
+                                      describe="T > 0")
         f_expr, f_line = v.expression("problem", "f")
         sig_expr, sig_line = v.expression("problem", "sigma", required=True,
                                           mode=mode)
         g_expr, g_line = v.expression("problem", "g", required=True, mode=mode)
         g0_expr, g0_line = v.expression("problem", "g0", required=True,
                                         mode=mode)
-        cfg.f, cfg.sigma, cfg.g, cfg.g0 = f_expr, sig_expr, g_expr, g0_expr
-        if f_expr is not None:
-            cfg.f_x = v.derived(f_expr, f_line, "[problem] f")
-            cfg.f_xx = v.derived(f_expr, f_line, "[problem] f", order=2)
-        if g_expr is not None:
-            cfg.g_xx = v.derived(g_expr, g_line, "[problem] g", order=2)
-        if g0_expr is not None:
-            cfg.g0_xx = v.derived(g0_expr, g0_line, "[problem] g0", order=2)
-        if mode == "sweep-degenerate" and sig_expr is not None:
-            cfg.sigma_x = v.derived(sig_expr, sig_line, "[problem] sigma")
-            cfg.sigma_xx = v.derived(sig_expr, sig_line, "[problem] sigma",
-                                     order=2)
+        problem.update(
+            f=f_expr, sigma=sig_expr, g=g_expr, g0=g0_expr,
+            f_x=v.derived(f_expr, f_line, "[problem] f"),
+            f_xx=v.derived(f_expr, f_line, "[problem] f", order=2),
+            g_xx=v.derived(g_expr, g_line, "[problem] g", order=2),
+            g0_xx=v.derived(g0_expr, g0_line, "[problem] g0", order=2))
+        if mode == "sweep-degenerate":
+            problem.update(
+                sigma_x=v.derived(sig_expr, sig_line, "[problem] sigma"),
+                sigma_xx=v.derived(sig_expr, sig_line, "[problem] sigma",
+                                   order=2))
 
     if needs_cost:
         kind_raw, kind_line = v.get("cost", "kind", required=True, mode=mode)
@@ -333,39 +321,40 @@ def parse_config(text: str, mode_override: Optional[str] = None
                                      required=True, mode=mode)
             if h_expr is not None and alpha1 is not None:
                 try:
-                    cfg.cost = RunningCost.from_callable(
-                        h_expr, alpha1, alpha2 if alpha2 is not None else 0.0)
+                    cfg.cost = RunningCost.from_callable(h_expr, alpha1,
+                                                         alpha2)
                 except CostValidationError as exc:
                     v.error(kind_line, "[cost] h", str(exc))
         elif kind_raw == "quadratic" and alpha1 is not None:
-            cfg.cost = RunningCost.quadratic(
-                alpha1, alpha2 if alpha2 is not None else 0.0)
+            cfg.cost = RunningCost.quadratic(alpha1, alpha2)
 
     if needs_problem:
         cfg.L = v.number("grid", "L", required=True, mode=mode,
-                         check=lambda L: L > 0, describe="L > 0") or 10.0
+                         check=lambda L: L > 0, describe="L > 0")
         cfg.n = v.integer("grid", "n", required=True, mode=mode,
                           check=lambda n: n >= 5 and n % 2 == 1,
-                          describe="odd n >= 5") or 201
+                          describe="odd n >= 5")
 
     if needs_solver:
         cfg.eps = v.number("solver", "eps", required=True, mode=mode,
-                           check=lambda e: e > 0, describe="eps > 0") or 1e-2
-        cfg.tol_res = v.number("solver", "tol_res", default=1e-10,
-                               check=lambda t: t > 0, describe="tol > 0")
-        cfg.max_iter = v.integer("solver", "max_iter", default=100,
-                                 check=lambda k: k > 0, describe="> 0")
+                           check=lambda e: e > 0, describe="eps > 0")
+        tol_res = v.number("solver", "tol_res",
+                           default=ResolventConfig.tol_res,
+                           check=lambda t: t > 0, describe="tol > 0")
+        max_iter = v.integer("solver", "max_iter",
+                             default=ResolventConfig.max_iter,
+                             check=lambda k: k > 0, describe="> 0")
         if mode == "sweep-eps":
             cfg.refine_tol = v.number("solver", "refine_tol", required=True,
                                       mode=mode, check=lambda t: t > 0,
-                                      describe="tol > 0") or 1e-3
+                                      describe="tol > 0")
             cfg.refine_levels = v.integer("solver", "refine_levels", default=8,
                                           check=lambda k: k >= 1,
                                           describe=">= 1")
 
     if mode == "simulate":
         cfg.paths = v.integer("sim", "paths", required=True, mode=mode,
-                              check=lambda p: p >= 2, describe=">= 2") or 2
+                              check=lambda p: p >= 2, describe=">= 2")
         cfg.dt = v.number("sim", "dt", default=None,
                           check=lambda d: d > 0, describe="dt > 0")
         cfg.x0 = v.number("sim", "x0", default=0.0)
@@ -396,12 +385,12 @@ def parse_config(text: str, mode_override: Optional[str] = None
 
     if mode == "solve-2d":
         cfg.L2 = v.number("2d", "L", required=True, mode=mode,
-                          check=lambda L: L > 0, describe="L > 0") or 6.0
+                          check=lambda L: L > 0, describe="L > 0")
         cfg.n2 = v.integer("2d", "n", required=True, mode=mode,
                            check=lambda n: n >= 5 and n % 2 == 1,
-                           describe="odd n >= 5") or 41
+                           describe="odd n >= 5")
         cfg.T2 = v.number("2d", "T", required=True, mode=mode,
-                          check=lambda t: t > 0, describe="T > 0") or 0.1
+                          check=lambda t: t > 0, describe="T > 0")
         cfg.a_matrix = v.matrix("2d", "a", rows=2, required=True, mode=mode)
         cfg.sigma0_2d, _ = v.expression("2d", "sigma0", variables=("x", "y"),
                                         required=True, mode=mode)
@@ -425,9 +414,8 @@ def parse_config(text: str, mode_override: Optional[str] = None
             cfg.g0_2d_parts = second_partials(g02, g02_line, "[2d] g0")
 
     cfg.out_dir = v.get("output", "dir", default="out")[0] or "out"
-    seed = v.integer("output", "seed", default=0,
-                     check=seed_in_range, describe=SEED_RANGE)
-    cfg.seed = seed if seed is not None else 0
+    cfg.seed = v.integer("output", "seed", default=0,
+                         check=seed_in_range, describe=SEED_RANGE)
 
     cfg.raw = v.used
     if mode:
@@ -435,4 +423,8 @@ def parse_config(text: str, mode_override: Optional[str] = None
         cfg.raw["output"]["seed"] = str(cfg.seed)
     if v.errors:
         return None, sorted(v.errors, key=lambda e: (e.line, e.field))
+    if needs_problem:
+        cfg.problem = ControlProblem(cost=cfg.cost, **problem)
+    if needs_solver:
+        cfg.solver = ResolventConfig(tol_res, max_iter)
     return cfg, []

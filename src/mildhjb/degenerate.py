@@ -163,7 +163,7 @@ def solve_degenerate(grid: Grid1D, conj: ConjugateHamiltonian,
         ops = EllipticOperands(
             grid=grid, conj=conj,
             half_sigma_sq=0.5 * (vol.sigma**2 + level),
-            drift=drift, perturbation=drift)
+            drift=drift)
         problem = TransformedProblem(ops, np.asarray(initial, dtype=float),
                                      np.asarray(source, dtype=float), horizon)
         sol = mild_solve(problem, eps, cfg=cfg)

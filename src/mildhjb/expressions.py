@@ -278,7 +278,7 @@ class _Parser:
             tok.column)
 
 
-# --------------------------------------------------------- eval / diff / str
+# --------------------------------------------------------------- eval / diff
 
 def _evaluate(node: Node, env: dict) -> np.ndarray:
     if isinstance(node, Num):
@@ -365,25 +365,12 @@ def _differentiate(node: Node, var: str) -> Node:
                                       _sub(node.right, _num(1.0)))), da)
 
 
-def _render(node: Node) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"-({_render(node.arg)})"
-    if isinstance(node, Call):
-        return f"{node.fn}({_render(node.arg)})"
-    return f"({_render(node.left)} {node.op} {_render(node.right)})"
-
-
 class Expression:
     """Parsed expression: vectorized call plus symbolic derivative."""
 
-    def __init__(self, node: Node, variables: tuple[str, ...], text: str = ""):
+    def __init__(self, node: Node, variables: tuple[str, ...]):
         self.node = node
         self.variables = variables
-        self.text = text or _render(node)
 
     def __call__(self, *args):
         if len(args) != len(self.variables):
@@ -405,12 +392,9 @@ class Expression:
             raise ValueError(f"unknown variable {var!r}")
         return Expression(_differentiate(self.node, var), self.variables)
 
-    def __str__(self):
-        return self.text
-
 
 def parse_expression(text: str, variables: tuple[str, ...] = ("x",)
                      ) -> Expression:
     """Parse an expression over the given variables; raises ExpressionError."""
     node = _Parser(_tokenize(text), variables).parse()
-    return Expression(node, variables, text=text.strip())
+    return Expression(node, variables)

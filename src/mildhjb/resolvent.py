@@ -25,10 +25,10 @@ starting residual with ``ValueError``.
 (the Jacobian solve), ``shape``, ``lam0``, ``grid.norm1``, ``conj`` and
 ``half_sigma_sq``: ``EllipticOperands`` in 1-D, ``twodim.Problem2D`` in 2-D.
 ``terms(y)`` is the one full operator evaluation at ``y``: ``a = A(y)`` and
-the tails (``B(y)`` in 1-D, none in 2-D).  Neither depends on ``lam`` or
-``eta``, so an ``Iterate`` keeps them with ``y`` and assembles every
-residual at ``y`` as ``((lam*y + a) - eta)`` plus each tail; a warm start
-(the previous time step) and each continuation rung reuse them.
+``b = B(y)`` (``None`` in 2-D and with the perturbation off).  Neither
+depends on ``lam`` or ``eta``, so an ``Iterate`` keeps them with ``y`` and
+assembles every residual at ``y`` as ``((lam*y + a) - eta) + b``; a warm
+start (the previous time step) and each continuation rung reuse them.
 
 Only shifts above ``shift_floor(ops) = 2*lam0``, ``lam0 = sup|f'|``, are
 admitted (where the control binds, the Jacobian's diagonal is
@@ -78,18 +78,20 @@ class EllipticOperands:
     """Frozen coefficients of the elliptic operator on one grid.
 
     ``half_sigma_sq`` is the multiplier ``sigma^2/2`` inside the flux;
-    ``drift`` feeds the transport term and ``perturbation`` (usually the same
-    drift object) the nonlocal lower-order term.  Pass ``perturbation=None``
-    to run with the perturbation switched off.
+    ``drift`` feeds the transport term and, while ``perturbation`` is on,
+    the nonlocal lower-order term.  Without a drift both vanish.
     """
 
     grid: Grid1D
     conj: ConjugateHamiltonian
     half_sigma_sq: np.ndarray
     drift: Optional[DriftData] = None
-    perturbation: Optional[DriftData] = None
+    perturbation: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.perturbation, bool):
+            raise TypeError("perturbation must be a bool, got "
+                            f"{type(self.perturbation).__name__}")
         m = np.asarray(self.half_sigma_sq, dtype=float)
         if m.shape != (self.grid.n,):
             raise ValueError(f"half_sigma_sq has shape {m.shape}, "
@@ -101,11 +103,10 @@ class EllipticOperands:
 
     @classmethod
     def build(cls, grid, conj, sigma, drift=None, use_perturbation=True):
-        """Tabulate sigma (callable or array) and wire the perturbation."""
+        """Tabulate sigma (callable or array) into the flux multiplier."""
         sig = np.asarray(sigma(grid.x) if callable(sigma) else sigma,
                          dtype=float) + np.zeros(grid.n)
-        return cls(grid, conj, 0.5 * sig * sig, drift,
-                   drift if use_perturbation else None)
+        return cls(grid, conj, 0.5 * sig * sig, drift, use_perturbation)
 
     @property
     def sigma_sq(self) -> np.ndarray:
@@ -120,11 +121,11 @@ class EllipticOperands:
     def shape(self) -> tuple[int]:
         return (self.grid.n,)
 
-    def terms(self, y) -> tuple[np.ndarray, list[np.ndarray]]:
-        """``A(y)`` and the tails: ``B(y)`` when the perturbation is on."""
-        tails = ([] if self.perturbation is None
-                 else [apply_B(self.perturbation, y)])
-        return apply_A(self, y), tails
+    def terms(self, y) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """``A(y)`` and ``B(y)``, or ``None`` for B when it is off."""
+        b = (apply_B(self.drift, y)
+             if self.perturbation and self.drift is not None else None)
+        return apply_A(self, y), b
 
     def newton_step(self, lam, y, r) -> np.ndarray:
         """Solve J(y) delta = -r with the tridiagonal Jacobian (LAPACK gtsv).
@@ -141,8 +142,8 @@ class EllipticOperands:
             diag += f_diag
             upper -= f_upper
             lower += f_lower
-        if self.perturbation is not None:
-            diag -= self.perturbation.two_f1
+            if self.perturbation:
+                diag -= self.drift.two_f1
         *_, delta, info = _gtsv(lower, diag, upper, -r, 1, 1, 1, 1)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
@@ -151,19 +152,15 @@ class EllipticOperands:
 
 @dataclass(frozen=True)
 class ResolventConfig:
-    """Shift and iteration controls for one resolvent solve.
+    """Iteration controls for resolvent solves.
 
-    ``tol_res`` is relative to ``max(1, ||eta||_1)``.  ``lam`` must exceed
-    the drift slope bound for the contraction regime to apply.
+    ``tol_res`` is relative to ``max(1, ||eta||_1)``.
     """
 
-    lam: float
     tol_res: float = 1e-10
     max_iter: int = 100
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
         if not (math.isfinite(self.tol_res) and self.tol_res > 0):
             raise ValueError(
                 f"tol_res must be finite and positive, got {self.tol_res}")
@@ -178,15 +175,16 @@ class ResolventConfig:
 class Iterate:
     """A field ``y`` with its operator terms on one operand.
 
-    The terms (``a = A(y)`` and the tails, see ``EllipticOperands.terms``)
-    do not depend on ``lam`` or ``eta``, so one evaluation serves every
-    residual at ``y``.  They are valid only for ``ops``.
+    The terms (``a = A(y)`` and ``b = B(y)`` or ``None``, see
+    ``EllipticOperands.terms``) do not depend on ``lam`` or ``eta``, so one
+    evaluation serves every residual at ``y``.  They are valid only for
+    ``ops``.
     """
 
     ops: object
     y: np.ndarray
     a: np.ndarray
-    tails: list
+    b: Optional[np.ndarray]
 
     @classmethod
     def evaluate(cls, ops, y) -> "Iterate":
@@ -194,12 +192,12 @@ class Iterate:
         return cls(ops, y, *ops.terms(y))
 
     def residual(self, lam, eta) -> np.ndarray:
-        """``((lam*y + a) - eta)``, then ``+= tail`` for each tail."""
+        """``((lam*y + a) - eta) + b``."""
         r = lam * self.y
         r += self.a
         r -= eta
-        for tail in self.tails:
-            r += tail
+        if self.b is not None:
+            r += self.b
         return r
 
 
@@ -262,17 +260,19 @@ def _newton(ops, lam, eta, start: Iterate, tol, max_iter):
     return cur, max_iter, rnorm, rnorm <= tol
 
 
-def solve_resolvent(ops, cfg: ResolventConfig, eta, y_init=None,
+def solve_resolvent(ops, lam: float, eta,
+                    cfg: Optional[ResolventConfig] = None, y_init=None,
                     warm: Optional[ResolventResult] = None) -> ResolventResult:
     """Solve ``lam*y + A(y) + B(y) = eta`` to the configured L1 residual.
 
-    ``ops`` is any operand object (see the module docstring).  The solve
-    starts from ``eta/lam``, from ``y_init``, or, in place of ``y_init``,
-    from ``warm``: the result of an earlier solve on ``ops``, whose stored
-    terms then give the starting residual.  Raises ``ValueError`` when the
-    shift does not clear ``shift_floor(ops)`` or a warm start belongs to
-    another operand, and ``ResolventError`` when every strategy exhausts its
-    budget.
+    ``ops`` is any operand object (see the module docstring), ``lam`` the
+    shift (``1/eps`` in the march), and ``cfg`` defaults to
+    ``ResolventConfig()``.  The solve starts from ``eta/lam``, from
+    ``y_init``, or, in place of ``y_init``, from ``warm``: the result of an
+    earlier solve on ``ops``, whose stored terms then give the starting
+    residual.  Raises ``ValueError`` when the shift does not clear
+    ``shift_floor(ops)`` or a warm start belongs to another operand, and
+    ``ResolventError`` when every strategy exhausts its budget.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape != ops.shape:
@@ -280,10 +280,11 @@ def solve_resolvent(ops, cfg: ResolventConfig, eta, y_init=None,
     if not np.isfinite(eta).all():
         raise ValueError("eta contains non-finite entries")
     floor = shift_floor(ops)
-    if not cfg.lam > floor:
+    if not lam > floor:
         raise ValueError(
-            f"shift lam={cfg.lam:g} must exceed twice the drift slope bound, "
+            f"shift lam={lam:g} must exceed twice the drift slope bound, "
             f"2*lam0={floor:g}")
+    cfg = cfg or ResolventConfig()
     tol = cfg.tol_res * max(1.0, ops.grid.norm1(eta))
     if warm is not None:
         start = warm.iterate
@@ -291,18 +292,18 @@ def solve_resolvent(ops, cfg: ResolventConfig, eta, y_init=None,
             raise ValueError("warm start was not solved on this operand")
     else:
         y0 = np.array(y_init, dtype=float) if y_init is not None \
-            else eta / cfg.lam
+            else eta / lam
         start = Iterate.evaluate(ops, y0)
 
-    cur, iters, rnorm, ok = _newton(ops, cfg.lam, eta, start,
-                                    tol, cfg.max_iter)
+    cur, iters, rnorm, ok = _newton(ops, lam, eta, start, tol, cfg.max_iter)
     fallback = ""
     if not ok:
-        cur, iters2, rnorm, ok = _picard(ops, cfg, eta, cur, tol)
+        cur, iters2, rnorm, ok = _picard(ops, lam, eta, cur, tol, cfg.max_iter)
         iters += iters2
         fallback = "picard"
     if not ok:
-        cur, iters3, rnorm, ok = _continuation(ops, cfg, eta, start, tol)
+        cur, iters3, rnorm, ok = _continuation(ops, lam, eta, start, tol,
+                                               cfg.max_iter)
         iters += iters3
         fallback = "continuation"
     if not ok:
@@ -313,33 +314,32 @@ def solve_resolvent(ops, cfg: ResolventConfig, eta, y_init=None,
     return ResolventResult(y, rnorm, iters, fallback, out_of_table, cur)
 
 
-def _picard(ops, cfg, eta, cur: Iterate, tol):
+def _picard(ops, lam, eta, cur: Iterate, tol, max_iter):
     """Shifted fixed point: y <- R_{lam+delta}(eta + delta*y)."""
     # delta = lam - lam0 puts the Picard contraction factor at 1/2
-    delta = max(cfg.lam - ops.lam0, 1.0)
+    delta = max(lam - ops.lam0, 1.0)
     total = 0
     for _ in range(200):
         inner, it, rnorm_in, ok = _newton(
-            ops, cfg.lam + delta, eta + delta * cur.y, cur,
-            tol * 0.5, cfg.max_iter)
+            ops, lam + delta, eta + delta * cur.y, cur, tol * 0.5, max_iter)
         total += it
         if not ok:
             return cur, total, rnorm_in, False
         cur = inner
-        rnorm = ops.grid.norm1(cur.residual(cfg.lam, eta))
+        rnorm = ops.grid.norm1(cur.residual(lam, eta))
         if rnorm <= tol:
             return cur, total, rnorm, True
     return cur, total, rnorm, False
 
 
-def _continuation(ops, cfg, eta, cur: Iterate, tol):
+def _continuation(ops, lam, eta, cur: Iterate, tol, max_iter):
     """Newton down the shifts ``lam + c*delta`` (``delta`` as in Picard),
     each rung from the previous rung's iterate, finishing at ``lam``."""
-    delta = max(cfg.lam - ops.lam0, 1.0)
+    delta = max(lam - ops.lam0, 1.0)
     total = 0
     for c in _CONTINUATION:
-        cur, it, rnorm, ok = _newton(ops, cfg.lam + c * delta, eta, cur,
-                                     tol, cfg.max_iter)
+        cur, it, rnorm, ok = _newton(ops, lam + c * delta, eta, cur, tol,
+                                     max_iter)
         total += it
         if not ok:
             break

@@ -17,7 +17,7 @@ the limit.  Every step is stored.  The march takes any operand of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -118,7 +118,8 @@ def step(problem: TransformedProblem, eps: float, y_prev,
          cfg: Optional[ResolventConfig] = None,
          eta: Optional[np.ndarray] = None,
          warm: Optional[ResolventResult] = None) -> ResolventResult:
-    """One implicit step of length eps from y_prev (a single resolvent solve).
+    """One implicit step of length eps from y_prev: a single resolvent solve
+    with shift ``1/eps``.
 
     ``eta = source + y_prev/eps`` is formed here unless the caller passes it.
     ``warm`` is the result whose ``y`` is ``y_prev`` (the previous step's):
@@ -132,15 +133,8 @@ def step(problem: TransformedProblem, eps: float, y_prev,
             f"need eps < {problem.max_step():g}")
     if eta is None:
         eta = problem.source + y_prev / eps
-    return solve_resolvent(problem.operands, _shifted(cfg, eps), eta,
+    return solve_resolvent(problem.operands, 1.0 / eps, eta, cfg,
                            y_init=y_prev, warm=warm)
-
-
-def _shifted(cfg: Optional[ResolventConfig], eps: float) -> ResolventConfig:
-    lam = 1.0 / eps
-    if cfg is None:
-        return ResolventConfig(lam=lam)
-    return cfg if cfg.lam == lam else replace(cfg, lam=lam)
 
 
 def _energies(ops: EllipticOperands, y) -> tuple[float, float]:
@@ -180,11 +174,10 @@ def mild_solve(problem: TransformedProblem, eps: float,
     ys = np.empty((len(lengths) + 1, *problem.operands.shape))
     ys[0] = problem.initial
     diags: list[StepDiagnostics] = []
-    step_cfg = _shifted(cfg, eps)  # step() shifts a shortened last step
     res = None  # each step starts from the previous one's terms
     for i, dt in enumerate(lengths, start=1):
         eta = problem.source + ys[i - 1] / dt
-        res = step(problem, dt, ys[i - 1], cfg=step_cfg, eta=eta, warm=res)
+        res = step(problem, dt, ys[i - 1], cfg=cfg, eta=eta, warm=res)
         ys[i] = res.y
         diags.append(StepDiagnostics(
             residual=res.residual,

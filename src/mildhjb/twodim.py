@@ -123,9 +123,10 @@ class Problem2D:
     def _apply_matrix(self, z) -> np.ndarray:
         return (self.operator_matrix @ z.ravel()).reshape(self.shape)
 
-    def terms(self, y) -> tuple[np.ndarray, list[np.ndarray]]:
-        """``-L(value(m0*y))`` and no tails."""
-        return -self._apply_matrix(self.conj.value(self.half_sigma_sq * y)), []
+    def terms(self, y) -> tuple[np.ndarray, None]:
+        """``-L(value(m0*y))``, and no B term."""
+        w = self.conj.value(self.half_sigma_sq * y)
+        return -self._apply_matrix(w), None
 
     def newton_step(self, lam, y, r) -> np.ndarray:
         """Solve J(y) delta = -r, factoring only the non-diagonal columns of J.
@@ -188,15 +189,14 @@ def solve_L(problem: Problem2D, z) -> np.ndarray:
 
 
 def solve_resolvent_2d(problem: Problem2D, lam: float, eta,
-                       tol_res: float = 1e-10, max_iter: int = 60,
+                       cfg: Optional[ResolventConfig] = None,
                        y_init=None) -> tuple[np.ndarray, float, int]:
     """Solve lam*y - L(value(m0*y)) = eta on the full node set.
 
     Returns (y, residual_l1, iterations) from ``resolvent.solve_resolvent``,
     which raises ``ResolventError`` when every strategy exhausts its budget.
     """
-    res = solve_resolvent(problem, ResolventConfig(lam, tol_res, max_iter),
-                          eta, y_init=y_init)
+    res = solve_resolvent(problem, lam, eta, cfg, y_init=y_init)
     return res.y, res.residual, res.iterations
 
 

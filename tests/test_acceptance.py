@@ -53,15 +53,15 @@ def test_criterion_1_resolvent_l1_contraction():
         drift=drift, use_perturbation=False)
     lam0 = drift.slope_sup
     lam = 2.0 * lam0 + 1.0
-    cfg = ResolventConfig(lam=lam)
+    cfg = ResolventConfig()
     bound = (1.0 / (lam - lam0)) * (1.0 + 1e-6) + 10.0 * cfg.tol_res
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(50):
         eta = rng.standard_normal(grid.n)
         eta_bar = eta + rng.standard_normal(grid.n) * rng.uniform(0.1, 2.0)
-        y = solve_resolvent(ops, cfg, eta).y
-        y_bar = solve_resolvent(ops, cfg, eta_bar).y
+        y = solve_resolvent(ops, lam, eta, cfg).y
+        y_bar = solve_resolvent(ops, lam, eta_bar, cfg).y
         worst = max(worst, grid.norm1(y - y_bar) / grid.norm1(eta - eta_bar))
     elapsed = time.perf_counter() - started
     verdict(1, worst <= bound and elapsed < 60.0,
@@ -120,12 +120,11 @@ def test_criterion_5_small_instance_oracle():
     ops = EllipticOperands.build(grid, ConjugateHamiltonian.quadratic(),
                                  np.sqrt(2.0), drift=drift)
     lam = 20.0
-    cfg = ResolventConfig(lam=lam)
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(20):
         eta = rng.uniform(-1.0, 1.0, grid.n)
-        solved = solve_resolvent(ops, cfg, eta).y
+        solved = solve_resolvent(ops, lam, eta).y
         oracle = oracle_fixed_point(grid, ops.conj, ops.half_sigma_sq, drift,
                                     lam, eta, include_perturbation=True,
                                     tol=1e-13)
@@ -238,8 +237,8 @@ def test_criterion_10_two_dimensional_drift_free():
     for _ in range(20):
         e1 = rng.standard_normal((grid.n, grid.n))
         e2 = e1 + 0.5 * rng.standard_normal((grid.n, grid.n))
-        y1, _, _ = solve_resolvent_2d(prob, lam, e1, tol_res=tol)
-        y2, _, _ = solve_resolvent_2d(prob, lam, e2, tol_res=tol)
+        y1, _, _ = solve_resolvent_2d(prob, lam, e1, ResolventConfig(tol))
+        y2, _, _ = solve_resolvent_2d(prob, lam, e2, ResolventConfig(tol))
         worst = max(worst, grid.norm1(y1 - y2) / grid.norm1(e1 - e2))
     contraction_ok = worst <= 1.0 / lam + 10.0 * tol
 

@@ -35,13 +35,13 @@ def test_valid_config_parses():
     cfg, errors = parse_config(DESK)
     assert errors == []
     assert cfg.mode == "solve"
-    assert cfg.T == 0.5
+    assert cfg.problem.horizon == 0.5
     assert cfg.L == 10.0 and cfg.n == 201
     assert cfg.eps == 0.01
     assert cfg.seed == 42 and cfg.out_dir == "artifacts"
     assert cfg.cost.kind == "quadratic"
-    assert float(cfg.f(0.5)) == pytest.approx(np.tanh(0.5))
-    assert float(cfg.g_xx(1.0)) == pytest.approx(2.0 * np.exp(-1.0))
+    assert float(cfg.problem.f(0.5)) == pytest.approx(np.tanh(0.5))
+    assert float(cfg.problem.g_xx(1.0)) == pytest.approx(2.0 * np.exp(-1.0))
 
 
 def test_missing_cost_block_is_one_named_error():
@@ -148,8 +148,8 @@ def test_presets_expand():
                .replace("g = exp(-x^2)", "g = gauss")
     cfg, errors = parse_config(text)
     assert errors == []
-    assert float(cfg.f(3.0)) == 0.0
-    assert float(cfg.g(1.0)) == pytest.approx(np.exp(-1.0))
+    assert float(cfg.problem.f(3.0)) == 0.0
+    assert float(cfg.problem.g(1.0)) == pytest.approx(np.exp(-1.0))
 
 
 SIMULATE = DESK.replace("mode = solve", "mode = simulate") + """
@@ -227,4 +227,5 @@ def test_echo_round_trips():
     cfg2, errors = parse_config(text)
     assert errors == []
     assert cfg2.echo() == text
-    assert cfg2.T == cfg.T and cfg2.seed == cfg.seed
+    assert cfg2.problem.horizon == cfg.problem.horizon
+    assert cfg2.seed == cfg.seed

@@ -49,7 +49,7 @@ def test_apply_A_pure_transport():
 def test_zero_rhs_zero_solution():
     g = Grid1D(10.0, 201)
     ops = quad_ops(g, drift=tanh_drift(g))
-    res = solve_resolvent(ops, ResolventConfig(lam=3.0), np.zeros(g.n))
+    res = solve_resolvent(ops, 3.0, np.zeros(g.n))
     assert g.norm1(res.y) <= 1e-12
     assert res.residual <= 1e-10
 
@@ -60,7 +60,7 @@ def test_linear_case_matches_direct_solve():
     rng = np.random.default_rng(0)
     eta = rng.standard_normal(g.n)
     lam = 3.0
-    res = solve_resolvent(ops, ResolventConfig(lam=lam), eta)
+    res = solve_resolvent(ops, lam, eta)
     h2 = g.h**2
     system = (lam + 2.0 / h2) * np.eye(g.n)
     system -= np.diag(np.full(g.n - 1, 1.0 / h2), 1)
@@ -128,7 +128,7 @@ def test_small_instance_matches_fixed_point_oracle():
     lam = 20.0
     for _ in range(5):
         eta = rng.uniform(-1.0, 1.0, g.n)
-        res = solve_resolvent(ops, ResolventConfig(lam=lam), eta)
+        res = solve_resolvent(ops, lam, eta)
         oracle = oracle_fixed_point(g, ops.conj, ops.half_sigma_sq, drift,
                                     lam, eta, include_perturbation=True)
         assert np.max(np.abs(res.y - oracle)) <= 1e-9
@@ -139,14 +139,14 @@ def test_l1_contraction():
     drift = tanh_drift(g)
     ops = quad_ops(g, drift=drift, use_perturbation=False)
     lam = 2.0 * drift.slope_sup + 1.0
-    cfg = ResolventConfig(lam=lam)
+    cfg = ResolventConfig()
     bound = 1.0 / (lam - drift.slope_sup)
     rng = np.random.default_rng(123)
     for _ in range(8):
         eta1 = rng.standard_normal(g.n)
         eta2 = eta1 + 0.5 * rng.standard_normal(g.n)
-        y1 = solve_resolvent(ops, cfg, eta1).y
-        y2 = solve_resolvent(ops, cfg, eta2).y
+        y1 = solve_resolvent(ops, lam, eta1, cfg).y
+        y2 = solve_resolvent(ops, lam, eta2, cfg).y
         ratio = g.norm1(y1 - y2) / g.norm1(eta1 - eta2)
         assert ratio <= bound * (1 + 1e-6) + 10 * cfg.tol_res
 
@@ -154,13 +154,13 @@ def test_l1_contraction():
 def test_order_preservation_without_drift():
     g = Grid1D(8.0, 161)
     ops = quad_ops(g)
-    cfg = ResolventConfig(lam=5.0)
+    cfg = ResolventConfig()
     rng = np.random.default_rng(21)
     for _ in range(5):
         eta_low = rng.standard_normal(g.n)
         eta_high = eta_low + rng.uniform(0.0, 1.0, g.n)
-        y_low = solve_resolvent(ops, cfg, eta_low).y
-        y_high = solve_resolvent(ops, cfg, eta_high).y
+        y_low = solve_resolvent(ops, 5.0, eta_low, cfg).y
+        y_high = solve_resolvent(ops, 5.0, eta_high, cfg).y
         assert np.min(y_high - y_low) >= -10 * cfg.tol_res
 
 
@@ -169,7 +169,7 @@ def test_residual_certificate():
     ops = quad_ops(g, drift=tanh_drift(g))
     rng = np.random.default_rng(31)
     eta = rng.standard_normal(g.n)
-    res = solve_resolvent(ops, ResolventConfig(lam=3.0), eta)
+    res = solve_resolvent(ops, 3.0, eta)
     assert res.residual <= 1e-10 * max(1.0, g.norm1(eta))
 
 
@@ -178,8 +178,36 @@ def test_shift_below_drift_bound_rejected():
     drift = tanh_drift(g)
     ops = quad_ops(g, drift=drift)
     with pytest.raises(ValueError, match="slope bound"):
-        solve_resolvent(ops, ResolventConfig(lam=0.5 * drift.slope_sup),
-                        np.zeros(g.n))
+        solve_resolvent(ops, 0.5 * drift.slope_sup, np.zeros(g.n))
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+def test_shift_rejected_before_any_iteration(lam, monkeypatch):
+    # without drift the floor is 0, so only the floor check stands between
+    # these shifts and the solve
+    def evaluate(*args):
+        raise AssertionError("the operator was evaluated")
+
+    monkeypatch.setattr(Iterate, "evaluate", evaluate)
+    g = Grid1D(10.0, 101)
+    with pytest.raises(ValueError, match="must exceed"):
+        solve_resolvent(quad_ops(g), lam, np.exp(-g.x**2))
+
+
+def test_perturbation_is_a_switch_not_a_second_drift():
+    # a perturbation drift with no transport drift had a shift floor of 0
+    # while its bound was 3.99, so admitted solves failed after every
+    # fallback; the perturbation now reads the operand's one drift
+    g = Grid1D(10.0, 201)
+    conj, m = ConjugateHamiltonian.quadratic(), np.ones(g.n)
+    with pytest.raises(TypeError, match="perturbation must be a bool"):
+        EllipticOperands(g, conj, m, drift=None, perturbation=tanh_drift(g))
+    ops = EllipticOperands(g, conj, m, drift=None)
+    eta = np.exp(-g.x**2)
+    assert ops.terms(eta)[1] is None
+    for lam in (0.05, 0.2, 0.5, 1.0):
+        res = solve_resolvent(ops, lam, eta)
+        assert res.residual <= 1e-10 * max(1.0, g.norm1(eta))
 
 
 def test_budget_exhaustion_raises():
@@ -187,7 +215,7 @@ def test_budget_exhaustion_raises():
     ops = quad_ops(g, drift=tanh_drift(g))
     eta = np.exp(-g.x**2)
     with pytest.raises(ResolventError):
-        solve_resolvent(ops, ResolventConfig(lam=3.0, max_iter=0), eta)
+        solve_resolvent(ops, 3.0, eta, ResolventConfig(max_iter=0))
 
 
 def test_budget_exhaustion_raises_in_2d():
@@ -198,7 +226,8 @@ def test_budget_exhaustion_raises_in_2d():
     prob = Problem2D(g, np.eye(2), np.full((g.n, g.n), np.sqrt(2.0)), zeros,
                      zeros, 0.1, ConjugateHamiltonian.quadratic())
     with pytest.raises(ResolventError):
-        solve_resolvent_2d(prob, 3.0, np.exp(-X**2 - Y**2), max_iter=0)
+        solve_resolvent_2d(prob, 3.0, np.exp(-X**2 - Y**2),
+                           ResolventConfig(max_iter=0))
 
 
 def test_out_of_table_flagged():
@@ -207,7 +236,7 @@ def test_out_of_table_flagged():
     tiny = ConjugateHamiltonian.tabulate(cost, -0.05, 0.05, nodes=257)
     g = Grid1D(10.0, 201)
     ops = EllipticOperands.build(g, tiny, wavy_sigma)
-    res = solve_resolvent(ops, ResolventConfig(lam=5.0), np.exp(-g.x**2) * 4.0)
+    res = solve_resolvent(ops, 5.0, np.exp(-g.x**2) * 4.0)
     assert res.out_of_table
 
 
@@ -223,13 +252,15 @@ def test_picard_fallback_solves_near_the_shift_floor():
     g = Grid1D(10.0, 201)
     drift = tanh_drift(g)
     ops = quad_ops(g, drift=drift, use_perturbation=False)
-    cfg = ResolventConfig(lam=2.0 * drift.slope_sup + 0.05)
+    cfg = ResolventConfig()
+    lam = 2.0 * drift.slope_sup + 0.05
     eta = 3.0 * np.exp(-g.x**2)
     tol = cfg.tol_res * max(1.0, g.norm1(eta))
-    end, _, rnorm, ok = _picard(ops, cfg, eta,
-                                Iterate.evaluate(ops, np.zeros(g.n)), tol)
+    end, _, rnorm, ok = _picard(ops, lam, eta,
+                                Iterate.evaluate(ops, np.zeros(g.n)), tol,
+                                cfg.max_iter)
     assert ok and rnorm <= tol
-    direct = solve_resolvent(ops, cfg, eta)
+    direct = solve_resolvent(ops, lam, eta, cfg)
     np.testing.assert_allclose(end.y, direct.y, atol=1e-7)
 
 
@@ -249,15 +280,16 @@ def kinked_table(half_width, nodes):
 
 def kinked_desk_solve(ratio, a, c, w, amp, table=None):
     """The desk problem with the kinked conjugate at lam = ratio*sup|f'|,
-    from the default start, for eta = a*initial + amp*exp(-((x-c)/w)^2)."""
+    from the default start, for eta = a*initial + amp*exp(-((x-c)/w)^2);
+    returns (ops, lam, eta, result)."""
     g = Grid1D(10.0, 201)
     if table is None:
         table = kinked_table(50.0, 4097)
     problem = desk_problem().discretize(g, conj=table)
     ops = problem.operands
-    cfg = ResolventConfig(lam=ratio * ops.lam0)
+    lam = ratio * ops.lam0
     eta = a * problem.initial + amp * np.exp(-((g.x - c) / w) ** 2)
-    return ops, cfg, eta, solve_resolvent(ops, cfg, eta)
+    return ops, lam, eta, solve_resolvent(ops, lam, eta)
 
 
 def test_kinked_conjugate_table_still_solved():
@@ -267,7 +299,7 @@ def test_kinked_conjugate_table_still_solved():
     ops = EllipticOperands.build(g, table, np.sqrt(2.0), drift=drift)
     rng = np.random.default_rng(3)
     eta = 5.0 * np.exp(-g.x**2) + rng.standard_normal(g.n)
-    res = solve_resolvent(ops, ResolventConfig(lam=2.2), eta)
+    res = solve_resolvent(ops, 2.2, eta)
     assert res.residual <= 1e-10 * max(1.0, g.norm1(eta))
 
 
@@ -278,7 +310,7 @@ def test_offset_cost_keeps_the_solver_stable():
     ops = EllipticOperands.build(g, ConjugateHamiltonian.quadratic(1.0, 0.5),
                                  wavy_sigma, drift=drift)
     eta = 2.0 * np.exp(-g.x**2)
-    res = solve_resolvent(ops, ResolventConfig(lam=5.0), eta)
+    res = solve_resolvent(ops, 5.0, eta)
     assert res.residual <= 1e-10 * max(1.0, g.norm1(eta))
     assert np.all(np.isfinite(res.y))
 
@@ -294,11 +326,11 @@ def test_offset_cost_keeps_the_solver_stable():
 ])
 def test_config_rejects_invalid_fields(field, value):
     with pytest.raises(ValueError, match=field):
-        ResolventConfig(lam=3.0, **{field: value})
+        ResolventConfig(**{field: value})
 
 
 def test_config_accepts_a_zero_iteration_budget():
-    assert ResolventConfig(lam=3.0, max_iter=0).max_iter == 0
+    assert ResolventConfig(max_iter=0).max_iter == 0
 
 
 def banded_jacobian(ops, lam, y):
@@ -314,8 +346,8 @@ def banded_jacobian(ops, lam, y):
         diag = diag + np.abs(f) / h
         upper = upper - np.maximum(f[:-1], 0.0) / h
         lower = lower + np.minimum(f[1:], 0.0) / h
-    if ops.perturbation is not None:
-        diag = diag - 2.0 * ops.perturbation.f1
+    if ops.perturbation and ops.drift is not None:
+        diag = diag - 2.0 * ops.drift.f1
     ab = np.zeros((3, grid.n))
     ab[0, 1:] = upper
     ab[1] = diag
@@ -361,14 +393,14 @@ def test_non_finite_residual_is_a_value_error():
     ops = quad_ops(g, drift=tanh_drift(g))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="not finite"):
-        solve_resolvent(ops, ResolventConfig(lam=3.0), np.exp(-g.x**2),
+        solve_resolvent(ops, 3.0, np.exp(-g.x**2),
                         y_init=np.full(g.n, 1e200))
     # a warm start is checked the same way
     with np.errstate(over="ignore", invalid="ignore"):
         blown = Iterate.evaluate(ops, np.full(g.n, 1e200))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="not finite"):
-        solve_resolvent(ops, ResolventConfig(lam=3.0), np.exp(-g.x**2),
+        solve_resolvent(ops, 3.0, np.exp(-g.x**2),
                         warm=ResolventResult(blown.y, 0.0, 0, iterate=blown))
 
 
@@ -379,26 +411,27 @@ def test_certificate_is_the_residual_at_the_returned_y(exit_):
         g = Grid1D(10.0, 101)
         ops = quad_ops(g, drift=tanh_drift(g))
         eta = np.exp(-g.x**2)
-        cfg = ResolventConfig(lam=2.5)
-        res = solve_resolvent(ops, cfg, eta, y_init=eta / cfg.lam)
+        lam = 2.5
+        res = solve_resolvent(ops, lam, eta, y_init=eta / lam)
     elif exit_ == "picard":
-        ops, cfg, eta, res = kinked_desk_solve(
+        ops, lam, eta, res = kinked_desk_solve(
             2.01, -2.5, 2.5, 1.3, 4.5, table=kinked_table(30.0, 2049))
     else:
-        ops, cfg, eta, res = kinked_desk_solve(
+        ops, lam, eta, res = kinked_desk_solve(
             2.1, 3.1493230417277944, -2.5123199550458555,
             1.8480920627117889, 5.4462192735322823)
     assert res.fallback == ("" if exit_ == "newton" else exit_)
-    residual = Iterate.evaluate(ops, res.y).residual(cfg.lam, eta)
+    residual = Iterate.evaluate(ops, res.y).residual(lam, eta)
     assert res.residual == ops.grid.norm1(residual)
 
 
 def test_continuation_solves_where_newton_and_picard_stall():
-    ops, cfg, eta, res = kinked_desk_solve(
+    ops, _, eta, res = kinked_desk_solve(
         2.01, -2.5726197705191423, 2.5980526328675886, 1.3017609528846403,
         4.5663163002398122)
     assert res.fallback == "continuation"
-    assert res.residual <= cfg.tol_res * max(1.0, ops.grid.norm1(eta))
+    assert res.residual <= ResolventConfig().tol_res * max(
+        1.0, ops.grid.norm1(eta))
 
 
 def test_shift_at_most_twice_the_slope_bound_rejected_up_front():
@@ -406,19 +439,18 @@ def test_shift_at_most_twice_the_slope_bound_rejected_up_front():
     problem = desk_problem().discretize(g, conj=kinked_table(50.0, 4097))
     ops = problem.operands
     with pytest.raises(ValueError, match="twice the drift slope bound"):
-        solve_resolvent(ops, ResolventConfig(lam=1.5 * ops.lam0),
-                        problem.initial)
+        solve_resolvent(ops, 1.5 * ops.lam0, problem.initial)
 
 
 def test_warm_start_must_match_the_operand_and_nu():
     g = Grid1D(10.0, 101)
     ops = quad_ops(g, drift=tanh_drift(g))
     eta = np.exp(-g.x**2)
-    prev = solve_resolvent(ops, ResolventConfig(lam=3.0), eta)
-    warm = solve_resolvent(ops, ResolventConfig(lam=4.0), eta, warm=prev)
-    cold = solve_resolvent(ops, ResolventConfig(lam=4.0), eta, y_init=prev.y)
+    prev = solve_resolvent(ops, 3.0, eta)
+    warm = solve_resolvent(ops, 4.0, eta, warm=prev)
+    cold = solve_resolvent(ops, 4.0, eta, y_init=prev.y)
     assert warm.y.tobytes() == cold.y.tobytes()
     assert (warm.residual, warm.iterations) == (cold.residual, cold.iterations)
     other = quad_ops(g, drift=tanh_drift(g))
     with pytest.raises(ValueError, match="warm start"):
-        solve_resolvent(other, ResolventConfig(lam=4.0), eta, warm=prev)
+        solve_resolvent(other, 4.0, eta, warm=prev)

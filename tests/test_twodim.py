@@ -3,8 +3,7 @@ import pytest
 
 from mildhjb.conjugate import ConjugateHamiltonian
 from mildhjb.grid import Grid1D
-from mildhjb.resolvent import (EllipticOperands, Iterate, ResolventConfig,
-                               solve_resolvent)
+from mildhjb.resolvent import EllipticOperands, Iterate, solve_resolvent
 from mildhjb.stepper import TransformedProblem, mild_solve
 from mildhjb.twodim import (Grid2D, Problem2D, apply_L, mild_solve_2d,
                             solve_L, solve_resolvent_2d)
@@ -151,9 +150,8 @@ def test_certificate_is_the_residual_at_the_returned_y():
     X, Y = g.mesh
     prob = make_problem(g, np.array([[1.2, 0.0], [0.3, 1.0]]))
     eta = 4.0 * np.exp(-(X**2 + Y**2))
-    cfg = ResolventConfig(lam=10.0)
-    res = solve_resolvent(prob, cfg, eta)
-    residual = Iterate.evaluate(prob, res.y).residual(cfg.lam, eta)
+    res = solve_resolvent(prob, 10.0, eta)
+    residual = Iterate.evaluate(prob, res.y).residual(10.0, eta)
     assert res.residual == g.norm1(residual)
 
 
