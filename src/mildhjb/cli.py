@@ -27,7 +27,8 @@ from .degenerate import solve_degenerate
 from .grid import Grid1D, Grid2D
 from .montecarlo import (SEED_RANGE, SimConfig, compare_policies,
                          seed_in_range)
-from .stepper import energy_report, mild_solve, refine_until
+from .stepper import (TransformedProblem, energy_report, mild_solve,
+                      refine_until)
 from .twodim import Problem2D, mild_solve_2d, solve_L
 from .value import reconstruct_value, synthesize_feedback
 
@@ -269,21 +270,21 @@ def _run_sweep_degenerate(cfg: RunConfig, out: Path, quiet: bool) -> None:
 
 
 def _run_solve_2d(cfg: RunConfig, out: Path, quiet: bool) -> None:
-    grid2 = Grid2D(cfg.L2, cfg.n2)
+    grid2 = Grid2D(cfg.L, cfg.n)
     X, Y = grid2.mesh
-    b = cfg.a_matrix @ cfg.a_matrix.T
+    ops = Problem2D(
+        grid=grid2, a=cfg.a_matrix,
+        sigma0=np.asarray(cfg.sigma0_2d(X, Y), dtype=float) + np.zeros_like(X),
+        conj=ConjugateHamiltonian.for_cost(cfg.cost))
+    b = ops.b
 
     def l_of(parts):
         pxx, pxy, pyy = (np.asarray(p(X, Y), dtype=float) + np.zeros_like(X)
                          for p in parts)
         return b[0, 0] * pxx + 2.0 * b[0, 1] * pxy + b[1, 1] * pyy
 
-    problem = Problem2D(
-        grid=grid2, a=cfg.a_matrix,
-        sigma0=np.asarray(cfg.sigma0_2d(X, Y), dtype=float) + np.zeros_like(X),
-        initial=-l_of(cfg.g0_2d_parts),
-        source=-l_of(cfg.g_2d_parts),
-        horizon=cfg.T2, conj=ConjugateHamiltonian.for_cost(cfg.cost))
+    problem = TransformedProblem(ops, -l_of(cfg.g0_2d_parts),
+                                 -l_of(cfg.g_2d_parts), cfg.T2)
     sol = mild_solve_2d(problem, cfg.eps, cfg=cfg.solver)
 
     _write_csv(out / "fields" / "y2d_initial.csv",
@@ -293,7 +294,7 @@ def _run_solve_2d(cfg: RunConfig, out: Path, quiet: bool) -> None:
     _write_csv(out / "fields" / "y2d_final.csv",
                "final transformed state; columns: i, j, x, y, value",
                ["i", "j", "x", "y", "value"], _mesh_rows(grid2.x, sol.final))
-    phi = solve_L(problem, sol.final)
+    phi = solve_L(ops, sol.final)
     _write_csv(out / "fields" / "value2d_final.csv",
                "reconstructed value at the initial time, inner 80% of the "
                "mesh; columns: i, j, x, y, value",

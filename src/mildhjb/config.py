@@ -66,7 +66,7 @@ class RunConfig:
     problem: Optional[ControlProblem] = None
     cost: Optional[RunningCost] = None
 
-    # grid / solver
+    # grid ([grid] in 1-D, [2d] in 2-D) / solver
     L: float = 10.0
     n: int = 201
     eps: float = 1e-2
@@ -90,8 +90,6 @@ class RunConfig:
     p_nodes: int = 401
 
     # planar block
-    L2: float = 6.0
-    n2: int = 41
     a_matrix: Optional[np.ndarray] = None
     sigma0_2d: Optional[Expression] = None
     g_2d_parts: Optional[tuple] = None
@@ -384,11 +382,11 @@ def parse_config(text: str, mode_override: Optional[str] = None
             v.error(0, "[conjugate] p_min", "need p_min < p_max")
 
     if mode == "solve-2d":
-        cfg.L2 = v.number("2d", "L", required=True, mode=mode,
-                          check=lambda L: L > 0, describe="L > 0")
-        cfg.n2 = v.integer("2d", "n", required=True, mode=mode,
-                           check=lambda n: n >= 5 and n % 2 == 1,
-                           describe="odd n >= 5")
+        cfg.L = v.number("2d", "L", required=True, mode=mode,
+                         check=lambda L: L > 0, describe="L > 0")
+        cfg.n = v.integer("2d", "n", required=True, mode=mode,
+                          check=lambda n: n >= 5 and n % 2 == 1,
+                          describe="odd n >= 5")
         cfg.T2 = v.number("2d", "T", required=True, mode=mode,
                           check=lambda t: t > 0, describe="T > 0")
         cfg.a_matrix = v.matrix("2d", "a", rows=2, required=True, mode=mode)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .conjugate import ConjugateHamiltonian
 from .drift import DriftData
-from .grid import Grid1D, tabulate
+from .grid import Grid1D, check_table, tabulate
 from .resolvent import EllipticOperands, ResolventConfig
 from .stepper import MildSolution, TransformedProblem, mild_solve, sup_time_gap
 
@@ -45,12 +45,7 @@ class VolatilityData:
 
     def __post_init__(self):
         for name in ("sigma", "sigma1", "sigma2"):
-            t = getattr(self, name)
-            if t.shape != (self.grid.n,):
-                raise ValueError(f"{name} has shape {t.shape}, "
-                                 f"expected ({self.grid.n},)")
-            if not np.all(np.isfinite(t)):
-                raise ValueError(f"{name} contains non-finite entries")
+            check_table(name, getattr(self, name), (self.grid.n,))
 
     @classmethod
     def from_callables(cls, grid, sigma, sigma1=None, sigma2=None):

@@ -19,7 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid1D, green_constants, poisson_gradient, tabulate
+from .grid import (Grid1D, check_table, green_constants, poisson_gradient,
+                   tabulate)
 
 __all__ = ["DriftData", "apply_B"]
 
@@ -35,12 +36,7 @@ class DriftData:
 
     def __post_init__(self):
         for name in ("f", "f1", "f2"):
-            table = getattr(self, name)
-            if table.shape != (self.grid.n,):
-                raise ValueError(f"{name} table has shape {table.shape}, "
-                                 f"expected ({self.grid.n},)")
-            if not np.all(np.isfinite(table)):
-                raise ValueError(f"{name} table contains non-finite entries")
+            check_table(name, getattr(self, name), (self.grid.n,))
 
     @classmethod
     def from_callables(cls, grid: Grid1D, f, f1=None, f2=None) -> "DriftData":

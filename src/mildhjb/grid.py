@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "Grid1D",
     "Grid2D",
+    "check_table",
     "diff1_central",
     "diff1_upwind",
     "diff2",
@@ -81,6 +82,14 @@ class Grid2D(Grid1D):
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, Y) with X varying along axis 0 and Y along axis 1."""
         return np.meshgrid(self.x, self.x, indexing="ij")
+
+
+def check_table(name: str, values: np.ndarray, shape: tuple) -> None:
+    """Raise ``ValueError`` unless ``values`` has ``shape`` and is finite."""
+    if values.shape != shape:
+        raise ValueError(f"{name} has shape {values.shape}, expected {shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} contains non-finite entries")
 
 
 def diff2(grid: Grid1D, values) -> np.ndarray:

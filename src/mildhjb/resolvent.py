@@ -49,7 +49,7 @@ from scipy.linalg.lapack import dgtsv as _gtsv
 
 from .conjugate import ConjugateHamiltonian
 from .drift import DriftData, apply_B
-from .grid import Grid1D, diff1_upwind, diff2
+from .grid import Grid1D, check_table, diff1_upwind, diff2
 
 __all__ = [
     "EllipticOperands",
@@ -93,12 +93,10 @@ class EllipticOperands:
             raise TypeError("perturbation must be a bool, got "
                             f"{type(self.perturbation).__name__}")
         m = np.asarray(self.half_sigma_sq, dtype=float)
-        if m.shape != (self.grid.n,):
-            raise ValueError(f"half_sigma_sq has shape {m.shape}, "
-                             f"expected ({self.grid.n},)")
-        if np.any(m <= 0) or not np.all(np.isfinite(m)):
+        check_table("half_sigma_sq", m, self.shape)
+        if np.any(m <= 0):
             raise ValueError(
-                "sigma^2/2 must be strictly positive and finite on the grid; "
+                "sigma^2/2 must be strictly positive on the grid; "
                 "vanishing volatility goes through the regularized sweep")
 
     @classmethod
@@ -107,10 +105,6 @@ class EllipticOperands:
         sig = np.asarray(sigma(grid.x) if callable(sigma) else sigma,
                          dtype=float) + np.zeros(grid.n)
         return cls(grid, conj, 0.5 * sig * sig, drift, use_perturbation)
-
-    @property
-    def sigma_sq(self) -> np.ndarray:
-        return 2.0 * self.half_sigma_sq
 
     @property
     def lam0(self) -> float:
@@ -275,10 +269,7 @@ def solve_resolvent(ops, lam: float, eta,
     ``ResolventError`` when every strategy exhausts its budget.
     """
     eta = np.asarray(eta, dtype=float)
-    if eta.shape != ops.shape:
-        raise ValueError(f"eta has shape {eta.shape}, expected {ops.shape}")
-    if not np.isfinite(eta).all():
-        raise ValueError("eta contains non-finite entries")
+    check_table("eta", eta, ops.shape)
     floor = shift_floor(ops)
     if not lam > floor:
         raise ValueError(

@@ -7,8 +7,9 @@ Each step is one resolvent solve with shift ``1/eps``:
 and the piecewise-constant interpolant of the snapshots is the approximate
 mild solution.  ``refine_until`` halves ``eps`` and measures the sup-in-time
 L1 gap between successive refinements, the computable Cauchy certificate for
-the limit.  Every step is stored.  The march takes any operand of
-``resolvent.solve_resolvent`` (``EllipticOperands``, ``twodim.Problem2D``).
+the limit.  Every step is stored.  A ``TransformedProblem`` holds the data
+(initial state, source, horizon) on any operand of ``solve_resolvent``
+(``EllipticOperands``, ``twodim.Problem2D``), which holds no data.
 ``energy_report`` (1-D only) computes, per snapshot, the potential integral
 ``h * sum j(m*y)/sigma^2`` and the flux dissipation
 ``h * sum ((value(m*y))_x)^2``.
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Grid1D, diff1_central
+from .grid import Grid1D, check_table, diff1_central
 from .resolvent import (EllipticOperands, ResolventConfig, ResolventResult,
                         shift_floor, solve_resolvent)
 
@@ -50,13 +51,8 @@ class TransformedProblem:
     horizon: float
 
     def __post_init__(self):
-        shape = self.operands.shape
         for name in ("initial", "source"):
-            v = getattr(self, name)
-            if v.shape != shape:
-                raise ValueError(f"{name} has shape {v.shape}, expected {shape}")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} contains non-finite entries")
+            check_table(name, getattr(self, name), self.operands.shape)
         if not self.horizon > 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
 
@@ -76,7 +72,6 @@ class StepDiagnostics:
     eta_inf: float
     eta_l1: float
     y_inf: float
-    y_l1: float
 
 
 @dataclass
@@ -141,7 +136,7 @@ def _energies(ops: EllipticOperands, y) -> tuple[float, float]:
     grid = ops.grid
     m = ops.half_sigma_sq
     w = ops.conj.value(m * y)
-    pot = grid.h * float(np.sum(ops.conj.potential(m * y) / ops.sigma_sq))
+    pot = grid.h * float(np.sum(ops.conj.potential(m * y) / (2.0 * m)))
     dis = grid.h * float(np.sum(diff1_central(grid, w) ** 2))
     return pot, dis
 
@@ -186,8 +181,7 @@ def mild_solve(problem: TransformedProblem, eps: float,
             out_of_table=res.out_of_table,
             eta_inf=grid.norm_inf(eta),
             eta_l1=grid.norm1(eta),
-            y_inf=grid.norm_inf(res.y),
-            y_l1=grid.norm1(res.y)))
+            y_inf=grid.norm_inf(res.y)))
     times = np.minimum(eps * np.arange(len(lengths) + 1), problem.horizon)
     return MildSolution(eps=eps, operands=problem.operands, times=times,
                         snapshots=ys, partial_step=remainder,

@@ -6,13 +6,14 @@ The elliptic operator is built from the factor matrix ``a`` through
     L z = b11 z_xx + 2 b12 z_xy + b22 z_yy,
 
 discretized with 3-point stencils on the axes and the 4-corner centered
-stencil for the cross term, all closed by zero ghosts.  The implicit step
-solves ``lam*y - L(value(m0*y)) = eta`` with ``Problem2D`` (sparse 9-point
-Jacobian) as the operand of ``resolvent.solve_resolvent``, and
-``mild_solve_2d`` is ``stepper.mild_solve`` on that operand: one
-Newton/Picard/continuation solver, one residual certificate, one march and one
-solution type serve both 1-D and 2-D.  Without drift the resolvent is an L1
-contraction with constant exactly ``1/lam``.
+stencil for the cross term, all closed by zero ghosts.  ``Problem2D`` is the
+operand alone, as ``EllipticOperands`` is in 1-D; the data go into a
+``stepper.TransformedProblem``.  The implicit step solves
+``lam*y - L(value(m0*y)) = eta`` through ``resolvent.solve_resolvent``
+(sparse 9-point Jacobian), and ``mild_solve_2d`` is ``stepper.mild_solve``:
+one Newton/Picard/continuation solver, one residual certificate, one march
+and one solution type serve both 1-D and 2-D.  Without drift the resolvent
+is an L1 contraction with constant exactly ``1/lam``.
 
 The Newton step is an exact block elimination.  ``value'`` is the optimal
 control clamped at ``u >= 0``, so where that constraint binds the Jacobian
@@ -37,7 +38,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .conjugate import ConjugateHamiltonian
-from .grid import Grid2D
+from .grid import Grid2D, check_table
 from .resolvent import ResolventConfig, solve_resolvent
 from .stepper import MildSolution, TransformedProblem, mild_solve
 
@@ -53,14 +54,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Problem2D:
-    """Factor matrix, scalar volatility, data tables, and horizon."""
+    """Factor matrix and scalar volatility of the drift-free operator."""
 
     grid: Grid2D
     a: np.ndarray
     sigma0: np.ndarray
-    initial: np.ndarray
-    source: np.ndarray
-    horizon: float
     conj: ConjugateHamiltonian
 
     lam0 = 0.0  # drift-free: the resolvent's contraction shift floor is 0
@@ -72,26 +70,20 @@ class Problem2D:
             raise ValueError(f"factor matrix needs 2 rows, got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("a contains non-finite entries")
-        b = a @ a.T
-        eigs = np.linalg.eigvalsh(b)
-        if eigs.min() <= 0:
+        b = self.b
+        if np.linalg.eigvalsh(b).min() <= 0:
             raise ValueError("a a^T must be positive definite")
-        n = self.grid.n
-        for name in ("sigma0", "initial", "source"):
-            t = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, t)
-            if t.shape != (n, n):
-                raise ValueError(f"{name} has shape {t.shape}, "
-                                 f"expected ({n}, {n})")
-        if not np.all(np.isfinite(self.sigma0)):
-            raise ValueError("sigma0 contains non-finite entries")
-        if float(np.min(np.abs(self.sigma0))) <= 0:
+        sigma0 = np.asarray(self.sigma0, dtype=float)
+        object.__setattr__(self, "sigma0", sigma0)
+        check_table("sigma0", sigma0, self.shape)
+        if float(np.min(np.abs(sigma0))) <= 0:
             raise ValueError("sigma0 must be bounded away from zero")
         if 2.0 * abs(b[0, 1]) > min(b[0, 0], b[1, 1]):
+            # level 3 names the caller of the generated __init__
             warnings.warn(
                 "cross term dominates the axis terms; the centered stencil "
                 "is not sign-preserving, skip comparison-principle checks",
-                RuntimeWarning, stacklevel=2)
+                RuntimeWarning, stacklevel=3)
 
     @cached_property
     def b(self) -> np.ndarray:
@@ -200,14 +192,8 @@ def solve_resolvent_2d(problem: Problem2D, lam: float, eta,
     return res.y, res.residual, res.iterations
 
 
-def mild_solve_2d(problem: Problem2D, eps: float,
+def mild_solve_2d(problem: TransformedProblem, eps: float,
                   cfg: Optional[ResolventConfig] = None) -> MildSolution:
-    """Implicit stepping of y_t - L(value(m0*y)) = source over the horizon.
-
-    The march is ``stepper.mild_solve`` with ``problem`` as the operand, so
-    the 2-D run has the same schedule, diagnostics and refinement
-    certificate as the 1-D one.
-    """
-    return mild_solve(TransformedProblem(problem, problem.initial,
-                                         problem.source, problem.horizon),
-                      eps, cfg=cfg)
+    """Implicit stepping of y_t - L(value(m0*y)) = source over the horizon:
+    ``stepper.mild_solve`` on a ``TransformedProblem`` of a ``Problem2D``."""
+    return mild_solve(problem, eps, cfg=cfg)

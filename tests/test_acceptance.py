@@ -17,7 +17,8 @@ from mildhjb.grid import Grid1D
 from mildhjb.montecarlo import SimConfig, compare_policies, simulate_cost
 from mildhjb.problem import ControlProblem
 from mildhjb.resolvent import EllipticOperands, ResolventConfig, solve_resolvent
-from mildhjb.stepper import energy_report, mild_solve, sup_time_gap
+from mildhjb.stepper import (TransformedProblem, energy_report, mild_solve,
+                             sup_time_gap)
 from mildhjb.twodim import Grid2D, Problem2D, apply_L, mild_solve_2d, \
     solve_resolvent_2d
 from mildhjb.value import reconstruct_value, synthesize_feedback
@@ -227,8 +228,7 @@ def test_criterion_10_two_dimensional_drift_free():
     conj = ConjugateHamiltonian.quadratic()
     factor = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # b = diag(2, 1)
     flat = np.full((grid.n, grid.n), np.sqrt(2.0))
-    zeros = np.zeros((grid.n, grid.n))
-    prob = Problem2D(grid, factor, flat, zeros, zeros, 1.0, conj)
+    prob = Problem2D(grid, factor, flat, conj)
 
     lam = 25.0
     tol = 1e-10
@@ -244,7 +244,7 @@ def test_criterion_10_two_dimensional_drift_free():
 
     X, Y = grid.mesh
     y0 = np.exp(-(X**2 + Y**2))
-    march = Problem2D(grid, factor, flat, y0, zeros, 0.5, conj)
+    march = TransformedProblem(prob, y0, np.zeros((grid.n, grid.n)), 0.5)
     sol = mild_solve_2d(march, 0.01)
     assert len(sol.times) == 51
     mass_ok = (abs(sol.masses[-1] - sol.masses[0])
@@ -254,7 +254,7 @@ def test_criterion_10_two_dimensional_drift_free():
                        [1.0 / np.sqrt(2.0), np.sqrt(1.4)]])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        cross = Problem2D(grid, skewed, flat, zeros, zeros, 1.0, conj)
+        cross = Problem2D(grid, skewed, flat, conj)
     lz = apply_L(cross, X * Y)
     stencil_ok = bool(np.all(np.abs(lz[1:-1, 1:-1] - 2.0 * cross.b[0, 1])
                              <= 1e-10))

@@ -1,8 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
-from mildhjb.grid import (Grid1D, diff1_central, diff1_upwind, diff2,
+from mildhjb.conjugate import ConjugateHamiltonian
+from mildhjb.degenerate import VolatilityData
+from mildhjb.drift import DriftData
+from mildhjb.grid import (Grid1D, Grid2D, diff1_central, diff1_upwind, diff2,
                           green_constants, poisson_gradient, poisson_solve)
+from mildhjb.resolvent import EllipticOperands, solve_resolvent
+from mildhjb.stepper import TransformedProblem
+from mildhjb.twodim import Problem2D
 
 
 def test_grid_geometry():
@@ -133,3 +141,46 @@ def test_upwind_direction_switch():
     assert out[k] == pytest.approx((y[k + 1] - y[k]) / g.h)
     k = 10  # x < 0, backward difference
     assert out[k] == pytest.approx((y[k] - y[k - 1]) / g.h)
+
+
+CONJ = ConjugateHamiltonian.quadratic()
+LINE, SQUARE = Grid1D(5.0, 11), Grid2D(3.0, 11)
+OPS_1D = EllipticOperands(LINE, CONJ, np.ones(LINE.n))
+OPS_2D = Problem2D(SQUARE, np.eye(2), np.ones((SQUARE.n, SQUARE.n)), CONJ)
+
+# (table name, its shape, a constructor or solve taking that table)
+TABLE_SITES = {
+    "TransformedProblem-1d": ("initial", OPS_1D.shape, lambda t:
+                              TransformedProblem(OPS_1D, t,
+                                                 np.zeros(OPS_1D.shape), 1.0)),
+    "TransformedProblem-2d": ("source", OPS_2D.shape, lambda t:
+                              TransformedProblem(OPS_2D,
+                                                 np.zeros(OPS_2D.shape), t,
+                                                 1.0)),
+    "DriftData": ("f1", (LINE.n,), lambda t:
+                  DriftData(LINE, np.zeros(LINE.n), t, np.zeros(LINE.n))),
+    "VolatilityData": ("sigma", (LINE.n,), lambda t:
+                       VolatilityData(LINE, t, np.zeros(LINE.n),
+                                      np.zeros(LINE.n))),
+    "Problem2D": ("sigma0", OPS_2D.shape, lambda t:
+                  Problem2D(SQUARE, np.eye(2), t, CONJ)),
+    "EllipticOperands": ("half_sigma_sq", (LINE.n,), lambda t:
+                         EllipticOperands(LINE, CONJ, t)),
+    "solve_resolvent": ("eta", (LINE.n,), lambda t:
+                        solve_resolvent(OPS_1D, 1.0, t)),
+}
+
+
+@pytest.mark.parametrize("site", TABLE_SITES)
+@pytest.mark.parametrize("defect", ["shape", "nan"])
+def test_every_grid_table_is_checked_by_name(site, defect):
+    name, shape, build = TABLE_SITES[site]
+    table = np.ones(shape)
+    if defect == "shape":
+        table = table[..., 1:]
+        message = f"{name} has shape {table.shape}, expected {shape}"
+    else:
+        table.flat[0] = np.nan
+        message = f"{name} contains non-finite entries"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(table)

@@ -222,9 +222,8 @@ def test_budget_exhaustion_raises_in_2d():
     from mildhjb.twodim import Grid2D, Problem2D, solve_resolvent_2d
     g = Grid2D(3.0, 11)
     X, Y = g.mesh
-    zeros = np.zeros((g.n, g.n))
-    prob = Problem2D(g, np.eye(2), np.full((g.n, g.n), np.sqrt(2.0)), zeros,
-                     zeros, 0.1, ConjugateHamiltonian.quadratic())
+    prob = Problem2D(g, np.eye(2), np.full((g.n, g.n), np.sqrt(2.0)),
+                     ConjugateHamiltonian.quadratic())
     with pytest.raises(ResolventError):
         solve_resolvent_2d(prob, 3.0, np.exp(-X**2 - Y**2),
                            ResolventConfig(max_iter=0))

@@ -187,11 +187,11 @@ def planar_problem():
     """Drift-free 2-D problem with a cross term and a Gaussian start."""
     g = Grid2D(3.0, 11)
     X, Y = g.mesh
-    prob = Problem2D(g, [[1.2, 0.0], [0.3, 1.0]],
-                     np.full((g.n, g.n), np.sqrt(2.0)),
-                     np.exp(-(X**2 + Y**2)), np.zeros((g.n, g.n)), 0.05,
-                     ConjugateHamiltonian.quadratic())
-    return TransformedProblem(prob, prob.initial, prob.source, prob.horizon)
+    ops = Problem2D(g, [[1.2, 0.0], [0.3, 1.0]],
+                    np.full((g.n, g.n), np.sqrt(2.0)),
+                    ConjugateHamiltonian.quadratic())
+    return TransformedProblem(ops, np.exp(-(X**2 + Y**2)),
+                              np.zeros((g.n, g.n)), 0.05)
 
 
 @pytest.mark.parametrize("make, eps", [
@@ -266,8 +266,7 @@ def cold_march(problem, eps):
         ys.append(res.y)
         diags.append(StepDiagnostics(
             res.residual, res.iterations, res.fallback, res.out_of_table,
-            grid.norm_inf(eta), grid.norm1(eta),
-            grid.norm_inf(res.y), grid.norm1(res.y)))
+            grid.norm_inf(eta), grid.norm1(eta), grid.norm_inf(res.y)))
     return np.array(ys), diags
 
 

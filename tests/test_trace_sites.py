@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_cli import SOLVE_2D
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -71,3 +73,30 @@ def test_traced_march_calls_the_perturbation_per_residual():
     assert calls["stepper.step"] == calls["resolvent.solve"] == 4
     assert calls["drift.apply_B"] >= evaluations
     assert calls["grid.green"] >= evaluations
+
+
+TRACED_2D = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import layers
+
+tracer = layers.install()
+from mildhjb import cli
+
+assert cli.run("solve-2d", sys.argv[3], out_dir=sys.argv[4], quiet=True) == 0
+print(json.dumps(tracer.summary()["calls"]))
+"""
+
+
+def test_traced_2d_run_reaches_the_2d_sites(tmp_path):
+    # the trace times the 2-D march and its Green solve through the names
+    # cli.mild_solve_2d and cli.solve_L
+    config = tmp_path / "planar.cfg"
+    config.write_text(SOLVE_2D)
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_2D, str(ROOT / "src"),
+         str(ROOT / "perfbench"), str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.splitlines()[-1])
+    assert calls["twodim.mild_solve"] == calls["twodim.solve_L"] == 1

@@ -11,13 +11,17 @@ from mildhjb.twodim import (Grid2D, Problem2D, apply_L, mild_solve_2d,
 CONJ = ConjugateHamiltonian.quadratic()
 
 
-def make_problem(grid, a, sigma0=np.sqrt(2.0), initial=None, source=None,
-                 horizon=0.1, conj=CONJ):
+def make_problem(grid, a, sigma0=np.sqrt(2.0), conj=CONJ):
     n = grid.n
-    initial = initial if initial is not None else np.zeros((n, n))
-    source = source if source is not None else np.zeros((n, n))
     return Problem2D(grid, np.asarray(a, dtype=float),
-                     np.full((n, n), sigma0), initial, source, horizon, conj)
+                     np.full((n, n), sigma0), conj)
+
+
+def march(ops, horizon, initial=None, source=None):
+    """The data (initial, source, horizon) on a 2-D operand; zero if None."""
+    zeros = np.zeros(ops.shape)
+    return TransformedProblem(ops, zeros if initial is None else initial,
+                              zeros if source is None else source, horizon)
 
 
 def test_identity_diffusion_on_radial_quadratic():
@@ -73,8 +77,7 @@ def test_non_finite_coefficients_rejected(field, bad):
     a = np.eye(2)
     (sigma0 if field == "sigma0" else a)[0, 0] = bad
     with pytest.raises(ValueError, match=f"{field} contains non-finite"):
-        Problem2D(g, a, sigma0, np.zeros((g.n, g.n)), np.zeros((g.n, g.n)),
-                  0.1, CONJ)
+        Problem2D(g, a, sigma0, CONJ)
 
 
 def test_strong_anisotropy_warns():
@@ -84,6 +87,15 @@ def test_strong_anisotropy_warns():
     assert 2 * abs(b[0, 1]) > min(b[0, 0], b[1, 1])
     with pytest.warns(RuntimeWarning, match="cross term"):
         make_problem(g, a)
+
+
+def test_anisotropy_warning_names_the_caller():
+    # the warning must point at the line that built the operand, not at the
+    # dataclass-generated __init__
+    g = Grid2D(3.0, 11)
+    with pytest.warns(RuntimeWarning, match="cross term") as record:
+        Problem2D(g, [[1.0, 0.9], [0.9, 1.0]], np.ones((g.n, g.n)), CONJ)
+    assert record[0].filename == __file__
 
 
 def test_linear_conjugate_matches_direct_sparse_solve():
@@ -105,8 +117,8 @@ def test_rotational_symmetry_preserved():
     g = Grid2D(6.0, 41)
     X, Y = g.mesh
     y0 = np.exp(-(X**2 + Y**2))
-    prob = make_problem(g, np.eye(2), initial=y0, horizon=0.01)
-    sol = mild_solve_2d(prob, 0.01)
+    prob = make_problem(g, np.eye(2))
+    sol = mild_solve_2d(march(prob, 0.01, initial=y0), 0.01)
     final = sol.final
     np.testing.assert_allclose(final, final.T, atol=1e-8)
     np.testing.assert_allclose(final, final[::-1, :], atol=1e-8)
@@ -114,8 +126,8 @@ def test_rotational_symmetry_preserved():
 
 def test_zero_data_zero_solution():
     g = Grid2D(6.0, 21)
-    prob = make_problem(g, np.eye(2), horizon=0.05)
-    sol = mild_solve_2d(prob, 0.01)
+    prob = make_problem(g, np.eye(2))
+    sol = mild_solve_2d(march(prob, 0.05), 0.01)
     assert float(np.max(np.abs(sol.snapshots))) == 0.0
 
 
@@ -140,8 +152,8 @@ def test_step_times_match_the_1d_schedule(horizon):
     ops = EllipticOperands.build(g1, CONJ, np.sqrt(2.0))
     sol1 = mild_solve(TransformedProblem(ops, np.zeros(g1.n), np.zeros(g1.n),
                                          horizon), 0.01)
-    sol2 = mild_solve_2d(make_problem(Grid2D(3.0, 11), np.eye(2),
-                                      horizon=horizon), 0.01)
+    sol2 = mild_solve_2d(march(make_problem(Grid2D(3.0, 11), np.eye(2)),
+                               horizon), 0.01)
     np.testing.assert_array_equal(sol2.times, sol1.times)
 
 
@@ -159,8 +171,8 @@ def test_mass_conserved_without_source():
     g = Grid2D(6.0, 41)
     X, Y = g.mesh
     y0 = np.exp(-(X**2 + Y**2)) * (1.0 - X**2)
-    prob = make_problem(g, np.eye(2), initial=y0, horizon=0.1)
-    sol = mild_solve_2d(prob, 0.01)
+    prob = make_problem(g, np.eye(2))
+    sol = mild_solve_2d(march(prob, 0.1, initial=y0), 0.01)
     drift = abs(sol.masses[-1] - sol.masses[0])
     assert drift <= 1e-8 * abs(sol.masses[0])
 
@@ -186,16 +198,16 @@ def test_nonlinear_march_matches_explicit_oracle():
     a = np.array([[1.2, 0.0], [0.3, 1.0]])
     y0 = np.exp(-(X**2 + Y**2)) * (2.0 - X - Y)
     source = 0.5 * np.exp(-(X**2 + Y**2))
-    prob = Problem2D(g, a, np.full((g.n, g.n), np.sqrt(2.0)), y0, source,
-                     0.02, CONJ)
+    prob = make_problem(g, a)
     m0 = prob.half_sigma_sq
     y = y0.copy()
     dt = 2e-5
     for _ in range(1000):
         y = y + dt * (apply_L(prob, np.maximum(m0 * y, 0.0) ** 2 / 4.0)
                       + source)
-    gap_coarse = g.norm1(mild_solve_2d(prob, 1e-3).final - y)
-    gap_fine = g.norm1(mild_solve_2d(prob, 5e-4).final - y)
+    problem = march(prob, 0.02, initial=y0, source=source)
+    gap_coarse = g.norm1(mild_solve_2d(problem, 1e-3).final - y)
+    gap_fine = g.norm1(mild_solve_2d(problem, 5e-4).final - y)
     assert gap_coarse <= 2e-3          # frozen from the oracle run
     assert gap_fine <= 0.6 * gap_coarse
 
