@@ -224,18 +224,18 @@ def full_jacobian_step(prob, lam, y, r):
     return spsolve(jac.tocsc(), -r.ravel()).reshape(y.shape)
 
 
-def spy_on_spsolve(monkeypatch):
+def spy_on_gbsv(monkeypatch):
     import mildhjb.twodim as twodim
 
-    shapes = []
+    orders = []
 
-    def spy(matrix, rhs):
-        shapes.append(matrix.shape)
-        return real(matrix, rhs)
+    def spy(kl, ku, ab, *args):
+        orders.append(ab.shape[1])
+        return real(kl, ku, ab, *args)
 
-    real = twodim.spsolve
-    monkeypatch.setattr(twodim, "spsolve", spy)
-    return shapes
+    real = twodim._gbsv
+    monkeypatch.setattr(twodim, "_gbsv", spy)
+    return orders
 
 
 def tabulated_expression_conjugate():
@@ -262,9 +262,9 @@ def test_newton_step_solves_only_the_active_block(monkeypatch, conj):
     active = np.count_nonzero(
         conj.derivative(prob.half_sigma_sq * y) * prob.half_sigma_sq)
     assert 0 < active < g.n * g.n
-    shapes = spy_on_spsolve(monkeypatch)
+    orders = spy_on_gbsv(monkeypatch)
     delta = prob.newton_step(lam, y, r)
-    assert shapes == [(active, active)]
+    assert orders == [active]
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(delta - expected)) <= 1e-12 * scale
 
@@ -275,7 +275,59 @@ def test_newton_step_without_active_columns_is_diagonal(monkeypatch):
     prob = make_problem(g, np.eye(2))
     y = -np.exp(-(X**2 + Y**2))
     r = np.random.default_rng(22).standard_normal(y.shape)
-    shapes = spy_on_spsolve(monkeypatch)
+    orders = spy_on_gbsv(monkeypatch)
     delta = prob.newton_step(40.0, y, r)
-    assert shapes == []
+    assert orders == []
     np.testing.assert_array_equal(delta, -r / 40.0)
+
+
+def band_to_dense(ab, kl, ku):
+    size = ab.shape[1]
+    dense = np.zeros((size, size))
+    for d in range(-kl, ku + 1):  # d = q - p
+        p = np.arange(max(0, -d), min(size, size - d))
+        dense[p, p + d] = ab[kl + ku - d, p + d]
+    return dense
+
+
+def ring(n):
+    mask = np.ones((n, n), dtype=bool)
+    mask[1:-1, 1:-1] = False
+    return mask
+
+
+@pytest.mark.parametrize("nodes", [
+    ring,
+    lambda n: np.random.default_rng(23).random((n, n)) < 0.5,
+    lambda n: np.ones((n, n), dtype=bool),
+], ids=["boundary-ring", "random-half", "all"])
+def test_active_band_equals_the_sparse_block(nodes):
+    # every set touches i = 0, i = n-1, j = 0 and j = n-1, where a j +- 1
+    # neighbour would wrap into the next mesh row
+    g = Grid2D(3.0, 15)
+    prob = make_problem(g, np.array([[1.2, 0.0], [0.3, 1.0]]))
+    assert prob.b[0, 1] != 0.0
+    active = np.flatnonzero(nodes(g.n))
+    s_a = np.random.default_rng(24).uniform(0.5, 2.0, active.size)
+    lam = 40.0
+    expected = prob.operator_matrix[active][:, active].toarray() * -s_a
+    expected[np.diag_indices(active.size)] += lam
+    ab, kl, ku = prob.active_band(lam, active, s_a)
+    assert kl <= g.n + 1 and ku <= g.n + 1
+    assert np.array_equal(band_to_dense(ab, kl, ku), expected)
+
+
+def test_singular_active_block_raises():
+    # one active node and lam - L_jj*s_j == 0: the 1x1 block is singular
+    g = Grid2D(3.0, 15)
+    prob = make_problem(g, np.eye(2))
+    y = -np.ones(prob.shape)
+    y[7, 7] = 1.0
+    m = prob.half_sigma_sq
+    s = (prob.conj.derivative(m * y) * m).ravel()
+    k = np.ravel_multi_index((7, 7), prob.shape)
+    assert np.flatnonzero(s).tolist() == [k]
+    lam = prob.operator_matrix[k, k] * s[k]
+    r = np.random.default_rng(25).standard_normal(y.shape)
+    with pytest.raises(np.linalg.LinAlgError):
+        prob.newton_step(lam, y, r)
