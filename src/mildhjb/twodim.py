@@ -25,7 +25,9 @@ assembled straight from the nine stencil weights (``Problem2D.stencil``) in
 LAPACK band storage, ``(2*kl + ku + 1)*|A|`` doubles, and solved by banded
 LU (``gbsv``).  The worst case, every node active at ``n = 141``, takes
 68 MB and is no slower than a general sparse LU.  The Green solve
-``solve_L`` stays a sparse LU, ordered by symmetric minimum degree.
+``solve_L`` is conjugate gradients preconditioned by the axis part of
+``-L``, which the sine transform inverts exactly, so its iteration count
+depends on the cross term alone, not on the mesh.
 
 The centered cross stencil is not sign-preserving for strongly anisotropic
 ``b``; when ``2|b12| > min(b11, b22)`` a warning is issued and comparison
@@ -34,6 +36,7 @@ style checks should be skipped.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,7 +45,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbsv as _gbsv
-from scipy.sparse.linalg import spsolve
+# unused here, but perfbench/layers.py wraps the name twodim.spsolve
+from scipy.sparse.linalg import spsolve  # noqa: F401
 
 from .conjugate import ConjugateHamiltonian
 from .grid import Grid2D, check_table
@@ -52,7 +56,6 @@ from .stepper import MildSolution, TransformedProblem, mild_solve
 __all__ = [
     "Grid2D",
     "Problem2D",
-    "apply_L",
     "mild_solve_2d",
     "solve_L",
     "solve_resolvent_2d",
@@ -158,7 +161,8 @@ class Problem2D:
         k, p = np.nonzero(column >= 0)
         q = column[k, p]
         kl, ku = int(np.max(p - q)), int(np.max(q - p))
-        ab = np.zeros((2 * kl + ku + 1, active.size))
+        # Fortran order, so that gbsv factors it in place instead of a copy
+        ab = np.zeros((2 * kl + ku + 1, active.size), order="F")
         ab[kl + ku + p - q, q] = self.stencil.ravel()[k] * -s_a[q]
         ab[kl + ku] += lam
         return ab, kl, ku
@@ -199,32 +203,90 @@ class Problem2D:
         return delta.reshape(self.shape)
 
 
-def apply_L(problem: Problem2D, z) -> np.ndarray:
-    """b11 z_xx + 2 b12 z_xy + b22 z_yy with zero ghost values."""
-    z = np.asarray(z, dtype=float)
-    n, h = problem.grid.n, problem.grid.h
-    b = problem.b
-    p = np.zeros((n + 2, n + 2))
-    p[1:-1, 1:-1] = z
-    zxx = (p[2:, 1:-1] - 2.0 * z + p[:-2, 1:-1]) / h**2
-    zyy = (p[1:-1, 2:] - 2.0 * z + p[1:-1, :-2]) / h**2
-    zxy = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) / (4.0 * h**2)
-    return b[0, 0] * zxx + b[1, 1] * zyy + 2.0 * b[0, 1] * zxy
+_CG_RTOL = 1e-12  # relative residual of the Green solve, in the P^-1 norm
+_CG_MARGIN = 10  # iterations allowed beyond the CG bound, for rounding
+
+
+def _dst1(v) -> np.ndarray:
+    """DST-I along the last axis, ``sum_j v_j sin(pi*j*k/(m+1))`` for
+    ``j, k = 1..m``, from the real FFT of the odd extension of ``v``."""
+    m = v.shape[-1]
+    odd = np.zeros(v.shape[:-1] + (2 * m + 2,))
+    odd[..., 1:m + 1] = v
+    odd[..., m + 2:] = -v[..., ::-1]
+    return -0.5 * np.fft.rfft(odd)[..., 1:m + 1].imag
+
+
+def _cg(apply, precondition, rhs, max_iter) -> tuple[np.ndarray, int]:
+    """Preconditioned conjugate gradients from 0; returns (x, iterations).
+
+    Stops once ``r . precondition(r)`` falls to ``_CG_RTOL**2`` times its
+    value at ``r = rhs``; raises ``np.linalg.LinAlgError`` after
+    ``max_iter`` iterations.
+    """
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    p = precondition(r)
+    rs = np.vdot(r, p)
+    stop = _CG_RTOL**2 * rs
+    iterations = 0
+    while not rs <= stop:  # a NaN never converges
+        if iterations == max_iter:
+            raise np.linalg.LinAlgError(
+                f"Green solve did not converge in {max_iter} iterations")
+        q = apply(p)
+        alpha = rs / np.vdot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        s = precondition(r)
+        rs, rs_old = np.vdot(r, s), rs
+        p = s + (rs / rs_old) * p
+        iterations += 1
+    return x, iterations
 
 
 def solve_L(problem: Problem2D, z) -> np.ndarray:
-    """Solve -L(phi) = z with phi = 0 on the boundary ring."""
-    n = problem.grid.n
+    """Solve -L(phi) = z with phi = 0 on the boundary ring.
+
+    Conjugate gradients on the interior nodes, where ``-L`` is symmetric
+    positive definite, preconditioned by the axis part
+    ``P = -(b11 D_xx + b22 D_yy)``, which DST-I diagonalises exactly.  The
+    spectrum of ``P^-1 (-L)`` lies in ``[1 - rho, 1 + rho]`` with
+    ``rho = |b12|/sqrt(b11*b22)``, so with ``kappa = (1+rho)/(1-rho)`` the
+    residual in the ``P^-1`` norm falls at least as
+    ``2 sqrt(kappa) q^k`` with ``q = (sqrt(kappa)-1)/(sqrt(kappa)+1)``.  The
+    solve stops at the relative residual ``_CG_RTOL`` and raises
+    ``np.linalg.LinAlgError`` if that bound, plus ``_CG_MARGIN``
+    iterations, is not enough.
+    """
     z = np.asarray(z, dtype=float)
-    interior = np.zeros((n, n), dtype=bool)
-    interior[1:-1, 1:-1] = True
-    idx = np.flatnonzero(interior.ravel())
+    check_table("z", z, problem.shape)
+    n, h, b = problem.grid.n, problem.grid.h, problem.b
+    m = n - 2
+    # -D_xx on the m interior nodes has the sine modes k = 1..m; the DST-I
+    # is its own inverse up to the factor 2/(m+1) per axis
+    mu = (4.0 / h**2) * np.sin(np.pi * np.arange(1, m + 1) / (2 * m + 2))**2
+    weight = (2.0 / (m + 1))**2 / (b[0, 0] * mu[:, None] + b[1, 1] * mu)
+
+    def precondition(r):
+        t = _dst1(_dst1(r).T).T * weight
+        return _dst1(_dst1(t).T).T
+
     lap = problem.operator_matrix
-    system = (-lap[idx][:, idx]).tocsc()
-    phi = np.zeros(n * n)
-    # symmetric minimum degree suits the SPD matrix -L
-    phi[idx] = spsolve(system, z.ravel()[idx], permc_spec="MMD_AT_PLUS_A")
-    return phi.reshape(n, n)
+    padded = np.zeros(problem.shape)
+
+    def minus_L(p):
+        padded[1:-1, 1:-1] = p
+        return -(lap @ padded.ravel()).reshape(n, n)[1:-1, 1:-1]
+
+    rho = abs(b[0, 1]) / math.sqrt(b[0, 0] * b[1, 1])
+    root = math.sqrt((1.0 + rho) / (1.0 - rho))
+    q = (root - 1.0) / (root + 1.0)
+    bound = math.log(2.0 * root / _CG_RTOL) / -math.log(q) if q > 0 else 0.0
+    phi = np.zeros(problem.shape)
+    phi[1:-1, 1:-1], _ = _cg(minus_L, precondition, z[1:-1, 1:-1],
+                             math.ceil(bound) + _CG_MARGIN)
+    return phi
 
 
 def solve_resolvent_2d(problem: Problem2D, lam: float, eta,

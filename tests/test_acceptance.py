@@ -19,10 +19,11 @@ from mildhjb.problem import ControlProblem
 from mildhjb.resolvent import EllipticOperands, ResolventConfig, solve_resolvent
 from mildhjb.stepper import (TransformedProblem, energy_report, mild_solve,
                              sup_time_gap)
-from mildhjb.twodim import Grid2D, Problem2D, apply_L, mild_solve_2d, \
+from mildhjb.twodim import Grid2D, Problem2D, mild_solve_2d, \
     solve_resolvent_2d
 from mildhjb.value import reconstruct_value, synthesize_feedback
 from test_resolvent import oracle_fixed_point
+from test_twodim import apply_L
 
 DESK_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
 

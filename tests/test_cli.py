@@ -434,17 +434,28 @@ def test_streamed_field_tables_match_per_row_reference(tmp_path):
                      for i, x in nodes for j, y in nodes])
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # quadrature serves only the conjugate-table mode; importing it costs
-    # most of the package's import time
+def loaded_by_cli_import(module):
+    """Whether a fresh ``import mildhjb.cli`` loads ``module``."""
     import subprocess
     import sys
     from pathlib import Path
 
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import mildhjb.cli; "
-            "print('scipy.integrate' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, str(src)],
+            "print(sys.argv[2] in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(src), module],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # quadrature serves only the conjugate-table mode; importing it costs
+    # most of the package's import time
+    assert not loaded_by_cli_import("scipy.integrate")
+
+
+def test_cli_import_leaves_out_scipy_fft():
+    # the 2-D Green solve transforms with numpy.fft; scipy.fft would add
+    # about 0.1 s to the set-up of every run
+    assert not loaded_by_cli_import("scipy.fft")

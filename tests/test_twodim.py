@@ -5,10 +5,25 @@ from mildhjb.conjugate import ConjugateHamiltonian
 from mildhjb.grid import Grid1D
 from mildhjb.resolvent import EllipticOperands, Iterate, solve_resolvent
 from mildhjb.stepper import TransformedProblem, mild_solve
-from mildhjb.twodim import (Grid2D, Problem2D, apply_L, mild_solve_2d,
-                            solve_L, solve_resolvent_2d)
+import mildhjb.twodim as twodim
+from mildhjb.twodim import (Grid2D, Problem2D, mild_solve_2d, solve_L,
+                            solve_resolvent_2d)
 
 CONJ = ConjugateHamiltonian.quadratic()
+
+
+def apply_L(problem, z):
+    """b11 z_xx + 2 b12 z_xy + b22 z_yy with zero ghost values: the
+    slicing oracle for ``Problem2D.operator_matrix``."""
+    z = np.asarray(z, dtype=float)
+    n, h = problem.grid.n, problem.grid.h
+    b = problem.b
+    p = np.zeros((n + 2, n + 2))
+    p[1:-1, 1:-1] = z
+    zxx = (p[2:, 1:-1] - 2.0 * z + p[:-2, 1:-1]) / h**2
+    zyy = (p[1:-1, 2:] - 2.0 * z + p[1:-1, :-2]) / h**2
+    zxy = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) / (4.0 * h**2)
+    return b[0, 0] * zxx + b[1, 1] * zyy + 2.0 * b[0, 1] * zxy
 
 
 def make_problem(grid, a, sigma0=np.sqrt(2.0), conj=CONJ):
@@ -185,8 +200,7 @@ def test_value_reconstruction_round_trip():
     a = np.array([[np.sqrt(2.0), 0.0], [0.5, 1.0]])
     prob = make_problem(g, a)
     phi = solve_L(prob, y)
-    assert np.max(np.abs(phi[0, :])) == 0.0
-    assert np.max(np.abs(phi[:, -1])) == 0.0
+    assert np.all(phi[ring(g.n)] == 0.0)
     back = apply_L(prob, phi)
     np.testing.assert_allclose(back[1:-1, 1:-1], -y[1:-1, 1:-1], atol=1e-9)
 
@@ -225,8 +239,6 @@ def full_jacobian_step(prob, lam, y, r):
 
 
 def spy_on_gbsv(monkeypatch):
-    import mildhjb.twodim as twodim
-
     orders = []
 
     def spy(kl, ku, ab, *args):
@@ -331,3 +343,110 @@ def test_singular_active_block_raises():
     r = np.random.default_rng(25).standard_normal(y.shape)
     with pytest.raises(np.linalg.LinAlgError):
         prob.newton_step(lam, y, r)
+
+
+def test_active_band_is_factored_in_place_with_the_same_bits():
+    # a Fortran-order band reaches gbsv without the copy f2py makes of a
+    # C-order one, and the copy changes no bit of the solution
+    g = Grid2D(3.0, 15)
+    prob = make_problem(g, np.array([[1.2, 0.0], [0.3, 1.0]]))
+    active = np.flatnonzero(np.random.default_rng(26).random(g.n**2) < 0.5)
+    s_a = np.random.default_rng(27).uniform(0.5, 2.0, active.size)
+    rhs = np.random.default_rng(28).standard_normal(active.size)
+    ab, kl, ku = prob.active_band(40.0, active, s_a)
+    assert ab.flags.f_contiguous
+    copied = np.ascontiguousarray(ab)
+    lu, _, x, info = twodim._gbsv(kl, ku, ab, rhs, 1, 0)
+    assert info == 0 and np.shares_memory(lu, ab)
+    *_, x_copied, info_copied = twodim._gbsv(kl, ku, copied, rhs, 1, 0)
+    assert info_copied == 0
+    assert np.array_equal(x, x_copied)
+
+
+def sparse_green(prob, z):
+    # the oracle: -L restricted to the interior, solved by sparse LU
+    from scipy.sparse.linalg import spsolve
+
+    n = prob.grid.n
+    inner = np.zeros((n, n), dtype=bool)
+    inner[1:-1, 1:-1] = True
+    idx = np.flatnonzero(inner)
+    system = -prob.operator_matrix[idx][:, idx]
+    phi = np.zeros(n * n)
+    phi[idx] = spsolve(system.tocsc(), z.ravel()[idx])
+    return phi.reshape(n, n)
+
+
+def spy_on_cg(monkeypatch):
+    calls = []  # (iterations, cap) per Green solve
+
+    def spy(apply, precondition, rhs, max_iter):
+        x, iterations = real(apply, precondition, rhs, max_iter)
+        calls.append((iterations, max_iter))
+        return x, iterations
+
+    real = twodim._cg
+    monkeypatch.setattr(twodim, "_cg", spy)
+    return calls
+
+
+def green_source(g):
+    X, Y = g.mesh
+    return np.exp(-(X**2 + Y**2)) * (1.0 + X - 0.5 * Y)
+
+
+PLANAR_A = [[1.0, 0.3], [0.0, 1.0]]
+ROUND_TRIP_A = [[np.sqrt(2.0), 0.0], [0.5, 1.0]]
+
+
+@pytest.mark.filterwarnings("ignore:cross term")
+@pytest.mark.parametrize("a", [PLANAR_A, ROUND_TRIP_A],
+                         ids=["planar", "round-trip"])
+def test_green_solve_matches_sparse_lu(a):
+    g = Grid2D(6.0, 141)
+    prob = make_problem(g, a)
+    assert prob.b[0, 1] != 0.0
+    z = green_source(g)
+    expected = sparse_green(prob, z)
+    phi = solve_L(prob, z)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(phi - expected)) <= 1e-12 * scale
+
+
+def test_green_solve_without_cross_term_takes_one_iteration(monkeypatch):
+    # the axis part is then -L itself, and DST-I inverts it exactly
+    g = Grid2D(6.0, 141)
+    prob = make_problem(g, [[1.0, 0.0], [0.0, 1.5]])
+    assert prob.b[0, 1] == 0.0
+    calls = spy_on_cg(monkeypatch)
+    z = green_source(g)
+    phi = solve_L(prob, z)
+    assert [it for it, _ in calls] == [1]
+    expected = sparse_green(prob, z)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(phi - expected)) <= 1e-12 * scale
+
+
+def test_green_solve_raises_at_its_iteration_cap(monkeypatch):
+    g = Grid2D(6.0, 31)
+    prob = make_problem(g, PLANAR_A)
+    z = green_source(g)
+    calls = spy_on_cg(monkeypatch)
+    solve_L(prob, z)
+    (needed, cap), = calls
+    assert 1 < needed <= cap
+    # a cap one short of what the solve needs must raise, not return
+    monkeypatch.setattr(twodim, "_CG_MARGIN",
+                        twodim._CG_MARGIN - (cap - needed) - 1)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        solve_L(prob, z)
+
+
+@pytest.mark.parametrize("z, message", [
+    (np.ones((13, 13)), "z has shape"),
+    (np.where(np.eye(11) > 0, np.nan, 1.0), "z contains non-finite"),
+], ids=["wrong-shape", "nan"])
+def test_green_solve_rejects_a_bad_source(z, message):
+    prob = make_problem(Grid2D(3.0, 11), np.eye(2))
+    with pytest.raises(ValueError, match=message):
+        solve_L(prob, z)
