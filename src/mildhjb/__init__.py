@@ -25,7 +25,7 @@ from .resolvent import (EllipticOperands, ResolventConfig, ResolventError,
 from .stepper import (EnergyReport, MildSolution, RefineResult,
                       TransformedProblem, energy_report, mild_solve,
                       refine_until, step, sup_time_gap)
-from .twodim import Problem2D, mild_solve_2d, solve_L, solve_resolvent_2d
+from .twodim import Problem2D, solve_L
 from .value import (FeedbackPolicy, ValueFunction, interpolate_policy,
                     reconstruct_value, synthesize_feedback)
 

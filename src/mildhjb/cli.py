@@ -29,10 +29,13 @@ from .montecarlo import (SEED_RANGE, SimConfig, compare_policies,
                          seed_in_range)
 from .stepper import (TransformedProblem, energy_report, mild_solve,
                       refine_until)
-from .twodim import Problem2D, mild_solve_2d, solve_L
+from .twodim import Problem2D, solve_L
 from .value import reconstruct_value, synthesize_feedback
 
 __all__ = ["main", "run"]
+
+# the 2-D runner marches under this name, which perfbench/layers.py wraps
+mild_solve_2d = mild_solve
 
 
 def _fmt(value) -> str:
@@ -188,8 +191,7 @@ def _run_simulate(cfg: RunConfig, out: Path, quiet: bool) -> None:
     problem = cfg.problem
     vf, policy = _policy_of(cfg)
     _write_policy(policy, out)
-    dt = cfg.dt if cfg.dt is not None else problem.horizon / 1000.0
-    sim = SimConfig(n_paths=cfg.paths, dt=dt, seed=cfg.seed, x0=cfg.x0)
+    sim = SimConfig(n_paths=cfg.paths, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0)
     comparison = compare_policies(problem, policy, cfg.baselines, sim,
                                   keep_samples=cfg.dump_paths)
     if cfg.dump_paths:

@@ -353,9 +353,13 @@ def parse_config(text: str, mode_override: Optional[str] = None
     if mode == "simulate":
         cfg.paths = v.integer("sim", "paths", required=True, mode=mode,
                               check=lambda p: p >= 2, describe=">= 2")
-        cfg.dt = v.number("sim", "dt", default=None,
+        horizon = problem["horizon"]  # None when [problem] T is invalid
+        cfg.dt = v.number("sim", "dt", default=horizon and horizon / 1000.0,
                           check=lambda d: d > 0, describe="dt > 0")
-        cfg.x0 = v.number("sim", "x0", default=0.0)
+        # the value is read at x0, so x0 must lie on the mesh [-L, L]
+        cfg.x0 = v.number("sim", "x0", default=0.0,
+                          check=lambda x: cfg.L is None or abs(x) <= cfg.L,
+                          describe="|x0| <= L")
         cfg.baselines = v.numbers_list("sim", "baselines", DEFAULT_BASELINES,
                                        describe="constant control levels")
         dump_raw, dump_line = v.get("sim", "dump_paths", default="false")

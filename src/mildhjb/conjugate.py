@@ -309,23 +309,6 @@ class ConjugateHamiltonian:
                    derivative_lipschitz=1.0 / (2.0 * a1))
 
     @classmethod
-    def linear(cls):
-        """Identity conjugate; turns the flux into plain diffusion (test stub)."""
-        return cls(lambda p: p + 0.0,
-                   lambda p: np.ones_like(p),
-                   lambda r: 0.5 * r * r,
-                   derivative_lipschitz=0.0,
-                   derivative_at_zero=1.0)
-
-    @classmethod
-    def zero(cls):
-        """Vanishing conjugate; switches the nonlinear flux off (test stub)."""
-        return cls(lambda p: np.zeros_like(p),
-                   lambda p: np.zeros_like(p),
-                   lambda r: np.zeros_like(r),
-                   derivative_lipschitz=0.0)
-
-    @classmethod
     def tabulate(cls, cost: RunningCost, p_min: float, p_max: float,
                  nodes: int = 4097):
         """Tabulate a callable cost's conjugate on [p_min, p_max].

@@ -31,8 +31,6 @@ __all__ = [
     "sup_bound",
 ]
 
-DEFAULT_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
-
 
 @dataclass(frozen=True)
 class VolatilityData:
@@ -145,7 +143,7 @@ class DegenerateSweep:
 
 def solve_degenerate(grid: Grid1D, conj: ConjugateHamiltonian,
                      vol: VolatilityData, initial, source, horizon: float,
-                     eps: float, ladder=DEFAULT_LADDER,
+                     eps: float, ladder,
                      drift: Optional[DriftData] = None,
                      cfg: Optional[ResolventConfig] = None) -> DegenerateSweep:
     """Run the stepper at every regularization level of a decreasing ladder."""

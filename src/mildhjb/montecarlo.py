@@ -5,12 +5,14 @@ Paths follow the explicit scheme
     X_{k+1} = X_k + f(X_k) dt + sqrt(u_k) sigma(X_k) sqrt(dt) xi_k,
 
 with ``u_k = max(0, policy(t_k, X_k))`` and the running cost accumulated by
-left-endpoint quadrature.  Each path owns a counter-based random stream
-keyed by (seed, path index), so runs are reproducible bit for bit and two
-policies simulated at the same seed see identical noise (common random
-numbers).  One march steps every compared policy as one row of a
-(policies, paths) state on the same noise, in blocks of ``_BLOCK`` paths; it
-holds one block of noise at a time (``_BLOCK * steps * 8`` bytes).
+left-endpoint quadrature.  Every path starts at the same point ``x0``.  Each
+path owns a counter-based random stream keyed by (seed, path index), so runs
+are reproducible bit for bit and two policies simulated at the same seed see
+identical noise (common random numbers).  One march steps every compared
+policy as one row of a (policies, paths) state on the same noise, in blocks
+of ``_BLOCK`` paths; it holds one block of noise at a time
+(``_BLOCK * steps * 8`` bytes).  A constant policy's control row is filled
+once per block, and only the callable policies are called on each step.
 Reductions over paths use exact summation, making the report independent of
 the accumulation order.
 """
@@ -18,6 +20,7 @@ the accumulation order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -57,12 +60,12 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Path count, time step, seed, and initial state (point or sampler)."""
+    """Path count, time step, seed, and the start point of every path."""
 
     n_paths: int
     dt: float
     seed: int
-    x0: Union[float, Callable] = 0.0
+    x0: float = 0.0
 
     def __post_init__(self):
         if self.n_paths < 2:
@@ -71,6 +74,8 @@ class SimConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not seed_in_range(self.seed):
             raise ValueError(f"seed out of range ({SEED_RANGE}): {self.seed}")
+        if not (isinstance(self.x0, numbers.Real) and math.isfinite(self.x0)):
+            raise ValueError(f"x0 must be a finite number, got {self.x0!r}")
 
 
 @dataclass
@@ -95,18 +100,6 @@ def _path_normals(seed: int, first: int, count: int, steps: int) -> np.ndarray:
     return out
 
 
-def _initial_states(cfg: SimConfig) -> np.ndarray:
-    if callable(cfg.x0):
-        key = np.array([cfg.seed, np.uint64(2**64 - 1)], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        x0 = np.asarray(cfg.x0(rng, cfg.n_paths), dtype=float)
-        if x0.shape != (cfg.n_paths,):
-            raise ValueError(f"x0 sampler returned shape {x0.shape}, "
-                             f"expected ({cfg.n_paths},)")
-        return x0
-    return np.full(cfg.n_paths, float(cfg.x0))
-
-
 def _report(label: str, costs, alive, keep_samples: bool) -> McReport:
     excluded = int(np.sum(~alive))
     if excluded > MAX_EXCLUDED_FRACTION * costs.size:
@@ -128,28 +121,28 @@ def _simulate(problem: ControlProblem, policies: Sequence[Policy],
               labels: Sequence[str], cfg: SimConfig,
               keep_samples: bool) -> list[McReport]:
     """One report per policy, each one row of a (policies, paths) state."""
-    acts = [p if callable(p) else (lambda t, x, c=float(p): c)
-            for p in policies]
+    called = [(i, p) for i, p in enumerate(policies) if callable(p)]
     steps = max(1, int(round(problem.horizon / cfg.dt)))
     dt = problem.horizon / steps
     sqrt_dt = math.sqrt(dt)
     drift = problem.f if problem.f is not None else (lambda x: 0.0 * x)
-    x0 = _initial_states(cfg)
-    costs = np.empty((len(acts), cfg.n_paths))
+    costs = np.empty((len(policies), cfg.n_paths))
     alive = np.empty(costs.shape, dtype=bool)
 
     for start in range(0, cfg.n_paths, _BLOCK):
         stop = min(start + _BLOCK, cfg.n_paths)
         z = _path_normals(cfg.seed, start, stop - start, steps)
-        x = np.tile(x0[start:stop], (len(acts), 1))
+        x = np.full((len(policies), stop - start), float(cfg.x0))
+        u = np.empty(x.shape)
+        for i, p in enumerate(policies):
+            if not callable(p):
+                u[i] = np.maximum(float(p), 0.0)
         run = np.zeros(x.shape)
         with np.errstate(all="ignore"):
             for k in range(steps):
                 t = k * dt
-                u = np.maximum(np.stack([
-                    np.broadcast_to(np.asarray(act(t, row), dtype=float),
-                                    row.shape)
-                    for act, row in zip(acts, x)]), 0.0)
+                for i, act in called:
+                    u[i] = np.maximum(act(t, x[i]), 0.0)
                 run += (np.asarray(problem.g(x), dtype=float)
                         + problem.cost.evaluate(u)) * dt
                 x = (x + np.asarray(drift(x), dtype=float) * dt

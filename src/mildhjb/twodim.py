@@ -8,12 +8,12 @@ The elliptic operator is built from the factor matrix ``a`` through
 discretized with 3-point stencils on the axes and the 4-corner centered
 stencil for the cross term, all closed by zero ghosts.  ``Problem2D`` is the
 operand alone, as ``EllipticOperands`` is in 1-D; the data go into a
-``stepper.TransformedProblem``.  The implicit step solves
-``lam*y - L(value(m0*y)) = eta`` through ``resolvent.solve_resolvent``
-(9-point Jacobian), and ``mild_solve_2d`` is ``stepper.mild_solve``:
-one Newton/Picard/continuation solver, one residual certificate, one march
-and one solution type serve both 1-D and 2-D.  Without drift the resolvent
-is an L1 contraction with constant exactly ``1/lam``.
+``stepper.TransformedProblem``, which ``stepper.mild_solve`` marches.  The
+implicit step solves ``lam*y - L(value(m0*y)) = eta`` through
+``resolvent.solve_resolvent``: one Newton/Picard/continuation solver, one
+residual certificate, one march and one solution type serve both 1-D and
+2-D.  Without drift the resolvent is an L1 contraction with constant
+exactly ``1/lam``.
 
 The Newton step is an exact block elimination.  ``value'`` is the optimal
 control clamped at ``u >= 0``, so where that constraint binds the Jacobian
@@ -40,7 +40,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,16 +49,10 @@ from scipy.sparse.linalg import spsolve  # noqa: F401
 
 from .conjugate import ConjugateHamiltonian
 from .grid import Grid2D, check_table
-from .resolvent import ResolventConfig, solve_resolvent
-from .stepper import MildSolution, TransformedProblem, mild_solve
+# unused here, but perfbench/layers.py wraps the name twodim.solve_resolvent_2d
+from .resolvent import solve_resolvent as solve_resolvent_2d  # noqa: F401
 
-__all__ = [
-    "Grid2D",
-    "Problem2D",
-    "mild_solve_2d",
-    "solve_L",
-    "solve_resolvent_2d",
-]
+__all__ = ["Grid2D", "Problem2D", "solve_L"]
 
 
 @dataclass(frozen=True)
@@ -287,22 +280,3 @@ def solve_L(problem: Problem2D, z) -> np.ndarray:
     phi[1:-1, 1:-1], _ = _cg(minus_L, precondition, z[1:-1, 1:-1],
                              math.ceil(bound) + _CG_MARGIN)
     return phi
-
-
-def solve_resolvent_2d(problem: Problem2D, lam: float, eta,
-                       cfg: Optional[ResolventConfig] = None,
-                       y_init=None) -> tuple[np.ndarray, float, int]:
-    """Solve lam*y - L(value(m0*y)) = eta on the full node set.
-
-    Returns (y, residual_l1, iterations) from ``resolvent.solve_resolvent``,
-    which raises ``ResolventError`` when every strategy exhausts its budget.
-    """
-    res = solve_resolvent(problem, lam, eta, cfg, y_init=y_init)
-    return res.y, res.residual, res.iterations
-
-
-def mild_solve_2d(problem: TransformedProblem, eps: float,
-                  cfg: Optional[ResolventConfig] = None) -> MildSolution:
-    """Implicit stepping of y_t - L(value(m0*y)) = source over the horizon:
-    ``stepper.mild_solve`` on a ``TransformedProblem`` of a ``Problem2D``."""
-    return mild_solve(problem, eps, cfg=cfg)

@@ -81,14 +81,6 @@ class FeedbackPolicy:
     def __call__(self, t, x):
         return interpolate_policy(self, t, x)
 
-    @classmethod
-    def constant(cls, grid: Grid1D, horizon: float, level: float
-                 ) -> "FeedbackPolicy":
-        """Degenerate policy holding one constant control everywhere."""
-        times = np.array([0.0, horizon])
-        u = np.full((2, grid.n), float(level))
-        return cls(grid, horizon, times, u)
-
 
 def synthesize_feedback(v: ValueFunction, ops: EllipticOperands
                         ) -> FeedbackPolicy:

@@ -7,6 +7,32 @@ from mildhjb.grid import Grid1D
 from mildhjb.problem import ControlProblem
 from mildhjb.resolvent import EllipticOperands
 from mildhjb.stepper import TransformedProblem
+from mildhjb.value import FeedbackPolicy
+
+
+def linear_conjugate() -> ConjugateHamiltonian:
+    """Identity conjugate; turns the flux into plain diffusion."""
+    return ConjugateHamiltonian(lambda p: p + 0.0,
+                                lambda p: np.ones_like(p),
+                                lambda r: 0.5 * r * r,
+                                derivative_lipschitz=0.0,
+                                derivative_at_zero=1.0)
+
+
+def zero_conjugate() -> ConjugateHamiltonian:
+    """Vanishing conjugate; switches the nonlinear flux off."""
+    return ConjugateHamiltonian(lambda p: np.zeros_like(p),
+                                lambda p: np.zeros_like(p),
+                                lambda r: np.zeros_like(r),
+                                derivative_lipschitz=0.0)
+
+
+def constant_policy(grid: Grid1D, horizon: float,
+                    level: float) -> FeedbackPolicy:
+    """Feedback table holding one constant control everywhere."""
+    times = np.array([0.0, horizon])
+    u = np.full((2, grid.n), float(level))
+    return FeedbackPolicy(grid, horizon, times, u)
 
 
 def tanh_drift(grid: Grid1D, scale: float = 1.0) -> DriftData:
@@ -37,8 +63,7 @@ def desk_problem(horizon: float = 0.5) -> ControlProblem:
 def heat_problem(grid: Grid1D, width: float = 0.5,
                  horizon: float = 0.25) -> TransformedProblem:
     """Identity conjugate, unit multiplier, no drift: plain diffusion."""
-    ops = EllipticOperands.build(grid, ConjugateHamiltonian.linear(),
-                                 np.sqrt(2.0))
+    ops = EllipticOperands.build(grid, linear_conjugate(), np.sqrt(2.0))
     y0 = np.exp(-grid.x**2 / (2.0 * width**2)) / np.sqrt(2 * np.pi * width**2)
     return TransformedProblem(ops, y0, np.zeros(grid.n), horizon)
 

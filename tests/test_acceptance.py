@@ -19,8 +19,7 @@ from mildhjb.problem import ControlProblem
 from mildhjb.resolvent import EllipticOperands, ResolventConfig, solve_resolvent
 from mildhjb.stepper import (TransformedProblem, energy_report, mild_solve,
                              sup_time_gap)
-from mildhjb.twodim import Grid2D, Problem2D, mild_solve_2d, \
-    solve_resolvent_2d
+from mildhjb.twodim import Grid2D, Problem2D
 from mildhjb.value import reconstruct_value, synthesize_feedback
 from test_resolvent import oracle_fixed_point
 from test_twodim import apply_L
@@ -238,15 +237,15 @@ def test_criterion_10_two_dimensional_drift_free():
     for _ in range(20):
         e1 = rng.standard_normal((grid.n, grid.n))
         e2 = e1 + 0.5 * rng.standard_normal((grid.n, grid.n))
-        y1, _, _ = solve_resolvent_2d(prob, lam, e1, ResolventConfig(tol))
-        y2, _, _ = solve_resolvent_2d(prob, lam, e2, ResolventConfig(tol))
+        y1 = solve_resolvent(prob, lam, e1, ResolventConfig(tol)).y
+        y2 = solve_resolvent(prob, lam, e2, ResolventConfig(tol)).y
         worst = max(worst, grid.norm1(y1 - y2) / grid.norm1(e1 - e2))
     contraction_ok = worst <= 1.0 / lam + 10.0 * tol
 
     X, Y = grid.mesh
     y0 = np.exp(-(X**2 + Y**2))
     march = TransformedProblem(prob, y0, np.zeros((grid.n, grid.n)), 0.5)
-    sol = mild_solve_2d(march, 0.01)
+    sol = mild_solve(march, 0.01)
     assert len(sol.times) == 51
     mass_ok = (abs(sol.masses[-1] - sol.masses[0])
                <= 1e-8 * abs(sol.masses[0]))

@@ -106,6 +106,20 @@ alpha1 = 1.0
 eps = 0.01
 """
 
+TABLE = """
+mode = conjugate-table
+
+[cost]
+kind = quadratic
+alpha1 = 1.0
+alpha2 = 0.0
+
+[conjugate]
+p_min = -5
+p_max = 5
+nodes = 201
+"""
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -121,19 +135,7 @@ def read_table(path):
 
 
 def test_conjugate_table_matches_closed_forms(tmp_path):
-    cfg = write(tmp_path, "c.cfg", """
-mode = conjugate-table
-
-[cost]
-kind = quadratic
-alpha1 = 1.0
-alpha2 = 0.0
-
-[conjugate]
-p_min = -5
-p_max = 5
-nodes = 201
-""")
+    cfg = write(tmp_path, "c.cfg", TABLE)
     out = tmp_path / "out"
     assert main(["conjugate-table", "--config", str(cfg), "--out", str(out),
                  "--quiet"]) == 0
@@ -170,27 +172,37 @@ def test_simulate_is_byte_deterministic(tmp_path):
 
 
 def artifacts(out):
-    """Every file under fields/ and reports/, by path relative to out."""
+    """Every file but the manifest, by path relative to out."""
     return {path.relative_to(out): path.read_bytes()
-            for sub in ("fields", "reports")
-            for path in sorted((out / sub).rglob("*")) if path.is_file()}
+            for path in sorted(out.rglob("*"))
+            if path.is_file() and path.name != "manifest.txt"}
 
 
-@pytest.mark.parametrize("mode, text", [
-    ("solve", SOLVE.format(T=0.1)),
-    ("sweep-eps", SOLVE.format(T=0.1).replace(
-        "mode = solve", "mode = sweep-eps").replace(
-        "eps = 0.02", "eps = 0.02\nrefine_tol = 1e-3\nrefine_levels = 2")),
-    ("solve-2d", SOLVE_2D),
-], ids=["solve", "sweep-eps", "solve-2d"])
-def test_manifest_round_trip_reproduces_artifacts(tmp_path, mode, text):
+def in_mode(mode):
+    return SOLVE.format(T=0.1).replace("mode = solve", f"mode = {mode}")
+
+
+@pytest.mark.parametrize("mode, text, tops", [
+    ("solve", SOLVE.format(T=0.1), {"fields", "reports"}),
+    ("value", in_mode("value"), {"fields"}),
+    ("policy", in_mode("policy"), {"policy.csv", "policy.txt"}),
+    ("simulate", SIMULATE, {"policy.csv", "policy.txt", "reports"}),
+    ("sweep-eps", in_mode("sweep-eps").replace(
+        "eps = 0.02", "eps = 0.02\nrefine_tol = 1e-3\nrefine_levels = 2"),
+     {"fields", "reports"}),
+    ("sweep-degenerate", DEGENERATE, {"reports"}),
+    ("solve-2d", SOLVE_2D, {"fields", "reports"}),
+    ("conjugate-table", TABLE, {"reports"}),
+], ids=["solve", "value", "policy", "simulate", "sweep-eps",
+        "sweep-degenerate", "solve-2d", "conjugate-table"])
+def test_manifest_round_trip_reproduces_artifacts(tmp_path, mode, text, tops):
     cfg = write(tmp_path, "s.cfg", text)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(mode, str(cfg), out_dir=str(out1), quiet=True) == 0
     assert run(mode, str(out1 / "manifest.txt"), out_dir=str(out2),
                quiet=True) == 0
     first = artifacts(out1)
-    assert {path.parts[0] for path in first} == {"fields", "reports"}
+    assert {path.parts[0] for path in first} == tops
     assert artifacts(out2) == first
 
 
@@ -367,6 +379,17 @@ def test_simulate_summary_reports_the_pde_value_at_x0(tmp_path, x0):
         expected = 0.5 * (phi0[0.0] + phi0[0.2])
         assert float(summary["pde_value_at_x0"]) == pytest.approx(
             expected, rel=1e-12)
+
+
+def test_start_point_off_the_mesh_is_a_validation_error(tmp_path, capsys):
+    # off [-L, L] the value at x0 would be the boundary value 0, not phi
+    text = SIMULATE.replace("x0 = 0.0", "x0 = 12.0")
+    cfg = write(tmp_path, "m.cfg", text)
+    out = tmp_path / "out"
+    assert run("simulate", str(cfg), out_dir=str(out), quiet=True) == 2
+    line = text.splitlines().index("x0 = 12.0") + 1
+    assert f"line {line}: [sim] x0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_2d_value_slice_recovers_terminal_cost(tmp_path):

@@ -207,6 +207,27 @@ def test_non_finite_numbers_rejected(text, old, new, field):
     assert "finite" in errors[0].message
 
 
+@pytest.mark.parametrize("x0, ok", [
+    ("-10", True), ("10", True), ("10.5", False), ("-12", False)])
+def test_start_point_must_lie_on_the_mesh(x0, ok):
+    # the value is read at x0; off [-L, L] it would read the boundary value
+    text = SIMULATE.replace("paths = 100", f"paths = 100\nx0 = {x0}")
+    cfg, errors = parse_config(text)
+    if ok:
+        assert errors == [] and cfg.x0 == float(x0)
+    else:
+        line = text.splitlines().index(f"x0 = {x0}") + 1
+        assert cfg is None
+        assert [(e.field, e.line) for e in errors] == [("[sim] x0", line)]
+
+
+def test_sim_dt_defaults_to_a_thousandth_of_the_horizon():
+    cfg, errors = parse_config(SIMULATE)
+    assert errors == []
+    assert cfg.dt == cfg.problem.horizon / 1000.0
+    assert "dt" not in cfg.raw["sim"]  # the echo writes only what was set
+
+
 @pytest.mark.parametrize("seed, ok", [
     ("0", True), ("18446744073709551615", True),
     ("-1", False), ("18446744073709551616", False)])

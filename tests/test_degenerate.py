@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import desk_problem, linear_conjugate
 from mildhjb.conjugate import ConjugateHamiltonian
 from mildhjb.degenerate import (VolatilityData, check_linf_bound,
                                 solve_degenerate, sup_bound)
@@ -27,7 +28,8 @@ def test_zero_data_zero_at_every_level():
     vol = pinched_volatility(grid)
     zeros = np.zeros(grid.n)
     sweep = solve_degenerate(grid, ConjugateHamiltonian.quadratic(), vol,
-                             zeros, zeros, horizon=0.1, eps=0.025)
+                             zeros, zeros, horizon=0.1, eps=0.025,
+                             ladder=(1e-1, 1e-2, 1e-3, 1e-4))
     for sol in sweep.solutions:
         assert float(np.max(np.abs(sol.snapshots))) == 0.0
     assert all(g == 0.0 for g in sweep.gaps)
@@ -38,7 +40,8 @@ def test_ladder_gaps_decrease_for_pinched_volatility():
     vol = pinched_volatility(grid)
     y0, source = bump_data(grid)
     sweep = solve_degenerate(grid, ConjugateHamiltonian.quadratic(), vol,
-                             y0, source, horizon=0.1, eps=0.025)
+                             y0, source, horizon=0.1, eps=0.025,
+                             ladder=(1e-1, 1e-2, 1e-3, 1e-4))
     assert sweep.gaps_monotone
     assert all(b < a for a, b in zip(sweep.gaps, sweep.gaps[1:]))
     for report in sweep.bound_reports:
@@ -120,12 +123,11 @@ def test_each_level_satisfies_energy_finiteness():
 
 @pytest.mark.parametrize("eps", [0.03, 0.2])
 def test_shortened_last_step_is_certified_at_its_own_shift(eps):
-    from conftest import desk_problem
     grid = Grid1D(10.0, 101)
     control = desk_problem(horizon=0.5)
     initial, source = control.transformed_data(grid)
     vol = control.volatility_data(grid)
-    conj = ConjugateHamiltonian.linear()
+    conj = linear_conjugate()
     sweep = solve_degenerate(grid, conj, vol, initial, source, 0.5, eps,
                              ladder=(0.1,), drift=control.drift_data(grid))
     sol, report = sweep.solutions[0], sweep.bound_reports[0]

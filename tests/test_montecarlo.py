@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import constant_policy
 from mildhjb import montecarlo
 from mildhjb.conjugate import RunningCost
 from mildhjb.grid import Grid1D
@@ -139,7 +140,7 @@ def test_scalar_returning_policy_equals_constant_pathwise():
 def test_constant_feedback_table_equals_constant_policy_pathwise():
     problem = brownian_problem(horizon=0.5)
     grid = Grid1D(5.0, 41)
-    table = FeedbackPolicy.constant(grid, 0.5, 0.8)
+    table = constant_policy(grid, 0.5, 0.8)
     cfg = SimConfig(n_paths=500, dt=1e-3, seed=11)
     via_table = simulate_cost(problem, table, cfg, keep_samples=True)
     via_const = simulate_cost(problem, 0.8, cfg, keep_samples=True)
@@ -215,27 +216,12 @@ def test_largest_seed_runs_and_the_next_is_rejected():
         SimConfig(n_paths=4, dt=1e-2, seed=2**64)
 
 
-def test_sampled_initial_state_is_deterministic():
-    problem = brownian_problem(horizon=0.25)
-
-    def sampler(rng, size):
-        return rng.normal(0.0, 0.1, size)
-
-    cfg = SimConfig(n_paths=300, dt=1e-3, seed=13, x0=sampler)
-    a = simulate_cost(problem, 0.5, cfg, keep_samples=True)
-    b = simulate_cost(problem, 0.5, cfg, keep_samples=True)
-    np.testing.assert_array_equal(a.samples, b.samples)
-
-
-@pytest.mark.parametrize("size, shape", [
-    (lambda n: n + 5, "(25,)"), (lambda n: (n, 2), "(20, 2)")],
-    ids=["too-long", "two-columns"])
-def test_sampler_of_the_wrong_shape_is_rejected(size, shape):
-    cfg = SimConfig(n_paths=20, dt=1e-2, seed=3,
-                    x0=lambda rng, n: rng.normal(size=size(n)))
-    with pytest.raises(ValueError) as err:
-        simulate_cost(brownian_problem(horizon=0.1), 0.5, cfg)
-    assert shape in str(err.value) and "(20,)" in str(err.value)
+@pytest.mark.parametrize("x0", [math.nan, math.inf, "0.5",
+                                lambda rng, n: rng.normal(size=n)],
+                         ids=["nan", "inf", "text", "sampler"])
+def test_start_point_must_be_a_finite_number(x0):
+    with pytest.raises(ValueError, match="x0"):
+        SimConfig(n_paths=4, dt=1e-2, seed=0, x0=x0)
 
 
 def test_exact_reduction_matches_fsum():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from conftest import desk_problem, tanh_drift
+from conftest import (desk_problem, linear_conjugate, tanh_drift,
+                      zero_conjugate)
 from mildhjb.conjugate import ConjugateHamiltonian
 from mildhjb.grid import Grid1D
 from mildhjb.resolvent import (EllipticOperands, Iterate, ResolventConfig,
@@ -31,7 +32,7 @@ def test_apply_A_zero_field():
 def test_apply_A_linear_conjugate_on_quadratic():
     # identity flux, unit multiplier: A(y) = -y'' = -2 on the interior
     g = Grid1D(2.0, 41)
-    ops = EllipticOperands.build(g, ConjugateHamiltonian.linear(), np.sqrt(2.0))
+    ops = EllipticOperands.build(g, linear_conjugate(), np.sqrt(2.0))
     out = apply_A(ops, g.x**2)
     np.testing.assert_allclose(out[1:-1], -2.0, atol=1e-10)
 
@@ -40,7 +41,7 @@ def test_apply_A_pure_transport():
     g = Grid1D(2.0, 41)
     drift = tanh_drift(g)
     drift = drift.__class__(g, np.ones(g.n), np.zeros(g.n), np.zeros(g.n))
-    ops = EllipticOperands.build(g, ConjugateHamiltonian.zero(), 1.0,
+    ops = EllipticOperands.build(g, zero_conjugate(), 1.0,
                                  drift=drift, use_perturbation=False)
     out = apply_A(ops, g.x.copy())
     np.testing.assert_allclose(out[1:-1], -1.0, atol=1e-12)
@@ -56,7 +57,7 @@ def test_zero_rhs_zero_solution():
 
 def test_linear_case_matches_direct_solve():
     g = Grid1D(10.0, 201)
-    ops = EllipticOperands.build(g, ConjugateHamiltonian.linear(), np.sqrt(2.0))
+    ops = EllipticOperands.build(g, linear_conjugate(), np.sqrt(2.0))
     rng = np.random.default_rng(0)
     eta = rng.standard_normal(g.n)
     lam = 3.0
@@ -219,14 +220,14 @@ def test_budget_exhaustion_raises():
 
 
 def test_budget_exhaustion_raises_in_2d():
-    from mildhjb.twodim import Grid2D, Problem2D, solve_resolvent_2d
+    from mildhjb.twodim import Grid2D, Problem2D
     g = Grid2D(3.0, 11)
     X, Y = g.mesh
     prob = Problem2D(g, np.eye(2), np.full((g.n, g.n), np.sqrt(2.0)),
                      ConjugateHamiltonian.quadratic())
     with pytest.raises(ResolventError):
-        solve_resolvent_2d(prob, 3.0, np.exp(-X**2 - Y**2),
-                           ResolventConfig(max_iter=0))
+        solve_resolvent(prob, 3.0, np.exp(-X**2 - Y**2),
+                        ResolventConfig(max_iter=0))
 
 
 def test_out_of_table_flagged():
@@ -375,7 +376,7 @@ def test_newton_step_equals_banded_solve_bit_for_bit(with_drift,
 def test_zero_pivot_raises_and_newton_gives_up():
     g = Grid1D(5.0, 21)
     # a vanishing flux and no shift leave the zero matrix
-    ops = EllipticOperands.build(g, ConjugateHamiltonian.zero(), 1.0)
+    ops = EllipticOperands.build(g, zero_conjugate(), 1.0)
     eta = np.exp(-g.x**2)
     with pytest.raises(np.linalg.LinAlgError):
         ops.newton_step(0.0, np.zeros(g.n), -eta)

@@ -88,6 +88,14 @@ print(json.dumps(tracer.summary()["calls"]))
 """
 
 
+def test_traced_2d_names_are_the_generic_functions():
+    # the trace wraps these aliases as the 2-D march and resolvent; a
+    # forwarder behind either name would fork the 2-D path from the 1-D one
+    from mildhjb import cli, resolvent, stepper, twodim
+    assert cli.mild_solve_2d is stepper.mild_solve
+    assert twodim.solve_resolvent_2d is resolvent.solve_resolvent
+
+
 def test_traced_2d_run_reaches_the_2d_sites(tmp_path):
     # the trace times the 2-D march and its Green solve through the names
     # cli.mild_solve_2d and cli.solve_L

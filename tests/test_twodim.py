@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import linear_conjugate
 from mildhjb.conjugate import ConjugateHamiltonian
 from mildhjb.grid import Grid1D
 from mildhjb.resolvent import EllipticOperands, Iterate, solve_resolvent
 from mildhjb.stepper import TransformedProblem, mild_solve
 import mildhjb.twodim as twodim
-from mildhjb.twodim import (Grid2D, Problem2D, mild_solve_2d, solve_L,
-                            solve_resolvent_2d)
+from mildhjb.twodim import Grid2D, Problem2D, solve_L
 
 CONJ = ConjugateHamiltonian.quadratic()
 
@@ -118,11 +118,11 @@ def test_linear_conjugate_matches_direct_sparse_solve():
     from scipy.sparse.linalg import spsolve
 
     g = Grid2D(6.0, 41)
-    prob = make_problem(g, np.eye(2), conj=ConjugateHamiltonian.linear())
+    prob = make_problem(g, np.eye(2), conj=linear_conjugate())
     rng = np.random.default_rng(8)
     eta = rng.standard_normal((g.n, g.n))
     lam = 50.0
-    y, _, _ = solve_resolvent_2d(prob, lam, eta)
+    y = solve_resolvent(prob, lam, eta).y
     system = lam * sp.identity(g.n * g.n, format="csr") - prob.operator_matrix
     direct = spsolve(system.tocsc(), eta.ravel()).reshape(g.n, g.n)
     assert np.max(np.abs(y - direct)) <= 1e-8
@@ -133,7 +133,7 @@ def test_rotational_symmetry_preserved():
     X, Y = g.mesh
     y0 = np.exp(-(X**2 + Y**2))
     prob = make_problem(g, np.eye(2))
-    sol = mild_solve_2d(march(prob, 0.01, initial=y0), 0.01)
+    sol = mild_solve(march(prob, 0.01, initial=y0), 0.01)
     final = sol.final
     np.testing.assert_allclose(final, final.T, atol=1e-8)
     np.testing.assert_allclose(final, final[::-1, :], atol=1e-8)
@@ -142,7 +142,7 @@ def test_rotational_symmetry_preserved():
 def test_zero_data_zero_solution():
     g = Grid2D(6.0, 21)
     prob = make_problem(g, np.eye(2))
-    sol = mild_solve_2d(march(prob, 0.05), 0.01)
+    sol = mild_solve(march(prob, 0.05), 0.01)
     assert float(np.max(np.abs(sol.snapshots))) == 0.0
 
 
@@ -155,8 +155,8 @@ def test_resolvent_contraction_is_one_over_lambda():
     for _ in range(5):
         e1 = rng.standard_normal((g.n, g.n))
         e2 = e1 + 0.5 * rng.standard_normal((g.n, g.n))
-        y1, _, _ = solve_resolvent_2d(prob, lam, e1)
-        y2, _, _ = solve_resolvent_2d(prob, lam, e2)
+        y1 = solve_resolvent(prob, lam, e1).y
+        y2 = solve_resolvent(prob, lam, e2).y
         ratio = g.norm1(y1 - y2) / g.norm1(e1 - e2)
         assert ratio <= 1.0 / lam + 1e-9
 
@@ -167,8 +167,8 @@ def test_step_times_match_the_1d_schedule(horizon):
     ops = EllipticOperands.build(g1, CONJ, np.sqrt(2.0))
     sol1 = mild_solve(TransformedProblem(ops, np.zeros(g1.n), np.zeros(g1.n),
                                          horizon), 0.01)
-    sol2 = mild_solve_2d(march(make_problem(Grid2D(3.0, 11), np.eye(2)),
-                               horizon), 0.01)
+    sol2 = mild_solve(march(make_problem(Grid2D(3.0, 11), np.eye(2)),
+                            horizon), 0.01)
     np.testing.assert_array_equal(sol2.times, sol1.times)
 
 
@@ -187,7 +187,7 @@ def test_mass_conserved_without_source():
     X, Y = g.mesh
     y0 = np.exp(-(X**2 + Y**2)) * (1.0 - X**2)
     prob = make_problem(g, np.eye(2))
-    sol = mild_solve_2d(march(prob, 0.1, initial=y0), 0.01)
+    sol = mild_solve(march(prob, 0.1, initial=y0), 0.01)
     drift = abs(sol.masses[-1] - sol.masses[0])
     assert drift <= 1e-8 * abs(sol.masses[0])
 
@@ -220,8 +220,8 @@ def test_nonlinear_march_matches_explicit_oracle():
         y = y + dt * (apply_L(prob, np.maximum(m0 * y, 0.0) ** 2 / 4.0)
                       + source)
     problem = march(prob, 0.02, initial=y0, source=source)
-    gap_coarse = g.norm1(mild_solve_2d(problem, 1e-3).final - y)
-    gap_fine = g.norm1(mild_solve_2d(problem, 5e-4).final - y)
+    gap_coarse = g.norm1(mild_solve(problem, 1e-3).final - y)
+    gap_fine = g.norm1(mild_solve(problem, 5e-4).final - y)
     assert gap_coarse <= 2e-3          # frozen from the oracle run
     assert gap_fine <= 0.6 * gap_coarse
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import desk_problem
+from conftest import constant_policy, desk_problem
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
 from mildhjb.grid import Grid1D, diff1_central, diff2
 from mildhjb.resolvent import EllipticOperands
@@ -142,7 +142,7 @@ def test_interpolation_exact_at_nodes():
 
 def test_interpolation_between_equal_values_is_exact():
     grid = Grid1D(2.0, 41)
-    policy = FeedbackPolicy.constant(grid, 1.0, 0.7)
+    policy = constant_policy(grid, 1.0, 0.7)
     assert interpolate_policy(policy, 0.37, 0.123) == 0.7
     assert interpolate_policy(policy, 0.0, -5.0) == 0.7  # clamped in space
 
