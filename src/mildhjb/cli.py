@@ -21,15 +21,13 @@ import scipy
 
 from . import __version__
 from .config import MODES, RunConfig, parse_config
-from .conjugate import (ConjugateHamiltonian, conjugate, conjugate_derivative,
-                        potential)
+from .conjugate import conjugate, conjugate_derivative, potential
 from .degenerate import solve_degenerate
-from .grid import Grid1D, Grid2D
+from .grid import Grid1D
 from .montecarlo import (SEED_RANGE, SimConfig, compare_policies,
                          seed_in_range)
-from .stepper import (TransformedProblem, energy_report, mild_solve,
-                      refine_until)
-from .twodim import Problem2D, solve_L
+from .stepper import energy_report, mild_solve, refine_until
+from .twodim import solve_L
 from .value import reconstruct_value, synthesize_feedback
 
 __all__ = ["main", "run"]
@@ -108,8 +106,7 @@ def _inner_slice(grid: Grid1D) -> slice:
 
 
 def _run_solve(cfg: RunConfig, out: Path, quiet: bool) -> None:
-    problem = cfg.problem.discretize(Grid1D(cfg.L, cfg.n))
-    sol = mild_solve(problem, cfg.eps, cfg=cfg.solver)
+    sol = mild_solve(cfg.problem.discretize(cfg.grid), cfg.eps, cfg=cfg.solver)
     grid = sol.grid
     _write_csv(out / "fields" / "y.csv",
                "transformed state snapshots; columns: time, state, value",
@@ -131,7 +128,7 @@ def _run_solve(cfg: RunConfig, out: Path, quiet: bool) -> None:
 
 
 def _value_tables(cfg: RunConfig):
-    problem = cfg.problem.discretize(Grid1D(cfg.L, cfg.n))
+    problem = cfg.problem.discretize(cfg.grid)
     sol = mild_solve(problem, cfg.eps, cfg=cfg.solver)
     return problem, reconstruct_value(sol, horizon=cfg.problem.horizon)
 
@@ -223,8 +220,8 @@ def _run_simulate(cfg: RunConfig, out: Path, quiet: bool) -> None:
 
 
 def _run_sweep_eps(cfg: RunConfig, out: Path, quiet: bool) -> None:
-    problem = cfg.problem.discretize(Grid1D(cfg.L, cfg.n))
-    result = refine_until(problem, cfg.refine_tol, cfg.eps, cfg=cfg.solver,
+    result = refine_until(cfg.problem.discretize(cfg.grid), cfg.refine_tol,
+                          cfg.eps, cfg=cfg.solver,
                           max_levels=cfg.refine_levels)
     rows = [(level, eps, gap) for level, (eps, gap) in
             enumerate(zip(result.eps_levels[1:], result.gaps), start=1)]
@@ -246,14 +243,8 @@ def _run_sweep_eps(cfg: RunConfig, out: Path, quiet: bool) -> None:
 
 
 def _run_sweep_degenerate(cfg: RunConfig, out: Path, quiet: bool) -> None:
-    grid = Grid1D(cfg.L, cfg.n)
-    control = cfg.problem
-    vol = control.volatility_data(grid)
-    initial, source = control.transformed_data(grid)
-    conj = ConjugateHamiltonian.for_cost(control.cost)
-    sweep = solve_degenerate(grid, conj, vol, initial, source,
-                             control.horizon, cfg.eps, ladder=cfg.ladder,
-                             drift=control.drift_data(grid), cfg=cfg.solver)
+    sweep = solve_degenerate(cfg.problem, cfg.grid, cfg.eps, cfg.ladder,
+                             cfg.solver)
     rows = []
     for i, level in enumerate(sweep.levels):
         rep = sweep.bound_reports[i]
@@ -272,36 +263,23 @@ def _run_sweep_degenerate(cfg: RunConfig, out: Path, quiet: bool) -> None:
 
 
 def _run_solve_2d(cfg: RunConfig, out: Path, quiet: bool) -> None:
-    grid2 = Grid2D(cfg.L, cfg.n)
-    X, Y = grid2.mesh
-    ops = Problem2D(
-        grid=grid2, a=cfg.a_matrix,
-        sigma0=np.asarray(cfg.sigma0_2d(X, Y), dtype=float) + np.zeros_like(X),
-        conj=ConjugateHamiltonian.for_cost(cfg.cost))
-    b = ops.b
-
-    def l_of(parts):
-        pxx, pxy, pyy = (np.asarray(p(X, Y), dtype=float) + np.zeros_like(X)
-                         for p in parts)
-        return b[0, 0] * pxx + 2.0 * b[0, 1] * pxy + b[1, 1] * pyy
-
-    problem = TransformedProblem(ops, -l_of(cfg.g0_2d_parts),
-                                 -l_of(cfg.g_2d_parts), cfg.T2)
+    grid = cfg.grid
+    problem = cfg.problem.discretize(grid)
     sol = mild_solve_2d(problem, cfg.eps, cfg=cfg.solver)
 
     _write_csv(out / "fields" / "y2d_initial.csv",
                "initial transformed state; columns: i, j, x, y, value",
                ["i", "j", "x", "y", "value"],
-               _mesh_rows(grid2.x, sol.snapshots[0]))
+               _mesh_rows(grid.x, sol.snapshots[0]))
     _write_csv(out / "fields" / "y2d_final.csv",
                "final transformed state; columns: i, j, x, y, value",
-               ["i", "j", "x", "y", "value"], _mesh_rows(grid2.x, sol.final))
-    phi = solve_L(ops, sol.final)
+               ["i", "j", "x", "y", "value"], _mesh_rows(grid.x, sol.final))
+    phi = solve_L(problem.operands, sol.final)
     _write_csv(out / "fields" / "value2d_final.csv",
                "reconstructed value at the initial time, inner 80% of the "
                "mesh; columns: i, j, x, y, value",
                ["i", "j", "x", "y", "value"],
-               _mesh_rows(grid2.x, phi, _inner_slice(grid2)))
+               _mesh_rows(grid.x, phi, _inner_slice(grid)))
     masses = sol.masses
     _write_csv(out / "reports" / "mass.csv",
                "discrete integral per step; columns: time, mass",

@@ -2,27 +2,30 @@
 
 The config format is line-oriented: ``key = value`` assignments grouped
 under ``[section]`` headers, ``#`` comments, blank lines ignored.  The
-``mode`` key lives above the first section.  Validation is not fail-fast:
-every error in the file is reported, each with its line number.  Coefficient
-values are expressions in ``x`` (and ``y`` for the planar block, ``u`` for
-the cost) that are differentiated symbolically where the pipeline needs
-derivatives, so the transformed data entering the solver is exact.
+``mode`` key lives above the first section; an unknown section or key is
+an error.  Validation is not fail-fast: every error in the file is
+reported, each with its line number.  Coefficient values are expressions in
+``x`` (and ``y`` for the planar block, ``u`` for the cost) that are
+differentiated symbolically where the pipeline needs derivatives, so the
+transformed data entering the solver is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .conjugate import CostValidationError, RunningCost
-from .expressions import (DifferentiationError, Expression, ExpressionError,
+from .expressions import (DifferentiationError, ExpressionError,
                           parse_expression)
+from .grid import Grid1D, Grid2D
 from .montecarlo import SEED_RANGE, seed_in_range
 from .problem import ControlProblem
 from .resolvent import ResolventConfig
+from .twodim import PlanarProblem
 
 __all__ = ["ConfigError", "RunConfig", "parse_config"]
 
@@ -35,6 +38,20 @@ PRESETS = {
     "gauss": "exp(-x^2)",
     "tanh": "tanh(x)",
     "root2": "2^0.5",
+}
+
+# the keys each section takes, in any mode; the manifest echoes the
+# sections in this order
+SECTIONS = {
+    "problem": ("T", "f", "sigma", "g", "g0"),
+    "cost": ("kind", "alpha1", "alpha2", "h"),
+    "grid": ("L", "n"),
+    "solver": ("eps", "tol_res", "max_iter", "refine_tol", "refine_levels"),
+    "sim": ("paths", "dt", "x0", "baselines", "dump_paths"),
+    "degenerate": ("ladder",),
+    "conjugate": ("p_min", "p_max", "nodes"),
+    "2d": ("L", "n", "T", "a", "sigma0", "g", "g0"),
+    "output": ("dir", "seed"),
 }
 
 DEFAULT_BASELINES = "0 0.25 0.5 0.75 1 1.25 1.5 1.75 2"
@@ -56,56 +73,46 @@ class ConfigError:
 class RunConfig:
     """Validated run description; raw strings kept for the manifest echo.
 
-    ``problem`` (the 1-D modes) and ``solver`` (every mode that marches)
-    are the library objects the runners start from.
+    Every mode that marches starts from ``problem.discretize(grid)``, with a
+    ``PlanarProblem`` in ``solve-2d``; a field the mode does not read is None.
     """
 
     mode: str
     raw: dict = dc_field(default_factory=dict)
 
-    problem: Optional[ControlProblem] = None
+    problem: Union[ControlProblem, PlanarProblem, None] = None
     cost: Optional[RunningCost] = None
+    grid: Optional[Grid1D] = None
 
-    # grid ([grid] in 1-D, [2d] in 2-D) / solver
-    L: float = 10.0
-    n: int = 201
-    eps: float = 1e-2
+    # solver
+    eps: Optional[float] = None
     solver: Optional[ResolventConfig] = None
-    refine_tol: float = 1e-3
-    refine_levels: int = 8
+    refine_tol: Optional[float] = None
+    refine_levels: Optional[int] = None
 
     # simulation
-    paths: int = 10000
+    paths: Optional[int] = None
     dt: Optional[float] = None
-    x0: float = 0.0
-    baselines: tuple = ()
-    dump_paths: bool = False
+    x0: Optional[float] = None
+    baselines: Optional[tuple] = None
+    dump_paths: Optional[bool] = None
 
     # sweeps
-    ladder: tuple = ()
+    ladder: Optional[tuple] = None
 
     # conjugate table
-    p_min: float = -10.0
-    p_max: float = 10.0
-    p_nodes: int = 401
-
-    # planar block
-    a_matrix: Optional[np.ndarray] = None
-    sigma0_2d: Optional[Expression] = None
-    g_2d_parts: Optional[tuple] = None
-    g0_2d_parts: Optional[tuple] = None
-    T2: float = 0.0
+    p_min: Optional[float] = None
+    p_max: Optional[float] = None
+    p_nodes: Optional[int] = None
 
     # output
-    out_dir: str = "out"
-    seed: int = 0
+    out_dir: Optional[str] = None
+    seed: Optional[int] = None
 
     def echo(self) -> str:
         """Canonical config text that re-parses to this run."""
         lines = [f"mode = {self.mode}"]
-        order = ("problem", "cost", "grid", "solver", "sim", "degenerate",
-                 "conjugate", "2d", "output")
-        for section in order:
+        for section in SECTIONS:
             items = self.raw.get(section)
             if not items:
                 continue
@@ -132,6 +139,10 @@ def _split_file(text: str):
                                           f"malformed section header {line!r}"))
                 continue
             current = line[1:-1].strip()
+            if current not in SECTIONS:
+                errors.append(ConfigError(
+                    lineno, "section", f"unknown section [{current}]; "
+                    f"expected one of {', '.join(SECTIONS)}"))
             sections.setdefault(current, {})
             continue
         if "=" not in line:
@@ -141,6 +152,13 @@ def _split_file(text: str):
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             errors.append(ConfigError(lineno, "syntax", "empty key"))
+            continue
+        # the keys of an unknown section fall under the section's own error
+        known = ("mode",) if current is None else SECTIONS.get(current, (key,))
+        if key not in known:
+            field = key if current is None else f"[{current}] {key}"
+            errors.append(ConfigError(lineno, field, "unknown key; expected "
+                                      f"one of {', '.join(known)}"))
             continue
         target = top if current is None else sections[current]
         if key in target:
@@ -230,7 +248,7 @@ class _Validator:
             self.error(line, field, str(exc))
             return None
 
-    def numbers_list(self, section, key, default_raw, describe=""):
+    def numbers_list(self, section, key, default_raw, describe, check, rule):
         raw, line = self.get(section, key)
         if raw is None:
             raw = default_raw
@@ -238,6 +256,10 @@ class _Validator:
         if None in values:
             self.error(line, f"[{section}] {key}",
                        f"entries must be finite numbers: {raw!r}")
+            return ()
+        if not all(map(check, values)):
+            self.error(line, f"[{section}] {key}",
+                       f"entries must be {rule}: {raw!r}")
             return ()
         if not values:
             self.error(line, f"[{section}] {key}", f"empty list ({describe})")
@@ -275,14 +297,15 @@ def parse_config(text: str, mode_override: Optional[str] = None
     elif mode not in MODES:
         v.error(mode_raw[1], "mode",
                 f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
-    needs_problem = mode in ("solve", "value", "policy", "simulate",
-                             "sweep-eps", "sweep-degenerate")
-    needs_cost = needs_problem or mode in ("conjugate-table", "solve-2d")
-    needs_solver = needs_problem or mode == "solve-2d"
+    planar = mode == "solve-2d"
+    needs_solver = planar or mode in ("solve", "value", "policy", "simulate",
+                                      "sweep-eps", "sweep-degenerate")
+    needs_problem = needs_solver and not planar  # the [problem] block
+    needs_cost = needs_solver or mode == "conjugate-table"
 
     cfg = RunConfig(mode=mode or "")
 
-    problem = {}  # ControlProblem fields, all but the cost
+    problem = {}  # ControlProblem or PlanarProblem fields, all but the cost
     if needs_problem:
         problem["horizon"] = v.number("problem", "T", required=True,
                                       mode=mode, check=lambda t: t > 0,
@@ -326,14 +349,13 @@ def parse_config(text: str, mode_override: Optional[str] = None
         elif kind_raw == "quadratic" and alpha1 is not None:
             cfg.cost = RunningCost.quadratic(alpha1, alpha2)
 
-    if needs_problem:
-        cfg.L = v.number("grid", "L", required=True, mode=mode,
-                         check=lambda L: L > 0, describe="L > 0")
-        cfg.n = v.integer("grid", "n", required=True, mode=mode,
-                          check=lambda n: n >= 5 and n % 2 == 1,
-                          describe="odd n >= 5")
-
     if needs_solver:
+        section = "2d" if planar else "grid"
+        L = v.number(section, "L", required=True, mode=mode,
+                     check=lambda L: L > 0, describe="L > 0")
+        n = v.integer(section, "n", required=True, mode=mode,
+                      check=lambda n: n >= 5 and n % 2 == 1,
+                      describe="odd n >= 5")
         cfg.eps = v.number("solver", "eps", required=True, mode=mode,
                            check=lambda e: e > 0, describe="eps > 0")
         tol_res = v.number("solver", "tol_res",
@@ -358,10 +380,11 @@ def parse_config(text: str, mode_override: Optional[str] = None
                           check=lambda d: d > 0, describe="dt > 0")
         # the value is read at x0, so x0 must lie on the mesh [-L, L]
         cfg.x0 = v.number("sim", "x0", default=0.0,
-                          check=lambda x: cfg.L is None or abs(x) <= cfg.L,
+                          check=lambda x: L is None or abs(x) <= L,
                           describe="|x0| <= L")
         cfg.baselines = v.numbers_list("sim", "baselines", DEFAULT_BASELINES,
-                                       describe="constant control levels")
+                                       "constant control levels",
+                                       lambda c: c >= 0, "nonnegative")
         dump_raw, dump_line = v.get("sim", "dump_paths", default="false")
         if dump_raw not in ("true", "false"):
             v.error(dump_line, "[sim] dump_paths",
@@ -371,7 +394,8 @@ def parse_config(text: str, mode_override: Optional[str] = None
 
     if mode == "sweep-degenerate":
         cfg.ladder = v.numbers_list("degenerate", "ladder", DEFAULT_LADDER,
-                                    describe="regularization weights")
+                                    "regularization weights",
+                                    lambda w: w > 0, "positive")
         if cfg.ladder and any(b >= a for a, b in zip(cfg.ladder,
                                                      cfg.ladder[1:])):
             v.error(0, "[degenerate] ladder", "must be strictly decreasing")
@@ -385,35 +409,21 @@ def parse_config(text: str, mode_override: Optional[str] = None
                 and not cfg.p_min < cfg.p_max:
             v.error(0, "[conjugate] p_min", "need p_min < p_max")
 
-    if mode == "solve-2d":
-        cfg.L = v.number("2d", "L", required=True, mode=mode,
-                         check=lambda L: L > 0, describe="L > 0")
-        cfg.n = v.integer("2d", "n", required=True, mode=mode,
-                          check=lambda n: n >= 5 and n % 2 == 1,
-                          describe="odd n >= 5")
-        cfg.T2 = v.number("2d", "T", required=True, mode=mode,
-                          check=lambda t: t > 0, describe="T > 0")
-        cfg.a_matrix = v.matrix("2d", "a", rows=2, required=True, mode=mode)
-        cfg.sigma0_2d, _ = v.expression("2d", "sigma0", variables=("x", "y"),
-                                        required=True, mode=mode)
-        g2, g2_line = v.expression("2d", "g", variables=("x", "y"),
-                                   required=True, mode=mode)
-        g02, g02_line = v.expression("2d", "g0", variables=("x", "y"),
-                                     required=True, mode=mode)
-
-        def second_partials(expr, line, field):
-            dx = v.derived(expr, line, field, var="x")
-            dy = v.derived(expr, line, field, var="y")
-            if dx is None or dy is None:
-                return None
-            return (v.derived(dx, line, field, var="x"),
-                    v.derived(dx, line, field, var="y"),
-                    v.derived(dy, line, field, var="y"))
-
-        if g2 is not None:
-            cfg.g_2d_parts = second_partials(g2, g2_line, "[2d] g")
-        if g02 is not None:
-            cfg.g0_2d_parts = second_partials(g02, g02_line, "[2d] g0")
+    if planar:
+        problem["horizon"] = v.number("2d", "T", required=True, mode=mode,
+                                      check=lambda t: t > 0, describe="T > 0")
+        problem["a"] = v.matrix("2d", "a", rows=2, required=True, mode=mode)
+        problem["sigma0"], _ = v.expression("2d", "sigma0",
+                                            variables=("x", "y"),
+                                            required=True, mode=mode)
+        for key in ("g", "g0"):  # the data need only the second partials
+            expr, line = v.expression("2d", key, variables=("x", "y"),
+                                      required=True, mode=mode)
+            field = f"[2d] {key}"
+            dx, dy = (v.derived(expr, line, field, var=z) for z in "xy")
+            problem[f"{key}_parts"] = (v.derived(dx, line, field, var="x"),
+                                       v.derived(dx, line, field, var="y"),
+                                       v.derived(dy, line, field, var="y"))
 
     cfg.out_dir = v.get("output", "dir", default="out")[0] or "out"
     cfg.seed = v.integer("output", "seed", default=0,
@@ -425,8 +435,9 @@ def parse_config(text: str, mode_override: Optional[str] = None
         cfg.raw["output"]["seed"] = str(cfg.seed)
     if v.errors:
         return None, sorted(v.errors, key=lambda e: (e.line, e.field))
-    if needs_problem:
-        cfg.problem = ControlProblem(cost=cfg.cost, **problem)
     if needs_solver:
+        cfg.problem = (PlanarProblem if planar else ControlProblem)(
+            cost=cfg.cost, **problem)
+        cfg.grid = (Grid2D if planar else Grid1D)(L, n)
         cfg.solver = ResolventConfig(tol_res, max_iter)
     return cfg, []

@@ -17,10 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .conjugate import ConjugateHamiltonian
-from .drift import DriftData
 from .grid import Grid1D, check_table, tabulate
-from .resolvent import EllipticOperands, ResolventConfig
-from .stepper import MildSolution, TransformedProblem, mild_solve, sup_time_gap
+from .resolvent import ResolventConfig
+from .stepper import MildSolution, mild_solve, sup_time_gap
 
 __all__ = [
     "BoundReport",
@@ -141,25 +140,23 @@ class DegenerateSweep:
     gaps_monotone: bool
 
 
-def solve_degenerate(grid: Grid1D, conj: ConjugateHamiltonian,
-                     vol: VolatilityData, initial, source, horizon: float,
-                     eps: float, ladder,
-                     drift: Optional[DriftData] = None,
+def solve_degenerate(problem, grid: Grid1D, eps: float, ladder,
                      cfg: Optional[ResolventConfig] = None) -> DegenerateSweep:
-    """Run the stepper at every regularization level of a decreasing ladder."""
+    """Run the stepper at every level of a decreasing ladder of positive
+    regularization weights: level ``w`` marches the ``ControlProblem``
+    ``problem.discretize(grid, conj, w)``, ``conj`` the cost's conjugate (a
+    table on [-50, 50] unless quadratic)."""
     levels = [float(v) for v in ladder]
+    if not all(w > 0 for w in levels):
+        raise ValueError(f"regularization weights must be positive: {levels}")
     if any(b >= a for a, b in zip(levels, levels[1:])):
         raise ValueError("regularization ladder must be strictly decreasing")
+    conj = ConjugateHamiltonian.for_cost(problem.cost)
+    vol = problem.volatility_data(grid)
     solutions: list[MildSolution] = []
     reports: list[BoundReport] = []
     for level in levels:
-        ops = EllipticOperands(
-            grid=grid, conj=conj,
-            half_sigma_sq=0.5 * (vol.sigma**2 + level),
-            drift=drift)
-        problem = TransformedProblem(ops, np.asarray(initial, dtype=float),
-                                     np.asarray(source, dtype=float), horizon)
-        sol = mild_solve(problem, eps, cfg=cfg)
+        sol = mild_solve(problem.discretize(grid, conj, level), eps, cfg=cfg)
         solutions.append(sol)
         reports.append(check_linf_bound(sol, conj, vol, level))
     gaps = [sup_time_gap(a, b) for a, b in zip(solutions, solutions[1:])]

@@ -122,6 +122,9 @@ def _simulate(problem: ControlProblem, policies: Sequence[Policy],
               keep_samples: bool) -> list[McReport]:
     """One report per policy, each one row of a (policies, paths) state."""
     called = [(i, p) for i, p in enumerate(policies) if callable(p)]
+    for p in policies:
+        if not (callable(p) or p >= 0):
+            raise ValueError(f"a constant control must be >= 0, got {p}")
     steps = max(1, int(round(problem.horizon / cfg.dt)))
     dt = problem.horizon / steps
     sqrt_dt = math.sqrt(dt)
@@ -136,7 +139,7 @@ def _simulate(problem: ControlProblem, policies: Sequence[Policy],
         u = np.empty(x.shape)
         for i, p in enumerate(policies):
             if not callable(p):
-                u[i] = np.maximum(float(p), 0.0)
+                u[i] = p
         run = np.zeros(x.shape)
         with np.errstate(all="ignore"):
             for k in range(steps):

@@ -67,12 +67,13 @@ class ControlProblem:
                 -tabulate(grid, self.g, None, self.g_xx)[2])
 
     def discretize(self, grid: Grid1D,
-                   conj: Optional[ConjugateHamiltonian] = None
-                   ) -> TransformedProblem:
+                   conj: Optional[ConjugateHamiltonian] = None,
+                   regularization: float = 0.0) -> TransformedProblem:
         """Assemble the transformed Cauchy problem on one grid.
 
         Without ``conj`` the cost's conjugate is the closed form when
-        quadratic, otherwise a table sized to the data.
+        quadratic, otherwise a table sized to the data.  ``regularization``
+        lifts sigma^2 in the flux multiplier, as the degenerate sweep does.
         """
         initial, source = self.transformed_data(grid)
         sigma = tabulate(grid, self.sigma)[0]
@@ -80,6 +81,6 @@ class ControlProblem:
             smax2 = float(np.max(sigma**2))
             p_abs = max(1.0, 4.0 * smax2 * float(np.max(np.abs(initial))))
             conj = ConjugateHamiltonian.for_cost(self.cost, p_abs)
-        ops = EllipticOperands.build(grid, conj, sigma,
-                                     drift=self.drift_data(grid))
+        ops = EllipticOperands(grid, conj, 0.5 * (sigma**2 + regularization),
+                               self.drift_data(grid))
         return TransformedProblem(ops, initial, source, self.horizon)

@@ -6,10 +6,10 @@ The elliptic operator is built from the factor matrix ``a`` through
     L z = b11 z_xx + 2 b12 z_xy + b22 z_yy,
 
 discretized with 3-point stencils on the axes and the 4-corner centered
-stencil for the cross term, all closed by zero ghosts.  ``Problem2D`` is the
-operand alone, as ``EllipticOperands`` is in 1-D; the data go into a
-``stepper.TransformedProblem``, which ``stepper.mild_solve`` marches.  The
-implicit step solves ``lam*y - L(value(m0*y)) = eta`` through
+stencil for the cross term, all closed by zero ghosts.  As in 1-D,
+``PlanarProblem.discretize`` puts the operand ``Problem2D`` and the data
+into a ``stepper.TransformedProblem``, which ``stepper.mild_solve``
+marches.  The implicit step solves ``lam*y - L(value(m0*y)) = eta`` through
 ``resolvent.solve_resolvent``: one Newton/Picard/continuation solver, one
 residual certificate, one march and one solution type serve both 1-D and
 2-D.  Without drift the resolvent is an L1 contraction with constant
@@ -40,6 +40,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,12 +48,13 @@ from scipy.linalg.lapack import dgbsv as _gbsv
 # unused here, but perfbench/layers.py wraps the name twodim.spsolve
 from scipy.sparse.linalg import spsolve  # noqa: F401
 
-from .conjugate import ConjugateHamiltonian
+from .conjugate import ConjugateHamiltonian, RunningCost
 from .grid import Grid2D, check_table
 # unused here, but perfbench/layers.py wraps the name twodim.solve_resolvent_2d
 from .resolvent import solve_resolvent as solve_resolvent_2d  # noqa: F401
+from .stepper import TransformedProblem
 
-__all__ = ["Grid2D", "Problem2D", "solve_L"]
+__all__ = ["Grid2D", "PlanarProblem", "Problem2D", "solve_L"]
 
 
 @dataclass(frozen=True)
@@ -194,6 +196,42 @@ class Problem2D:
         delta = (rhs + self.operator_matrix @ z) / lam
         delta[active] = delta_a
         return delta.reshape(self.shape)
+
+
+@dataclass(frozen=True)
+class PlanarProblem:
+    """Factor matrix, volatility, state costs, running cost and horizon.
+
+    ``sigma0`` and the second partials ``(xx, xy, yy)`` of the running and
+    terminal state costs, ``g_parts`` and ``g0_parts``, are callables of
+    ``(x, y)``.
+    """
+
+    a: np.ndarray
+    sigma0: Callable
+    g_parts: tuple
+    g0_parts: tuple
+    cost: RunningCost
+    horizon: float
+
+    def discretize(self, grid: Grid2D) -> TransformedProblem:
+        """Initial state ``-L g0`` and forcing ``-L g`` on ``grid``, under
+        the cost's conjugate (a table on [-50, 50] unless quadratic)."""
+        X, Y = grid.mesh
+
+        def sample(f):
+            return np.asarray(f(X, Y), dtype=float) + np.zeros_like(X)
+
+        ops = Problem2D(grid, self.a, sample(self.sigma0),
+                        ConjugateHamiltonian.for_cost(self.cost))
+        b = ops.b
+
+        def l_of(parts):
+            pxx, pxy, pyy = map(sample, parts)
+            return b[0, 0] * pxx + 2.0 * b[0, 1] * pxy + b[1, 1] * pyy
+
+        return TransformedProblem(ops, -l_of(self.g0_parts),
+                                  -l_of(self.g_parts), self.horizon)
 
 
 _CG_RTOL = 1e-12  # relative residual of the Green solve, in the P^-1 norm

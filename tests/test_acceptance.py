@@ -12,7 +12,7 @@ import pytest
 
 from conftest import desk_problem, heat_exact, heat_problem, tanh_drift
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
-from mildhjb.degenerate import VolatilityData, solve_degenerate
+from mildhjb.degenerate import solve_degenerate
 from mildhjb.grid import Grid1D
 from mildhjb.montecarlo import SimConfig, compare_policies, simulate_cost
 from mildhjb.problem import ControlProblem
@@ -203,14 +203,16 @@ def test_criterion_8_feedback_beats_constant_controls(desk_runs):
 def test_criterion_9_degenerate_ladder():
     started = time.perf_counter()
     grid = Grid1D(8.0, 161)
-    vol = VolatilityData.from_callables(
-        grid,
-        lambda x: x * np.exp(-x**2),
-        lambda x: (1.0 - 2.0 * x**2) * np.exp(-x**2),
-        lambda x: (4.0 * x**3 - 6.0 * x) * np.exp(-x**2))
-    y0 = (2.0 - 4.0 * grid.x**2) * np.exp(-grid.x**2)
-    sweep = solve_degenerate(grid, ConjugateHamiltonian.quadratic(), vol,
-                             y0, y0.copy(), horizon=0.1, eps=0.025,
+    problem = ControlProblem(
+        sigma=lambda x: x * np.exp(-x**2),
+        sigma_x=lambda x: (1.0 - 2.0 * x**2) * np.exp(-x**2),
+        sigma_xx=lambda x: (4.0 * x**3 - 6.0 * x) * np.exp(-x**2),
+        g=lambda x: np.exp(-x**2),
+        g_xx=lambda x: (4.0 * x**2 - 2.0) * np.exp(-x**2),
+        g0=lambda x: np.exp(-x**2),
+        g0_xx=lambda x: (4.0 * x**2 - 2.0) * np.exp(-x**2),
+        cost=RunningCost.quadratic(), horizon=0.1)
+    sweep = solve_degenerate(problem, grid, eps=0.025,
                              ladder=(1e-1, 1e-2, 1e-3, 1e-4))
     decreasing = all(b < a for a, b in zip(sweep.gaps, sweep.gaps[1:]))
     bounds_ok = all(r.passed for r in sweep.bound_reports)

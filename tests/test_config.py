@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mildhjb.config import parse_config
+from mildhjb.grid import Grid1D, Grid2D
 
 DESK = """
 mode = solve
@@ -36,7 +37,7 @@ def test_valid_config_parses():
     assert errors == []
     assert cfg.mode == "solve"
     assert cfg.problem.horizon == 0.5
-    assert cfg.L == 10.0 and cfg.n == 201
+    assert cfg.grid == Grid1D(10.0, 201)
     assert cfg.eps == 0.01
     assert cfg.seed == 42 and cfg.out_dir == "artifacts"
     assert cfg.cost.kind == "quadratic"
@@ -181,9 +182,10 @@ eps = 0.01
 def test_twod_config():
     cfg, errors = parse_config(TWOD)
     assert errors == []
-    assert cfg.a_matrix.shape == (2, 3)
-    assert cfg.g0_2d_parts is not None
-    pxx, pxy, pyy = cfg.g0_2d_parts
+    assert cfg.grid == Grid2D(6.0, 41)
+    assert cfg.problem.a.shape == (2, 3)
+    assert cfg.problem.horizon == 0.05
+    pxx, pxy, pyy = cfg.problem.g0_parts
     # cross partial of exp(-x^2-y^2) is 4xy exp(-x^2-y^2)
     assert float(pxy(0.5, 0.5)) == pytest.approx(4 * 0.25 * np.exp(-0.5))
 
@@ -205,6 +207,56 @@ def test_non_finite_numbers_rejected(text, old, new, field):
     line = bad.splitlines().index(new.split("\n")[-1]) + 1
     assert [(e.field, e.line) for e in errors] == [(field, line)]
     assert "finite" in errors[0].message
+
+
+def test_unknown_sections_and_keys_are_errors():
+    # a misspelt key or section would otherwise leave its default in force
+    # and drop out of the manifest echo
+    text = ("seeed = 3\n" + DESK).replace(
+        "eps = 0.01", "eps = 0.01\ntol_ress = 1e-14\nmax_itr = 3").replace(
+        "[output]\ndir = artifacts\n", "[outptu]\n")
+    cfg, errors = parse_config(text)
+    assert cfg is None
+    lines = text.splitlines()
+    assert [(e.field, e.line) for e in errors] == [
+        ("seeed", 1),
+        ("[solver] tol_ress", lines.index("tol_ress = 1e-14") + 1),
+        ("[solver] max_itr", lines.index("max_itr = 3") + 1),
+        ("section", lines.index("[outptu]") + 1)]
+    assert "unknown section [outptu]" in errors[-1].message
+
+
+def test_keys_another_mode_reads_are_accepted():
+    text = DESK.replace("eps = 0.01", "eps = 0.01\nrefine_tol = 1e-3") + \
+        "\n[sim]\npaths = 100\n\n[2d]\nT = 1\n"
+    cfg, errors = parse_config(text)
+    assert errors == []
+    assert "sim" not in cfg.raw and "refine_tol" not in cfg.raw["solver"]
+
+
+DEGENERATE = DESK.replace("mode = solve", "mode = sweep-degenerate") + """
+[degenerate]
+ladder = 1e-1 1e-2
+"""
+
+
+@pytest.mark.parametrize("text, old, new, field", [
+    (SIMULATE, "paths = 100", "paths = 100\nbaselines = -1 0.5",
+     "[sim] baselines"),
+    (DEGENERATE, "ladder = 1e-1 1e-2", "ladder = 1e-1 1e-2 0",
+     "[degenerate] ladder"),
+    (DEGENERATE, "ladder = 1e-1 1e-2", "ladder = 1e-1 -1",
+     "[degenerate] ladder"),
+], ids=["negative-baseline", "zero-weight", "negative-weight"])
+def test_list_entries_out_of_range_rejected(text, old, new, field):
+    # a constant control below 0 runs as u = 0 under its own label, and a
+    # weight <= 0 lifts nothing
+    assert parse_config(text)[1] == []
+    bad = text.replace(old, new)
+    cfg, errors = parse_config(bad)
+    assert cfg is None
+    line = bad.splitlines().index(new.split("\n")[-1]) + 1
+    assert [(e.field, e.line) for e in errors] == [(field, line)]
 
 
 @pytest.mark.parametrize("x0, ok", [

@@ -1,34 +1,44 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import desk_problem, linear_conjugate
-from mildhjb.conjugate import ConjugateHamiltonian
+from conftest import desk_problem
+from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
 from mildhjb.degenerate import (VolatilityData, check_linf_bound,
                                 solve_degenerate, sup_bound)
 from mildhjb.grid import Grid1D
+from mildhjb.problem import ControlProblem
 from mildhjb.resolvent import EllipticOperands
 from mildhjb.stepper import TransformedProblem, mild_solve, sup_time_gap
 
+PINCHED = dict(
+    sigma=lambda x: x * np.exp(-x**2),
+    sigma_x=lambda x: (1.0 - 2.0 * x**2) * np.exp(-x**2),
+    sigma_xx=lambda x: (4.0 * x**3 - 6.0 * x) * np.exp(-x**2))
+
 
 def pinched_volatility(grid):
-    return VolatilityData.from_callables(
-        grid,
-        lambda x: x * np.exp(-x**2),
-        lambda x: (1.0 - 2.0 * x**2) * np.exp(-x**2),
-        lambda x: (4.0 * x**3 - 6.0 * x) * np.exp(-x**2))
+    return VolatilityData.from_callables(grid, *PINCHED.values())
 
 
-def bump_data(grid):
-    y0 = (2.0 - 4.0 * grid.x**2) * np.exp(-grid.x**2)
-    return y0, y0.copy()
+def bump_problem(**volatility):
+    """g = g0 = exp(-x^2), so y0 = source = (2 - 4x^2) exp(-x^2); the
+    pinched volatility unless another is given."""
+    return ControlProblem(
+        g=lambda x: np.exp(-x**2),
+        g_xx=lambda x: (4.0 * x**2 - 2.0) * np.exp(-x**2),
+        g0=lambda x: np.exp(-x**2),
+        g0_xx=lambda x: (4.0 * x**2 - 2.0) * np.exp(-x**2),
+        cost=RunningCost.quadratic(), horizon=0.1,
+        **(volatility or PINCHED))
 
 
 def test_zero_data_zero_at_every_level():
     grid = Grid1D(8.0, 161)
-    vol = pinched_volatility(grid)
-    zeros = np.zeros(grid.n)
-    sweep = solve_degenerate(grid, ConjugateHamiltonian.quadratic(), vol,
-                             zeros, zeros, horizon=0.1, eps=0.025,
+    zero = {name: (lambda x: 0.0 * x) for name in ("g", "g_xx", "g0", "g0_xx")}
+    problem = replace(bump_problem(), **zero)
+    sweep = solve_degenerate(problem, grid, eps=0.025,
                              ladder=(1e-1, 1e-2, 1e-3, 1e-4))
     for sol in sweep.solutions:
         assert float(np.max(np.abs(sol.snapshots))) == 0.0
@@ -37,10 +47,7 @@ def test_zero_data_zero_at_every_level():
 
 def test_ladder_gaps_decrease_for_pinched_volatility():
     grid = Grid1D(8.0, 161)
-    vol = pinched_volatility(grid)
-    y0, source = bump_data(grid)
-    sweep = solve_degenerate(grid, ConjugateHamiltonian.quadratic(), vol,
-                             y0, source, horizon=0.1, eps=0.025,
+    sweep = solve_degenerate(bump_problem(), grid, eps=0.025,
                              ladder=(1e-1, 1e-2, 1e-3, 1e-4))
     assert sweep.gaps_monotone
     assert all(b < a for a, b in zip(sweep.gaps, sweep.gaps[1:]))
@@ -51,15 +58,12 @@ def test_ladder_gaps_decrease_for_pinched_volatility():
 
 def test_levels_converge_to_nondegenerate_run_when_bounded_below():
     grid = Grid1D(8.0, 161)
-    vol = VolatilityData.from_callables(
-        grid, lambda x: np.sqrt(2.0) + 0.0 * x,
-        lambda x: 0.0 * x, lambda x: 0.0 * x)
-    y0, source = bump_data(grid)
-    conj = ConjugateHamiltonian.quadratic()
-    sweep = solve_degenerate(grid, conj, vol, y0, source, horizon=0.1,
-                             eps=0.025, ladder=(1e-1, 1e-2, 1e-3, 1e-4))
-    ops = EllipticOperands.build(grid, conj, np.sqrt(2.0))
-    reference = mild_solve(TransformedProblem(ops, y0, source, 0.1), 0.025)
+    problem = bump_problem(sigma=lambda x: np.sqrt(2.0) + 0.0 * x,
+                           sigma_x=lambda x: 0.0 * x,
+                           sigma_xx=lambda x: 0.0 * x)
+    sweep = solve_degenerate(problem, grid, eps=0.025,
+                             ladder=(1e-1, 1e-2, 1e-3, 1e-4))
+    reference = mild_solve(problem.discretize(grid), 0.025)
     offsets = [sup_time_gap(reference, sol) for sol in sweep.solutions]
     assert all(b < a for a, b in zip(offsets, offsets[1:]))
     assert offsets[-1] <= 1e-3
@@ -67,16 +71,14 @@ def test_levels_converge_to_nondegenerate_run_when_bounded_below():
 
 def test_bound_report_certifies_each_step():
     grid = Grid1D(8.0, 161)
-    vol = pinched_volatility(grid)
-    y0, source = bump_data(grid)
-    sweep = solve_degenerate(grid, ConjugateHamiltonian.quadratic(), vol,
-                             y0, source, horizon=0.1, eps=0.025,
+    sweep = solve_degenerate(bump_problem(), grid, eps=0.025,
                              ladder=(1e-1, 1e-2))
     report = sweep.bound_reports[0]
     assert np.all(report.certified)
     assert np.all(report.y_inf <= report.bounds)
     recomputed = check_linf_bound(sweep.solutions[0],
-                                  ConjugateHamiltonian.quadratic(), vol, 1e-1)
+                                  ConjugateHamiltonian.quadratic(),
+                                  pinched_volatility(grid), 1e-1)
     np.testing.assert_allclose(recomputed.bounds, report.bounds)
 
 
@@ -98,21 +100,50 @@ def test_sup_bound_not_certifiable_for_tiny_shift():
 
 
 def test_ladder_must_decrease():
-    grid = Grid1D(8.0, 161)
-    vol = pinched_volatility(grid)
-    zeros = np.zeros(grid.n)
     with pytest.raises(ValueError, match="decreasing"):
-        solve_degenerate(grid, ConjugateHamiltonian.quadratic(), vol, zeros,
-                         zeros, horizon=0.1, eps=0.025, ladder=(1e-2, 1e-1))
+        solve_degenerate(bump_problem(), Grid1D(8.0, 161), eps=0.025,
+                         ladder=(1e-2, 1e-1))
+
+
+@pytest.mark.parametrize("ladder", [(1e-1, 1e-2, 0.0), (1e-1, -1.0)],
+                         ids=["zero", "negative"])
+def test_ladder_weights_must_be_positive(ladder):
+    # a weight <= 0 would fail inside the sweep with a message that sends
+    # the caller back to the sweep
+    with pytest.raises(ValueError, match="must be positive"):
+        solve_degenerate(bump_problem(), Grid1D(8.0, 161), eps=0.025,
+                         ladder=ladder)
+
+
+def test_each_level_marches_the_lifted_operands():
+    # level w marches the flux multiplier (sigma^2 + w)/2 on the problem's
+    # own data and drift, bit for bit
+    grid = Grid1D(10.0, 101)
+    problem = desk_problem(horizon=0.1)
+    ladder = (1e-1, 1e-2)
+    sweep = solve_degenerate(problem, grid, 0.025, ladder)
+    conj = ConjugateHamiltonian.quadratic()
+    sigma = problem.volatility_data(grid).sigma
+    initial, source = problem.transformed_data(grid)
+    for level, sol in zip(ladder, sweep.solutions):
+        ops = EllipticOperands(grid, conj, 0.5 * (sigma**2 + level),
+                               problem.drift_data(grid))
+        march = mild_solve(TransformedProblem(ops, initial, source, 0.1),
+                           0.025)
+        np.testing.assert_array_equal(sol.snapshots, march.snapshots)
+
+
+def test_expression_cost_is_tabulated_on_the_default_range():
+    problem = replace(bump_problem(), cost=RunningCost.from_callable(
+        lambda u: u * u + 0.25 * u, 1.0))
+    sweep = solve_degenerate(problem, Grid1D(8.0, 81), 0.025, (1e-1,))
+    assert sweep.solutions[0].operands.conj.p_range == (-50.0, 50.0)
 
 
 def test_each_level_satisfies_energy_finiteness():
     from mildhjb.stepper import energy_report
     grid = Grid1D(8.0, 161)
-    vol = pinched_volatility(grid)
-    y0, source = bump_data(grid)
-    sweep = solve_degenerate(grid, ConjugateHamiltonian.quadratic(), vol,
-                             y0, source, horizon=0.1, eps=0.025,
+    sweep = solve_degenerate(bump_problem(), grid, eps=0.025,
                              ladder=(1e-1, 1e-2))
     for sol in sweep.solutions:
         report = energy_report(sol)
@@ -125,11 +156,9 @@ def test_each_level_satisfies_energy_finiteness():
 def test_shortened_last_step_is_certified_at_its_own_shift(eps):
     grid = Grid1D(10.0, 101)
     control = desk_problem(horizon=0.5)
-    initial, source = control.transformed_data(grid)
     vol = control.volatility_data(grid)
-    conj = linear_conjugate()
-    sweep = solve_degenerate(grid, conj, vol, initial, source, 0.5, eps,
-                             ladder=(0.1,), drift=control.drift_data(grid))
+    conj = ConjugateHamiltonian.quadratic()
+    sweep = solve_degenerate(control, grid, eps, ladder=(0.1,))
     sol, report = sweep.solutions[0], sweep.bound_reports[0]
     assert 0.0 < sol.partial_step < eps
     # the last step solved lam = 1/partial_step, not 1/eps

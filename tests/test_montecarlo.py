@@ -156,6 +156,17 @@ def test_negative_policy_values_are_clamped():
     np.testing.assert_array_equal(raw.samples, off.samples)
 
 
+@pytest.mark.parametrize("run", [
+    lambda problem, cfg: simulate_cost(problem, -0.5, cfg),
+    lambda problem, cfg: compare_policies(problem, 0.5, [-1.0, 0.5], cfg),
+], ids=["simulate", "compare"])
+def test_negative_constant_control_is_rejected(run):
+    # clamped, it would run as u = 0 under the label of the negative level
+    cfg = SimConfig(n_paths=50, dt=1e-3, seed=5)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        run(brownian_problem(horizon=0.2), cfg)
+
+
 def test_common_random_numbers_align_policies():
     problem = brownian_problem(horizon=0.5)
     cfg = SimConfig(n_paths=800, dt=1e-3, seed=23)

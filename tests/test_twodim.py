@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import linear_conjugate
-from mildhjb.conjugate import ConjugateHamiltonian
+from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
 from mildhjb.grid import Grid1D
 from mildhjb.resolvent import EllipticOperands, Iterate, solve_resolvent
 from mildhjb.stepper import TransformedProblem, mild_solve
 import mildhjb.twodim as twodim
-from mildhjb.twodim import Grid2D, Problem2D, solve_L
+from mildhjb.twodim import Grid2D, PlanarProblem, Problem2D, solve_L
 
 CONJ = ConjugateHamiltonian.quadratic()
 
@@ -111,6 +111,45 @@ def test_anisotropy_warning_names_the_caller():
     with pytest.warns(RuntimeWarning, match="cross term") as record:
         Problem2D(g, [[1.0, 0.9], [0.9, 1.0]], np.ones((g.n, g.n)), CONJ)
     assert record[0].filename == __file__
+
+
+def gauss_parts(x, y):
+    e = np.exp(-x**2 - y**2)
+    return (4.0 * x**2 - 2.0) * e, 4.0 * x * y * e, (4.0 * y**2 - 2.0) * e
+
+
+def test_planar_problem_discretizes_as_the_inline_assembly():
+    # the operand and the data -L g0, -L g, assembled as the solve-2d runner
+    # once did it inline; parts returning a scalar are broadcast
+    grid = Grid2D(6.0, 21)
+    a = np.array([[1.0, 0.3], [0.0, 1.0]])
+    planar = PlanarProblem(
+        a=a, sigma0=lambda x, y: np.sqrt(2.0) + 0.1 * np.sin(x) * np.cos(y),
+        g_parts=tuple(lambda x, y, k=k: gauss_parts(x, y)[k]
+                      for k in range(3)),
+        g0_parts=(lambda x, y: 1.0, lambda x, y: 0.0, lambda x, y: 1.0),
+        cost=RunningCost.from_callable(lambda u: u * u + 0.25 * u, 1.0),
+        horizon=0.5)
+    problem = planar.discretize(grid)
+
+    X, Y = grid.mesh
+    sigma0 = (np.asarray(planar.sigma0(X, Y), dtype=float)
+              + np.zeros_like(X))
+    b = a @ a.T
+
+    def l_of(parts):
+        pxx, pxy, pyy = (np.asarray(p(X, Y), dtype=float) + np.zeros_like(X)
+                         for p in parts)
+        return b[0, 0] * pxx + 2.0 * b[0, 1] * pxy + b[1, 1] * pyy
+
+    ops = problem.operands
+    assert isinstance(ops, Problem2D) and ops.grid == grid
+    np.testing.assert_array_equal(ops.a, a)
+    np.testing.assert_array_equal(ops.sigma0, sigma0)
+    assert ops.conj.p_range == (-50.0, 50.0)
+    np.testing.assert_array_equal(problem.initial, -l_of(planar.g0_parts))
+    np.testing.assert_array_equal(problem.source, -l_of(planar.g_parts))
+    assert problem.horizon == 0.5
 
 
 def test_linear_conjugate_matches_direct_sparse_solve():
