@@ -10,8 +10,7 @@ constant-control baselines.
 """
 
 from .conjugate import (ConjugateHamiltonian, CostValidationError,
-                        NonConvexCostError, RunningCost, conjugate,
-                        conjugate_derivative, potential)
+                        NonConvexCostError, RunningCost)
 from .degenerate import (DegenerateSweep, VolatilityData, check_linf_bound,
                          solve_degenerate, sup_bound)
 from .drift import DriftData, apply_B

@@ -21,7 +21,7 @@ import scipy
 
 from . import __version__
 from .config import MODES, RunConfig, parse_config
-from .conjugate import conjugate, conjugate_derivative, potential
+from .conjugate import ConjugateHamiltonian
 from .degenerate import solve_degenerate
 from .grid import Grid1D
 from .montecarlo import (SEED_RANGE, SimConfig, compare_policies,
@@ -290,9 +290,10 @@ def _run_solve_2d(cfg: RunConfig, out: Path, quiet: bool) -> None:
 
 
 def _run_conjugate_table(cfg: RunConfig, out: Path, quiet: bool) -> None:
+    conj = ConjugateHamiltonian.for_cost(cfg.cost, cfg.p_min, cfg.p_max,
+                                         cfg.p_nodes)
     ps = np.linspace(cfg.p_min, cfg.p_max, cfg.p_nodes)
-    rows = zip(ps, conjugate(cfg.cost, ps), conjugate_derivative(cfg.cost, ps),
-               [potential(cfg.cost, p) for p in ps])
+    rows = zip(ps, conj.value(ps), conj.derivative(ps), conj.potential(ps))
     _write_csv(out / "reports" / "conjugate_table.csv",
                "conjugate of the running cost; columns: argument, value, "
                "derivative, potential",

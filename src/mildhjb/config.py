@@ -398,16 +398,20 @@ def parse_config(text: str, mode_override: Optional[str] = None
                                     lambda w: w > 0, "positive")
         if cfg.ladder and any(b >= a for a, b in zip(cfg.ladder,
                                                      cfg.ladder[1:])):
-            v.error(0, "[degenerate] ladder", "must be strictly decreasing")
+            v.error(v.get("degenerate", "ladder")[1], "[degenerate] ladder",
+                    "must be strictly decreasing")
 
     if mode == "conjugate-table":
-        cfg.p_min = v.number("conjugate", "p_min", default=-10.0)
-        cfg.p_max = v.number("conjugate", "p_max", default=10.0)
+        # the potential vanishes at 0, so the table must reach 0
+        cfg.p_min = v.number("conjugate", "p_min", default=-10.0,
+                             check=lambda p: p <= 0, describe="p_min <= 0")
+        cfg.p_max = v.number("conjugate", "p_max", default=10.0,
+                             check=lambda p: p >= 0, describe="p_max >= 0")
         cfg.p_nodes = v.integer("conjugate", "nodes", default=401,
                                 check=lambda k: k >= 2, describe=">= 2")
-        if cfg.p_min is not None and cfg.p_max is not None \
-                and not cfg.p_min < cfg.p_max:
-            v.error(0, "[conjugate] p_min", "need p_min < p_max")
+        if not cfg.p_min < cfg.p_max:
+            v.error(v.get("conjugate", "p_min")[1], "[conjugate] p_min",
+                    "need p_min < p_max")
 
     if planar:
         problem["horizon"] = v.number("2d", "T", required=True, mode=mode,

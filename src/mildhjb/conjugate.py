@@ -8,10 +8,12 @@ the extended cost that is ``+inf`` for ``u < 0``.  The conjugate
 is convex and nondecreasing, its derivative is the maximizing control (the
 resolvent of the cost subgradient plus the normal cone at 0, hence clamped
 at 0), and the potential is the antiderivative of the conjugate vanishing
-at 0.  A closed-form quadratic backend covers ``h(u) = a1*u^2 + a2``; any
-other convex cost goes through a bracketed numeric maximization that treats
-an array of arguments together, one cost evaluation per iteration for all
-of them, optionally tabulated once for fast interpolation inside the solver.
+at 0.  ``ConjugateHamiltonian.for_cost`` is the one way from a cost to its
+conjugate: the closed form for ``h(u) = a1*u^2 + a2``, otherwise a table of
+a bracketed numeric maximization that treats an array of arguments together,
+one cost evaluation per iteration for all of them.  The table's potential
+is the end-corrected trapezoid of its value and derivative samples, exact
+for piecewise cubics, so no quadrature is needed.
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ __all__ = [
     "CostValidationError",
     "NonConvexCostError",
     "RunningCost",
-    "conjugate",
-    "conjugate_derivative",
-    "potential",
 ]
 
 
@@ -219,43 +218,6 @@ def _maximize(cost: RunningCost, p):
     return u_star.reshape(shape), g_star.reshape(shape), tie.reshape(shape)
 
 
-def conjugate(cost: RunningCost, p):
-    """sup over u >= 0 of (p*u - h(u)); elementwise, a float for a scalar."""
-    if cost.kind == "quadratic":
-        # float_power is libm's pow, as the scalar ``**`` uses
-        value = (np.float_power(np.maximum(p, 0.0), 2) / (4.0 * cost.alpha1)
-                 - cost.alpha2)
-    else:
-        _, value, _ = _maximize(cost, p)
-    return float(value) if np.ndim(p) == 0 else value
-
-
-def conjugate_derivative(cost: RunningCost, p):
-    """The maximizing control; 0 for every p below the cost slope at 0.
-
-    Elementwise, a float for a scalar.  When the cost is affine on a segment
-    the maximizer is not unique; the smallest one is returned (ties broken
-    toward zero volatility).
-    """
-    if cost.kind == "quadratic":
-        u_star = np.maximum(p, 0.0) / (2.0 * cost.alpha1)
-    else:
-        u_star, _, _ = _maximize(cost, p)
-    return float(u_star) if np.ndim(p) == 0 else u_star
-
-
-def potential(cost: RunningCost, r: float) -> float:
-    """Integral of the conjugate from 0 to r (adaptive quadrature if needed)."""
-    if cost.kind == "quadratic":
-        a1, a2 = cost.alpha1, cost.alpha2
-        return float(max(r, 0.0) ** 3 / (12.0 * a1) - a2 * r)
-    # scipy.integrate dominates the package's import time; only the
-    # conjugate-table mode needs it
-    from scipy.integrate import quad
-    value, _ = quad(lambda p: conjugate(cost, p), 0.0, float(r), limit=200)
-    return float(value)
-
-
 class ConjugateHamiltonian:
     """Packaged conjugate for the solver: value, derivative, potential.
 
@@ -315,7 +277,10 @@ class ConjugateHamiltonian:
 
         Linear interpolation between nodes; beyond the table the derivative
         is extrapolated as a constant (it is globally Lipschitz), so the
-        value continues linearly and the potential quadratically.
+        value continues linearly and the potential quadratically.  The
+        potential at the nodes sums the end-corrected trapezoid
+        ``step/2*(v_k + v_{k+1}) + step^2/12*(d_k - d_{k+1})`` over the value
+        and derivative samples, exact where the conjugate is a cubic.
         """
         if not p_min < p_max:
             raise ValueError("need p_min < p_max")
@@ -323,10 +288,11 @@ class ConjugateHamiltonian:
         blocks = [_maximize(cost, grid[i:i + _BLOCK])
                   for i in range(0, grid.size, _BLOCK)]
         ders, vals, ties = (np.concatenate(column) for column in zip(*blocks))
-        # trapezoid integral of the tabulated value
-        pots = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))))
-        lip = float(np.max(np.abs(np.diff(ders) / np.diff(grid))))
+        step = np.diff(grid)
+        pots = np.concatenate(([0.0], np.cumsum(
+            0.5 * (vals[1:] + vals[:-1]) * step
+            + step * step / 12.0 * (ders[:-1] - ders[1:]))))
+        lip = float(np.max(np.abs(np.diff(ders) / step)))
 
         def value(p):
             core = np.interp(p, grid, vals)
@@ -360,8 +326,10 @@ class ConjugateHamiltonian:
                    ties_detected=bool(ties.any()))
 
     @classmethod
-    def for_cost(cls, cost: RunningCost, p_abs: float = 50.0):
-        """Closed form for the quadratic backend, a table otherwise."""
+    def for_cost(cls, cost: RunningCost, p_min: float = -50.0,
+                 p_max: float = 50.0, nodes: int = 4097):
+        """Closed form for the quadratic backend, otherwise the ``tabulate``
+        table, whose potential is the end-corrected trapezoid."""
         if cost.kind == "quadratic":
             return cls.quadratic(cost.alpha1, cost.alpha2)
-        return cls.tabulate(cost, -p_abs, p_abs)
+        return cls.tabulate(cost, p_min, p_max, nodes)

@@ -80,7 +80,7 @@ class ControlProblem:
         if conj is None:
             smax2 = float(np.max(sigma**2))
             p_abs = max(1.0, 4.0 * smax2 * float(np.max(np.abs(initial))))
-            conj = ConjugateHamiltonian.for_cost(self.cost, p_abs)
+            conj = ConjugateHamiltonian.for_cost(self.cost, -p_abs, p_abs)
         ops = EllipticOperands(grid, conj, 0.5 * (sigma**2 + regularization),
                                self.drift_data(grid))
         return TransformedProblem(ops, initial, source, self.horizon)

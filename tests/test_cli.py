@@ -120,6 +120,20 @@ p_max = 5
 nodes = 201
 """
 
+TABLE_EXPR = """
+mode = conjugate-table
+
+[cost]
+kind = expression
+h = u^2 + 0.25*u
+alpha1 = 1.0
+
+[conjugate]
+p_min = -10
+p_max = 10
+nodes = 41
+"""
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -145,6 +159,23 @@ def test_conjugate_table_matches_closed_forms(tmp_path):
         assert value == pytest.approx(max(p, 0.0) ** 2 / 4.0, abs=1e-10)
         assert derivative == pytest.approx(max(p, 0.0) / 2.0, abs=1e-10)
         assert pot == pytest.approx(max(p, 0.0) ** 3 / 12.0, abs=1e-10)
+
+
+def test_expression_conjugate_table_matches_closed_forms(tmp_path):
+    # the conjugate of u^2 + 0.25*u is max(p - 0.25, 0)^2/4, read off one
+    # table whose potential needs no quadrature
+    cfg = write(tmp_path, "c.cfg", TABLE_EXPR)
+    out = tmp_path / "out"
+    assert main(["conjugate-table", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 0
+    _, data = read_table(out / "reports" / "conjugate_table.csv")
+    assert len(data) == 41
+    for row in data:
+        p, value, derivative, pot = map(float, row)
+        q = max(p - 0.25, 0.0)
+        assert value == pytest.approx(q * q / 4.0, abs=1e-12)
+        assert derivative == pytest.approx(q / 2.0, abs=2e-8)
+        assert pot == pytest.approx(q ** 3 / 12.0, abs=1e-9)
 
 
 def test_solve_with_short_horizon_emits_single_snapshot(tmp_path):
@@ -193,8 +224,10 @@ def in_mode(mode):
     ("sweep-degenerate", DEGENERATE, {"reports"}),
     ("solve-2d", SOLVE_2D, {"fields", "reports"}),
     ("conjugate-table", TABLE, {"reports"}),
+    ("conjugate-table", TABLE_EXPR, {"reports"}),
 ], ids=["solve", "value", "policy", "simulate", "sweep-eps",
-        "sweep-degenerate", "solve-2d", "conjugate-table"])
+        "sweep-degenerate", "solve-2d", "conjugate-table",
+        "conjugate-table-expression"])
 def test_manifest_round_trip_reproduces_artifacts(tmp_path, mode, text, tops):
     cfg = write(tmp_path, "s.cfg", text)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -457,25 +490,37 @@ def test_streamed_field_tables_match_per_row_reference(tmp_path):
                      for i, x in nodes for j, y in nodes])
 
 
-def loaded_by_cli_import(module):
-    """Whether a fresh ``import mildhjb.cli`` loads ``module``."""
+def loaded_by_cli_import(module, *argv):
+    """Whether a fresh ``import mildhjb.cli``, followed by ``main(argv)``
+    when ``argv`` is given, loads ``module``."""
     import subprocess
     import sys
     from pathlib import Path
 
     src = Path(__file__).resolve().parent.parent / "src"
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mildhjb.cli; "
+    code = ("import sys\nsys.path.insert(0, sys.argv[1])\nimport mildhjb.cli\n"
+            "if sys.argv[3:] and mildhjb.cli.main(sys.argv[3:]):\n"
+            "    sys.exit('run failed')\n"
             "print(sys.argv[2] in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, str(src), module],
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, str(src), module,
+                           *argv], capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip() == "True"
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    # quadrature serves only the conjugate-table mode; importing it costs
+    # no mode integrates by quadrature; importing scipy.integrate would cost
     # most of the package's import time
     assert not loaded_by_cli_import("scipy.integrate")
+
+
+def test_expression_conjugate_table_leaves_out_scipy_integrate(tmp_path):
+    # the table's potential comes from its own samples, not from quadrature
+    cfg = write(tmp_path, "c.cfg", TABLE_EXPR)
+    assert not loaded_by_cli_import(
+        "scipy.integrate", "conjugate-table", "--config", str(cfg),
+        "--out", str(tmp_path / "out"), "--quiet")
 
 
 def test_cli_import_leaves_out_scipy_fft():

@@ -259,6 +259,46 @@ def test_list_entries_out_of_range_rejected(text, old, new, field):
     assert [(e.field, e.line) for e in errors] == [(field, line)]
 
 
+TABLE = """
+mode = conjugate-table
+
+[cost]
+kind = quadratic
+alpha1 = 1.0
+
+[conjugate]
+p_min = -5
+p_max = 5
+"""
+
+
+@pytest.mark.parametrize("text, old, new, entry, field", [
+    (DEGENERATE, "ladder = 1e-1 1e-2", "ladder = 1e-2 1e-1",
+     "ladder = 1e-2 1e-1", "[degenerate] ladder"),
+    (TABLE, "p_min = -5\np_max = 5", "p_min = 0\np_max = 0", "p_min = 0",
+     "[conjugate] p_min"),
+    (TABLE, "p_min = -5\np_max = 5", "p_min = 6\np_max = 8", "p_min = 6",
+     "[conjugate] p_min"),
+    (TABLE, "p_max = 5", "p_max = -1", "p_max = -1", "[conjugate] p_max"),
+], ids=["increasing-ladder", "empty-range", "range-above-0", "range-below-0"])
+def test_cross_entry_errors_name_their_line(text, old, new, entry, field):
+    # the table's potential vanishes at 0, so its range must contain 0
+    assert parse_config(text)[1] == []
+    bad = text.replace(old, new)
+    cfg, errors = parse_config(bad)
+    assert cfg is None
+    line = bad.splitlines().index(entry) + 1
+    assert [(e.field, e.line) for e in errors] == [(field, line)]
+
+
+@pytest.mark.parametrize("p_min, p_max", [("0", "5"), ("-5", "0")])
+def test_conjugate_range_may_end_at_zero(p_min, p_max):
+    cfg, errors = parse_config(TABLE.replace("p_min = -5", f"p_min = {p_min}")
+                               .replace("p_max = 5", f"p_max = {p_max}"))
+    assert errors == []
+    assert (cfg.p_min, cfg.p_max) == (float(p_min), float(p_max))
+
+
 @pytest.mark.parametrize("x0, ok", [
     ("-10", True), ("10", True), ("10.5", False), ("-12", False)])
 def test_start_point_must_lie_on_the_mesh(x0, ok):

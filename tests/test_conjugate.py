@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mildhjb.conjugate import (ConjugateHamiltonian, CostValidationError,
-                               NonConvexCostError, RunningCost, conjugate,
-                               conjugate_derivative, potential)
+                               NonConvexCostError, RunningCost, _maximize)
 from mildhjb.expressions import parse_expression
 
 QUAD = RunningCost.quadratic(1.0, 0.0)
+CONJ = ConjugateHamiltonian.for_cost(QUAD)
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -26,19 +26,19 @@ def test_conjugate_matches_brute_force():
     value, arg = brute_sup(QUAD, 2.0)
     assert value == pytest.approx(1.0, abs=1e-8)
     assert arg == pytest.approx(1.0, abs=1e-4)
-    assert conjugate(QUAD, 2.0) == pytest.approx(1.0, abs=1e-12)
-    assert conjugate_derivative(QUAD, 2.0) == pytest.approx(1.0, abs=1e-12)
+    assert float(CONJ.value(2.0)) == pytest.approx(1.0, abs=1e-12)
+    assert float(CONJ.derivative(2.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conjugate_negative_and_zero_argument():
-    assert conjugate(QUAD, -3.0) == 0.0
-    assert conjugate(QUAD, 0.0) == 0.0
-    assert conjugate_derivative(QUAD, -5.0) == 0.0
+    assert CONJ.value(-3.0) == 0.0
+    assert CONJ.value(0.0) == 0.0
+    assert CONJ.derivative(-5.0) == 0.0
 
 
 def test_derivative_consistent_with_finite_difference():
     step = 1e-6
-    fd = (conjugate(QUAD, 2.0 + step) - conjugate(QUAD, 2.0 - step)) / (2 * step)
+    fd = (CONJ.value(2.0 + step) - CONJ.value(2.0 - step)) / (2 * step)
     assert fd == pytest.approx(1.0, abs=1e-4)
 
 
@@ -47,31 +47,33 @@ def test_potential_values():
     ps = np.linspace(0.0, 2.0, 20001)
     oracle = float(trapezoid(ps**2 / 4.0, ps))
     assert oracle == pytest.approx(2.0 / 3.0, abs=1e-8)
-    assert potential(QUAD, 2.0) == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert potential(QUAD, 0.0) == 0.0
-    assert potential(QUAD, -1.0) == 0.0
+    assert float(CONJ.potential(2.0)) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert CONJ.potential(0.0) == 0.0
+    assert CONJ.potential(-1.0) == 0.0
 
 
 def test_callable_backend_matches_closed_form():
     cost = RunningCost.from_callable(lambda u: u * u, alpha1=1.0)
     for p in (-2.0, 0.0, 0.7, 2.0, 5.0):
-        assert conjugate(cost, p) == pytest.approx(conjugate(QUAD, p), abs=1e-9)
-        assert conjugate_derivative(cost, p) == pytest.approx(
-            conjugate_derivative(QUAD, p), abs=1e-6)
-    assert potential(cost, 2.0) == pytest.approx(2.0 / 3.0, abs=1e-8)
+        u_star, value, _ = _maximize(cost, p)
+        assert value == pytest.approx(CONJ.value(p), abs=1e-9)
+        assert u_star == pytest.approx(CONJ.derivative(p), abs=1e-6)
+    table = ConjugateHamiltonian.for_cost(cost, -4.0, 4.0, nodes=4097)
+    assert 2.0 in np.linspace(-4.0, 4.0, 4097)
+    assert float(table.potential(2.0)) == pytest.approx(2.0 / 3.0, abs=1e-8)
 
 
 @settings(max_examples=200, deadline=None)
 @given(p=st.floats(-40.0, 40.0), u=st.floats(0.0, 20.0))
 def test_fenchel_young_inequality(p, u):
-    assert p * u <= conjugate(QUAD, p) + float(QUAD.evaluate(u)) + 1e-9
+    assert p * u <= CONJ.value(p) + float(QUAD.evaluate(u)) + 1e-9
 
 
 @settings(max_examples=100, deadline=None)
 @given(p=st.floats(-40.0, 40.0))
 def test_fenchel_young_equality_at_maximizer(p):
-    u = conjugate_derivative(QUAD, p)
-    gap = conjugate(QUAD, p) + float(QUAD.evaluate(u)) - p * u
+    u = float(CONJ.derivative(p))
+    gap = CONJ.value(p) + float(QUAD.evaluate(u)) - p * u
     assert abs(gap) <= 1e-8
 
 
@@ -79,26 +81,27 @@ def test_fenchel_young_equality_at_maximizer(p):
 @given(p1=st.floats(-30.0, 30.0), p2=st.floats(-30.0, 30.0))
 def test_monotonicity(p1, p2):
     lo, hi = min(p1, p2), max(p1, p2)
-    assert conjugate(QUAD, lo) <= conjugate(QUAD, hi) + 1e-12
-    assert conjugate_derivative(QUAD, lo) <= conjugate_derivative(QUAD, hi) + 1e-12
+    assert CONJ.value(lo) <= CONJ.value(hi) + 1e-12
+    assert CONJ.derivative(lo) <= CONJ.derivative(hi) + 1e-12
 
 
 def test_growth_cap():
     cost = RunningCost.quadratic(0.7, 0.3)
+    conj = ConjugateHamiltonian.for_cost(cost)
     h0 = float(cost.evaluate(0.0))
     for p in np.linspace(-20, 20, 81):
-        assert conjugate(cost, p) <= p**2 / (4 * 0.7) + abs(0.3) + abs(h0) + 1e-12
+        assert conj.value(p) <= p**2 / (4 * 0.7) + abs(0.3) + abs(h0) + 1e-12
 
 
 def test_scaling_inequality_for_quadratic():
     # doubling the argument scales the potential by a measured constant c2;
     # the conjugate then satisfies value(v)*v <= (c2 - 1) * potential(v)
     vs = np.linspace(0.05, 8.0, 160)
-    ratios = [potential(QUAD, 2 * v) / potential(QUAD, v) for v in vs]
+    ratios = [CONJ.potential(2 * v) / CONJ.potential(v) for v in vs]
     c2 = max(ratios)
     assert c2 == pytest.approx(8.0, rel=1e-9)
     for v in vs:
-        assert conjugate(QUAD, v) * v <= (c2 - 1.0) * potential(QUAD, v) + 1e-9
+        assert CONJ.value(v) * v <= (c2 - 1.0) * CONJ.potential(v) + 1e-9
 
 
 def test_cost_validation_rejects_bad_parameters():
@@ -124,7 +127,7 @@ def test_nonconvex_cost_detected_in_bracket():
         lambda u: u * u - 6.0 * np.exp(-4.0 * (u - 6.0) ** 2),
         alpha1=0.75, probe_max=2.0)
     with pytest.raises(NonConvexCostError):
-        conjugate(dipped, 4.0)
+        _maximize(dipped, 4.0)
 
 
 def piecewise_flat_cost():
@@ -139,7 +142,7 @@ def piecewise_flat_cost():
 
 def test_smallest_maximizer_on_flat_segment():
     cost = piecewise_flat_cost()
-    u = conjugate_derivative(cost, 2.0)
+    u, _, _ = _maximize(cost, 2.0)
     assert u == pytest.approx(1.0, abs=1e-3)
 
 
@@ -180,11 +183,11 @@ def test_potential_is_antiderivative_of_value():
 
 
 def test_quadratic_conjugate_with_offset():
-    cost = RunningCost.quadratic(2.0, 0.5)
+    conj = ConjugateHamiltonian.for_cost(RunningCost.quadratic(2.0, 0.5))
     # sup of p*u - 2u^2 - 0.5 at u = p/4
-    assert conjugate(cost, 4.0) == pytest.approx(16.0 / 8.0 - 0.5)
-    assert conjugate(cost, -1.0) == pytest.approx(-0.5)
-    assert conjugate_derivative(cost, 4.0) == pytest.approx(1.0)
+    assert conj.value(4.0) == pytest.approx(16.0 / 8.0 - 0.5)
+    assert conj.value(-1.0) == pytest.approx(-0.5)
+    assert conj.derivative(4.0) == pytest.approx(1.0)
 
 
 def test_tabulated_derivative_is_nonnegative_with_linear_growth_cap():
@@ -212,10 +215,12 @@ def test_table_nodes_equal_pointwise_conjugate_exactly():
     values = table.value(nodes)
     derivatives = table.derivative(nodes)
     for p, value, derivative in zip(nodes, values, derivatives):
-        assert value == conjugate(cost, p)
-        assert derivative == conjugate_derivative(cost, p)
-    np.testing.assert_array_equal(conjugate(cost, nodes), values)
-    np.testing.assert_array_equal(conjugate_derivative(cost, nodes), derivatives)
+        u_star, g_star, _ = _maximize(cost, p)
+        assert value == g_star
+        assert derivative == u_star
+    u_star, g_star, _ = _maximize(cost, nodes)
+    np.testing.assert_array_equal(g_star, values)
+    np.testing.assert_array_equal(u_star, derivatives)
 
 
 def test_table_keeps_smallest_maximizer_at_tie_nodes():
@@ -226,8 +231,9 @@ def test_table_keeps_smallest_maximizer_at_tie_nodes():
     assert table.ties_detected
     for p, value, derivative in zip(grid, table.value(grid),
                                     table.derivative(grid)):
-        assert value == conjugate(cost, p)
-        assert derivative == conjugate_derivative(cost, p)
+        u_star, g_star, _ = _maximize(cost, p)
+        assert value == g_star
+        assert derivative == u_star
     assert float(table.derivative(2.0)) == pytest.approx(1.0, abs=1e-3)
 
 
@@ -272,10 +278,13 @@ def test_tabulate_is_a_classmethod_with_a_node_count():
 
 @pytest.mark.parametrize("p_min, p_max", [(0.5, 3.0), (-3.0, -0.5)])
 def test_potential_vanishes_at_zero_off_the_table(p_min, p_max):
+    # the conjugate of u^2 + 0.25*u is max(p - 0.25, 0)^2/4.  Left of a table
+    # at 0.5 the value continues as 1/64 + (p - 0.5)/8, whose integral from
+    # 0 to 0.5 is -1/128; on [-3, -0.5] the value and derivative are 0
     cost = RunningCost.from_callable(lambda u: u * u + 0.25 * u, alpha1=1.0)
     table = ConjugateHamiltonian.tabulate(cost, p_min, p_max, nodes=257)
     assert abs(float(table.potential(0.0))) <= 1e-15
     for r in (p_min, 0.5 * (p_min + p_max), p_max):
-        grid = np.linspace(0.0, r, 4001)
-        oracle = float(trapezoid(table.value(grid), grid))
-        assert float(table.potential(r)) == pytest.approx(oracle, abs=1e-6)
+        oracle = (-0.0078125 + ((r - 0.25) ** 3 - 0.25 ** 3) / 12.0
+                  if p_min > 0 else 0.0)
+        assert float(table.potential(r)) == pytest.approx(oracle, abs=1e-12)
