@@ -383,8 +383,11 @@ class Expression:
         if not shape:
             return float(result)
         if result.shape != shape:
-            result = np.broadcast_to(result, shape)
-        return result.copy()
+            return np.broadcast_to(result, shape).copy()
+        # every operation returns a new array; only a bare variable aliases
+        if any(result is v for v in env.values()):
+            return result.copy()
+        return result
 
     def derivative(self, var: str | None = None) -> "Expression":
         var = var if var is not None else self.variables[0]

@@ -11,8 +11,11 @@ are reproducible bit for bit and two policies simulated at the same seed see
 identical noise (common random numbers).  One march steps every compared
 policy as one row of a (policies, paths) state on the same noise, in blocks
 of ``_BLOCK`` paths; it holds one block of noise at a time
-(``_BLOCK * steps * 8`` bytes).  A constant policy's control row is filled
-once per block, and only the callable policies are called on each step.
+(``_BLOCK * steps * 8`` bytes), and copies it ``_CHUNK`` steps at a time into
+a contiguous ``(_CHUNK, paths)`` buffer that the steps read row by row.  A
+constant policy's rows of the control, its square root and its running cost
+are filled once per block, and only the callable policies are called on each
+step.
 Reductions over paths use exact summation, making the report independent of
 the accumulation order.
 """
@@ -45,6 +48,9 @@ MAX_EXCLUDED_FRACTION = 0.01
 
 # paths stepped, and noise held, at a time
 _BLOCK = 4096
+
+# steps of noise copied at a time into a contiguous (steps, paths) buffer
+_CHUNK = 8
 
 # a seed is one 64-bit word of the Philox key
 SEED_RANGE = "0 <= seed <= 2**64 - 1"
@@ -91,12 +97,23 @@ class McReport:
 
 
 def _path_normals(seed: int, first: int, count: int, steps: int) -> np.ndarray:
-    """(count, steps) standard normals from per-path counter streams."""
+    """(count, steps) standard normals; row ``i`` is the stream of path
+    ``first + i``, the first ``steps`` normals of
+    ``Generator(Philox(key=[seed, first + i]))``.
+
+    One generator serves the block: each row resets its key and zeroes its
+    counter and buffer through ``bits.state``, which starts the same stream
+    as a new ``Philox`` without the seed sequence that one would build.
+    """
     out = np.empty((count, steps))
+    bits = np.random.Philox(key=np.array([seed, first], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    key = fresh["state"]["key"]
     for i in range(count):
-        key = np.array([seed, first + i], dtype=np.uint64)
-        out[i] = np.random.Generator(np.random.Philox(key=key)) \
-            .standard_normal(steps)
+        key[1] = first + i
+        bits.state = fresh
+        gen.standard_normal(out=out[i])
     return out
 
 
@@ -135,22 +152,34 @@ def _simulate(problem: ControlProblem, policies: Sequence[Policy],
     for start in range(0, cfg.n_paths, _BLOCK):
         stop = min(start + _BLOCK, cfg.n_paths)
         z = _path_normals(cfg.seed, start, stop - start, steps)
+        noise = np.empty((_CHUNK, stop - start))
         x = np.full((len(policies), stop - start), float(cfg.x0))
-        u = np.empty(x.shape)
+        u = np.zeros(x.shape)
         for i, p in enumerate(policies):
             if not callable(p):
                 u[i] = p
+        # the constant rows of sqrt(u) and h(u) hold for the whole block
+        root = np.sqrt(u)
+        cost = np.array(problem.cost.evaluate(u), dtype=float)
         run = np.zeros(x.shape)
         with np.errstate(all="ignore"):
             for k in range(steps):
+                if k % _CHUNK == 0:
+                    ahead = z[:, k:k + _CHUNK]
+                    noise[:ahead.shape[1]] = ahead.T
                 t = k * dt
                 for i, act in called:
-                    u[i] = np.maximum(act(t, x[i]), 0.0)
-                run += (np.asarray(problem.g(x), dtype=float)
-                        + problem.cost.evaluate(u)) * dt
-                x = (x + np.asarray(drift(x), dtype=float) * dt
-                     + np.sqrt(u) * np.asarray(problem.sigma(x), dtype=float)
-                     * sqrt_dt * z[:, k])
+                    np.maximum(act(t, x[i]), 0.0, out=u[i])
+                    np.sqrt(u[i], out=root[i])
+                    cost[i] = problem.cost.evaluate(u[i])
+                paid = np.asarray(problem.g(x), dtype=float) + cost
+                paid *= dt
+                run += paid
+                kick = root * np.asarray(problem.sigma(x), dtype=float)
+                kick *= sqrt_dt
+                kick *= noise[k % _CHUNK]
+                x = x + np.asarray(drift(x), dtype=float) * dt
+                x += kick
             run += np.asarray(problem.g0(x), dtype=float)
         costs[:, start:stop] = run
         alive[:, start:stop] = np.isfinite(x) & np.isfinite(run)

@@ -248,9 +248,15 @@ def _dst1(v) -> np.ndarray:
     return -0.5 * np.fft.rfft(odd)[..., 1:m + 1].imag
 
 
+def _dot(a, b) -> float:
+    return float(np.einsum("ij,ij->", a, b))
+
+
 def _cg(apply, precondition, rhs, max_iter) -> tuple[np.ndarray, int]:
     """Preconditioned conjugate gradients from 0; returns (x, iterations).
 
+    The inner products sum in numpy's own loop, not BLAS ``ddot``, whose
+    threaded split would make the result depend on the thread count.
     Stops once ``r . precondition(r)`` falls to ``_CG_RTOL**2`` times its
     value at ``r = rhs``; raises ``np.linalg.LinAlgError`` after
     ``max_iter`` iterations.
@@ -258,7 +264,7 @@ def _cg(apply, precondition, rhs, max_iter) -> tuple[np.ndarray, int]:
     x = np.zeros_like(rhs)
     r = rhs.copy()
     p = precondition(r)
-    rs = np.vdot(r, p)
+    rs = _dot(r, p)
     stop = _CG_RTOL**2 * rs
     iterations = 0
     while not rs <= stop:  # a NaN never converges
@@ -266,11 +272,11 @@ def _cg(apply, precondition, rhs, max_iter) -> tuple[np.ndarray, int]:
             raise np.linalg.LinAlgError(
                 f"Green solve did not converge in {max_iter} iterations")
         q = apply(p)
-        alpha = rs / np.vdot(p, q)
+        alpha = rs / _dot(p, q)
         x += alpha * p
         r -= alpha * q
         s = precondition(r)
-        rs, rs_old = np.vdot(r, s), rs
+        rs, rs_old = _dot(r, s), rs
         p = s + (rs / rs_old) * p
         iterations += 1
     return x, iterations

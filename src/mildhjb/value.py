@@ -77,6 +77,13 @@ class FeedbackPolicy:
     def __post_init__(self):
         if np.any(self.u < 0):
             raise ValueError("feedback table must be nonnegative")
+        # the cell slopes np.interp forms; None for a table that is not
+        # finite, where np.interp's own NaN rules apply
+        xs, u = self.grid.x, np.asarray(self.u, dtype=float)
+        with np.errstate(all="ignore"):
+            slopes = (u[:, 1:] - u[:, :-1]) / (xs[1:] - xs[:-1])
+        finite = np.isfinite(u).all() and np.isfinite(slopes).all()
+        self._slopes = slopes if finite else None
 
     def __call__(self, t, x):
         return interpolate_policy(self, t, x)
@@ -95,7 +102,10 @@ def interpolate_policy(policy: FeedbackPolicy, t, x):
 
     The interpolation is written in offset form (left value plus weighted
     difference) so that a table of equal values evaluates to that value
-    bitwise exactly.
+    bitwise exactly.  Each time row is interpolated in space bit for bit as
+    ``np.interp`` does it, but the cell comes from the uniform grid directly
+    and serves both rows (see ``_cell_rows``); the points where ``np.interp``
+    makes a special choice go to ``np.interp`` itself.
     """
     times, table, xs = policy.times, policy.u, policy.grid.x
     t = float(t)
@@ -103,6 +113,42 @@ def interpolate_policy(policy: FeedbackPolicy, t, x):
     i = min(max(i, 0), len(times) - 2)
     dt = times[i + 1] - times[i]
     wt = 0.0 if dt == 0 else min(max((t - times[i]) / dt, 0.0), 1.0)
-    lo = np.interp(x, xs, table[i])
-    hi = np.interp(x, xs, table[i + 1])
-    return lo + wt * (hi - lo)
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    lo, hi, inside = _cell_rows(policy, i, flat)
+    if not inside.all():
+        rest = ~inside
+        special = flat[rest]
+        lo[rest] = np.interp(special, xs, table[i])
+        hi[rest] = np.interp(special, xs, table[i + 1])
+    return (lo + wt * (hi - lo)).reshape(x.shape)[()]
+
+
+def _cell_rows(policy: FeedbackPolicy, i: int, x: np.ndarray):
+    """Time rows ``i`` and ``i + 1`` at the 1-D points ``x``, as
+    ``slope[j] * (x - x_j) + u[j]``, with the mask of the points where that
+    is ``np.interp``'s own arithmetic: ``x_j < x < x_{j+1}``.
+
+    The cell is ``floor(x/h)`` on the uniform grid, not a binary search.
+    Node hits, the ends and beyond, NaN, and the rare point that rounding
+    puts one cell off fall outside the mask.
+    """
+    if policy._slopes is None:
+        return np.empty_like(x), np.empty_like(x), np.zeros(x.shape, bool)
+    grid, nodes = policy.grid, policy.grid.x
+    with np.errstate(all="ignore"):
+        # x_j = h*(j - (n-1)/2); fmin/fmax keep NaN and inf off the cast
+        cell = np.floor(x / grid.h)
+        cell += (grid.n - 1) // 2
+        np.fmax(np.fmin(cell, grid.n - 2, out=cell), 0.0, out=cell)
+        j = cell.astype(np.intp)
+        d = x - nodes[j]
+        inside = d > 0
+        inside &= x < nodes[j + 1]
+        lo = policy._slopes[i][j]
+        lo *= d
+        lo += policy.u[i][j]
+        hi = policy._slopes[i + 1][j]
+        hi *= d
+        hi += policy.u[i + 1][j]
+    return lo, hi, inside

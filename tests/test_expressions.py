@@ -39,6 +39,16 @@ def test_vectorized_evaluation():
                                atol=1e-14)
 
 
+@pytest.mark.parametrize("text", ["x", "-x", "2", "x + 0"])
+def test_result_never_aliases_the_argument(text):
+    x = np.array([0.5, -1.0, 2.0])
+    before = x.copy()
+    out = parse_expression(text)(x)
+    assert not np.shares_memory(out, x)
+    out[...] = 7.0  # writable, and writing leaves the argument alone
+    np.testing.assert_array_equal(x, before)
+
+
 def test_two_variable_expression():
     expr = parse_expression("x*y + sin(x)", variables=("x", "y"))
     assert float(expr(2.0, 3.0)) == pytest.approx(6.0 + np.sin(2.0))

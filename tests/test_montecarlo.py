@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import conftest
 from conftest import constant_policy
 from mildhjb import montecarlo
 from mildhjb.conjugate import RunningCost
+from mildhjb.expressions import parse_expression
 from mildhjb.grid import Grid1D
 from mildhjb.montecarlo import (SimConfig, SimulationError, compare_policies,
                                 simulate_cost)
@@ -241,3 +244,32 @@ def test_exact_reduction_matches_fsum():
     report = simulate_cost(problem, 0.7, cfg, keep_samples=True)
     mean = math.fsum(report.samples.tolist()) / report.samples.size
     assert report.mean == mean
+
+
+def test_comparison_bits_are_pinned():
+    # recorded before the direct-index lookup, the reused Philox generator
+    # and the contiguous noise buffer; every one of them must keep the bits
+    problem = dataclasses.replace(
+        conftest.desk_problem(horizon=0.5),
+        cost=RunningCost.from_callable(
+            parse_expression("u^2 + 0.25*u", ("u",)), 1.0))
+    grid = Grid1D(5.0, 41)
+    times = np.linspace(0.0, 0.5, 6)
+    u = (0.2 + 0.1 * np.abs(grid.x)[None, :] + times[:, None]
+         + 0.05 * np.sin(3.0 * grid.x)[None, :])
+    feedback = FeedbackPolicy(grid, 0.5, times, u)
+    rows = compare_policies(problem, feedback, [0.25, 1.0],
+                            SimConfig(n_paths=300, dt=0.005, seed=19)).rows()
+    assert [(r.label, r.mean.hex(), r.stderr.hex()) for r in rows] == [
+        ("feedback", "0x1.441c43144ba61p+0", "0x1.3f97dc6155353p-6"),
+        ("constant 0.25", "0x1.401c6d12d4385p+0", "0x1.0e312e0452500p-6"),
+        ("constant 1", "0x1.77e342219c4d0p+0", "0x1.9470f2ddecec4p-6"),
+    ]
+
+
+def test_path_normals_match_fresh_per_path_generators():
+    z = montecarlo._path_normals(5, 3, 4, 7)
+    for i in range(4):
+        key = np.array([5, 3 + i], dtype=np.uint64)
+        fresh = np.random.Generator(np.random.Philox(key=key))
+        np.testing.assert_array_equal(z[i], fresh.standard_normal(7))

@@ -489,3 +489,39 @@ def test_green_solve_rejects_a_bad_source(z, message):
     prob = make_problem(Grid2D(3.0, 11), np.eye(2))
     with pytest.raises(ValueError, match=message):
         solve_L(prob, z)
+
+
+_SOLVE_L_HASH = """
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from mildhjb.twodim import Grid2D, Problem2D, solve_L
+from mildhjb.conjugate import ConjugateHamiltonian
+g = Grid2D(6.0, 121)
+X, Y = g.mesh
+prob = Problem2D(g, np.array([[1.0, 0.3], [0.0, 1.0]]),
+                 np.sqrt(2.0) + 0.1 * np.sin(X) * np.cos(Y),
+                 ConjugateHamiltonian.quadratic())
+phi = solve_L(prob, np.exp(-X**2 - Y**2) * (1.0 + X))
+print(hashlib.sha256(phi.tobytes()).hexdigest())
+"""
+
+
+def test_green_solve_bytes_do_not_depend_on_the_blas_thread_count():
+    # 14,161 interior nodes, past the size where a BLAS dot goes threaded
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _SOLVE_L_HASH, str(src)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import constant_policy, desk_problem
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
@@ -163,6 +167,84 @@ def test_constant_extrapolation_outside_domain():
     assert interpolate_policy(policy, 0.5, 10.0) == pytest.approx(2.0)
     assert interpolate_policy(policy, 2.0, 0.0) == pytest.approx(0.0)
     assert interpolate_policy(policy, -1.0, 0.0) == pytest.approx(0.0)
+
+
+def two_interp_reference(policy, t, x):
+    """The bilinear lookup by two np.interp binary searches."""
+    times, table, xs = policy.times, policy.u, policy.grid.x
+    i = int(np.searchsorted(times, float(t), side="right")) - 1
+    i = min(max(i, 0), len(times) - 2)
+    dt = times[i + 1] - times[i]
+    wt = 0.0 if dt == 0 else min(max((float(t) - times[i]) / dt, 0.0), 1.0)
+    lo = np.interp(x, xs, table[i])
+    hi = np.interp(x, xs, table[i + 1])
+    return lo + wt * (hi - lo)
+
+
+@st.composite
+def lookup_cases(draw):
+    grid = Grid1D(draw(st.sampled_from([0.5, 2.0, 10.0])),
+                  draw(st.sampled_from([5, 7, 41, 201])))
+    rows = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.uniform(0.0, 10.0, (rows, grid.n))
+    # runs of equal values (zero slopes), signed zeros, and a repeated row
+    u[:, rng.random(grid.n) < draw(st.floats(0.0, 0.5))] = 1.5
+    u[rng.random(u.shape) < draw(st.floats(0.0, 0.3))] = draw(
+        st.sampled_from([0.0, -0.0]))
+    if draw(st.booleans()):
+        u[1] = u[0]
+    times = np.sort(draw(st.lists(st.integers(0, 100), min_size=rows,
+                                  max_size=rows, unique=True))) / 100.0
+    node = st.builds(lambda k, ulps: np.nextafter(grid.x[k], ulps * np.inf)
+                     if ulps else grid.x[k],
+                     st.integers(0, grid.n - 1), st.sampled_from([-1, 0, 1]))
+    point = st.one_of(
+        node, node,
+        st.floats(-1.5 * grid.half_width, 1.5 * grid.half_width),
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                         grid.half_width, -grid.half_width,
+                         1.1 * grid.half_width, -5.0 * grid.half_width]))
+    points = draw(st.lists(point, min_size=1, max_size=30))
+    shape = draw(st.sampled_from(["scalar", "0-d", "1-d", "2-d"]))
+    if shape == "scalar":
+        x = points[0]
+    elif shape == "0-d":
+        x = np.array(points[0])
+    elif shape == "1-d":
+        x = np.array(points)
+    else:
+        x = np.array(points[:len(points) // 2 * 2]).reshape(2, -1)
+    t = draw(st.one_of(st.floats(-0.5, 1.5), st.sampled_from(list(times))))
+    return FeedbackPolicy(grid, 1.0, times, u), t, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lookup_cases())
+def test_direct_index_lookup_equals_two_interp_reference_bitwise(case):
+    policy, t, x = case
+    got = interpolate_policy(policy, t, x)
+    want = two_interp_reference(policy, t, x)
+    assert np.shape(got) == np.shape(want)
+    assert isinstance(got, np.ndarray) == isinstance(want, np.ndarray)
+    np.testing.assert_array_equal(np.asarray(got, dtype=float).view(np.int64),
+                                  np.asarray(want, dtype=float).view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_table_follows_np_interp(bad):
+    # np.interp retries a NaN from the left node at the right node: next to
+    # an infinite node it returns inf where the direct cell arithmetic,
+    # -inf * d + inf, gives NaN
+    grid = Grid1D(2.0, 41)
+    u = np.tile(np.abs(grid.x), (2, 1))
+    u[1, 20] = bad
+    policy = FeedbackPolicy(grid, 1.0, np.array([0.0, 1.0]), u)
+    x = np.linspace(-2.5, 2.5, 203)
+    with np.errstate(all="ignore"):
+        got = interpolate_policy(policy, 0.5, x)
+        want = two_interp_reference(policy, 0.5, x)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_value_continuity_improves_with_smaller_steps():
