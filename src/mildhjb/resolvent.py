@@ -6,20 +6,16 @@ system
     lam*y - (value(m*y))'' - f*y' + perturbation(y) = eta,       m = sigma^2/2,
 
 with the nonlinear flux ``value`` from the conjugate machinery, monotone
-upwinding of the transport term, and zero ghost values.  The primary
-algorithm is damped Newton with the tridiagonal-plus-diagonal Jacobian (the
-nonlocal part of the perturbation is kept on the residual side only, where it
-is harmless because it is bounded).  Two globally convergent fallbacks cover
-stalls: a shifted Picard iteration ``y <- R_{lam+delta}(eta + delta*y)`` and
-a continuation in the shift that solves at ``lam + c*delta`` for a fixed
-ladder of ``c`` down to 0, each rung starting from the previous rung's end.
+upwinding of the transport term, and zero ghost values, by damped Newton
+with the exact Jacobian (semismooth where the conjugate has kinks).  For
+the rare start from which Newton stalls, a shifted Picard iteration
+``y <- R_{lam+delta}(eta + delta*y)`` is the one fallback.
 
-The 1-D Jacobian is solved by LAPACK ``gtsv`` called directly: for these
-bands ``solve_banded`` runs the same routine, so the bits are the same,
-without its validation.  The time-independent stencil parts
-(``DriftData.upwind``, ``DriftData.two_f1``) are computed once per drift.
-``gtsv`` does not check its input, so ``_newton`` rejects a non-finite
-starting residual with ``ValueError``.
+The 1-D Jacobian is ``T + diag(f'')*C*G - 2*diag(f')``: ``T`` tridiagonal,
+``G`` the Green solve, ``C`` the central slope.  With ``psi = G*delta`` a
+second unknown, the step is banded (order ``2n``, two bands below and three
+above) for LAPACK ``gbsv`` (``banded_solve``, shared with 2-D), which does
+not check its input: ``_newton`` rejects a non-finite starting residual.
 
 ``solve_resolvent`` works on any operand with ``terms``, ``newton_step``
 (the Jacobian solve), ``shape``, ``lam0``, ``grid.norm1``, ``conj`` and
@@ -28,7 +24,7 @@ starting residual with ``ValueError``.
 ``b = B(y)`` (``None`` in 2-D and with the perturbation off).  Neither
 depends on ``lam`` or ``eta``, so an ``Iterate`` keeps them with ``y`` and
 assembles every residual at ``y`` as ``((lam*y + a) - eta) + b``; a warm
-start (the previous time step) and each continuation rung reuse them.
+start (the previous time step) and each Picard sweep reuse them.
 
 Only shifts above ``shift_floor(ops) = 2*lam0``, ``lam0 = sup|f'|``, are
 admitted (where the control binds, the Jacobian's diagonal is
@@ -42,10 +38,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv as _gtsv
+from scipy.linalg.lapack import dgbsv as _gbsv
 
 from .conjugate import ConjugateHamiltonian
 from .drift import DriftData, apply_B
@@ -57,12 +54,10 @@ __all__ = [
     "ResolventError",
     "ResolventResult",
     "apply_A",
+    "banded_solve",
     "shift_floor",
     "solve_resolvent",
 ]
-
-# multiples of max(lam - lam0, 1) added to the shift, rung by rung
-_CONTINUATION = (8.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.125, 0.0625, 0.0)
 
 
 class ResolventError(RuntimeError):
@@ -99,13 +94,6 @@ class EllipticOperands:
                 "sigma^2/2 must be strictly positive on the grid; "
                 "vanishing volatility goes through the regularized sweep")
 
-    @classmethod
-    def build(cls, grid, conj, sigma, drift=None, use_perturbation=True):
-        """Tabulate sigma (callable or array) into the flux multiplier."""
-        sig = np.asarray(sigma(grid.x) if callable(sigma) else sigma,
-                         dtype=float) + np.zeros(grid.n)
-        return cls(grid, conj, 0.5 * sig * sig, drift, use_perturbation)
-
     @property
     def lam0(self) -> float:
         """Contraction shift floor, sup|f'| (0 without drift)."""
@@ -121,27 +109,59 @@ class EllipticOperands:
              if self.perturbation and self.drift is not None else None)
         return apply_A(self, y), b
 
+    @cached_property
+    def _band(self) -> np.ndarray:
+        """The Newton system's ``y``-free entries in band storage: ``(i, j)``
+        at ``[5 + i - j, j]``, unknown ``2k`` is ``delta_k``, ``2k + 1`` is
+        ``psi_k``.  Row ``psi_k`` is ``-psi'' = delta_k`` inside the mesh and
+        ``psi_k = 0`` at the ends, as in ``poisson_solve``; row ``delta_k``
+        holds the drift's part of ``T`` and ``f''_k`` times psi's central
+        slope, one-sided at the ends.  ``newton_step`` adds ``T``'s rest."""
+        n, h = self.grid.n, self.grid.h
+        ab = np.zeros((8, 2 * n), order="F")
+        ab[5, 1::2] = 2.0 / h**2
+        ab[3, 5::2] = ab[7, 1:-4:2] = -1.0 / h**2
+        ab[6, 2:-2:2] = -1.0
+        if self.drift is None:
+            return ab
+        _, f_diag, f_upper, f_lower = self.drift.upwind
+        ab[5, ::2] = f_diag
+        ab[3, 2::2] = -f_upper
+        ab[7, :-2:2] = f_lower
+        if self.perturbation:
+            f2 = self.drift.f2
+            ab[5, ::2] -= self.drift.two_f1
+            ab[2, 3::2] = np.r_[2.0 * f2[0], f2[1:-1]] / (2.0 * h)
+            ab[6, 1:-2:2] = -np.r_[f2[1:-1], 2.0 * f2[-1]] / (2.0 * h)
+            ab[4, [1, -1]] = f2[[0, -1]] * [-1.0, 1.0] / h
+        return ab
+
     def newton_step(self, lam, y, r) -> np.ndarray:
-        """Solve J(y) delta = -r with the tridiagonal Jacobian (LAPACK gtsv).
+        """Solve J(y) delta = -r with the exact Jacobian by ``banded_solve``.
 
         Raises ``np.linalg.LinAlgError`` on a zero pivot.
         """
-        m, h2 = self.half_sigma_sq, self.grid.h**2
-        slope = self.conj.derivative(m * y) * m
-        diag = lam + 2.0 * slope / h2
-        upper = -slope[1:] / h2
-        lower = -slope[:-1] / h2
-        if self.drift is not None:
-            _, f_diag, f_upper, f_lower = self.drift.upwind
-            diag += f_diag
-            upper -= f_upper
-            lower += f_lower
-            if self.perturbation:
-                diag -= self.drift.two_f1
-        *_, delta, info = _gtsv(lower, diag, upper, -r, 1, 1, 1, 1)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
-        return delta
+        m = self.half_sigma_sq
+        slope = self.conj.derivative(m * y) * m / self.grid.h**2
+        ab = self._band.copy(order="F")
+        ab[5, ::2] += lam + 2.0 * slope
+        ab[3, 2::2] -= slope[1:]
+        ab[7, :-2:2] -= slope[:-1]
+        rhs = np.zeros(2 * self.grid.n)
+        rhs[::2] = -r
+        return banded_solve(ab, 2, 3, rhs)[::2]
+
+
+def banded_solve(ab, kl, ku, rhs) -> np.ndarray:
+    """Solve by LAPACK ``gbsv`` the band matrix ``ab`` (Fortran order, ``kl``
+    free rows on top for the pivoting), overwriting ``ab`` and ``rhs``.
+
+    Raises ``np.linalg.LinAlgError`` on a zero pivot.
+    """
+    *_, x, info = _gbsv(kl, ku, ab, rhs, 1, 1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 @dataclass(frozen=True)
@@ -266,7 +286,7 @@ def solve_resolvent(ops, lam: float, eta,
     earlier solve on ``ops``, whose stored terms then give the starting
     residual.  Raises ``ValueError`` when the shift does not clear
     ``shift_floor(ops)`` or a warm start belongs to another operand, and
-    ``ResolventError`` when every strategy exhausts its budget.
+    ``ResolventError`` when Newton and Picard both exhaust their budget.
     """
     eta = np.asarray(eta, dtype=float)
     check_table("eta", eta, ops.shape)
@@ -293,11 +313,6 @@ def solve_resolvent(ops, lam: float, eta,
         iters += iters2
         fallback = "picard"
     if not ok:
-        cur, iters3, rnorm, ok = _continuation(ops, lam, eta, start, tol,
-                                               cfg.max_iter)
-        iters += iters3
-        fallback = "continuation"
-    if not ok:
         raise ResolventError("resolvent iteration budget exhausted", rnorm)
 
     y = cur.y
@@ -322,16 +337,3 @@ def _picard(ops, lam, eta, cur: Iterate, tol, max_iter):
             return cur, total, rnorm, True
     return cur, total, rnorm, False
 
-
-def _continuation(ops, lam, eta, cur: Iterate, tol, max_iter):
-    """Newton down the shifts ``lam + c*delta`` (``delta`` as in Picard),
-    each rung from the previous rung's iterate, finishing at ``lam``."""
-    delta = max(lam - ops.lam0, 1.0)
-    total = 0
-    for c in _CONTINUATION:
-        cur, it, rnorm, ok = _newton(ops, lam + c * delta, eta, cur, tol,
-                                     max_iter)
-        total += it
-        if not ok:
-            break
-    return cur, total, rnorm, ok

@@ -10,20 +10,15 @@ stencil for the cross term, all closed by zero ghosts.  As in 1-D,
 ``PlanarProblem.discretize`` puts the operand ``Problem2D`` and the data
 into a ``stepper.TransformedProblem``, which ``stepper.mild_solve``
 marches.  The implicit step solves ``lam*y - L(value(m0*y)) = eta`` through
-``resolvent.solve_resolvent``: one Newton/Picard/continuation solver, one
-residual certificate, one march and one solution type serve both 1-D and
-2-D.  Without drift the resolvent is an L1 contraction with constant
-exactly ``1/lam``.
+``resolvent.solve_resolvent``: one Newton/Picard solver, one residual
+certificate, one march and one solution type serve both 1-D and 2-D.
+Without drift the resolvent is an L1 contraction with constant exactly
+``1/lam``.
 
-The Newton step is an exact block elimination.  ``value'`` is the optimal
-control clamped at ``u >= 0``, so where that constraint binds the Jacobian
-column is ``lam*e_j``; only the block on the remaining (active) nodes is
-LU-factored, and the other entries follow from one sparse matvec.  On a
-localized field that block is a few percent of the mesh.  In row-major
-order the block is banded, at most ``n + 1`` wide on each side, so it is
-assembled straight from the nine stencil weights (``Problem2D.stencil``) in
-LAPACK band storage, ``(2*kl + ku + 1)*|A|`` doubles, and solved by banded
-LU (``gbsv``).  The worst case, every node active at ``n = 141``, takes
+The Newton step (``Problem2D.newton_step``) is an exact block elimination
+that LU-factors only the nodes where the control constraint does not bind,
+a few percent of the mesh on a localized field, through the banded solve
+of the 1-D step.  The worst case, every node active at ``n = 141``, takes
 68 MB and is no slower than a general sparse LU.  The Green solve
 ``solve_L`` is conjugate gradients preconditioned by the axis part of
 ``-L``, which the sine transform inverts exactly, so its iteration count
@@ -44,12 +39,12 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbsv as _gbsv
 # unused here, but perfbench/layers.py wraps the name twodim.spsolve
 from scipy.sparse.linalg import spsolve  # noqa: F401
 
 from .conjugate import ConjugateHamiltonian, RunningCost
 from .grid import Grid2D, check_table
+from .resolvent import banded_solve
 # unused here, but perfbench/layers.py wraps the name twodim.solve_resolvent_2d
 from .resolvent import solve_resolvent as solve_resolvent_2d  # noqa: F401
 from .stepper import TransformedProblem
@@ -177,8 +172,8 @@ class Problem2D:
         elsewhere.  The elimination is exact.  In row-major order the block
         is banded, at most ``n + 1`` wide on each side, so it is assembled
         from the stencil in band storage (``active_band``) and solved by
-        LAPACK ``gbsv`` called directly.  Raises ``np.linalg.LinAlgError``
-        on a zero pivot.
+        ``resolvent.banded_solve``.  Raises ``np.linalg.LinAlgError`` on a
+        zero pivot.
         """
         m = self.half_sigma_sq
         s = (self.conj.derivative(m * y) * m).ravel()
@@ -188,9 +183,7 @@ class Problem2D:
             return (rhs / lam).reshape(self.shape)
         s_a = s[active]
         ab, kl, ku = self.active_band(lam, active, s_a)
-        *_, delta_a, info = _gbsv(kl, ku, ab, rhs[active], 1, 1)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
+        delta_a = banded_solve(ab, kl, ku, rhs[active])
         z = np.zeros_like(rhs)
         z[active] = s_a * delta_a
         delta = (rhs + self.operator_matrix @ z) / lam

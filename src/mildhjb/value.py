@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, poisson_gradient, poisson_solve
+from .grid import Grid1D, diff1_central, poisson_solve
+# unused here, but perfbench/layers.py wraps the name value.poisson_gradient
+from .grid import poisson_gradient  # noqa: F401
 from .resolvent import EllipticOperands
 from .stepper import MildSolution
 
@@ -56,13 +58,14 @@ class ValueFunction:
 
 def reconstruct_value(sol: MildSolution, horizon: float | None = None
                       ) -> ValueFunction:
-    """Green-solve every stored snapshot and reverse the time axis."""
+    """Green-solve every stored snapshot once and reverse the time axis."""
     grid = sol.grid
     T = float(horizon) if horizon is not None else float(sol.times[-1])
     ys = sol.snapshots[::-1]
+    phi = poisson_solve(grid, ys)
     return ValueFunction(grid=grid, horizon=T, times=T - sol.times[::-1],
-                         phi=poisson_solve(grid, ys),
-                         phi_x=poisson_gradient(grid, ys), curvature=-ys)
+                         phi=phi, phi_x=diff1_central(grid, phi),
+                         curvature=-ys)
 
 
 @dataclass

@@ -60,10 +60,20 @@ def desk_problem(horizon: float = 0.5) -> ControlProblem:
         horizon=horizon)
 
 
+def elliptic_operands(grid: Grid1D, conj: ConjugateHamiltonian, sigma,
+                      drift: DriftData | None = None,
+                      use_perturbation: bool = True) -> EllipticOperands:
+    """The operand for ``sigma`` (a callable or an array) on ``grid``."""
+    sig = np.asarray(sigma(grid.x) if callable(sigma) else sigma,
+                     dtype=float) + np.zeros(grid.n)
+    return EllipticOperands(grid, conj, 0.5 * sig * sig, drift,
+                            use_perturbation)
+
+
 def heat_problem(grid: Grid1D, width: float = 0.5,
                  horizon: float = 0.25) -> TransformedProblem:
     """Identity conjugate, unit multiplier, no drift: plain diffusion."""
-    ops = EllipticOperands.build(grid, linear_conjugate(), np.sqrt(2.0))
+    ops = elliptic_operands(grid, linear_conjugate(), np.sqrt(2.0))
     y0 = np.exp(-grid.x**2 / (2.0 * width**2)) / np.sqrt(2 * np.pi * width**2)
     return TransformedProblem(ops, y0, np.zeros(grid.n), horizon)
 

@@ -10,13 +10,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import desk_problem, heat_exact, heat_problem, tanh_drift
+from conftest import (desk_problem, elliptic_operands, heat_exact,
+                      heat_problem, tanh_drift)
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
 from mildhjb.degenerate import solve_degenerate
 from mildhjb.grid import Grid1D
 from mildhjb.montecarlo import SimConfig, compare_policies, simulate_cost
 from mildhjb.problem import ControlProblem
-from mildhjb.resolvent import EllipticOperands, ResolventConfig, solve_resolvent
+from mildhjb.resolvent import ResolventConfig, solve_resolvent
 from mildhjb.stepper import (TransformedProblem, energy_report, mild_solve,
                              sup_time_gap)
 from mildhjb.twodim import Grid2D, Problem2D
@@ -48,7 +49,7 @@ def test_criterion_1_resolvent_l1_contraction():
     started = time.perf_counter()
     grid = Grid1D(10.0, 201)
     drift = tanh_drift(grid)
-    ops = EllipticOperands.build(
+    ops = elliptic_operands(
         grid, ConjugateHamiltonian.quadratic(1.0, 0.0),
         lambda x: np.sqrt(2.0) + 0.1 * np.sin(x),
         drift=drift, use_perturbation=False)
@@ -118,8 +119,8 @@ def test_criterion_5_small_instance_oracle():
     started = time.perf_counter()
     grid = Grid1D(2.0, 9)
     drift = tanh_drift(grid, scale=0.3)
-    ops = EllipticOperands.build(grid, ConjugateHamiltonian.quadratic(),
-                                 np.sqrt(2.0), drift=drift)
+    ops = elliptic_operands(grid, ConjugateHamiltonian.quadratic(),
+                            np.sqrt(2.0), drift=drift)
     lam = 20.0
     rng = np.random.default_rng(99)
     worst = 0.0

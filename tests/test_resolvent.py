@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
 
-from conftest import (desk_problem, linear_conjugate, tanh_drift,
-                      zero_conjugate)
-from mildhjb.conjugate import ConjugateHamiltonian
-from mildhjb.grid import Grid1D
+from conftest import (desk_problem, elliptic_operands, linear_conjugate,
+                      tanh_drift, zero_conjugate)
+from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
+from mildhjb.grid import Grid1D, poisson_gradient
 from mildhjb.resolvent import (EllipticOperands, Iterate, ResolventConfig,
                                ResolventError, ResolventResult, _newton,
                                apply_A, solve_resolvent)
+from mildhjb.stepper import mild_solve
 
 
 def wavy_sigma(x):
@@ -18,9 +18,9 @@ def wavy_sigma(x):
 
 
 def quad_ops(grid, drift=None, use_perturbation=True):
-    return EllipticOperands.build(grid, ConjugateHamiltonian.quadratic(),
-                                  wavy_sigma, drift=drift,
-                                  use_perturbation=use_perturbation)
+    return elliptic_operands(grid, ConjugateHamiltonian.quadratic(),
+                             wavy_sigma, drift=drift,
+                             use_perturbation=use_perturbation)
 
 
 def test_apply_A_zero_field():
@@ -32,7 +32,7 @@ def test_apply_A_zero_field():
 def test_apply_A_linear_conjugate_on_quadratic():
     # identity flux, unit multiplier: A(y) = -y'' = -2 on the interior
     g = Grid1D(2.0, 41)
-    ops = EllipticOperands.build(g, linear_conjugate(), np.sqrt(2.0))
+    ops = elliptic_operands(g, linear_conjugate(), np.sqrt(2.0))
     out = apply_A(ops, g.x**2)
     np.testing.assert_allclose(out[1:-1], -2.0, atol=1e-10)
 
@@ -41,8 +41,8 @@ def test_apply_A_pure_transport():
     g = Grid1D(2.0, 41)
     drift = tanh_drift(g)
     drift = drift.__class__(g, np.ones(g.n), np.zeros(g.n), np.zeros(g.n))
-    ops = EllipticOperands.build(g, zero_conjugate(), 1.0,
-                                 drift=drift, use_perturbation=False)
+    ops = elliptic_operands(g, zero_conjugate(), 1.0,
+                            drift=drift, use_perturbation=False)
     out = apply_A(ops, g.x.copy())
     np.testing.assert_allclose(out[1:-1], -1.0, atol=1e-12)
 
@@ -57,7 +57,7 @@ def test_zero_rhs_zero_solution():
 
 def test_linear_case_matches_direct_solve():
     g = Grid1D(10.0, 201)
-    ops = EllipticOperands.build(g, linear_conjugate(), np.sqrt(2.0))
+    ops = elliptic_operands(g, linear_conjugate(), np.sqrt(2.0))
     rng = np.random.default_rng(0)
     eta = rng.standard_normal(g.n)
     lam = 3.0
@@ -123,8 +123,8 @@ def oracle_fixed_point(grid, conj, m, drift, lam, eta, include_perturbation,
 def test_small_instance_matches_fixed_point_oracle():
     g = Grid1D(2.0, 9)
     drift = tanh_drift(g, scale=0.3)
-    ops = EllipticOperands.build(g, ConjugateHamiltonian.quadratic(),
-                                 np.sqrt(2.0), drift=drift)
+    ops = elliptic_operands(g, ConjugateHamiltonian.quadratic(),
+                            np.sqrt(2.0), drift=drift)
     rng = np.random.default_rng(77)
     lam = 20.0
     for _ in range(5):
@@ -231,11 +231,10 @@ def test_budget_exhaustion_raises_in_2d():
 
 
 def test_out_of_table_flagged():
-    from mildhjb.conjugate import RunningCost
     cost = RunningCost.from_callable(lambda u: u * u, alpha1=1.0)
     tiny = ConjugateHamiltonian.tabulate(cost, -0.05, 0.05, nodes=257)
     g = Grid1D(10.0, 201)
-    ops = EllipticOperands.build(g, tiny, wavy_sigma)
+    ops = elliptic_operands(g, tiny, wavy_sigma)
     res = solve_resolvent(ops, 5.0, np.exp(-g.x**2) * 4.0)
     assert res.out_of_table
 
@@ -243,8 +242,8 @@ def test_out_of_table_flagged():
 def test_vanishing_volatility_rejected():
     g = Grid1D(5.0, 101)
     with pytest.raises(ValueError, match="regularized sweep"):
-        EllipticOperands.build(g, ConjugateHamiltonian.quadratic(),
-                               lambda x: x * np.exp(-x**2))
+        elliptic_operands(g, ConjugateHamiltonian.quadratic(),
+                          lambda x: x * np.exp(-x**2))
 
 
 def test_picard_fallback_solves_near_the_shift_floor():
@@ -266,8 +265,6 @@ def test_picard_fallback_solves_near_the_shift_floor():
 
 def kinked_table(half_width, nodes):
     # piecewise-flat cost slope puts a kink in the tabulated derivative
-    from mildhjb.conjugate import RunningCost
-
     def h(u):
         u = np.asarray(u, dtype=float)
         return np.where(u < 1, u * u,
@@ -276,6 +273,34 @@ def kinked_table(half_width, nodes):
     cost = RunningCost.from_callable(h, alpha1=0.5)
     return ConjugateHamiltonian.tabulate(cost, -half_width, half_width,
                                          nodes=nodes)
+
+
+def abs_kink_conjugate():
+    """The conjugate of ``u^2 + 0.5*|u - 1|``, tabulated by ``for_cost``."""
+    cost = RunningCost.from_callable(lambda u: u * u + 0.5 * np.abs(u - 1.0),
+                                     alpha1=1.0)
+    return ConjugateHamiltonian.for_cost(cost)
+
+
+def near_floor_sweep(draws, seed=1):
+    """Desk-problem inputs at lam/sup|f'| = 2.01 and 2.02 for the quadratic,
+    kinked and ``abs_kink_conjugate`` costs; yields ``(ops, lam, eta)``
+    with ``eta = a*initial + amp*exp(-((x-c)/w)^2)`` drawn ``draws`` times
+    per cost and shift."""
+    g = Grid1D(10.0, 201)
+    rng = np.random.default_rng(seed)
+    for conj in (ConjugateHamiltonian.quadratic(), kinked_table(50.0, 4097),
+                 abs_kink_conjugate()):
+        problem = desk_problem().discretize(g, conj=conj)
+        ops = problem.operands
+        for ratio in (2.01, 2.02):
+            for _ in range(draws):
+                a, c = rng.uniform(-4.0, 4.0, 2)
+                w = rng.uniform(0.3, 2.0)
+                amp = rng.uniform(-6.0, 6.0)
+                eta = (a * problem.initial
+                       + amp * np.exp(-((g.x - c) / w) ** 2))
+                yield ops, ratio * ops.lam0, eta
 
 
 def kinked_desk_solve(ratio, a, c, w, amp, table=None):
@@ -296,7 +321,7 @@ def test_kinked_conjugate_table_still_solved():
     table = kinked_table(30.0, 2049)
     g = Grid1D(10.0, 201)
     drift = tanh_drift(g)
-    ops = EllipticOperands.build(g, table, np.sqrt(2.0), drift=drift)
+    ops = elliptic_operands(g, table, np.sqrt(2.0), drift=drift)
     rng = np.random.default_rng(3)
     eta = 5.0 * np.exp(-g.x**2) + rng.standard_normal(g.n)
     res = solve_resolvent(ops, 2.2, eta)
@@ -307,8 +332,8 @@ def test_offset_cost_keeps_the_solver_stable():
     # alpha2 > 0 shifts the flux by a constant; truncation absorbs it
     g = Grid1D(10.0, 201)
     drift = tanh_drift(g)
-    ops = EllipticOperands.build(g, ConjugateHamiltonian.quadratic(1.0, 0.5),
-                                 wavy_sigma, drift=drift)
+    ops = elliptic_operands(g, ConjugateHamiltonian.quadratic(1.0, 0.5),
+                            wavy_sigma, drift=drift)
     eta = 2.0 * np.exp(-g.x**2)
     res = solve_resolvent(ops, 5.0, eta)
     assert res.residual <= 1e-10 * max(1.0, g.norm1(eta))
@@ -334,7 +359,8 @@ def test_config_accepts_a_zero_iteration_budget():
 
 
 def banded_jacobian(ops, lam, y):
-    """The 1-D Newton Jacobian in ``solve_banded``'s (1, 1) layout."""
+    """``T``, the tridiagonal flux-plus-upwind part of the 1-D Newton
+    Jacobian, in ``solve_banded``'s (1, 1) layout."""
     grid, m = ops.grid, ops.half_sigma_sq
     h, h2 = grid.h, grid.h**2
     slope = ops.conj.derivative(m * y) * m
@@ -346,8 +372,6 @@ def banded_jacobian(ops, lam, y):
         diag = diag + np.abs(f) / h
         upper = upper - np.maximum(f[:-1], 0.0) / h
         lower = lower + np.minimum(f[1:], 0.0) / h
-    if ops.perturbation and ops.drift is not None:
-        diag = diag - 2.0 * ops.drift.f1
     ab = np.zeros((3, grid.n))
     ab[0, 1:] = upper
     ab[1] = diag
@@ -355,13 +379,27 @@ def banded_jacobian(ops, lam, y):
     return ab
 
 
+def exact_jacobian(ops, lam, y):
+    """The dense 1-D Newton Jacobian: ``T`` plus, with the perturbation on,
+    ``diag(f'')*P - 2*diag(f')``, where column j of P is the slope that
+    ``poisson_gradient`` makes of the unit source at node j."""
+    ab = banded_jacobian(ops, lam, y)
+    jac = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    if ops.perturbation and ops.drift is not None:
+        grid = ops.grid
+        p = np.column_stack([poisson_gradient(grid, e)
+                             for e in np.eye(grid.n)])
+        jac += ops.drift.f2[:, None] * p - np.diag(2.0 * ops.drift.f1)
+    return jac
+
+
 @pytest.mark.parametrize("with_drift, with_perturbation", [
     (False, False),
     (True, False),
     (True, True),
 ])
-def test_newton_step_equals_banded_solve_bit_for_bit(with_drift,
-                                                     with_perturbation):
+def test_newton_step_solves_the_exact_jacobian(with_drift,
+                                               with_perturbation):
     g = Grid1D(10.0, 101)
     drift = tanh_drift(g) if with_drift else None
     ops = quad_ops(g, drift=drift, use_perturbation=with_perturbation)
@@ -369,14 +407,14 @@ def test_newton_step_equals_banded_solve_bit_for_bit(with_drift,
     y = rng.standard_normal(g.n)  # both signs: some slopes clamp at 0
     r = Iterate.evaluate(ops, y).residual(8.0, rng.standard_normal(g.n))
     step = ops.newton_step(8.0, y, r)
-    banded = solve_banded((1, 1), banded_jacobian(ops, 8.0, y), -r)
-    assert step.tobytes() == banded.tobytes()
+    dense = np.linalg.solve(exact_jacobian(ops, 8.0, y), -r)
+    assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_zero_pivot_raises_and_newton_gives_up():
     g = Grid1D(5.0, 21)
     # a vanishing flux and no shift leave the zero matrix
-    ops = EllipticOperands.build(g, zero_conjugate(), 1.0)
+    ops = elliptic_operands(g, zero_conjugate(), 1.0)
     eta = np.exp(-g.x**2)
     with pytest.raises(np.linalg.LinAlgError):
         ops.newton_step(0.0, np.zeros(g.n), -eta)
@@ -404,34 +442,55 @@ def test_non_finite_residual_is_a_value_error():
                         warm=ResolventResult(blown.y, 0.0, 0, iterate=blown))
 
 
-@pytest.mark.parametrize("exit_", ["newton", "picard", "continuation"])
+@pytest.mark.parametrize("exit_", ["newton", "picard"])
 def test_certificate_is_the_residual_at_the_returned_y(exit_):
-    # the kinked exits depend on rounding, so every digit is kept
+    # the Picard exit depends on rounding, so every digit is kept
     if exit_ == "newton":
         g = Grid1D(10.0, 101)
         ops = quad_ops(g, drift=tanh_drift(g))
         eta = np.exp(-g.x**2)
         lam = 2.5
         res = solve_resolvent(ops, lam, eta, y_init=eta / lam)
-    elif exit_ == "picard":
-        ops, lam, eta, res = kinked_desk_solve(
-            2.01, -2.5, 2.5, 1.3, 4.5, table=kinked_table(30.0, 2049))
     else:
-        ops, lam, eta, res = kinked_desk_solve(
-            2.1, 3.1493230417277944, -2.5123199550458555,
-            1.8480920627117889, 5.4462192735322823)
+        # Newton alone stalls from this wild start at the kinked cost
+        g = Grid1D(10.0, 201)
+        problem = desk_problem().discretize(g, conj=abs_kink_conjugate())
+        ops = problem.operands
+        lam = 2.02 * ops.lam0
+        eta = (-2.6374472615604203 * problem.initial
+               + 2.8613014632841143 * np.exp(
+                   -((g.x - 2.5855707554202194) / 0.682126195561794) ** 2))
+        res = solve_resolvent(
+            ops, lam, eta, ResolventConfig(tol_res=1e-12),
+            y_init=np.random.default_rng(8).normal(0.0, 30.0, g.n))
     assert res.fallback == ("" if exit_ == "newton" else exit_)
     residual = Iterate.evaluate(ops, res.y).residual(lam, eta)
     assert res.residual == ops.grid.norm1(residual)
 
 
-def test_continuation_solves_where_newton_and_picard_stall():
+def test_exact_newton_solves_where_the_old_jacobian_stalled():
+    # without f''*grad(green .) in the Jacobian, Newton and Picard both
+    # stalled here and only a continuation in the shift, 281 iterations
+    # long, solved it
     ops, _, eta, res = kinked_desk_solve(
         2.01, -2.5726197705191423, 2.5980526328675886, 1.3017609528846403,
         4.5663163002398122)
-    assert res.fallback == "continuation"
+    assert res.fallback == ""
+    assert res.iterations <= 40
     assert res.residual <= ResolventConfig().tol_res * max(
         1.0, ops.grid.norm1(eta))
+
+
+def test_near_floor_sweep_needs_no_fallback():
+    exits = [solve_resolvent(ops, lam, eta).fallback
+             for ops, lam, eta in near_floor_sweep(60)]
+    assert exits.count("") == len(exits) == 360
+
+
+def test_desk_march_newton_iterations():
+    # 200 with the Jacobian that dropped f''*grad(green .)
+    sol = mild_solve(desk_problem().discretize(Grid1D(10.0, 201)), 1e-2)
+    assert sum(d.iterations for d in sol.diagnostics) <= 130
 
 
 def test_shift_at_most_twice_the_slope_bound_rejected_up_front():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import mildhjb.stepper as stepper
-from conftest import desk_problem, heat_exact, heat_problem, tanh_drift
+from conftest import (desk_problem, elliptic_operands, heat_exact,
+                      heat_problem, tanh_drift)
 from mildhjb.conjugate import ConjugateHamiltonian
 from mildhjb.grid import Grid1D, Grid2D
-from mildhjb.resolvent import EllipticOperands
 from mildhjb.stepper import (StepDiagnostics, TransformedProblem,
                              energy_report, mild_solve, refine_until, step,
                              step_lengths, sup_time_gap)
@@ -14,7 +14,7 @@ from mildhjb.twodim import Problem2D
 
 def quad_problem(grid, horizon=0.5, use_perturbation=True, drift=None,
                  y0=None, source=None):
-    ops = EllipticOperands.build(
+    ops = elliptic_operands(
         grid, ConjugateHamiltonian.quadratic(),
         lambda x: np.sqrt(2.0) + 0.1 * np.sin(x),
         drift=drift, use_perturbation=use_perturbation)

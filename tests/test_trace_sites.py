@@ -48,8 +48,8 @@ def counted(self, *args):
 EllipticOperands.terms = counted
 grid = Grid1D(5.0, 41)
 drift = DriftData.from_callables(grid, np.tanh)
-ops = EllipticOperands.build(grid, ConjugateHamiltonian.quadratic(),
-                             np.sqrt(2.0), drift=drift)
+ops = EllipticOperands(grid, ConjugateHamiltonian.quadratic(), np.ones(grid.n),
+                       drift=drift)
 y0 = (4.0 * grid.x**2 - 2.0) * np.exp(-grid.x**2)
 problem = stepper.TransformedProblem(ops, y0, np.zeros(grid.n), 0.1)
 stepper.mild_solve(problem, 0.025)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import linear_conjugate
+from conftest import elliptic_operands, linear_conjugate
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
 from mildhjb.grid import Grid1D
-from mildhjb.resolvent import EllipticOperands, Iterate, solve_resolvent
+from mildhjb.resolvent import Iterate, solve_resolvent
 from mildhjb.stepper import TransformedProblem, mild_solve
+import mildhjb.resolvent as resolvent
 import mildhjb.twodim as twodim
 from mildhjb.twodim import Grid2D, PlanarProblem, Problem2D, solve_L
 
@@ -203,7 +204,7 @@ def test_resolvent_contraction_is_one_over_lambda():
 @pytest.mark.parametrize("horizon", [5e-5, 0.005, 0.025, 0.5])
 def test_step_times_match_the_1d_schedule(horizon):
     g1 = Grid1D(5.0, 21)
-    ops = EllipticOperands.build(g1, CONJ, np.sqrt(2.0))
+    ops = elliptic_operands(g1, CONJ, np.sqrt(2.0))
     sol1 = mild_solve(TransformedProblem(ops, np.zeros(g1.n), np.zeros(g1.n),
                                          horizon), 0.01)
     sol2 = mild_solve(march(make_problem(Grid2D(3.0, 11), np.eye(2)),
@@ -284,8 +285,8 @@ def spy_on_gbsv(monkeypatch):
         orders.append(ab.shape[1])
         return real(kl, ku, ab, *args)
 
-    real = twodim._gbsv
-    monkeypatch.setattr(twodim, "_gbsv", spy)
+    real = resolvent._gbsv
+    monkeypatch.setattr(resolvent, "_gbsv", spy)
     return orders
 
 
@@ -395,9 +396,9 @@ def test_active_band_is_factored_in_place_with_the_same_bits():
     ab, kl, ku = prob.active_band(40.0, active, s_a)
     assert ab.flags.f_contiguous
     copied = np.ascontiguousarray(ab)
-    lu, _, x, info = twodim._gbsv(kl, ku, ab, rhs, 1, 0)
+    lu, _, x, info = resolvent._gbsv(kl, ku, ab, rhs, 1, 0)
     assert info == 0 and np.shares_memory(lu, ab)
-    *_, x_copied, info_copied = twodim._gbsv(kl, ku, copied, rhs, 1, 0)
+    *_, x_copied, info_copied = resolvent._gbsv(kl, ku, copied, rhs, 1, 0)
     assert info_copied == 0
     assert np.array_equal(x, x_copied)
 

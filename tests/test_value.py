@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_policy, desk_problem
+from conftest import constant_policy, desk_problem, elliptic_operands
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
 from mildhjb.grid import Grid1D, diff1_central, diff2
-from mildhjb.resolvent import EllipticOperands
 from mildhjb.stepper import TransformedProblem, mild_solve
 from mildhjb.value import (FeedbackPolicy, ValueFunction, interpolate_policy,
                            reconstruct_value, synthesize_feedback)
@@ -23,7 +22,7 @@ def desk_value(horizon=0.2, eps=0.01, n=201):
 
 def test_zero_snapshots_give_zero_value():
     grid = Grid1D(10.0, 201)
-    ops = EllipticOperands.build(grid, ConjugateHamiltonian.quadratic(),
+    ops = elliptic_operands(grid, ConjugateHamiltonian.quadratic(),
                                  np.sqrt(2.0))
     problem = TransformedProblem(ops, np.zeros(grid.n), np.zeros(grid.n), 0.1)
     vf = reconstruct_value(mild_solve(problem, 0.01))
@@ -68,7 +67,7 @@ def test_value_times_reverse_snapshot_times():
 
 def test_convex_value_switches_control_off():
     grid = Grid1D(5.0, 101)
-    ops = EllipticOperands.build(grid, ConjugateHamiltonian.quadratic(),
+    ops = elliptic_operands(grid, ConjugateHamiltonian.quadratic(),
                                  np.sqrt(2.0))
     times = np.array([0.0, 1.0])
     curvature = np.tile(np.exp(-grid.x**2), (2, 1))  # phi_xx >= 0
@@ -80,7 +79,7 @@ def test_convex_value_switches_control_off():
 
 def test_feedback_matches_brute_force_argmin():
     grid = Grid1D(5.0, 101)
-    ops = EllipticOperands.build(grid, ConjugateHamiltonian.quadratic(),
+    ops = elliptic_operands(grid, ConjugateHamiltonian.quadratic(),
                                  np.sqrt(2.0))
     times = np.array([0.0, 1.0])
     curvature = np.full((2, grid.n), -4.0)  # phi_xx = -4, sigma^2 = 2
@@ -101,7 +100,7 @@ def test_feedback_scale_covariance():
     vf = ValueFunction(grid, 1.0, times, np.zeros((2, grid.n)),
                        np.zeros((2, grid.n)), curvature)
     for scale in (0.5, 2.0, 3.0):
-        ops = EllipticOperands.build(
+        ops = elliptic_operands(
             grid, ConjugateHamiltonian.quadratic(alpha1=scale), np.sqrt(2.0))
         policy = synthesize_feedback(vf, ops)
         us = np.linspace(0.0, 10.0, 200001)
