@@ -42,8 +42,8 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv as _gbsv
 
+from ._lapack import dgbsv as _gbsv
 from .conjugate import ConjugateHamiltonian
 from .drift import DriftData, apply_B
 from .grid import Grid1D, check_table, diff1_upwind, diff2

@@ -6,7 +6,8 @@ The elliptic operator is built from the factor matrix ``a`` through
     L z = b11 z_xx + 2 b12 z_xy + b22 z_yy,
 
 discretized with 3-point stencils on the axes and the 4-corner centered
-stencil for the cross term, all closed by zero ghosts.  As in 1-D,
+stencil for the cross term, all closed by zero ghosts, and applied as one
+CSR matvec (``Problem2D.csr``, scipy's compiled kernel).  As in 1-D,
 ``PlanarProblem.discretize`` puts the operand ``Problem2D`` and the data
 into a ``stepper.TransformedProblem``, which ``stepper.mild_solve``
 marches.  The implicit step solves ``lam*y - L(value(m0*y)) = eta`` through
@@ -38,10 +39,8 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-# unused here, but perfbench/layers.py wraps the name twodim.spsolve
-from scipy.sparse.linalg import spsolve  # noqa: F401
 
+from ._lapack import csr_matvec
 from .conjugate import ConjugateHamiltonian, RunningCost
 from .grid import Grid2D, check_table
 from .resolvent import banded_solve
@@ -50,6 +49,15 @@ from .resolvent import solve_resolvent as solve_resolvent_2d  # noqa: F401
 from .stepper import TransformedProblem
 
 __all__ = ["Grid2D", "PlanarProblem", "Problem2D", "solve_L"]
+
+
+def __getattr__(name):
+    # perfbench/layers.py wraps twodim.spsolve, unused here; only a traced
+    # run asks for the name, and only then is it imported
+    if name == "spsolve":
+        from scipy.sparse.linalg import spsolve
+        return spsolve
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -112,17 +120,38 @@ class Problem2D:
                          [axis_y, centre, axis_y],
                          [-cross, axis_x, cross]])
 
+    def _neighbours(self, nodes) -> tuple[np.ndarray, np.ndarray]:
+        """Row-major indices of the neighbours of ``nodes``, shape
+        ``(9, len(nodes))`` with row ``k`` for entry ``k`` of the raveled
+        stencil, and whether each neighbour is on the mesh."""
+        n = self.grid.n
+        di, dj = np.divmod(np.arange(9), 3)
+        i = nodes // n + (di[:, None] - 1)
+        j = nodes % n + (dj[:, None] - 1)
+        # a neighbour off the mesh has no entry; in row-major order j +- 1
+        # would otherwise wrap into the next mesh row
+        return i * n + j, (0 <= i) & (i < n) & (0 <= j) & (j < n)
+
     @cached_property
-    def operator_matrix(self) -> sp.csr_matrix:
-        """Sparse 9-point matrix of L acting on row-major flattened fields."""
-        shift = [sp.eye(self.grid.n, k=d, format="csr") for d in (-1, 0, 1)]
-        # a shifted identity has no entry past its edge, so nothing wraps
-        lap = sum(w * sp.kron(shift[a], shift[c])
-                  for (a, c), w in np.ndenumerate(self.stencil))
-        return lap.tocsr()
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """L on row-major flattened fields in CSR arrays: row ``i*n + j``
+        holds node ``(i, j)``'s on-mesh neighbours of nonzero weight."""
+        neighbour, on_mesh = self._neighbours(np.arange(self.grid.n**2))
+        weight = self.stencil.ravel()
+        keep = (on_mesh & (weight != 0.0)[:, None]).T  # one row per node
+        indptr = np.append(0, np.cumsum(keep.sum(axis=1))).astype(np.int32)
+        return (indptr, neighbour.T[keep].astype(np.int32),
+                np.broadcast_to(weight, keep.shape)[keep])
 
     def _apply_matrix(self, z) -> np.ndarray:
-        return (self.operator_matrix @ z.ravel()).reshape(self.shape)
+        """``L z``, shape checked: ``csr_matvec`` checks no bound.  A
+        non-finite ``z`` is let through for the line search to reject."""
+        z = np.asarray(z, dtype=float)
+        if z.shape != self.shape:
+            raise ValueError(f"z has shape {z.shape}, expected {self.shape}")
+        out = np.zeros(self.shape)
+        csr_matvec(z.size, z.size, *self.csr, z.ravel(), out.ravel())
+        return out
 
     def terms(self, y) -> tuple[np.ndarray, None]:
         """``-L(value(m0*y))``, and no B term."""
@@ -137,17 +166,11 @@ class Problem2D:
         of the block sits at ``ab[kl + ku + p - q, q]``, and the first ``kl``
         rows are left free for the fill-in of ``gbsv``'s pivoting.
         """
-        n = self.grid.n
-        di, dj = np.divmod(np.arange(9), 3)  # entry k of the raveled stencil
-        i = active // n + (di[:, None] - 1)  # neighbour rows, shape (9, |A|)
-        j = active % n + (dj[:, None] - 1)
-        # a neighbour off the mesh has no entry; in row-major order j +- 1
-        # would otherwise wrap into the next mesh row
-        on_mesh = (0 <= i) & (i < n) & (0 <= j) & (j < n)
-        position = np.full(n * n, -1)
+        neighbour, on_mesh = self._neighbours(active)
+        position = np.full(self.grid.n**2, -1)
         position[active] = np.arange(active.size)
         column = np.full(on_mesh.shape, -1)
-        column[on_mesh] = position[i[on_mesh] * n + j[on_mesh]]
+        column[on_mesh] = position[neighbour[on_mesh]]
         k, p = np.nonzero(column >= 0)
         q = column[k, p]
         kl, ku = int(np.max(p - q)), int(np.max(q - p))
@@ -184,9 +207,9 @@ class Problem2D:
         s_a = s[active]
         ab, kl, ku = self.active_band(lam, active, s_a)
         delta_a = banded_solve(ab, kl, ku, rhs[active])
-        z = np.zeros_like(rhs)
-        z[active] = s_a * delta_a
-        delta = (rhs + self.operator_matrix @ z) / lam
+        z = np.zeros(self.shape)
+        z.flat[active] = s_a * delta_a
+        delta = (rhs + self._apply_matrix(z).ravel()) / lam
         delta[active] = delta_a
         return delta.reshape(self.shape)
 
@@ -302,12 +325,11 @@ def solve_L(problem: Problem2D, z) -> np.ndarray:
         t = _dst1(_dst1(r).T).T * weight
         return _dst1(_dst1(t).T).T
 
-    lap = problem.operator_matrix
     padded = np.zeros(problem.shape)
 
     def minus_L(p):
         padded[1:-1, 1:-1] = p
-        return -(lap @ padded.ravel()).reshape(n, n)[1:-1, 1:-1]
+        return -problem._apply_matrix(padded)[1:-1, 1:-1]
 
     rho = abs(b[0, 1]) / math.sqrt(b[0, 0] * b[1, 1])
     root = math.sqrt((1.0 + rho) / (1.0 - rho))

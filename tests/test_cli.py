@@ -527,3 +527,21 @@ def test_cli_import_leaves_out_scipy_fft():
     # the 2-D Green solve transforms with numpy.fft; scipy.fft would add
     # about 0.1 s to the set-up of every run
     assert not loaded_by_cli_import("scipy.fft")
+
+
+@pytest.mark.parametrize("module",
+                         ["scipy.linalg", "scipy.sparse", "numpy.f2py"])
+def test_cli_import_leaves_out_scipy_python_layers(module):
+    # the LAPACK and CSR kernels are loaded from their extension files;
+    # scipy.linalg and scipy.sparse, through numpy.f2py, would add about
+    # 0.35 s to the set-up of every run
+    assert not loaded_by_cli_import(module)
+
+
+def test_solve_2d_run_leaves_out_scipy_sparse(tmp_path):
+    # the 9-point operator is applied by the CSR kernel alone, so the run
+    # does not pay the import that set-up avoids
+    cfg = write(tmp_path, "p.cfg", SOLVE_2D)
+    assert not loaded_by_cli_import(
+        "scipy.sparse", "solve-2d", "--config", str(cfg),
+        "--out", str(tmp_path / "out"), "--quiet")

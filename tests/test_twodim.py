@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import elliptic_operands, linear_conjugate
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
@@ -15,7 +16,7 @@ CONJ = ConjugateHamiltonian.quadratic()
 
 def apply_L(problem, z):
     """b11 z_xx + 2 b12 z_xy + b22 z_yy with zero ghost values: the
-    slicing oracle for ``Problem2D.operator_matrix``."""
+    slicing oracle for ``operator_matrix``."""
     z = np.asarray(z, dtype=float)
     n, h = problem.grid.n, problem.grid.h
     b = problem.b
@@ -25,6 +26,16 @@ def apply_L(problem, z):
     zyy = (p[1:-1, 2:] - 2.0 * z + p[1:-1, :-2]) / h**2
     zxy = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) / (4.0 * h**2)
     return b[0, 0] * zxx + b[1, 1] * zyy + 2.0 * b[0, 1] * zxy
+
+
+def operator_matrix(problem) -> sp.csr_matrix:
+    """The 9-point matrix of L on row-major flattened fields, assembled by
+    scipy.sparse from the stencil: the oracle for ``Problem2D.csr``."""
+    shift = [sp.eye(problem.grid.n, k=d, format="csr") for d in (-1, 0, 1)]
+    # a shifted identity has no entry past its edge, so nothing wraps
+    lap = sum(w * sp.kron(shift[a], shift[c])
+              for (a, c), w in np.ndenumerate(problem.stencil))
+    return lap.tocsr()
 
 
 def make_problem(grid, a, sigma0=np.sqrt(2.0), conj=CONJ):
@@ -72,8 +83,46 @@ def test_matrix_and_stencil_agree():
     prob = make_problem(g, a)
     rng = np.random.default_rng(6)
     z = rng.standard_normal((g.n, g.n))
-    via_matrix = (prob.operator_matrix @ z.ravel()).reshape(g.n, g.n)
+    via_matrix = (operator_matrix(prob) @ z.ravel()).reshape(g.n, g.n)
     np.testing.assert_allclose(via_matrix, apply_L(prob, z), atol=1e-11)
+
+
+@pytest.mark.filterwarnings("ignore:cross term")
+@pytest.mark.parametrize("L, n, a", [
+    (6.0, 141, [[1.0, 0.3], [0.0, 1.0]]),  # perfbench's planar
+    (3.0, 15, [[1.0, 0.0], [0.0, 1.0]]),  # b12 = 0: the cross weights drop
+    (3.0, 11, [[1.2, 0.0], [0.3, 1.0]]),
+    (3.0, 5, [[1.0, 0.3], [0.0, 1.0]]),  # the smallest mesh
+    (2.0, 7, [[2.0, 1.0], [0.5, 1.0]]),  # cross term dominates
+], ids=["planar", "no-cross", "n11", "n5", "anisotropic"])
+def test_csr_arrays_equal_the_kron_build(L, n, a):
+    prob = make_problem(Grid2D(L, n), a)
+    expected = operator_matrix(prob)
+    for got, want in zip(prob.csr, (expected.indptr, expected.indices,
+                                    expected.data)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    z = np.random.default_rng(9).standard_normal(prob.shape)
+    assert np.array_equal(prob.terms(z)[0].ravel(), -(
+        expected @ prob.conj.value(prob.half_sigma_sq * z).ravel()))
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_operator_apply_checks_the_shape(n):
+    # the CSR kernel reads the field without a bound: one of (n-1, n-1)
+    # would be read past its end, one of (n+1, n+1) only in part
+    prob = make_problem(Grid2D(3.0, 15), np.eye(2))
+    with pytest.raises(ValueError, match="shape"):
+        prob._apply_matrix(np.zeros((n, n)))
+
+
+def test_operator_apply_lets_a_non_finite_field_through():
+    # the Newton line search rejects a trial step by its residual, as in
+    # 1-D, so an overflowed trial field must reach it instead of raising
+    prob = make_problem(Grid2D(3.0, 15), np.eye(2))
+    z = np.zeros(prob.shape)
+    z[7, 7] = np.inf
+    assert not np.isfinite(prob._apply_matrix(z)).all()
 
 
 def test_factor_matrix_validation():
@@ -154,7 +203,6 @@ def test_planar_problem_discretizes_as_the_inline_assembly():
 
 
 def test_linear_conjugate_matches_direct_sparse_solve():
-    import scipy.sparse as sp
     from scipy.sparse.linalg import spsolve
 
     g = Grid2D(6.0, 41)
@@ -163,7 +211,7 @@ def test_linear_conjugate_matches_direct_sparse_solve():
     eta = rng.standard_normal((g.n, g.n))
     lam = 50.0
     y = solve_resolvent(prob, lam, eta).y
-    system = lam * sp.identity(g.n * g.n, format="csr") - prob.operator_matrix
+    system = lam * sp.identity(g.n * g.n, format="csr") - operator_matrix(prob)
     direct = spsolve(system.tocsc(), eta.ravel()).reshape(g.n, g.n)
     assert np.max(np.abs(y - direct)) <= 1e-8
 
@@ -268,12 +316,11 @@ def test_nonlinear_march_matches_explicit_oracle():
 
 def full_jacobian_step(prob, lam, y, r):
     # the assembled 9-point Jacobian lam*I - L S, solved whole
-    import scipy.sparse as sp
     from scipy.sparse.linalg import spsolve
 
     m = prob.half_sigma_sq
     slope = sp.diags((prob.conj.derivative(m * y) * m).ravel())
-    lap = prob.operator_matrix
+    lap = operator_matrix(prob)
     jac = lam * sp.identity(lap.shape[0]) - lap @ slope
     return spsolve(jac.tocsc(), -r.ravel()).reshape(y.shape)
 
@@ -362,7 +409,7 @@ def test_active_band_equals_the_sparse_block(nodes):
     active = np.flatnonzero(nodes(g.n))
     s_a = np.random.default_rng(24).uniform(0.5, 2.0, active.size)
     lam = 40.0
-    expected = prob.operator_matrix[active][:, active].toarray() * -s_a
+    expected = operator_matrix(prob)[active][:, active].toarray() * -s_a
     expected[np.diag_indices(active.size)] += lam
     ab, kl, ku = prob.active_band(lam, active, s_a)
     assert kl <= g.n + 1 and ku <= g.n + 1
@@ -379,7 +426,7 @@ def test_singular_active_block_raises():
     s = (prob.conj.derivative(m * y) * m).ravel()
     k = np.ravel_multi_index((7, 7), prob.shape)
     assert np.flatnonzero(s).tolist() == [k]
-    lam = prob.operator_matrix[k, k] * s[k]
+    lam = operator_matrix(prob)[k, k] * s[k]
     r = np.random.default_rng(25).standard_normal(y.shape)
     with pytest.raises(np.linalg.LinAlgError):
         prob.newton_step(lam, y, r)
@@ -411,7 +458,7 @@ def sparse_green(prob, z):
     inner = np.zeros((n, n), dtype=bool)
     inner[1:-1, 1:-1] = True
     idx = np.flatnonzero(inner)
-    system = -prob.operator_matrix[idx][:, idx]
+    system = -operator_matrix(prob)[idx][:, idx]
     phi = np.zeros(n * n)
     phi[idx] = spsolve(system.tocsc(), z.ravel()[idx])
     return phi.reshape(n, n)
