@@ -20,7 +20,7 @@ from .montecarlo import (ComparisonReport, McReport, SimConfig,
                          SimulationError, compare_policies, simulate_cost)
 from .problem import ControlProblem
 from .resolvent import (EllipticOperands, ResolventConfig, ResolventError,
-                        ResolventResult, apply_A, solve_resolvent)
+                        ResolventResult, solve_resolvent)
 from .stepper import (EnergyReport, MildSolution, RefineResult,
                       TransformedProblem, energy_report, mild_solve,
                       refine_until, step, sup_time_gap)

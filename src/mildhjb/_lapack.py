@@ -1,8 +1,8 @@
-"""scipy's compiled ``dgbsv`` and ``csr_matvec``, loaded from their extension
-files so that scipy's ``linalg`` and ``sparse`` packages (and the
-``numpy.f2py`` they import) stay out of the process.  The layout is private
-to scipy, so a missing file falls back to the public import.  Neither kernel
-checks its input."""
+"""scipy's compiled ``dgbsv`` and ``csr_matvec``, and its version string,
+loaded from their files so that scipy's package (and the ``linalg``,
+``sparse`` and ``numpy.f2py`` it would bring) stays out of the process.  The
+layout is private to scipy, so a missing file falls back to the public
+import.  Neither kernel checks its input."""
 
 from importlib import import_module, machinery, util
 from pathlib import Path
@@ -10,9 +10,9 @@ from pathlib import Path
 _SCIPY = Path(util.find_spec("scipy").origin).parent
 
 
-def _extension(name):
+def _load(name, suffixes=machinery.EXTENSION_SUFFIXES):
     stem = _SCIPY.joinpath(*name.split("."))
-    for path in (Path(f"{stem}{s}") for s in machinery.EXTENSION_SUFFIXES):
+    for path in (Path(f"{stem}{s}") for s in suffixes):
         if path.is_file():
             spec = util.spec_from_file_location(f"scipy.{name}", path)
             module = util.module_from_spec(spec)
@@ -21,5 +21,7 @@ def _extension(name):
     return import_module(f"scipy.{name}")
 
 
-dgbsv = _extension("linalg._flapack").dgbsv
-csr_matvec = _extension("sparse._sparsetools").csr_matvec
+dgbsv = _load("linalg._flapack").dgbsv
+csr_matvec = _load("sparse._sparsetools").csr_matvec
+# scipy.__version__ is this same string
+version = _load("version", machinery.SOURCE_SUFFIXES).version

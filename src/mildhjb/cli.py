@@ -17,9 +17,9 @@ from operator import add
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
+from ._lapack import version as scipy_version
 from .config import MODES, RunConfig, parse_config
 from .conjugate import ConjugateHamiltonian
 from .degenerate import solve_degenerate
@@ -318,7 +318,7 @@ def _write_manifest(cfg: RunConfig, out: Path, elapsed: float) -> None:
     text = (f"# mildhjb manifest\n"
             f"# version: {__version__}\n"
             f"# python: {sys.version.split()[0]}"
-            f" numpy: {np.__version__} scipy: {scipy.__version__}\n"
+            f" numpy: {np.__version__} scipy: {scipy_version}\n"
             f"# elapsed_seconds: {elapsed:.3f}\n"
             f"# the remainder is the effective config; rerun with\n"
             f"#   mildhjb {cfg.mode} --config manifest.txt\n"

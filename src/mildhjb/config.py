@@ -185,28 +185,28 @@ def _integer(raw: str) -> Optional[int]:
 
 
 class _Validator:
-    def __init__(self, sections):
+    def __init__(self, sections, mode):
         self.sections = sections
+        self.mode = mode
         self.errors: list[ConfigError] = []
         self.used: dict[str, dict[str, str]] = {}
 
     def error(self, line, field, message):
         self.errors.append(ConfigError(line, field, message))
 
-    def get(self, section, key, required=False, default=None, mode=""):
+    def get(self, section, key, required=False, default=None):
         entry = self.sections.get(section, {}).get(key)
         if entry is None:
             if required:
                 self.error(0, f"[{section}] {key}",
-                           f"required for mode {mode}" if mode else "required")
+                           f"required for mode {self.mode}")
             return default, 0
         self.used.setdefault(section, {})[key] = entry[0]
         return entry[0], entry[1]
 
-    def number(self, section, key, required=False, default=None, mode="",
-               check=None, describe="", parse=_finite,
-               noun="a finite number"):
-        raw, line = self.get(section, key, required, None, mode)
+    def number(self, section, key, required=False, default=None, check=None,
+               describe="", parse=_finite, noun="a finite number"):
+        raw, line = self.get(section, key, required)
         if raw is None:
             return default
         value = parse(raw)
@@ -223,9 +223,8 @@ class _Validator:
         return self.number(section, key, parse=_integer, noun="an integer",
                            **kwargs)
 
-    def expression(self, section, key, variables=("x",), required=False,
-                   mode=""):
-        raw, line = self.get(section, key, required, None, mode)
+    def expression(self, section, key, variables=("x",), required=False):
+        raw, line = self.get(section, key, required)
         if raw is None:
             return None, 0
         raw = PRESETS.get(raw, raw)
@@ -265,8 +264,8 @@ class _Validator:
             self.error(line, f"[{section}] {key}", f"empty list ({describe})")
         return values
 
-    def matrix(self, section, key, rows, required=False, mode=""):
-        raw, line = self.get(section, key, required, None, mode)
+    def matrix(self, section, key, rows, required=False):
+        raw, line = self.get(section, key, required)
         if raw is None:
             return None
         data = [[_finite(v) for v in row.replace(",", " ").split()]
@@ -287,35 +286,30 @@ def parse_config(text: str, mode_override: Optional[str] = None
                  ) -> tuple[Optional[RunConfig], list[ConfigError]]:
     """Validate a config file; returns (config, []) or (None, errors)."""
     top, sections, errors = _split_file(text)
-    v = _Validator(sections)
+    mode_raw, mode_line = top.get("mode", (None, 0))
+    mode = mode_override or mode_raw
+    v = _Validator(sections, mode)
     v.errors.extend(errors)
-
-    mode_raw = top.get("mode", (None, 0))
-    mode = mode_override or mode_raw[0]
     if mode is None:
         v.error(0, "mode", "missing (set in the file or pass a subcommand)")
     elif mode not in MODES:
-        v.error(mode_raw[1], "mode",
+        v.error(mode_line, "mode",
                 f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
+        mode = None  # then only [output] is checked
     planar = mode == "solve-2d"
-    needs_solver = planar or mode in ("solve", "value", "policy", "simulate",
-                                      "sweep-eps", "sweep-degenerate")
+    needs_solver = mode not in (None, "conjugate-table")
     needs_problem = needs_solver and not planar  # the [problem] block
-    needs_cost = needs_solver or mode == "conjugate-table"
 
-    cfg = RunConfig(mode=mode or "")
+    cfg = RunConfig(mode)
 
     problem = {}  # ControlProblem or PlanarProblem fields, all but the cost
     if needs_problem:
         problem["horizon"] = v.number("problem", "T", required=True,
-                                      mode=mode, check=lambda t: t > 0,
-                                      describe="T > 0")
+                                      check=lambda t: t > 0, describe="T > 0")
         f_expr, f_line = v.expression("problem", "f")
-        sig_expr, sig_line = v.expression("problem", "sigma", required=True,
-                                          mode=mode)
-        g_expr, g_line = v.expression("problem", "g", required=True, mode=mode)
-        g0_expr, g0_line = v.expression("problem", "g0", required=True,
-                                        mode=mode)
+        sig_expr, sig_line = v.expression("problem", "sigma", required=True)
+        g_expr, g_line = v.expression("problem", "g", required=True)
+        g0_expr, g0_line = v.expression("problem", "g0", required=True)
         problem.update(
             f=f_expr, sigma=sig_expr, g=g_expr, g0=g0_expr,
             f_x=v.derived(f_expr, f_line, "[problem] f"),
@@ -328,9 +322,9 @@ def parse_config(text: str, mode_override: Optional[str] = None
                 sigma_xx=v.derived(sig_expr, sig_line, "[problem] sigma",
                                    order=2))
 
-    if needs_cost:
-        kind_raw, kind_line = v.get("cost", "kind", required=True, mode=mode)
-        alpha1 = v.number("cost", "alpha1", required=True, mode=mode,
+    if mode is not None:  # every mode reads the cost
+        kind_raw, kind_line = v.get("cost", "kind", required=True)
+        alpha1 = v.number("cost", "alpha1", required=True,
                           check=lambda a: a > 0, describe="alpha1 > 0")
         alpha2 = v.number("cost", "alpha2", default=0.0,
                           check=lambda a: a >= 0, describe="alpha2 >= 0")
@@ -339,7 +333,7 @@ def parse_config(text: str, mode_override: Optional[str] = None
                     f"expected 'quadratic' or 'expression', got {kind_raw!r}")
         elif kind_raw == "expression":
             h_expr, _ = v.expression("cost", "h", variables=("u",),
-                                     required=True, mode=mode)
+                                     required=True)
             if h_expr is not None and alpha1 is not None:
                 try:
                     cfg.cost = RunningCost.from_callable(h_expr, alpha1,
@@ -351,12 +345,12 @@ def parse_config(text: str, mode_override: Optional[str] = None
 
     if needs_solver:
         section = "2d" if planar else "grid"
-        L = v.number(section, "L", required=True, mode=mode,
-                     check=lambda L: L > 0, describe="L > 0")
-        n = v.integer(section, "n", required=True, mode=mode,
+        L = v.number(section, "L", required=True, check=lambda L: L > 0,
+                     describe="L > 0")
+        n = v.integer(section, "n", required=True,
                       check=lambda n: n >= 5 and n % 2 == 1,
                       describe="odd n >= 5")
-        cfg.eps = v.number("solver", "eps", required=True, mode=mode,
+        cfg.eps = v.number("solver", "eps", required=True,
                            check=lambda e: e > 0, describe="eps > 0")
         tol_res = v.number("solver", "tol_res",
                            default=ResolventConfig.tol_res,
@@ -366,14 +360,14 @@ def parse_config(text: str, mode_override: Optional[str] = None
                              check=lambda k: k > 0, describe="> 0")
         if mode == "sweep-eps":
             cfg.refine_tol = v.number("solver", "refine_tol", required=True,
-                                      mode=mode, check=lambda t: t > 0,
+                                      check=lambda t: t > 0,
                                       describe="tol > 0")
             cfg.refine_levels = v.integer("solver", "refine_levels", default=8,
                                           check=lambda k: k >= 1,
                                           describe=">= 1")
 
     if mode == "simulate":
-        cfg.paths = v.integer("sim", "paths", required=True, mode=mode,
+        cfg.paths = v.integer("sim", "paths", required=True,
                               check=lambda p: p >= 2, describe=">= 2")
         horizon = problem["horizon"]  # None when [problem] T is invalid
         cfg.dt = v.number("sim", "dt", default=horizon and horizon / 1000.0,
@@ -414,15 +408,15 @@ def parse_config(text: str, mode_override: Optional[str] = None
                     "need p_min < p_max")
 
     if planar:
-        problem["horizon"] = v.number("2d", "T", required=True, mode=mode,
+        problem["horizon"] = v.number("2d", "T", required=True,
                                       check=lambda t: t > 0, describe="T > 0")
-        problem["a"] = v.matrix("2d", "a", rows=2, required=True, mode=mode)
+        problem["a"] = v.matrix("2d", "a", rows=2, required=True)
         problem["sigma0"], _ = v.expression("2d", "sigma0",
                                             variables=("x", "y"),
-                                            required=True, mode=mode)
+                                            required=True)
         for key in ("g", "g0"):  # the data need only the second partials
             expr, line = v.expression("2d", key, variables=("x", "y"),
-                                      required=True, mode=mode)
+                                      required=True)
             field = f"[2d] {key}"
             dx, dy = (v.derived(expr, line, field, var=z) for z in "xy")
             problem[f"{key}_parts"] = (v.derived(dx, line, field, var="x"),
@@ -434,9 +428,8 @@ def parse_config(text: str, mode_override: Optional[str] = None
                          check=seed_in_range, describe=SEED_RANGE)
 
     cfg.raw = v.used
-    if mode:
-        cfg.raw.setdefault("output", {})["dir"] = cfg.out_dir
-        cfg.raw["output"]["seed"] = str(cfg.seed)
+    cfg.raw.setdefault("output", {})["dir"] = cfg.out_dir
+    cfg.raw["output"]["seed"] = str(cfg.seed)
     if v.errors:
         return None, sorted(v.errors, key=lambda e: (e.line, e.field))
     if needs_solver:

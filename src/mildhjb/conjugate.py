@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 
+_PROBE_MAX = 10.0  # the bound and convexity are sampled on [0, _PROBE_MAX]
+
+
 class CostValidationError(ValueError):
     """The supplied cost violates convexity or the quadratic lower bound."""
 
@@ -58,7 +61,6 @@ class RunningCost:
     alpha1: float
     alpha2: float = 0.0
     h: Optional[Callable[[np.ndarray | float], np.ndarray | float]] = None
-    probe_max: float = 10.0
 
     def __post_init__(self):
         if self.kind not in ("quadratic", "callable"):
@@ -77,9 +79,8 @@ class RunningCost:
         return cls(kind="quadratic", alpha1=alpha1, alpha2=alpha2)
 
     @classmethod
-    def from_callable(cls, h, alpha1, alpha2=0.0, probe_max=10.0) -> "RunningCost":
-        return cls(kind="callable", alpha1=alpha1, alpha2=alpha2, h=h,
-                   probe_max=probe_max)
+    def from_callable(cls, h, alpha1, alpha2=0.0) -> "RunningCost":
+        return cls(kind="callable", alpha1=alpha1, alpha2=alpha2, h=h)
 
     def evaluate(self, u):
         """Cost of a control; only defined for u >= 0."""
@@ -98,7 +99,7 @@ class RunningCost:
         return float(vals) if u.ndim == 0 else vals
 
     def _validate_samples(self, tol: float = 1e-9):
-        u = np.linspace(0.0, self.probe_max, 201)
+        u = np.linspace(0.0, _PROBE_MAX, 201)
         vals = self.evaluate(u)
         if not np.all(np.isfinite(vals)):
             raise CostValidationError("cost is not finite on the probe grid")

@@ -18,6 +18,7 @@ when a derivative is requested, with the offending construct named.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -30,7 +31,6 @@ __all__ = [
     "parse_expression",
 ]
 
-_FUNCTIONS = ("exp", "tanh", "sin", "cos", "abs")
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 
 
@@ -134,6 +134,21 @@ def _pow(a: Node, b: Node) -> Node:
         if b.value == 0:
             return _num(1.0)
     return BinOp("^", a, b)
+
+
+# each function's numpy ufunc and its derivative rule, ``rule(arg, d_arg)``;
+# abs has none
+_FUNCTIONS = {
+    "exp": (np.exp, lambda a, d: _mul(Call("exp", a), d)),
+    "tanh": (np.tanh, lambda a, d: _mul(
+        _sub(_num(1.0), _pow(Call("tanh", a), _num(2.0))), d)),
+    "sin": (np.sin, lambda a, d: _mul(Call("cos", a), d)),
+    "cos": (np.cos, lambda a, d: Neg(_mul(Call("sin", a), d))),
+    "abs": (np.abs, None),
+}
+# truediv keeps 1/0 of two constants an error
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": np.power}
 
 
 # ----------------------------------------------------------------- tokenizer
@@ -288,27 +303,9 @@ def _evaluate(node: Node, env: dict) -> np.ndarray:
     if isinstance(node, Neg):
         return -_evaluate(node.arg, env)
     if isinstance(node, Call):
-        arg = _evaluate(node.arg, env)
-        if node.fn == "exp":
-            return np.exp(arg)
-        if node.fn == "tanh":
-            return np.tanh(arg)
-        if node.fn == "sin":
-            return np.sin(arg)
-        if node.fn == "cos":
-            return np.cos(arg)
-        return np.abs(arg)
-    a = _evaluate(node.left, env)
-    b = _evaluate(node.right, env)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    if node.op == "/":
-        return a / b
-    return np.power(a, b)
+        return _FUNCTIONS[node.fn][0](_evaluate(node.arg, env))
+    return _BINARY[node.op](_evaluate(node.left, env),
+                           _evaluate(node.right, env))
 
 
 def _depends_on(node: Node, var: str) -> bool:
@@ -332,15 +329,9 @@ def _differentiate(node: Node, var: str) -> Node:
         return Neg(_differentiate(node.arg, var))
     if isinstance(node, Call):
         inner = _differentiate(node.arg, var)
-        if node.fn == "exp":
-            return _mul(Call("exp", node.arg), inner)
-        if node.fn == "tanh":
-            return _mul(_sub(_num(1.0), _pow(Call("tanh", node.arg), _num(2.0))),
-                        inner)
-        if node.fn == "sin":
-            return _mul(Call("cos", node.arg), inner)
-        if node.fn == "cos":
-            return Neg(_mul(Call("sin", node.arg), inner))
+        rule = _FUNCTIONS[node.fn][1]
+        if rule is not None:
+            return rule(node.arg, inner)
         if isinstance(inner, Num) and inner.value == 0:
             return _num(0.0)
         raise DifferentiationError(

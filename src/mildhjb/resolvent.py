@@ -28,10 +28,12 @@ start (the previous time step) and each Picard sweep reuse them.
 
 Only shifts above ``shift_floor(ops) = 2*lam0``, ``lam0 = sup|f'|``, are
 admitted (where the control binds, the Jacobian's diagonal is
-``lam - 2f'``), and the march reads the same floor.  The solved map is an
-L1 contraction in ``eta`` with constant ``1/(lam - lam0)``; the returned
-object carries as its certificate the L1 residual that the converging
-strategy computed at the returned ``y``.
+``lam - 2f'``), and the march reads the same floor.  With the perturbation
+off, the solved map is an L1 contraction in ``eta`` with constant
+``1/(lam - lam0)``, which acceptance criterion 1 checks; for the full
+operator no constant is derived (ROADMAP item 4).  The returned object
+carries as its certificate the L1 residual that the converging strategy
+computed at the returned ``y``.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "ResolventConfig",
     "ResolventError",
     "ResolventResult",
-    "apply_A",
     "banded_solve",
     "shift_floor",
     "solve_resolvent",
@@ -104,10 +105,14 @@ class EllipticOperands:
         return (self.grid.n,)
 
     def terms(self, y) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """``A(y)`` and ``B(y)``, or ``None`` for B when it is off."""
-        b = (apply_B(self.drift, y)
-             if self.perturbation and self.drift is not None else None)
-        return apply_A(self, y), b
+        """``A(y) = -(value(m*y))'' - f*y'``, transport upwinded, and
+        ``B(y)``, or ``None`` for B when it is off."""
+        y = np.asarray(y, dtype=float)
+        a = -diff2(self.grid, self.conj.value(self.half_sigma_sq * y))
+        if self.drift is None:
+            return a, None
+        a -= self.drift.f * diff1_upwind(self.grid, y, self.drift.upwind[0])
+        return a, apply_B(self.drift, y) if self.perturbation else None
 
     @cached_property
     def _band(self) -> np.ndarray:
@@ -226,16 +231,6 @@ class ResolventResult:
     out_of_table: bool = False
     iterate: Optional[Iterate] = field(default=None, repr=False,
                                        compare=False)
-
-
-def apply_A(ops: EllipticOperands, y) -> np.ndarray:
-    """-(value(m*y))'' - f*y' with upwinded transport."""
-    y = np.asarray(y, dtype=float)
-    out = -diff2(ops.grid, ops.conj.value(ops.half_sigma_sq * y))
-    if ops.drift is not None:
-        drift = ops.drift
-        out -= drift.f * diff1_upwind(ops.grid, y, drift.upwind[0])
-    return out
 
 
 def shift_floor(ops) -> float:

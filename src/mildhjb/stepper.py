@@ -103,11 +103,6 @@ class MildSolution:
         """Discrete integral of every snapshot."""
         return np.array([self.grid.integral(y) for y in self.snapshots])
 
-    def at_time(self, t: float) -> np.ndarray:
-        """Piecewise-constant evaluation: the snapshot covering t."""
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        return self.snapshots[max(i, 0)]
-
 
 def step(problem: TransformedProblem, eps: float, y_prev,
          cfg: Optional[ResolventConfig] = None,

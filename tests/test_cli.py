@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,146 @@ def test_manifest_round_trip_reproduces_artifacts(tmp_path, mode, text, tops):
     first = artifacts(out1)
     assert {path.parts[0] for path in first} == tops
     assert artifacts(out2) == first
+
+
+# Every mode on this module's configs, and the SHA-256 of each artifact it
+# writes (of manifest.txt without its "#" lines, which hold versions and
+# timing).  A change that moves these bytes on purpose regenerates them
+# with ``artifact_hashes`` and says so.
+PINNED_RUNS = {
+    "solve": ("solve", SOLVE.format(T=0.1)),
+    "value": ("value", in_mode("value")),
+    "policy": ("policy", in_mode("policy")),
+    "simulate": ("simulate", SIMULATE),
+    "simulate-dump": ("simulate", SIMULATE.replace(
+        "baselines = 0 0.5", "baselines = 0 0.5\ndump_paths = true")),
+    "sweep-eps": ("sweep-eps", in_mode("sweep-eps").replace(
+        "eps = 0.02", "eps = 0.02\nrefine_tol = 1e-3\nrefine_levels = 2")),
+    "sweep-degenerate": ("sweep-degenerate", DEGENERATE),
+    "solve-2d": ("solve-2d", SOLVE_2D),
+    "conjugate-table": ("conjugate-table", TABLE),
+    "conjugate-table-expression": ("conjugate-table", TABLE_EXPR),
+}
+
+PINNED_HASHES = {
+    "solve": {
+        "fields/y.csv":
+            "6a520deceac8dda5830b48dc0e9d0b449b69e6068686f3ca273309b13115c765",
+        "manifest.txt":
+            "a06e014df9f01026d7a0c3746e688065a46fc6b0ea2a75878a37a15bd0b05c5d",
+        "reports/energy.csv":
+            "98eedf5c7da2d98c73e87e840fcac224fadd91ab2db65e2458189ee8f101d20f",
+        "reports/summary.txt":
+            "1a92c1383da500eb8f595ce950c55be1b1a728fbfe0fd57c453a0a9af198622a",
+    },
+    "value": {
+        "fields/value.csv":
+            "3957d4cf6e6411e4c452916b68024400396e1d080004c8c03d741c0d7237720d",
+        "fields/value_slope.csv":
+            "9a5b309a81ef47931d726a97453624604f6133e653819de6d08568f8930e7d05",
+        "manifest.txt":
+            "45d1f0141cf9697e0544ce60e482e320eaa2e5f86ce85ed6e5d6ecda9666bea3",
+    },
+    "policy": {
+        "manifest.txt":
+            "36bac0f8b84c5dd5dad0dc3e7760d999e3605b1f0f9fbe2b2faaef4d654ea885",
+        "policy.csv":
+            "5072a7848b181227058cd0382030cb3abfe7732cf15780bce9196cf7ad2b5c82",
+        "policy.txt":
+            "40ebcb969da0d8dea84ccea40b4112645d525e660ad9ac18939cc0dceeabd754",
+    },
+    "simulate": {
+        "manifest.txt":
+            "ed9432940643f2da7949e57c2fd28b7132325cff3af6708a2ea362f2e617b34a",
+        "policy.csv":
+            "bf09b82b4d145b07444e6d967d312d84e49a27e4dcac0e825e71c384723bb8e5",
+        "policy.txt":
+            "13551af8353e6506ab9de6e4dd73a919b95ac11f2bdd5fe9d3a0a3611d459cdf",
+        "reports/mc_comparison.csv":
+            "ed8b51e6a86c13a9aef3b5adc28035b5c586fc3d16546c35a652c6eb6c54f370",
+        "reports/summary.txt":
+            "b55c348db30cba8e43b3558c590e54557dc89f954a1322918e945074bbeb69a4",
+    },
+    "simulate-dump": {
+        "manifest.txt":
+            "76560b30bd83d231739dc4af867178db2426667dccec45f6c83f0ea0fe878f8c",
+        "policy.csv":
+            "bf09b82b4d145b07444e6d967d312d84e49a27e4dcac0e825e71c384723bb8e5",
+        "policy.txt":
+            "13551af8353e6506ab9de6e4dd73a919b95ac11f2bdd5fe9d3a0a3611d459cdf",
+        "reports/mc_comparison.csv":
+            "ed8b51e6a86c13a9aef3b5adc28035b5c586fc3d16546c35a652c6eb6c54f370",
+        "reports/path_costs.csv":
+            "8b8b19bd732e791ec5aa14a4852c7d37d6a20d77012558e669238de4329d370f",
+        "reports/summary.txt":
+            "b55c348db30cba8e43b3558c590e54557dc89f954a1322918e945074bbeb69a4",
+    },
+    "sweep-eps": {
+        "fields/y_finest.csv":
+            "10188deeb95237bad57066169c828cbe9547bafbe1fb5121e2d83975101b4736",
+        "manifest.txt":
+            "ede70f8fa84e94b01b3ec7e3a80a7dc1ee13d360f7a99ff7bc5f20e2c856dab1",
+        "reports/eps_sweep.csv":
+            "98ec4abc49edf477cfd39810cf277c2bc2499d9c0633be2e68d2bf686d9b0439",
+        "reports/summary.txt":
+            "398d68a4172affa47847b42894a177c73666cb449b6da9b83115ffcb5d82829b",
+    },
+    "sweep-degenerate": {
+        "manifest.txt":
+            "6223117b62759fce464fdb6c85319f7d76e715cd94e97a16c92d08fdad1d4421",
+        "reports/degenerate_sweep.csv":
+            "67452c8d0fae78dca673c4b39bb34bc15aee45924f1b7492966916c5013d84f0",
+        "reports/summary.txt":
+            "63af9656ade6ee05b3f6682fdcbdf10eac593c472c2d338ef38604a0bdcff4ac",
+    },
+    "solve-2d": {
+        "fields/value2d_final.csv":
+            "6f4a7f212ba3234737aaab1c6eb1b7310fe2defccdb185c19d9bf5be11b1bdc7",
+        "fields/y2d_final.csv":
+            "eb710101b308b23685d63eb0d2dfa1fcdbdf43c5768941f9ce5d62b14a2cbd3b",
+        "fields/y2d_initial.csv":
+            "c03fa0f0a813e6794aae9b04eb9fbe6ce51f6fcc36e020863cbec876c7454651",
+        "manifest.txt":
+            "e475bf7263c4845e2a2e34c7301f42f4586ac41463d34d3061bb5ee724437435",
+        "reports/mass.csv":
+            "89b9c1978779307a951b33a4d77a7c0010f0942ca48c663ae2e87ca97bea1793",
+    },
+    "conjugate-table": {
+        "manifest.txt":
+            "7daf6ab3ead226e1fa9550768a21777de0b550287e30b1e7179d27c712885ce3",
+        "reports/conjugate_table.csv":
+            "b383f5b08f857e3c15f49ec2388369e11431c245c5d2e37e75eaf94531bd4bbb",
+    },
+    "conjugate-table-expression": {
+        "manifest.txt":
+            "8e8d6f2ff3d24be5ee389ed5adfbbc5f1b15a8da3c83a92ed918252744d89c77",
+        "reports/conjugate_table.csv":
+            "e5bcabfa30a3d635971a603074052d29893918e2665ab384c9f05b12124f7471",
+    },
+}
+
+
+def artifact_hashes(tmp_path, name):
+    mode, text = PINNED_RUNS[name]
+    out = tmp_path / "out"
+    assert run(mode, str(write(tmp_path, "p.cfg", text)), out_dir=str(out),
+               quiet=True) == 0
+    hashes = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "manifest.txt":
+                data = b"".join(line for line in data.splitlines(True)
+                                if not line.startswith(b"#"))
+            hashes[path.relative_to(out).as_posix()] = \
+                hashlib.sha256(data).hexdigest()
+    return hashes
+
+
+@pytest.mark.parametrize("name", list(PINNED_RUNS))
+def test_artifact_bytes_are_pinned(tmp_path, name):
+    got = artifact_hashes(tmp_path, name)
+    assert got == PINNED_HASHES[name], f"new hashes: {name!r}: {got!r},"
 
 
 def test_seed_override_lands_in_manifest(tmp_path):
@@ -529,12 +671,12 @@ def test_cli_import_leaves_out_scipy_fft():
     assert not loaded_by_cli_import("scipy.fft")
 
 
-@pytest.mark.parametrize("module",
-                         ["scipy.linalg", "scipy.sparse", "numpy.f2py"])
+@pytest.mark.parametrize("module", ["scipy", "scipy.linalg",
+                                    "scipy.sparse", "numpy.f2py"])
 def test_cli_import_leaves_out_scipy_python_layers(module):
-    # the LAPACK and CSR kernels are loaded from their extension files;
-    # scipy.linalg and scipy.sparse, through numpy.f2py, would add about
-    # 0.35 s to the set-up of every run
+    # the LAPACK and CSR kernels and the version string are loaded from
+    # their files; scipy itself costs about 25 ms of set-up, and scipy.linalg
+    # and scipy.sparse, through numpy.f2py, would add about 0.35 s
     assert not loaded_by_cli_import(module)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mildhjb.config import parse_config
+from mildhjb.config import MODES, parse_config
 from mildhjb.grid import Grid1D, Grid2D
 
 DESK = """
@@ -342,3 +342,277 @@ def test_echo_round_trips():
     assert cfg2.echo() == text
     assert cfg2.problem.horizon == cfg.problem.horizon
     assert cfg2.seed == cfg.seed
+
+
+# Configs that break each validation path once, and the full error list
+# each one yields: line, field, message, in order.  A change that moves
+# these on purpose regenerates them with ``error_list`` and says so.
+BROKEN = {
+    **{f"bare-{mode}": f"mode = {mode}\n" for mode in MODES},
+    "no-mode": DESK.replace("mode = solve\n", ""),
+    "unknown-mode": DESK.replace("mode = solve", "mode = dance")
+                        .replace("seed = 42", "seed = -1"),
+    "not-a-number": DESK.replace("eps = 0.01", "eps = nope"),
+    "not-an-integer": DESK.replace("n = 201", "n = 201.0"),
+    "out-of-range": DESK.replace("T = 0.5", "T = -1")
+                        .replace("n = 201", "n = 200"),
+    "bad-expression": DESK.replace("f = tanh(x)", "f = tanh(q)")
+                          .replace("g = exp(-x^2)", "g = exp(-x^2"),
+    "no-derivative": DESK.replace("f = tanh(x)", "f = 2^x")
+                         .replace("g0 = exp(-x^2)", "g0 = abs(x)"),
+    "no-sigma-derivative": DEGENERATE.replace("sigma = 2^0.5 + 0.1*sin(x)",
+                                              "sigma = abs(x)"),
+    "no-planar-derivative": TWOD.replace("g0 = exp(-x^2 - y^2)",
+                                         "g0 = abs(x*y)"),
+    "bad-cost-kind": DESK.replace("kind = quadratic", "kind = cubic"),
+    "expression-cost-without-h": DESK.replace("kind = quadratic",
+                                              "kind = expression"),
+    "cost-below-its-bound": DESK.replace("kind = quadratic",
+                                         "kind = expression\nh = u^2 + 1")
+                                .replace("alpha2 = 0.0", "alpha2 = 2"),
+    "bad-list-entry": SIMULATE.replace("paths = 100",
+                                       "paths = 100\nbaselines = 0 x"),
+    "list-entry-out-of-range": SIMULATE.replace(
+        "paths = 100", "paths = 100\nbaselines = 0 -1"),
+    "empty-list": SIMULATE.replace("paths = 100",
+                                   "paths = 100\nbaselines = ,"),
+    "increasing-ladder": DEGENERATE.replace("ladder = 1e-1 1e-2",
+                                            "ladder = 1e-2 1e-1"),
+    "bad-sim-keys": SIMULATE.replace(
+        "paths = 100", "paths = 1\ndt = 0\nx0 = 11\ndump_paths = yes"),
+    "bad-matrix-entry": TWOD.replace("a = 1 1 0 ; 0 0 1", "a = 1 x ; 0 1"),
+    "bad-matrix-shape": TWOD.replace("a = 1 1 0 ; 0 0 1", "a = 1 1 0 ; 0 1"),
+    "bad-conjugate-range": TABLE.replace("p_min = -5", "p_min = 6")
+                                .replace("p_max = 5", "p_max = 4\nnodes = 1"),
+    "bad-solver-keys": DESK.replace(
+        "eps = 0.01", "eps = 0\ntol_res = -1\nmax_iter = 0\n"
+        "refine_tol = x\nrefine_levels = 0").replace("mode = solve",
+                                                     "mode = sweep-eps"),
+    "bad-seed": DESK.replace("seed = 42", "seed = -1"),
+    "unknown-section-and-key": ("seeed = 3\n" + DESK).replace(
+        "eps = 0.01", "eps = 0.01\ntol_ress = 1e-14").replace(
+        "[output]", "[outptu]"),
+    "duplicate-key": DESK + "\n[grid]\nL = 3\n",
+    "syntax": "mode = solve\nnonsense\n = 3\n[\n[problem]\nT = 1\nT = 2\n",
+}
+
+PINNED_ERRORS = {
+    "bare-solve": [
+        (0, "[cost] alpha1", "required for mode solve"),
+        (0, "[cost] kind", "required for mode solve"),
+        (0, "[grid] L", "required for mode solve"),
+        (0, "[grid] n", "required for mode solve"),
+        (0, "[problem] T", "required for mode solve"),
+        (0, "[problem] g", "required for mode solve"),
+        (0, "[problem] g0", "required for mode solve"),
+        (0, "[problem] sigma", "required for mode solve"),
+        (0, "[solver] eps", "required for mode solve"),
+    ],
+    "bare-value": [
+        (0, "[cost] alpha1", "required for mode value"),
+        (0, "[cost] kind", "required for mode value"),
+        (0, "[grid] L", "required for mode value"),
+        (0, "[grid] n", "required for mode value"),
+        (0, "[problem] T", "required for mode value"),
+        (0, "[problem] g", "required for mode value"),
+        (0, "[problem] g0", "required for mode value"),
+        (0, "[problem] sigma", "required for mode value"),
+        (0, "[solver] eps", "required for mode value"),
+    ],
+    "bare-policy": [
+        (0, "[cost] alpha1", "required for mode policy"),
+        (0, "[cost] kind", "required for mode policy"),
+        (0, "[grid] L", "required for mode policy"),
+        (0, "[grid] n", "required for mode policy"),
+        (0, "[problem] T", "required for mode policy"),
+        (0, "[problem] g", "required for mode policy"),
+        (0, "[problem] g0", "required for mode policy"),
+        (0, "[problem] sigma", "required for mode policy"),
+        (0, "[solver] eps", "required for mode policy"),
+    ],
+    "bare-simulate": [
+        (0, "[cost] alpha1", "required for mode simulate"),
+        (0, "[cost] kind", "required for mode simulate"),
+        (0, "[grid] L", "required for mode simulate"),
+        (0, "[grid] n", "required for mode simulate"),
+        (0, "[problem] T", "required for mode simulate"),
+        (0, "[problem] g", "required for mode simulate"),
+        (0, "[problem] g0", "required for mode simulate"),
+        (0, "[problem] sigma", "required for mode simulate"),
+        (0, "[sim] paths", "required for mode simulate"),
+        (0, "[solver] eps", "required for mode simulate"),
+    ],
+    "bare-sweep-eps": [
+        (0, "[cost] alpha1", "required for mode sweep-eps"),
+        (0, "[cost] kind", "required for mode sweep-eps"),
+        (0, "[grid] L", "required for mode sweep-eps"),
+        (0, "[grid] n", "required for mode sweep-eps"),
+        (0, "[problem] T", "required for mode sweep-eps"),
+        (0, "[problem] g", "required for mode sweep-eps"),
+        (0, "[problem] g0", "required for mode sweep-eps"),
+        (0, "[problem] sigma", "required for mode sweep-eps"),
+        (0, "[solver] eps", "required for mode sweep-eps"),
+        (0, "[solver] refine_tol", "required for mode sweep-eps"),
+    ],
+    "bare-sweep-degenerate": [
+        (0, "[cost] alpha1", "required for mode sweep-degenerate"),
+        (0, "[cost] kind", "required for mode sweep-degenerate"),
+        (0, "[grid] L", "required for mode sweep-degenerate"),
+        (0, "[grid] n", "required for mode sweep-degenerate"),
+        (0, "[problem] T", "required for mode sweep-degenerate"),
+        (0, "[problem] g", "required for mode sweep-degenerate"),
+        (0, "[problem] g0", "required for mode sweep-degenerate"),
+        (0, "[problem] sigma", "required for mode sweep-degenerate"),
+        (0, "[solver] eps", "required for mode sweep-degenerate"),
+    ],
+    "bare-solve-2d": [
+        (0, "[2d] L", "required for mode solve-2d"),
+        (0, "[2d] T", "required for mode solve-2d"),
+        (0, "[2d] a", "required for mode solve-2d"),
+        (0, "[2d] g", "required for mode solve-2d"),
+        (0, "[2d] g0", "required for mode solve-2d"),
+        (0, "[2d] n", "required for mode solve-2d"),
+        (0, "[2d] sigma0", "required for mode solve-2d"),
+        (0, "[cost] alpha1", "required for mode solve-2d"),
+        (0, "[cost] kind", "required for mode solve-2d"),
+        (0, "[solver] eps", "required for mode solve-2d"),
+    ],
+    "bare-conjugate-table": [
+        (0, "[cost] alpha1", "required for mode conjugate-table"),
+        (0, "[cost] kind", "required for mode conjugate-table"),
+    ],
+    "no-mode": [
+        (0, "mode", "missing (set in the file or pass a subcommand)"),
+    ],
+    "unknown-mode": [
+        (2, "mode",
+         "unknown mode 'dance'; expected one of solve, value, policy, "
+         "simulate, sweep-eps, sweep-degenerate, solve-2d, conjugate-table"),
+        (25, "[output] seed", "out of range (0 <= seed <= 2**64 - 1): -1"),
+    ],
+    "not-a-number": [
+        (21, "[solver] eps", "not a finite number: 'nope'"),
+    ],
+    "not-an-integer": [
+        (18, "[grid] n", "not an integer: '201.0'"),
+    ],
+    "out-of-range": [
+        (9, "[problem] T", "out of range (T > 0): -1"),
+        (18, "[grid] n", "out of range (odd n >= 5): 200"),
+    ],
+    "bad-expression": [
+        (5, "[problem] f", "unknown identifier 'q' (column 6)"),
+        (7, "[problem] g", "expected ')', found 'end of input' (column 9)"),
+    ],
+    "no-derivative": [
+        (5, "[problem] f",
+         "power with a variable exponent has no supported derivative"),
+        (5, "[problem] f",
+         "power with a variable exponent has no supported derivative"),
+        (8, "[problem] g0",
+         "abs(...) has no derivative; rewrite the expression without abs "
+         "where a derivative is required"),
+    ],
+    "no-sigma-derivative": [
+        (6, "[problem] sigma",
+         "abs(...) has no derivative; rewrite the expression without abs "
+         "where a derivative is required"),
+        (6, "[problem] sigma",
+         "abs(...) has no derivative; rewrite the expression without abs "
+         "where a derivative is required"),
+    ],
+    "no-planar-derivative": [
+        (10, "[2d] g0",
+         "abs(...) has no derivative; rewrite the expression without abs "
+         "where a derivative is required"),
+        (10, "[2d] g0",
+         "abs(...) has no derivative; rewrite the expression without abs "
+         "where a derivative is required"),
+    ],
+    "bad-cost-kind": [
+        (12, "[cost] kind",
+         "expected 'quadratic' or 'expression', got 'cubic'"),
+    ],
+    "expression-cost-without-h": [
+        (0, "[cost] h", "required for mode solve"),
+    ],
+    "cost-below-its-bound": [
+        (12, "[cost] h", "coercivity bound fails at u=2.6: h=7.76 < 8.76"),
+    ],
+    "bad-list-entry": [
+        (29, "[sim] baselines", "entries must be finite numbers: '0 x'"),
+    ],
+    "list-entry-out-of-range": [
+        (29, "[sim] baselines", "entries must be nonnegative: '0 -1'"),
+    ],
+    "empty-list": [
+        (29, "[sim] baselines", "empty list (constant control levels)"),
+    ],
+    "increasing-ladder": [
+        (28, "[degenerate] ladder", "must be strictly decreasing"),
+    ],
+    "bad-sim-keys": [
+        (28, "[sim] paths", "out of range (>= 2): 1"),
+        (29, "[sim] dt", "out of range (dt > 0): 0"),
+        (30, "[sim] x0", "out of range (|x0| <= L): 11"),
+        (31, "[sim] dump_paths", "expected 'true' or 'false', got 'yes'"),
+    ],
+    "bad-matrix-entry": [
+        (7, "[2d] a", "matrix entries must be finite numbers: '1 x ; 0 1'"),
+    ],
+    "bad-matrix-shape": [
+        (7, "[2d] a", "need 2 rows of equal length, ';'-separated"),
+    ],
+    "bad-conjugate-range": [
+        (9, "[conjugate] p_min", "out of range (p_min <= 0): 6"),
+        (11, "[conjugate] nodes", "out of range (>= 2): 1"),
+    ],
+    "bad-solver-keys": [
+        (21, "[solver] eps", "out of range (eps > 0): 0"),
+        (22, "[solver] tol_res", "out of range (tol > 0): -1"),
+        (23, "[solver] max_iter", "out of range (> 0): 0"),
+        (24, "[solver] refine_tol", "not a finite number: 'x'"),
+        (25, "[solver] refine_levels", "out of range (>= 1): 0"),
+    ],
+    "bad-seed": [
+        (25, "[output] seed", "out of range (0 <= seed <= 2**64 - 1): -1"),
+    ],
+    "unknown-section-and-key": [
+        (1, "seeed", "unknown key; expected one of mode"),
+        (23, "[solver] tol_ress",
+         "unknown key; expected one of eps, tol_res, max_iter, refine_tol, "
+         "refine_levels"),
+        (25, "section",
+         "unknown section [outptu]; expected one of problem, cost, grid, "
+         "solver, sim, degenerate, conjugate, 2d, output"),
+    ],
+    "duplicate-key": [
+        (28, "L", "duplicate key"),
+    ],
+    "syntax": [
+        (0, "[cost] alpha1", "required for mode solve"),
+        (0, "[cost] kind", "required for mode solve"),
+        (0, "[grid] L", "required for mode solve"),
+        (0, "[grid] n", "required for mode solve"),
+        (0, "[problem] g", "required for mode solve"),
+        (0, "[problem] g0", "required for mode solve"),
+        (0, "[problem] sigma", "required for mode solve"),
+        (0, "[solver] eps", "required for mode solve"),
+        (2, "syntax", "expected 'key = value', got 'nonsense'"),
+        (3, "syntax", "empty key"),
+        (4, "section", "malformed section header '['"),
+        (7, "T", "duplicate key"),
+    ],
+}
+
+
+def error_list(text):
+    cfg, errors = parse_config(text)
+    assert cfg is None
+    return [(e.line, e.field, e.message) for e in errors]
+
+
+@pytest.mark.parametrize("name", list(BROKEN))
+def test_error_lists_are_pinned(name):
+    got = error_list(BROKEN[name])
+    assert got == PINNED_ERRORS[name], f"new errors: {name!r}: {got!r},"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mildhjb import conjugate
 from mildhjb.conjugate import (ConjugateHamiltonian, CostValidationError,
                                NonConvexCostError, RunningCost, _maximize)
 from mildhjb.expressions import parse_expression
@@ -121,11 +122,11 @@ def test_cost_never_evaluated_on_negative_controls():
         QUAD.evaluate(-0.5)
 
 
-def test_nonconvex_cost_detected_in_bracket():
+def test_nonconvex_cost_detected_in_bracket(monkeypatch):
     # convex on the validation probe window, a dip further out
+    monkeypatch.setattr(conjugate, "_PROBE_MAX", 2.0)
     dipped = RunningCost.from_callable(
-        lambda u: u * u - 6.0 * np.exp(-4.0 * (u - 6.0) ** 2),
-        alpha1=0.75, probe_max=2.0)
+        lambda u: u * u - 6.0 * np.exp(-4.0 * (u - 6.0) ** 2), alpha1=0.75)
     with pytest.raises(NonConvexCostError):
         _maximize(dipped, 4.0)
 
@@ -261,10 +262,10 @@ def test_cost_evaluates_arrays_of_any_shape():
     assert isinstance(scalar.evaluate(2.0), float)
 
 
-def test_nonconvex_cost_detected_when_tabulating():
+def test_nonconvex_cost_detected_when_tabulating(monkeypatch):
+    monkeypatch.setattr(conjugate, "_PROBE_MAX", 2.0)
     dipped = RunningCost.from_callable(
-        lambda u: u * u - 6.0 * np.exp(-4.0 * (u - 6.0) ** 2),
-        alpha1=0.75, probe_max=2.0)
+        lambda u: u * u - 6.0 * np.exp(-4.0 * (u - 6.0) ** 2), alpha1=0.75)
     with pytest.raises(NonConvexCostError):
         ConjugateHamiltonian.tabulate(dipped, 0.0, 6.0, nodes=65)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mildhjb.config import PRESETS
 from mildhjb.expressions import (DifferentiationError, ExpressionError,
                                  parse_expression)
 
@@ -123,3 +124,260 @@ def test_errors_carry_column():
         assert exc.column == 4
     else:
         raise AssertionError("expected an ExpressionError")
+
+
+def test_division_by_a_zero_constant_raises():
+    # constant operands evaluate as Python floats, so 1/0 is an error, not inf
+    with pytest.raises(ZeroDivisionError):
+        parse_expression("1/0")(np.array([1.0, 2.0]))
+
+
+# float.hex of the value and of the first two derivatives at PIN_POINTS,
+# None where the derivative does not exist.  A change that moves these bits
+# on purpose regenerates them with ``pinned_bits`` and says so.
+PIN_POINTS = np.array([-1.3, -0.0, 0.7])
+
+PINNED_BITS = {
+    "exp(x)": (
+        "0x1.17129308ce281p-2 0x1.0000000000000p+0 0x1.01c2a61268987p+1",
+        "0x1.17129308ce281p-2 0x1.0000000000000p+0 0x1.01c2a61268987p+1",
+        "0x1.17129308ce281p-2 0x1.0000000000000p+0 0x1.01c2a61268987p+1"),
+    "tanh(x)": (
+        "-0x1.b933c726e9b3ap-1 -0x0.0p+0 0x1.356fb17af2e90p-1",
+        "0x1.079c9162fa648p-2 0x1.0000000000000p+0 0x1.44fc9668e6f7dp-1",
+        "0x1.c65207b73ef70p-2 0x0.0p+0 -0x1.88d2ac608f021p-1"),
+    "sin(x)": (
+        "-0x1.ed577f9c51e4bp-1 -0x0.0p+0 0x1.49d6e694619b8p-1",
+        "0x1.11eb3682a4c5fp-2 0x1.0000000000000p+0 0x1.87996529f9d93p-1",
+        "0x1.ed577f9c51e4bp-1 0x0.0p+0 -0x1.49d6e694619b8p-1"),
+    "cos(x)": (
+        "0x1.11eb3682a4c5fp-2 0x1.0000000000000p+0 0x1.87996529f9d93p-1",
+        "0x1.ed577f9c51e4bp-1 0x0.0p+0 -0x1.49d6e694619b8p-1",
+        "-0x1.11eb3682a4c5fp-2 -0x1.0000000000000p+0 -0x1.87996529f9d93p-1"),
+    "abs(x)": (
+        "0x1.4cccccccccccdp+0 0x0.0p+0 0x1.6666666666666p-1",
+        None,
+        None),
+    "exp(2)": (
+        "0x1.d8e64b8d4ddaep+2 0x1.d8e64b8d4ddaep+2 0x1.d8e64b8d4ddaep+2",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "tanh(2)": (
+        "0x1.ed9505e1bc3d4p-1 0x1.ed9505e1bc3d4p-1 0x1.ed9505e1bc3d4p-1",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "sin(2)": (
+        "0x1.d18f6ead1b446p-1 0x1.d18f6ead1b446p-1 0x1.d18f6ead1b446p-1",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "cos(2)": (
+        "-0x1.aa22657537205p-2 -0x1.aa22657537205p-2 -0x1.aa22657537205p-2",
+        "-0x0.0p+0 -0x0.0p+0 -0x0.0p+0",
+        "-0x0.0p+0 -0x0.0p+0 -0x0.0p+0"),
+    "abs(-2)*x": (
+        "-0x1.4cccccccccccdp+1 -0x0.0p+0 0x1.6666666666666p+0",
+        "0x1.0000000000000p+1 0x1.0000000000000p+1 0x1.0000000000000p+1",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "cos(sin(x))": (
+        "0x1.2425e21bc9258p-1 0x1.0000000000000p+0 0x1.996138146a6fdp-1",
+        "0x1.c1e62944b56c1p-3 0x0.0p+0 -0x1.d65e2e8a67854p-2",
+        "0x1.803da531d8177p-1 -0x1.0000000000000p+0 -0x1.4b1a1110b3f90p-4"),
+    "tanh(x^2)": (
+        "0x1.de488b0caad2fp-1 0x0.0p+0 0x1.d11e1cceb4506p-2",
+        "-0x1.531b7144e1b60p-2 -0x0.0p+0 0x1.1c7523aeda4f8p+0",
+        "-0x1.5a988f058e5cap+0 0x1.0000000000000p+1 0x1.64beb0b726f88p-3"),
+    "exp(-x^2)*sin(x)": (
+        "-0x1.6c1ff0e878542p-3 -0x0.0p+0 0x1.9422ff9fc1f0ap-2",
+        "-0x1.a6d19f1a00430p-2 0x1.0000000000000p+0 -0x1.57eefce7af938p-4",
+        "-0x1.a5baa3b259ff2p-2 0x0.0p+0 -0x1.b8f0ef6f79707p+0"),
+    "x + 2": (
+        "0x1.6666666666666p-1 0x1.0000000000000p+1 0x1.599999999999ap+1",
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "x - 2": (
+        "-0x1.a666666666666p+1 -0x1.0000000000000p+1 -0x1.4cccccccccccdp+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "3*x": (
+        "-0x1.f333333333334p+1 -0x0.0p+0 0x1.0ccccccccccccp+1",
+        "0x1.8000000000000p+1 0x1.8000000000000p+1 0x1.8000000000000p+1",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "x/4": (
+        "-0x1.4cccccccccccdp-2 -0x0.0p+0 0x1.6666666666666p-3",
+        "0x1.0000000000000p-2 0x1.0000000000000p-2 0x1.0000000000000p-2",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "x/(2 + x)": (
+        "-0x1.db6db6db6db6fp+0 -0x0.0p+0 0x1.097b425ed097bp-2",
+        "0x1.05397829cbc16p+2 0x1.0000000000000p-1 0x1.18eecaf953edbp-2",
+        "-0x1.752d871723144p+3 -0x1.0000000000000p-1 -0x1.a0325c1c0a8f8p-3"),
+    "1/(1 + x^2)": (
+        "0x1.7cab4d15e3731p-2 0x1.0000000000000p+0 0x1.579fc90527845p-1",
+        "0x1.6feed941e2805p-2 0x0.0p+0 -0x1.42de4b7b64b34p-1",
+        "0x1.ac38770942084p-2 -0x1.0000000000000p+1 0x1.22fbe2d4d2885p-2"),
+    "x^3": (
+        "-0x1.19374bc6a7efap+1 -0x0.0p+0 0x1.5f3b645a1cabfp-2",
+        "0x1.447ae147ae148p+2 0x0.0p+0 0x1.7851eb851eb84p+0",
+        "-0x1.f333333333334p+2 -0x0.0p+0 0x1.0ccccccccccccp+2"),
+    "(1 + x^2)^0.5": (
+        "0x1.a3df082a77818p+0 0x1.0000000000000p+0 0x1.387ce204a35d2p+0",
+        "-0x1.95d2cfbe75692p-1 -0x0.0p+0 0x1.259cdb3d0e541p-1",
+        "0x1.d03236c1fd1c8p-3 0x1.0000000000000p+0 0x1.198204842c2c5p-1"),
+    "2^x": (
+        "0x1.9fdf8bcce533dp-2 0x1.0000000000000p+0 0x1.9fdf8bcce533dp+0",
+        None,
+        None),
+    "-x": (
+        "0x1.4cccccccccccdp+0 0x0.0p+0 -0x1.6666666666666p-1",
+        "-0x1.0000000000000p+0 -0x1.0000000000000p+0 -0x1.0000000000000p+0",
+        "-0x0.0p+0 -0x0.0p+0 -0x0.0p+0"),
+    "+x": (
+        "-0x1.4cccccccccccdp+0 -0x0.0p+0 0x1.6666666666666p-1",
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "-2^2": (
+        "-0x1.0000000000000p+2 -0x1.0000000000000p+2 -0x1.0000000000000p+2",
+        "-0x0.0p+0 -0x0.0p+0 -0x0.0p+0",
+        "-0x0.0p+0 -0x0.0p+0 -0x0.0p+0"),
+    "2^-1": (
+        "0x1.0000000000000p-1 0x1.0000000000000p-1 0x1.0000000000000p-1",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "2^3^2": (
+        "0x1.0000000000000p+9 0x1.0000000000000p+9 0x1.0000000000000p+9",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "pi": (
+        "0x1.921fb54442d18p+1 0x1.921fb54442d18p+1 0x1.921fb54442d18p+1",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "e": (
+        "0x1.5bf0a8b145769p+1 0x1.5bf0a8b145769p+1 0x1.5bf0a8b145769p+1",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "pi*x + e": (
+        "-0x1.5da452b556006p+0 0x1.5bf0a8b145769p+1 0x1.3ab6a096ed516p+2",
+        "0x1.921fb54442d18p+1 0x1.921fb54442d18p+1 0x1.921fb54442d18p+1",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "e^x": (
+        "0x1.17129308ce281p-2 0x1.0000000000000p+0 0x1.01c2a61268986p+1",
+        None,
+        None),
+    "0": (
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "exp(-x^2)": (
+        "0x1.79e55f482fdfdp-3 0x1.0000000000000p+0 0x1.39aa2aaf607f6p-1",
+        "0x1.eb43c8aaa4a30p-2 0x0.0p+0 -0x1.b7216ef58718bp-1",
+        "0x1.c1b23ba0247dap-1 -0x1.0000000000000p+1 -0x1.917da746e1ec0p-6"),
+    "2^0.5": (
+        "0x1.6a09e667f3bcdp+0 0x1.6a09e667f3bcdp+0 0x1.6a09e667f3bcdp+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "0 + x": (
+        "-0x1.4cccccccccccdp+0 -0x0.0p+0 0x1.6666666666666p-1",
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "x + 0": (
+        "-0x1.4cccccccccccdp+0 -0x0.0p+0 0x1.6666666666666p-1",
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "2 + 3": (
+        "0x1.4000000000000p+2 0x1.4000000000000p+2 0x1.4000000000000p+2",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "x + x": (
+        "-0x1.4cccccccccccdp+1 -0x0.0p+0 0x1.6666666666666p+0",
+        "0x1.0000000000000p+1 0x1.0000000000000p+1 0x1.0000000000000p+1",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "x - 0": (
+        "-0x1.4cccccccccccdp+0 -0x0.0p+0 0x1.6666666666666p-1",
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "3 - 2": (
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "0 - x": (
+        "0x1.4cccccccccccdp+0 0x0.0p+0 -0x1.6666666666666p-1",
+        "-0x1.0000000000000p+0 -0x1.0000000000000p+0 -0x1.0000000000000p+0",
+        "-0x0.0p+0 -0x0.0p+0 -0x0.0p+0"),
+    "x - x": (
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "0*x": (
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "x*0": (
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "1*x": (
+        "-0x1.4cccccccccccdp+0 -0x0.0p+0 0x1.6666666666666p-1",
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "x*1": (
+        "-0x1.4cccccccccccdp+0 -0x0.0p+0 0x1.6666666666666p-1",
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "2*3": (
+        "0x1.8000000000000p+2 0x1.8000000000000p+2 0x1.8000000000000p+2",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "x*x": (
+        "0x1.b0a3d70a3d70bp+0 0x0.0p+0 0x1.f5c28f5c28f5bp-2",
+        "-0x1.4cccccccccccdp+1 -0x0.0p+0 0x1.6666666666666p+0",
+        "0x1.0000000000000p+1 0x1.0000000000000p+1 0x1.0000000000000p+1"),
+    "0/x": (
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "x/1": (
+        "-0x1.4cccccccccccdp+0 -0x0.0p+0 0x1.6666666666666p-1",
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "(x + 1)/2": (
+        "-0x1.3333333333334p-3 0x1.0000000000000p-1 0x1.b333333333333p-1",
+        "0x1.0000000000000p-1 0x1.0000000000000p-1 0x1.0000000000000p-1",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "x^1": (
+        "-0x1.4cccccccccccdp+0 -0x0.0p+0 0x1.6666666666666p-1",
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "x^0": (
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    "x^2": (
+        "0x1.b0a3d70a3d70bp+0 0x0.0p+0 0x1.f5c28f5c28f5bp-2",
+        "-0x1.4cccccccccccdp+1 -0x0.0p+0 0x1.6666666666666p+0",
+        "0x1.0000000000000p+1 0x1.0000000000000p+1 0x1.0000000000000p+1"),
+    "(x + 1)^1": (
+        "-0x1.3333333333334p-2 0x1.0000000000000p+0 0x1.b333333333333p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+}
+
+
+def pinned_bits(text):
+    expr = parse_expression(text)
+    bits = []
+    for _ in range(3):
+        bits.append(" ".join(map(float.hex, expr(PIN_POINTS).tolist())))
+        try:
+            expr = expr.derivative()
+        except DifferentiationError:
+            return tuple(bits + [None] * (3 - len(bits)))
+    return tuple(bits)
+
+
+@pytest.mark.parametrize("text", list(PINNED_BITS))
+def test_expression_bits_are_pinned(text):
+    got = pinned_bits(text)
+    assert got == PINNED_BITS[text], f"new bits: {text!r}: {got!r},"
+
+
+def test_every_preset_is_pinned():
+    assert set(PRESETS.values()) <= set(PINNED_BITS)

@@ -1,5 +1,8 @@
+from importlib import machinery
+
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg.lapack as lapack
 from scipy.sparse import _sparsetools
 
@@ -52,12 +55,15 @@ def csr_product(matvec, seed):
 
 
 def test_loader_falls_back_to_the_public_import(monkeypatch, tmp_path):
-    # scipy's file layout is private; with no extension file where the
-    # loader looks, the package import serves the same routines
+    # scipy's file layout is private; with no file where the loader looks,
+    # the package import serves the same routines and version
     monkeypatch.setattr(_lapack, "_SCIPY", tmp_path)
-    flapack = _lapack._extension("linalg._flapack")
-    sparsetools = _lapack._extension("sparse._sparsetools")
+    flapack = _lapack._load("linalg._flapack")
+    sparsetools = _lapack._load("sparse._sparsetools")
     assert flapack is lapack._flapack and sparsetools is _sparsetools
+    version = _lapack._load("version", machinery.SOURCE_SUFFIXES)
+    assert version is scipy.version
+    assert _lapack.version == version.version == scipy.__version__
     for system in (one_d_band(5), two_d_block(5)):
         assert same_solution(flapack.dgbsv, _lapack.dgbsv, system)
     assert np.array_equal(csr_product(sparsetools.csr_matvec, 6),

@@ -9,7 +9,7 @@ from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
 from mildhjb.grid import Grid1D, poisson_gradient
 from mildhjb.resolvent import (EllipticOperands, Iterate, ResolventConfig,
                                ResolventError, ResolventResult, _newton,
-                               apply_A, solve_resolvent)
+                               solve_resolvent)
 from mildhjb.stepper import mild_solve
 
 
@@ -26,14 +26,14 @@ def quad_ops(grid, drift=None, use_perturbation=True):
 def test_apply_A_zero_field():
     g = Grid1D(5.0, 101)
     ops = quad_ops(g, drift=tanh_drift(g))
-    np.testing.assert_array_equal(apply_A(ops, np.zeros(g.n)), 0.0)
+    np.testing.assert_array_equal(ops.terms(np.zeros(g.n))[0], 0.0)
 
 
 def test_apply_A_linear_conjugate_on_quadratic():
     # identity flux, unit multiplier: A(y) = -y'' = -2 on the interior
     g = Grid1D(2.0, 41)
     ops = elliptic_operands(g, linear_conjugate(), np.sqrt(2.0))
-    out = apply_A(ops, g.x**2)
+    out = ops.terms(g.x**2)[0]
     np.testing.assert_allclose(out[1:-1], -2.0, atol=1e-10)
 
 
@@ -43,7 +43,7 @@ def test_apply_A_pure_transport():
     drift = drift.__class__(g, np.ones(g.n), np.zeros(g.n), np.zeros(g.n))
     ops = elliptic_operands(g, zero_conjugate(), 1.0,
                             drift=drift, use_perturbation=False)
-    out = apply_A(ops, g.x.copy())
+    out = ops.terms(g.x.copy())[0]
     np.testing.assert_allclose(out[1:-1], -1.0, atol=1e-12)
 
 
