@@ -43,8 +43,6 @@ def _fmt(value) -> str:
 def _cell(v) -> str:
     if isinstance(v, str):
         return v
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
@@ -130,7 +128,7 @@ def _run_solve(cfg: RunConfig, out: Path, quiet: bool) -> None:
 def _value_tables(cfg: RunConfig):
     problem = cfg.problem.discretize(cfg.grid)
     sol = mild_solve(problem, cfg.eps, cfg=cfg.solver)
-    return problem, reconstruct_value(sol, horizon=cfg.problem.horizon)
+    return problem, reconstruct_value(sol)
 
 
 def _run_value(cfg: RunConfig, out: Path, quiet: bool) -> None:
@@ -166,7 +164,7 @@ def _write_policy(policy, out: Path) -> None:
                _field_rows(policy.times, grid.x, policy.u))
     lines = [
         "# feedback control table",
-        f"# horizon = {_fmt(policy.horizon)}",
+        f"# horizon = {_fmt(policy.times[-1])}",
         f"# half_width = {_fmt(grid.half_width)}",
         f"# nodes = {grid.n}",
         f"# times = {len(policy.times)}",

@@ -224,18 +224,15 @@ class ConjugateHamiltonian:
 
     All three evaluators are vectorized.  ``derivative_lipschitz`` bounds the
     slope of the derivative (the second derivative of the value, finite by
-    the quadratic coercivity of the cost); ``derivative_at_zero`` is the
-    control injected at zero curvature, 0 for every cost with a minimum at 0.
+    the quadratic coercivity of the cost).
     """
 
     def __init__(self, value_fn, derivative_fn, potential_fn,
-                 derivative_lipschitz, derivative_at_zero=0.0, p_range=None,
-                 ties_detected=False):
+                 derivative_lipschitz, p_range=None, ties_detected=False):
         self._value = value_fn
         self._derivative = derivative_fn
         self._potential = potential_fn
         self.derivative_lipschitz = float(derivative_lipschitz)
-        self.derivative_at_zero = float(derivative_at_zero)
         self.p_range = p_range
         self.ties_detected = bool(ties_detected)
 
@@ -322,7 +319,6 @@ class ConjugateHamiltonian:
         pots -= pot(0.0)
         return cls(value, derivative, pot,
                    derivative_lipschitz=lip,
-                   derivative_at_zero=float(np.interp(0.0, grid, ders)),
                    p_range=(float(p_min), float(p_max)),
                    ties_detected=bool(ties.any()))
 

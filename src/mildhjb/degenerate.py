@@ -19,7 +19,7 @@ import numpy as np
 from .conjugate import ConjugateHamiltonian
 from .grid import Grid1D, check_table, tabulate
 from .resolvent import ResolventConfig
-from .stepper import MildSolution, mild_solve, sup_time_gap
+from .stepper import MildSolution, mild_solve, step_lengths, sup_time_gap
 
 __all__ = [
     "BoundReport",
@@ -80,7 +80,7 @@ def sup_bound(conj: ConjugateHamiltonian, vol: VolatilityData,
     s_inf = 0.5 * (float(np.max(vol.sigma**2)) + regularization)
     c2 = hxx * (vol.slope_product_sup**2
                 + s_inf * vol.curvature_product_sup)
-    c1 = conj.derivative_at_zero * vol.curvature_product_sup
+    c1 = float(conj.derivative(0.0)) * vol.curvature_product_sup
     if lam <= c1:
         return None
     if c2 <= 0:
@@ -107,22 +107,19 @@ class BoundReport:
     min_slack: float
 
 
-def check_linf_bound(sol: MildSolution, conj: ConjugateHamiltonian,
-                     vol: VolatilityData, regularization: float
-                     ) -> BoundReport:
-    """Certify every recorded step of a run against its constant barrier."""
-    lams = np.full(len(sol.diagnostics), 1.0 / sol.eps)
-    if sol.partial_step:
-        lams[-1] = 1.0 / sol.partial_step
-    bounds, y_inf, certified = [], [], []
-    for lam, d in zip(lams, sol.diagnostics):
-        m = sup_bound(conj, vol, regularization, lam, d.eta_inf)
-        certified.append(m is not None)
-        bounds.append(np.inf if m is None else m)
-        y_inf.append(d.y_inf)
-    bounds = np.asarray(bounds)
-    y_inf = np.asarray(y_inf)
-    certified = np.asarray(certified, dtype=bool)
+def check_linf_bound(sol: MildSolution, vol: VolatilityData,
+                     regularization: float) -> BoundReport:
+    """Certify every step of a run against its constant barrier, each
+    step's ``eta`` formed from the snapshots as ``mild_solve`` forms it."""
+    steps = np.array(step_lengths(sol.problem.horizon, sol.eps))[:, None]
+    ys = sol.snapshots
+    eta_inf = np.abs(sol.problem.source + ys[:-1] / steps).max(axis=1)
+    y_inf = np.abs(ys[1:]).max(axis=1)
+    lams = 1.0 / steps[:, 0]
+    bounds = [sup_bound(sol.operands.conj, vol, regularization, lam, e)
+              for lam, e in zip(lams, eta_inf)]
+    certified = np.array([m is not None for m in bounds], dtype=bool)
+    bounds = np.array([np.inf if m is None else m for m in bounds])
     ok = bool(np.all(certified) and np.all(y_inf <= bounds))
     slack = float(np.min(bounds - y_inf)) if bounds.size else np.inf
     return BoundReport(lams=lams, bounds=bounds, y_inf=y_inf,
@@ -158,7 +155,7 @@ def solve_degenerate(problem, grid: Grid1D, eps: float, ladder,
     for level in levels:
         sol = mild_solve(problem.discretize(grid, conj, level), eps, cfg=cfg)
         solutions.append(sol)
-        reports.append(check_linf_bound(sol, conj, vol, level))
+        reports.append(check_linf_bound(sol, vol, level))
     gaps = [sup_time_gap(a, b) for a, b in zip(solutions, solutions[1:])]
     monotone = all(b < a or a == b == 0.0 for a, b in zip(gaps, gaps[1:]))
     if not monotone:

@@ -9,10 +9,10 @@ mild solution.  ``refine_until`` halves ``eps`` and measures the sup-in-time
 L1 gap between successive refinements, the computable Cauchy certificate for
 the limit.  Every step is stored.  A ``TransformedProblem`` holds the data
 (initial state, source, horizon) on any operand of ``solve_resolvent``
-(``EllipticOperands``, ``twodim.Problem2D``), which holds no data.
-``energy_report`` (1-D only) computes, per snapshot, the potential integral
-``h * sum j(m*y)/sigma^2`` and the flux dissipation
-``h * sum ((value(m*y))_x)^2``.
+(``EllipticOperands``, ``twodim.Problem2D``), which holds no data; a
+``MildSolution`` holds its problem.  ``energy_report`` (1-D only) computes,
+per snapshot, the potential integral ``h * sum j(m*y)/sigma^2`` and the flux
+dissipation ``h * sum ((value(m*y))_x)^2``.
 """
 
 from __future__ import annotations
@@ -69,9 +69,6 @@ class StepDiagnostics:
     iterations: int
     fallback: str
     out_of_table: bool
-    eta_inf: float
-    eta_l1: float
-    y_inf: float
 
 
 @dataclass
@@ -84,11 +81,15 @@ class MildSolution:
     """
 
     eps: float
-    operands: EllipticOperands
+    problem: TransformedProblem
     times: np.ndarray
     snapshots: np.ndarray
     partial_step: float
     diagnostics: list[StepDiagnostics]
+
+    @property
+    def operands(self) -> EllipticOperands:
+        return self.problem.operands
 
     @property
     def grid(self) -> Grid1D:
@@ -127,15 +128,6 @@ def step(problem: TransformedProblem, eps: float, y_prev,
                            y_init=y_prev, warm=warm)
 
 
-def _energies(ops: EllipticOperands, y) -> tuple[float, float]:
-    grid = ops.grid
-    m = ops.half_sigma_sq
-    w = ops.conj.value(m * y)
-    pot = grid.h * float(np.sum(ops.conj.potential(m * y) / (2.0 * m)))
-    dis = grid.h * float(np.sum(diff1_central(grid, w) ** 2))
-    return pot, dis
-
-
 def step_lengths(horizon: float, eps: float) -> list[float]:
     """Full steps of eps, then the remainder as one shortened step.
 
@@ -160,7 +152,6 @@ def mild_solve(problem: TransformedProblem, eps: float,
         raise ValueError(f"step size must be positive, got {eps}")
     lengths = step_lengths(problem.horizon, eps)
     remainder = lengths[-1] if lengths and lengths[-1] != eps else 0.0
-    grid = problem.operands.grid
     ys = np.empty((len(lengths) + 1, *problem.operands.shape))
     ys[0] = problem.initial
     diags: list[StepDiagnostics] = []
@@ -169,16 +160,10 @@ def mild_solve(problem: TransformedProblem, eps: float,
         eta = problem.source + ys[i - 1] / dt
         res = step(problem, dt, ys[i - 1], cfg=cfg, eta=eta, warm=res)
         ys[i] = res.y
-        diags.append(StepDiagnostics(
-            residual=res.residual,
-            iterations=res.iterations,
-            fallback=res.fallback,
-            out_of_table=res.out_of_table,
-            eta_inf=grid.norm_inf(eta),
-            eta_l1=grid.norm1(eta),
-            y_inf=grid.norm_inf(res.y)))
+        diags.append(StepDiagnostics(res.residual, res.iterations,
+                                     res.fallback, res.out_of_table))
     times = np.minimum(eps * np.arange(len(lengths) + 1), problem.horizon)
-    return MildSolution(eps=eps, operands=problem.operands, times=times,
+    return MildSolution(eps=eps, problem=problem, times=times,
                         snapshots=ys, partial_step=remainder,
                         diagnostics=diags)
 
@@ -246,8 +231,10 @@ def energy_report(sol: MildSolution) -> EnergyReport:
     Raises if either series is non-finite; stability of these numbers under
     eps-refinement is the computable content of the energy estimate.
     """
-    pots, diss = np.array([_energies(sol.operands, y)
-                           for y in sol.snapshots]).T
+    grid, m, conj = sol.grid, sol.operands.half_sigma_sq, sol.operands.conj
+    args = m * sol.snapshots
+    pots = grid.h * np.sum(conj.potential(args) / (2.0 * m), axis=1)
+    diss = grid.h * np.sum(diff1_central(grid, conj.value(args)) ** 2, axis=1)
     if not (np.all(np.isfinite(pots)) and np.all(np.isfinite(diss))):
         raise ArithmeticError("energy series contain non-finite entries")
     steps = np.diff(sol.times)

@@ -38,13 +38,12 @@ __all__ = [
 class ValueFunction:
     """Value snapshots phi(t_i, x_k) with slope and curvature tables.
 
-    ``times`` ascend from 0 to the horizon; ``curvature`` is minus the
-    forward unknown by construction, so ``diff2(phi) == -y`` holds to
+    ``times`` ascend to the horizon, ``times[-1]``; ``curvature`` is minus
+    the forward unknown by construction, so ``diff2(phi) == -y`` holds to
     round-off at interior nodes.
     """
 
     grid: Grid1D
-    horizon: float
     times: np.ndarray
     phi: np.ndarray
     phi_x: np.ndarray
@@ -56,16 +55,14 @@ class ValueFunction:
                 float(np.max(np.abs(self.phi_x))))
 
 
-def reconstruct_value(sol: MildSolution, horizon: float | None = None
-                      ) -> ValueFunction:
+def reconstruct_value(sol: MildSolution) -> ValueFunction:
     """Green-solve every stored snapshot once and reverse the time axis."""
     grid = sol.grid
-    T = float(horizon) if horizon is not None else float(sol.times[-1])
     ys = sol.snapshots[::-1]
     phi = poisson_solve(grid, ys)
-    return ValueFunction(grid=grid, horizon=T, times=T - sol.times[::-1],
-                         phi=phi, phi_x=diff1_central(grid, phi),
-                         curvature=-ys)
+    T = sol.problem.horizon
+    return ValueFunction(grid=grid, times=T - sol.times[::-1], phi=phi,
+                         phi_x=diff1_central(grid, phi), curvature=-ys)
 
 
 @dataclass
@@ -73,7 +70,6 @@ class FeedbackPolicy:
     """Tabulated nonnegative control u(t_i, x_k) with bilinear evaluation."""
 
     grid: Grid1D
-    horizon: float
     times: np.ndarray
     u: np.ndarray
 
@@ -97,7 +93,7 @@ def synthesize_feedback(v: ValueFunction, ops: EllipticOperands
     """u(t, x) = conjugate derivative of (-sigma^2/2 * curvature)."""
     m = ops.half_sigma_sq
     u = np.maximum(ops.conj.derivative(-m * v.curvature), 0.0)
-    return FeedbackPolicy(grid=v.grid, horizon=v.horizon, times=v.times, u=u)
+    return FeedbackPolicy(grid=v.grid, times=v.times, u=u)
 
 
 def interpolate_policy(policy: FeedbackPolicy, t, x):

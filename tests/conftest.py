@@ -15,8 +15,7 @@ def linear_conjugate() -> ConjugateHamiltonian:
     return ConjugateHamiltonian(lambda p: p + 0.0,
                                 lambda p: np.ones_like(p),
                                 lambda r: 0.5 * r * r,
-                                derivative_lipschitz=0.0,
-                                derivative_at_zero=1.0)
+                                derivative_lipschitz=0.0)
 
 
 def zero_conjugate() -> ConjugateHamiltonian:
@@ -32,7 +31,7 @@ def constant_policy(grid: Grid1D, horizon: float,
     """Feedback table holding one constant control everywhere."""
     times = np.array([0.0, horizon])
     u = np.full((2, grid.n), float(level))
-    return FeedbackPolicy(grid, horizon, times, u)
+    return FeedbackPolicy(grid, times, u)
 
 
 def tanh_drift(grid: Grid1D, scale: float = 1.0) -> DriftData:

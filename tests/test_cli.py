@@ -215,6 +215,12 @@ def in_mode(mode):
     return SOLVE.format(T=0.1).replace("mode = solve", f"mode = {mode}")
 
 
+def with_expression_cost(text):
+    """``text`` with the tabulated cost u^2 + 0.25*u."""
+    return text.replace("kind = quadratic",
+                        "kind = expression\nh = u^2 + 0.25*u")
+
+
 @pytest.mark.parametrize("mode, text, tops", [
     ("solve", SOLVE.format(T=0.1), {"fields", "reports"}),
     ("value", in_mode("value"), {"fields"}),
@@ -258,6 +264,13 @@ PINNED_RUNS = {
     "solve-2d": ("solve-2d", SOLVE_2D),
     "conjugate-table": ("conjugate-table", TABLE),
     "conjugate-table-expression": ("conjugate-table", TABLE_EXPR),
+    # a tabulated conjugate, and a horizon that leaves a shortened last step
+    # of 0.01 (6 steps of 0.02, 2 steps of 0.025)
+    "solve-expression": ("solve", with_expression_cost(SOLVE.format(T=0.13))),
+    "value-expression": ("value", with_expression_cost(
+        SOLVE.format(T=0.13).replace("mode = solve", "mode = value"))),
+    "sweep-degenerate-expression": ("sweep-degenerate", with_expression_cost(
+        DEGENERATE.replace("T = 0.05", "T = 0.06"))),
 }
 
 PINNED_HASHES = {
@@ -354,6 +367,32 @@ PINNED_HASHES = {
             "8e8d6f2ff3d24be5ee389ed5adfbbc5f1b15a8da3c83a92ed918252744d89c77",
         "reports/conjugate_table.csv":
             "e5bcabfa30a3d635971a603074052d29893918e2665ab384c9f05b12124f7471",
+    },
+    "solve-expression": {
+        "fields/y.csv":
+            "3c35d54f1f6229d7e860119b01c02be54d439ed9e8a5a8abd20b1ecdb356d70e",
+        "manifest.txt":
+            "996bf54ca1ed436818a8c8eb6284af53b14c0c43a675f800c0513407e547b2a4",
+        "reports/energy.csv":
+            "df047d0b19a423d12020167bc7004731743ff105f5f5e8d3261c9dbf8a421c39",
+        "reports/summary.txt":
+            "54b7395ba95abeab42bedd53113db83dc9359b233a552f8aa09e528593e8717c",
+    },
+    "value-expression": {
+        "fields/value.csv":
+            "c1c6f6bcf7c1ba597fd8b85ce238a4eb2668f53cf11086b2718054b3a22ed63a",
+        "fields/value_slope.csv":
+            "a6a4e2afec9aa43fdabe7cdc8a72bfa3da2f86561b2ba19eda91c097f95ae170",
+        "manifest.txt":
+            "c3244109469af84d8f6904ed0ef60d8a4df422c41e9b0fc5ae974c3d0287382a",
+    },
+    "sweep-degenerate-expression": {
+        "manifest.txt":
+            "041671ff58d99d6bf34e27d594038d73cb0c6c1d3a80fa3566701f56f86aee06",
+        "reports/degenerate_sweep.csv":
+            "69e808d3e39d049184beef762d800bc9317fab2739cd5f88d7407cad40d6dfef",
+        "reports/summary.txt":
+            "63af9656ade6ee05b3f6682fdcbdf10eac593c472c2d338ef38604a0bdcff4ac",
     },
 }
 

@@ -3,14 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import desk_problem
+from conftest import desk_problem, linear_conjugate
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
 from mildhjb.degenerate import (VolatilityData, check_linf_bound,
                                 solve_degenerate, sup_bound)
 from mildhjb.grid import Grid1D
 from mildhjb.problem import ControlProblem
 from mildhjb.resolvent import EllipticOperands
-from mildhjb.stepper import TransformedProblem, mild_solve, sup_time_gap
+from mildhjb.stepper import (TransformedProblem, mild_solve, step_lengths,
+                             sup_time_gap)
 
 PINCHED = dict(
     sigma=lambda x: x * np.exp(-x**2),
@@ -73,13 +74,48 @@ def test_bound_report_certifies_each_step():
     grid = Grid1D(8.0, 161)
     sweep = solve_degenerate(bump_problem(), grid, eps=0.025,
                              ladder=(1e-1, 1e-2))
-    report = sweep.bound_reports[0]
+    sol, report = sweep.solutions[0], sweep.bound_reports[0]
     assert np.all(report.certified)
+    np.testing.assert_array_equal(
+        report.y_inf, np.max(np.abs(sol.snapshots[1:]), axis=1))
     assert np.all(report.y_inf <= report.bounds)
-    recomputed = check_linf_bound(sweep.solutions[0],
-                                  ConjugateHamiltonian.quadratic(),
-                                  pinched_volatility(grid), 1e-1)
+    recomputed = check_linf_bound(sol, pinched_volatility(grid), 1e-1)
     np.testing.assert_allclose(recomputed.bounds, report.bounds)
+
+
+def test_bound_report_equals_sup_bound_step_by_step():
+    # a tabulated conjugate whose slope at 0 is 1/4 (h = 2u^2 - u + 1/4 has
+    # its minimum at u = 1/4), and a shortened last step of 0.01; each
+    # step's eta is formed as mild_solve forms it
+    cost = RunningCost.from_callable(lambda u: 2.0 * u * u - u + 0.25, 1.0)
+    problem = replace(bump_problem(), cost=cost, horizon=0.06)
+    grid = Grid1D(8.0, 81)
+    vol = pinched_volatility(grid)
+    sweep = solve_degenerate(problem, grid, 0.025, (1e-1,))
+    sol, report = sweep.solutions[0], sweep.bound_reports[0]
+    conj = sol.operands.conj
+    assert conj.p_range is not None
+    assert float(conj.derivative(0.0)) == pytest.approx(0.25)
+    steps = step_lengths(0.06, 0.025)
+    assert steps[-1] == sol.partial_step == pytest.approx(0.01)
+    bounds, y_inf = [], []
+    for i, dt in enumerate(steps, start=1):
+        eta = sol.problem.source + sol.snapshots[i - 1] / dt
+        bounds.append(sup_bound(conj, vol, 1e-1, 1.0 / dt,
+                                grid.norm_inf(eta)))
+        y_inf.append(grid.norm_inf(sol.snapshots[i]))
+    assert report.lams.tolist() == [1.0 / dt for dt in steps]
+    assert report.bounds.tolist() == bounds
+    assert report.y_inf.tolist() == y_inf
+    assert report.passed
+
+
+def test_sup_bound_reads_the_slope_at_zero_from_the_derivative():
+    # the identity conjugate has slope 1 everywhere and no curvature, so the
+    # barrier solves lam*M = eta_inf + M * sup|sigma*sigma'' + sigma'^2|
+    vol = pinched_volatility(Grid1D(8.0, 161))
+    bound = sup_bound(linear_conjugate(), vol, 1e-2, lam=50.0, eta_inf=3.0)
+    assert bound == 3.0 / (50.0 - vol.curvature_product_sup)
 
 
 def test_sup_bound_grows_as_shift_shrinks():
@@ -162,7 +198,8 @@ def test_shortened_last_step_is_certified_at_its_own_shift(eps):
     sol, report = sweep.solutions[0], sweep.bound_reports[0]
     assert 0.0 < sol.partial_step < eps
     # the last step solved lam = 1/partial_step, not 1/eps
+    eta = sol.problem.source + sol.snapshots[-2] / sol.partial_step
     last = sup_bound(conj, vol, 0.1, 1.0 / sol.partial_step,
-                     sol.diagnostics[-1].eta_inf)
+                     grid.norm_inf(eta))
     assert report.bounds[-1] == last
     assert report.y_inf[-1] <= last

@@ -74,7 +74,7 @@ def test_feedback_cost_matches_the_value_it_came_from():
     grid = Grid1D(10.0, 201)
     problem = control.discretize(grid)
     sol = mild_solve(problem, 2.5e-3)
-    vf = reconstruct_value(sol, horizon=HORIZON)
+    vf = reconstruct_value(sol)
     policy = synthesize_feedback(vf, problem.operands)
     _, psi, _ = backward_march(201, 4000)
     report = simulate_cost(control, policy,

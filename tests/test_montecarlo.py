@@ -105,7 +105,7 @@ def test_comparison_rows_equal_single_policy_runs(monkeypatch):
     grid = Grid1D(5.0, 41)
     times = np.linspace(0.0, 0.25, 6)
     u = 0.2 + 0.1 * np.abs(grid.x)[None, :] + times[:, None]
-    feedback = FeedbackPolicy(grid, 0.25, times, u)
+    feedback = FeedbackPolicy(grid, times, u)
     baselines = [0, 0.3, 1.0]
     cfg = SimConfig(n_paths=150, dt=5e-3, seed=31)
     rows = compare_policies(problem, feedback, baselines, cfg,
@@ -257,7 +257,7 @@ def test_comparison_bits_are_pinned():
     times = np.linspace(0.0, 0.5, 6)
     u = (0.2 + 0.1 * np.abs(grid.x)[None, :] + times[:, None]
          + 0.05 * np.sin(3.0 * grid.x)[None, :])
-    feedback = FeedbackPolicy(grid, 0.5, times, u)
+    feedback = FeedbackPolicy(grid, times, u)
     rows = compare_policies(problem, feedback, [0.25, 1.0],
                             SimConfig(n_paths=300, dt=0.005, seed=19)).rows()
     assert [(r.label, r.mean.hex(), r.stderr.hex()) for r in rows] == [

@@ -17,7 +17,7 @@ def desk_value(horizon=0.2, eps=0.01, n=201):
     grid = Grid1D(10.0, n)
     problem = desk_problem(horizon=horizon).discretize(grid)
     sol = mild_solve(problem, eps)
-    return problem, sol, reconstruct_value(sol, horizon=horizon)
+    return problem, sol, reconstruct_value(sol)
 
 
 def test_zero_snapshots_give_zero_value():
@@ -36,7 +36,7 @@ def test_terminal_value_recovers_terminal_cost():
     control = desk_problem(horizon=0.004)
     problem = control.discretize(grid)
     sol = mild_solve(problem, eps=0.01)
-    vf = reconstruct_value(sol, horizon=control.horizon)
+    vf = reconstruct_value(sol)
     inner = slice(40, 361)
     g0 = np.exp(-grid.x**2)
     gap = np.max(np.abs(vf.phi[-1][inner] - g0[inner]))
@@ -71,7 +71,7 @@ def test_convex_value_switches_control_off():
                                  np.sqrt(2.0))
     times = np.array([0.0, 1.0])
     curvature = np.tile(np.exp(-grid.x**2), (2, 1))  # phi_xx >= 0
-    vf = ValueFunction(grid, 1.0, times, np.zeros((2, grid.n)),
+    vf = ValueFunction(grid, times, np.zeros((2, grid.n)),
                        np.zeros((2, grid.n)), curvature)
     policy = synthesize_feedback(vf, ops)
     assert np.max(policy.u) == 0.0
@@ -83,7 +83,7 @@ def test_feedback_matches_brute_force_argmin():
                                  np.sqrt(2.0))
     times = np.array([0.0, 1.0])
     curvature = np.full((2, grid.n), -4.0)  # phi_xx = -4, sigma^2 = 2
-    vf = ValueFunction(grid, 1.0, times, np.zeros((2, grid.n)),
+    vf = ValueFunction(grid, times, np.zeros((2, grid.n)),
                        np.zeros((2, grid.n)), curvature)
     policy = synthesize_feedback(vf, ops)
     us = np.linspace(0.0, 10.0, 100001)
@@ -97,7 +97,7 @@ def test_feedback_scale_covariance():
     grid = Grid1D(5.0, 101)
     times = np.array([0.0, 1.0])
     curvature = np.full((2, grid.n), -4.0)
-    vf = ValueFunction(grid, 1.0, times, np.zeros((2, grid.n)),
+    vf = ValueFunction(grid, times, np.zeros((2, grid.n)),
                        np.zeros((2, grid.n)), curvature)
     for scale in (0.5, 2.0, 3.0):
         ops = elliptic_operands(
@@ -130,7 +130,7 @@ def test_policy_nonnegative_everywhere():
     policy = synthesize_feedback(vf, problem.operands)
     assert np.min(policy.u) >= 0.0
     with pytest.raises(ValueError):
-        FeedbackPolicy(vf.grid, 1.0, np.array([0.0, 1.0]),
+        FeedbackPolicy(vf.grid, np.array([0.0, 1.0]),
                        np.full((2, vf.grid.n), -0.1))
 
 
@@ -153,7 +153,7 @@ def test_interpolation_between_equal_values_is_exact():
 def test_interpolation_linear_slice_exact():
     grid = Grid1D(2.0, 41)
     table = np.tile(2.0 * grid.x + 5.0, (2, 1))
-    policy = FeedbackPolicy(grid, 1.0, np.array([0.0, 1.0]), table)
+    policy = FeedbackPolicy(grid, np.array([0.0, 1.0]), table)
     xs = np.array([-1.03, 0.011, 1.77])
     np.testing.assert_allclose(interpolate_policy(policy, 0.5, xs),
                                2.0 * xs + 5.0, atol=1e-12)
@@ -162,7 +162,7 @@ def test_interpolation_linear_slice_exact():
 def test_constant_extrapolation_outside_domain():
     grid = Grid1D(2.0, 41)
     table = np.tile(np.abs(grid.x), (2, 1))
-    policy = FeedbackPolicy(grid, 1.0, np.array([0.0, 1.0]), table)
+    policy = FeedbackPolicy(grid, np.array([0.0, 1.0]), table)
     assert interpolate_policy(policy, 0.5, 10.0) == pytest.approx(2.0)
     assert interpolate_policy(policy, 2.0, 0.0) == pytest.approx(0.0)
     assert interpolate_policy(policy, -1.0, 0.0) == pytest.approx(0.0)
@@ -215,7 +215,7 @@ def lookup_cases(draw):
     else:
         x = np.array(points[:len(points) // 2 * 2]).reshape(2, -1)
     t = draw(st.one_of(st.floats(-0.5, 1.5), st.sampled_from(list(times))))
-    return FeedbackPolicy(grid, 1.0, times, u), t, x
+    return FeedbackPolicy(grid, times, u), t, x
 
 
 @settings(max_examples=300, deadline=None)
@@ -238,7 +238,7 @@ def test_non_finite_table_follows_np_interp(bad):
     grid = Grid1D(2.0, 41)
     u = np.tile(np.abs(grid.x), (2, 1))
     u[1, 20] = bad
-    policy = FeedbackPolicy(grid, 1.0, np.array([0.0, 1.0]), u)
+    policy = FeedbackPolicy(grid, np.array([0.0, 1.0]), u)
     x = np.linspace(-2.5, 2.5, 203)
     with np.errstate(all="ignore"):
         got = interpolate_policy(policy, 0.5, x)
