@@ -10,20 +10,37 @@ path owns a counter-based random stream keyed by (seed, path index), so runs
 are reproducible bit for bit and two policies simulated at the same seed see
 identical noise (common random numbers).  One march steps every compared
 policy as one row of a (policies, paths) state on the same noise, in blocks
-of ``_BLOCK`` paths; it holds one block of noise at a time
-(``_BLOCK * steps * 8`` bytes), and copies it ``_CHUNK`` steps at a time into
-a contiguous ``(_CHUNK, paths)`` buffer that the steps read row by row.  A
+of paths; it copies a block's noise ``_CHUNK`` steps at a time into a
+contiguous ``(_CHUNK, paths)`` buffer that the steps read row by row.  A
 constant policy's rows of the control, its square root and its running cost
 are filled once per block, and only the callable policies are called on each
-step.
-Reductions over paths use exact summation, making the report independent of
-the accumulation order.
+step.  A constant 0 row has ``sqrt(u) = 0``: sigma and the noise kick skip
+it.
+
+The paths are split into contiguous shares, one per usable core
+(``os.sched_getaffinity``) and at most ``_MAX_WORKERS``, when each share
+marches at least ``_MIN_SHARE`` states, ``os.fork`` exists and no other
+Python thread runs.  This process marches the first share; a forked worker
+marches each other one and writes its columns of costs and survival flags
+straight into a shared anonymous mapping.  The split does not change a
+bit: a path's noise depends only on (seed, path index), its arithmetic is
+elementwise, and each share's columns land at their paths' places, so the
+report reduces the same arrays (exactly, by ``math.fsum``) however the
+paths were split.  A block holds at most ``_BLOCK // workers`` paths, so
+all processes together hold at most ``_BLOCK * steps * 8`` bytes of noise,
+as one serial march does.  Memory used by a worker shows in
+``RUSAGE_CHILDREN``, not in this process's own ``ru_maxrss``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import mmap
 import numbers
+import os
+import signal
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -46,8 +63,20 @@ Policy = Union[float, Callable]
 # a run fails when more than this share of its paths turn non-finite
 MAX_EXCLUDED_FRACTION = 0.01
 
-# paths stepped, and noise held, at a time
+# paths stepped, and noise held, at a time across all processes
 _BLOCK = 4096
+
+# the fewest (policy, path, step) states a share must march to be given a
+# forked worker: about 10 ms of march at 40 ns a state, four times the
+# 2.4 ms of a fork plus its waitpid at 40 MB resident (2-core x86-64 host)
+_MIN_SHARE = 2**18
+
+# the most processes one march is split across: each worker adds about 7 MB
+# of private pages (heap and arena pages it copies on write, and its own
+# arrays) beyond its noise, so four add at most about 21 MB (summed Pss of
+# the simulate benchmark run: 68.3 MB serial, 75.4, 82.3 and 88.8 MB split
+# in 2, 3 and 4)
+_MAX_WORKERS = 4
 
 # steps of noise copied at a time into a contiguous (steps, paths) buffer
 _CHUNK = 8
@@ -134,23 +163,53 @@ def _report(label: str, costs, alive, keep_samples: bool) -> McReport:
         samples=good if keep_samples else None)
 
 
-def _simulate(problem: ControlProblem, policies: Sequence[Policy],
-              labels: Sequence[str], cfg: SimConfig,
-              keep_samples: bool) -> list[McReport]:
-    """One report per policy, each one row of a (policies, paths) state."""
+def _workers(paths: int, states: int) -> int:
+    """Processes that march ``paths`` paths of ``states`` (policy, path,
+    step) states: one per usable core, at most ``_MAX_WORKERS``, while each
+    share keeps at least ``_MIN_SHARE`` states.  One where ``os.fork`` or
+    the affinity mask is missing, or where another Python thread runs: a
+    lock it held at the fork would stay held in the worker."""
+    if threading.active_count() > 1 or not (
+            hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), _MAX_WORKERS, paths,
+                      states // _MIN_SHARE))
+
+
+def _shares(paths: int, workers: int) -> list[list[tuple[int, int]]]:
+    """The blocks ``(start, stop)`` of each process's share of the paths.
+
+    The shares are contiguous and differ by at most one path.  A block
+    holds at most ``_BLOCK // workers`` paths, so all processes together
+    hold at most ``_BLOCK`` paths of noise; one worker gets the blocks of
+    ``_BLOCK`` paths a serial run draws.
+    """
+    size = max(1, _BLOCK // workers)
+    edges = [paths * w // workers for w in range(workers + 1)]
+    return [[(start, min(start + size, stop))
+             for start in range(first, stop, size)]
+            for first, stop in zip(edges, edges[1:])]
+
+
+def _march(problem: ControlProblem, policies: Sequence[Policy],
+           cfg: SimConfig, steps: int, blocks: list[tuple[int, int]],
+           costs: np.ndarray, alive: np.ndarray) -> None:
+    """March the paths of ``blocks``, one share, and write their columns of
+    ``costs`` and ``alive`` (views whose first column is the share's first
+    path); each policy is one row of a (policies, paths) state."""
+    # sqrt(u) is 0 on a constant 0 row: its rows go last, and sigma and the
+    # kick skip them
+    still = [not callable(p) and p == 0 for p in policies]
+    order = sorted(range(len(policies)), key=still.__getitem__)
+    policies = [policies[i] for i in order]
+    moved = still.count(False)
     called = [(i, p) for i, p in enumerate(policies) if callable(p)]
-    for p in policies:
-        if not (callable(p) or p >= 0):
-            raise ValueError(f"a constant control must be >= 0, got {p}")
-    steps = max(1, int(round(problem.horizon / cfg.dt)))
     dt = problem.horizon / steps
     sqrt_dt = math.sqrt(dt)
     drift = problem.f if problem.f is not None else (lambda x: 0.0 * x)
-    costs = np.empty((len(policies), cfg.n_paths))
-    alive = np.empty(costs.shape, dtype=bool)
+    origin = blocks[0][0]
 
-    for start in range(0, cfg.n_paths, _BLOCK):
-        stop = min(start + _BLOCK, cfg.n_paths)
+    for start, stop in blocks:
         z = _path_normals(cfg.seed, start, stop - start, steps)
         noise = np.empty((_CHUNK, stop - start))
         x = np.full((len(policies), stop - start), float(cfg.x0))
@@ -175,15 +234,89 @@ def _simulate(problem: ControlProblem, policies: Sequence[Policy],
                 paid = np.asarray(problem.g(x), dtype=float) + cost
                 paid *= dt
                 run += paid
-                kick = root * np.asarray(problem.sigma(x), dtype=float)
-                kick *= sqrt_dt
-                kick *= noise[k % _CHUNK]
+                if moved:
+                    kick = root[:moved] * np.asarray(
+                        problem.sigma(x[:moved]), dtype=float)
+                    kick *= sqrt_dt
+                    kick *= noise[k % _CHUNK]
                 x = x + np.asarray(drift(x), dtype=float) * dt
-                x += kick
+                if moved:
+                    x[:moved] += kick
             run += np.asarray(problem.g0(x), dtype=float)
-        costs[:, start:stop] = run
-        alive[:, start:stop] = np.isfinite(x) & np.isfinite(run)
+        columns = slice(start - origin, stop - origin)
+        costs[order, columns] = run
+        alive[order, columns] = np.isfinite(x) & np.isfinite(run)
         del z  # release this block's noise before drawing the next
+
+
+def _fork(march: Callable, blocks: list[tuple[int, int]], costs: np.ndarray,
+          alive: np.ndarray) -> int:
+    """Fork a worker that marches the share ``blocks`` into its columns of
+    the shared ``costs`` and ``alive`` and exits 0; returns its pid."""
+    pid = os.fork()
+    if pid == 0:  # the worker: it leaves through os._exit, never returns
+        status = 1
+        try:
+            share = slice(blocks[0][0], blocks[-1][1])
+            march(blocks, costs[:, share], alive[:, share])
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
+def _march_shares(march: Callable, shares: list[list[tuple[int, int]]],
+                  shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """``costs`` and ``alive`` of ``shape``: a forked worker marches each
+    share but the first, which this process marches itself.
+
+    Both arrays live in one shared anonymous mapping, so a worker writes
+    its share's columns in place.  A share whose worker does not exit 0
+    (its march raised, or it died) is marched again here, in path order,
+    so an error is raised here as a serial run would raise it.  If this
+    process's own march raises, the workers are killed; every worker is
+    reaped before this returns or raises.
+    """
+    size = shape[0] * shape[1]
+    shared = mmap.mmap(-1, 9 * size)
+    costs = np.frombuffer(shared, float, size).reshape(shape)
+    alive = np.frombuffer(shared, bool, size, 8 * size).reshape(shape)
+    pids = []
+    try:
+        for blocks in shares[1:]:
+            pids.append(_fork(march, blocks, costs, alive))
+        march(shares[0], costs, alive)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        failed = [blocks for blocks, pid in zip(shares[1:], pids)
+                  if os.waitpid(pid, 0)[1] != 0]
+    for blocks in failed:
+        share = slice(blocks[0][0], blocks[-1][1])
+        march(blocks, costs[:, share], alive[:, share])
+    return costs, alive
+
+
+def _simulate(problem: ControlProblem, policies: Sequence[Policy],
+              labels: Sequence[str], cfg: SimConfig,
+              keep_samples: bool) -> list[McReport]:
+    """One report per policy, on paths marched in shares across processes."""
+    for p in policies:
+        if not (callable(p) or p >= 0):
+            raise ValueError(f"a constant control must be >= 0, got {p}")
+    steps = max(1, int(round(problem.horizon / cfg.dt)))
+    march = functools.partial(_march, problem, policies, cfg, steps)
+    shape = (len(policies), cfg.n_paths)
+    workers = _workers(cfg.n_paths, shape[0] * cfg.n_paths * steps)
+    shares = _shares(cfg.n_paths, workers)
+    if workers > 1:
+        costs, alive = _march_shares(march, shares, shape)
+    else:  # in plain arrays, which may reuse freed heap, not new shared pages
+        costs = np.empty(shape)
+        alive = np.empty(shape, dtype=bool)
+        march(shares[0], costs, alive)
     return [_report(*row, keep_samples) for row in zip(labels, costs, alive)]
 
 

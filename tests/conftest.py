@@ -34,6 +34,35 @@ def constant_policy(grid: Grid1D, horizon: float,
     return FeedbackPolicy(grid, times, u)
 
 
+def first_step_states(march, policy):
+    """Every path's state at the first step after t = 0, in path order, as
+    ``policy`` sees it while ``march(spy)`` runs it behind a spy; the
+    march must run in this process."""
+    calls = []
+
+    def spy(t, x):
+        calls.append((t, np.array(x, dtype=float)))
+        return policy(t, x)
+
+    march(spy)
+    first = min(t for t, _ in calls if t > 0)
+    return np.concatenate([x for t, x in calls if t == first])
+
+
+def trap(policy, states, path):
+    """``policy``, but raising ArithmeticError on the state that ``path``
+    alone holds at the first step after t = 0."""
+    value = states[path]
+    assert np.count_nonzero(states == value) == 1
+
+    def trapped(t, x):
+        if np.any(x == value):
+            raise ArithmeticError(f"path {path} reached {value!r}")
+        return policy(t, x)
+
+    return trapped
+
+
 def tanh_drift(grid: Grid1D, scale: float = 1.0) -> DriftData:
     return DriftData.from_callables(
         grid,

@@ -1,9 +1,11 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
-from mildhjb import cli
+import conftest
+from mildhjb import cli, montecarlo
 from mildhjb.cli import main, run
 
 SOLVE = """
@@ -476,6 +478,38 @@ def test_solver_failure_returns_structured_error(tmp_path, capsys):
     assert "need eps <" in err
 
 
+def test_simulate_error_in_a_worker_share_is_structured(tmp_path, capsys,
+                                                      monkeypatch):
+    cfg = str(write(tmp_path, "s.cfg", SIMULATE))
+    compare = cli.compare_policies
+    calls = []
+
+    def capture(*args, **kwargs):
+        calls.append(args)
+        return compare(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_workers", lambda paths, states: 1)
+    monkeypatch.setattr(cli, "compare_policies", capture)
+    assert run("simulate", cfg, out_dir=str(tmp_path / "a"), quiet=True) == 0
+    problem, feedback, baselines, sim = calls[0]
+    states = conftest.first_step_states(
+        lambda policy: compare(problem, policy, baselines, sim), feedback)
+    path = sim.n_paths - 1  # in the second of two shares
+    trapped = conftest.trap(feedback, states, path)
+    monkeypatch.setattr(cli, "compare_policies",
+                        lambda problem, feedback, *args, **kwargs: compare(
+                            problem, trapped, *args, **kwargs))
+    monkeypatch.setattr(montecarlo, "_workers", lambda paths, states: 2)
+    capsys.readouterr()
+    assert run("simulate", cfg, out_dir=str(tmp_path / "b"), quiet=True) == 1
+    err = capsys.readouterr().err
+    assert "error: simulate run failed" in err
+    assert "type: ArithmeticError" in err
+    assert f"detail: path {path} reached {states[path]!r}" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("mode, text, key", [
     ("sweep-degenerate", DEGENERATE, "tol_res = 1e-300"),
     ("solve-2d", SOLVE_2D, "max_iter = 1"),
@@ -716,6 +750,13 @@ def test_cli_import_leaves_out_scipy_python_layers(module):
     # the LAPACK and CSR kernels and the version string are loaded from
     # their files; scipy itself costs about 25 ms of set-up, and scipy.linalg
     # and scipy.sparse, through numpy.f2py, would add about 0.35 s
+    assert not loaded_by_cli_import(module)
+
+
+@pytest.mark.parametrize("module", ["multiprocessing", "concurrent.futures"])
+def test_cli_import_leaves_out_process_pools(module):
+    # the Monte Carlo forks its workers through os alone, so set-up pays
+    # for no pool module
     assert not loaded_by_cli_import(module)
 
 

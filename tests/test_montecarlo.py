@@ -1,5 +1,10 @@
+import contextlib
 import dataclasses
 import math
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -117,7 +122,9 @@ def test_comparison_rows_equal_single_policy_runs(monkeypatch):
 
 
 def test_comparison_draws_noise_one_block_at_a_time(monkeypatch):
+    # one worker draws the blocks of _BLOCK paths in path order
     monkeypatch.setattr(montecarlo, "_BLOCK", 64)
+    monkeypatch.setattr(montecarlo, "_workers", lambda paths, states: 1)
     draws = []
     draw = montecarlo._path_normals
 
@@ -126,9 +133,231 @@ def test_comparison_draws_noise_one_block_at_a_time(monkeypatch):
         return draw(seed, first, count, steps)
 
     monkeypatch.setattr(montecarlo, "_path_normals", spy)
-    compare_policies(brownian_problem(horizon=0.1), 0.5, [0.0, 1.0],
-                     SimConfig(n_paths=129, dt=1e-2, seed=3))
+    run = (lambda: compare_policies(
+        brownian_problem(horizon=0.1), 0.5, [0.0, 1.0],
+        SimConfig(n_paths=129, dt=1e-2, seed=3)))
+    run()
     assert draws == [(0, 64), (64, 64), (128, 1)]
+    assert montecarlo._shares(129, 1) == [[(0, 64), (64, 128), (128, 129)]]
+    # with more workers, the shares tile the paths, and all processes
+    # together hold at most _BLOCK paths of noise
+    for workers in (2, 3, 5):
+        shares = montecarlo._shares(129, workers)
+        blocks = [block for share in shares for block in share]
+        assert len(shares) == workers
+        assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+        assert blocks[-1][1] == 129
+        assert workers * max(stop - first for first, stop in blocks) <= 64
+        sizes = [share[-1][1] - share[0][0] for share in shares]
+        assert max(sizes) - min(sizes) <= 1
+    # and this process draws the blocks of the first share
+    draws.clear()
+    monkeypatch.setattr(montecarlo, "_workers", lambda paths, states: 2)
+    run()
+    assert draws == [(first, stop - first)
+                     for first, stop in montecarlo._shares(129, 2)[0]]
+
+
+def test_worker_count_is_bounded_by_cores_and_share_size(monkeypatch):
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: set(range(8)))
+    least = montecarlo._MIN_SHARE
+    assert montecarlo._workers(4000, 100 * least) == montecarlo._MAX_WORKERS
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2})
+    assert montecarlo._workers(4000, 100 * least) == 3
+    assert montecarlo._workers(4000, 2 * least) == 2
+    assert montecarlo._workers(4000, 2 * least - 1) == 1
+    assert montecarlo._workers(2, 100 * least) == 2
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0})
+    assert montecarlo._workers(4000, 100 * least) == 1
+    monkeypatch.delattr(montecarlo.os, "fork")
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2, 3})
+    assert montecarlo._workers(4000, 100 * least) == 1
+
+
+def test_another_thread_keeps_the_march_serial(monkeypatch):
+    # a lock the other thread held at a fork would stay held in the worker
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = SimConfig(n_paths=1000, dt=1e-3, seed=3)
+    states = 2 * 1000 * 300
+    assert montecarlo._workers(1000, states) == 2
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert montecarlo._workers(1000, states) == 1
+        monkeypatch.setattr(montecarlo.os, "fork", fork)
+        compare_policies(brownian_problem(horizon=0.3), 0.5, [1.0], cfg)
+    finally:
+        release.set()
+        other.join()
+
+
+def test_one_usable_core_forks_no_worker(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(montecarlo.os, "fork", fork)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0})
+    # on two cores this run would be split in two
+    cfg = SimConfig(n_paths=1000, dt=1e-3, seed=3)
+    assert 1000 * 300 * 2 >= 2 * montecarlo._MIN_SHARE
+    compare_policies(brownian_problem(horizon=0.3), 0.5, [1.0], cfg)
+
+
+def test_worker_count_does_not_change_results(monkeypatch):
+    grid = Grid1D(5.0, 41)
+    times = np.linspace(0.0, 0.1, 3)
+    feedback = FeedbackPolicy(
+        grid, times, 0.4 + 0.2 * np.abs(grid.x)[None, :] + times[:, None])
+    # paths beyond |x| = 0.6 blow up: 4 of 600 are excluded
+    blowup = dataclasses.replace(
+        brownian_problem(horizon=0.1),
+        f=lambda x: np.where(np.abs(x) > 0.6, np.inf, 0.0))
+    runs = [(desk_problem(horizon=0.1), 129), (desk_problem(horizon=0.1), 600),
+            (blowup, 600)]
+
+    def all_rows(problem, paths):
+        cfg = SimConfig(n_paths=paths, dt=5e-3, seed=13)
+        return [simulate_cost(problem, feedback, cfg, keep_samples=True),
+                *compare_policies(problem, feedback, [0.0, 0.5], cfg,
+                                  keep_samples=True).rows()]
+
+    monkeypatch.setattr(montecarlo, "_workers", lambda paths, states: 1)
+    serial = [all_rows(*run) for run in runs]
+    assert serial[2][0].n_excluded == 4
+    for workers in (2, 3):
+        monkeypatch.setattr(montecarlo, "_workers",
+                            lambda paths, states: workers)
+        for base, run in zip(serial, runs, strict=True):
+            for a, b in zip(base, all_rows(*run), strict=True):
+                np.testing.assert_array_equal(a.samples, b.samples)
+                assert (a.mean, a.stderr, a.n_excluded) == \
+                    (b.mean, b.stderr, b.n_excluded)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError here if the block still runs after ``seconds``."""
+    def timeout(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("share", ["own", "worker"])
+def test_error_in_a_share_is_the_serial_error(monkeypatch, share, workers):
+    problem = brownian_problem(horizon=0.02)
+    # each share's columns, 3 rows x 3000 paths x 9 bytes, are more than a
+    # pipe's 64 KiB buffer
+    cfg = SimConfig(n_paths=9000, dt=1e-2, seed=41)
+
+    def compare(policy):
+        return compare_policies(problem, policy, [0.0, 1.0], cfg)
+
+    def half(t, x):
+        return np.full_like(x, 0.5)
+
+    monkeypatch.setattr(montecarlo, "_workers", lambda paths, states: 1)
+    states = conftest.first_step_states(compare, half)
+    shares = montecarlo._shares(cfg.n_paths, workers)
+    path = shares[0 if share == "own" else -1][-1][1] - 1
+    trapped = conftest.trap(half, states, path)
+    with pytest.raises(ArithmeticError) as serial:
+        compare(trapped)
+
+    monkeypatch.setattr(montecarlo, "_workers", lambda paths, states: workers)
+    with deadline(60), pytest.raises(ArithmeticError) as split:
+        compare(trapped)
+    assert str(split.value) == str(serial.value) == f"path {path} reached " \
+        f"{states[path]!r}"
+    # every worker is reaped, after a failure as after a success
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    compare(0.5)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_error_in_this_process_kills_the_workers(monkeypatch):
+    caller = os.getpid()
+
+    def stalled(t, x):
+        if os.getpid() == caller:
+            raise ArithmeticError("this process's share")
+        time.sleep(60)  # a worker that is not killed outlives the deadline
+        os._exit(0)
+
+    monkeypatch.setattr(montecarlo, "_workers", lambda paths, states: 3)
+    with deadline(30), pytest.raises(ArithmeticError, match="process's"):
+        compare_policies(brownian_problem(horizon=0.02), stalled, [0.0],
+                         SimConfig(n_paths=90, dt=1e-2, seed=41))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_share_of_a_dead_worker_is_marched_here(monkeypatch):
+    caller = os.getpid()
+
+    def dying(t, x):
+        if os.getpid() != caller:
+            os._exit(3)
+        return np.full_like(x, 0.5)
+
+    problem = brownian_problem(horizon=0.05)
+    cfg = SimConfig(n_paths=90, dt=1e-2, seed=41)
+    monkeypatch.setattr(montecarlo, "_workers", lambda paths, states: 3)
+    split = simulate_cost(problem, dying, cfg, keep_samples=True)
+    monkeypatch.setattr(montecarlo, "_workers", lambda paths, states: 1)
+    serial = simulate_cost(problem, 0.5, cfg, keep_samples=True)
+    np.testing.assert_array_equal(split.samples, serial.samples)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_zero_control_row_skips_sigma_with_the_same_bits():
+    # sqrt(0) * sigma(x) adds +0.0 to a zero row; skipping sigma and the
+    # kick keeps its bits wherever sigma is finite
+    problem = desk_problem(horizon=0.1)
+    cfg = SimConfig(n_paths=50, dt=5e-3, seed=3, x0=0.3)
+    zero = compare_policies(problem, 0.5, [0.0, 1.0], cfg,
+                            keep_samples=True).baselines[0].samples
+    steps = 20
+    dt = 0.1 / steps
+    z = montecarlo._path_normals(cfg.seed, 0, cfg.n_paths, steps)
+    x = np.full(cfg.n_paths, 0.3)
+    run = np.zeros(cfg.n_paths)
+    cost = problem.cost.evaluate(np.zeros(cfg.n_paths))
+    for k in range(steps):
+        paid = problem.g(x) + cost
+        paid *= dt
+        run += paid
+        kick = 0.0 * problem.sigma(x)
+        kick *= math.sqrt(dt)
+        kick *= z[:, k]
+        x = x + problem.f(x) * dt
+        x += kick
+    run += problem.g0(x)
+    np.testing.assert_array_equal(zero, run)
+    # where sigma is not finite, the zero row no longer turns NaN
+    nowhere = dataclasses.replace(problem, sigma=lambda x: np.nan * x)
+    alone = simulate_cost(nowhere, 0.0, cfg, keep_samples=True)
+    assert alone.n_excluded == 0
+    np.testing.assert_array_equal(alone.samples, zero)
 
 
 def test_scalar_returning_policy_equals_constant_pathwise():
