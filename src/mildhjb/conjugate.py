@@ -73,6 +73,8 @@ class RunningCost:
             if self.h is None:
                 raise CostValidationError("callable cost needs the function h")
             self._validate_samples()
+        elif self.h is not None:
+            raise CostValidationError("a quadratic cost takes no function h")
 
     @classmethod
     def quadratic(cls, alpha1: float = 1.0, alpha2: float = 0.0) -> "RunningCost":

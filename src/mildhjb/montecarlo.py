@@ -20,16 +20,17 @@ it.
 The paths are split into contiguous shares, one per usable core
 (``os.sched_getaffinity``) and at most ``_MAX_WORKERS``, when each share
 marches at least ``_MIN_SHARE`` states, ``os.fork`` exists and no other
-Python thread runs.  This process marches the first share; a forked worker
-marches each other one and writes its columns of costs and survival flags
-straight into a shared anonymous mapping.  The split does not change a
-bit: a path's noise depends only on (seed, path index), its arithmetic is
-elementwise, and each share's columns land at their paths' places, so the
-report reduces the same arrays (exactly, by ``math.fsum``) however the
-paths were split.  A block holds at most ``_BLOCK // workers`` paths, so
-all processes together hold at most ``_BLOCK * steps * 8`` bytes of noise,
-as one serial march does.  Memory used by a worker shows in
-``RUSAGE_CHILDREN``, not in this process's own ``ru_maxrss``.
+Python thread runs.  Costs and survival flags live in one shared
+anonymous mapping, serial runs included.  This process marches the first
+share and a forked worker each other one, writing its columns in place.
+The split does not change a bit: a path's noise depends only on (seed,
+path index), its arithmetic is elementwise, and each share's columns
+land at their paths' places, so the report reduces the same arrays
+(exactly, by ``math.fsum``) however the paths were split.  A block holds
+at most ``_BLOCK // workers`` paths, so all processes together hold at
+most ``_BLOCK * steps * 8`` bytes of noise, as one serial march does.
+Memory used by a worker shows in ``RUSAGE_CHILDREN``, not in this
+process's own ``ru_maxrss``.
 """
 
 from __future__ import annotations
@@ -103,6 +104,10 @@ class SimConfig:
     x0: float = 0.0
 
     def __post_init__(self):
+        for name in ("n_paths", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.n_paths < 2:
             raise ValueError("need at least two paths for a standard error")
         if not self.dt > 0:
@@ -194,9 +199,8 @@ def _shares(paths: int, workers: int) -> list[list[tuple[int, int]]]:
 def _march(problem: ControlProblem, policies: Sequence[Policy],
            cfg: SimConfig, steps: int, blocks: list[tuple[int, int]],
            costs: np.ndarray, alive: np.ndarray) -> None:
-    """March the paths of ``blocks``, one share, and write their columns of
-    ``costs`` and ``alive`` (views whose first column is the share's first
-    path); each policy is one row of a (policies, paths) state."""
+    """March the share ``blocks`` into its columns of ``costs`` and
+    ``alive``; each policy is one row of a (policies, paths) state."""
     # sqrt(u) is 0 on a constant 0 row: its rows go last, and sigma and the
     # kick skip them
     still = [not callable(p) and p == 0 for p in policies]
@@ -207,7 +211,6 @@ def _march(problem: ControlProblem, policies: Sequence[Policy],
     dt = problem.horizon / steps
     sqrt_dt = math.sqrt(dt)
     drift = problem.f if problem.f is not None else (lambda x: 0.0 * x)
-    origin = blocks[0][0]
 
     for start, stop in blocks:
         z = _path_normals(cfg.seed, start, stop - start, steps)
@@ -243,49 +246,42 @@ def _march(problem: ControlProblem, policies: Sequence[Policy],
                 if moved:
                     x[:moved] += kick
             run += np.asarray(problem.g0(x), dtype=float)
-        columns = slice(start - origin, stop - origin)
-        costs[order, columns] = run
-        alive[order, columns] = np.isfinite(x) & np.isfinite(run)
+        costs[order, start:stop] = run
+        alive[order, start:stop] = np.isfinite(x) & np.isfinite(run)
         del z  # release this block's noise before drawing the next
 
 
-def _fork(march: Callable, blocks: list[tuple[int, int]], costs: np.ndarray,
-          alive: np.ndarray) -> int:
-    """Fork a worker that marches the share ``blocks`` into its columns of
-    the shared ``costs`` and ``alive`` and exits 0; returns its pid."""
-    pid = os.fork()
-    if pid == 0:  # the worker: it leaves through os._exit, never returns
-        status = 1
-        try:
-            share = slice(blocks[0][0], blocks[-1][1])
-            march(blocks, costs[:, share], alive[:, share])
-            status = 0
-        finally:
-            os._exit(status)
-    return pid
+def _simulate(problem: ControlProblem, policies: Sequence[Policy],
+              labels: Sequence[str], cfg: SimConfig,
+              keep_samples: bool) -> list[McReport]:
+    """One report per policy, on paths marched in shares across processes.
 
-
-def _march_shares(march: Callable, shares: list[list[tuple[int, int]]],
-                  shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """``costs`` and ``alive`` of ``shape``: a forked worker marches each
-    share but the first, which this process marches itself.
-
-    Both arrays live in one shared anonymous mapping, so a worker writes
-    its share's columns in place.  A share whose worker does not exit 0
-    (its march raised, or it died) is marched again here, in path order,
-    so an error is raised here as a serial run would raise it.  If this
-    process's own march raises, the workers are killed; every worker is
-    reaped before this returns or raises.
-    """
-    size = shape[0] * shape[1]
+    A share whose worker does not exit 0 (it raised, or died) is marched
+    again here in path order, so its error is the serial one.  If this
+    process's own share raises, the workers are killed; all are reaped."""
+    for p in policies:
+        if not (callable(p) or p >= 0):
+            raise ValueError(f"a constant control must be >= 0, got {p}")
+    steps = max(1, int(round(problem.horizon / cfg.dt)))
+    size = len(policies) * cfg.n_paths
     shared = mmap.mmap(-1, 9 * size)
-    costs = np.frombuffer(shared, float, size).reshape(shape)
-    alive = np.frombuffer(shared, bool, size, 8 * size).reshape(shape)
+    costs = np.frombuffer(shared, float, size).reshape(len(policies), -1)
+    alive = np.frombuffer(shared, bool, size, 8 * size).reshape(costs.shape)
+    march = functools.partial(_march, problem, policies, cfg, steps,
+                              costs=costs, alive=alive)
+    shares = _shares(cfg.n_paths, _workers(cfg.n_paths, size * steps))
     pids = []
     try:
         for blocks in shares[1:]:
-            pids.append(_fork(march, blocks, costs, alive))
-        march(shares[0], costs, alive)
+            pid = os.fork()
+            if pid == 0:  # the worker leaves through os._exit, never returns
+                try:
+                    march(blocks)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+        march(shares[0])
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -294,29 +290,7 @@ def _march_shares(march: Callable, shares: list[list[tuple[int, int]]],
         failed = [blocks for blocks, pid in zip(shares[1:], pids)
                   if os.waitpid(pid, 0)[1] != 0]
     for blocks in failed:
-        share = slice(blocks[0][0], blocks[-1][1])
-        march(blocks, costs[:, share], alive[:, share])
-    return costs, alive
-
-
-def _simulate(problem: ControlProblem, policies: Sequence[Policy],
-              labels: Sequence[str], cfg: SimConfig,
-              keep_samples: bool) -> list[McReport]:
-    """One report per policy, on paths marched in shares across processes."""
-    for p in policies:
-        if not (callable(p) or p >= 0):
-            raise ValueError(f"a constant control must be >= 0, got {p}")
-    steps = max(1, int(round(problem.horizon / cfg.dt)))
-    march = functools.partial(_march, problem, policies, cfg, steps)
-    shape = (len(policies), cfg.n_paths)
-    workers = _workers(cfg.n_paths, shape[0] * cfg.n_paths * steps)
-    shares = _shares(cfg.n_paths, workers)
-    if workers > 1:
-        costs, alive = _march_shares(march, shares, shape)
-    else:  # in plain arrays, which may reuse freed heap, not new shared pages
-        costs = np.empty(shape)
-        alive = np.empty(shape, dtype=bool)
-        march(shares[0], costs, alive)
+        march(blocks)
     return [_report(*row, keep_samples) for row in zip(labels, costs, alive)]
 
 

@@ -107,12 +107,10 @@ class MildSolution:
 
 def step(problem: TransformedProblem, eps: float, y_prev,
          cfg: Optional[ResolventConfig] = None,
-         eta: Optional[np.ndarray] = None,
          warm: Optional[ResolventResult] = None) -> ResolventResult:
     """One implicit step of length eps from y_prev: a single resolvent solve
-    with shift ``1/eps``.
+    with shift ``1/eps`` and right-hand side ``source + y_prev/eps``.
 
-    ``eta = source + y_prev/eps`` is formed here unless the caller passes it.
     ``warm`` is the result whose ``y`` is ``y_prev`` (the previous step's):
     the solve then starts from its stored operator terms.
     """
@@ -122,8 +120,7 @@ def step(problem: TransformedProblem, eps: float, y_prev,
         raise ValueError(
             f"step size {eps:g} too large for the drift slope bound; "
             f"need eps < {problem.max_step():g}")
-    if eta is None:
-        eta = problem.source + y_prev / eps
+    eta = problem.source + y_prev / eps
     return solve_resolvent(problem.operands, 1.0 / eps, eta, cfg,
                            y_init=y_prev, warm=warm)
 
@@ -157,8 +154,7 @@ def mild_solve(problem: TransformedProblem, eps: float,
     diags: list[StepDiagnostics] = []
     res = None  # each step starts from the previous one's terms
     for i, dt in enumerate(lengths, start=1):
-        eta = problem.source + ys[i - 1] / dt
-        res = step(problem, dt, ys[i - 1], cfg=cfg, eta=eta, warm=res)
+        res = step(problem, dt, ys[i - 1], cfg=cfg, warm=res)
         ys[i] = res.y
         diags.append(StepDiagnostics(res.residual, res.iterations,
                                      res.fallback, res.out_of_table))

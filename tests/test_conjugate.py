@@ -115,6 +115,9 @@ def test_cost_validation_rejects_bad_parameters():
     with pytest.raises(CostValidationError):
         # violates the coercivity certificate
         RunningCost.from_callable(lambda u: 0.1 * u * u, alpha1=1.0)
+    with pytest.raises(CostValidationError, match="quadratic"):
+        # the closed form a1*u^2 + a2 would silently stand in for h
+        RunningCost(kind="quadratic", alpha1=1.0, h=lambda u: 5 * u**2 + 3)
 
 
 def test_cost_never_evaluated_on_negative_controls():

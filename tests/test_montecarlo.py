@@ -467,6 +467,32 @@ def test_start_point_must_be_a_finite_number(x0):
         SimConfig(n_paths=4, dt=1e-2, seed=0, x0=x0)
 
 
+@pytest.mark.parametrize("n_paths", [100.5, 100.0, True, "100"])
+def test_path_count_must_be_an_integer(n_paths):
+    # a float count would fail only later, in the march
+    with pytest.raises(ValueError, match="n_paths"):
+        SimConfig(n_paths=n_paths, dt=1e-2, seed=0)
+
+
+@pytest.mark.parametrize("seed", [2.5, 2.9, 2.0, True, np.float64(2.0)],
+                         ids=["2.5", "2.9", "2.0", "True", "float64"])
+def test_seed_must_be_an_integer(seed):
+    # 2.5 and 2.9 would run seed 2's noise, and True seed 1's
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(n_paths=4, dt=1e-2, seed=seed)
+
+
+def test_numpy_integers_are_a_path_count_and_a_seed():
+    problem = brownian_problem(0.1)
+    plain = simulate_cost(problem, 0.5, SimConfig(n_paths=8, dt=1e-2, seed=7),
+                          keep_samples=True)
+    numpy = simulate_cost(
+        problem, 0.5,
+        SimConfig(n_paths=np.int64(8), dt=1e-2, seed=np.uint64(7)),
+        keep_samples=True)
+    np.testing.assert_array_equal(plain.samples, numpy.samples)
+
+
 def test_exact_reduction_matches_fsum():
     problem = brownian_problem(horizon=0.25)
     cfg = SimConfig(n_paths=500, dt=1e-3, seed=17)
