@@ -17,20 +17,17 @@ are filled once per block, and only the callable policies are called on each
 step.  A constant 0 row has ``sqrt(u) = 0``: sigma and the noise kick skip
 it.
 
-The paths are split into contiguous shares, one per usable core
-(``os.sched_getaffinity``) and at most ``_MAX_WORKERS``, when each share
-marches at least ``_MIN_SHARE`` states, ``os.fork`` exists and no other
-Python thread runs.  Costs and survival flags live in one shared
-anonymous mapping, serial runs included.  This process marches the first
-share and a forked worker each other one, writing its columns in place.
-The split does not change a bit: a path's noise depends only on (seed,
-path index), its arithmetic is elementwise, and each share's columns
+The paths are split into contiguous shares, one per core the fork gate
+gives (``_fork.cores``) and at most ``_MAX_WORKERS``, when each share
+marches at least ``_MIN_SHARE`` states.  Costs and survival flags live in
+one shared anonymous mapping, serial runs included.  This process marches
+the first share and a forked worker each other one, writing its columns in
+place.  The split does not change a bit: a path's noise depends only on
+(seed, path index), its arithmetic is elementwise, and each share's columns
 land at their paths' places, so the report reduces the same arrays
 (exactly, by ``math.fsum``) however the paths were split.  A block holds
 at most ``_BLOCK // workers`` paths, so all processes together hold at
 most ``_BLOCK * steps * 8`` bytes of noise, as one serial march does.
-Memory used by a worker shows in ``RUSAGE_CHILDREN``, not in this
-process's own ``ru_maxrss``.
 """
 
 from __future__ import annotations
@@ -39,14 +36,13 @@ import functools
 import math
 import mmap
 import numbers
-import os
-import signal
-import threading
+import os  # noqa: F401  (the fork gate's os; tests patch it through here)
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import _fork
 from .problem import ControlProblem
 
 __all__ = [
@@ -69,14 +65,12 @@ _BLOCK = 4096
 
 # the fewest (policy, path, step) states a share must march to be given a
 # forked worker: about 10 ms of march at 40 ns a state, four times the
-# 2.4 ms of a fork plus its waitpid at 40 MB resident (2-core x86-64 host)
+# 2.4 ms of a fork plus its reap at 40 MB resident (2-core x86-64 host)
 _MIN_SHARE = 2**18
 
 # the most processes one march is split across: each worker adds about 7 MB
-# of private pages (heap and arena pages it copies on write, and its own
-# arrays) beyond its noise, so four add at most about 21 MB (summed Pss of
-# the simulate benchmark run: 68.3 MB serial, 75.4, 82.3 and 88.8 MB split
-# in 2, 3 and 4)
+# of private pages beyond its noise, so four add about 21 MB (summed Pss of
+# the simulate benchmark run: 68.3 MB serial, 88.8 MB split in 4)
 _MAX_WORKERS = 4
 
 # steps of noise copied at a time into a contiguous (steps, paths) buffer
@@ -110,8 +104,9 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.n_paths < 2:
             raise ValueError("need at least two paths for a standard error")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if isinstance(self.dt, bool) or not (
+                isinstance(self.dt, numbers.Real) and 0 < self.dt < math.inf):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         if not seed_in_range(self.seed):
             raise ValueError(f"seed out of range ({SEED_RANGE}): {self.seed}")
         if not (isinstance(self.x0, numbers.Real) and math.isfinite(self.x0)):
@@ -170,14 +165,9 @@ def _report(label: str, costs, alive, keep_samples: bool) -> McReport:
 
 def _workers(paths: int, states: int) -> int:
     """Processes that march ``paths`` paths of ``states`` (policy, path,
-    step) states: one per usable core, at most ``_MAX_WORKERS``, while each
-    share keeps at least ``_MIN_SHARE`` states.  One where ``os.fork`` or
-    the affinity mask is missing, or where another Python thread runs: a
-    lock it held at the fork would stay held in the worker."""
-    if threading.active_count() > 1 or not (
-            hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), _MAX_WORKERS, paths,
+    step) states: ``_fork.cores()``, at most ``_MAX_WORKERS``, while each
+    share keeps at least ``_MIN_SHARE`` states."""
+    return max(1, min(_fork.cores(), _MAX_WORKERS, paths,
                       states // _MIN_SHARE))
 
 
@@ -257,8 +247,7 @@ def _simulate(problem: ControlProblem, policies: Sequence[Policy],
     """One report per policy, on paths marched in shares across processes.
 
     A share whose worker does not exit 0 (it raised, or died) is marched
-    again here in path order, so its error is the serial one.  If this
-    process's own share raises, the workers are killed; all are reaped."""
+    again here in path order, so its error is the serial one."""
     for p in policies:
         if not (callable(p) or p >= 0):
             raise ValueError(f"a constant control must be >= 0, got {p}")
@@ -270,25 +259,11 @@ def _simulate(problem: ControlProblem, policies: Sequence[Policy],
     march = functools.partial(_march, problem, policies, cfg, steps,
                               costs=costs, alive=alive)
     shares = _shares(cfg.n_paths, _workers(cfg.n_paths, size * steps))
-    pids = []
-    try:
-        for blocks in shares[1:]:
-            pid = os.fork()
-            if pid == 0:  # the worker leaves through os._exit, never returns
-                try:
-                    march(blocks)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            pids.append(pid)
+    with _fork.forked(*(lambda out, blocks=blocks: march(blocks)
+                        for blocks in shares[1:])) as workers:
         march(shares[0])
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        failed = [blocks for blocks, pid in zip(shares[1:], pids)
-                  if os.waitpid(pid, 0)[1] != 0]
+        failed = [blocks for blocks, worker in zip(shares[1:], workers)
+                  if worker.join() is None]
     for blocks in failed:
         march(blocks)
     return [_report(*row, keep_samples) for row in zip(labels, costs, alive)]

@@ -7,9 +7,12 @@ Each step is one resolvent solve with shift ``1/eps``:
 and the piecewise-constant interpolant of the snapshots is the approximate
 mild solution.  ``refine_until`` halves ``eps`` and measures the sup-in-time
 L1 gap between successive refinements, the computable Cauchy certificate for
-the limit.  Every step is stored.  A ``TransformedProblem`` holds the data
-(initial state, source, horizon) on any operand of ``solve_resolvent``
-(``EllipticOperands``, ``twodim.Problem2D``), which holds no data; a
+the limit; a forked worker (``_fork``) marches its finest level
+speculatively, killed if the sweep converges before it, and its CPU time and
+memory show only in ``RUSAGE_CHILDREN``.  Every step is stored.  A
+``TransformedProblem`` holds the data (initial state, source, horizon) on
+any operand of ``solve_resolvent`` (``EllipticOperands``,
+``twodim.Problem2D``), which holds no data; a
 ``MildSolution`` holds its problem.  ``energy_report`` (1-D only) computes,
 per snapshot, the potential integral ``h * sum j(m*y)/sigma^2`` and the flux
 dissipation ``h * sum ((value(m*y))_x)^2``.
@@ -18,11 +21,13 @@ dissipation ``h * sum ((value(m*y))_x)^2``.
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import _fork
 from .grid import Grid1D, check_table, diff1_central
 from .resolvent import (EllipticOperands, ResolventConfig, ResolventResult,
                         shift_floor, solve_resolvent)
@@ -63,7 +68,7 @@ class TransformedProblem:
         return math.inf if floor == 0 else 1.0 / floor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepDiagnostics:
     residual: float
     iterations: int
@@ -193,21 +198,34 @@ def sup_time_gap(coarse: MildSolution, fine: MildSolution) -> float:
 def refine_until(problem: TransformedProblem, tol: float, eps0: float,
                  cfg: Optional[ResolventConfig] = None,
                  max_levels: int = 8) -> RefineResult:
-    """Halve eps until successive runs differ by at most tol in sup-time L1."""
+    """Halve eps until successive runs differ by at most tol in sup-time L1.
+
+    A forked worker marches the finest level (see the module docstring); if
+    it does not exit 0, this process marches it: the bits are serial."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    eps = eps0
-    prev = mild_solve(problem, eps, cfg=cfg)
-    levels = [eps]
-    gaps: list[float] = []
-    for _ in range(max_levels):
-        eps *= 0.5
-        cur = mild_solve(problem, eps, cfg=cfg)
-        levels.append(eps)
-        gaps.append(sup_time_gap(prev, cur))
-        prev = cur
-        if gaps[-1] <= tol:
-            return RefineResult(prev, levels, gaps, True)
+    if isinstance(max_levels, bool) or not (
+            isinstance(max_levels, (int, np.integer)) and max_levels >= 1):
+        raise ValueError(f"max_levels must be an integer >= 1: {max_levels!r}")
+
+    def march_finest(out):  # at the eps the halving reaches, bit for bit
+        sol = mild_solve(problem, eps0 * 0.5**max_levels, cfg=cfg)
+        pickle.dump((sol.times, sol.snapshots, sol.partial_step,
+                     sol.diagnostics), out, protocol=5)
+
+    with _fork.forked(*[march_finest] if _fork.cores() > 1 else []) as workers:
+        prev = mild_solve(problem, eps0, cfg=cfg)
+        levels, gaps = [eps0], []
+        for k in range(1, max_levels + 1):
+            eps = levels[-1] * 0.5
+            out = workers[0].join() if workers and k == max_levels else None
+            cur = (mild_solve(problem, eps, cfg=cfg) if out is None
+                   else MildSolution(eps, problem, *pickle.load(out)))
+            levels.append(eps)
+            gaps.append(sup_time_gap(prev, cur))
+            prev = cur
+            if gaps[-1] <= tol:
+                return RefineResult(prev, levels, gaps, True)
     return RefineResult(prev, levels, gaps, False)
 
 

@@ -1,3 +1,7 @@
+import contextlib
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,30 @@ from mildhjb.problem import ControlProblem
 from mildhjb.resolvent import EllipticOperands
 from mildhjb.stepper import TransformedProblem
 from mildhjb.value import FeedbackPolicy
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process, running or unreaped: a
+    worker that outlives its call would outlive a CLI run too."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError here if the block still runs after ``seconds``."""
+    def timeout(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def linear_conjugate() -> ConjugateHamiltonian:

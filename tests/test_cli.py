@@ -1,11 +1,15 @@
+import errno
 import hashlib
+import io
 import os
+import time
 
 import numpy as np
 import pytest
 
 import conftest
-from mildhjb import cli, montecarlo
+from conftest import deadline
+from mildhjb import _fork, cli, montecarlo, stepper
 from mildhjb.cli import main, run
 
 SOLVE = """
@@ -703,6 +707,118 @@ def test_streamed_field_tables_match_per_row_reference(tmp_path):
         assert path.read_bytes() == _reference_csv(
             header, [(i, j, x, y, AWKWARD[i, j])
                      for i, x in nodes for j, y in nodes])
+
+
+@pytest.mark.parametrize("snapshots", [4, 7], ids=["even", "odd"])
+@pytest.mark.parametrize("worker", ["formats", "dies"])
+def test_split_field_table_is_the_serial_bytes(tmp_path, monkeypatch,
+                                               worker, snapshots):
+    table = np.concatenate((AWKWARD, -AWKWARD))[:snapshots]
+    times, xs = np.linspace(0.0, 3.0, snapshots), AWKWARD[0]
+
+    def written(name):
+        path = tmp_path / name
+        cli._write_csv(path, "table", ["t", "x", "y"],
+                       cli._field_rows(times, xs, table))
+        return path.read_bytes()
+
+    monkeypatch.setattr(_fork, "cores", lambda: 1)
+    serial = written("serial.csv")
+    forks = []
+    forked = _fork.forked
+
+    def counted(*tasks):
+        forks.append(len(tasks))
+        return forked(*tasks)
+
+    monkeypatch.setattr(_fork, "forked", counted)
+    monkeypatch.setattr(_fork, "cores", lambda: 2)
+    monkeypatch.setattr(cli, "_MIN_SPLIT", table.size + 1)
+    assert written("below.csv") == serial and sum(forks) == 0
+    monkeypatch.setattr(cli, "_MIN_SPLIT", table.size)
+    if worker == "dies":
+        caller, joined = os.getpid(), cli._joined_rows
+
+        def dying(blocks):
+            if os.getpid() != caller:
+                os._exit(3)
+            return joined(blocks)
+
+        monkeypatch.setattr(cli, "_joined_rows", dying)
+    assert written("split.csv") == serial and sum(forks) == 1
+
+
+SWEEP_EPS = SOLVE.format(T=0.1).replace(
+    "mode = solve", "mode = sweep-eps").replace(
+    "eps = 0.02", "eps = 0.02\nrefine_tol = {tol}\nrefine_levels = 3")
+
+
+@pytest.mark.parametrize("case", ["success", "early-convergence",
+                                  "coarse-error", "dead-worker"])
+def test_sweep_eps_leaves_no_child(tmp_path, monkeypatch, capsys, case):
+    tol = 1.0 if case == "early-convergence" else 1e-9
+    cfg = str(write(tmp_path, "w.cfg", SWEEP_EPS.format(tol=tol)))
+    monkeypatch.setattr(_fork, "cores", lambda: 1)
+    assert run("sweep-eps", cfg, out_dir=str(tmp_path / "serial"),
+               quiet=True) == 0
+    caller, march = os.getpid(), stepper.mild_solve
+
+    def patched(problem, eps, *args, **kwargs):
+        if os.getpid() != caller:
+            if case == "dead-worker":
+                os._exit(3)
+            if case == "early-convergence":
+                time.sleep(60)  # a worker not killed outlives the deadline
+        elif case == "coarse-error" and eps < 0.02:
+            raise ArithmeticError("coarse level")
+        return march(problem, eps, *args, **kwargs)
+
+    monkeypatch.setattr(stepper, "mild_solve", patched)
+    monkeypatch.setattr(_fork, "cores", lambda: 2)
+    monkeypatch.setattr(cli, "_MIN_SPLIT", 1)  # the writer forks too
+    capsys.readouterr()
+    with deadline(30):
+        rc = run("sweep-eps", cfg, out_dir=str(tmp_path / "out"), quiet=True)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if case == "coarse-error":
+        assert rc == 1
+        assert "type: ArithmeticError" in capsys.readouterr().err
+        return
+    assert rc == 0
+    for name in ("fields/y_finest.csv", "reports/eps_sweep.csv",
+                 "reports/summary.txt"):
+        assert (tmp_path / "out" / name).read_bytes() == \
+            (tmp_path / "serial" / name).read_bytes()
+
+
+def test_write_error_kills_the_table_worker(tmp_path, monkeypatch, capsys):
+    cfg = str(write(tmp_path, "w.cfg", SWEEP_EPS.format(tol=1e-9)))
+    caller, joined = os.getpid(), cli._joined_rows
+
+    def stalled(blocks):
+        if os.getpid() != caller:
+            time.sleep(60)  # a worker not killed outlives the deadline
+            os._exit(0)
+        return joined(blocks)
+
+    class Full(io.StringIO):
+        def write(self, text):
+            if text.count("\n") > 1:  # the first block of a field table
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Full(),
+                        raising=False)
+    monkeypatch.setattr(cli, "_joined_rows", stalled)
+    monkeypatch.setattr(_fork, "cores", lambda: 2)
+    monkeypatch.setattr(cli, "_MIN_SPLIT", 1)
+    with deadline(30):
+        assert run("sweep-eps", cfg, out_dir=str(tmp_path / "out"),
+                   quiet=True) == 1
+    assert "type: OSError" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def loaded_by_cli_import(module, *argv):

@@ -1,8 +1,6 @@
-import contextlib
 import dataclasses
 import math
 import os
-import signal
 import threading
 import time
 
@@ -10,7 +8,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import constant_policy
+from conftest import constant_policy, deadline
 from mildhjb import montecarlo
 from mildhjb.conjugate import RunningCost
 from mildhjb.expressions import parse_expression
@@ -243,21 +241,6 @@ def test_worker_count_does_not_change_results(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-@contextlib.contextmanager
-def deadline(seconds):
-    """Raise TimeoutError here if the block still runs after ``seconds``."""
-    def timeout(signum, frame):
-        raise TimeoutError(f"still waiting after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("share", ["own", "worker"])
 def test_error_in_a_share_is_the_serial_error(monkeypatch, share, workers):
@@ -465,6 +448,14 @@ def test_largest_seed_runs_and_the_next_is_rejected():
 def test_start_point_must_be_a_finite_number(x0):
     with pytest.raises(ValueError, match="x0"):
         SimConfig(n_paths=4, dt=1e-2, seed=0, x0=x0)
+
+
+@pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan, True, 0.0,
+                                "0.1", None])
+def test_time_step_must_be_a_positive_finite_number(dt):
+    # dt=inf and dt=True used to march one step of the whole horizon
+    with pytest.raises(ValueError, match="dt"):
+        SimConfig(n_paths=10, dt=dt, seed=0)
 
 
 @pytest.mark.parametrize("n_paths", [100.5, 100.0, True, "100"])

@@ -1,10 +1,13 @@
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import mildhjb.stepper as stepper
-from conftest import (desk_problem, elliptic_operands, heat_exact,
+from mildhjb import _fork
+from conftest import (deadline, desk_problem, elliptic_operands, heat_exact,
                       heat_problem, tanh_drift)
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
 from mildhjb.grid import Grid1D, Grid2D, diff1_central
@@ -261,6 +264,8 @@ def test_refine_until_certifies_a_2d_run(monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(stepper, "mild_solve", recorded)
+    # a forked worker's march of the finest level would not be recorded here
+    monkeypatch.setattr(_fork, "cores", lambda: 1)
     result = refine_until(planar_problem(), tol=1e-6, eps0=0.01, max_levels=3)
     assert result.converged is False
     assert len(result.gaps) == 3
@@ -271,6 +276,122 @@ def test_refine_until_certifies_a_2d_run(monkeypatch):
         assert sol.snapshots.shape == (steps + 1, 11, 11)
         assert len(sol.diagnostics) == steps
     assert result.solution is runs[-1]
+
+
+def levels_marched_here(monkeypatch, *args, **kwargs):
+    """``refine_until(*args, **kwargs)`` and the eps of each level this
+    process marched itself."""
+    here = []
+
+    def recorded(problem, eps, *rest, **options):
+        here.append(eps)
+        return mild_solve(problem, eps, *rest, **options)
+
+    monkeypatch.setattr(stepper, "mild_solve", recorded)
+    return refine_until(*args, **kwargs), here
+
+
+@pytest.mark.parametrize("make, eps0, levels", [
+    (lambda: heat_problem(Grid1D(10.0, 41), horizon=0.1), 0.02, 3),
+    (lambda: quad_problem(Grid1D(10.0, 41), horizon=0.1,
+                          drift=tanh_drift(Grid1D(10.0, 41))), 0.025, 2),
+    (planar_problem, 0.01, 1),
+], ids=["heat", "drift", "2d"])
+def test_forked_finest_level_is_the_serial_run(monkeypatch, make, eps0,
+                                               levels):
+    problem = make()
+    monkeypatch.setattr(_fork, "cores", lambda: 1)
+    serial, marched = levels_marched_here(monkeypatch, problem, 1e-12, eps0,
+                                          max_levels=levels)
+    assert marched == serial.eps_levels
+    monkeypatch.setattr(_fork, "cores", lambda: 2)
+    forked, marched = levels_marched_here(monkeypatch, problem, 1e-12, eps0,
+                                          max_levels=levels)
+    assert marched == serial.eps_levels[:-1]  # a worker marched the finest
+    assert (forked.eps_levels, forked.gaps, forked.converged) == \
+        (serial.eps_levels, serial.gaps, serial.converged)
+    a, b = forked.solution, serial.solution
+    assert a.problem is b.problem is problem
+    assert (a.eps, a.partial_step, a.diagnostics) == \
+        (b.eps, b.partial_step, b.diagnostics)
+    np.testing.assert_array_equal(a.times, b.times)
+    np.testing.assert_array_equal(a.snapshots, b.snapshots)
+
+
+def stalled_finest(monkeypatch, finest, coarse_error=None):
+    """Let a worker's march of eps ``finest`` sleep instead, and this
+    process's marches raise ``coarse_error`` (if given) below the first
+    level."""
+    caller = os.getpid()
+
+    def march(problem, eps, *args, **kwargs):
+        if os.getpid() != caller and eps == finest:
+            time.sleep(60)  # a worker that is not killed outlives the deadline
+            os._exit(0)
+        if coarse_error is not None and eps < 0.02:
+            raise coarse_error
+        return mild_solve(problem, eps, *args, **kwargs)
+
+    monkeypatch.setattr(stepper, "mild_solve", march)
+    monkeypatch.setattr(_fork, "cores", lambda: 2)
+
+
+def test_early_convergence_kills_the_finest_level(monkeypatch):
+    g = Grid1D(10.0, 201)
+    problem = quad_problem(g, y0=np.zeros(g.n), source=np.zeros(g.n),
+                           horizon=0.1)
+    stalled_finest(monkeypatch, 0.02 * 0.5**3)
+    with deadline(30):
+        result = refine_until(problem, tol=1e-12, eps0=0.02, max_levels=3)
+    assert result.converged and result.eps_levels == [0.02, 0.01]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_error_in_a_coarse_level_kills_the_finest_level(monkeypatch):
+    stalled_finest(monkeypatch, 0.02 * 0.5**3,
+                   ArithmeticError("coarse level"))
+    with deadline(30), pytest.raises(ArithmeticError, match="coarse level"):
+        refine_until(heat_problem(Grid1D(10.0, 41), horizon=0.1), tol=1e-12,
+                     eps0=0.02, max_levels=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_level_of_a_dead_worker_is_marched_here(monkeypatch):
+    problem = heat_problem(Grid1D(10.0, 41), horizon=0.1)
+    monkeypatch.setattr(_fork, "cores", lambda: 1)
+    serial = refine_until(problem, tol=1e-12, eps0=0.02, max_levels=2)
+    caller = os.getpid()
+
+    def dying(*args, **kwargs):
+        if os.getpid() != caller:
+            os._exit(3)
+        return mild_solve(*args, **kwargs)
+
+    monkeypatch.setattr(_fork, "cores", lambda: 2)
+    monkeypatch.setattr(stepper, "mild_solve", dying)
+    result = refine_until(problem, tol=1e-12, eps0=0.02, max_levels=2)
+    assert result.gaps == serial.gaps
+    np.testing.assert_array_equal(result.solution.snapshots,
+                                  serial.solution.snapshots)
+    assert result.solution.diagnostics == serial.solution.diagnostics
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("levels", [0, -1, True, 2.0, 1.5, "3", None])
+def test_refine_levels_must_be_a_positive_integer(levels):
+    problem = heat_problem(Grid1D(10.0, 21), horizon=0.1)
+    with pytest.raises(ValueError, match="max_levels"):
+        refine_until(problem, tol=1e-3, eps0=0.02, max_levels=levels)
+
+
+def test_numpy_integer_is_a_level_count():
+    problem = heat_problem(Grid1D(10.0, 21), horizon=0.1)
+    result = refine_until(problem, tol=1e-12, eps0=0.02,
+                          max_levels=np.int64(2))
+    assert len(result.gaps) == 2
 
 
 def test_every_step_carries_a_residual_certificate():
