@@ -10,12 +10,13 @@ path owns a counter-based random stream keyed by (seed, path index), so runs
 are reproducible bit for bit and two policies simulated at the same seed see
 identical noise (common random numbers).  One march steps every compared
 policy as one row of a (policies, paths) state on the same noise, in blocks
-of paths; it copies a block's noise ``_CHUNK`` steps at a time into a
-contiguous ``(_CHUNK, paths)`` buffer that the steps read row by row.  A
-constant policy's rows of the control, its square root and its running cost
-are filled once per block, and only the callable policies are called on each
-step.  A constant 0 row has ``sqrt(u) = 0``: sigma and the noise kick skip
-it.
+of paths.  Each path's generator draws ``_DRAW`` steps at a time (in
+sequence, so the pieces are its one stream) into a ``(paths, _DRAW)``
+buffer, copied ``_CHUNK`` steps at a time into a contiguous
+``(_CHUNK, paths)`` buffer that the steps read row by row.  A constant
+policy's rows of the control, its square root and its running cost are
+filled once per block, and only the callable policies are called on each
+step.  A constant 0 row has ``sqrt(u) = 0``: sigma and the kick skip it.
 
 The paths are split into contiguous shares, one per core the fork gate
 gives (``_fork.cores``) and at most ``_MAX_WORKERS``, when each share
@@ -27,7 +28,7 @@ place.  The split does not change a bit: a path's noise depends only on
 land at their paths' places, so the report reduces the same arrays
 (exactly, by ``math.fsum``) however the paths were split.  A block holds
 at most ``_BLOCK // workers`` paths, so all processes together hold at
-most ``_BLOCK * steps * 8`` bytes of noise, as one serial march does.
+most ``_BLOCK * _DRAW * 8`` bytes of drawn noise, as one serial march does.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import functools
 import math
 import mmap
 import numbers
-import os  # noqa: F401  (the fork gate's os; tests patch it through here)
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -68,13 +68,16 @@ _BLOCK = 4096
 # 2.4 ms of a fork plus its reap at 40 MB resident (2-core x86-64 host)
 _MIN_SHARE = 2**18
 
-# the most processes one march is split across: each worker adds about 7 MB
-# of private pages beyond its noise, so four add about 21 MB (summed Pss of
-# the simulate benchmark run: 68.3 MB serial, 88.8 MB split in 4)
+# the most processes one march is split across: each worker adds about 8 MB
+# of private pages (7.5-8.9 MB at the end of a simulate benchmark march)
 _MAX_WORKERS = 4
 
 # steps of noise copied at a time into a contiguous (steps, paths) buffer
 _CHUNK = 8
+
+# steps of noise drawn at a time, a multiple of _CHUNK so copies fill a chunk:
+# all processes hold _BLOCK * _DRAW * 8 bytes (4 MiB), whatever the step count
+_DRAW = 128
 
 # a seed is one 64-bit word of the Philox key
 SEED_RANGE = "0 <= seed <= 2**64 - 1"
@@ -125,25 +128,27 @@ class McReport:
     samples: Optional[np.ndarray] = None
 
 
-def _path_normals(seed: int, first: int, count: int, steps: int) -> np.ndarray:
-    """(count, steps) standard normals; row ``i`` is the stream of path
-    ``first + i``, the first ``steps`` normals of
-    ``Generator(Philox(key=[seed, first + i]))``.
+def _path_normals(streams: list, out: np.ndarray) -> None:
+    """Fill row ``i`` of ``out`` with the next normals of ``streams[i]``;
+    the benchmark's tracer times these draws as ``montecarlo.noise_s``."""
+    for row, stream in zip(out, streams):
+        stream.standard_normal(out=row)
 
-    One generator serves the block: each row resets its key and zeroes its
-    counter and buffer through ``bits.state``, which starts the same stream
-    as a new ``Philox`` without the seed sequence that one would build.
-    """
-    out = np.empty((count, steps))
-    bits = np.random.Philox(key=np.array([seed, first], dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    fresh = bits.state
-    key = fresh["state"]["key"]
-    for i in range(count):
-        key[1] = first + i
-        bits.state = fresh
-        gen.standard_normal(out=out[i])
-    return out
+
+def _noise(seed: int, first: int, count: int, steps: int):
+    """Yield ``steps`` rows, each valid until the next is taken: column ``i``
+    is path ``first + i``'s next normal, from its own ``Generator``."""
+    streams = [np.random.Generator(np.random.Philox(key=np.array(
+        [seed, p], dtype=np.uint64))) for p in range(first, first + count)]
+    drawn = np.empty((count, min(_DRAW, steps)))
+    noise = np.empty((_CHUNK, count))
+    for start in range(0, steps, _DRAW):
+        part = drawn[:, :steps - start]
+        _path_normals(streams, part)
+        for k in range(0, part.shape[1], _CHUNK):
+            ahead = part[:, k:k + _CHUNK]
+            noise[:ahead.shape[1]] = ahead.T
+            yield from noise[:ahead.shape[1]]
 
 
 def _report(label: str, costs, alive, keep_samples: bool) -> McReport:
@@ -203,8 +208,7 @@ def _march(problem: ControlProblem, policies: Sequence[Policy],
     drift = problem.f if problem.f is not None else (lambda x: 0.0 * x)
 
     for start, stop in blocks:
-        z = _path_normals(cfg.seed, start, stop - start, steps)
-        noise = np.empty((_CHUNK, stop - start))
+        noise = _noise(cfg.seed, start, stop - start, steps)
         x = np.full((len(policies), stop - start), float(cfg.x0))
         u = np.zeros(x.shape)
         for i, p in enumerate(policies):
@@ -215,10 +219,7 @@ def _march(problem: ControlProblem, policies: Sequence[Policy],
         cost = np.array(problem.cost.evaluate(u), dtype=float)
         run = np.zeros(x.shape)
         with np.errstate(all="ignore"):
-            for k in range(steps):
-                if k % _CHUNK == 0:
-                    ahead = z[:, k:k + _CHUNK]
-                    noise[:ahead.shape[1]] = ahead.T
+            for k, xi in enumerate(noise):
                 t = k * dt
                 for i, act in called:
                     np.maximum(act(t, x[i]), 0.0, out=u[i])
@@ -231,14 +232,13 @@ def _march(problem: ControlProblem, policies: Sequence[Policy],
                     kick = root[:moved] * np.asarray(
                         problem.sigma(x[:moved]), dtype=float)
                     kick *= sqrt_dt
-                    kick *= noise[k % _CHUNK]
+                    kick *= xi
                 x = x + np.asarray(drift(x), dtype=float) * dt
                 if moved:
                     x[:moved] += kick
             run += np.asarray(problem.g0(x), dtype=float)
         costs[order, start:stop] = run
         alive[order, start:stop] = np.isfinite(x) & np.isfinite(run)
-        del z  # release this block's noise before drawing the next
 
 
 def _simulate(problem: ControlProblem, policies: Sequence[Policy],

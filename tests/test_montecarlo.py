@@ -3,13 +3,14 @@ import math
 import os
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import conftest
 from conftest import constant_policy, deadline
-from mildhjb import montecarlo
+from mildhjb import _fork, montecarlo
 from mildhjb.conjugate import RunningCost
 from mildhjb.expressions import parse_expression
 from mildhjb.grid import Grid1D
@@ -26,6 +27,12 @@ def brownian_problem(horizon=1.0):
         g0=lambda x: 0.0 * x,
         cost=RunningCost.quadratic(1.0, 0.0),
         horizon=horizon)
+
+
+def fresh_stream(seed, path):
+    """The documented stream of a path: a new generator keyed (seed, path)."""
+    key = np.array([seed, path], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def desk_problem(horizon=0.5):
@@ -120,22 +127,33 @@ def test_comparison_rows_equal_single_policy_runs(monkeypatch):
 
 
 def test_comparison_draws_noise_one_block_at_a_time(monkeypatch):
-    # one worker draws the blocks of _BLOCK paths in path order
+    # one worker draws the blocks of _BLOCK paths in path order, and each
+    # path's stream at most _DRAW normals at a time
     monkeypatch.setattr(montecarlo, "_BLOCK", 64)
     monkeypatch.setattr(montecarlo, "_workers", lambda paths, states: 1)
-    draws = []
-    draw = montecarlo._path_normals
+    blocks, draws = [], []
+    noise, draw = montecarlo._noise, montecarlo._path_normals
 
-    def spy(seed, first, count, steps):
-        draws.append((first, count))
-        return draw(seed, first, count, steps)
+    def spy_noise(seed, first, count, steps):
+        blocks.append((first, count))
+        return noise(seed, first, count, steps)
 
-    monkeypatch.setattr(montecarlo, "_path_normals", spy)
+    def spy_draw(streams, out):
+        draws.append(out.shape)
+        return draw(streams, out)
+
+    monkeypatch.setattr(montecarlo, "_noise", spy_noise)
+    monkeypatch.setattr(montecarlo, "_path_normals", spy_draw)
     run = (lambda: compare_policies(
-        brownian_problem(horizon=0.1), 0.5, [0.0, 1.0],
-        SimConfig(n_paths=129, dt=1e-2, seed=3)))
+        brownian_problem(horizon=0.3), 0.5, [0.0, 1.0],
+        SimConfig(n_paths=129, dt=1e-3, seed=3)))
     run()
-    assert draws == [(0, 64), (64, 64), (128, 1)]
+    assert blocks == [(0, 64), (64, 64), (128, 1)]
+    # each block's 300 steps in draws of at most _DRAW normals a path
+    size = montecarlo._DRAW
+    assert draws == [(count, steps) for _, count in blocks
+                     for steps in (size, size, 300 - 2 * size)]
+    assert all(steps <= size for _, steps in draws)
     assert montecarlo._shares(129, 1) == [[(0, 64), (64, 128), (128, 129)]]
     # with more workers, the shares tile the paths, and all processes
     # together hold at most _BLOCK paths of noise
@@ -149,28 +167,28 @@ def test_comparison_draws_noise_one_block_at_a_time(monkeypatch):
         sizes = [share[-1][1] - share[0][0] for share in shares]
         assert max(sizes) - min(sizes) <= 1
     # and this process draws the blocks of the first share
-    draws.clear()
+    blocks.clear()
     monkeypatch.setattr(montecarlo, "_workers", lambda paths, states: 2)
     run()
-    assert draws == [(first, stop - first)
-                     for first, stop in montecarlo._shares(129, 2)[0]]
+    assert blocks == [(first, stop - first)
+                      for first, stop in montecarlo._shares(129, 2)[0]]
 
 
 def test_worker_count_is_bounded_by_cores_and_share_size(monkeypatch):
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+    monkeypatch.setattr(_fork.os, "sched_getaffinity",
                         lambda pid: set(range(8)))
     least = montecarlo._MIN_SHARE
     assert montecarlo._workers(4000, 100 * least) == montecarlo._MAX_WORKERS
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+    monkeypatch.setattr(_fork.os, "sched_getaffinity",
                         lambda pid: {0, 1, 2})
     assert montecarlo._workers(4000, 100 * least) == 3
     assert montecarlo._workers(4000, 2 * least) == 2
     assert montecarlo._workers(4000, 2 * least - 1) == 1
     assert montecarlo._workers(2, 100 * least) == 2
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(_fork.os, "sched_getaffinity", lambda pid: {0})
     assert montecarlo._workers(4000, 100 * least) == 1
-    monkeypatch.delattr(montecarlo.os, "fork")
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+    monkeypatch.delattr(_fork.os, "fork")
+    monkeypatch.setattr(_fork.os, "sched_getaffinity",
                         lambda pid: {0, 1, 2, 3})
     assert montecarlo._workers(4000, 100 * least) == 1
 
@@ -180,7 +198,7 @@ def test_another_thread_keeps_the_march_serial(monkeypatch):
     def fork():
         raise AssertionError("forked")
 
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(_fork.os, "sched_getaffinity", lambda pid: {0, 1})
     cfg = SimConfig(n_paths=1000, dt=1e-3, seed=3)
     states = 2 * 1000 * 300
     assert montecarlo._workers(1000, states) == 2
@@ -189,7 +207,7 @@ def test_another_thread_keeps_the_march_serial(monkeypatch):
     other.start()
     try:
         assert montecarlo._workers(1000, states) == 1
-        monkeypatch.setattr(montecarlo.os, "fork", fork)
+        monkeypatch.setattr(_fork.os, "fork", fork)
         compare_policies(brownian_problem(horizon=0.3), 0.5, [1.0], cfg)
     finally:
         release.set()
@@ -200,8 +218,8 @@ def test_one_usable_core_forks_no_worker(monkeypatch):
     def fork():
         raise AssertionError("forked")
 
-    monkeypatch.setattr(montecarlo.os, "fork", fork)
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(_fork.os, "fork", fork)
+    monkeypatch.setattr(_fork.os, "sched_getaffinity", lambda pid: {0})
     # on two cores this run would be split in two
     cfg = SimConfig(n_paths=1000, dt=1e-3, seed=3)
     assert 1000 * 300 * 2 >= 2 * montecarlo._MIN_SHARE
@@ -321,7 +339,8 @@ def test_zero_control_row_skips_sigma_with_the_same_bits():
                             keep_samples=True).baselines[0].samples
     steps = 20
     dt = 0.1 / steps
-    z = montecarlo._path_normals(cfg.seed, 0, cfg.n_paths, steps)
+    z = np.array([fresh_stream(cfg.seed, i).standard_normal(steps)
+                  for i in range(cfg.n_paths)])
     x = np.full(cfg.n_paths, 0.3)
     run = np.zeros(cfg.n_paths)
     cost = problem.cost.evaluate(np.zeros(cfg.n_paths))
@@ -513,9 +532,50 @@ def test_comparison_bits_are_pinned():
     ]
 
 
-def test_path_normals_match_fresh_per_path_generators():
-    z = montecarlo._path_normals(5, 3, 4, 7)
-    for i in range(4):
-        key = np.array([5, 3 + i], dtype=np.uint64)
-        fresh = np.random.Generator(np.random.Philox(key=key))
-        np.testing.assert_array_equal(z[i], fresh.standard_normal(7))
+def test_path_normals_match_fresh_per_path_generators(monkeypatch):
+    # draws of 3 are shorter than a chunk, 300 steps cross draws of _DRAW,
+    # and the largest seed fills the key's first word
+    for seed, draw, steps in ((5, montecarlo._DRAW, 7), (5, 3, 20),
+                              (2**64 - 1, montecarlo._DRAW, 300)):
+        monkeypatch.setattr(montecarlo, "_DRAW", draw)
+        noise = montecarlo._noise(seed, 3, 4, steps)
+        z = np.array([row.copy() for row in noise]).T
+        assert z.shape == (4, steps)
+        for i in range(4):
+            np.testing.assert_array_equal(
+                z[i], fresh_stream(seed, 3 + i).standard_normal(steps))
+
+
+def test_draw_size_does_not_change_results(monkeypatch):
+    # 203 steps are a multiple of neither _CHUNK nor any draw size below
+    monkeypatch.setattr(montecarlo, "_BLOCK", 64)
+    grid = Grid1D(5.0, 41)
+    times = np.linspace(0.0, 0.203, 4)
+    feedback = FeedbackPolicy(
+        grid, times, 0.4 + 0.2 * np.abs(grid.x)[None, :] + times[:, None])
+    cfg = SimConfig(n_paths=150, dt=1e-3, seed=29, x0=0.2)
+
+    def rows():
+        return compare_policies(desk_problem(horizon=0.203), feedback,
+                                [0.0, 0.5], cfg, keep_samples=True).rows()
+
+    base = rows()
+    for draw in (1, 3, 64, 203, 1000):
+        monkeypatch.setattr(montecarlo, "_DRAW", draw)
+        for a, b in zip(base, rows(), strict=True):
+            np.testing.assert_array_equal(a.samples, b.samples)
+
+
+def test_noise_memory_does_not_grow_with_the_step_count(monkeypatch):
+    # drawing all 5,000 steps of 256 paths at once holds 10.24 MB of noise
+    # (a traced peak of 11.2 MB); draws of _DRAW steps hold 256 * 128 * 8
+    # bytes (a traced peak of 1.2 MB)
+    monkeypatch.setattr(montecarlo, "_workers", lambda paths, states: 1)
+    cfg = SimConfig(n_paths=256, dt=1e-4, seed=3)
+    tracemalloc.start()
+    try:
+        compare_policies(brownian_problem(horizon=0.5), 0.5, [1.0], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6

@@ -244,6 +244,21 @@ def test_sup_time_gap_is_exact_over_every_step(make, eps):
     assert sup_time_gap(coarse, fine) == expected
 
 
+def test_sup_time_gap_of_a_non_finite_snapshot_is_nan():
+    # a pair that cannot be compared must not be left out of the sup; the
+    # 4,097 pairs here are compared in three slices
+    problem = heat_problem(Grid1D(10.0, 21), horizon=0.5)
+    coarse = mild_solve(problem, 2.0**-11)
+    fine = mild_solve(problem, 2.0**-12)
+    for run in (coarse, fine):
+        for k in (0, len(run.snapshots) // 2, -1):
+            snapshots = run.snapshots.copy()
+            snapshots[k, 3] = np.nan
+            broken = replace(run, snapshots=snapshots)
+            pair = (broken, fine) if run is coarse else (coarse, broken)
+            assert np.isnan(sup_time_gap(*pair))
+
+
 def test_refine_until_certifies_every_step_of_a_long_run():
     # the finest level takes 4,096 steps, all stored; its gap is about
     # 3.4e-4, so a tolerance of 1e-4 must not pass
