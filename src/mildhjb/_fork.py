@@ -1,9 +1,11 @@
 """Work on a second core: forked workers that report through a file.
 
 A worker runs ``task(out)`` and leaves through ``os._exit``: 0 if it
-returned, 1 if it raised.  ``out`` is an unlinked temporary file opened
-before the fork, so the worker never blocks on its reader, as on a full
-pipe.  Its CPU time and memory show only in ``RUSAGE_CHILDREN``.
+returned, 1 if it raised.  A fork that raises (``EAGAIN`` at the process
+limit, ``ENOMEM``) gives a worker that failed, so its caller does the task
+itself.  ``out`` is an unlinked temporary file opened before the fork, so
+the worker never blocks on its reader, as on a full pipe.  Its CPU time
+and memory show only in ``RUSAGE_CHILDREN``.
 """
 
 import contextlib
@@ -24,7 +26,12 @@ def cores() -> int:
 
 class Worker:
     def __init__(self, task, out):
-        self._out, self._status, self._pid = out, None, os.fork()
+        self._out, self._status = out, None
+        try:
+            self._pid = os.fork()
+        except OSError:
+            self._status = 1  # never forked: join() gives None
+            return
         if self._pid == 0:  # the worker leaves through os._exit, never returns
             try:
                 task(out)

@@ -4,10 +4,9 @@ Grammar (whitespace-insensitive)::
 
     expr   := term (('+'|'-') term)*
     term   := unary (('*'|'/') unary)*
-    unary  := ('+'|'-') unary | power
-    power  := atom ('^' unary)?             # right-associative, binds
-    atom   := NUMBER | VARIABLE | 'pi' | 'e' #   tighter than unary minus
-            | ('exp'|'tanh'|'sin'|'cos'|'abs') '(' expr ')'
+    unary  := ('+'|'-') unary | atom ('^' unary)?  # '^' is right-associative
+    atom   := NUMBER | VARIABLE | 'pi' | 'e'        #   and binds tighter
+            | ('exp'|'tanh'|'sin'|'cos'|'abs') '(' expr ')'  # than unary minus
             | '(' expr ')'
 
 Expressions evaluate vectorized over numpy arrays and differentiate
@@ -18,7 +17,9 @@ when a derivative is requested, with the offending construct named.
 
 from __future__ import annotations
 
+import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -153,144 +154,110 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 # ----------------------------------------------------------------- tokenizer
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    column: int
+# after optional whitespace: a number (its 'e' needs a digit or sign next),
+# a name (from a letter or '_'), an operator, or any other character
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<number>[\d.]+(?:[eE](?=[\d+-])[+-]?[\d.]*)?)
+  | (?P<name>\w+)
+  | (?P<op>[-+*/^()])
+  | (?P<other>\S))""", re.VERBOSE)
+_Token = tuple[str, str, int]  # kind, text, column
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """Tokens of ``text`` (an operator's kind is itself), then "end"."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^()":
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            seen_e = False
-            while j < n and (text[j].isdigit() or text[j] == "."
-                             or text[j] in "eE"
-                             or (seen_e and text[j] in "+-"
-                                 and text[j - 1] in "eE")):
-                if text[j] in "eE":
-                    if seen_e or j + 1 >= n or not (text[j + 1].isdigit()
-                                                    or text[j + 1] in "+-"):
-                        break
-                    seen_e = True
-                j += 1
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        word, column = match.group(kind), match.start(kind)
+        if kind == "number":
             try:
-                float(text[i:j])
+                finite = math.isfinite(float(word))
             except ValueError:
-                raise ExpressionError(f"bad number {text[i:j]!r}", i) from None
-            tokens.append(_Token("number", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        raise ExpressionError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
+                finite = False
+            if not finite:
+                raise ExpressionError(f"bad number {word!r}", column)
+        elif not (word[0].isalpha() or word[0] in "_+-*/^()"):
+            raise ExpressionError(f"unexpected character {word[0]!r}", column)
+        tokens.append((word if kind == "op" else kind, word, column))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 # -------------------------------------------------------------------- parser
 
+# each binary operator's level (a higher one binds tighter) and constructor
+_INFIX = {"+": (0, _add), "-": (0, _sub), "*": (1, _mul), "/": (1, _div)}
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], variables: tuple[str, ...]):
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = variables
+        self.tokens, self.pos, self.variables = tokens, 0, variables
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def take(self, kind: str) -> _Token:
+    def take(self, kind: str | None = None) -> _Token:
+        """The next token, which must be of ``kind`` if one is given."""
         tok = self.tokens[self.pos]
-        if tok.kind != kind:
+        if kind is not None and tok[0] != kind:
             raise ExpressionError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.column)
+                f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
+                tok[2])
         self.pos += 1
         return tok
 
     def parse(self) -> Node:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionError(f"trailing input {tok.text!r}", tok.column)
+        node = self.binary()
+        kind, text, column = self.peek()
+        if kind != "end":
+            raise ExpressionError(f"trailing input {text!r}", column)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take(self.peek().kind).kind
-            rhs = self.term()
-            node = _add(node, rhs) if op == "+" else _sub(node, rhs)
-        return node
-
-    def term(self) -> Node:
+    def binary(self, level: int = 0) -> Node:
+        """Operands joined by the operators of ``level`` and tighter ones."""
         node = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.take(self.peek().kind).kind
-            rhs = self.unary()
-            node = _mul(node, rhs) if op == "*" else _div(node, rhs)
+        while self.peek()[0] in _INFIX and _INFIX[self.peek()[0]][0] >= level:
+            op_level, build = _INFIX[self.take()[0]]
+            node = build(node, self.binary(op_level + 1))  # left-associative
         return node
 
     def unary(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "-":
-            self.take("-")
+        kind = self.take()[0] if self.peek()[0] in ("+", "-") else None
+        if kind == "-":
             arg = self.unary()
             return _num(-arg.value) if isinstance(arg, Num) else Neg(arg)
-        if tok.kind == "+":
-            self.take("+")
+        if kind == "+":
             return self.unary()
-        return self.power()
-
-    def power(self) -> Node:
         node = self.atom()
-        if self.peek().kind == "^":
-            self.take("^")
+        if self.peek()[0] == "^":
+            self.take()
             node = _pow(node, self.unary())
         return node
 
+    def group(self) -> Node:
+        self.take("(")
+        node = self.binary()
+        self.take(")")
+        return node
+
     def atom(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.take("number")
-            return _num(float(tok.text))
-        if tok.kind == "(":
-            self.take("(")
-            node = self.expr()
-            self.take(")")
-            return node
-        if tok.kind == "name":
-            self.take("name")
-            name = tok.text
-            if name in _FUNCTIONS:
-                self.take("(")
-                arg = self.expr()
-                self.take(")")
-                return Call(name, arg)
-            if name in _CONSTANTS:
-                return _num(_CONSTANTS[name])
-            if name in self.variables:
-                return Var(name)
-            raise ExpressionError(f"unknown identifier {name!r}", tok.column)
-        raise ExpressionError(
-            f"expected a value, found {tok.text or 'end of input'!r}",
-            tok.column)
+        kind, text, column = self.peek()
+        if kind == "(":
+            return self.group()
+        if kind not in ("number", "name"):
+            raise ExpressionError(
+                f"expected a value, found {text or 'end of input'!r}", column)
+        self.take()
+        if kind == "number":
+            return _num(float(text))
+        if text in _FUNCTIONS:
+            return Call(text, self.group())
+        if text in _CONSTANTS:
+            return _num(_CONSTANTS[text])
+        if text in self.variables:
+            return Var(text)
+        raise ExpressionError(f"unknown identifier {text!r}", column)
 
 
 # --------------------------------------------------------------- eval / diff

@@ -11,6 +11,7 @@ import conftest
 from conftest import deadline
 from mildhjb import _fork, cli, montecarlo, stepper
 from mildhjb.cli import main, run
+from mildhjb.grid import Grid1D
 
 SOLVE = """
 mode = solve
@@ -466,6 +467,16 @@ def test_non_finite_tolerance_is_a_validation_error(tmp_path, capsys):
     assert "[solver] tol_res" in capsys.readouterr().err
 
 
+def test_overflowing_expression_literal_is_a_validation_error(tmp_path,
+                                                              capsys):
+    cfg = write(tmp_path, "big.cfg", SOLVE.format(T=0.1).replace(
+        "g0 = exp(-x^2)", "g0 = 1e999*exp(-x^2)"))
+    assert run("solve", str(cfg), out_dir=str(tmp_path / "o"),
+               quiet=True) == 2
+    assert "[problem] g0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert run("solve", str(tmp_path / "nope.cfg")) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -819,6 +830,44 @@ def test_write_error_kills_the_table_worker(tmp_path, monkeypatch, capsys):
     assert "type: OSError" in capsys.readouterr().err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_fork_falls_back_to_serial(tmp_path, monkeypatch):
+    # at the process limit os.fork raises; each caller does the worker's
+    # task itself, bit for bit
+    problem = conftest.desk_problem(horizon=0.1)
+    sim = montecarlo.SimConfig(n_paths=90, dt=1e-2, seed=41)
+    refine = problem.discretize(Grid1D(10.0, 41))
+    table = np.concatenate((AWKWARD, -AWKWARD))
+    times, xs = np.linspace(0.0, 3.0, len(table)), AWKWARD[0]
+    cfg = str(write(tmp_path, "w.cfg", SWEEP_EPS.format(tol=1e-9)))
+
+    def outputs(name):
+        comparison = montecarlo.compare_policies(problem, 0.5, [0.0, 1.0],
+                                                 sim, keep_samples=True)
+        result = stepper.refine_until(refine, 1e-12, 0.02, max_levels=2)
+        path = tmp_path / f"{name}.csv"
+        cli._write_csv(path, "table", ["t", "x", "y"],
+                       cli._field_rows(times, xs, table))
+        assert run("sweep-eps", cfg, out_dir=str(tmp_path / name),
+                   quiet=True) == 0
+        return ([row.samples for row in comparison.rows()], result.gaps,
+                result.solution.snapshots, path.read_bytes(),
+                (tmp_path / name / "fields/y_finest.csv").read_bytes())
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(montecarlo, "_workers", lambda paths, states: 1)
+    monkeypatch.setattr(_fork, "cores", lambda: 1)
+    serial = outputs("serial")
+    monkeypatch.setattr(montecarlo, "_workers", lambda paths, states: 3)
+    monkeypatch.setattr(_fork, "cores", lambda: 2)
+    monkeypatch.setattr(cli, "_MIN_SPLIT", 1)
+    monkeypatch.setattr(_fork.os, "fork", no_fork)
+    unforked = outputs("unforked")
+    for a, b in zip(serial, unforked, strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 def loaded_by_cli_import(module, *argv):

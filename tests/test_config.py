@@ -209,6 +209,16 @@ def test_non_finite_numbers_rejected(text, old, new, field):
     assert "finite" in errors[0].message
 
 
+def test_overflowing_expression_literal_rejected():
+    # 1e999 reads as inf, which would reach the march as non-finite data
+    bad = DESK.replace("g0 = exp(-x^2)", "g0 = 1e999*exp(-x^2)")
+    cfg, errors = parse_config(bad)
+    assert cfg is None
+    line = bad.splitlines().index("g0 = 1e999*exp(-x^2)") + 1
+    assert [(e.field, e.line, e.message) for e in errors] == [
+        ("[problem] g0", line, "bad number '1e999' (column 1)")]
+
+
 def test_unknown_sections_and_keys_are_errors():
     # a misspelt key or section would otherwise leave its default in force
     # and drop out of the manifest echo

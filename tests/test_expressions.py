@@ -27,6 +27,10 @@ def fd1(fn, x, step=1e-6):
     ("pi - pi", 0.0, 0.0),
     ("e", 0.0, np.e),
     ("2^0.5", 0.0, np.sqrt(2.0)),
+    (".5", 0.0, 0.5),
+    ("5.", 0.0, 5.0),
+    ("\u0663", 0.0, 3.0),       # ARABIC-INDIC DIGIT THREE is a digit
+    ("x + 1 \t ", 2.0, 3.0),    # trailing whitespace
 ])
 def test_evaluation(text, x, expected):
     expr = parse_expression(text)
@@ -110,6 +114,12 @@ def test_variable_exponent_refuses_derivative():
     ("(1 + 2", "expected"),
     ("1 2", "trailing"),
     ("2..5", "bad number"),
+    ("1e+", "bad number '1e\\+'"),
+    ("1e5.5", "bad number '1e5.5'"),
+    ("1e999*x", "bad number '1e999'"),   # overflows to inf
+    ("2e3e4", "trailing input 'e4'"),
+    ("1e", "trailing input 'e'"),
+    ("x2", "unknown identifier 'x2'"),
     ("$", "unexpected character"),
 ])
 def test_parse_errors_name_the_problem(text, fragment):
@@ -118,12 +128,11 @@ def test_parse_errors_name_the_problem(text, fragment):
 
 
 def test_errors_carry_column():
-    try:
-        parse_expression("1 + bogus")
-    except ExpressionError as exc:
-        assert exc.column == 4
-    else:
-        raise AssertionError("expected an ExpressionError")
+    for text, column in [("1 + bogus", 4), ("1 +\tbogus", 4),
+                         ("\t\tx $", 4)]:
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(text)
+        assert exc.value.column == column, text
 
 
 def test_division_by_a_zero_constant_raises():
