@@ -115,6 +115,28 @@ alpha1 = 1.0
 eps = 0.01
 """
 
+# the benchmark's planar config at n = 41 and T = 0.1: a cross term, a flux
+# on mesh rows 17-23 only, and an active set kept in most Newton iterations
+PLANAR = """
+mode = solve-2d
+
+[2d]
+L = 6
+n = 41
+a = 1 0.3 ; 0 1
+sigma0 = 2^0.5 + 0.1*sin(x)*cos(y)
+g = exp(-x^2 - y^2)
+g0 = exp(-x^2 - y^2)
+T = 0.1
+
+[cost]
+kind = quadratic
+alpha1 = 1.0
+
+[solver]
+eps = 0.01
+"""
+
 TABLE = """
 mode = conjugate-table
 
@@ -269,6 +291,7 @@ PINNED_RUNS = {
         "eps = 0.02", "eps = 0.02\nrefine_tol = 1e-3\nrefine_levels = 2")),
     "sweep-degenerate": ("sweep-degenerate", DEGENERATE),
     "solve-2d": ("solve-2d", SOLVE_2D),
+    "solve-2d-cross": ("solve-2d", PLANAR),
     "conjugate-table": ("conjugate-table", TABLE),
     "conjugate-table-expression": ("conjugate-table", TABLE_EXPR),
     # a tabulated conjugate, and a horizon that leaves a shortened last step
@@ -362,6 +385,18 @@ PINNED_HASHES = {
             "e475bf7263c4845e2a2e34c7301f42f4586ac41463d34d3061bb5ee724437435",
         "reports/mass.csv":
             "89b9c1978779307a951b33a4d77a7c0010f0942ca48c663ae2e87ca97bea1793",
+    },
+    "solve-2d-cross": {
+        "fields/value2d_final.csv":
+            "c2e0af8bed34aec542b8887eca1a763b12c7c5df4812ad388ba4e709cf094c15",
+        "fields/y2d_final.csv":
+            "6bb8b71c618085d2d186aa4bfd3c472e37e9eeb90d6fce822cd2942394e4e480",
+        "fields/y2d_initial.csv":
+            "b2aca40c6ea604f753e616dd34b9e2042cc1ad76898fd05236ee52baa6e624b3",
+        "manifest.txt":
+            "f12763a8e76e4786da3a7ece3268280af444ac71789b335cb44e5e55d3e9dd24",
+        "reports/mass.csv":
+            "6aa2258e1a0808336a31c2c3fc175acafda37700f0da5ab9e2ee8b43b5563c4d",
     },
     "conjugate-table": {
         "manifest.txt":
