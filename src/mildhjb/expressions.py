@@ -188,11 +188,16 @@ def _tokenize(text: str) -> list[_Token]:
 
 # each binary operator's level (a higher one binds tighter) and constructor
 _INFIX = {"+": (0, _add), "-": (0, _sub), "*": (1, _mul), "/": (1, _div)}
+# the deepest nesting accepted; a sign, a power, a group or call and each
+# operator of a chain is one level.  Parsing, evaluation and differentiation
+# recurse once per level, so this keeps them inside the recursion limit
+_MAX_DEPTH = 64
 
 
 class _Parser:
     def __init__(self, tokens: list[_Token], variables: tuple[str, ...]):
         self.tokens, self.pos, self.variables = tokens, 0, variables
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -214,25 +219,56 @@ class _Parser:
             raise ExpressionError(f"trailing input {text!r}", column)
         return node
 
+    def constant(self, node: Node) -> float | None:
+        """The value of ``node`` if it depends on no variable, else None."""
+        if any(_depends_on(node, var) for var in self.variables):
+            return None
+        with np.errstate(all="ignore"):
+            return float(_evaluate(node, {}))
+
+    def finite(self, node: Node, column: int) -> Node:
+        """``node``, unless it is a constant that is not finite: folding it
+        would hide an overflow until the field is sampled."""
+        value = self.constant(node)
+        if value is not None and not math.isfinite(value):
+            raise ExpressionError(f"constant evaluates to {value}", column)
+        return node
+
     def binary(self, level: int = 0) -> Node:
         """Operands joined by the operators of ``level`` and tighter ones."""
+        column = self.peek()[2]
         node = self.unary()
+        depth = self.depth
         while self.peek()[0] in _INFIX and _INFIX[self.peek()[0]][0] >= level:
-            op_level, build = _INFIX[self.take()[0]]
-            node = build(node, self.binary(op_level + 1))  # left-associative
+            op, _, op_column = self.take()
+            op_level, build = _INFIX[op]
+            self.depth += 1  # the chain is a left-deep tree
+            right = self.binary(op_level + 1)  # left-associative
+            if op == "/" and self.constant(right) == 0:
+                raise ExpressionError("division by a constant zero",
+                                      op_column)
+            node = self.finite(build(node, right), column)
+        self.depth = depth
         return node
 
     def unary(self) -> Node:
-        kind = self.take()[0] if self.peek()[0] in ("+", "-") else None
-        if kind == "-":
-            arg = self.unary()
-            return _num(-arg.value) if isinstance(arg, Num) else Neg(arg)
-        if kind == "+":
-            return self.unary()
-        node = self.atom()
-        if self.peek()[0] == "^":
+        kind, _, column = self.peek()
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ExpressionError(
+                f"nested deeper than {_MAX_DEPTH} levels", column)
+        if kind in ("+", "-"):
             self.take()
-            node = _pow(node, self.unary())
+            node = self.unary()
+            if kind == "-":
+                node = _num(-node.value) if isinstance(node, Num) \
+                    else Neg(node)
+        else:
+            node = self.atom()
+            if self.peek()[0] == "^":
+                self.take()
+                node = self.finite(_pow(node, self.unary()), column)
+        self.depth -= 1
         return node
 
     def group(self) -> Node:
@@ -252,7 +288,7 @@ class _Parser:
         if kind == "number":
             return _num(float(text))
         if text in _FUNCTIONS:
-            return Call(text, self.group())
+            return self.finite(Call(text, self.group()), column)
         if text in _CONSTANTS:
             return _num(_CONSTANTS[text])
         if text in self.variables:

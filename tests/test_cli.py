@@ -512,6 +512,26 @@ def test_overflowing_expression_literal_is_a_validation_error(tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("g0", [
+    "(" * 400 + "exp(-x^2)" + ")" * 400,
+    "exp(" * 300 + "-x^2" + ")" * 300,
+    "1e308*10*exp(-x^2)",
+    "10^400*exp(-x^2)",
+    "exp(-x^2)/(1-1)",
+], ids=["parentheses", "calls", "product", "power", "zero-divisor"])
+def test_deep_or_non_finite_expression_is_a_validation_error(tmp_path,
+                                                             capsys, g0):
+    # each used to escape as a RecursionError, fail later on a non-finite
+    # field, or (the zero divisor) write y = -0.0 and exit 0
+    text = SOLVE.format(T=0.1).replace("g0 = exp(-x^2)", f"g0 = {g0}")
+    line = text.splitlines().index(f"g0 = {g0}") + 1
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert run("solve", str(cfg), out_dir=str(tmp_path / "o"),
+               quiet=True) == 2
+    assert f"line {line}: [problem] g0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert run("solve", str(tmp_path / "nope.cfg")) == 2
     assert "cannot read config" in capsys.readouterr().err

@@ -136,9 +136,49 @@ def test_errors_carry_column():
 
 
 def test_division_by_a_zero_constant_raises():
-    # constant operands evaluate as Python floats, so 1/0 is an error, not inf
-    with pytest.raises(ZeroDivisionError):
+    # a constant divisor is checked as it is parsed, so 1/0 is an error at
+    # the operator, not inf in the evaluated field
+    with pytest.raises(ExpressionError, match="division by a constant zero"):
         parse_expression("1/0")(np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("text, column, fragment", [
+    ("1e308*10*exp(-x^2)", 0, "constant evaluates to inf"),
+    ("x + 10^400", 4, "constant evaluates to inf"),
+    ("exp(1000)*x", 0, "constant evaluates to inf"),
+    ("x*(-1e308*10)", 3, "constant evaluates to -inf"),
+    ("0^-1 + x", 0, "constant evaluates to inf"),
+    ("exp(-x^2)/(1-1)", 9, "division by a constant zero"),
+    ("0/0 + x", 1, "division by a constant zero"),
+    ("x/sin(0)", 1, "division by a constant zero"),
+    ("x/2^-2000", 1, "division by a constant zero"),  # underflows to 0
+])
+def test_constant_that_is_not_finite_is_a_parse_error(text, column,
+                                                      fragment):
+    with pytest.raises(ExpressionError, match=fragment) as exc:
+        parse_expression(text)
+    assert exc.value.column == column
+
+
+@pytest.mark.parametrize("text, column", [
+    ("(" * 400 + "x" + ")" * 400, 64),
+    ("exp(" * 300 + "x" + ")" * 300, 4 * 64),
+    ("-" * 300 + "x", 64),
+    ("2^" * 300 + "x", 2 * 64),
+    ("x" + "+x" * 300, 2 * 64),
+], ids=["parentheses", "calls", "signs", "powers", "chain"])
+def test_deep_nesting_is_a_parse_error(text, column):
+    with pytest.raises(ExpressionError, match="nested deeper than 64") as exc:
+        parse_expression(text)
+    assert exc.value.column == column
+
+
+def test_nesting_at_the_cap_parses_and_differentiates():
+    # 63 nested calls around a 1-level argument: the two derivatives recurse
+    # deeper than the parse, and stay inside the recursion limit
+    expr = parse_expression("sin(" * 63 + "x" + ")" * 63)
+    second = expr.derivative().derivative()
+    assert np.all(np.isfinite(second(np.array([0.1, 0.5]))))
 
 
 # float.hex of the value and of the first two derivatives at PIN_POINTS,
