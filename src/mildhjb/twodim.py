@@ -145,12 +145,25 @@ class Problem2D:
 
     def _apply_matrix(self, z) -> np.ndarray:
         """``L z``, shape checked: ``csr_matvec`` checks no bound.  A
-        non-finite ``z`` is let through for the line search to reject."""
+        non-finite ``z`` is let through for the line search to reject.
+
+        Only the rows of the slab from one mesh row before the first
+        nonzero row of ``z`` to one after the last are multiplied.  Every
+        other row would add only +-0.0 terms to +0.0, so it stays +0.0, as
+        the full product leaves it.
+        """
         z = np.asarray(z, dtype=float)
         if z.shape != self.shape:
             raise ValueError(f"z has shape {z.shape}, expected {self.shape}")
         out = np.zeros(self.shape)
-        csr_matvec(z.size, z.size, *self.csr, z.ravel(), out.ravel())
+        rows = np.flatnonzero(z.any(axis=1))  # NaN counts as nonzero
+        if rows.size:
+            n = self.grid.n
+            first, last = max(rows[0] - 1, 0) * n, min(rows[-1] + 2, n) * n
+            indptr, indices, data = self.csr
+            # indptr's offsets are absolute, so its slice selects the rows
+            csr_matvec(last - first, z.size, indptr[first:last + 1], indices,
+                       data, z.ravel(), out.ravel()[first:last])
         return out
 
     def terms(self, y) -> tuple[np.ndarray, None]:
@@ -164,8 +177,26 @@ class Problem2D:
         ``active`` is the sorted active set A of row-major node indices and
         ``s_a`` the slope on it.  Returns ``(ab, kl, ku)``: entry ``(p, q)``
         of the block sits at ``ab[kl + ku + p - q, q]``, and the first ``kl``
-        rows are left free for the fill-in of ``gbsv``'s pivoting.
+        rows are left free for the fill-in of ``gbsv``'s pivoting.  The
+        block's pattern is kept while the active set repeats, so that only
+        its values are filled in again.
         """
+        kept = getattr(self, "_pattern", None)
+        if kept is None or not np.array_equal(kept[0], active):
+            kept = (active.copy(), *self._band_pattern(active))
+            object.__setattr__(self, "_pattern", kept)
+        _, kl, ku, flat, weight, q = kept
+        # Fortran order, so that gbsv factors it in place instead of a copy
+        ab = np.zeros((2 * kl + ku + 1, active.size), order="F")
+        ab.T.reshape(-1)[flat] = weight * -s_a[q]
+        ab[kl + ku] += lam
+        return ab, kl, ku
+
+    def _band_pattern(self, active) -> tuple[int, int, np.ndarray,
+                                             np.ndarray, np.ndarray]:
+        """``(kl, ku, flat, weight, q)`` of ``active_band``: entry ``i`` of
+        ``L[A, A]`` is ``weight[i]`` in column ``q[i]``, at ``flat[i]`` of
+        the band's Fortran-order buffer."""
         neighbour, on_mesh = self._neighbours(active)
         position = np.full(self.grid.n**2, -1)
         position[active] = np.arange(active.size)
@@ -174,11 +205,8 @@ class Problem2D:
         k, p = np.nonzero(column >= 0)
         q = column[k, p]
         kl, ku = int(np.max(p - q)), int(np.max(q - p))
-        # Fortran order, so that gbsv factors it in place instead of a copy
-        ab = np.zeros((2 * kl + ku + 1, active.size), order="F")
-        ab[kl + ku + p - q, q] = self.stencil.ravel()[k] * -s_a[q]
-        ab[kl + ku] += lam
-        return ab, kl, ku
+        flat = q * (2 * kl + ku + 1) + kl + ku + p - q
+        return kl, ku, flat, self.stencil.ravel()[k], q
 
     def newton_step(self, lam, y, r) -> np.ndarray:
         """Solve J(y) delta = -r, factoring only the non-diagonal columns of J.

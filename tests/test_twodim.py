@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import elliptic_operands, linear_conjugate
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
@@ -9,6 +11,7 @@ from mildhjb.resolvent import Iterate, solve_resolvent
 from mildhjb.stepper import TransformedProblem, mild_solve
 import mildhjb.resolvent as resolvent
 import mildhjb.twodim as twodim
+from mildhjb._lapack import csr_matvec
 from mildhjb.twodim import Grid2D, PlanarProblem, Problem2D, solve_L
 
 CONJ = ConjugateHamiltonian.quadratic()
@@ -123,6 +126,41 @@ def test_operator_apply_lets_a_non_finite_field_through():
     z = np.zeros(prob.shape)
     z[7, 7] = np.inf
     assert not np.isfinite(prob._apply_matrix(z)).all()
+
+
+@st.composite
+def slab_cases(draw):
+    """A problem with or without a cross term, and a field that is zero
+    outside some mesh rows, a single node, or everywhere, with -0.0 and
+    non-finite entries sprinkled in."""
+    n = draw(st.sampled_from([5, 13]))
+    a = [[1.2, 0.0], [0.3, 1.0]] if draw(st.booleans()) else np.eye(2)
+    prob = make_problem(Grid2D(3.0, n), a)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = np.zeros((n, n))
+    kind = draw(st.sampled_from(["rows", "node", "zeros"]))
+    if kind == "rows":
+        rows = rng.random(n) < draw(st.floats(0.0, 1.0))
+        rows[0] |= draw(st.booleans())
+        rows[-1] |= draw(st.booleans())
+        z[rows] = rng.standard_normal((rows.sum(), n))
+        z[rng.random((n, n)) < draw(st.floats(0.0, 0.5))] = 0.0
+    elif kind == "node":
+        z[tuple(rng.integers(0, n, 2))] = rng.standard_normal()
+    for special in (-0.0, np.nan, np.inf, -np.inf):
+        if draw(st.booleans()):
+            z[rng.random((n, n)) < draw(st.floats(0.0, 0.1))] = special
+    return prob, z
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=slab_cases())
+def test_slab_product_has_the_bits_of_the_full_product(case):
+    prob, z = case
+    full = np.zeros(z.size)
+    csr_matvec(z.size, z.size, *prob.csr, z.ravel(), full)
+    np.testing.assert_array_equal(prob._apply_matrix(z).ravel().view(np.int64),
+                                  full.view(np.int64))
 
 
 def test_factor_matrix_validation():
@@ -414,6 +452,26 @@ def test_active_band_equals_the_sparse_block(nodes):
     ab, kl, ku = prob.active_band(lam, active, s_a)
     assert kl <= g.n + 1 and ku <= g.n + 1
     assert np.array_equal(band_to_dense(ab, kl, ku), expected)
+
+
+def test_active_band_pattern_is_kept_only_while_the_set_repeats():
+    # A, then B of the same size, then A again: each band equals one built
+    # on a fresh operand, so a kept pattern never outlives its set
+    g = Grid2D(3.0, 15)
+    a = np.array([[1.2, 0.0], [0.3, 1.0]])
+    prob = make_problem(g, a)
+    rng = np.random.default_rng(30)
+    set_a = np.flatnonzero(rng.random(g.n**2) < 0.5)
+    set_b = np.sort(rng.choice(g.n**2, set_a.size, replace=False))
+    assert not np.array_equal(set_a, set_b)
+    for active in (set_a, set_b, set_a):
+        s_a = rng.uniform(0.5, 2.0, active.size)
+        ab, kl, ku = prob.active_band(40.0, active, s_a)
+        fresh, kl_fresh, ku_fresh = make_problem(g, a).active_band(
+            40.0, active, s_a)
+        assert (kl, ku) == (kl_fresh, ku_fresh)
+        assert ab.shape == fresh.shape
+        assert np.array_equal(ab.view(np.int64), fresh.view(np.int64))
 
 
 def test_singular_active_block_raises():
