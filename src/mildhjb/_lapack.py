@@ -1,8 +1,8 @@
-"""scipy's compiled ``dgbsv`` and ``csr_matvec``, and its version string,
-loaded from their files so that scipy's package (and the ``linalg``,
-``sparse`` and ``numpy.f2py`` it would bring) stays out of the process.  The
-layout is private to scipy, so a missing file falls back to the public
-import.  Neither kernel checks its input."""
+"""scipy's compiled ``dgbsv`` (band LU), ``dpbsv`` (band Cholesky) and
+``csr_matvec``, and its version string, loaded from their files so that
+scipy's package (and the ``linalg``, ``sparse`` and ``numpy.f2py`` it would
+bring) stays out of the process.  The layout is private to scipy, so a
+missing file falls back to the public import.  No kernel checks its input."""
 
 from importlib import import_module, machinery, util
 from pathlib import Path
@@ -21,7 +21,8 @@ def _load(name, suffixes=machinery.EXTENSION_SUFFIXES):
     return import_module(f"scipy.{name}")
 
 
-dgbsv = _load("linalg._flapack").dgbsv
+_flapack = _load("linalg._flapack")
+dgbsv, dpbsv = _flapack.dgbsv, _flapack.dpbsv
 csr_matvec = _load("sparse._sparsetools").csr_matvec
 # scipy.__version__ is this same string
 version = _load("version", machinery.SOURCE_SUFFIXES).version

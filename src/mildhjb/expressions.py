@@ -188,9 +188,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 # each binary operator's level (a higher one binds tighter) and constructor
 _INFIX = {"+": (0, _add), "-": (0, _sub), "*": (1, _mul), "/": (1, _div)}
-# the deepest nesting accepted; a sign, a power, a group or call and each
-# operator of a chain is one level.  Parsing, evaluation and differentiation
-# recurse once per level, so this keeps them inside the recursion limit
+# the deepest nesting accepted, one level per sign, power, group, call and
+# chained operator: parsing, evaluation and derivatives recurse once a level
 _MAX_DEPTH = 64
 
 
@@ -219,20 +218,17 @@ class _Parser:
             raise ExpressionError(f"trailing input {text!r}", column)
         return node
 
-    def constant(self, node: Node) -> float | None:
-        """The value of ``node`` if it depends on no variable, else None."""
+    def constant(self, node: Node, column: int) -> float | None:
+        """The value of ``node`` if it depends on no variable, else None.  A
+        value that is not finite is an error at ``column``: folded into the
+        tree, it would only show once a field is sampled."""
         if any(_depends_on(node, var) for var in self.variables):
             return None
         with np.errstate(all="ignore"):
-            return float(_evaluate(node, {}))
-
-    def finite(self, node: Node, column: int) -> Node:
-        """``node``, unless it is a constant that is not finite: folding it
-        would hide an overflow until the field is sampled."""
-        value = self.constant(node)
-        if value is not None and not math.isfinite(value):
+            value = float(_evaluate(node, {}))
+        if not math.isfinite(value):
             raise ExpressionError(f"constant evaluates to {value}", column)
-        return node
+        return value
 
     def binary(self, level: int = 0) -> Node:
         """Operands joined by the operators of ``level`` and tighter ones."""
@@ -244,10 +240,11 @@ class _Parser:
             op_level, build = _INFIX[op]
             self.depth += 1  # the chain is a left-deep tree
             right = self.binary(op_level + 1)  # left-associative
-            if op == "/" and self.constant(right) == 0:
+            if op == "/" and self.constant(right, op_column) == 0:
                 raise ExpressionError("division by a constant zero",
                                       op_column)
-            node = self.finite(build(node, right), column)
+            node = build(node, right)
+            self.constant(node, column)
         self.depth = depth
         return node
 
@@ -261,13 +258,13 @@ class _Parser:
             self.take()
             node = self.unary()
             if kind == "-":
-                node = _num(-node.value) if isinstance(node, Num) \
-                    else Neg(node)
+                node = _num(-node.value) if isinstance(node, Num) else Neg(node)
         else:
             node = self.atom()
             if self.peek()[0] == "^":
                 self.take()
-                node = self.finite(_pow(node, self.unary()), column)
+                node = _pow(node, self.unary())
+                self.constant(node, column)
         self.depth -= 1
         return node
 
@@ -288,7 +285,9 @@ class _Parser:
         if kind == "number":
             return _num(float(text))
         if text in _FUNCTIONS:
-            return self.finite(Call(text, self.group()), column)
+            node = Call(text, self.group())
+            self.constant(node, column)
+            return node
         if text in _CONSTANTS:
             return _num(_CONSTANTS[text])
         if text in self.variables:

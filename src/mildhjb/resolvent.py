@@ -14,8 +14,8 @@ the rare start from which Newton stalls, a shifted Picard iteration
 The 1-D Jacobian is ``T + diag(f'')*C*G - 2*diag(f')``: ``T`` tridiagonal,
 ``G`` the Green solve, ``C`` the central slope.  With ``psi = G*delta`` a
 second unknown, the step is banded (order ``2n``, two bands below and three
-above) for LAPACK ``gbsv`` (``banded_solve``, shared with 2-D), which does
-not check its input: ``_newton`` rejects a non-finite starting residual.
+above) for LAPACK ``gbsv``, which does not check its input: ``_newton``
+rejects a non-finite starting residual.
 
 ``solve_resolvent`` works on any operand with ``terms``, ``newton_step``
 (the Jacobian solve), ``shape``, ``lam0``, ``grid.norm1``, ``conj`` and
@@ -55,7 +55,6 @@ __all__ = [
     "ResolventConfig",
     "ResolventError",
     "ResolventResult",
-    "banded_solve",
     "shift_floor",
     "solve_resolvent",
 ]
@@ -142,7 +141,8 @@ class EllipticOperands:
         return ab
 
     def newton_step(self, lam, y, r) -> np.ndarray:
-        """Solve J(y) delta = -r with the exact Jacobian by ``banded_solve``.
+        """Solve J(y) delta = -r with the exact Jacobian by banded LU,
+        LAPACK ``gbsv``, which overwrites ``ab``.
 
         Raises ``np.linalg.LinAlgError`` on a zero pivot.
         """
@@ -154,19 +154,10 @@ class EllipticOperands:
         ab[7, :-2:2] -= slope[:-1]
         rhs = np.zeros(2 * self.grid.n)
         rhs[::2] = -r
-        return banded_solve(ab, 2, 3, rhs)[::2]
-
-
-def banded_solve(ab, kl, ku, rhs) -> np.ndarray:
-    """Solve by LAPACK ``gbsv`` the band matrix ``ab`` (Fortran order, ``kl``
-    free rows on top for the pivoting), overwriting ``ab`` and ``rhs``.
-
-    Raises ``np.linalg.LinAlgError`` on a zero pivot.
-    """
-    *_, x, info = _gbsv(kl, ku, ab, rhs, 1, 1)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    return x
+        *_, x, info = _gbsv(2, 3, ab, rhs, 1, 1)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return x[::2]
 
 
 @dataclass(frozen=True)

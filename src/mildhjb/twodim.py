@@ -7,7 +7,8 @@ The elliptic operator is built from the factor matrix ``a`` through
 
 discretized with 3-point stencils on the axes and the 4-corner centered
 stencil for the cross term, all closed by zero ghosts, and applied as one
-CSR matvec (``Problem2D.csr``, scipy's compiled kernel).  As in 1-D,
+CSR matvec (``Problem2D.csr``, scipy's compiled kernel) over the slab of
+mesh rows the field reaches.  As in 1-D,
 ``PlanarProblem.discretize`` puts the operand ``Problem2D`` and the data
 into a ``stepper.TransformedProblem``, which ``stepper.mild_solve``
 marches.  The implicit step solves ``lam*y - L(value(m0*y)) = eta`` through
@@ -17,10 +18,11 @@ Without drift the resolvent is an L1 contraction with constant exactly
 ``1/lam``.
 
 The Newton step (``Problem2D.newton_step``) is an exact block elimination
-that LU-factors only the nodes where the control constraint does not bind,
-a few percent of the mesh on a localized field, through the banded solve
-of the 1-D step.  The worst case, every node active at ``n = 141``, takes
-68 MB and is no slower than a general sparse LU.  The Green solve
+that factors only the nodes where the control constraint does not bind, a
+few percent of the mesh on a localized field.  That block is similar to a
+symmetric positive definite band, which banded Cholesky (LAPACK ``pbsv``)
+solves; its pattern is kept while the active set repeats.  The worst case,
+every node active at ``n = 141``, takes 23 MB.  The Green solve
 ``solve_L`` is conjugate gradients preconditioned by the axis part of
 ``-L``, which the sine transform inverts exactly, so its iteration count
 depends on the cross term alone, not on the mesh.
@@ -40,10 +42,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._lapack import csr_matvec
+from ._lapack import csr_matvec, dpbsv as _pbsv
 from .conjugate import ConjugateHamiltonian, RunningCost
 from .grid import Grid2D, check_table
-from .resolvent import banded_solve
 # unused here, but perfbench/layers.py wraps the name twodim.solve_resolvent_2d
 from .resolvent import solve_resolvent as solve_resolvent_2d  # noqa: F401
 from .stepper import TransformedProblem
@@ -146,11 +147,9 @@ class Problem2D:
     def _apply_matrix(self, z) -> np.ndarray:
         """``L z``, shape checked: ``csr_matvec`` checks no bound.  A
         non-finite ``z`` is let through for the line search to reject.
-
-        Only the rows of the slab from one mesh row before the first
-        nonzero row of ``z`` to one after the last are multiplied.  Every
-        other row would add only +-0.0 terms to +0.0, so it stays +0.0, as
-        the full product leaves it.
+        Only the slab from one mesh row before the first nonzero row of
+        ``z`` to one after the last is multiplied: every other row would add
+        only +-0.0 terms to +0.0, and stays +0.0, as the full product has it.
         """
         z = np.asarray(z, dtype=float)
         if z.shape != self.shape:
@@ -171,72 +170,73 @@ class Problem2D:
         w = self.conj.value(self.half_sigma_sq * y)
         return -self._apply_matrix(w), None
 
-    def active_band(self, lam, active, s_a) -> tuple[np.ndarray, int, int]:
-        """``lam*I - L[A, A] diag(s_A)`` in LAPACK band storage.
+    def active_band(self, lam, active, root) -> np.ndarray:
+        """The lower band of ``M = lam*I - S L[A, A] S`` with
+        ``S = diag(root)``, in LAPACK's symmetric band storage.
 
         ``active`` is the sorted active set A of row-major node indices and
-        ``s_a`` the slope on it.  Returns ``(ab, kl, ku)``: entry ``(p, q)``
-        of the block sits at ``ab[kl + ku + p - q, q]``, and the first ``kl``
-        rows are left free for the fill-in of ``gbsv``'s pivoting.  The
-        block's pattern is kept while the active set repeats, so that only
-        its values are filled in again.
+        ``root`` the square root of the slope on it.  Entry ``(p, q)``,
+        ``p >= q``, of M sits at ``ab[p - q, q]``; the band has ``kd + 1``
+        rows, ``kd`` the widest reach of the stencil in A.  The pattern
+        (``kd``, and each entry's weight, ``(p, q)`` and buffer offset) is
+        kept while the active set repeats; only the values are filled in.
         """
         kept = getattr(self, "_pattern", None)
         if kept is None or not np.array_equal(kept[0], active):
-            kept = (active.copy(), *self._band_pattern(active))
+            neighbour, on_mesh = self._neighbours(active)
+            position = np.full(self.grid.n**2, -1)
+            position[active] = np.arange(active.size)
+            column = np.full(on_mesh.shape, -1)
+            column[on_mesh] = position[neighbour[on_mesh]]
+            # L is symmetric, so its lower triangle, q <= p, is all of it
+            k, p = np.nonzero((column >= 0)
+                              & (column <= np.arange(active.size)))
+            q = column[k, p]
+            kd = int(np.max(p - q))
+            kept = (active.copy(), kd, q * (kd + 1) + p - q,
+                    self.stencil.ravel()[k], p, q)
             object.__setattr__(self, "_pattern", kept)
-        _, kl, ku, flat, weight, q = kept
-        # Fortran order, so that gbsv factors it in place instead of a copy
-        ab = np.zeros((2 * kl + ku + 1, active.size), order="F")
-        ab.T.reshape(-1)[flat] = weight * -s_a[q]
-        ab[kl + ku] += lam
-        return ab, kl, ku
-
-    def _band_pattern(self, active) -> tuple[int, int, np.ndarray,
-                                             np.ndarray, np.ndarray]:
-        """``(kl, ku, flat, weight, q)`` of ``active_band``: entry ``i`` of
-        ``L[A, A]`` is ``weight[i]`` in column ``q[i]``, at ``flat[i]`` of
-        the band's Fortran-order buffer."""
-        neighbour, on_mesh = self._neighbours(active)
-        position = np.full(self.grid.n**2, -1)
-        position[active] = np.arange(active.size)
-        column = np.full(on_mesh.shape, -1)
-        column[on_mesh] = position[neighbour[on_mesh]]
-        k, p = np.nonzero(column >= 0)
-        q = column[k, p]
-        kl, ku = int(np.max(p - q)), int(np.max(q - p))
-        flat = q * (2 * kl + ku + 1) + kl + ku + p - q
-        return kl, ku, flat, self.stencil.ravel()[k], q
+        _, kd, flat, weight, p, q = kept
+        # Fortran order, so that pbsv factors it in place instead of a copy
+        ab = np.zeros((kd + 1, active.size), order="F")
+        ab.T.reshape(-1)[flat] = -(root[p] * weight) * root[q]
+        ab[0] += lam
+        return ab
 
     def newton_step(self, lam, y, r) -> np.ndarray:
         """Solve J(y) delta = -r, factoring only the non-diagonal columns of J.
 
-        ``J = lam*I - L diag(s)`` with the slope ``s = value'(m0*y)*m0``.
-        Where the constraint ``u >= 0`` binds, ``s_j = 0`` and column ``j``
-        of J is ``lam*e_j``, so only the block on the active set
-        ``A = {s != 0}`` needs an LU factorisation:
+        ``J = lam*I - L diag(s)`` with the slope ``s = value'(m0*y)*m0 >= 0``
+        (``value'`` is the optimal control).  Where the constraint ``u >= 0``
+        binds, ``s_j = 0`` and column ``j`` of J is ``lam*e_j``, so only the
+        block on the active set ``A = {s > 0}`` needs a factorisation:
 
             (lam*I - L[A, A] diag(s_A)) delta_A = -r_A,
 
         and every other entry follows from one matvec,
         ``delta = (-r + L z) / lam`` with ``z = s*delta`` on A and 0
-        elsewhere.  The elimination is exact.  In row-major order the block
-        is banded, at most ``n + 1`` wide on each side, so it is assembled
-        from the stencil in band storage (``active_band``) and solved by
-        ``resolvent.banded_solve``.  Raises ``np.linalg.LinAlgError`` on a
-        zero pivot.
+        elsewhere.  The elimination is exact.  With ``S = diag(s_A)^(1/2)``
+        the block is similar to ``M = lam*I - S L[A, A] S``, symmetric
+        positive definite for ``lam > 0`` as ``-L`` is, so ``M v = -S r_A``
+        is solved by banded Cholesky (LAPACK ``pbsv``, on ``active_band``)
+        and ``delta_A = v / S``.  Raises ``np.linalg.LinAlgError`` when M
+        is not positive definite.
         """
         m = self.half_sigma_sq
         s = (self.conj.derivative(m * y) * m).ravel()
         rhs = -r.ravel()
-        active = np.flatnonzero(s)
+        active = np.flatnonzero(s != 0)  # 7x as fast on bools as on floats
         if active.size == 0:
             return (rhs / lam).reshape(self.shape)
-        s_a = s[active]
-        ab, kl, ku = self.active_band(lam, active, s_a)
-        delta_a = banded_solve(ab, kl, ku, rhs[active])
+        root = np.sqrt(s[active])
+        ab = self.active_band(lam, active, root)
+        *_, v, info = _pbsv(ab, rhs[active] * root, lower=1, overwrite_ab=1,
+                            overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError("active block is not positive definite")
+        delta_a = v / root
         z = np.zeros(self.shape)
-        z.flat[active] = s_a * delta_a
+        z.flat[active] = root * v  # s_A * delta_A
         delta = (rhs + self._apply_matrix(z).ravel()) / lam
         delta[active] = delta_a
         return delta.reshape(self.shape)

@@ -376,9 +376,9 @@ PINNED_HASHES = {
     },
     "solve-2d": {
         "fields/value2d_final.csv":
-            "6f4a7f212ba3234737aaab1c6eb1b7310fe2defccdb185c19d9bf5be11b1bdc7",
+            "40cd1e2ac99bb8879152b9ec1a237931c6d7e8fdba196ecc6dad732f5912267f",
         "fields/y2d_final.csv":
-            "eb710101b308b23685d63eb0d2dfa1fcdbdf43c5768941f9ce5d62b14a2cbd3b",
+            "8c1e23decfe37a9a02735f859df5308f2797fb1cc12bb6c161ddee2846559ccc",
         "fields/y2d_initial.csv":
             "c03fa0f0a813e6794aae9b04eb9fbe6ce51f6fcc36e020863cbec876c7454651",
         "manifest.txt":
@@ -388,15 +388,15 @@ PINNED_HASHES = {
     },
     "solve-2d-cross": {
         "fields/value2d_final.csv":
-            "c2e0af8bed34aec542b8887eca1a763b12c7c5df4812ad388ba4e709cf094c15",
+            "998935aa34977b9ac7115ab1e9e2547f513a8d836d952fadd0dc2f09c5ed7729",
         "fields/y2d_final.csv":
-            "6bb8b71c618085d2d186aa4bfd3c472e37e9eeb90d6fce822cd2942394e4e480",
+            "5ec9e721e093bfe318ab58223bf1a246fe3348e2d628b99d565fab339a2c6254",
         "fields/y2d_initial.csv":
             "b2aca40c6ea604f753e616dd34b9e2042cc1ad76898fd05236ee52baa6e624b3",
         "manifest.txt":
             "f12763a8e76e4786da3a7ece3268280af444ac71789b335cb44e5e55d3e9dd24",
         "reports/mass.csv":
-            "6aa2258e1a0808336a31c2c3fc175acafda37700f0da5ab9e2ee8b43b5563c4d",
+            "0d35533126acd4f67c46b4c428e58d40ed66e7c056f5447a3ea29a8cb2db77e0",
     },
     "conjugate-table": {
         "manifest.txt":

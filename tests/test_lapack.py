@@ -12,28 +12,33 @@ from test_twodim import make_problem
 
 
 def one_d_band(seed):
-    # the order-2n band of the 1-D Newton step: kl = 2, ku = 3, kl free rows
+    # the order-2n band of the 1-D Newton step: kl = 2, ku = 3, kl free rows,
+    # solved by gbsv
     rng = np.random.default_rng(seed)
     ab = np.zeros((2 * 2 + 3 + 1, 40), order="F")
     ab[2:] = rng.standard_normal((6, 40))
     ab[2 + 3] += 8.0
-    return ab, 2, 3, rng.standard_normal(40)
+    return "dgbsv", ab, rng.standard_normal(40), \
+        lambda gbsv, ab, rhs: gbsv(2, 3, ab, rhs)
 
 
 def two_d_block(seed):
-    # an active block of the 2-D Newton step, as active_band builds it
+    # an active block of the 2-D Newton step, as active_band builds it,
+    # solved by pbsv
     rng = np.random.default_rng(seed)
     prob = make_problem(Grid2D(3.0, 15), [[1.2, 0.0], [0.3, 1.0]])
     active = np.flatnonzero(rng.random(15 * 15) < 0.5)
-    s_a = rng.uniform(0.5, 2.0, active.size)
-    ab, kl, ku = prob.active_band(40.0, active, s_a)
-    return ab, kl, ku, rng.standard_normal(active.size)
+    root = np.sqrt(rng.uniform(0.5, 2.0, active.size))
+    ab = prob.active_band(40.0, active, root)
+    return "dpbsv", ab, rng.standard_normal(active.size), \
+        lambda pbsv, ab, rhs: pbsv(ab, rhs, lower=1)
 
 
-def same_solution(gbsv, reference, system):
-    ab, kl, ku, rhs = system
-    *_, x, info = gbsv(kl, ku, ab.copy(order="F"), rhs.copy())
-    *_, x_ref, info_ref = reference(kl, ku, ab.copy(order="F"), rhs.copy())
+def same_solution(module, reference, system):
+    name, ab, rhs, solve = system
+    *_, x, info = solve(getattr(module, name), ab.copy(order="F"), rhs.copy())
+    *_, x_ref, info_ref = solve(getattr(reference, name),
+                                ab.copy(order="F"), rhs.copy())
     return info == info_ref == 0 and np.array_equal(x, x_ref)
 
 
@@ -41,7 +46,8 @@ def same_solution(gbsv, reference, system):
                          ids=["1d-band", "2d-active-block"])
 @pytest.mark.parametrize("seed", range(3))
 def test_loaded_gbsv_has_the_bits_of_scipy_linalg(system, seed):
-    assert same_solution(_lapack.dgbsv, lapack.dgbsv, system(seed))
+    # the 1-D band through gbsv, the 2-D block through pbsv
+    assert same_solution(_lapack, lapack, system(seed))
 
 
 def csr_product(matvec, seed):
@@ -65,6 +71,6 @@ def test_loader_falls_back_to_the_public_import(monkeypatch, tmp_path):
     assert version is scipy.version
     assert _lapack.version == version.version == scipy.__version__
     for system in (one_d_band(5), two_d_block(5)):
-        assert same_solution(flapack.dgbsv, _lapack.dgbsv, system)
+        assert same_solution(flapack, _lapack, system)
     assert np.array_equal(csr_product(sparsetools.csr_matvec, 6),
                           csr_product(_lapack.csr_matvec, 6))

@@ -9,7 +9,6 @@ from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
 from mildhjb.grid import Grid1D
 from mildhjb.resolvent import Iterate, solve_resolvent
 from mildhjb.stepper import TransformedProblem, mild_solve
-import mildhjb.resolvent as resolvent
 import mildhjb.twodim as twodim
 from mildhjb._lapack import csr_matvec
 from mildhjb.twodim import Grid2D, PlanarProblem, Problem2D, solve_L
@@ -363,15 +362,15 @@ def full_jacobian_step(prob, lam, y, r):
     return spsolve(jac.tocsc(), -r.ravel()).reshape(y.shape)
 
 
-def spy_on_gbsv(monkeypatch):
+def spy_on_pbsv(monkeypatch):
     orders = []
 
-    def spy(kl, ku, ab, *args):
+    def spy(ab, *args, **kwargs):
         orders.append(ab.shape[1])
-        return real(kl, ku, ab, *args)
+        return real(ab, *args, **kwargs)
 
-    real = resolvent._gbsv
-    monkeypatch.setattr(resolvent, "_gbsv", spy)
+    real = twodim._pbsv
+    monkeypatch.setattr(twodim, "_pbsv", spy)
     return orders
 
 
@@ -399,7 +398,7 @@ def test_newton_step_solves_only_the_active_block(monkeypatch, conj):
     active = np.count_nonzero(
         conj.derivative(prob.half_sigma_sq * y) * prob.half_sigma_sq)
     assert 0 < active < g.n * g.n
-    orders = spy_on_gbsv(monkeypatch)
+    orders = spy_on_pbsv(monkeypatch)
     delta = prob.newton_step(lam, y, r)
     assert orders == [active]
     scale = np.max(np.abs(expected))
@@ -412,18 +411,18 @@ def test_newton_step_without_active_columns_is_diagonal(monkeypatch):
     prob = make_problem(g, np.eye(2))
     y = -np.exp(-(X**2 + Y**2))
     r = np.random.default_rng(22).standard_normal(y.shape)
-    orders = spy_on_gbsv(monkeypatch)
+    orders = spy_on_pbsv(monkeypatch)
     delta = prob.newton_step(40.0, y, r)
     assert orders == []
     np.testing.assert_array_equal(delta, -r / 40.0)
 
 
-def band_to_dense(ab, kl, ku):
+def lower_band_to_dense(ab):
     size = ab.shape[1]
     dense = np.zeros((size, size))
-    for d in range(-kl, ku + 1):  # d = q - p
-        p = np.arange(max(0, -d), min(size, size - d))
-        dense[p, p + d] = ab[kl + ku - d, p + d]
+    for d in range(ab.shape[0]):  # d = p - q
+        q = np.arange(size - d)
+        dense[q + d, q] = ab[d, q]
     return dense
 
 
@@ -445,13 +444,14 @@ def test_active_band_equals_the_sparse_block(nodes):
     prob = make_problem(g, np.array([[1.2, 0.0], [0.3, 1.0]]))
     assert prob.b[0, 1] != 0.0
     active = np.flatnonzero(nodes(g.n))
-    s_a = np.random.default_rng(24).uniform(0.5, 2.0, active.size)
+    root = np.sqrt(np.random.default_rng(24).uniform(0.5, 2.0, active.size))
     lam = 40.0
-    expected = operator_matrix(prob)[active][:, active].toarray() * -s_a
-    expected[np.diag_indices(active.size)] += lam
-    ab, kl, ku = prob.active_band(lam, active, s_a)
-    assert kl <= g.n + 1 and ku <= g.n + 1
-    assert np.array_equal(band_to_dense(ab, kl, ku), expected)
+    scale = sp.diags(root)
+    block = (lam * sp.identity(active.size)
+             - scale @ operator_matrix(prob)[active][:, active] @ scale)
+    ab = prob.active_band(lam, active, root)
+    assert ab.shape[0] - 1 <= g.n + 1
+    assert np.array_equal(lower_band_to_dense(ab), sp.tril(block).toarray())
 
 
 def test_active_band_pattern_is_kept_only_while_the_set_repeats():
@@ -465,11 +465,9 @@ def test_active_band_pattern_is_kept_only_while_the_set_repeats():
     set_b = np.sort(rng.choice(g.n**2, set_a.size, replace=False))
     assert not np.array_equal(set_a, set_b)
     for active in (set_a, set_b, set_a):
-        s_a = rng.uniform(0.5, 2.0, active.size)
-        ab, kl, ku = prob.active_band(40.0, active, s_a)
-        fresh, kl_fresh, ku_fresh = make_problem(g, a).active_band(
-            40.0, active, s_a)
-        assert (kl, ku) == (kl_fresh, ku_fresh)
+        root = np.sqrt(rng.uniform(0.5, 2.0, active.size))
+        ab = prob.active_band(40.0, active, root)
+        fresh = make_problem(g, a).active_band(40.0, active, root)
         assert ab.shape == fresh.shape
         assert np.array_equal(ab.view(np.int64), fresh.view(np.int64))
 
@@ -491,19 +489,20 @@ def test_singular_active_block_raises():
 
 
 def test_active_band_is_factored_in_place_with_the_same_bits():
-    # a Fortran-order band reaches gbsv without the copy f2py makes of a
+    # a Fortran-order band reaches pbsv without the copy f2py makes of a
     # C-order one, and the copy changes no bit of the solution
     g = Grid2D(3.0, 15)
     prob = make_problem(g, np.array([[1.2, 0.0], [0.3, 1.0]]))
     active = np.flatnonzero(np.random.default_rng(26).random(g.n**2) < 0.5)
-    s_a = np.random.default_rng(27).uniform(0.5, 2.0, active.size)
+    root = np.sqrt(np.random.default_rng(27).uniform(0.5, 2.0, active.size))
     rhs = np.random.default_rng(28).standard_normal(active.size)
-    ab, kl, ku = prob.active_band(40.0, active, s_a)
+    ab = prob.active_band(40.0, active, root)
     assert ab.flags.f_contiguous
     copied = np.ascontiguousarray(ab)
-    lu, _, x, info = resolvent._gbsv(kl, ku, ab, rhs, 1, 0)
-    assert info == 0 and np.shares_memory(lu, ab)
-    *_, x_copied, info_copied = resolvent._gbsv(kl, ku, copied, rhs, 1, 0)
+    factor, x, info = twodim._pbsv(ab, rhs, lower=1, overwrite_ab=1)
+    assert info == 0 and np.shares_memory(factor, ab)
+    *_, x_copied, info_copied = twodim._pbsv(copied, rhs, lower=1,
+                                             overwrite_ab=1)
     assert info_copied == 0
     assert np.array_equal(x, x_copied)
 
