@@ -294,28 +294,24 @@ class ConjugateHamiltonian:
             + step * step / 12.0 * (ders[:-1] - ders[1:]))))
         lip = float(np.max(np.abs(np.diff(ders) / step)))
 
+        def continued(r, table, below, above):
+            # the table inside, below(r - p_min) and above(r - p_max) beyond
+            core = np.interp(r, grid, table)
+            core = np.where(r < grid[0], below(r - grid[0]), core)
+            return np.where(r > grid[-1], above(r - grid[-1]), core)
+
         def value(p):
-            core = np.interp(p, grid, vals)
-            below = p < grid[0]
-            above = p > grid[-1]
-            core = np.where(below, vals[0] + ders[0] * (p - grid[0]), core)
-            core = np.where(above, vals[-1] + ders[-1] * (p - grid[-1]), core)
-            return core
+            return continued(p, vals, lambda d: vals[0] + ders[0] * d,
+                             lambda d: vals[-1] + ders[-1] * d)
 
         def derivative(p):
             return np.interp(p, grid, ders)
 
         def pot(r):
-            core = np.interp(r, grid, pots)
-            below = r < grid[0]
-            above = r > grid[-1]
-            d0 = r - grid[0]
-            d1 = r - grid[-1]
-            core = np.where(
-                below, pots[0] + vals[0] * d0 + 0.5 * ders[0] * d0 * d0, core)
-            core = np.where(
-                above, pots[-1] + vals[-1] * d1 + 0.5 * ders[-1] * d1 * d1, core)
-            return core
+            return continued(
+                r, pots,
+                lambda d: pots[0] + vals[0] * d + 0.5 * ders[0] * d * d,
+                lambda d: pots[-1] + vals[-1] * d + 0.5 * ders[-1] * d * d)
 
         # anchored so that the potential vanishes at 0, also off the table
         pots -= pot(0.0)

@@ -61,12 +61,6 @@ class TransformedProblem:
         if not self.horizon > 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
 
-    def max_step(self) -> float:
-        """Admissible steps are below 1/shift_floor (unbounded without
-        drift)."""
-        floor = shift_floor(self.operands)
-        return math.inf if floor == 0 else 1.0 / floor
-
 
 @dataclass(frozen=True, slots=True)
 class StepDiagnostics:
@@ -121,10 +115,11 @@ def step(problem: TransformedProblem, eps: float, y_prev,
     """
     if not eps > 0:
         raise ValueError(f"step size must be positive, got {eps}")
-    if not 1.0 / eps > shift_floor(problem.operands):
+    floor = shift_floor(problem.operands)
+    if not 1.0 / eps > floor:
         raise ValueError(
             f"step size {eps:g} too large for the drift slope bound; "
-            f"need eps < {problem.max_step():g}")
+            f"need eps < {1.0 / floor if floor else math.inf:g}")
     eta = problem.source + y_prev / eps
     return solve_resolvent(problem.operands, 1.0 / eps, eta, cfg,
                            y_init=y_prev, warm=warm)

@@ -51,14 +51,8 @@ from .stepper import TransformedProblem
 
 __all__ = ["Grid2D", "PlanarProblem", "Problem2D", "solve_L"]
 
-
-def __getattr__(name):
-    # perfbench/layers.py wraps twodim.spsolve, unused here; only a traced
-    # run asks for the name, and only then is it imported
-    if name == "spsolve":
-        from scipy.sparse.linalg import spsolve
-        return spsolve
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# unused here, but perfbench/layers.py wraps the name twodim.spsolve
+spsolve = None
 
 
 @dataclass(frozen=True)
