@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .conjugate import ConjugateHamiltonian
-from .grid import Grid1D, check_table, tabulate
+from .grid import Grid1D, check_table, green_constants, tabulate
 from .resolvent import ResolventConfig
 from .stepper import MildSolution, mild_solve, step_lengths, sup_time_gap
 
@@ -74,7 +74,7 @@ def sup_bound(conj: ConjugateHamiltonian, vol: VolatilityData,
     at argument s*M by its slope at 0 plus the Lipschitz constant times the
     argument turns this into a quadratic inequality in M; the smallest root
     is returned, or None when no constant barrier is certifiable at this
-    shift.
+    shift (with a drift, the net shift ``check_linf_bound`` derives).
     """
     hxx = conj.derivative_lipschitz
     s_inf = 0.5 * (float(np.max(vol.sigma**2)) + regularization)
@@ -110,14 +110,25 @@ class BoundReport:
 def check_linf_bound(sol: MildSolution, vol: VolatilityData,
                      regularization: float) -> BoundReport:
     """Certify every step of a run against its constant barrier, each
-    step's ``eta`` formed from the snapshots as ``mild_solve`` forms it."""
+    step's ``eta`` formed from the snapshots as ``mild_solve`` forms it.
+
+    A drift adds ``-f*y' + f''*phi_x - 2f'*y``.  Where y_k peaks (or dips)
+    the upwinded transport is >= 0, ``-2f'*y >= -2 sup|f'| y_k`` and
+    ``|f''*phi_x| <= max|f''| * c_grad * ||y_k||_1`` (``c_grad`` the exact
+    Green slope norm): the shift drops by ``2 sup|f'|``, ``eta_inf`` gains
+    the last bound."""
     steps = np.array(step_lengths(sol.problem.horizon, sol.eps))[:, None]
     ys = sol.snapshots
     eta_inf = np.abs(sol.problem.source + ys[:-1] / steps).max(axis=1)
     y_inf = np.abs(ys[1:]).max(axis=1)
-    lams = 1.0 / steps[:, 0]
+    lams = shifts = 1.0 / steps[:, 0]
+    drift = sol.operands.drift
+    if drift is not None:
+        shifts = lams - 2.0 * drift.slope_sup
+        c = float(np.max(np.abs(drift.f2))) * green_constants(sol.grid)[1]
+        eta_inf = eta_inf + c * np.array([sol.grid.norm1(y) for y in ys[1:]])
     bounds = [sup_bound(sol.operands.conj, vol, regularization, lam, e)
-              for lam, e in zip(lams, eta_inf)]
+              for lam, e in zip(shifts, eta_inf)]
     certified = np.array([m is not None for m in bounds], dtype=bool)
     bounds = np.array([np.inf if m is None else m for m in bounds])
     ok = bool(np.all(certified) and np.all(y_inf <= bounds))

@@ -7,7 +7,7 @@ from conftest import desk_problem, linear_conjugate
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
 from mildhjb.degenerate import (VolatilityData, check_linf_bound,
                                 solve_degenerate, sup_bound)
-from mildhjb.grid import Grid1D
+from mildhjb.grid import Grid1D, green_constants
 from mildhjb.problem import ControlProblem
 from mildhjb.resolvent import EllipticOperands
 from mildhjb.stepper import (TransformedProblem, mild_solve, step_lengths,
@@ -133,6 +133,18 @@ def test_sup_bound_not_certifiable_for_tiny_shift():
     vol = pinched_volatility(grid)
     conj = ConjugateHamiltonian.quadratic()
     assert sup_bound(conj, vol, 1e-2, lam=1e-3, eta_inf=100.0) is None
+    # a conjugate rising at 0 needs a shift above slope * curvature sup
+    c1 = vol.curvature_product_sup
+    assert sup_bound(linear_conjugate(), vol, 1e-2, c1, eta_inf=0.0) is None
+
+
+def test_gaps_that_grow_down_the_ladder_warn():
+    # two nearly equal weights, then a large drop: the second gap is larger
+    with pytest.warns(RuntimeWarning, match="not monotonically decreasing"):
+        sweep = solve_degenerate(bump_problem(), Grid1D(8.0, 41), eps=0.025,
+                                 ladder=(1e-1, 0.0999, 1e-3))
+    assert sweep.gaps[1] > sweep.gaps[0]
+    assert not sweep.gaps_monotone
 
 
 def test_ladder_must_decrease():
@@ -197,9 +209,31 @@ def test_shortened_last_step_is_certified_at_its_own_shift(eps):
     sweep = solve_degenerate(control, grid, eps, ladder=(0.1,))
     sol, report = sweep.solutions[0], sweep.bound_reports[0]
     assert 0.0 < sol.partial_step < eps
-    # the last step solved lam = 1/partial_step, not 1/eps
+    # the last step solved lam = 1/partial_step, not 1/eps; the desk
+    # drift lowers that shift by 2 sup|f'| and adds its curvature term
+    drift = sol.operands.drift
     eta = sol.problem.source + sol.snapshots[-2] / sol.partial_step
-    last = sup_bound(conj, vol, 0.1, 1.0 / sol.partial_step,
-                     grid.norm_inf(eta))
+    curvature = (float(np.max(np.abs(drift.f2))) * green_constants(grid)[1]
+                 * grid.norm1(sol.snapshots[-1]))
+    last = sup_bound(conj, vol, 0.1,
+                     1.0 / sol.partial_step - 2.0 * drift.slope_sup,
+                     grid.norm_inf(eta) + curvature)
     assert report.bounds[-1] == last
     assert report.y_inf[-1] <= last
+
+
+def test_drifted_ladder_is_certified_against_the_full_operator():
+    # the march carries -f*y' + f''*phi_x - 2f'*y; a barrier solved without
+    # them was exceeded at every level (max|y| 2.3048 against 2.2686 at 1e-1)
+    problem = replace(
+        bump_problem(sigma=lambda x: 0.5 * (1.0 + np.tanh(x)),
+                     sigma_x=lambda x: 0.5 / np.cosh(x) ** 2,
+                     sigma_xx=lambda x: -np.tanh(x) / np.cosh(x) ** 2),
+        f=np.tanh, f_x=lambda x: 1.0 / np.cosh(x) ** 2,
+        f_xx=lambda x: -2.0 * np.tanh(x) / np.cosh(x) ** 2, horizon=0.05)
+    sweep = solve_degenerate(problem, Grid1D(5.0, 41), 0.01,
+                             (1e-1, 1e-2, 1e-3))
+    for report in sweep.bound_reports:
+        assert np.all(report.certified)
+        assert report.passed
+        assert report.min_slack > 0.0
