@@ -241,6 +241,8 @@ def energy_report(sol: MildSolution) -> EnergyReport:
     eps-refinement is the computable content of the energy estimate.
     """
     grid, m, conj = sol.grid, sol.operands.half_sigma_sq, sol.operands.conj
+    if grid.dim != 1:
+        raise ValueError("energy_report is 1-D only; use twodim.solve_L")
     args = m * sol.snapshots
     pots = grid.h * np.sum(conj.potential(args) / (2.0 * m), axis=1)
     diss = grid.h * np.sum(diff1_central(grid, conj.value(args)) ** 2, axis=1)

@@ -58,6 +58,8 @@ class ValueFunction:
 def reconstruct_value(sol: MildSolution) -> ValueFunction:
     """Green-solve every stored snapshot once and reverse the time axis."""
     grid = sol.grid
+    if grid.dim != 1:
+        raise ValueError("reconstruct_value is 1-D only; use twodim.solve_L")
     ys = sol.snapshots[::-1]
     phi = poisson_solve(grid, ys)
     T = sol.problem.horizon

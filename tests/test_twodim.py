@@ -8,10 +8,11 @@ from conftest import elliptic_operands, linear_conjugate
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
 from mildhjb.grid import Grid1D
 from mildhjb.resolvent import Iterate, solve_resolvent
-from mildhjb.stepper import TransformedProblem, mild_solve
+from mildhjb.stepper import TransformedProblem, energy_report, mild_solve
 import mildhjb.twodim as twodim
 from mildhjb._lapack import csr_matvec
 from mildhjb.twodim import Grid2D, PlanarProblem, Problem2D, solve_L
+from mildhjb.value import reconstruct_value
 
 CONJ = ConjugateHamiltonian.quadratic()
 
@@ -170,6 +171,14 @@ def test_factor_matrix_validation():
         make_problem(g, np.array([[1.0, 0.0]]))
 
 
+def test_vanishing_volatility_rejected():
+    g = Grid2D(3.0, 11)
+    sigma0 = np.full((g.n, g.n), np.sqrt(2.0))
+    sigma0[3, 4] = 0.0
+    with pytest.raises(ValueError, match="sigma0 must be bounded away"):
+        Problem2D(g, np.eye(2), sigma0, CONJ)
+
+
 @pytest.mark.parametrize("field, bad", [
     ("sigma0", np.nan), ("sigma0", np.inf), ("a", np.nan), ("a", np.inf),
 ])
@@ -237,6 +246,18 @@ def test_planar_problem_discretizes_as_the_inline_assembly():
     np.testing.assert_array_equal(problem.initial, -l_of(planar.g0_parts))
     np.testing.assert_array_equal(problem.source, -l_of(planar.g_parts))
     assert problem.horizon == 0.5
+
+
+@pytest.mark.parametrize("pipeline", [reconstruct_value, energy_report])
+def test_1d_value_pipeline_rejects_a_2d_run(pipeline):
+    # its Green solve and slopes act along the last axis only, so a 2-D run
+    # would get a wrong value or an unrelated broadcast error
+    grid = Grid2D(6.0, 21)
+    X, Y = grid.mesh
+    initial = np.exp(-X**2 - Y**2)
+    sol = mild_solve(march(make_problem(grid, np.eye(2)), 0.1, initial), 0.05)
+    with pytest.raises(ValueError, match="1-D only; use twodim.solve_L"):
+        pipeline(sol)
 
 
 def test_linear_conjugate_matches_direct_sparse_solve():
