@@ -118,6 +118,23 @@ def test_cost_validation_rejects_bad_parameters():
     with pytest.raises(CostValidationError, match="quadratic"):
         # the closed form a1*u^2 + a2 would silently stand in for h
         RunningCost(kind="quadratic", alpha1=1.0, h=lambda u: 5 * u**2 + 3)
+    with pytest.raises(CostValidationError, match="unknown cost kind"):
+        RunningCost(kind="cubic", alpha1=1.0)
+    with pytest.raises(CostValidationError, match="needs the function h"):
+        RunningCost(kind="callable", alpha1=1.0)
+    with pytest.raises(CostValidationError, match="not finite"):
+        RunningCost.from_callable(
+            lambda u: np.where(u > 3.0, np.inf, u * u), alpha1=1.0)
+    with pytest.raises(CostValidationError, match="midpoint convexity"):
+        # above 0.5*u^2 everywhere, but not convex
+        RunningCost.from_callable(lambda u: u * u + 2.0 + np.sin(3.0 * u),
+                                  alpha1=0.5)
+
+
+@pytest.mark.parametrize("p_max", [-1.0, -2.0])
+def test_table_range_must_be_increasing(p_max):
+    with pytest.raises(ValueError, match="need p_min < p_max"):
+        ConjugateHamiltonian.tabulate(QUAD, -1.0, p_max, 65)
 
 
 def test_cost_never_evaluated_on_negative_controls():

@@ -61,6 +61,10 @@ def test_two_variable_expression():
     assert float(dx(2.0, 3.0)) == pytest.approx(3.0 + np.cos(2.0))
     dy = expr.derivative("y")
     assert float(dy(2.0, 3.0)) == pytest.approx(2.0)
+    with pytest.raises(TypeError, match="got 1 arguments"):
+        expr(2.0)
+    with pytest.raises(ValueError, match="unknown variable 'z'"):
+        expr.derivative("z")
 
 
 @pytest.mark.parametrize("text", [

@@ -401,6 +401,12 @@ def test_negative_constant_control_is_rejected(run):
         run(brownian_problem(horizon=0.2), cfg)
 
 
+def test_comparison_needs_a_baseline():
+    cfg = SimConfig(n_paths=50, dt=1e-3, seed=5)
+    with pytest.raises(ValueError, match="at least one baseline"):
+        compare_policies(brownian_problem(horizon=0.2), 0.5, [], cfg)
+
+
 def test_common_random_numbers_align_policies():
     problem = brownian_problem(horizon=0.5)
     cfg = SimConfig(n_paths=800, dt=1e-3, seed=23)

@@ -66,6 +66,24 @@ def test_step_size_cap_is_enforced():
         step(problem, 0.6, problem.initial)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -0.5])
+def test_horizon_must_be_positive(horizon):
+    g = Grid1D(10.0, 101)
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        quad_problem(g, horizon=horizon)
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        replace(desk_problem(), horizon=horizon)
+
+
+@pytest.mark.parametrize("march", [step, mild_solve], ids=["step", "march"])
+@pytest.mark.parametrize("eps", [0.0, -0.01])
+def test_step_size_must_be_positive(march, eps):
+    problem = quad_problem(Grid1D(10.0, 101))
+    args = (problem.initial,) if march is step else ()
+    with pytest.raises(ValueError, match="step size must be positive"):
+        march(problem, eps, *args)
+
+
 def test_short_horizon_keeps_initial_snapshot_only():
     # a horizon of at most eps/100 is dropped as a negligible remainder
     g = Grid1D(10.0, 201)
@@ -160,6 +178,14 @@ def test_energy_report_equals_per_snapshot_sums_bit_for_bit():
                            for y in sol.snapshots]).T
     assert report.potential.tobytes() == pots.tobytes()
     assert report.dissipation.tobytes() == diss.tobytes()
+
+
+def test_energy_report_rejects_a_non_finite_series():
+    g = Grid1D(10.0, 101)
+    sol = mild_solve(quad_problem(g, horizon=0.05), 0.01)
+    sol.snapshots[-1, g.n // 2] = np.nan
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        energy_report(sol)
 
 
 def test_energy_stable_under_refinement():
