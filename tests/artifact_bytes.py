@@ -1,13 +1,12 @@
 """SHA-256 of every artifact the benchmark configs write, for diffing two
 checkouts.
 
-Run as ``python tests/artifact_bytes.py [--seed S]`` (seed 1 by default)
-from the root of a checkout; without a ``test_`` prefix it is not part of the
-test suite.  Each config in ``perfbench/configs`` runs through ``cli.run`` at
-that seed into a temporary directory, and one ``sha256  relative/path`` line
-is printed per artifact, the ``#`` lines of ``manifest.txt`` (versions and
-timing) left out.  Two checkouts whose outputs ``diff`` equal wrote the same
-bytes.
+Run as ``python tests/artifact_bytes.py [--seed S]`` (seed 1 by default);
+without a ``test_`` prefix it is not part of the test suite.  Each config in
+``perfbench/configs`` runs through ``cli.run`` at that seed into a temporary
+directory, and one ``sha256  relative/path`` line is printed per artifact,
+the ``#`` lines of ``manifest.txt`` (versions and timing) left out.  Two
+checkouts whose outputs ``diff`` equal wrote the same bytes.
 """
 
 import argparse
