@@ -301,6 +301,14 @@ PINNED_RUNS = {
         SOLVE.format(T=0.13).replace("mode = solve", "mode = value"))),
     "sweep-degenerate-expression": ("sweep-degenerate", with_expression_cost(
         DEGENERATE.replace("T = 0.05", "T = 0.06"))),
+    # the feedback of a tabulated conjugate, after a shortened last step
+    "policy-expression": ("policy", with_expression_cost(
+        SOLVE.format(T=0.13).replace("mode = solve", "mode = policy"))),
+    # a drift's barrier, a tabulated conjugate and a shortened last step
+    # (2 steps of 0.025, 1 of 0.01)
+    "sweep-degenerate-drift": ("sweep-degenerate", with_expression_cost(
+        DEGENERATE.replace("T = 0.05", "T = 0.06").replace(
+            "sigma = x*exp(-x^2)", "f = tanh(x)\nsigma = 2*x*exp(-x^2)"))),
 }
 
 PINNED_HASHES = {
@@ -433,6 +441,22 @@ PINNED_HASHES = {
             "041671ff58d99d6bf34e27d594038d73cb0c6c1d3a80fa3566701f56f86aee06",
         "reports/degenerate_sweep.csv":
             "69e808d3e39d049184beef762d800bc9317fab2739cd5f88d7407cad40d6dfef",
+        "reports/summary.txt":
+            "63af9656ade6ee05b3f6682fdcbdf10eac593c472c2d338ef38604a0bdcff4ac",
+    },
+    "policy-expression": {
+        "manifest.txt":
+            "b09c5cb903839a3fa80f31fab4414c93307045c0754cd83387782c8698047214",
+        "policy.csv":
+            "1310546f43e01605fc2f0b0cf20c59d3de4e961cc4b18f40f85e736ee3dbcc76",
+        "policy.txt":
+            "8a785c166e5b256c45ecc360855df9b467c5313f6de250256d5d2354bcd82dd9",
+    },
+    "sweep-degenerate-drift": {
+        "manifest.txt":
+            "a1f088aa1c0dbb2bd81765a8def86d2948e91632165a484feacbcaa95d778028",
+        "reports/degenerate_sweep.csv":
+            "246a5b5736f23127bb2dc172b9b06d665bff0209d18d327958f524897117b4a6",
         "reports/summary.txt":
             "63af9656ade6ee05b3f6682fdcbdf10eac593c472c2d338ef38604a0bdcff4ac",
     },
