@@ -125,8 +125,12 @@ def _inner_slice(grid: Grid1D) -> slice:
     return slice(margin, grid.n - margin)
 
 
+def _march(cfg: RunConfig):
+    return mild_solve(cfg.problem.discretize(cfg.grid), cfg.eps, cfg=cfg.solver)
+
+
 def _run_solve(cfg: RunConfig, out: Path, quiet: bool) -> None:
-    sol = mild_solve(cfg.problem.discretize(cfg.grid), cfg.eps, cfg=cfg.solver)
+    sol = _march(cfg)
     grid = sol.grid
     _write_csv(out / "fields" / "y.csv",
                "transformed state snapshots; columns: time, state, value",
@@ -147,14 +151,8 @@ def _run_solve(cfg: RunConfig, out: Path, quiet: bool) -> None:
         print(f"solved {len(sol.times) - 1} steps; artifacts in {out}")
 
 
-def _value_tables(cfg: RunConfig):
-    problem = cfg.problem.discretize(cfg.grid)
-    sol = mild_solve(problem, cfg.eps, cfg=cfg.solver)
-    return problem, reconstruct_value(sol)
-
-
 def _run_value(cfg: RunConfig, out: Path, quiet: bool) -> None:
-    _, vf = _value_tables(cfg)
+    vf = reconstruct_value(_march(cfg))
     inner = _inner_slice(vf.grid)
     xs = vf.grid.x[inner]
     _write_csv(out / "fields" / "value.csv",
@@ -171,11 +169,6 @@ def _run_value(cfg: RunConfig, out: Path, quiet: bool) -> None:
         sup_phi, sup_slope = vf.sup_norms()
         print(f"value reconstructed; sup|phi| = {sup_phi:.6g}, "
               f"sup|phi_x| = {sup_slope:.6g}")
-
-
-def _policy_of(cfg: RunConfig):
-    problem, vf = _value_tables(cfg)
-    return vf, synthesize_feedback(vf, problem.operands)
 
 
 def _write_policy(policy, out: Path) -> None:
@@ -198,18 +191,18 @@ def _write_policy(policy, out: Path) -> None:
 
 
 def _run_policy(cfg: RunConfig, out: Path, quiet: bool) -> None:
-    _, policy = _policy_of(cfg)
+    policy = synthesize_feedback(_march(cfg))
     _write_policy(policy, out)
     if not quiet:
         print(f"policy table written; max control = {float(policy.u.max()):.6g}")
 
 
 def _run_simulate(cfg: RunConfig, out: Path, quiet: bool) -> None:
-    problem = cfg.problem
-    vf, policy = _policy_of(cfg)
+    sol = _march(cfg)
+    policy = synthesize_feedback(sol)
     _write_policy(policy, out)
     sim = SimConfig(n_paths=cfg.paths, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0)
-    comparison = compare_policies(problem, policy, cfg.baselines, sim,
+    comparison = compare_policies(cfg.problem, policy, cfg.baselines, sim,
                                   keep_samples=cfg.dump_paths)
     if cfg.dump_paths:
         rows = []
@@ -226,6 +219,7 @@ def _run_simulate(cfg: RunConfig, out: Path, quiet: bool) -> None:
                [(r.label, r.mean, r.stderr, r.ci_low, r.ci_high,
                  r.n_paths, r.n_excluded) for r in comparison.rows()])
     best = comparison.best_baseline
+    vf = reconstruct_value(sol)
     _write_text(out / "reports" / "summary.txt",
                 f"feedback_mean = {_fmt(comparison.feedback.mean)}\n"
                 f"pde_value_at_x0 = "

@@ -46,10 +46,10 @@ class NonConvexCostError(RuntimeError):
 class RunningCost:
     """Convex control cost with quadratic coercivity.
 
-    ``kind`` is ``"quadratic"`` (closed form ``a1*u^2 + a2``) or
-    ``"callable"`` (user-supplied ``h``).  ``alpha1 > 0`` and ``alpha2 >= 0``
-    certify the lower bound ``h(u) >= alpha1*u^2 + alpha2``, which is checked
-    by sampling at construction together with midpoint convexity.
+    Without ``h`` the cost is the closed form ``alpha1*u^2 + alpha2``; with
+    it, ``alpha1 > 0`` and ``alpha2 >= 0`` certify the lower bound
+    ``h(u) >= alpha1*u^2 + alpha2``, which is checked by sampling at
+    construction together with midpoint convexity.
 
     ``h`` is called once on a whole array of controls, of any shape, and
     should return an array of the same shape.  When it raises ``TypeError``
@@ -57,39 +57,32 @@ class RunningCost:
     returns another shape, it is called on each control as a float instead.
     """
 
-    kind: str
     alpha1: float
     alpha2: float = 0.0
     h: Optional[Callable[[np.ndarray | float], np.ndarray | float]] = None
 
     def __post_init__(self):
-        if self.kind not in ("quadratic", "callable"):
-            raise CostValidationError(f"unknown cost kind {self.kind!r}")
         if not self.alpha1 > 0:
             raise CostValidationError(f"alpha1 must be positive, got {self.alpha1}")
         if self.alpha2 < 0:
             raise CostValidationError(f"alpha2 must be nonnegative, got {self.alpha2}")
-        if self.kind == "callable":
-            if self.h is None:
-                raise CostValidationError("callable cost needs the function h")
+        if self.h is not None:
             self._validate_samples()
-        elif self.h is not None:
-            raise CostValidationError("a quadratic cost takes no function h")
 
     @classmethod
     def quadratic(cls, alpha1: float = 1.0, alpha2: float = 0.0) -> "RunningCost":
-        return cls(kind="quadratic", alpha1=alpha1, alpha2=alpha2)
+        return cls(alpha1=alpha1, alpha2=alpha2)
 
     @classmethod
     def from_callable(cls, h, alpha1, alpha2=0.0) -> "RunningCost":
-        return cls(kind="callable", alpha1=alpha1, alpha2=alpha2, h=h)
+        return cls(alpha1=alpha1, alpha2=alpha2, h=h)
 
     def evaluate(self, u):
         """Cost of a control; only defined for u >= 0."""
         u = np.asarray(u, dtype=float)
         if (u < 0).any():
             raise ValueError("running cost is only defined for u >= 0")
-        if self.kind == "quadratic":
+        if self.h is None:
             return self.alpha1 * u * u + self.alpha2
         try:
             vals = np.asarray(self.h(u), dtype=float)
@@ -323,8 +316,8 @@ class ConjugateHamiltonian:
     @classmethod
     def for_cost(cls, cost: RunningCost, p_min: float = -50.0,
                  p_max: float = 50.0, nodes: int = 4097):
-        """Closed form for the quadratic backend, otherwise the ``tabulate``
+        """Closed form for a cost without ``h``, otherwise the ``tabulate``
         table, whose potential is the end-corrected trapezoid."""
-        if cost.kind == "quadratic":
+        if cost.h is None:
             return cls.quadratic(cost.alpha1, cost.alpha2)
         return cls.tabulate(cost, p_min, p_max, nodes)

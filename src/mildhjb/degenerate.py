@@ -61,25 +61,23 @@ class VolatilityData:
 
 
 def sup_bound(conj: ConjugateHamiltonian, vol: VolatilityData,
-              regularization: float, lam: float, eta_inf: float
-              ) -> Optional[float]:
+              s_max: float, lam: float, eta_inf: float) -> Optional[float]:
     """Smallest constant barrier M certifying -M <= y <= M for one solve.
 
     A constant M is a barrier when
 
         lam*M >= eta_inf + (value(s*M))'' evaluated through the chain rule,
 
-    with s = (sigma^2 + regularization)/2, s' = sigma*sigma' and
-    s'' = sigma*sigma'' + (sigma')^2.  Bounding the derivative of the value
-    at argument s*M by its slope at 0 plus the Lipschitz constant times the
-    argument turns this into a quadratic inequality in M; the smallest root
-    is returned, or None when no constant barrier is certifiable at this
-    shift (with a drift, the net shift ``check_linf_bound`` derives).
+    with s the run's ``half_sigma_sq`` (at most ``s_max``), s' = sigma*sigma'
+    and s'' = sigma*sigma'' + (sigma')^2.  Bounding the derivative of the
+    value at argument s*M by its slope at 0 plus the Lipschitz constant times
+    the argument turns this into a quadratic inequality in M; the smallest
+    root is returned, or None when no constant barrier is certifiable at
+    this shift (with a drift, the net shift ``check_linf_bound`` derives).
     """
     hxx = conj.derivative_lipschitz
-    s_inf = 0.5 * (float(np.max(vol.sigma**2)) + regularization)
     c2 = hxx * (vol.slope_product_sup**2
-                + s_inf * vol.curvature_product_sup)
+                + s_max * vol.curvature_product_sup)
     c1 = float(conj.derivative(0.0)) * vol.curvature_product_sup
     if lam <= c1:
         return None
@@ -107,10 +105,10 @@ class BoundReport:
     min_slack: float
 
 
-def check_linf_bound(sol: MildSolution, vol: VolatilityData,
-                     regularization: float) -> BoundReport:
+def check_linf_bound(sol: MildSolution, vol: VolatilityData) -> BoundReport:
     """Certify every step of a run against its constant barrier, each
-    step's ``eta`` formed from the snapshots as ``mild_solve`` forms it.
+    step's ``eta`` formed from the snapshots as ``mild_solve`` forms it and
+    the flux multiplier read off the run.
 
     A drift adds ``-f*y' + f''*phi_x - 2f'*y``.  Where y_k peaks (or dips)
     the upwinded transport is >= 0, ``-2f'*y >= -2 sup|f'| y_k`` and
@@ -127,7 +125,8 @@ def check_linf_bound(sol: MildSolution, vol: VolatilityData,
         shifts = lams - 2.0 * drift.slope_sup
         c = float(np.max(np.abs(drift.f2))) * green_constants(sol.grid)[1]
         eta_inf = eta_inf + c * np.array([sol.grid.norm1(y) for y in ys[1:]])
-    bounds = [sup_bound(sol.operands.conj, vol, regularization, lam, e)
+    s_max = float(np.max(sol.operands.half_sigma_sq))
+    bounds = [sup_bound(sol.operands.conj, vol, s_max, lam, e)
               for lam, e in zip(shifts, eta_inf)]
     certified = np.array([m is not None for m in bounds], dtype=bool)
     bounds = np.array([np.inf if m is None else m for m in bounds])
@@ -160,13 +159,10 @@ def solve_degenerate(problem, grid: Grid1D, eps: float, ladder,
     if any(b >= a for a, b in zip(levels, levels[1:])):
         raise ValueError("regularization ladder must be strictly decreasing")
     conj = ConjugateHamiltonian.for_cost(problem.cost)
+    solutions = [mild_solve(problem.discretize(grid, conj, w), eps, cfg=cfg)
+                 for w in levels]
     vol = problem.volatility_data(grid)
-    solutions: list[MildSolution] = []
-    reports: list[BoundReport] = []
-    for level in levels:
-        sol = mild_solve(problem.discretize(grid, conj, level), eps, cfg=cfg)
-        solutions.append(sol)
-        reports.append(check_linf_bound(sol, vol, level))
+    reports = [check_linf_bound(sol, vol) for sol in solutions]
     gaps = [sup_time_gap(a, b) for a, b in zip(solutions, solutions[1:])]
     monotone = all(b < a or a == b == 0.0 for a, b in zip(gaps, gaps[1:]))
     if not monotone:

@@ -127,23 +127,22 @@ def tabulate(grid: Grid1D, fn, *derivatives) -> list[np.ndarray]:
     return tables
 
 
-def diff1_upwind(grid: Grid1D, values, wind) -> np.ndarray:
-    """One-sided slope selected nodewise by the sign of ``wind``.
+def diff1_upwind(grid: Grid1D, values, forward) -> np.ndarray:
+    """One-sided slope selected nodewise by the boolean mask ``forward``.
 
-    Forward difference where ``wind >= 0``, backward where ``wind < 0``, with
-    zero ghost values; this pairing makes a transport term ``-wind * slope``
-    monotone, which is what the elliptic operator needs.  A boolean ``wind``
-    is taken as the mask ``wind >= 0`` itself.
+    Forward difference where ``forward`` holds, backward elsewhere, with zero
+    ghost values; with ``forward = wind >= 0`` this pairing makes a transport
+    term ``-wind * slope`` monotone, which is what the elliptic operator
+    needs.
     """
     v = np.asarray(values, dtype=float)
-    wind = np.asarray(wind)
     # d[k] = (v[k] - v[k-1])/h, zero ghosts: forward d[1:], backward d[:-1]
     d = np.empty(v.size + 1)
     np.subtract(v[1:], v[:-1], out=d[1:-1])
     d[0] = v[0]
     d[-1] = -v[-1]
     d /= grid.h
-    return np.where(wind if wind.dtype == bool else wind >= 0.0, d[1:], d[:-1])
+    return np.where(forward, d[1:], d[:-1])
 
 
 def poisson_solve(grid: Grid1D, source) -> np.ndarray:

@@ -83,8 +83,13 @@ class MildSolution:
     problem: TransformedProblem
     times: np.ndarray
     snapshots: np.ndarray
-    partial_step: float
     diagnostics: list[StepDiagnostics]
+
+    @property
+    def partial_step(self) -> float:
+        """Length of the shortened final step, 0.0 when there is none."""
+        last = step_lengths(self.problem.horizon, self.eps)[-1:]
+        return last[0] if last and last[0] != self.eps else 0.0
 
     @property
     def operands(self) -> EllipticOperands:
@@ -140,15 +145,14 @@ def mild_solve(problem: TransformedProblem, eps: float,
                cfg: Optional[ResolventConfig] = None) -> MildSolution:
     """Iterate the implicit step across the horizon, storing every step.
 
-    Steps follow ``step_lengths``; whether a shortened final step was taken
-    is visible in ``times`` and ``partial_step``.  Step times are exact
+    Steps follow ``step_lengths``; a shortened final step shows in
+    ``times`` and in the derived ``partial_step``.  Step times are exact
     multiples of eps, so runs at eps and eps/2 meet at the same times.  The
     snapshots take ``(steps + 1) * 8`` bytes per node.
     """
     if not eps > 0:
         raise ValueError(f"step size must be positive, got {eps}")
     lengths = step_lengths(problem.horizon, eps)
-    remainder = lengths[-1] if lengths and lengths[-1] != eps else 0.0
     ys = np.empty((len(lengths) + 1, *problem.operands.shape))
     ys[0] = problem.initial
     diags: list[StepDiagnostics] = []
@@ -160,8 +164,7 @@ def mild_solve(problem: TransformedProblem, eps: float,
                                      res.fallback, res.out_of_table))
     times = np.minimum(eps * np.arange(len(lengths) + 1), problem.horizon)
     return MildSolution(eps=eps, problem=problem, times=times,
-                        snapshots=ys, partial_step=remainder,
-                        diagnostics=diags)
+                        snapshots=ys, diagnostics=diags)
 
 
 @dataclass
@@ -205,8 +208,8 @@ def refine_until(problem: TransformedProblem, tol: float, eps0: float,
 
     def march_finest(out):  # at the eps the halving reaches, bit for bit
         sol = mild_solve(problem, eps0 * 0.5**max_levels, cfg=cfg)
-        pickle.dump((sol.times, sol.snapshots, sol.partial_step,
-                     sol.diagnostics), out, protocol=5)
+        pickle.dump((sol.times, sol.snapshots, sol.diagnostics), out,
+                    protocol=5)
 
     with _fork.forked(*[march_finest] if _fork.cores() > 1 else []) as workers:
         prev = mild_solve(problem, eps0, cfg=cfg)

@@ -22,7 +22,6 @@ import numpy as np
 from .grid import Grid1D, diff1_central, poisson_solve
 # unused here, but perfbench/layers.py wraps the name value.poisson_gradient
 from .grid import poisson_gradient  # noqa: F401
-from .resolvent import EllipticOperands
 from .stepper import MildSolution
 
 __all__ = [
@@ -55,16 +54,19 @@ class ValueFunction:
                 float(np.max(np.abs(self.phi_x))))
 
 
+def _reversed(sol: MildSolution, name: str):
+    """The times ``T - t`` and snapshots of a 1-D run, ascending in ``T - t``."""
+    if sol.grid.dim != 1:
+        raise ValueError(f"{name} is 1-D only; use twodim.solve_L")
+    return sol.problem.horizon - sol.times[::-1], sol.snapshots[::-1]
+
+
 def reconstruct_value(sol: MildSolution) -> ValueFunction:
     """Green-solve every stored snapshot once and reverse the time axis."""
-    grid = sol.grid
-    if grid.dim != 1:
-        raise ValueError("reconstruct_value is 1-D only; use twodim.solve_L")
-    ys = sol.snapshots[::-1]
-    phi = poisson_solve(grid, ys)
-    T = sol.problem.horizon
-    return ValueFunction(grid=grid, times=T - sol.times[::-1], phi=phi,
-                         phi_x=diff1_central(grid, phi), curvature=-ys)
+    times, ys = _reversed(sol, "reconstruct_value")
+    phi = poisson_solve(sol.grid, ys)
+    return ValueFunction(grid=sol.grid, times=times, phi=phi,
+                         phi_x=diff1_central(sol.grid, phi), curvature=-ys)
 
 
 @dataclass
@@ -90,12 +92,13 @@ class FeedbackPolicy:
         return interpolate_policy(self, t, x)
 
 
-def synthesize_feedback(v: ValueFunction, ops: EllipticOperands
-                        ) -> FeedbackPolicy:
-    """u(t, x) = conjugate derivative of (-sigma^2/2 * curvature)."""
-    m = ops.half_sigma_sq
-    u = np.maximum(ops.conj.derivative(-m * v.curvature), 0.0)
-    return FeedbackPolicy(grid=v.grid, times=v.times, u=u)
+def synthesize_feedback(sol: MildSolution) -> FeedbackPolicy:
+    """u(t, x) = conjugate derivative of (-sigma^2/2 * curvature), read off
+    the run as ``sigma^2/2 * y(T - t)``."""
+    times, ys = _reversed(sol, "synthesize_feedback")
+    ops = sol.operands
+    u = np.maximum(ops.conj.derivative(ops.half_sigma_sq * ys), 0.0)
+    return FeedbackPolicy(grid=sol.grid, times=times, u=u)
 
 
 def interpolate_policy(policy: FeedbackPolicy, t, x):

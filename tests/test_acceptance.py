@@ -141,7 +141,7 @@ def test_criterion_6_feedback_argmin_certificate(desk_runs):
     started = time.perf_counter()
     grid, problem, runs, _ = desk_runs
     vf = reconstruct_value(runs[5e-3])
-    policy = synthesize_feedback(vf, problem.operands)
+    policy = synthesize_feedback(runs[5e-3])
     cost = RunningCost.quadratic(1.0, 0.0)
     u_max = max(2.0 * float(np.max(policy.u)), 1.0)
     probe = np.linspace(0.0, u_max, 10000)
@@ -185,10 +185,9 @@ def test_criterion_7_monte_carlo_analytic_case():
 
 def test_criterion_8_feedback_beats_constant_controls(desk_runs):
     started = time.perf_counter()
-    _, problem, runs, _ = desk_runs
+    _, _, runs, _ = desk_runs
     control = desk_problem(horizon=0.5)
-    vf = reconstruct_value(runs[1e-2])
-    policy = synthesize_feedback(vf, problem.operands)
+    policy = synthesize_feedback(runs[1e-2])
     cfg = SimConfig(n_paths=10000, dt=0.5 / 1000.0, seed=2718, x0=0.0)
     baselines = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
     comparison = compare_policies(control, policy, baselines, cfg)

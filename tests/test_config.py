@@ -40,7 +40,7 @@ def test_valid_config_parses():
     assert cfg.grid == Grid1D(10.0, 201)
     assert cfg.eps == 0.01
     assert cfg.seed == 42 and cfg.out_dir == "artifacts"
-    assert cfg.cost.kind == "quadratic"
+    assert cfg.cost.h is None
     assert float(cfg.problem.f(0.5)) == pytest.approx(np.tanh(0.5))
     assert float(cfg.problem.g_xx(1.0)) == pytest.approx(2.0 * np.exp(-1.0))
 
@@ -140,7 +140,7 @@ def test_expression_cost_backend():
     text = DESK.replace("kind = quadratic", "kind = expression\nh = u^2 + u")
     cfg, errors = parse_config(text)
     assert errors == []
-    assert cfg.cost.kind == "callable"
+    assert cfg.cost.h is not None
     assert float(cfg.cost.evaluate(2.0)) == pytest.approx(6.0)
 
 

@@ -115,13 +115,6 @@ def test_cost_validation_rejects_bad_parameters():
     with pytest.raises(CostValidationError):
         # violates the coercivity certificate
         RunningCost.from_callable(lambda u: 0.1 * u * u, alpha1=1.0)
-    with pytest.raises(CostValidationError, match="quadratic"):
-        # the closed form a1*u^2 + a2 would silently stand in for h
-        RunningCost(kind="quadratic", alpha1=1.0, h=lambda u: 5 * u**2 + 3)
-    with pytest.raises(CostValidationError, match="unknown cost kind"):
-        RunningCost(kind="cubic", alpha1=1.0)
-    with pytest.raises(CostValidationError, match="needs the function h"):
-        RunningCost(kind="callable", alpha1=1.0)
     with pytest.raises(CostValidationError, match="not finite"):
         RunningCost.from_callable(
             lambda u: np.where(u > 3.0, np.inf, u * u), alpha1=1.0)

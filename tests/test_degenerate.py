@@ -23,6 +23,11 @@ def pinched_volatility(grid):
     return VolatilityData.from_callables(grid, *PINCHED.values())
 
 
+def s_max(vol, weight):
+    """sup of the flux multiplier (sigma^2 + weight)/2 a level marches."""
+    return 0.5 * (float(np.max(vol.sigma**2)) + weight)
+
+
 def bump_problem(**volatility):
     """g = g0 = exp(-x^2), so y0 = source = (2 - 4x^2) exp(-x^2); the
     pinched volatility unless another is given."""
@@ -79,7 +84,7 @@ def test_bound_report_certifies_each_step():
     np.testing.assert_array_equal(
         report.y_inf, np.max(np.abs(sol.snapshots[1:]), axis=1))
     assert np.all(report.y_inf <= report.bounds)
-    recomputed = check_linf_bound(sol, pinched_volatility(grid), 1e-1)
+    recomputed = check_linf_bound(sol, pinched_volatility(grid))
     np.testing.assert_allclose(recomputed.bounds, report.bounds)
 
 
@@ -101,7 +106,7 @@ def test_bound_report_equals_sup_bound_step_by_step():
     bounds, y_inf = [], []
     for i, dt in enumerate(steps, start=1):
         eta = sol.problem.source + sol.snapshots[i - 1] / dt
-        bounds.append(sup_bound(conj, vol, 1e-1, 1.0 / dt,
+        bounds.append(sup_bound(conj, vol, s_max(vol, 1e-1), 1.0 / dt,
                                 grid.norm_inf(eta)))
         y_inf.append(grid.norm_inf(sol.snapshots[i]))
     assert report.lams.tolist() == [1.0 / dt for dt in steps]
@@ -114,7 +119,8 @@ def test_sup_bound_reads_the_slope_at_zero_from_the_derivative():
     # the identity conjugate has slope 1 everywhere and no curvature, so the
     # barrier solves lam*M = eta_inf + M * sup|sigma*sigma'' + sigma'^2|
     vol = pinched_volatility(Grid1D(8.0, 161))
-    bound = sup_bound(linear_conjugate(), vol, 1e-2, lam=50.0, eta_inf=3.0)
+    bound = sup_bound(linear_conjugate(), vol, s_max(vol, 1e-2), lam=50.0,
+                      eta_inf=3.0)
     assert bound == 3.0 / (50.0 - vol.curvature_product_sup)
 
 
@@ -122,8 +128,8 @@ def test_sup_bound_grows_as_shift_shrinks():
     grid = Grid1D(8.0, 161)
     vol = pinched_volatility(grid)
     conj = ConjugateHamiltonian.quadratic()
-    loose = sup_bound(conj, vol, 1e-2, lam=5.0, eta_inf=3.0)
-    tight = sup_bound(conj, vol, 1e-2, lam=50.0, eta_inf=3.0)
+    loose = sup_bound(conj, vol, s_max(vol, 1e-2), lam=5.0, eta_inf=3.0)
+    tight = sup_bound(conj, vol, s_max(vol, 1e-2), lam=50.0, eta_inf=3.0)
     assert loose is not None and tight is not None
     assert loose > tight
 
@@ -132,10 +138,12 @@ def test_sup_bound_not_certifiable_for_tiny_shift():
     grid = Grid1D(8.0, 161)
     vol = pinched_volatility(grid)
     conj = ConjugateHamiltonian.quadratic()
-    assert sup_bound(conj, vol, 1e-2, lam=1e-3, eta_inf=100.0) is None
+    assert sup_bound(conj, vol, s_max(vol, 1e-2), lam=1e-3,
+                     eta_inf=100.0) is None
     # a conjugate rising at 0 needs a shift above slope * curvature sup
     c1 = vol.curvature_product_sup
-    assert sup_bound(linear_conjugate(), vol, 1e-2, c1, eta_inf=0.0) is None
+    assert sup_bound(linear_conjugate(), vol, s_max(vol, 1e-2), c1,
+                     eta_inf=0.0) is None
 
 
 def test_gaps_that_grow_down_the_ladder_warn():
@@ -215,7 +223,7 @@ def test_shortened_last_step_is_certified_at_its_own_shift(eps):
     eta = sol.problem.source + sol.snapshots[-2] / sol.partial_step
     curvature = (float(np.max(np.abs(drift.f2))) * green_constants(grid)[1]
                  * grid.norm1(sol.snapshots[-1]))
-    last = sup_bound(conj, vol, 0.1,
+    last = sup_bound(conj, vol, s_max(vol, 0.1),
                      1.0 / sol.partial_step - 2.0 * drift.slope_sup,
                      grid.norm_inf(eta) + curvature)
     assert report.bounds[-1] == last

@@ -14,7 +14,7 @@ from conftest import desk_problem
 from mildhjb.grid import Grid1D, poisson_solve
 from mildhjb.montecarlo import SimConfig, simulate_cost
 from mildhjb.stepper import mild_solve
-from mildhjb.value import reconstruct_value, synthesize_feedback
+from mildhjb.value import synthesize_feedback
 
 HORIZON = 0.25
 
@@ -74,8 +74,7 @@ def test_feedback_cost_matches_the_value_it_came_from():
     grid = Grid1D(10.0, 201)
     problem = control.discretize(grid)
     sol = mild_solve(problem, 2.5e-3)
-    vf = reconstruct_value(sol)
-    policy = synthesize_feedback(vf, problem.operands)
+    policy = synthesize_feedback(sol)
     _, psi, _ = backward_march(201, 4000)
     report = simulate_cost(control, policy,
                            SimConfig(n_paths=10000, dt=2.5e-4, seed=5))

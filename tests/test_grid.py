@@ -127,8 +127,9 @@ def test_diff2_exact_on_quadratic():
 def test_upwind_constant_and_linear():
     g = Grid1D(2.0, 41)
     const = np.full(g.n, 3.0)
-    assert np.max(np.abs(diff1_upwind(g, const, np.ones(g.n))[1:-1])) == 0.0
-    out = diff1_upwind(g, g.x.copy(), np.ones(g.n))
+    forward = np.ones(g.n, dtype=bool)
+    assert np.max(np.abs(diff1_upwind(g, const, forward)[1:-1])) == 0.0
+    out = diff1_upwind(g, g.x.copy(), forward)
     np.testing.assert_allclose(out[:-1], 1.0, atol=1e-12)
 
 
@@ -136,7 +137,7 @@ def test_upwind_direction_switch():
     g = Grid1D(2.0, 41)
     y = g.x**2
     wind = np.where(g.x > 0, 1.0, -1.0)
-    out = diff1_upwind(g, y, wind)
+    out = diff1_upwind(g, y, wind >= 0)
     k = 30  # x > 0, forward difference
     assert out[k] == pytest.approx((y[k + 1] - y[k]) / g.h)
     k = 10  # x < 0, backward difference

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import constant_policy, desk_problem, elliptic_operands
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
 from mildhjb.grid import Grid1D, diff1_central, diff2
-from mildhjb.stepper import TransformedProblem, mild_solve
-from mildhjb.value import (FeedbackPolicy, ValueFunction, interpolate_policy,
+from mildhjb.stepper import MildSolution, TransformedProblem, mild_solve
+from mildhjb.value import (FeedbackPolicy, interpolate_policy,
                            reconstruct_value, synthesize_feedback)
 
 
@@ -18,6 +18,13 @@ def desk_value(horizon=0.2, eps=0.01, n=201):
     problem = desk_problem(horizon=horizon).discretize(grid)
     sol = mild_solve(problem, eps)
     return problem, sol, reconstruct_value(sol)
+
+
+def run_of(ops, curvature):
+    """A one-step run on [0, 1] whose value has the given curvature rows."""
+    ys = -curvature[::-1]
+    problem = TransformedProblem(ops, ys[0], np.zeros(ops.grid.n), 1.0)
+    return MildSolution(1.0, problem, np.array([0.0, 1.0]), ys, [])
 
 
 def test_zero_snapshots_give_zero_value():
@@ -69,11 +76,8 @@ def test_convex_value_switches_control_off():
     grid = Grid1D(5.0, 101)
     ops = elliptic_operands(grid, ConjugateHamiltonian.quadratic(),
                                  np.sqrt(2.0))
-    times = np.array([0.0, 1.0])
     curvature = np.tile(np.exp(-grid.x**2), (2, 1))  # phi_xx >= 0
-    vf = ValueFunction(grid, times, np.zeros((2, grid.n)),
-                       np.zeros((2, grid.n)), curvature)
-    policy = synthesize_feedback(vf, ops)
+    policy = synthesize_feedback(run_of(ops, curvature))
     assert np.max(policy.u) == 0.0
 
 
@@ -81,11 +85,8 @@ def test_feedback_matches_brute_force_argmin():
     grid = Grid1D(5.0, 101)
     ops = elliptic_operands(grid, ConjugateHamiltonian.quadratic(),
                                  np.sqrt(2.0))
-    times = np.array([0.0, 1.0])
     curvature = np.full((2, grid.n), -4.0)  # phi_xx = -4, sigma^2 = 2
-    vf = ValueFunction(grid, times, np.zeros((2, grid.n)),
-                       np.zeros((2, grid.n)), curvature)
-    policy = synthesize_feedback(vf, ops)
+    policy = synthesize_feedback(run_of(ops, curvature))
     us = np.linspace(0.0, 10.0, 100001)
     brute = us[np.argmin(-4.0 * us + us**2)]
     assert brute == pytest.approx(2.0, abs=1e-4)
@@ -95,23 +96,20 @@ def test_feedback_matches_brute_force_argmin():
 def test_feedback_scale_covariance():
     # scaling the cost by c rescales the control through the conjugate
     grid = Grid1D(5.0, 101)
-    times = np.array([0.0, 1.0])
     curvature = np.full((2, grid.n), -4.0)
-    vf = ValueFunction(grid, times, np.zeros((2, grid.n)),
-                       np.zeros((2, grid.n)), curvature)
     for scale in (0.5, 2.0, 3.0):
         ops = elliptic_operands(
             grid, ConjugateHamiltonian.quadratic(alpha1=scale), np.sqrt(2.0))
-        policy = synthesize_feedback(vf, ops)
+        policy = synthesize_feedback(run_of(ops, curvature))
         us = np.linspace(0.0, 10.0, 200001)
         brute = us[np.argmin(-4.0 * us + scale * us**2)]
         np.testing.assert_allclose(policy.u, brute, atol=1e-4)
 
 
 def test_argmin_certificate_on_desk_problem():
-    problem, _, vf = desk_value()
+    problem, sol, vf = desk_value()
     ops = problem.operands
-    policy = synthesize_feedback(vf, ops)
+    policy = synthesize_feedback(sol)
     rng = np.random.default_rng(17)
     us = np.linspace(0.0, 8.0, 10001)
     for _ in range(40):
@@ -126,8 +124,8 @@ def test_argmin_certificate_on_desk_problem():
 
 
 def test_policy_nonnegative_everywhere():
-    problem, _, vf = desk_value()
-    policy = synthesize_feedback(vf, problem.operands)
+    _, sol, vf = desk_value()
+    policy = synthesize_feedback(sol)
     assert np.min(policy.u) >= 0.0
     with pytest.raises(ValueError):
         FeedbackPolicy(vf.grid, np.array([0.0, 1.0]),
@@ -135,8 +133,8 @@ def test_policy_nonnegative_everywhere():
 
 
 def test_interpolation_exact_at_nodes():
-    problem, _, vf = desk_value()
-    policy = synthesize_feedback(vf, problem.operands)
+    _, sol, vf = desk_value()
+    policy = synthesize_feedback(sol)
     for i in (0, len(vf.times) // 2, len(vf.times) - 1):
         t = float(vf.times[i])
         vals = interpolate_policy(policy, t, vf.grid.x)
