@@ -9,6 +9,7 @@ falling back to central differences of the sampled tables otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,8 +50,9 @@ class ControlProblem:
     sigma_xx: Optional[Callable] = None
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(
+                f"horizon must be positive and finite, got {self.horizon}")
 
     def drift_data(self, grid: Grid1D) -> Optional[DriftData]:
         if self.f is None:

@@ -58,8 +58,9 @@ class TransformedProblem:
     def __post_init__(self):
         for name in ("initial", "source"):
             check_table(name, getattr(self, name), self.operands.shape)
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(
+                f"horizon must be positive and finite, got {self.horizon}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,13 +119,13 @@ def step(problem: TransformedProblem, eps: float, y_prev,
     ``warm`` is the result whose ``y`` is ``y_prev`` (the previous step's):
     the solve then starts from its stored operator terms.
     """
-    if not eps > 0:
-        raise ValueError(f"step size must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {eps}")
     floor = shift_floor(problem.operands)
     if not 1.0 / eps > floor:
         raise ValueError(
             f"step size {eps:g} too large for the drift slope bound; "
-            f"need eps < {1.0 / floor if floor else math.inf:g}")
+            f"need eps < {1.0 / floor:g}")
     eta = problem.source + y_prev / eps
     return solve_resolvent(problem.operands, 1.0 / eps, eta, cfg,
                            y_init=y_prev, warm=warm)
@@ -134,8 +135,13 @@ def step_lengths(horizon: float, eps: float) -> list[float]:
     """Full steps of eps, then the remainder as one shortened step.
 
     A remainder of at most eps/100 is dropped; a horizon shorter than eps
-    (but above eps/100) is one step of length horizon.
+    (but above eps/100) is one step of length horizon.  This is the one
+    check of a schedule: ``0 < eps < inf`` and a positive finite horizon.
     """
+    if not 0 < eps < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {eps}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     n_full = int(math.floor(horizon / eps + 1e-12))
     remainder = horizon - n_full * eps
     return [eps] * n_full + ([remainder] if remainder > eps / 100.0 else [])
@@ -150,8 +156,6 @@ def mild_solve(problem: TransformedProblem, eps: float,
     multiples of eps, so runs at eps and eps/2 meet at the same times.  The
     snapshots take ``(steps + 1) * 8`` bytes per node.
     """
-    if not eps > 0:
-        raise ValueError(f"step size must be positive, got {eps}")
     lengths = step_lengths(problem.horizon, eps)
     ys = np.empty((len(lengths) + 1, *problem.operands.shape))
     ys[0] = problem.initial
@@ -205,6 +209,7 @@ def refine_until(problem: TransformedProblem, tol: float, eps0: float,
     if isinstance(max_levels, bool) or not (
             isinstance(max_levels, (int, np.integer)) and max_levels >= 1):
         raise ValueError(f"max_levels must be an integer >= 1: {max_levels!r}")
+    step_lengths(problem.horizon, eps0)  # rejects a bad eps0 before the fork
 
     def march_finest(out):  # at the eps the halving reaches, bit for bit
         sol = mild_solve(problem, eps0 * 0.5**max_levels, cfg=cfg)

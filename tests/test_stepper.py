@@ -84,6 +84,33 @@ def test_step_size_must_be_positive(march, eps):
         march(problem, eps, *args)
 
 
+@pytest.mark.parametrize("march", [step, mild_solve], ids=["step", "march"])
+def test_infinite_step_size_is_rejected(march):
+    # a step of inf once ran no step at all and reported the time nan
+    problem = quad_problem(Grid1D(10.0, 41))
+    args = (problem.initial,) if march is step else ()
+    with pytest.raises(ValueError, match="positive and finite, got inf"):
+        march(problem, np.inf, *args)
+
+
+def test_refine_rejects_an_infinite_step_before_forking(monkeypatch):
+    # its runs took no step, so the sweep once converged with gaps [0.0]
+    monkeypatch.setattr(_fork, "cores", lambda: 2)
+    monkeypatch.setattr(_fork, "forked", lambda *tasks: pytest.fail("forked"))
+    with pytest.raises(ValueError, match="positive and finite, got inf"):
+        refine_until(quad_problem(Grid1D(10.0, 41)), 1e-3, np.inf,
+                     max_levels=2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: quad_problem(Grid1D(10.0, 41), horizon=np.inf),
+    lambda: replace(desk_problem(), horizon=np.inf),
+], ids=["transformed", "control"])
+def test_infinite_horizon_is_rejected(build):
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        build()
+
+
 def test_short_horizon_keeps_initial_snapshot_only():
     # a horizon of at most eps/100 is dropped as a negligible remainder
     g = Grid1D(10.0, 201)
