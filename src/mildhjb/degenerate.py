@@ -108,13 +108,15 @@ class BoundReport:
 def check_linf_bound(sol: MildSolution, vol: VolatilityData) -> BoundReport:
     """Certify every step of a run against its constant barrier, each
     step's ``eta`` formed from the snapshots as ``mild_solve`` forms it and
-    the flux multiplier read off the run.
+    the flux multiplier read off the run; ``vol`` is on the run's grid.
 
     A drift adds ``-f*y' + f''*phi_x - 2f'*y``.  Where y_k peaks (or dips)
     the upwinded transport is >= 0, ``-2f'*y >= -2 sup|f'| y_k`` and
     ``|f''*phi_x| <= max|f''| * c_grad * ||y_k||_1`` (``c_grad`` the exact
     Green slope norm): the shift drops by ``2 sup|f'|``, ``eta_inf`` gains
     the last bound."""
+    if vol.grid != sol.grid:
+        raise ValueError(f"volatility on {vol.grid}, run on {sol.grid}")
     steps = np.array(step_lengths(sol.problem.horizon, sol.eps))[:, None]
     ys = sol.snapshots
     eta_inf = np.abs(sol.problem.source + ys[:-1] / steps).max(axis=1)

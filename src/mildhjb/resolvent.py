@@ -87,6 +87,9 @@ class EllipticOperands:
         if not isinstance(self.perturbation, bool):
             raise TypeError("perturbation must be a bool, got "
                             f"{type(self.perturbation).__name__}")
+        if self.drift is not None and self.drift.grid != self.grid:
+            raise ValueError(
+                f"drift on {self.drift.grid}, operands on {self.grid}")
         m = np.asarray(self.half_sigma_sq, dtype=float)
         check_table("half_sigma_sq", m, self.shape)
         if np.any(m <= 0):

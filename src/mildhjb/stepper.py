@@ -180,12 +180,15 @@ class RefineResult:
 
 
 def sup_time_gap(coarse: MildSolution, fine: MildSolution) -> float:
-    """sup over time of the L1 distance between two piecewise-constant runs.
+    """sup over time of the L1 distance between two piecewise-constant runs
+    on one grid.
 
     The runs are compared at every step time of either run, each through its
     snapshot covering that time; each distinct pair of covering snapshots is
     compared once, as row sums over slices of pairs.
     """
+    if coarse.grid != fine.grid:
+        raise ValueError(f"runs on {coarse.grid} and {fine.grid}")
     times = np.concatenate((fine.times, coarse.times))
     i, j = np.unique(np.stack(
         [np.searchsorted(run.times, times, side="right") - 1

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -86,6 +87,16 @@ def test_bound_report_certifies_each_step():
     assert np.all(report.y_inf <= report.bounds)
     recomputed = check_linf_bound(sol, pinched_volatility(grid))
     np.testing.assert_allclose(recomputed.bounds, report.bounds)
+
+
+def test_volatility_from_another_grid_is_rejected():
+    # a run on 41 nodes was once certified against 81-node volatility
+    grid, other = Grid1D(5.0, 41), Grid1D(5.0, 81)
+    sol = mild_solve(bump_problem().discretize(grid, regularization=0.1),
+                     0.025)
+    message = re.escape(f"volatility on {other}, run on {grid}")
+    with pytest.raises(ValueError, match=message):
+        check_linf_bound(sol, pinched_volatility(other))
 
 
 def test_bound_report_equals_sup_bound_step_by_step():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import (desk_problem, elliptic_operands, linear_conjugate,
                       tanh_drift, zero_conjugate)
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
+from mildhjb.drift import DriftData
 from mildhjb.grid import Grid1D, poisson_gradient
 from mildhjb.resolvent import (EllipticOperands, Iterate, ResolventConfig,
                                ResolventError, ResolventResult, _newton,
@@ -209,6 +211,16 @@ def test_perturbation_is_a_switch_not_a_second_drift():
     for lam in (0.05, 0.2, 0.5, 1.0):
         res = solve_resolvent(ops, lam, eta)
         assert res.residual <= 1e-10 * max(1.0, g.norm1(eta))
+
+
+def test_drift_from_another_grid_is_rejected():
+    # such operands once marched a mixed operator without an error
+    g, other = Grid1D(5.0, 41), Grid1D(10.0, 41)
+    drift = DriftData.from_callables(other, np.tanh)
+    message = re.escape(f"drift on {other}, operands on {g}")
+    with pytest.raises(ValueError, match=message):
+        EllipticOperands(g, ConjugateHamiltonian.quadratic(), np.ones(g.n),
+                         drift=drift)
 
 
 def test_budget_exhaustion_raises():

@@ -1,4 +1,5 @@
 import os
+import re
 import time
 from dataclasses import replace
 
@@ -263,6 +264,15 @@ def test_sup_time_gap_between_refinements():
     gap = sup_time_gap(coarse, fine)
     endpoint = g.norm1(coarse.final - fine.final)
     assert gap >= endpoint > 0
+
+
+def test_sup_time_gap_of_runs_on_two_grids_is_rejected():
+    # the gap of such runs once read 0.080
+    a, b = (mild_solve(heat_problem(Grid1D(w, 41), horizon=0.1), 0.05)
+            for w in (5.0, 6.0))
+    message = re.escape(f"runs on {a.grid} and {b.grid}")
+    with pytest.raises(ValueError, match=message):
+        sup_time_gap(a, b)
 
 
 def planar_problem():
