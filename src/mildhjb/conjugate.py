@@ -62,10 +62,12 @@ class RunningCost:
     h: Optional[Callable[[np.ndarray | float], np.ndarray | float]] = None
 
     def __post_init__(self):
-        if not self.alpha1 > 0:
-            raise CostValidationError(f"alpha1 must be positive, got {self.alpha1}")
-        if self.alpha2 < 0:
-            raise CostValidationError(f"alpha2 must be nonnegative, got {self.alpha2}")
+        if not 0 < self.alpha1 < np.inf:
+            raise CostValidationError(
+                f"alpha1 must be positive and finite, got {self.alpha1}")
+        if not 0 <= self.alpha2 < np.inf:
+            raise CostValidationError(
+                f"alpha2 must be nonnegative and finite, got {self.alpha2}")
         if self.h is not None:
             self._validate_samples()
 
@@ -277,6 +279,8 @@ class ConjugateHamiltonian:
         """
         if not p_min < p_max:
             raise ValueError("need p_min < p_max")
+        if int(nodes) < 2:
+            raise ValueError(f"need at least 2 nodes, got {nodes}")
         grid = np.linspace(float(p_min), float(p_max), int(nodes))
         blocks = [_maximize(cost, grid[i:i + _BLOCK])
                   for i in range(0, grid.size, _BLOCK)]

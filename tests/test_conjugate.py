@@ -124,6 +124,23 @@ def test_cost_validation_rejects_bad_parameters():
                                   alpha1=0.5)
 
 
+@pytest.mark.parametrize("alpha1, alpha2", [(np.inf, 0.0), (1.0, np.nan),
+                                            (1.0, np.inf)],
+                         ids=["alpha1-inf", "alpha2-nan", "alpha2-inf"])
+def test_cost_sizes_must_be_finite(alpha1, alpha2):
+    # a nan alpha2 once failed only in the march, and an infinite alpha1
+    # gave the feedback 0 everywhere
+    with pytest.raises(CostValidationError, match="finite, got"):
+        RunningCost.quadratic(alpha1, alpha2)
+
+
+@pytest.mark.parametrize("nodes", [0, 1])
+def test_table_needs_two_nodes(nodes):
+    # one node once failed inside numpy on an empty reduction
+    with pytest.raises(ValueError, match="need at least 2 nodes"):
+        ConjugateHamiltonian.tabulate(QUAD, -1.0, 1.0, nodes=nodes)
+
+
 @pytest.mark.parametrize("p_max", [-1.0, -2.0])
 def test_table_range_must_be_increasing(p_max):
     with pytest.raises(ValueError, match="need p_min < p_max"):
