@@ -21,6 +21,20 @@ sys.path.insert(0, str(ROOT / "src"))
 from mildhjb import cli  # noqa: E402
 
 
+def output_hashes(out: Path) -> dict[str, str]:
+    """SHA-256 of each file under ``out`` by its path relative to ``out``,
+    of ``manifest.txt`` without its ``#`` lines."""
+    hashes = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "manifest.txt":
+            data = b"".join(line for line in data.splitlines(True)
+                            if not line.startswith(b"#"))
+        hashes[path.relative_to(out).as_posix()] = \
+            hashlib.sha256(data).hexdigest()
+    return hashes
+
+
 def artifact_digests(config: Path, seed: int) -> list[str]:
     """``sha256  name/relative/path`` of each file the config's run writes."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -29,15 +43,8 @@ def artifact_digests(config: Path, seed: int) -> list[str]:
                        quiet=True)
         if code != 0:
             raise SystemExit(f"{config.name}: exit status {code}")
-        lines = []
-        for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            data = path.read_bytes()
-            if path.name == "manifest.txt":
-                data = b"".join(line for line in data.splitlines(True)
-                                if not line.startswith(b"#"))
-            name = path.relative_to(out.parent).as_posix()
-            lines.append(f"{hashlib.sha256(data).hexdigest()}  {name}")
-        return lines
+        return [f"{digest}  {config.stem}/{name}"
+                for name, digest in output_hashes(out).items()]
 
 
 def main() -> None:

@@ -1,5 +1,4 @@
 import errno
-import hashlib
 import io
 import os
 import time
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 
 import conftest
+from artifact_bytes import output_hashes
 from conftest import deadline
 from mildhjb import _fork, cli, montecarlo, stepper
 from mildhjb.cli import main, run
@@ -468,16 +468,7 @@ def artifact_hashes(tmp_path, name):
     out = tmp_path / "out"
     assert run(mode, str(write(tmp_path, "p.cfg", text)), out_dir=str(out),
                quiet=True) == 0
-    hashes = {}
-    for path in sorted(out.rglob("*")):
-        if path.is_file():
-            data = path.read_bytes()
-            if path.name == "manifest.txt":
-                data = b"".join(line for line in data.splitlines(True)
-                                if not line.startswith(b"#"))
-            hashes[path.relative_to(out).as_posix()] = \
-                hashlib.sha256(data).hexdigest()
-    return hashes
+    return output_hashes(out)
 
 
 @pytest.mark.parametrize("name", list(PINNED_RUNS))
