@@ -5,7 +5,8 @@ stepper runs at each level of a decreasing ladder, and the sup-in-time L1
 gaps between adjacent levels are reported (convergence is exhibited, never
 asserted with a rate).  Each level also gets a sup-norm certificate: a
 constant barrier M computed from the flux curvature bound and the volatility
-derivative norms must dominate every snapshot.
+derivative norms must dominate every snapshot.  The certificate reads the
+level's weight, through the flux multiplier, from the run itself.
 """
 
 from __future__ import annotations

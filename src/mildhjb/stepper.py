@@ -12,9 +12,10 @@ speculatively, killed if the sweep converges before it, and its CPU time and
 memory show only in ``RUSAGE_CHILDREN``.  Every step is stored.  A
 ``TransformedProblem`` holds the data (initial state, source, horizon) on
 any operand of ``solve_resolvent`` (``EllipticOperands``,
-``twodim.Problem2D``), which holds no data; a
-``MildSolution`` holds its problem.  ``energy_report`` (1-D only) computes,
-per snapshot, the potential integral ``h * sum j(m*y)/sigma^2`` and the flux
+``twodim.Problem2D``), which holds no data; a ``MildSolution`` holds its
+problem and derives its shortened last step from it.  ``step_lengths`` is
+the one check of a schedule.  ``energy_report`` (1-D only) computes, per
+snapshot, the potential integral ``h * sum j(m*y)/sigma^2`` and the flux
 dissipation ``h * sum ((value(m*y))_x)^2``.
 """
 

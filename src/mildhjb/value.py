@@ -10,7 +10,8 @@ reversed time, so the value and its slope come back through the Green solve
 making ``diff2(value) == -y`` an identity of the discretization and the
 terminal slice reproduce the terminal cost up to the truncation offset.  The
 optimal control is the conjugate derivative at minus half the squared
-volatility times the curvature, which the normal cone clamps at 0.
+volatility times the curvature, which the normal cone clamps at 0.  Both
+read nothing but the run, and the control needs no Green solve.
 """
 
 from __future__ import annotations
