@@ -202,6 +202,9 @@ def _run_simulate(cfg: RunConfig, out: Path, quiet: bool) -> None:
     policy = synthesize_feedback(sol)
     _write_policy(policy, out)
     sim = SimConfig(n_paths=cfg.paths, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0)
+    vf = reconstruct_value(sol)
+    pde_value = np.interp(sim.x0, vf.grid.x, vf.phi[0])
+    del sol, vf  # the run's tables need not live through the Monte Carlo
     comparison = compare_policies(cfg.problem, policy, cfg.baselines, sim,
                                   keep_samples=cfg.dump_paths)
     if cfg.dump_paths:
@@ -219,11 +222,9 @@ def _run_simulate(cfg: RunConfig, out: Path, quiet: bool) -> None:
                [(r.label, r.mean, r.stderr, r.ci_low, r.ci_high,
                  r.n_paths, r.n_excluded) for r in comparison.rows()])
     best = comparison.best_baseline
-    vf = reconstruct_value(sol)
     _write_text(out / "reports" / "summary.txt",
                 f"feedback_mean = {_fmt(comparison.feedback.mean)}\n"
-                f"pde_value_at_x0 = "
-                f"{_fmt(np.interp(sim.x0, vf.grid.x, vf.phi[0]))}\n"
+                f"pde_value_at_x0 = {_fmt(pde_value)}\n"
                 f"best_baseline = {best.label}\n"
                 f"best_baseline_mean = {_fmt(best.mean)}\n"
                 f"feedback_beats_baselines = {comparison.feedback_beats_baselines}\n"
