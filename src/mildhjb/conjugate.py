@@ -219,15 +219,18 @@ def _maximize(cost: RunningCost, p):
 class ConjugateHamiltonian:
     """Packaged conjugate for the solver: value, derivative, potential.
 
-    All three evaluators are vectorized.  ``derivative_lipschitz`` bounds the
-    slope of the derivative (the second derivative of the value, finite by
-    the quadratic coercivity of the cost).
+    All evaluators are vectorized.  ``slope``, Newton's Jacobian, is the
+    derivative of ``value`` as evaluated: ``derivative`` in closed form.
+    ``derivative_lipschitz`` bounds the slope of the derivative (the second
+    derivative of the value, finite by the quadratic coercivity of the cost).
     """
 
     def __init__(self, value_fn, derivative_fn, potential_fn,
-                 derivative_lipschitz, p_range=None, ties_detected=False):
+                 derivative_lipschitz, p_range=None, ties_detected=False,
+                 slope_fn=None):
         self._value = value_fn
         self._derivative = derivative_fn
+        self._slope = slope_fn or derivative_fn
         self._potential = potential_fn
         self.derivative_lipschitz = float(derivative_lipschitz)
         self.p_range = p_range
@@ -238,6 +241,9 @@ class ConjugateHamiltonian:
 
     def derivative(self, p):
         return self._derivative(np.asarray(p, dtype=float))
+
+    def slope(self, p):
+        return self._slope(np.asarray(p, dtype=float))
 
     def potential(self, r):
         return self._potential(np.asarray(r, dtype=float))
@@ -272,7 +278,9 @@ class ConjugateHamiltonian:
 
         Linear interpolation between nodes; beyond the table the derivative
         is extrapolated as a constant (it is globally Lipschitz), so the
-        value continues linearly and the potential quadratically.  The
+        value continues linearly and the potential quadratically.  ``slope``
+        is the chord slope of the value's cell (``derivative`` at the ends
+        beyond the table), clamped at 0 against rounding.  The
         potential at the nodes sums the end-corrected trapezoid
         ``step/2*(v_k + v_{k+1}) + step^2/12*(d_k - d_{k+1})`` over the value
         and derivative samples, exact where the conjugate is a cubic.
@@ -290,6 +298,7 @@ class ConjugateHamiltonian:
             0.5 * (vals[1:] + vals[:-1]) * step
             + step * step / 12.0 * (ders[:-1] - ders[1:]))))
         lip = float(np.max(np.abs(np.diff(ders) / step)))
+        slopes = np.r_[ders[0], np.maximum(np.diff(vals) / step, 0), ders[-1]]
 
         def continued(r, table, below, above):
             # the table inside, below(r - p_min) and above(r - p_max) beyond
@@ -304,6 +313,9 @@ class ConjugateHamiltonian:
         def derivative(p):
             return np.interp(p, grid, ders)
 
+        def slope(p):  # np.interp reads cell k for grid[k] <= p < grid[k+1]
+            return slopes[np.searchsorted(grid, p, side="right")]
+
         def pot(r):
             return continued(
                 r, pots,
@@ -315,7 +327,7 @@ class ConjugateHamiltonian:
         return cls(value, derivative, pot,
                    derivative_lipschitz=lip,
                    p_range=(float(p_min), float(p_max)),
-                   ties_detected=bool(ties.any()))
+                   ties_detected=bool(ties.any()), slope_fn=slope)
 
     @classmethod
     def for_cost(cls, cost: RunningCost, p_min: float = -50.0,

@@ -7,9 +7,9 @@ system
 
 with the nonlinear flux ``value`` from the conjugate machinery, monotone
 upwinding of the transport term, and zero ghost values, by damped Newton
-with the exact Jacobian (semismooth where the conjugate has kinks).  For
-the rare start from which Newton stalls, a shifted Picard iteration
-``y <- R_{lam+delta}(eta + delta*y)`` is the one fallback.
+with the exact Jacobian, which reads the conjugate's ``slope`` (semismooth
+where the conjugate has kinks; a table's chord slopes).  A start from which
+Newton stalls is restarted once from ``eta/lam``.
 
 The 1-D Jacobian is ``T + diag(f'')*C*G - 2*diag(f')``: ``T`` tridiagonal,
 ``G`` the Green solve, ``C`` the central slope.  With ``psi = G*delta`` a
@@ -24,7 +24,7 @@ rejects a non-finite starting residual.
 ``b = B(y)`` (``None`` in 2-D and with the perturbation off).  Neither
 depends on ``lam`` or ``eta``, so an ``Iterate`` keeps them with ``y`` and
 assembles every residual at ``y`` as ``((lam*y + a) - eta) + b``; a warm
-start (the previous time step) and each Picard sweep reuse them.
+start (the previous time step) reuses them.
 
 Only shifts above ``shift_floor(ops) = 2*lam0``, ``lam0 = sup|f'|``, are
 admitted (where the control binds, the Jacobian's diagonal is
@@ -150,7 +150,7 @@ class EllipticOperands:
         Raises ``np.linalg.LinAlgError`` on a zero pivot.
         """
         m = self.half_sigma_sq
-        slope = self.conj.derivative(m * y) * m / self.grid.h**2
+        slope = self.conj.slope(m * y) * m / self.grid.h**2
         ab = self._band.copy(order="F")
         ab[5, ::2] += lam + 2.0 * slope
         ab[3, 2::2] -= slope[1:]
@@ -273,9 +273,10 @@ def solve_resolvent(ops, lam: float, eta,
     ``ResolventConfig()``.  The solve starts from ``eta/lam``, from
     ``y_init``, or, in place of ``y_init``, from ``warm``: the result of an
     earlier solve on ``ops``, whose stored terms then give the starting
-    residual.  Raises ``ValueError`` when the shift does not clear
+    residual.  A stalled Newton restarts once from ``eta/lam`` (fallback
+    ``"restart"``).  Raises ``ValueError`` when the shift does not clear
     ``shift_floor(ops)`` or a warm start belongs to another operand, and
-    ``ResolventError`` when Newton and Picard both exhaust their budget.
+    ``ResolventError`` when the restart stalls too.
     """
     eta = np.asarray(eta, dtype=float)
     check_table("eta", eta, ops.shape)
@@ -298,31 +299,13 @@ def solve_resolvent(ops, lam: float, eta,
     cur, iters, rnorm, ok = _newton(ops, lam, eta, start, tol, cfg.max_iter)
     fallback = ""
     if not ok:
-        cur, iters2, rnorm, ok = _picard(ops, lam, eta, cur, tol, cfg.max_iter)
+        cur, iters2, rnorm, ok = _newton(ops, lam, eta, Iterate.evaluate(
+            ops, eta / lam), tol, cfg.max_iter)
         iters += iters2
-        fallback = "picard"
+        fallback = "restart"
     if not ok:
         raise ResolventError("resolvent iteration budget exhausted", rnorm)
 
     y = cur.y
     out_of_table = not ops.conj.covers(ops.half_sigma_sq * y)
     return ResolventResult(y, rnorm, iters, fallback, out_of_table, cur)
-
-
-def _picard(ops, lam, eta, cur: Iterate, tol, max_iter):
-    """Shifted fixed point: y <- R_{lam+delta}(eta + delta*y)."""
-    # delta = lam - lam0 puts the Picard contraction factor at 1/2
-    delta = max(lam - ops.lam0, 1.0)
-    total = 0
-    for _ in range(200):
-        inner, it, rnorm_in, ok = _newton(
-            ops, lam + delta, eta + delta * cur.y, cur, tol * 0.5, max_iter)
-        total += it
-        if not ok:
-            return cur, total, rnorm_in, False
-        cur = inner
-        rnorm = ops.grid.norm1(cur.residual(lam, eta))
-        if rnorm <= tol:
-            return cur, total, rnorm, True
-    return cur, total, rnorm, False
-

@@ -12,7 +12,7 @@ mesh rows the field reaches.  As in 1-D,
 ``PlanarProblem.discretize`` puts the operand ``Problem2D`` and the data
 into a ``stepper.TransformedProblem``, which ``stepper.mild_solve``
 marches.  The implicit step solves ``lam*y - L(value(m0*y)) = eta`` through
-``resolvent.solve_resolvent``: one Newton/Picard solver, one residual
+``resolvent.solve_resolvent``: one Newton solver, one residual
 certificate, one march and one solution type serve both 1-D and 2-D.
 Without drift the resolvent is an L1 contraction with constant exactly
 ``1/lam``.
@@ -217,7 +217,7 @@ class Problem2D:
         is not positive definite.
         """
         m = self.half_sigma_sq
-        s = (self.conj.derivative(m * y) * m).ravel()
+        s = (self.conj.slope(m * y) * m).ravel()
         rhs = -r.ravel()
         active = np.flatnonzero(s != 0)  # 7x as fast on bools as on floats
         if active.size == 0:

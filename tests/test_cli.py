@@ -420,19 +420,19 @@ PINNED_HASHES = {
     },
     "solve-expression": {
         "fields/y.csv":
-            "3c35d54f1f6229d7e860119b01c02be54d439ed9e8a5a8abd20b1ecdb356d70e",
+            "e06e2185809936535774c0cb26352c3c0a4a97dd1e876dcaa8fad5eac13e6ff0",
         "manifest.txt":
             "996bf54ca1ed436818a8c8eb6284af53b14c0c43a675f800c0513407e547b2a4",
         "reports/energy.csv":
-            "df047d0b19a423d12020167bc7004731743ff105f5f5e8d3261c9dbf8a421c39",
+            "7d256355321db1bc7ed6117ddfd552a5ee2f49228689ffffe2b02084b49f2c87",
         "reports/summary.txt":
-            "54b7395ba95abeab42bedd53113db83dc9359b233a552f8aa09e528593e8717c",
+            "aec2becd1c1956c23c30efea2da08d3fa47b945a881045195618abe7fe39bd4f",
     },
     "value-expression": {
         "fields/value.csv":
-            "c1c6f6bcf7c1ba597fd8b85ce238a4eb2668f53cf11086b2718054b3a22ed63a",
+            "47520613d656f1b4d638ee70bf02354fb0c3404cd6914a4d8c3f0da682d3d0af",
         "fields/value_slope.csv":
-            "a6a4e2afec9aa43fdabe7cdc8a72bfa3da2f86561b2ba19eda91c097f95ae170",
+            "5a8dc56aed0f476d18759d8962fdb9796705fe8d0a8b5e5d169c03f171906ca4",
         "manifest.txt":
             "c3244109469af84d8f6904ed0ef60d8a4df422c41e9b0fc5ae974c3d0287382a",
     },
@@ -448,15 +448,15 @@ PINNED_HASHES = {
         "manifest.txt":
             "b09c5cb903839a3fa80f31fab4414c93307045c0754cd83387782c8698047214",
         "policy.csv":
-            "1310546f43e01605fc2f0b0cf20c59d3de4e961cc4b18f40f85e736ee3dbcc76",
+            "1c33e8e1b25242af79be8c56535d6d7b1747aa21dec59f392244466ad60f8efb",
         "policy.txt":
-            "8a785c166e5b256c45ecc360855df9b467c5313f6de250256d5d2354bcd82dd9",
+            "5aeca0a5b2eb8a7fdb7417113f2d1ff347809edbdf7736f490f45fdf1100b5b5",
     },
     "sweep-degenerate-drift": {
         "manifest.txt":
             "a1f088aa1c0dbb2bd81765a8def86d2948e91632165a484feacbcaa95d778028",
         "reports/degenerate_sweep.csv":
-            "246a5b5736f23127bb2dc172b9b06d665bff0209d18d327958f524897117b4a6",
+            "a7765a2c7765767e2a8f54aad9a23447becab8f40fc530d7faa9f735dc9f335b",
         "reports/summary.txt":
             "63af9656ade6ee05b3f6682fdcbdf10eac593c472c2d338ef38604a0bdcff4ac",
     },

@@ -258,21 +258,16 @@ def test_vanishing_volatility_rejected():
                           lambda x: x * np.exp(-x**2))
 
 
-def test_picard_fallback_solves_near_the_shift_floor():
-    from mildhjb.resolvent import _picard
+def test_newton_solves_near_the_shift_floor_without_fallback():
+    # a shifted Picard fallback was once tested on this input
     g = Grid1D(10.0, 201)
     drift = tanh_drift(g)
     ops = quad_ops(g, drift=drift, use_perturbation=False)
-    cfg = ResolventConfig()
     lam = 2.0 * drift.slope_sup + 0.05
     eta = 3.0 * np.exp(-g.x**2)
-    tol = cfg.tol_res * max(1.0, g.norm1(eta))
-    end, _, rnorm, ok = _picard(ops, lam, eta,
-                                Iterate.evaluate(ops, np.zeros(g.n)), tol,
-                                cfg.max_iter)
-    assert ok and rnorm <= tol
-    direct = solve_resolvent(ops, lam, eta, cfg)
-    np.testing.assert_allclose(end.y, direct.y, atol=1e-7)
+    res = solve_resolvent(ops, lam, eta, y_init=np.zeros(g.n))
+    assert res.fallback == ""
+    assert res.residual <= ResolventConfig().tol_res * max(1.0, g.norm1(eta))
 
 
 def kinked_table(half_width, nodes):
@@ -375,7 +370,7 @@ def banded_jacobian(ops, lam, y):
     Jacobian, in ``solve_banded``'s (1, 1) layout."""
     grid, m = ops.grid, ops.half_sigma_sq
     h, h2 = grid.h, grid.h**2
-    slope = ops.conj.derivative(m * y) * m
+    slope = ops.conj.slope(m * y) * m
     diag = lam + 2.0 * slope / h2
     upper = -slope[1:] / h2
     lower = -slope[:-1] / h2
@@ -405,16 +400,20 @@ def exact_jacobian(ops, lam, y):
     return jac
 
 
-@pytest.mark.parametrize("with_drift, with_perturbation", [
-    (False, False),
-    (True, False),
-    (True, True),
-])
+@pytest.mark.parametrize("with_drift, with_perturbation, table", [
+    (False, False, False),
+    (True, False, False),
+    (True, True, False),
+    (True, True, True),
+], ids=["False-False", "True-False", "True-True", "True-True-table"])
 def test_newton_step_solves_the_exact_jacobian(with_drift,
-                                               with_perturbation):
+                                               with_perturbation, table):
     g = Grid1D(10.0, 101)
     drift = tanh_drift(g) if with_drift else None
-    ops = quad_ops(g, drift=drift, use_perturbation=with_perturbation)
+    conj = (kinked_table(50.0, 4097) if table
+            else ConjugateHamiltonian.quadratic())
+    ops = elliptic_operands(g, conj, wavy_sigma, drift=drift,
+                            use_perturbation=with_perturbation)
     rng = np.random.default_rng(5)
     y = rng.standard_normal(g.n)  # both signs: some slopes clamp at 0
     r = Iterate.evaluate(ops, y).residual(8.0, rng.standard_normal(g.n))
@@ -454,9 +453,17 @@ def test_non_finite_residual_is_a_value_error():
                         warm=ResolventResult(blown.y, 0.0, 0, iterate=blown))
 
 
-@pytest.mark.parametrize("exit_", ["newton", "picard"])
+def coverage_inputs(*labels):
+    """The inputs of ``resolvent_coverage.inputs()`` with these labels, as
+    ``(ops, lam, eta, y_init)`` in the order given."""
+    import resolvent_coverage
+    found = {label: rest for label, *rest in resolvent_coverage.inputs()
+             if label in labels}
+    return [found[label] for label in labels]
+
+
+@pytest.mark.parametrize("exit_", ["newton", "restart"])
 def test_certificate_is_the_residual_at_the_returned_y(exit_):
-    # the Picard exit depends on rounding, so every digit is kept
     if exit_ == "newton":
         g = Grid1D(10.0, 101)
         ops = quad_ops(g, drift=tanh_drift(g))
@@ -464,17 +471,12 @@ def test_certificate_is_the_residual_at_the_returned_y(exit_):
         lam = 2.5
         res = solve_resolvent(ops, lam, eta, y_init=eta / lam)
     else:
-        # Newton alone stalls from this wild start at the kinked cost
-        g = Grid1D(10.0, 201)
-        problem = desk_problem().discretize(g, conj=abs_kink_conjugate())
-        ops = problem.operands
-        lam = 2.02 * ops.lam0
-        eta = (-2.6374472615604203 * problem.initial
-               + 2.8613014632841143 * np.exp(
-                   -((g.x - 2.5855707554202194) / 0.682126195561794) ** 2))
-        res = solve_resolvent(
-            ops, lam, eta, ResolventConfig(tol_res=1e-12),
-            y_init=np.random.default_rng(8).normal(0.0, 30.0, g.n))
+        # Newton stalls from this wild start at the kinked cost, but not
+        # from eta/lam: the coverage set's one restart exit
+        [(ops, lam, eta, y_init)] = coverage_inputs(
+            "kinked ratio=2.01 draw=255 start=normal")
+        res = solve_resolvent(ops, lam, eta, ResolventConfig(tol_res=1e-12),
+                              y_init=y_init)
     assert res.fallback == ("" if exit_ == "newton" else exit_)
     residual = Iterate.evaluate(ops, res.y).residual(lam, eta)
     assert res.residual == ops.grid.norm1(residual)
@@ -493,6 +495,33 @@ def test_exact_newton_solves_where_the_old_jacobian_stalled():
         1.0, ops.grid.norm1(eta))
 
 
+def test_former_resolvent_errors_are_solved():
+    # with the table's derivative samples as its Jacobian, Newton and the
+    # Picard fallback both stalled on these two inputs
+    cfg = ResolventConfig(tol_res=1e-12)
+    for ops, lam, eta, y_init in coverage_inputs(
+            *(f"kinked ratio=2.01 draw={d} start=normal" for d in (157, 224))):
+        res = solve_resolvent(ops, lam, eta, cfg, y_init=y_init)
+        assert res.residual <= cfg.tol_res * max(1.0, ops.grid.norm1(eta))
+
+
+def test_newton_step_is_the_derivative_of_the_tabulated_residual():
+    # 4.8e-3 off while the Jacobian read the table's derivative samples,
+    # which the value, interpolated separately, does not have as its slope
+    g = Grid1D(10.0, 201)
+    problem = desk_problem().discretize(g, conj=kinked_table(50.0, 4097))
+    ops, eta = problem.operands, problem.initial
+    lam = 2.5 * ops.lam0
+    y = np.random.default_rng(4).standard_normal(g.n)
+    r = Iterate.evaluate(ops, y).residual(lam, eta)
+    delta = ops.newton_step(lam, y, r)
+    t = 1e-6
+    plus, minus = (Iterate.evaluate(ops, y + s * delta).residual(lam, eta)
+                   for s in (t, -t))
+    assert np.max(np.abs((plus - minus) / (2 * t) + r)) <= 1e-6 * np.max(
+        np.abs(r))
+
+
 def test_near_floor_sweep_needs_no_fallback():
     exits = [solve_resolvent(ops, lam, eta).fallback
              for ops, lam, eta in near_floor_sweep(60)]
@@ -503,6 +532,14 @@ def test_desk_march_newton_iterations():
     # 200 with the Jacobian that dropped f''*grad(green .)
     sol = mild_solve(desk_problem().discretize(Grid1D(10.0, 201)), 1e-2)
     assert sum(d.iterations for d in sol.diagnostics) <= 130
+
+
+def test_kinked_desk_march_newton_iterations():
+    # 245 while the Jacobian read the table's derivative samples
+    problem = desk_problem().discretize(Grid1D(10.0, 201),
+                                        conj=kinked_table(50.0, 4097))
+    sol = mild_solve(problem, 1e-2)
+    assert sum(d.iterations for d in sol.diagnostics) <= 110
 
 
 def test_shift_at_most_twice_the_slope_bound_rejected_up_front():

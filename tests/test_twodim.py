@@ -377,7 +377,7 @@ def full_jacobian_step(prob, lam, y, r):
     from scipy.sparse.linalg import spsolve
 
     m = prob.half_sigma_sq
-    slope = sp.diags((prob.conj.derivative(m * y) * m).ravel())
+    slope = sp.diags((prob.conj.slope(m * y) * m).ravel())
     lap = operator_matrix(prob)
     jac = lam * sp.identity(lap.shape[0]) - lap @ slope
     return spsolve(jac.tocsc(), -r.ravel()).reshape(y.shape)
