@@ -340,8 +340,13 @@ def parse_config(text: str, mode_override: Optional[str] = None
                                                          alpha2)
                 except CostValidationError as exc:
                     v.error(kind_line, "[cost] h", str(exc))
-        elif kind_raw == "quadratic" and alpha1 is not None:
-            cfg.cost = RunningCost.quadratic(alpha1, alpha2)
+        elif kind_raw == "quadratic":
+            _, h_line = v.get("cost", "h")
+            if h_line:
+                v.error(h_line, "[cost] h", "a quadratic cost takes no h; "
+                        "set kind = expression")
+            elif alpha1 is not None:
+                cfg.cost = RunningCost.quadratic(alpha1, alpha2)
 
     if needs_solver:
         section = "2d" if planar else "grid"

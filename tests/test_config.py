@@ -377,6 +377,9 @@ BROKEN = {
     "bad-cost-kind": DESK.replace("kind = quadratic", "kind = cubic"),
     "expression-cost-without-h": DESK.replace("kind = quadratic",
                                               "kind = expression"),
+    # the h was dropped: a quadratic cost ran, and the manifest left h out
+    "quadratic-cost-with-h": DESK.replace("kind = quadratic",
+                                          "kind = quadratic\nh = u^2 + 5*u"),
     "cost-below-its-bound": DESK.replace("kind = quadratic",
                                          "kind = expression\nh = u^2 + 1")
                                 .replace("alpha2 = 0.0", "alpha2 = 2"),
@@ -545,6 +548,9 @@ PINNED_ERRORS = {
     ],
     "expression-cost-without-h": [
         (0, "[cost] h", "required for mode solve"),
+    ],
+    "quadratic-cost-with-h": [
+        (13, "[cost] h", "a quadratic cost takes no h; set kind = expression"),
     ],
     "cost-below-its-bound": [
         (12, "[cost] h", "coercivity bound fails at u=2.6: h=7.76 < 8.76"),
