@@ -118,6 +118,8 @@ def check_linf_bound(sol: MildSolution, vol: VolatilityData) -> BoundReport:
     the last bound."""
     if vol.grid != sol.grid:
         raise ValueError(f"volatility on {vol.grid}, run on {sol.grid}")
+    if len(sol.times) < 2:
+        raise ValueError("a run that takes no step has no step to certify")
     steps = np.array(step_lengths(sol.problem.horizon, sol.eps))[:, None]
     ys = sol.snapshots
     eta_inf = np.abs(sol.problem.source + ys[:-1] / steps).max(axis=1)

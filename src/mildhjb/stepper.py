@@ -186,10 +186,13 @@ def sup_time_gap(coarse: MildSolution, fine: MildSolution) -> float:
 
     The runs are compared at every step time of either run, each through its
     snapshot covering that time; each distinct pair of covering snapshots is
-    compared once, as row sums over slices of pairs.
+    compared once, as row sums over slices of pairs.  A run that takes no
+    step is rejected with ``ValueError``.
     """
     if coarse.grid != fine.grid:
         raise ValueError(f"runs on {coarse.grid} and {fine.grid}")
+    if min(len(coarse.times), len(fine.times)) < 2:
+        raise ValueError("a run that takes no step has no time gap")
     times = np.concatenate((fine.times, coarse.times))
     i, j = np.unique(np.stack(
         [np.searchsorted(run.times, times, side="right") - 1

@@ -157,6 +157,14 @@ def test_sup_bound_not_certifiable_for_tiny_shift():
                      eta_inf=0.0) is None
 
 
+def test_ladder_of_runs_that_take_no_step_fails():
+    # eps = 10 leaves T = 0.05 as a negligible remainder: every level kept
+    # only the initial snapshot, and each passed with a gap of 0
+    with pytest.raises(ValueError, match="takes no step"):
+        solve_degenerate(desk_problem(0.05), Grid1D(10.0, 201), 10.0,
+                         (1e-1, 1e-2))
+
+
 def test_gaps_that_grow_down_the_ladder_warn():
     # two nearly equal weights, then a large drop: the second gap is larger
     with pytest.warns(RuntimeWarning, match="not monotonically decreasing"):

@@ -163,6 +163,14 @@ def test_refine_until_stationary_zero():
     assert result.gaps[0] == 0.0
 
 
+def test_refine_until_rejects_levels_that_take_no_step():
+    # eps0 = 100 and 50 leave T = 0.1 as a negligible remainder: both runs
+    # kept only the initial snapshot, and their gap of 0 was certified
+    problem = quad_problem(Grid1D(10.0, 41), horizon=0.1)
+    with pytest.raises(ValueError, match="takes no step"):
+        refine_until(problem, 1e-3, 100.0, max_levels=2)
+
+
 def test_refine_until_gap_series_decreases():
     g = Grid1D(10.0, 201)
     problem = heat_problem(g, horizon=0.1)
