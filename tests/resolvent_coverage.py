@@ -1,7 +1,7 @@
 """The 10,800-input coverage set of the 1-D resolvent solver, and a
 720-input 2-D set.
 
-Run as ``python tests/resolvent_coverage.py`` (about 40 s); without a
+Run as ``python tests/resolvent_coverage.py`` (about 25 s); without a
 ``test_`` prefix it is not part of the test suite.  It solves the desk
 problem on ``Grid1D(10, 201)`` with the closed-form quadratic conjugate and
 with ``kinked_table(50, 4097)``, at lam/sup f' in ``RATIOS``.  For each cost
@@ -18,6 +18,17 @@ For each cost and shift, ``default_rng(2)`` is drawn ``DRAWS_2D`` times for
 ``eta = a*initial + amp*exp(-((x - c1)^2 + (y - c2)^2)/w^2)``, solved the
 same way from the default start, ``s*initial`` and an N(0, 30) draw.  It
 prints the same report for this set after the 1-D one.
+
+It exits 1 if any input of either set ended in ``ResolventError``, else 0.
+The expected report, 1-D then 2-D::
+
+    newton: 10799
+    restart: 1
+    newton iterations: 112620
+    kinked ratio=2.01 draw=255 start=normal: restart, 39 iterations
+    2-D set:
+    newton: 720
+    newton iterations: 3392
 """
 
 import collections
@@ -97,9 +108,10 @@ def inputs_2d():
                            f"start={start}", ops, lam, eta, y_init)
 
 
-def report(inputs):
+def report(inputs) -> int:
     """Solve every input; print the exits, the Newton exits' iterations and
-    every input that did not exit through Newton."""
+    every input that did not exit through Newton.  Returns the count of
+    ``ResolventError`` exits."""
     cfg = ResolventConfig(tol_res=1e-12)
     exits, newton_iterations, others = collections.Counter(), 0, []
     for label, ops, lam, eta, y_init in inputs:
@@ -119,13 +131,15 @@ def report(inputs):
         print(f"{exit_}: {count}")
     print(f"newton iterations: {newton_iterations}")
     print("\n".join(others))
+    return exits["ResolventError"]
 
 
-def main():
-    report(inputs())
+def main() -> int:
+    errors = report(inputs())
     print("2-D set:")
-    report(inputs_2d())
+    errors += report(inputs_2d())
+    return 1 if errors else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
