@@ -259,7 +259,7 @@ def test_vanishing_volatility_rejected():
 
 
 def test_newton_solves_near_the_shift_floor_without_fallback():
-    # a shifted Picard fallback was once tested on this input
+    # 0.05 above the floor, from a zero start: Newton needs no restart
     g = Grid1D(10.0, 201)
     drift = tanh_drift(g)
     ops = quad_ops(g, drift=drift, use_perturbation=False)
