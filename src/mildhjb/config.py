@@ -25,6 +25,7 @@ from .grid import Grid1D, Grid2D
 from .montecarlo import SEED_RANGE, seed_in_range
 from .problem import ControlProblem
 from .resolvent import ResolventConfig
+from .stepper import step_lengths
 from .twodim import PlanarProblem
 
 __all__ = ["ConfigError", "RunConfig", "parse_config"]
@@ -427,6 +428,14 @@ def parse_config(text: str, mode_override: Optional[str] = None
             problem[f"{key}_parts"] = (v.derived(dx, line, field, var="x"),
                                        v.derived(dx, line, field, var="y"),
                                        v.derived(dy, line, field, var="y"))
+
+    # a horizon of at least eps holds a full step; below it the schedule
+    # has at most one, so step_lengths is cheap to ask
+    horizon = problem.get("horizon")
+    if (None not in (cfg.eps, horizon) and horizon < cfg.eps
+            and not step_lengths(horizon, cfg.eps)):
+        v.error(v.get("solver", "eps")[1], "[solver] eps",
+                f"takes no step in T = {horizon:g}, which is at most eps/100")
 
     cfg.out_dir = v.get("output", "dir", default="out")[0] or "out"
     cfg.seed = v.integer("output", "seed", default=0,

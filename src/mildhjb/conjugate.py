@@ -114,7 +114,7 @@ class RunningCost:
 
 
 _SCAN = 65     # coarse samples per node before the golden section search
-_BLOCK = 256   # nodes maximized together by ``tabulate``; bounds the scan array
+_BLOCK = 256   # nodes scanned together by ``_maximize``; bounds the scan array
 
 
 def _maximize(cost: RunningCost, p):
@@ -123,7 +123,9 @@ def _maximize(cost: RunningCost, p):
     Elementwise over an array ``p``: every node runs the same coarse scan,
     golden section search, Newton polish and tie bisection, and leaves each
     iterative stage at its own iteration; only the nodes still iterating
-    are evaluated.
+    are evaluated.  The scan, of ``_SCAN`` samples a node, runs on blocks of
+    at most ``_BLOCK`` nodes, once to bracket the maximizer and once more to
+    find ties; every other stage runs on all nodes together.
     """
     p = np.asarray(p, dtype=float)
     shape, p = p.shape, p.ravel()
@@ -134,26 +136,34 @@ def _maximize(cost: RunningCost, p):
     # coercivity confines any maximizer to [0, top]
     h0 = float(cost.evaluate(0.0))
     top = (np.abs(p) + abs(h0)) / cost.alpha1 + 1.0
-    u_scan = np.linspace(0.0, top, _SCAN, axis=-1)
-    g_scan = gain(p[:, None], u_scan)
-    scale = 1e-10 * (1.0 + np.max(np.abs(g_scan), axis=-1, keepdims=True))
-    rises = g_scan[:, 1:] > g_scan[:, :-1] + scale
-    falls = g_scan[:, 1:] < g_scan[:, :-1] - scale
-    if np.any(rises & np.logical_or.accumulate(falls, axis=-1)):
-        raise NonConvexCostError(
-            "gain p*u - h(u) is not unimodal; cost appears non-convex")
+    blocks = [slice(i, i + _BLOCK) for i in range(0, p.size, _BLOCK)]
+
+    def scan(block):
+        u_scan = np.linspace(0.0, top[block], _SCAN, axis=-1)
+        return u_scan, gain(p[block, None], u_scan)
+
+    best, step = np.empty_like(p), np.empty_like(p)
+    for block in blocks:
+        u_scan, g_scan = scan(block)
+        scale = 1e-10 * (1.0 + np.max(np.abs(g_scan), axis=-1,
+                                      keepdims=True))
+        rises = g_scan[:, 1:] > g_scan[:, :-1] + scale
+        falls = g_scan[:, 1:] < g_scan[:, :-1] - scale
+        if np.any(rises & np.logical_or.accumulate(falls, axis=-1)):
+            raise NonConvexCostError(
+                "gain p*u - h(u) is not unimodal; cost appears non-convex")
+        best[block] = u_scan[np.arange(len(u_scan)),
+                             np.argmax(g_scan, axis=-1)]
+        step[block] = u_scan[:, 1] - u_scan[:, 0]
 
     # golden section search on the scan cell pair around the best sample
-    nodes = np.arange(p.size)
-    best = u_scan[nodes, np.argmax(g_scan, axis=-1)]
-    step = u_scan[:, 1] - u_scan[:, 0]
     a, b = best - step, best + step
     a, b = np.where(a > 0.0, a, 0.0), np.where(b < top, b, top)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     gc, gd = gain(p, c), gain(p, d)
     u_star = np.empty_like(p)
-    k, pk = nodes, p
+    k, pk = np.arange(p.size), p
     for _ in range(80):
         done = b - a < 1e-14 * (1.0 + a + b)  # a, b >= 0
         if done.any():
@@ -198,14 +208,19 @@ def _maximize(cost: RunningCost, p):
     at_zero = g_zero >= g_star
     # ties: bisect the rising edge to the smallest u attaining the maximum
     level = g_star - 1e-11 * (1.0 + np.abs(g_star))
-    eligible = g_scan >= level[:, None]
-    tie = ~at_zero & (np.sum(eligible, axis=-1) > 2)
+    tie = np.empty(p.size, dtype=bool)
+    a, b = np.empty_like(p), np.empty_like(p)  # the rising edge's scan cell
+    for block in blocks:
+        u_scan, g_scan = scan(block)
+        eligible = g_scan >= level[block, None]
+        tie[block] = ~at_zero[block] & (np.sum(eligible, axis=-1) > 2)
+        first = np.argmax(eligible, axis=-1)
+        rows = np.arange(len(u_scan))
+        a[block] = np.where(first > 0, u_scan[rows, first - 1], 0.0)
+        b[block] = u_scan[rows, first]
     k = np.nonzero(tie)[0]
     if k.size:
-        first = np.argmax(eligible[k], axis=-1)
-        a = np.where(first > 0, u_scan[k, first - 1], 0.0)
-        b = u_scan[k, first]
-        b = np.where(u_star[k] < b, u_star[k], b)
+        a, b = a[k], np.where(u_star[k] < b[k], u_star[k], b[k])
         for _ in range(80):
             mid = 0.5 * (a + b)
             up = gain(p[k], mid) >= level[k]
@@ -290,9 +305,7 @@ class ConjugateHamiltonian:
         if int(nodes) < 2:
             raise ValueError(f"need at least 2 nodes, got {nodes}")
         grid = np.linspace(float(p_min), float(p_max), int(nodes))
-        blocks = [_maximize(cost, grid[i:i + _BLOCK])
-                  for i in range(0, grid.size, _BLOCK)]
-        ders, vals, ties = (np.concatenate(column) for column in zip(*blocks))
+        ders, vals, ties = _maximize(cost, grid)
         step = np.diff(grid)
         pots = np.concatenate(([0.0], np.cumsum(
             0.5 * (vals[1:] + vals[:-1]) * step

@@ -8,8 +8,8 @@ system
 with the nonlinear flux ``value`` from the conjugate machinery, monotone
 upwinding of the transport term, and zero ghost values, by damped Newton
 with the exact Jacobian, which reads the conjugate's ``slope`` (semismooth
-where the conjugate has kinks; a table's chord slopes).  A start from which
-Newton stalls is restarted once from ``eta/lam``.
+where the conjugate has kinks; a table's chord slopes).  A start other than
+``eta/lam`` from which Newton stalls is restarted once from ``eta/lam``.
 
 The 1-D Jacobian is ``T + diag(f'')*C*G - 2*diag(f')``: ``T`` tridiagonal,
 ``G`` the Green solve, ``C`` the central slope.  With ``psi = G*delta`` a
@@ -273,10 +273,11 @@ def solve_resolvent(ops, lam: float, eta,
     ``ResolventConfig()``.  The solve starts from ``eta/lam``, from
     ``y_init``, or, in place of ``y_init``, from ``warm``: the result of an
     earlier solve on ``ops``, whose stored terms then give the starting
-    residual.  A stalled Newton restarts once from ``eta/lam`` (fallback
-    ``"restart"``).  Raises ``ValueError`` when the shift does not clear
-    ``shift_floor(ops)`` or a warm start belongs to another operand, and
-    ``ResolventError`` when the restart stalls too.
+    residual.  A Newton that stalls from ``y_init`` or ``warm`` restarts
+    once from ``eta/lam`` (fallback ``"restart"``).  Raises ``ValueError``
+    when the shift does not clear ``shift_floor(ops)`` or a warm start
+    belongs to another operand, and ``ResolventError`` when Newton stalls
+    from ``eta/lam``.
     """
     eta = np.asarray(eta, dtype=float)
     check_table("eta", eta, ops.shape)
@@ -298,7 +299,7 @@ def solve_resolvent(ops, lam: float, eta,
 
     cur, iters, rnorm, ok = _newton(ops, lam, eta, start, tol, cfg.max_iter)
     fallback = ""
-    if not ok:
+    if not ok and (warm is not None or y_init is not None):
         cur, iters2, rnorm, ok = _newton(ops, lam, eta, Iterate.evaluate(
             ops, eta / lam), tol, cfg.max_iter)
         iters += iters2

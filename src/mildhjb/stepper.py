@@ -9,14 +9,17 @@ mild solution.  ``refine_until`` halves ``eps`` and measures the sup-in-time
 L1 gap between successive refinements, the computable Cauchy certificate for
 the limit; a forked worker (``_fork``) marches its finest level
 speculatively, killed if the sweep converges before it, and its CPU time and
-memory show only in ``RUSAGE_CHILDREN``.  Every step is stored.  A
+memory show only in ``RUSAGE_CHILDREN``.  ``march`` is the one march loop:
+it yields each step's result and keeps none, so a caller holds only the
+states it reads; ``mild_solve`` stores every step.  A
 ``TransformedProblem`` holds the data (initial state, source, horizon) on
 any operand of ``solve_resolvent`` (``EllipticOperands``,
 ``twodim.Problem2D``), which holds no data; a ``MildSolution`` holds its
 problem and derives its shortened last step from it.  ``step_lengths`` is
-the one check of a schedule.  ``energy_report`` (1-D only) computes, per
-snapshot, the potential integral ``h * sum j(m*y)/sigma^2`` and the flux
-dissipation ``h * sum ((value(m*y))_x)^2``.
+the one check of a schedule, and ``step_times`` gives its step times.
+``energy_report`` (1-D only) computes, per snapshot, the potential integral
+``h * sum j(m*y)/sigma^2`` and the flux dissipation
+``h * sum ((value(m*y))_x)^2``.
 """
 
 from __future__ import annotations
@@ -40,10 +43,12 @@ __all__ = [
     "StepDiagnostics",
     "TransformedProblem",
     "energy_report",
+    "march",
     "mild_solve",
     "refine_until",
     "step",
     "step_lengths",
+    "step_times",
 ]
 
 
@@ -148,26 +153,43 @@ def step_lengths(horizon: float, eps: float) -> list[float]:
     return [eps] * n_full + ([remainder] if remainder > eps / 100.0 else [])
 
 
+def step_times(horizon: float, eps: float) -> np.ndarray:
+    """The start time 0 and the end time of every step of ``step_lengths``,
+    ``min(i*eps, horizon)``: exact multiples of eps, so runs at eps and
+    eps/2 meet at the same times."""
+    steps = len(step_lengths(horizon, eps))
+    return np.minimum(eps * np.arange(steps + 1), horizon)
+
+
+def march(problem: TransformedProblem, eps: float,
+          cfg: Optional[ResolventConfig] = None):
+    """Yield the ``ResolventResult`` of every step of ``step_lengths``, in
+    order, each warm-started from the one before; the state after step
+    ``i`` is the ``i``-th result's ``y``.  Nothing is kept, so the march
+    holds two states whatever its length."""
+    res = None
+    for dt in step_lengths(problem.horizon, eps):
+        res = step(problem, dt, problem.initial if res is None else res.y,
+                   cfg=cfg, warm=res)
+        yield res
+
+
 def mild_solve(problem: TransformedProblem, eps: float,
                cfg: Optional[ResolventConfig] = None) -> MildSolution:
-    """Iterate the implicit step across the horizon, storing every step.
+    """Store every step of ``march``.
 
-    Steps follow ``step_lengths``; a shortened final step shows in
-    ``times`` and in the derived ``partial_step``.  Step times are exact
-    multiples of eps, so runs at eps and eps/2 meet at the same times.  The
-    snapshots take ``(steps + 1) * 8`` bytes per node.
+    A shortened final step shows in ``times`` (``step_times``) and in the
+    derived ``partial_step``.  The snapshots take ``(steps + 1) * 8`` bytes
+    per node.
     """
-    lengths = step_lengths(problem.horizon, eps)
-    ys = np.empty((len(lengths) + 1, *problem.operands.shape))
+    times = step_times(problem.horizon, eps)
+    ys = np.empty((len(times), *problem.operands.shape))
     ys[0] = problem.initial
     diags: list[StepDiagnostics] = []
-    res = None  # each step starts from the previous one's terms
-    for i, dt in enumerate(lengths, start=1):
-        res = step(problem, dt, ys[i - 1], cfg=cfg, warm=res)
+    for i, res in enumerate(march(problem, eps, cfg), start=1):
         ys[i] = res.y
         diags.append(StepDiagnostics(res.residual, res.iterations,
                                      res.fallback, res.out_of_table))
-    times = np.minimum(eps * np.arange(len(lengths) + 1), problem.horizon)
     return MildSolution(eps=eps, problem=problem, times=times,
                         snapshots=ys, diagnostics=diags)
 

@@ -10,10 +10,13 @@ stencil for the cross term, all closed by zero ghosts, and applied as one
 CSR matvec (``Problem2D.csr``, scipy's compiled kernel) over the slab of
 mesh rows the field reaches.  As in 1-D,
 ``PlanarProblem.discretize`` puts the operand ``Problem2D`` and the data
-into a ``stepper.TransformedProblem``, which ``stepper.mild_solve``
-marches.  The implicit step solves ``lam*y - L(value(m0*y)) = eta`` through
+into a ``stepper.TransformedProblem``, which ``stepper.march`` marches.
+The implicit step solves ``lam*y - L(value(m0*y)) = eta`` through
 ``resolvent.solve_resolvent``: one Newton solver, one residual
-certificate, one march and one solution type serve both 1-D and 2-D.
+certificate, one march loop (``stepper.march``) and one solution type
+(``stepper.mild_solve``'s, which stores every step) serve both 1-D and
+2-D; the ``solve-2d`` runner reads the march step by step and keeps only
+the final state and the masses.
 Without drift the resolvent is an L1 contraction with constant exactly
 ``1/lam``.
 

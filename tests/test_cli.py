@@ -2,6 +2,7 @@ import errno
 import io
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,20 +208,6 @@ def test_expression_conjugate_table_matches_closed_forms(tmp_path):
         assert value == pytest.approx(q * q / 4.0, abs=1e-12)
         assert derivative == pytest.approx(q / 2.0, abs=2e-8)
         assert pot == pytest.approx(q ** 3 / 12.0, abs=1e-9)
-
-
-def test_solve_with_short_horizon_emits_single_snapshot(tmp_path):
-    # below eps/100 the horizon is dropped as a negligible remainder
-    cfg = write(tmp_path, "s.cfg", SOLVE.format(T=1e-4))
-    out = tmp_path / "out"
-    assert run("solve", str(cfg), out_dir=str(out), quiet=True) == 0
-    _, data = read_table(out / "fields" / "y.csv")
-    times = {row[0] for row in data}
-    assert times == {"0.0"}
-    xs = np.array([float(r[1]) for r in data])
-    ys = np.array([float(r[2]) for r in data])
-    expected = (4.0 * xs**2 - 2.0) * np.exp(-xs**2) * (-1.0)
-    np.testing.assert_allclose(ys, expected, atol=1e-12)
 
 
 def test_simulate_is_byte_deterministic(tmp_path):
@@ -607,6 +594,25 @@ def test_solver_keys_reach_the_solver(tmp_path, capsys, mode, text, key):
     assert "type: ResolventError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, text", [
+    ("solve", SOLVE.format(T=0.0001)),
+    ("sweep-eps", SOLVE.format(T=0.0001).replace(
+        "eps = 0.02", "eps = 0.02\nrefine_tol = 1e-3")),
+    ("solve-2d", SOLVE_2D.replace("T = 0.02", "T = 0.00005")),
+], ids=["solve", "sweep-eps", "solve-2d"])
+def test_a_horizon_that_takes_no_step_is_a_validation_error(
+        tmp_path, capsys, mode, text):
+    # at most eps/100 the horizon is dropped: solve once wrote the initial
+    # state alone and sweep-eps failed only after marching
+    cfg = write(tmp_path, "e.cfg", text)
+    line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                if row.startswith("eps = "))
+    out = tmp_path / "o"
+    assert run(mode, str(cfg), out_dir=str(out), quiet=True) == 2
+    assert f"line {line}: [solver] eps: takes no step" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("sigma0", [
@@ -679,6 +685,25 @@ def test_solve_2d_artifacts(tmp_path):
     masses = [float(r[1]) for r in mass]
     size = sum(abs(float(r[4])) for r in data) * (12.0 / 20.0) ** 2
     assert abs(masses[-1] - masses[0]) <= 1e-8 * max(1.0, size)
+
+
+def test_solve_2d_memory_does_not_grow_with_the_steps(tmp_path):
+    # the runner keeps the final state and one mass per step; a stored
+    # table would add 30 snapshots of 41^2 * 8 = 13,448 B from 10 to 40 steps
+    peaks = []
+    tracemalloc.start()
+    try:
+        for horizon in ("0.1", "0.4"):
+            cfg = write(tmp_path, "t.cfg", SOLVE_2D.replace(
+                "n = 21", "n = 41").replace("T = 0.02", f"T = {horizon}"))
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert run("solve-2d", str(cfg), out_dir=str(tmp_path / horizon),
+                       quiet=True) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 41 * 41 * 8
 
 
 def test_simulate_optional_path_dump(tmp_path):

@@ -319,3 +319,25 @@ def test_potential_vanishes_at_zero_off_the_table(p_min, p_max):
         oracle = (-0.0078125 + ((r - 0.25) ** 3 - 0.25 ** 3) / 12.0
                   if p_min > 0 else 0.0)
         assert float(table.potential(r)) == pytest.approx(oracle, abs=1e-12)
+
+
+def kinked_cost():
+    # a kink at u = 1: every p in [2, 3] has the maximizer 1
+    return RunningCost.from_callable(
+        lambda u: u * u + np.maximum(u - 1.0, 0.0), alpha1=1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cost=st.sampled_from([simulate_cost, kinked_cost, piecewise_flat_cost]),
+       nodes=st.lists(st.one_of(st.floats(-50.0, 50.0),
+                                st.sampled_from([0.0, 0.25, 2.0, 2.5, 3.0])),
+                      min_size=1, max_size=700),
+       cuts=st.lists(st.integers(1, 700), max_size=4))
+def test_maximize_of_a_split_is_the_split_of_maximize(cost, nodes, cuts):
+    # each node takes its own path through scan, search, polish and tie
+    # bisection, so which nodes share a call, or a scan block, moves no bit
+    cost, p = cost(), np.array(nodes)
+    edges = sorted({0, p.size, *(c for c in cuts if c < p.size)})
+    parts = [_maximize(cost, p[i:j]) for i, j in zip(edges, edges[1:])]
+    for whole, split in zip(_maximize(cost, p), zip(*parts)):
+        assert whole.tobytes() == np.concatenate(split).tobytes()

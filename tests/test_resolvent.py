@@ -231,6 +231,29 @@ def test_budget_exhaustion_raises():
         solve_resolvent(ops, 3.0, eta, ResolventConfig(max_iter=0))
 
 
+def test_a_stall_from_eta_over_lam_is_not_restarted_from_there(monkeypatch):
+    # the restart starts from eta/lam, so from the default start it would
+    # repeat the stalled run bit for bit and raise the same error
+    g = Grid1D(10.0, 201)
+    ops = quad_ops(g, drift=tanh_drift(g))
+    lam, eta, cfg = 3.0, 3.0 * np.exp(-g.x**2), ResolventConfig(max_iter=2)
+    calls = []
+    newton_step = EllipticOperands.newton_step
+
+    def spy(self, *args):
+        calls.append(None)
+        return newton_step(self, *args)
+
+    monkeypatch.setattr(EllipticOperands, "newton_step", spy)
+    with pytest.raises(ResolventError) as caught:
+        solve_resolvent(ops, lam, eta, cfg)
+    assert len(calls) == 2
+    tol = cfg.tol_res * max(1.0, g.norm1(eta))
+    *_, rnorm, ok = _newton(ops, lam, eta, Iterate.evaluate(ops, eta / lam),
+                            tol, cfg.max_iter)
+    assert not ok and caught.value.residual == rnorm
+
+
 def test_budget_exhaustion_raises_in_2d():
     from mildhjb.twodim import Grid2D, Problem2D
     g = Grid2D(3.0, 11)

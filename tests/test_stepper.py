@@ -503,10 +503,14 @@ def cold_march(problem, eps):
     return np.array(ys), diags
 
 
-@pytest.mark.parametrize("make, eps", [
+# a drifted 1-D run and a 2-D run, each with a shortened last step
+SHORTENED_RUNS = pytest.mark.parametrize("make, eps", [
     (lambda: desk_problem(horizon=0.105).discretize(Grid1D(10.0, 201)), 0.01),
     (planar_problem, 0.015),
 ], ids=["1d-desk", "2d"])
+
+
+@SHORTENED_RUNS
 def test_warm_started_march_equals_a_cold_march_bit_for_bit(make, eps):
     # each step starts from the previous step's stored terms; the last step
     # is shortened, so its shift differs from the one those terms came with
@@ -516,3 +520,20 @@ def test_warm_started_march_equals_a_cold_march_bit_for_bit(make, eps):
     ys, diags = cold_march(problem, eps)
     assert sol.snapshots.tobytes() == ys.tobytes()
     assert sol.diagnostics == diags
+
+
+@SHORTENED_RUNS
+def test_march_yields_the_stored_steps_bit_for_bit(make, eps):
+    # a caller that reads the march step by step, as the 2-D runner does,
+    # sees the states, certificates and times that mild_solve stores
+    problem = make()
+    sol = mild_solve(problem, eps)
+    results = list(stepper.march(problem, eps))
+    assert sol.partial_step > 0
+    ys = np.array([problem.initial, *(res.y for res in results)])
+    assert ys.tobytes() == sol.snapshots.tobytes()
+    assert [StepDiagnostics(res.residual, res.iterations, res.fallback,
+                            res.out_of_table)
+            for res in results] == sol.diagnostics
+    times = stepper.step_times(problem.horizon, eps)
+    assert times.tobytes() == sol.times.tobytes()

@@ -92,7 +92,7 @@ def test_traced_2d_names_are_the_generic_functions():
     # the trace wraps these aliases as the 2-D march and resolvent; a
     # forwarder behind either name would fork the 2-D path from the 1-D one
     from mildhjb import cli, resolvent, stepper, twodim
-    assert cli.mild_solve_2d is stepper.mild_solve
+    assert cli.mild_solve_2d is stepper.march
     assert twodim.solve_resolvent_2d is resolvent.solve_resolvent
 
 
