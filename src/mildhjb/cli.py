@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _fork
-from ._lapack import version as scipy_version
+from ._lapack import lapack, version as scipy_version
 from .config import MODES, RunConfig, parse_config
 from .conjugate import ConjugateHamiltonian
 from .degenerate import solve_degenerate
@@ -340,6 +340,7 @@ def _write_manifest(cfg: RunConfig, out: Path, elapsed: float) -> None:
             f"# version: {__version__}\n"
             f"# python: {sys.version.split()[0]}"
             f" numpy: {np.__version__} scipy: {scipy_version}\n"
+            f"# lapack: {lapack}\n"
             f"# elapsed_seconds: {elapsed:.3f}\n"
             f"# the remainder is the effective config; rerun with\n"
             f"#   mildhjb {cfg.mode} --config manifest.txt\n"

@@ -10,7 +10,7 @@ import pytest
 import conftest
 from artifact_bytes import output_hashes
 from conftest import deadline
-from mildhjb import _fork, cli, montecarlo, stepper
+from mildhjb import _fork, _lapack, cli, montecarlo, stepper
 from mildhjb.cli import main, run
 from mildhjb.grid import Grid1D
 
@@ -462,6 +462,17 @@ def artifact_hashes(tmp_path, name):
 def test_artifact_bytes_are_pinned(tmp_path, name):
     got = artifact_hashes(tmp_path, name)
     assert got == PINNED_HASHES[name], f"new hashes: {name!r}: {got!r},"
+
+
+def test_manifest_names_the_lapack_that_served_the_run(tmp_path):
+    # a "#" line, so the pinned hashes and artifact_bytes.py leave it out
+    cfg = write(tmp_path, "s.cfg", SOLVE.format(T=0.04))
+    out = tmp_path / "out"
+    assert run("solve", str(cfg), out_dir=str(out), quiet=True) == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert f"# lapack: {_lapack.lapack}" in lines
+    assert _lapack.lapack.startswith(("numpy.libs/libscipy_openblas64_",
+                                      "scipy _flapack (fallback)"))
 
 
 def test_seed_override_lands_in_manifest(tmp_path):
@@ -988,6 +999,11 @@ def test_cli_import_leaves_out_scipy_integrate():
     # no mode integrates by quadrature; importing scipy.integrate would cost
     # most of the package's import time
     assert not loaded_by_cli_import("scipy.integrate")
+
+
+def test_cli_import_leaves_out_numpy_random():
+    # numpy.random maps about 6 MB resident; only the Monte Carlo needs it
+    assert not loaded_by_cli_import("numpy.random")
 
 
 def test_expression_conjugate_table_leaves_out_scipy_integrate(tmp_path):

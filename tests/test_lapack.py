@@ -1,4 +1,10 @@
+import ctypes
+import os
+import subprocess
+import sys
 from importlib import machinery
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +14,7 @@ from scipy.sparse import _sparsetools
 
 from mildhjb import _lapack
 from mildhjb.twodim import Grid2D
+from test_cli import SOLVE, SOLVE_2D, write
 from test_twodim import make_problem
 
 
@@ -74,3 +81,126 @@ def test_loader_falls_back_to_the_public_import(monkeypatch, tmp_path):
         assert same_solution(flapack, _lapack, system)
     assert np.array_equal(csr_product(sparsetools.csr_matvec, 6),
                           csr_product(_lapack.csr_matvec, 6))
+
+
+def test_fallback_serves_flapack_with_the_bits_of_numpys_openblas(
+        monkeypatch, tmp_path):
+    # no OpenBLAS in numpy.libs, or one without the ILP64 symbols: scipy's
+    # _flapack serves both solves, to the bits of the bound kernels
+    flapack = _lapack._load("linalg._flapack")
+    for missing in ("library", "symbols"):
+        if missing == "library":
+            monkeypatch.setattr(_lapack, "_NUMPY_LIBS", tmp_path)
+        else:
+            monkeypatch.setattr(_lapack.ctypes, "CDLL", lambda path: object())
+        name, dgbsv, dpbsv = _lapack._kernels()
+        assert name == "scipy _flapack (fallback)"
+        assert (dgbsv.__doc__, dpbsv.__doc__) == (flapack.dgbsv.__doc__,
+                                                  flapack.dpbsv.__doc__)
+        fallback = SimpleNamespace(dgbsv=dgbsv, dpbsv=dpbsv)
+        for seed in range(3):
+            for system in (one_d_band(seed), two_d_block(seed)):
+                assert same_solution(fallback, _lapack, system)
+        monkeypatch.undo()
+    assert _lapack.lapack.startswith("numpy.libs/libscipy_openblas64_")
+
+
+def c_stdio_flushed(capfd):
+    # OpenBLAS's XERBLA prints with C stdio, which buffers a captured stream
+    ctypes.CDLL(None).fflush(None)
+    return capfd.readouterr()
+
+
+N = 6
+GBSV_BAD = {
+    "band-one-row-short": (2, 3, np.zeros((7, N)), np.ones(N)),
+    "rhs-too-long": (2, 3, np.zeros((8, N)), np.ones(N + 1)),
+    "rhs-too-short": (2, 3, np.zeros((8, N)), np.ones(N - 1)),
+    "rhs-a-column": (2, 3, np.zeros((8, N)), np.ones((N, 1))),
+    "band-float32": (2, 3, np.zeros((8, N), np.float32), np.ones(N)),
+    "rhs-int": (2, 3, np.zeros((8, N)), np.ones(N, np.int64)),
+    "band-big-endian": (2, 3, np.zeros((8, N), ">f8"), np.ones(N)),
+    "band-a-list": (2, 3, np.zeros((8, N)).tolist(), np.ones(N)),
+    "kl-negative": (-1, 3, np.zeros((2, N)), np.ones(N)),
+    "empty": (2, 3, np.zeros((8, 0)), np.ones(0)),
+}
+PBSV_BAD = {
+    "band-no-rows": (np.zeros((0, N)), np.ones(N)),
+    "band-1d": (np.zeros(N), np.ones(N)),
+    "rhs-too-short": (np.ones((2, N)), np.ones(N - 1)),
+    "band-int": (np.ones((2, N), np.int64), np.ones(N)),
+    "rhs-float32": (np.ones((2, N)), np.ones(N, np.float32)),
+    "empty": (np.zeros((2, 0)), np.ones(0)),
+}
+
+
+@pytest.mark.parametrize("args", GBSV_BAD.values(), ids=GBSV_BAD)
+def test_gbsv_rejects_a_bad_operand_before_lapack(capfd, args):
+    with pytest.raises(ValueError, match="float64 band"):
+        _lapack.dgbsv(*args, overwrite_ab=1, overwrite_b=1)
+    assert c_stdio_flushed(capfd) == ("", "")
+
+
+@pytest.mark.parametrize("args", PBSV_BAD.values(), ids=PBSV_BAD)
+def test_pbsv_rejects_a_bad_operand_before_lapack(capfd, args):
+    with pytest.raises(ValueError, match="float64 band"):
+        _lapack.dpbsv(*args, lower=1, overwrite_ab=1, overwrite_b=1)
+    assert c_stdio_flushed(capfd) == ("", "")
+
+
+def rejecting_kernel(info_at):
+    def kernel(*args):
+        args[info_at].value = -4
+    return kernel
+
+
+@pytest.mark.parametrize("binding, info_at, args", [
+    (_lapack._dgbsv, 9, (2, 3, np.ones((8, N)), np.ones(N))),
+    (_lapack._dpbsv, 8, (np.ones((2, N)), np.ones(N))),
+], ids=["gbsv", "pbsv"])
+def test_negative_info_raises(binding, info_at, args):
+    with pytest.raises(ValueError, match="argument 4"):
+        binding(rejecting_kernel(info_at), *args)
+
+
+def test_bindings_copy_what_lapack_may_not_overwrite():
+    # a C-order band, a read-only band and a strided right-hand side are
+    # solved on Fortran copies, with the bits of the in-place solve
+    name, ab, rhs, solve = one_d_band(7)
+    *_, x, info = solve(_lapack.dgbsv, ab.copy(order="F"), rhs.copy())
+    frozen = ab.copy(order="F")
+    frozen.flags.writeable = False
+    for band, b, in_place in ((np.ascontiguousarray(ab), rhs.copy(), True),
+                              (frozen, np.repeat(rhs, 2)[::2], False)):
+        lub, _, x_copy, info_copy = _lapack.dgbsv(2, 3, band, b, 1, 1)
+        assert info_copy == info == 0 and np.array_equal(x_copy, x)
+        assert not np.shares_memory(lub, band)
+        assert np.shares_memory(x_copy, b) == in_place
+
+
+PROC_MAPS = """
+import sys
+from pathlib import Path
+from mildhjb import cli
+for mode, cfg in zip(("solve", "solve-2d"), sys.argv[1:3]):
+    assert cli.run(mode, cfg, out_dir=str(Path(cfg).with_suffix("")),
+                   quiet=True) == 0
+maps = Path("/proc/self/maps").read_text().splitlines()
+print("\\n".join(sorted({line.split()[-1] for line in maps
+                         if "openblas" in line.split()[-1].lower()})))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(),
+                    reason="needs /proc/self/maps")
+def test_a_run_maps_one_openblas(tmp_path):
+    # numpy maps its OpenBLAS on import; scipy's _flapack would map another
+    cfgs = [write(tmp_path, "s.cfg", SOLVE.format(T=0.04)),
+            write(tmp_path, "p.cfg", SOLVE_2D)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(_lapack.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", PROC_MAPS, *map(str, cfgs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.split()) == 1, done.stdout

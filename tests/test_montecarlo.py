@@ -552,6 +552,24 @@ def test_path_normals_match_fresh_per_path_generators(monkeypatch):
                 z[i], fresh_stream(seed, 3 + i).standard_normal(steps))
 
 
+def test_path_generators_gather_no_os_entropy(monkeypatch):
+    # Philox(key=...) fills a SeedSequence() from OS entropy, then drops it
+    from numpy.random import bit_generator
+
+    drawn = []
+    monkeypatch.setattr(bit_generator, "randbits",
+                        lambda bits: drawn.append(bits) or 0)
+    next(montecarlo._noise(5, 3, 4, 7))
+    assert drawn == []
+    fresh_stream(5, 3)
+    assert drawn == [128]
+
+
+def test_key_seeds_nothing_but_a_philox_key():
+    with pytest.raises(ValueError, match="2 uint64 words"):
+        montecarlo._key_type()(5).generate_state(4, np.uint32)
+
+
 def test_draw_size_does_not_change_results(monkeypatch):
     # 203 steps are a multiple of neither _CHUNK nor any draw size below
     monkeypatch.setattr(montecarlo, "_BLOCK", 64)
