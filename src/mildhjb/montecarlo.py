@@ -140,18 +140,14 @@ def _path_normals(streams: list, out: np.ndarray) -> None:
 
 @functools.cache
 def _key_type():
-    """The seed sequence ``_noise`` gives each ``Philox``, defined on first
-    use: importing ``numpy.random`` maps about 6 MB, which only the Monte
-    Carlo needs."""
+    """A seed sequence that hands ``Philox`` the key ``[seed, path]``
+    itself, counter 0: the stream of ``Philox(key=...)`` without the
+    ``SeedSequence()`` it fills from OS entropy and drops (4.4 against 10.6
+    us a path).  Each generator keeps it, so one serves a block.  Defined
+    on first use, as importing ``numpy.random`` maps about 6 MB."""
     from numpy.random.bit_generator import ISeedSequence
 
     class Key(ISeedSequence):
-        """Seeds ``Philox`` with the key ``[seed, path]`` itself, counter 0:
-        the stream of ``Philox(key=...)`` without the ``SeedSequence()``
-        that it fills from OS entropy and discards (4.4 against 10.6 us a
-        path).  Every generator keeps its seed sequence, so one ``Key``
-        serves a block."""
-
         def __init__(self, seed: int):
             self.seed, self.path = seed, 0
 
