@@ -4,13 +4,13 @@
 The solves are bound by ``ctypes`` to the ILP64 OpenBLAS that numpy bundles
 in ``numpy.libs`` and has mapped, so scipy's own OpenBLAS is never mapped;
 scipy's ``_flapack`` serves them where numpy has none, and ``lapack`` names
-the source.  A binding takes f2py's arguments and returns its tuple (``piv``
-1-based).  LAPACK checks no input and OpenBLAS's XERBLA only prints, so a bad
-dtype or shape, an empty system and ``info < 0`` raise ``ValueError``.
-``csr_matvec`` (``_sparsetools`` maps no BLAS) and the version are loaded
-from their files, keeping scipy's package and ``numpy.f2py`` out of the
-process; that layout is private to scipy, so a missing file falls back to
-the public import."""
+the source.  A binding takes f2py's arguments (not ``dpbsv``'s ``ldab``)
+and returns its tuple (``piv`` 1-based).  LAPACK checks no input and
+OpenBLAS's XERBLA only prints, so a bad dtype or shape, an empty system and
+``info < 0`` raise ``ValueError``.  ``csr_matvec`` (``_sparsetools`` maps no
+BLAS) and the version are loaded from their files, keeping scipy's package
+and ``numpy.f2py`` out of the process; that layout is private to scipy, so
+a missing file falls back to the public import."""
 
 import ctypes
 from ctypes import POINTER, c_char_p, c_double, c_int64, c_size_t
@@ -68,7 +68,7 @@ def _dgbsv(kernel, kl, ku, ab, b, overwrite_ab=0, overwrite_b=0):
     return ab, piv, b, _info(info)
 
 
-def _dpbsv(kernel, ab, b, lower=0, overwrite_ab=0, overwrite_b=0):
+def _dpbsv(kernel, ab, b, lower=0, *, overwrite_ab=0, overwrite_b=0):
     rows = ab.shape[0] if getattr(ab, "ndim", 0) == 2 else 0
     ab, b = _operands(ab, b, rows, overwrite_ab, overwrite_b)
     n, kd, one, ldab = _ints(b.size, rows - 1, 1, rows)
