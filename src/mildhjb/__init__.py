@@ -14,8 +14,8 @@ from .conjugate import (ConjugateHamiltonian, CostValidationError,
 from .degenerate import (DegenerateSweep, VolatilityData, check_linf_bound,
                          solve_degenerate, sup_bound)
 from .drift import DriftData, apply_B
-from .grid import (Grid1D, Grid2D, diff1_central, diff1_upwind, diff2,
-                   green_constants, poisson_gradient, poisson_solve)
+from .grid import (Grid1D, Grid2D, diff1_central, diff2, green_constants,
+                   poisson_gradient, poisson_solve)
 from .montecarlo import (ComparisonReport, McReport, SimConfig,
                          SimulationError, compare_policies, simulate_cost)
 from .problem import ControlProblem

@@ -5,8 +5,9 @@ stepper runs at each level of a decreasing ladder, and the sup-in-time L1
 gaps between adjacent levels are reported (convergence is exhibited, never
 asserted with a rate).  Each level also gets a sup-norm certificate: a
 constant barrier M computed from the flux curvature bound and the volatility
-derivative norms must dominate every snapshot.  The certificate reads the
-level's weight, through the flux multiplier, from the run itself.
+derivative norms (and ``drift``'s ``barrier_terms``) must dominate every
+snapshot.  The certificate reads the level's weight, through the flux
+multiplier, from the run itself.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .conjugate import ConjugateHamiltonian
-from .grid import Grid1D, check_table, green_constants, tabulate
+from .grid import Grid1D, check_table, tabulate
 from .resolvent import ResolventConfig
 from .stepper import MildSolution, mild_solve, step_lengths, sup_time_gap
 
@@ -110,12 +111,8 @@ def check_linf_bound(sol: MildSolution, vol: VolatilityData) -> BoundReport:
     """Certify every step of a run against its constant barrier, each
     step's ``eta`` formed from the snapshots as ``mild_solve`` forms it and
     the flux multiplier read off the run; ``vol`` is on the run's grid.
-
-    A drift adds ``-f*y' + f''*phi_x - 2f'*y``.  Where y_k peaks (or dips)
-    the upwinded transport is >= 0, ``-2f'*y >= -2 sup|f'| y_k`` and
-    ``|f''*phi_x| <= max|f''| * c_grad * ||y_k||_1`` (``c_grad`` the exact
-    Green slope norm): the shift drops by ``2 sup|f'|``, ``eta_inf`` gains
-    the last bound."""
+    A drift lowers each shift and raises each ``eta_inf`` by its
+    ``barrier_terms``."""
     if vol.grid != sol.grid:
         raise ValueError(f"volatility on {vol.grid}, run on {sol.grid}")
     if len(sol.times) < 2:
@@ -125,11 +122,9 @@ def check_linf_bound(sol: MildSolution, vol: VolatilityData) -> BoundReport:
     eta_inf = np.abs(sol.problem.source + ys[:-1] / steps).max(axis=1)
     y_inf = np.abs(ys[1:]).max(axis=1)
     lams = shifts = 1.0 / steps[:, 0]
-    drift = sol.operands.drift
-    if drift is not None:
-        shifts = lams - 2.0 * drift.slope_sup
-        c = float(np.max(np.abs(drift.f2))) * green_constants(sol.grid)[1]
-        eta_inf = eta_inf + c * np.array([sol.grid.norm1(y) for y in ys[1:]])
+    if sol.operands.drift is not None:
+        drop, rhs = sol.operands.drift.barrier_terms(ys[1:])
+        shifts, eta_inf = lams - drop, eta_inf + rhs
     s_max = float(np.max(sol.operands.half_sigma_sq))
     bounds = [sup_bound(sol.operands.conj, vol, s_max, lam, e)
               for lam, e in zip(shifts, eta_inf)]

@@ -1,15 +1,16 @@
-"""Tabulated drift coefficient and the bounded nonlocal perturbation.
+"""The drift's stencil: transport, perturbation, Jacobian and barrier.
 
 Differentiating the transport term of the backward equation twice in space
 (the forward unknown is minus the value curvature at reversed time) leaves
-the lower-order coupling
+the upwinded transport ``-f*y'`` and the lower-order coupling
 
     perturbation(y) = f'' * gradient(green(y)) - 2 f' * y,
 
 where the Green solve inverts minus the second derivative, so
 ``gradient(green(y))`` is exactly the value slope the chain rule produces.
 The perturbation is bounded on L1 with constant
-``||f''||_1 * c_gradient + 2 ||f'||_inf``.
+``||f''||_1 * c_gradient + 2 ||f'||_inf``.  This module owns every drift
+formula: no other module reads the tables ``f``, ``f1`` or ``f2``.
 """
 
 from __future__ import annotations
@@ -48,31 +49,51 @@ class DriftData:
         """sup |f'| on the grid, the quasi-accretivity shift of the operator."""
         return float(np.max(np.abs(self.f1)))
 
-    @cached_property
-    def upwind(self) -> tuple[np.ndarray, ...]:
-        """The upwind transport ``-f*y'``, computed once: the forward-slope
-        mask ``f >= 0`` and the Jacobian's ``|f|/h`` on the diagonal,
-        ``-max(f[:-1], 0)/h`` above it and ``min(f[1:], 0)/h`` below it."""
-        f, h = self.f, self.grid.h
-        return (f >= 0.0, np.abs(f) / h, np.maximum(f[:-1], 0.0) / h,
-                np.minimum(f[1:], 0.0) / h)
-
-    @cached_property
-    def two_f1(self) -> np.ndarray:
-        return 2.0 * self.f1
-
-    @property
-    def curvature_l1(self) -> float:
-        """Discrete L1 norm of f''."""
-        return self.grid.norm1(self.f2)
-
     def perturbation_bound(self) -> float:
         """L1 bound of the nonlocal perturbation (exact Green constant)."""
         _, c_grad = green_constants(self.grid)
-        return self.curvature_l1 * c_grad + 2.0 * self.slope_sup
+        return self.grid.norm1(self.f2) * c_grad + 2.0 * self.slope_sup
+
+    def transport(self, y) -> np.ndarray:
+        """The upwinded ``-f*y'``: forward differences where ``f >= 0``,
+        backward elsewhere, zero ghost values; the term is monotone."""
+        y = np.asarray(y, dtype=float)
+        # d[k] = (y[k] - y[k-1])/h, zero ghosts: forward d[1:], backward d[:-1]
+        d = np.empty(y.size + 1)
+        np.subtract(y[1:], y[:-1], out=d[1:-1])
+        d[0] = y[0]
+        d[-1] = -y[-1]
+        d /= self.grid.h
+        out = self.f * np.where(self.f >= 0.0, d[1:], d[:-1])
+        return np.negative(out, out=out)
+
+    def jacobian(self, perturbation: bool):
+        """``(on_delta, on_psi)``, tridiagonals ``(lower, diag, upper)``
+        whose row k applied to delta and to ``psi = poisson_solve(delta)``
+        sums to row k of ``transport(delta)`` plus, while ``perturbation``,
+        ``apply_B(self, delta)``; both are linear, so this is exact."""
+        f, f2, h = self.f, self.f2, self.grid.h
+        on_delta = [np.minimum(f[1:], 0.0) / h, np.abs(f) / h,
+                    -np.maximum(f[:-1], 0.0) / h]
+        on_psi = [np.zeros(f.size - 1), np.zeros(f.size), np.zeros(f.size - 1)]
+        if perturbation:  # -2f', and f'' times psi's central slope
+            on_delta[1] = on_delta[1] - 2.0 * self.f1
+            on_psi[0] = -np.r_[f2[1:-1], 2.0 * f2[-1]] / (2.0 * h)
+            on_psi[1][[0, -1]] = f2[[0, -1]] * [-1.0, 1.0] / h  # one-sided
+            on_psi[2] = np.r_[2.0 * f2[0], f2[1:-1]] / (2.0 * h)
+        return on_delta, on_psi
+
+    def barrier_terms(self, ys) -> tuple[float, np.ndarray]:
+        """A constant sup-norm barrier's shift drop and right-hand-side term
+        at each state ``ys[k]``.  Where y_k peaks (or dips) the transport is
+        >= 0, ``-2f'*y >= -2 sup|f'| y_k`` and ``|f''*phi_x| <= max|f''| *
+        c_grad * ||y_k||_1`` (``c_grad`` the exact Green slope norm)."""
+        c = float(np.max(np.abs(self.f2))) * green_constants(self.grid)[1]
+        return (2.0 * self.slope_sup,
+                c * np.array([self.grid.norm1(y) for y in ys]))
 
 
 def apply_B(drift: DriftData, y) -> np.ndarray:
     """f'' * (green(y))' - 2 f' * y, nodewise."""
     return (drift.f2 * poisson_gradient(drift.grid, y)
-            - drift.two_f1 * np.asarray(y, dtype=float))
+            - 2.0 * drift.f1 * np.asarray(y, dtype=float))

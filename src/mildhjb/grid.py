@@ -3,8 +3,9 @@
 Grid functions ("fields") are plain float arrays aligned with ``Grid1D.x``
 or ``Grid2D.mesh``; the grid object carries the geometry and the discrete
 norms.  All stencils close with zero ghost values outside the mesh, the
-discrete counterpart of integrable data decaying at infinity.
-The Green solve of the three-point -psi'' with zero end values is a closed
+discrete counterpart of integrable data decaying at infinity.  The drift's
+upwinded transport is in ``drift``, which owns the drift's stencil.  The
+Green solve of the three-point -psi'' with zero end values is a closed
 form (a double prefix sum), so its stability constants are exact too.
 """
 
@@ -20,7 +21,6 @@ __all__ = [
     "Grid2D",
     "check_table",
     "diff1_central",
-    "diff1_upwind",
     "diff2",
     "green_constants",
     "poisson_gradient",
@@ -60,9 +60,6 @@ class Grid1D:
     def norm1(self, values) -> float:
         """Discrete L1 norm, h**dim * sum |v_k|."""
         return self.h**self.dim * float(np.abs(values).sum())
-
-    def norm_inf(self, values) -> float:
-        return float(np.abs(values).max())
 
     def integral(self, values) -> float:
         return self.h**self.dim * float(np.asarray(values).sum())
@@ -125,24 +122,6 @@ def tabulate(grid: Grid1D, fn, *derivatives) -> list[np.ndarray]:
         tables.append(np.asarray(d(x), dtype=float) + np.zeros_like(x)
                       if d is not None else diff1_central(grid, tables[-1]))
     return tables
-
-
-def diff1_upwind(grid: Grid1D, values, forward) -> np.ndarray:
-    """One-sided slope selected nodewise by the boolean mask ``forward``.
-
-    Forward difference where ``forward`` holds, backward elsewhere, with zero
-    ghost values; with ``forward = wind >= 0`` this pairing makes a transport
-    term ``-wind * slope`` monotone, which is what the elliptic operator
-    needs.
-    """
-    v = np.asarray(values, dtype=float)
-    # d[k] = (v[k] - v[k-1])/h, zero ghosts: forward d[1:], backward d[:-1]
-    d = np.empty(v.size + 1)
-    np.subtract(v[1:], v[:-1], out=d[1:-1])
-    d[0] = v[0]
-    d[-1] = -v[-1]
-    d /= grid.h
-    return np.where(forward, d[1:], d[:-1])
 
 
 def poisson_solve(grid: Grid1D, source) -> np.ndarray:

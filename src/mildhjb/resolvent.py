@@ -11,11 +11,11 @@ with the exact Jacobian, which reads the conjugate's ``slope`` (semismooth
 where the conjugate has kinks; a table's chord slopes).  A start other than
 ``eta/lam`` from which Newton stalls is restarted once from ``eta/lam``.
 
-The 1-D Jacobian is ``T + diag(f'')*C*G - 2*diag(f')``: ``T`` tridiagonal,
-``G`` the Green solve, ``C`` the central slope.  With ``psi = G*delta`` a
-second unknown, the step is banded (order ``2n``, two bands below and three
-above) for LAPACK ``gbsv``, which does not check its input: ``_newton``
-rejects a non-finite starting residual.
+The 1-D Jacobian is the flux's tridiagonal plus ``drift.jacobian``'s
+entries on ``delta`` and on ``psi = G*delta``, ``G`` the Green solve.  With
+``psi`` a second unknown, the step is banded (order ``2n``, two bands below
+and three above) for LAPACK ``gbsv``, which does not check its input:
+``_newton`` rejects a non-finite starting residual.
 
 ``solve_resolvent`` works on any operand with ``terms``, ``newton_step``
 (the Jacobian solve), ``shape``, ``lam0``, ``grid.norm1``, ``conj`` and
@@ -48,7 +48,7 @@ import numpy as np
 from ._lapack import dgbsv as _gbsv
 from .conjugate import ConjugateHamiltonian
 from .drift import DriftData, apply_B
-from .grid import Grid1D, check_table, diff1_upwind, diff2
+from .grid import Grid1D, check_table, diff2
 
 __all__ = [
     "EllipticOperands",
@@ -107,13 +107,13 @@ class EllipticOperands:
         return (self.grid.n,)
 
     def terms(self, y) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """``A(y) = -(value(m*y))'' - f*y'``, transport upwinded, and
-        ``B(y)``, or ``None`` for B when it is off."""
+        """``A(y) = -(value(m*y))''`` plus ``drift.transport(y)``, and
+        ``B(y) = apply_B(drift, y)``, or ``None`` for B when it is off."""
         y = np.asarray(y, dtype=float)
         a = -diff2(self.grid, self.conj.value(self.half_sigma_sq * y))
         if self.drift is None:
             return a, None
-        a -= self.drift.f * diff1_upwind(self.grid, y, self.drift.upwind[0])
+        a += self.drift.transport(y)
         return a, apply_B(self.drift, y) if self.perturbation else None
 
     @cached_property
@@ -122,8 +122,7 @@ class EllipticOperands:
         at ``[5 + i - j, j]``, unknown ``2k`` is ``delta_k``, ``2k + 1`` is
         ``psi_k``.  Row ``psi_k`` is ``-psi'' = delta_k`` inside the mesh and
         ``psi_k = 0`` at the ends, as in ``poisson_solve``; row ``delta_k``
-        holds the drift's part of ``T`` and ``f''_k`` times psi's central
-        slope, one-sided at the ends.  ``newton_step`` adds ``T``'s rest."""
+        is ``drift.jacobian``'s, to which ``newton_step`` adds the flux's."""
         n, h = self.grid.n, self.grid.h
         ab = np.zeros((8, 2 * n), order="F")
         ab[5, 1::2] = 2.0 / h**2
@@ -131,16 +130,11 @@ class EllipticOperands:
         ab[6, 2:-2:2] = -1.0
         if self.drift is None:
             return ab
-        _, f_diag, f_upper, f_lower = self.drift.upwind
-        ab[5, ::2] = f_diag
-        ab[3, 2::2] = -f_upper
-        ab[7, :-2:2] = f_lower
-        if self.perturbation:
-            f2 = self.drift.f2
-            ab[5, ::2] -= self.drift.two_f1
-            ab[2, 3::2] = np.r_[2.0 * f2[0], f2[1:-1]] / (2.0 * h)
-            ab[6, 1:-2:2] = -np.r_[f2[1:-1], 2.0 * f2[-1]] / (2.0 * h)
-            ab[4, [1, -1]] = f2[[0, -1]] * [-1.0, 1.0] / h
+        for c, (lower, diag, upper) in enumerate(  # c = 0: delta, 1: psi
+                self.drift.jacobian(self.perturbation)):
+            ab[7 - c, c:-2:2] = lower
+            ab[5 - c, c::2] = diag
+            ab[3 - c, c + 2::2] = upper
         return ab
 
     def newton_step(self, lam, y, r) -> np.ndarray:

@@ -3,14 +3,24 @@ import pytest
 
 from conftest import tanh_drift
 from mildhjb.drift import DriftData, apply_B
-from mildhjb.grid import Grid1D, green_constants
+from mildhjb.grid import Grid1D, green_constants, poisson_solve
+
+
+def linear_drift(g):
+    return DriftData.from_callables(g, lambda x: 2.0 * x - 1.0,
+                                    lambda x: 2.0 + 0.0 * x,
+                                    lambda x: 0.0 * x)
+
+
+def wind(g, f):
+    """A drift of values ``f`` with zero derivatives: the transport alone."""
+    return DriftData(g, np.asarray(f, dtype=float), np.zeros(g.n),
+                     np.zeros(g.n))
 
 
 def test_linear_drift_kills_nonlocal_term():
     g = Grid1D(5.0, 101)
-    drift = DriftData.from_callables(g, lambda x: 2.0 * x - 1.0,
-                                     lambda x: 2.0 + 0.0 * x,
-                                     lambda x: 0.0 * x)
+    drift = linear_drift(g)
     rng = np.random.default_rng(2)
     y = rng.standard_normal(g.n)
     np.testing.assert_allclose(apply_B(drift, y), -4.0 * y, atol=1e-13)
@@ -27,10 +37,9 @@ def test_l1_bound_on_bump():
     drift = tanh_drift(g)
     y = np.exp(-g.x**2)
     _, c_grad = green_constants(g)
-    bound = (drift.curvature_l1 * c_grad + 2.0 * drift.slope_sup) * g.norm1(y)
-    assert g.norm1(apply_B(drift, y)) <= bound + 1e-12
-    assert drift.perturbation_bound() == pytest.approx(
-        drift.curvature_l1 * c_grad + 2.0 * drift.slope_sup)
+    constant = g.norm1(drift.f2) * c_grad + 2.0 * drift.slope_sup
+    assert g.norm1(apply_B(drift, y)) <= constant * g.norm1(y) + 1e-12
+    assert drift.perturbation_bound() == pytest.approx(constant)
 
 
 def test_l1_bound_random_fields():
@@ -78,3 +87,49 @@ def test_bound_constant_stable_under_refinement():
         bounds.append(tanh_drift(g).perturbation_bound())
     spread = max(bounds) / min(bounds)
     assert spread <= 1.05
+
+
+def test_transport_constant_and_linear():
+    g = Grid1D(2.0, 41)
+    drift = wind(g, np.ones(g.n))
+    assert np.max(np.abs(drift.transport(np.full(g.n, 3.0))[1:-1])) == 0.0
+    out = drift.transport(g.x.copy())
+    np.testing.assert_allclose(out[:-1], -1.0, atol=1e-12)
+
+
+def test_transport_direction_switch():
+    g = Grid1D(2.0, 41)
+    y = g.x**2
+    out = wind(g, np.where(g.x > 0, 1.0, -1.0)).transport(y)
+    k = 30  # x > 0, forward difference
+    assert out[k] == pytest.approx(-(y[k + 1] - y[k]) / g.h)
+    k = 10  # x < 0, backward difference
+    assert out[k] == pytest.approx((y[k] - y[k - 1]) / g.h)
+
+
+def tridiagonal(lower, diag, upper, v):
+    """Row k: ``lower[k-1]*v[k-1] + diag[k]*v[k] + upper[k]*v[k+1]``."""
+    out = diag * v
+    out[1:] += lower * v[:-1]
+    out[:-1] += upper * v[1:]
+    return out
+
+
+@pytest.mark.parametrize("perturbation", [True, False])
+@pytest.mark.parametrize("make", [tanh_drift, linear_drift],
+                         ids=["tanh", "linear"])
+def test_jacobian_is_the_derivative_of_the_drift_terms(make, perturbation):
+    # the drift's terms are linear in y, so its Newton entries applied to
+    # delta and psi = green(delta) give the terms themselves, whatever the
+    # stencil
+    g = Grid1D(5.0, 101)
+    drift = make(g)
+    on_delta, on_psi = drift.jacobian(perturbation)
+    rng = np.random.default_rng(6)
+    for delta in rng.standard_normal((5, g.n)):
+        got = (tridiagonal(*on_delta, delta)
+               + tridiagonal(*on_psi, poisson_solve(g, delta)))
+        want = drift.transport(delta)
+        if perturbation:
+            want += apply_B(drift, delta)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

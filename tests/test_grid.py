@@ -6,7 +6,7 @@ import pytest
 from mildhjb.conjugate import ConjugateHamiltonian
 from mildhjb.degenerate import VolatilityData
 from mildhjb.drift import DriftData
-from mildhjb.grid import (Grid1D, Grid2D, diff1_central, diff1_upwind, diff2,
+from mildhjb.grid import (Grid1D, Grid2D, diff1_central, diff2,
                           green_constants, poisson_gradient, poisson_solve)
 from mildhjb.resolvent import EllipticOperands, solve_resolvent
 from mildhjb.stepper import TransformedProblem
@@ -122,26 +122,6 @@ def test_diff2_exact_on_quadratic():
     g = Grid1D(2.0, 41)
     out = diff2(g, g.x**2)
     np.testing.assert_allclose(out[1:-1], 2.0, atol=1e-11)
-
-
-def test_upwind_constant_and_linear():
-    g = Grid1D(2.0, 41)
-    const = np.full(g.n, 3.0)
-    forward = np.ones(g.n, dtype=bool)
-    assert np.max(np.abs(diff1_upwind(g, const, forward)[1:-1])) == 0.0
-    out = diff1_upwind(g, g.x.copy(), forward)
-    np.testing.assert_allclose(out[:-1], 1.0, atol=1e-12)
-
-
-def test_upwind_direction_switch():
-    g = Grid1D(2.0, 41)
-    y = g.x**2
-    wind = np.where(g.x > 0, 1.0, -1.0)
-    out = diff1_upwind(g, y, wind >= 0)
-    k = 30  # x > 0, forward difference
-    assert out[k] == pytest.approx((y[k + 1] - y[k]) / g.h)
-    k = 10  # x < 0, backward difference
-    assert out[k] == pytest.approx((y[k] - y[k - 1]) / g.h)
 
 
 CONJ = ConjugateHamiltonian.quadratic()
