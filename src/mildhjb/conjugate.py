@@ -23,6 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .grid import is_count
+
 __all__ = [
     "ConjugateHamiltonian",
     "CostValidationError",
@@ -302,9 +304,9 @@ class ConjugateHamiltonian:
         """
         if not p_min < p_max:
             raise ValueError("need p_min < p_max")
-        if int(nodes) < 2:
-            raise ValueError(f"need at least 2 nodes, got {nodes}")
-        grid = np.linspace(float(p_min), float(p_max), int(nodes))
+        if not is_count(nodes, 2):
+            raise ValueError(f"need at least 2 nodes, an integer: {nodes!r}")
+        grid = np.linspace(float(p_min), float(p_max), nodes)
         ders, vals, ties = _maximize(cost, grid)
         step = np.diff(grid)
         pots = np.concatenate(([0.0], np.cumsum(

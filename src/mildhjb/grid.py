@@ -43,10 +43,10 @@ class Grid1D:
     dim = 1
 
     def __post_init__(self):
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
-        if self.n < 5 or self.n % 2 == 0:
-            raise ValueError(f"node count must be odd and >= 5, got {self.n}")
+        if not (0 < self.half_width < np.inf and is_count(self.n, 5)
+                and self.n % 2 == 1):
+            raise ValueError("need a finite half_width > 0 and an odd integer "
+                             f"n >= 5, got {self.half_width!r}, {self.n!r}")
 
     @cached_property
     def h(self) -> float:
@@ -79,6 +79,12 @@ class Grid2D(Grid1D):
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, Y) with X varying along axis 0 and Y along axis 1."""
         return np.meshgrid(self.x, self.x, indexing="ij")
+
+
+def is_count(value, least: int) -> bool:
+    """Whether ``value`` is an integer, not a bool, of at least ``least``."""
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, np.integer)) and value >= least)
 
 
 def check_table(name: str, values: np.ndarray, shape: tuple) -> None:

@@ -48,7 +48,7 @@ import numpy as np
 from ._lapack import dgbsv as _gbsv
 from .conjugate import ConjugateHamiltonian
 from .drift import DriftData, apply_B
-from .grid import Grid1D, check_table, diff2
+from .grid import Grid1D, check_table, diff2, is_count
 
 __all__ = [
     "EllipticOperands",
@@ -171,9 +171,7 @@ class ResolventConfig:
         if not (math.isfinite(self.tol_res) and self.tol_res > 0):
             raise ValueError(
                 f"tol_res must be finite and positive, got {self.tol_res}")
-        if (isinstance(self.max_iter, bool)
-                or not isinstance(self.max_iter, (int, np.integer))
-                or self.max_iter < 0):
+        if not is_count(self.max_iter, 0):
             raise ValueError("max_iter must be a non-negative integer, "
                              f"got {self.max_iter!r}")
 

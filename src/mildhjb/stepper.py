@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import _fork
-from .grid import Grid1D, check_table, diff1_central
+from .grid import Grid1D, check_table, diff1_central, is_count
 from .resolvent import (EllipticOperands, ResolventConfig, ResolventResult,
                         shift_floor, solve_resolvent)
 
@@ -235,8 +235,7 @@ def refine_until(problem: TransformedProblem, tol: float, eps0: float,
     it does not exit 0, this process marches it: the bits are serial."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if isinstance(max_levels, bool) or not (
-            isinstance(max_levels, (int, np.integer)) and max_levels >= 1):
+    if not is_count(max_levels, 1):
         raise ValueError(f"max_levels must be an integer >= 1: {max_levels!r}")
     step_lengths(problem.horizon, eps0)  # rejects a bad eps0 before the fork
 

@@ -134,9 +134,10 @@ def test_cost_sizes_must_be_finite(alpha1, alpha2):
         RunningCost.quadratic(alpha1, alpha2)
 
 
-@pytest.mark.parametrize("nodes", [0, 1])
+@pytest.mark.parametrize("nodes", [0, 1, 2.5, 3.0, True])
 def test_table_needs_two_nodes(nodes):
-    # one node once failed inside numpy on an empty reduction
+    # one node once failed inside numpy on an empty reduction, and 2.5
+    # nodes once built 2
     with pytest.raises(ValueError, match="need at least 2 nodes"):
         ConjugateHamiltonian.tabulate(QUAD, -1.0, 1.0, nodes=nodes)
 

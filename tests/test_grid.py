@@ -23,10 +23,17 @@ def test_grid_geometry():
 
 
 @pytest.mark.parametrize("half_width,n", [(0.0, 11), (-1.0, 11), (1.0, 10),
-                                          (1.0, 3)])
+                                          (1.0, 3), (5.0, 7.5), (1.0, 11.0),
+                                          (1.0, True), (np.inf, 5),
+                                          (np.nan, 5)])
 def test_grid_rejects_bad_parameters(half_width, n):
+    # a float n once built a mesh past L, an infinite L a NaN node at 0
     with pytest.raises(ValueError):
         Grid1D(half_width, n)
+
+
+def test_grid_takes_a_numpy_integer_node_count():
+    assert Grid1D(1.0, np.int64(11)) == Grid1D(1.0, 11)
 
 
 def test_poisson_zero_source():
