@@ -4,13 +4,15 @@
 The solves are bound by ``ctypes`` to the ILP64 OpenBLAS that numpy bundles
 in ``numpy.libs`` and has mapped, so scipy's own OpenBLAS is never mapped;
 scipy's ``_flapack`` serves them where numpy has none, and ``lapack`` names
-the source.  A binding takes f2py's arguments (not ``dpbsv``'s ``ldab``)
-and returns its tuple (``piv`` 1-based).  LAPACK checks no input and
-OpenBLAS's XERBLA only prints, so a bad dtype or shape, an empty system and
-``info < 0`` raise ``ValueError``.  ``csr_matvec`` (``_sparsetools`` maps no
-BLAS) and the version are loaded from their files, keeping scipy's package
-and ``numpy.f2py`` out of the process; that layout is private to scipy, so
-a missing file falls back to the public import."""
+the source.  A binding takes f2py's arguments less the options that every
+caller sets (``dpbsv`` reads the lower band, both overwrite a Fortran-order
+writeable operand, copying any other) and returns f2py's tuple (``piv``
+1-based).  LAPACK checks no input and OpenBLAS's XERBLA only prints, so a
+bad dtype or shape, an empty system and ``info < 0`` raise ``ValueError``.
+``csr_matvec`` (``_sparsetools`` maps no BLAS) and the version are loaded
+from their files, keeping scipy's package and ``numpy.f2py`` out of the
+process; that layout is private to scipy, so a missing file falls back to
+the public import."""
 
 import ctypes
 from ctypes import POINTER, c_char_p, c_double, c_int64, c_size_t
@@ -37,8 +39,8 @@ def _load(name, suffixes=machinery.EXTENSION_SUFFIXES):
     return import_module(f"scipy.{name}")
 
 
-def _operands(ab, b, rows, overwrite_ab, overwrite_b):
-    """``ab`` and ``b``, or Fortran copies where LAPACK may not overwrite
+def _operands(ab, b, rows):
+    """``ab`` and ``b``, or Fortran copies where LAPACK cannot overwrite
     them, once the band is ``(rows, n)`` and ``b`` is ``(n,)`` with n > 0."""
     if not (isinstance(ab, np.ndarray) and isinstance(b, np.ndarray)
             and ab.dtype == b.dtype == np.float64 and b.ndim == 1
@@ -47,9 +49,8 @@ def _operands(ab, b, rows, overwrite_ab, overwrite_b):
         raise ValueError(f"need a float64 band of {rows} rows and n > 0 "
                          f"columns and n values, got {got}")
     fa, fb = ab.flags, b.flags  # behaved: aligned and writeable
-    return (ab if overwrite_ab and fa.f_contiguous and fa.behaved
-            else ab.copy(order="F"),
-            b if overwrite_b and fb.f_contiguous and fb.behaved else b.copy())
+    return (ab if fa.f_contiguous and fa.behaved else ab.copy(order="F"),
+            b if fb.f_contiguous and fb.behaved else b.copy())
 
 
 def _info(info):
@@ -58,9 +59,9 @@ def _info(info):
     return info.value
 
 
-def _dgbsv(kernel, kl, ku, ab, b, overwrite_ab=0, overwrite_b=0):
+def _dgbsv(kernel, kl, ku, ab, b):
     rows = 2 * kl + ku + 1 if min(kl, ku) >= 0 else 0
-    ab, b = _operands(ab, b, rows, overwrite_ab, overwrite_b)
+    ab, b = _operands(ab, b, rows)
     n, kl_, ku_, one, ldab = _ints(b.size, kl, ku, 1, rows)
     piv, info = (c_int64 * b.size)(), c_int64()
     kernel(n, kl_, ku_, one, c_double.from_buffer(ab.T), ldab, piv,
@@ -68,13 +69,13 @@ def _dgbsv(kernel, kl, ku, ab, b, overwrite_ab=0, overwrite_b=0):
     return ab, piv, b, _info(info)
 
 
-def _dpbsv(kernel, ab, b, lower=0, *, overwrite_ab=0, overwrite_b=0):
+def _dpbsv(kernel, ab, b):
     rows = ab.shape[0] if getattr(ab, "ndim", 0) == 2 else 0
-    ab, b = _operands(ab, b, rows, overwrite_ab, overwrite_b)
+    ab, b = _operands(ab, b, rows)
     n, kd, one, ldab = _ints(b.size, rows - 1, 1, rows)
     info = c_int64()
-    kernel(b"L" if lower else b"U", n, kd, one, c_double.from_buffer(ab.T),
-           ldab, c_double.from_buffer(b), n, info, 1)  # 1: len(UPLO)
+    kernel(b"L", n, kd, one, c_double.from_buffer(ab.T), ldab,
+           c_double.from_buffer(b), n, info, 1)  # 1: len(UPLO)
     return ab, b, _info(info)
 
 
@@ -93,7 +94,9 @@ def _kernels():
         return (f"numpy.libs/{path.name}", partial(_dgbsv, gbsv),
                 partial(_dpbsv, pbsv))
     flapack = _load("linalg._flapack")
-    return "scipy _flapack (fallback)", flapack.dgbsv, flapack.dpbsv
+    return ("scipy _flapack (fallback)",
+            partial(flapack.dgbsv, overwrite_ab=1, overwrite_b=1),
+            partial(flapack.dpbsv, lower=1, overwrite_ab=1, overwrite_b=1))
 
 
 lapack, dgbsv, dpbsv = _kernels()

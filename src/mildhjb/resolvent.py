@@ -151,7 +151,7 @@ class EllipticOperands:
         ab[7, :-2:2] -= slope[:-1]
         rhs = np.zeros(2 * self.grid.n)
         rhs[::2] = -r
-        *_, x, info = _gbsv(2, 3, ab, rhs, 1, 1)
+        *_, x, info = _gbsv(2, 3, ab, rhs)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         return x[::2]

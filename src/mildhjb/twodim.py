@@ -227,8 +227,7 @@ class Problem2D:
             return (rhs / lam).reshape(self.shape)
         root = np.sqrt(s[active])
         ab = self.active_band(lam, active, root)
-        *_, v, info = _pbsv(ab, rhs[active] * root, lower=1, overwrite_ab=1,
-                            overwrite_b=1)
+        *_, v, info = _pbsv(ab, rhs[active] * root)
         if info > 0:
             raise np.linalg.LinAlgError("active block is not positive definite")
         delta_a = v / root

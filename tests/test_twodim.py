@@ -520,10 +520,9 @@ def test_active_band_is_factored_in_place_with_the_same_bits():
     ab = prob.active_band(40.0, active, root)
     assert ab.flags.f_contiguous
     copied = np.ascontiguousarray(ab)
-    factor, x, info = twodim._pbsv(ab, rhs, lower=1, overwrite_ab=1)
+    factor, x, info = twodim._pbsv(ab, rhs.copy())
     assert info == 0 and np.shares_memory(factor, ab)
-    *_, x_copied, info_copied = twodim._pbsv(copied, rhs, lower=1,
-                                             overwrite_ab=1)
+    *_, x_copied, info_copied = twodim._pbsv(copied, rhs.copy())
     assert info_copied == 0
     assert np.array_equal(x, x_copied)
 
