@@ -1,12 +1,14 @@
-"""SHA-256 of every artifact the benchmark configs write, for diffing two
-checkouts.
+"""SHA-256 of every artifact the benchmark configs and the pinned CLI runs
+write, for diffing two checkouts.
 
 Run as ``python tests/artifact_bytes.py [--seed S]`` (seed 1 by default);
 without a ``test_`` prefix it is not part of the test suite.  Each config in
-``perfbench/configs`` runs through ``cli.run`` at that seed into a temporary
-directory, and one ``sha256  relative/path`` line is printed per artifact,
-the ``#`` lines of ``manifest.txt`` (versions and timing) left out.  Two
-checkouts whose outputs ``diff`` equal wrote the same bytes.
+``perfbench/configs``, and each run of ``PINNED_RUNS`` in ``test_cli.py``,
+runs through ``cli.run`` at that seed into a temporary directory, and one
+``sha256  run/relative/path`` line is printed per artifact, the ``#`` lines
+of ``manifest.txt`` (versions and timing) left out.  A benchmark run is
+named by its config's stem, a pinned run ``pinned/<name>``.  Two checkouts
+whose outputs ``diff`` equal wrote the same bytes.
 """
 
 import argparse
@@ -35,24 +37,38 @@ def output_hashes(out: Path) -> dict[str, str]:
     return hashes
 
 
-def artifact_digests(config: Path, seed: int) -> list[str]:
-    """``sha256  name/relative/path`` of each file the config's run writes."""
+def artifact_digests(name: str, mode, text: str, seed: int) -> list[str]:
+    """``sha256  name/relative/path`` of each file that running the config
+    ``text`` in ``mode`` (None: the config's own) writes."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / config.stem
-        code = cli.run(None, str(config), out_dir=str(out), seed=seed,
+        config, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+        config.write_text(text)
+        code = cli.run(mode, str(config), out_dir=str(out), seed=seed,
                        quiet=True)
         if code != 0:
-            raise SystemExit(f"{config.name}: exit status {code}")
-        return [f"{digest}  {config.stem}/{name}"
-                for name, digest in output_hashes(out).items()]
+            raise SystemExit(f"{name}: exit status {code}")
+        return [f"{digest}  {name}/{path}"
+                for path, digest in output_hashes(out).items()]
+
+
+def runs():
+    """``(name, mode, config text)`` of every benchmark config and pinned
+    run."""
+    from test_cli import PINNED_RUNS  # imports this module: not at the top
+
+    for config in sorted((ROOT / "perfbench" / "configs").glob("*.cfg")):
+        yield config.stem, None, config.read_text()
+    for name, (mode, text) in PINNED_RUNS.items():
+        yield f"pinned/{name}", mode, text
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    for config in sorted((ROOT / "perfbench" / "configs").glob("*.cfg")):
-        print("\n".join(artifact_digests(config, args.seed)), flush=True)
+    for name, mode, text in runs():
+        print("\n".join(artifact_digests(name, mode, text, args.seed)),
+              flush=True)
 
 
 if __name__ == "__main__":
