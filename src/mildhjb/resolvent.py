@@ -5,8 +5,8 @@ system
 
     lam*y - (value(m*y))'' - f*y' + perturbation(y) = eta,       m = sigma^2/2,
 
-with the nonlinear flux ``value`` from the conjugate machinery, monotone
-upwinding of the transport term, and zero ghost values, by damped Newton
+with the nonlinear flux ``value`` from the conjugate machinery, the drift
+terms that ``drift`` computes, and zero ghost values, by damped Newton
 with the exact Jacobian, which reads the conjugate's ``slope`` (semismooth
 where the conjugate has kinks; a table's chord slopes).  A start other than
 ``eta/lam`` from which Newton stalls is restarted once from ``eta/lam``.
