@@ -1,11 +1,12 @@
 """Work on a second core: forked workers that report through a file.
 
 A worker runs ``task(out)`` and leaves through ``os._exit``: 0 if it
-returned, 1 if it raised.  A fork that raises (``EAGAIN`` at the process
-limit, ``ENOMEM``) gives a worker that failed, so its caller does the task
-itself.  ``out`` is an unlinked temporary file opened before the fork, so
-the worker never blocks on its reader, as on a full pipe.  Its CPU time
-and memory show only in ``RUSAGE_CHILDREN``.
+returned, 1 if it raised.  ``join`` returns ``out``, rewound; where the
+fork raised (``EAGAIN``, ``ENOMEM``) or the worker did not exit 0, it first
+empties ``out`` and runs the task here, so a failure raises what a serial
+run raises.  ``out`` is an unlinked temporary file opened before the fork,
+so the worker never blocks on its reader, as on a full pipe.  A worker's
+CPU time and memory show only in ``RUSAGE_CHILDREN``.
 """
 
 import contextlib
@@ -26,11 +27,11 @@ def cores() -> int:
 
 class Worker:
     def __init__(self, task, out):
-        self._out, self._status = out, None
+        self._task, self._out, self._status = task, out, None
         try:
             self._pid = os.fork()
         except OSError:
-            self._status = 1  # never forked: join() gives None
+            self._status = 1  # never forked: join() runs the task
             return
         if self._pid == 0:  # the worker leaves through os._exit, never returns
             try:
@@ -41,18 +42,22 @@ class Worker:
                 os._exit(1)
 
     def join(self):
-        """Wait: the worker's file, rewound, if it exited 0, else None."""
+        """Wait, and return the task's file, rewound; the task runs here
+        if the worker failed (see the module docstring)."""
         if self._status is None:
             self._status = os.waitpid(self._pid, 0)[1]
         if self._status != 0:
-            return None
+            self._out.seek(0)
+            self._out.truncate()
+            self._task(self._out)
+            self._status = 0
         self._out.seek(0)
         return self._out
 
     def _kill(self):
         if self._status is None:
             os.kill(self._pid, signal.SIGKILL)
-            self.join()
+            self._status = os.waitpid(self._pid, 0)[1]
 
 
 @contextlib.contextmanager

@@ -94,7 +94,7 @@ def _joined_rows(blocks):
 def _field_rows(times, xs, tables):
     """Rows ``t,x,value`` of each snapshot in ``tables``; from ``_MIN_SPLIT``
     values on, a worker (``_fork``) formats the second half into its file,
-    which comes last (or, if the worker fails, the rows it was to format)."""
+    which comes last."""
     heads = [f",{_fmt(x)}," for x in xs]
     first, second = (
         _joined_rows((_fmt(t), heads, table)
@@ -107,8 +107,7 @@ def _field_rows(times, xs, tables):
     split = len(tables) * len(xs) >= _MIN_SPLIT and _fork.cores() > 1
     with _fork.forked(*[task] if split else []) as workers:
         yield from first
-        out = workers[0].join() if workers else None
-        yield from second if out is None else [out]
+        yield from [workers[0].join()] if workers else second
 
 
 def _mesh_rows(xs, table, inner=slice(None)):

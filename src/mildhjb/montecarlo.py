@@ -273,8 +273,8 @@ def _simulate(problem: ControlProblem, policies: Sequence[Policy],
               keep_samples: bool) -> list[McReport]:
     """One report per policy, on paths marched in shares across processes.
 
-    A share whose worker does not exit 0 (it raised, or died) is marched
-    again here in path order, so its error is the serial one."""
+    The workers are joined in path order, so a share whose worker failed is
+    marched again here (``_fork``) and its error is the serial one."""
     for p in policies:
         if not (callable(p) or p >= 0):
             raise ValueError(f"a constant control must be >= 0, got {p}")
@@ -289,10 +289,8 @@ def _simulate(problem: ControlProblem, policies: Sequence[Policy],
     with _fork.forked(*(lambda out, blocks=blocks: march(blocks)
                         for blocks in shares[1:])) as workers:
         march(shares[0])
-        failed = [blocks for blocks, worker in zip(shares[1:], workers)
-                  if worker.join() is None]
-    for blocks in failed:
-        march(blocks)
+        for worker in workers:
+            worker.join()
     return [_report(*row, keep_samples) for row in zip(labels, costs, alive)]
 
 

@@ -231,8 +231,8 @@ def refine_until(problem: TransformedProblem, tol: float, eps0: float,
                  max_levels: int = 8) -> RefineResult:
     """Halve eps until successive runs differ by at most tol in sup-time L1.
 
-    A forked worker marches the finest level (see the module docstring); if
-    it does not exit 0, this process marches it: the bits are serial."""
+    A forked worker marches the finest level (see the module docstring);
+    ``join`` marches it here if the worker fails: the bits are serial."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if not is_count(max_levels, 1):
@@ -249,9 +249,9 @@ def refine_until(problem: TransformedProblem, tol: float, eps0: float,
         levels, gaps = [eps0], []
         for k in range(1, max_levels + 1):
             eps = levels[-1] * 0.5
-            out = workers[0].join() if workers and k == max_levels else None
-            cur = (mild_solve(problem, eps, cfg=cfg) if out is None
-                   else MildSolution(eps, problem, *pickle.load(out)))
+            cur = (MildSolution(eps, problem, *pickle.load(workers[0].join()))
+                   if workers and k == max_levels
+                   else mild_solve(problem, eps, cfg=cfg))
             levels.append(eps)
             gaps.append(sup_time_gap(prev, cur))
             prev = cur

@@ -1,18 +1,27 @@
 """SHA-256 of every artifact the benchmark configs and the pinned CLI runs
 write, for diffing two checkouts.
 
-Run as ``python tests/artifact_bytes.py [--seed S]`` (seed 1 by default);
-without a ``test_`` prefix it is not part of the test suite.  Each config in
-``perfbench/configs``, and each run of ``PINNED_RUNS`` in ``test_cli.py``,
-runs through ``cli.run`` at that seed into a temporary directory, and one
-``sha256  run/relative/path`` line is printed per artifact, the ``#`` lines
-of ``manifest.txt`` (versions and timing) left out.  A benchmark run is
+Run as ``python tests/artifact_bytes.py [--seed S] [--fork-fails]`` (seed 1
+by default); without a ``test_`` prefix it is not part of the test suite.
+Each config in ``perfbench/configs``, and each run of ``PINNED_RUNS`` in
+``test_cli.py``, runs through ``cli.run`` at that seed into a temporary
+directory, and one ``sha256  run/relative/path`` line is printed per
+artifact, the ``#`` lines of ``manifest.txt`` (versions and timing) left
+out.  A benchmark run is
 named by its config's stem, a pinned run ``pinned/<name>``.  Two checkouts
 whose outputs ``diff`` equal wrote the same bytes.
+
+With ``--fork-fails``, ``mildhjb._fork.cores`` returns 2 and every
+``os.fork`` raises ``BlockingIOError(EAGAIN)``, so each user of ``_fork``
+takes the path where ``join`` does a failed worker's task itself, on any
+host.  Its output must ``diff`` empty against a normal run of the same
+checkout.
 """
 
 import argparse
+import errno
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -20,7 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from mildhjb import cli  # noqa: E402
+from mildhjb import _fork, cli  # noqa: E402
 
 
 def output_hashes(out: Path) -> dict[str, str]:
@@ -65,7 +74,15 @@ def runs():
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--fork-fails", action="store_true",
+                        help="make every fork raise EAGAIN on two cores")
     args = parser.parse_args()
+    if args.fork_fails:
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        _fork.cores = lambda: 2
+        _fork.os.fork = no_fork
     for name, mode, text in runs():
         print("\n".join(artifact_digests(name, mode, text, args.seed)),
               flush=True)
