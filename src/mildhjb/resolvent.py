@@ -23,8 +23,8 @@ and three above) for LAPACK ``gbsv``, which does not check its input:
 ``terms(y)`` is the one full operator evaluation at ``y``: ``a = A(y)`` and
 ``b = B(y)`` (``None`` in 2-D and with the perturbation off).  Neither
 depends on ``lam`` or ``eta``, so an ``Iterate`` keeps them with ``y`` and
-assembles every residual at ``y`` as ``((lam*y + a) - eta) + b``; a warm
-start (the previous time step) reuses them.
+assembles every residual at ``y`` as ``((lam*y + a) - eta) + b``; a
+result given as the start (the previous time step) lends its own.
 
 Only shifts above ``shift_floor(ops) = 2*lam0``, ``lam0 = sup|f'|``, are
 admitted (where the control binds, the Jacobian's diagonal is
@@ -256,20 +256,19 @@ def _newton(ops, lam, eta, start: Iterate, tol, max_iter):
 
 
 def solve_resolvent(ops, lam: float, eta,
-                    cfg: Optional[ResolventConfig] = None, y_init=None,
-                    warm: Optional[ResolventResult] = None) -> ResolventResult:
+                    cfg: Optional[ResolventConfig] = None,
+                    start=None) -> ResolventResult:
     """Solve ``lam*y + A(y) + B(y) = eta`` to the configured L1 residual.
 
     ``ops`` is any operand object (see the module docstring), ``lam`` the
     shift (``1/eps`` in the march), and ``cfg`` defaults to
-    ``ResolventConfig()``.  The solve starts from ``eta/lam``, from
-    ``y_init``, or, in place of ``y_init``, from ``warm``: the result of an
-    earlier solve on ``ops``, whose stored terms then give the starting
-    residual.  A Newton that stalls from ``y_init`` or ``warm`` restarts
-    once from ``eta/lam`` (fallback ``"restart"``).  Raises ``ValueError``
-    when the shift does not clear ``shift_floor(ops)`` or a warm start
-    belongs to another operand, and ``ResolventError`` when Newton stalls
-    from ``eta/lam``.
+    ``ResolventConfig()``.  The solve starts from ``eta/lam`` or from
+    ``start``: a field, or the result of an earlier solve on ``ops``, whose
+    stored terms then give the starting residual.  A Newton that stalls
+    from ``start`` restarts once from ``eta/lam`` (fallback ``"restart"``).
+    Raises ``ValueError`` when the shift does not clear ``shift_floor(ops)``
+    or a result given as ``start`` belongs to another operand, and
+    ``ResolventError`` when Newton stalls from ``eta/lam``.
     """
     eta = np.asarray(eta, dtype=float)
     check_table("eta", eta, ops.shape)
@@ -280,18 +279,17 @@ def solve_resolvent(ops, lam: float, eta,
             f"2*lam0={floor:g}")
     cfg = cfg or ResolventConfig()
     tol = cfg.tol_res * max(1.0, ops.grid.norm1(eta))
-    if warm is not None:
-        start = warm.iterate
-        if start is None or start.ops is not ops:
+    if isinstance(start, ResolventResult):
+        first = start.iterate
+        if first is None or first.ops is not ops:
             raise ValueError("warm start was not solved on this operand")
     else:
-        y0 = np.array(y_init, dtype=float) if y_init is not None \
-            else eta / lam
-        start = Iterate.evaluate(ops, y0)
+        first = Iterate.evaluate(ops, eta / lam if start is None
+                                 else np.array(start, dtype=float))
 
-    cur, iters, rnorm, ok = _newton(ops, lam, eta, start, tol, cfg.max_iter)
+    cur, iters, rnorm, ok = _newton(ops, lam, eta, first, tol, cfg.max_iter)
     fallback = ""
-    if not ok and (warm is not None or y_init is not None):
+    if not ok and start is not None:
         cur, iters2, rnorm, ok = _newton(ops, lam, eta, Iterate.evaluate(
             ops, eta / lam), tol, cfg.max_iter)
         iters += iters2

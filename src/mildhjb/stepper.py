@@ -116,15 +116,12 @@ class MildSolution:
         return np.array([self.grid.integral(y) for y in self.snapshots])
 
 
-def step(problem: TransformedProblem, eps: float, y_prev,
-         cfg: Optional[ResolventConfig] = None,
-         warm: Optional[ResolventResult] = None) -> ResolventResult:
-    """One implicit step of length eps from y_prev: a single resolvent solve
-    with shift ``1/eps`` and right-hand side ``source + y_prev/eps``.
-
-    ``warm`` is the result whose ``y`` is ``y_prev`` (the previous step's):
-    the solve then starts from its stored operator terms.
-    """
+def step(problem: TransformedProblem, eps: float, prev,
+         cfg: Optional[ResolventConfig] = None) -> ResolventResult:
+    """One implicit step of length eps from ``prev``, the state ``y_prev``
+    or the result whose ``y`` it is: a single resolvent solve with shift
+    ``1/eps`` and right-hand side ``source + y_prev/eps``, started from
+    ``prev`` (a result lends its stored operator terms)."""
     if not 0 < eps < math.inf:
         raise ValueError(f"step size must be positive and finite, got {eps}")
     floor = shift_floor(problem.operands)
@@ -132,9 +129,9 @@ def step(problem: TransformedProblem, eps: float, y_prev,
         raise ValueError(
             f"step size {eps:g} too large for the drift slope bound; "
             f"need eps < {1.0 / floor:g}")
+    y_prev = prev.y if isinstance(prev, ResolventResult) else prev
     eta = problem.source + y_prev / eps
-    return solve_resolvent(problem.operands, 1.0 / eps, eta, cfg,
-                           y_init=y_prev, warm=warm)
+    return solve_resolvent(problem.operands, 1.0 / eps, eta, cfg, prev)
 
 
 def step_lengths(horizon: float, eps: float) -> list[float]:
@@ -164,14 +161,13 @@ def step_times(horizon: float, eps: float) -> np.ndarray:
 def march(problem: TransformedProblem, eps: float,
           cfg: Optional[ResolventConfig] = None):
     """Yield the ``ResolventResult`` of every step of ``step_lengths``, in
-    order, each warm-started from the one before; the state after step
-    ``i`` is the ``i``-th result's ``y``.  Nothing is kept, so the march
-    holds two states whatever its length."""
-    res = None
+    order, each started from the one before; the state after step ``i`` is
+    the ``i``-th result's ``y``.  Nothing is kept, so the march holds two
+    states whatever its length."""
+    prev = problem.initial
     for dt in step_lengths(problem.horizon, eps):
-        res = step(problem, dt, problem.initial if res is None else res.y,
-                   cfg=cfg, warm=res)
-        yield res
+        prev = step(problem, dt, prev, cfg=cfg)
+        yield prev
 
 
 def mild_solve(problem: TransformedProblem, eps: float,

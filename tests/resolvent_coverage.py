@@ -116,7 +116,7 @@ def report(inputs) -> int:
     exits, newton_iterations, others = collections.Counter(), 0, []
     for label, ops, lam, eta, y_init in inputs:
         try:
-            res = solve_resolvent(ops, lam, eta, cfg, y_init=y_init)
+            res = solve_resolvent(ops, lam, eta, cfg, start=y_init)
         except ResolventError as exc:
             exits["ResolventError"] += 1
             others.append(f"{label}: ResolventError: {exc}")

@@ -288,7 +288,7 @@ def test_newton_solves_near_the_shift_floor_without_fallback():
     ops = quad_ops(g, drift=drift, use_perturbation=False)
     lam = 2.0 * drift.slope_sup + 0.05
     eta = 3.0 * np.exp(-g.x**2)
-    res = solve_resolvent(ops, lam, eta, y_init=np.zeros(g.n))
+    res = solve_resolvent(ops, lam, eta, start=np.zeros(g.n))
     assert res.fallback == ""
     assert res.residual <= ResolventConfig().tol_res * max(1.0, g.norm1(eta))
 
@@ -466,14 +466,14 @@ def test_non_finite_residual_is_a_value_error():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="not finite"):
         solve_resolvent(ops, 3.0, np.exp(-g.x**2),
-                        y_init=np.full(g.n, 1e200))
+                        start=np.full(g.n, 1e200))
     # a warm start is checked the same way
     with np.errstate(over="ignore", invalid="ignore"):
         blown = Iterate.evaluate(ops, np.full(g.n, 1e200))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="not finite"):
         solve_resolvent(ops, 3.0, np.exp(-g.x**2),
-                        warm=ResolventResult(blown.y, 0.0, 0, iterate=blown))
+                        start=ResolventResult(blown.y, 0.0, 0, iterate=blown))
 
 
 def coverage_inputs(*labels):
@@ -492,14 +492,14 @@ def test_certificate_is_the_residual_at_the_returned_y(exit_):
         ops = quad_ops(g, drift=tanh_drift(g))
         eta = np.exp(-g.x**2)
         lam = 2.5
-        res = solve_resolvent(ops, lam, eta, y_init=eta / lam)
+        res = solve_resolvent(ops, lam, eta, start=eta / lam)
     else:
         # Newton stalls from this wild start at the kinked cost, but not
         # from eta/lam: the coverage set's one restart exit
         [(ops, lam, eta, y_init)] = coverage_inputs(
             "kinked ratio=2.01 draw=255 start=normal")
         res = solve_resolvent(ops, lam, eta, ResolventConfig(tol_res=1e-12),
-                              y_init=y_init)
+                              start=y_init)
     assert res.fallback == ("" if exit_ == "newton" else exit_)
     residual = Iterate.evaluate(ops, res.y).residual(lam, eta)
     assert res.residual == ops.grid.norm1(residual)
@@ -524,7 +524,7 @@ def test_former_resolvent_errors_are_solved():
     cfg = ResolventConfig(tol_res=1e-12)
     for ops, lam, eta, y_init in coverage_inputs(
             *(f"kinked ratio=2.01 draw={d} start=normal" for d in (157, 224))):
-        res = solve_resolvent(ops, lam, eta, cfg, y_init=y_init)
+        res = solve_resolvent(ops, lam, eta, cfg, start=y_init)
         assert res.residual <= cfg.tol_res * max(1.0, ops.grid.norm1(eta))
 
 
@@ -578,10 +578,10 @@ def test_warm_start_must_match_the_operand_and_nu():
     ops = quad_ops(g, drift=tanh_drift(g))
     eta = np.exp(-g.x**2)
     prev = solve_resolvent(ops, 3.0, eta)
-    warm = solve_resolvent(ops, 4.0, eta, warm=prev)
-    cold = solve_resolvent(ops, 4.0, eta, y_init=prev.y)
+    warm = solve_resolvent(ops, 4.0, eta, start=prev)
+    cold = solve_resolvent(ops, 4.0, eta, start=prev.y)
     assert warm.y.tobytes() == cold.y.tobytes()
     assert (warm.residual, warm.iterations) == (cold.residual, cold.iterations)
     other = quad_ops(g, drift=tanh_drift(g))
     with pytest.raises(ValueError, match="warm start"):
-        solve_resolvent(other, 4.0, eta, warm=prev)
+        solve_resolvent(other, 4.0, eta, start=prev)
