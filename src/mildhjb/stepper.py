@@ -211,10 +211,9 @@ def sup_time_gap(coarse: MildSolution, fine: MildSolution) -> float:
         raise ValueError(f"runs on {coarse.grid} and {fine.grid}")
     if min(len(coarse.times), len(fine.times)) < 2:
         raise ValueError("a run that takes no step has no time gap")
-    times = np.concatenate((fine.times, coarse.times))
-    i, j = np.unique(np.stack(
-        [np.searchsorted(run.times, times, side="right") - 1
-         for run in (fine, coarse)], axis=1), axis=0).T
+    times = np.union1d(fine.times, coarse.times)
+    i, j = (np.searchsorted(run.times, times, side="right") - 1
+            for run in (fine, coarse))
     ys, zs = (r.snapshots.reshape(len(r.times), -1) for r in (fine, coarse))
     size = max(1, 2**13 // ys.shape[1])  # 64 KiB of differences a slice
     gap = np.max([np.abs(ys[i[k:k + size]] - zs[j[k:k + size]]).sum(axis=1)
