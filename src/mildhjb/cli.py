@@ -48,13 +48,7 @@ def _fmt(value) -> str:
 
 
 def _cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt(v)
-    return str(v)
+    return _fmt(v) if isinstance(v, float) else str(v)
 
 
 def _write_csv(path: Path, comment: str, header: list[str], rows) -> None:
