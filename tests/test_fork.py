@@ -14,18 +14,17 @@ def no_fork():
     raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
 
-def write_pid(out):
-    out.write(f"{os.getpid()}\n".encode())
-
-
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_failed_fork_runs_the_task_here(monkeypatch):
+    def task(out):
+        out.write(f"{os.getpid()}\n".encode())
+
     monkeypatch.setattr(_fork.os, "fork", no_fork)
-    with _fork.forked(write_pid) as [worker]:
+    with _fork.forked(task) as [worker]:
         assert worker.join().read() == f"{os.getpid()}\n".encode()
     assert_no_child()
 
