@@ -7,9 +7,9 @@ Each config in ``perfbench/configs``, and each run of ``PINNED_RUNS`` in
 ``test_cli.py``, runs through ``cli.run`` at that seed into a temporary
 directory, and one ``sha256  run/relative/path`` line is printed per
 artifact, the ``#`` lines of ``manifest.txt`` (versions and timing) left
-out.  A benchmark run is
-named by its config's stem, a pinned run ``pinned/<name>``.  Two checkouts
-whose outputs ``diff`` equal wrote the same bytes.
+out.  A benchmark run is named by its config's stem, a pinned run
+``pinned/<name>``.  Two checkouts whose outputs ``diff`` equal wrote the
+same bytes.
 
 With ``--fork-fails``, ``mildhjb._fork.cores`` returns 2 and every
 ``os.fork`` raises ``BlockingIOError(EAGAIN)``, so each user of ``_fork``
