@@ -86,19 +86,20 @@ def _joined_rows(blocks):
 
 
 def _field_rows(times, xs, tables):
-    """Rows ``t,x,value`` of each snapshot in ``tables``; from ``_MIN_SPLIT``
-    values on, a worker (``_fork``) formats the second half into its file,
-    which comes last."""
+    """Rows ``t,x,value`` of each snapshot of ``tables`` (an array or a run,
+    read where formatted); from ``_MIN_SPLIT`` values on, a worker
+    (``_fork``) formats the second half into its file, which comes last."""
     heads = [f",{_fmt(x)}," for x in xs]
+    read = getattr(tables, "read", None) or tables.__getitem__
     first, second = (
-        _joined_rows((_fmt(t), heads, table)
-                     for t, table in zip(times[part], tables[part]))
-        for part in (slice(len(tables) // 2), slice(len(tables) // 2, None)))
+        _joined_rows((_fmt(times[k]), heads, read(np.array([k]))[0])
+                     for k in part)
+        for part in np.array_split(np.arange(len(times)), 2))
 
     def task(out):
         out.writelines(row.encode() + b"\n" for row in second)
 
-    split = len(tables) * len(xs) >= _MIN_SPLIT and _fork.cores() > 1
+    split = len(times) * len(xs) >= _MIN_SPLIT and _fork.cores() > 1
     with _fork.forked(*[task] if split else []) as workers:
         yield from first
         yield from [workers[0].join()] if workers else second
@@ -243,7 +244,7 @@ def _run_sweep_eps(cfg: RunConfig, out: Path, quiet: bool) -> None:
     _write_csv(out / "fields" / "y_finest.csv",
                "finest-run snapshots; columns: time, state, value",
                ["t", "x", "y"],
-               _field_rows(sol.times, sol.grid.x, sol.snapshots))
+               _field_rows(sol.times, sol.grid.x, sol))
     _write_text(out / "reports" / "summary.txt",
                 f"converged = {result.converged}\n"
                 f"finest_eps = {_fmt(result.eps_levels[-1])}\n"

@@ -4,28 +4,31 @@ Each step is one resolvent solve with shift ``1/eps``:
 
     (y_next - y_prev)/eps + A(y_next) + B(y_next) = source,
 
-and the piecewise-constant interpolant of the snapshots is the approximate
-mild solution.  ``refine_until`` halves ``eps`` and measures the sup-in-time
-L1 gap between successive refinements, the computable Cauchy certificate for
-the limit; a forked worker (``_fork``) marches its finest level
-speculatively, killed if the sweep converges before it, and its CPU time and
-memory show only in ``RUSAGE_CHILDREN``.  ``march`` is the one march loop:
-it yields each step's result and keeps none, so a caller holds only the
-states it reads; ``mild_solve`` stores every step.  A
-``TransformedProblem`` holds the data (initial state, source, horizon) on
-any operand of ``solve_resolvent`` (``EllipticOperands``,
-``twodim.Problem2D``), which holds no data; a ``MildSolution`` holds its
-problem and derives its shortened last step from it.  ``step_lengths`` is
-the one check of a schedule, and ``step_times`` gives its step times.
-``energy_report`` (1-D only) computes, per snapshot, the potential integral
-``h * sum j(m*y)/sigma^2`` and the flux dissipation
+and the piecewise-constant interpolant of the snapshots is the approximate mild
+solution.  ``refine_until`` halves ``eps`` and measures the sup-in-time L1 gap
+between successive refinements, the computable Cauchy certificate for the
+limit; a forked worker (``_fork``) marches its finest level speculatively,
+killed if the sweep converges before it, and its CPU time and memory show only
+in ``RUSAGE_CHILDREN``.  ``march`` is the one march loop: it yields each step's
+result and keeps none, so a caller holds only the states it reads;
+``mild_solve`` stores every step, in memory or in a file that a
+``StoredSolution`` reads a slice at a time.  A ``TransformedProblem`` holds the
+data (initial state, source, horizon) on any operand of ``solve_resolvent``
+(``EllipticOperands``, ``twodim.Problem2D``), which holds no data; a
+``MildSolution`` holds its problem and derives its shortened last step from
+it.  ``step_lengths`` is the one check of a schedule, and ``step_times`` gives
+its step times.  ``energy_report`` (1-D only) computes, per snapshot, the
+potential integral ``h * sum j(m*y)/sigma^2`` and the flux dissipation
 ``h * sum ((value(m*y))_x)^2``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import pickle
+import tempfile
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -110,10 +113,36 @@ class MildSolution:
     def final(self) -> np.ndarray:
         return self.snapshots[-1]
 
+    def read(self, rows: np.ndarray) -> np.ndarray:  # ascending indices
+        return self.snapshots[rows]
+
     @property
     def masses(self) -> np.ndarray:
         """Discrete integral of every snapshot."""
         return np.array([self.grid.integral(y) for y in self.snapshots])
+
+
+class StoredSolution(MildSolution):
+    """A run that ``mild_solve`` wrote to a file, snapshots then pickled
+    diagnostics, read by ``os.preadv`` (a memory map's pages would stay
+    resident) through its own descriptor, closed with it."""
+
+    def __init__(self, eps: float, problem: TransformedProblem, file):
+        self.eps, self.problem = eps, problem
+        self.times = step_times(problem.horizon, eps)
+        self._row = 8 * math.prod(problem.operands.shape)  # bytes a snapshot
+        self._fd = os.dup(file.fileno())
+        weakref.finalize(self, os.close, self._fd)
+
+    def read(self, rows: np.ndarray) -> np.ndarray:
+        out = np.empty((rows[-1] + 1 - rows[0], *self.operands.shape))
+        if os.preadv(self._fd, [out], rows[0] * self._row) != out.nbytes:
+            raise EOFError(f"snapshot {rows[-1]} is not in the file")
+        return out[rows - rows[0]]
+
+    snapshots = property(lambda self: self.read(np.arange(len(self.times))))
+    diagnostics = property(lambda self: pickle.loads(os.pread(
+        self._fd, os.fstat(self._fd).st_size, len(self.times) * self._row)))
 
 
 def step(problem: TransformedProblem, eps: float, prev,
@@ -171,23 +200,30 @@ def march(problem: TransformedProblem, eps: float,
 
 
 def mild_solve(problem: TransformedProblem, eps: float,
-               cfg: Optional[ResolventConfig] = None) -> MildSolution:
-    """Store every step of ``march``.
+               cfg: Optional[ResolventConfig] = None,
+               out=None) -> MildSolution:
+    """Store every step of ``march``, in memory or, as it comes, in ``out``
+    (a binary file at its start) that the returned ``StoredSolution`` reads.
 
     A shortened final step shows in ``times`` (``step_times``) and in the
-    derived ``partial_step``.  The snapshots take ``(steps + 1) * 8`` bytes
-    per node.
+    derived ``partial_step``.  The snapshots take (steps + 1) * 8 bytes a node.
     """
     times = step_times(problem.horizon, eps)
-    ys = np.empty((len(times), *problem.operands.shape))
+    ys = np.empty((1 if out else len(times), *problem.operands.shape))
     ys[0] = problem.initial
+    write = out.write if out else lambda row: None  # else ys keeps each row
+    write(ys[0])
     diags: list[StepDiagnostics] = []
     for i, res in enumerate(march(problem, eps, cfg), start=1):
-        ys[i] = res.y
+        ys[0 if out else i] = res.y
+        write(ys[0 if out else i])
         diags.append(StepDiagnostics(res.residual, res.iterations,
                                      res.fallback, res.out_of_table))
-    return MildSolution(eps=eps, problem=problem, times=times,
-                        snapshots=ys, diagnostics=diags)
+    if not out:
+        return MildSolution(eps, problem, times, ys, diags)
+    pickle.dump(diags, out, protocol=5)
+    out.flush()
+    return StoredSolution(eps, problem, out)
 
 
 @dataclass
@@ -202,23 +238,24 @@ def sup_time_gap(coarse: MildSolution, fine: MildSolution) -> float:
     """sup over time of the L1 distance between two piecewise-constant runs
     on one grid.
 
-    The runs are compared at every step time of either run, each through its
-    snapshot covering that time, as row sums over slices of pairs; a time of
-    both runs is compared twice, as merging the times would sort them, and a
-    run's first sort raises its peak RSS by 0.7 MB.  A run that takes no
-    step is rejected with ``ValueError``.
+    The runs are compared at every step time of either run (a time of both
+    twice: merging would sort, and a run's first sort raises its peak RSS by
+    0.7 MB), each through its snapshot covering that time, over slices of
+    one run's times.  A run that takes no step is rejected (``ValueError``).
     """
     if coarse.grid != fine.grid:
         raise ValueError(f"runs on {coarse.grid} and {fine.grid}")
     if min(len(coarse.times), len(fine.times)) < 2:
         raise ValueError("a run that takes no step has no time gap")
-    times = np.concatenate((fine.times, coarse.times))
-    i, j = (np.searchsorted(run.times, times, side="right") - 1
-            for run in (fine, coarse))
-    ys, zs = (r.snapshots.reshape(len(r.times), -1) for r in (fine, coarse))
-    size = max(1, 2**13 // ys.shape[1])  # 64 KiB of differences a slice
-    gap = np.max([np.abs(ys[i[k:k + size]] - zs[j[k:k + size]]).sum(axis=1)
-                  .max() for k in range(0, len(i), size)])  # NaN propagates
+    m = fine.grid.n**fine.grid.dim  # values a snapshot
+    size, sums = max(1, 2**13 // m), []  # 64 KiB of differences a slice
+    for times in (fine.times, coarse.times):  # the other run's span is short
+        i, j = (np.searchsorted(run.times, times, side="right") - 1
+                for run in (fine, coarse))
+        sums += [np.abs(fine.read(i[k:k + size]) - coarse.read(j[k:k + size]))
+                 .reshape(-1, m).sum(axis=1).max()
+                 for k in range(0, len(times), size)]
+    gap = np.max(sums)  # NaN propagates
     return float(fine.grid.h**fine.grid.dim * gap)  # norm1 of farthest pair
 
 
@@ -235,19 +272,20 @@ def refine_until(problem: TransformedProblem, tol: float, eps0: float,
         raise ValueError(f"max_levels must be an integer >= 1: {max_levels!r}")
     step_lengths(problem.horizon, eps0)  # rejects a bad eps0 before the fork
 
+    def level(eps):  # stored in an unlinked temporary file
+        with tempfile.TemporaryFile() as out:
+            return mild_solve(problem, eps, cfg, out)
+
     def march_finest(out):  # at the eps the halving reaches, bit for bit
-        sol = mild_solve(problem, eps0 * 0.5**max_levels, cfg=cfg)
-        pickle.dump((sol.times, sol.snapshots, sol.diagnostics), out,
-                    protocol=5)
+        mild_solve(problem, eps0 * 0.5**max_levels, cfg, out)
 
     with _fork.forked(*[march_finest] if _fork.cores() > 1 else []) as workers:
-        prev = mild_solve(problem, eps0, cfg=cfg)
+        prev = level(eps0)
         levels, gaps = [eps0], []
         for k in range(1, max_levels + 1):
             eps = levels[-1] * 0.5
-            cur = (MildSolution(eps, problem, *pickle.load(workers[0].join()))
-                   if workers and k == max_levels
-                   else mild_solve(problem, eps, cfg=cfg))
+            cur = (StoredSolution(eps, problem, workers[0].join())
+                   if workers and k == max_levels else level(eps))
             levels.append(eps)
             gaps.append(sup_time_gap(prev, cur))
             prev = cur
