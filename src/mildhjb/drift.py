@@ -38,6 +38,7 @@ class DriftData:
     def __post_init__(self):
         for name in ("f", "f1", "f2"):
             check_table(name, getattr(self, name), (self.grid.n,))
+        vars(self).update(_forward=self.f >= 0.0, _two_f1=2.0 * self.f1)
 
     @classmethod
     def from_callables(cls, grid: Grid1D, f, f1=None, f2=None) -> "DriftData":
@@ -64,7 +65,7 @@ class DriftData:
         d[0] = y[0]
         d[-1] = -y[-1]
         d /= self.grid.h
-        out = self.f * np.where(self.f >= 0.0, d[1:], d[:-1])
+        out = self.f * np.where(self._forward, d[1:], d[:-1])
         return np.negative(out, out=out)
 
     def jacobian(self, perturbation: bool):
@@ -77,7 +78,7 @@ class DriftData:
                     -np.maximum(f[:-1], 0.0) / h]
         on_psi = [np.zeros(f.size - 1), np.zeros(f.size), np.zeros(f.size - 1)]
         if perturbation:  # -2f', and f'' times psi's central slope
-            on_delta[1] = on_delta[1] - 2.0 * self.f1
+            on_delta[1] = on_delta[1] - self._two_f1
             on_psi[0] = -np.r_[f2[1:-1], 2.0 * f2[-1]] / (2.0 * h)
             on_psi[1][[0, -1]] = f2[[0, -1]] * [-1.0, 1.0] / h  # one-sided
             on_psi[2] = np.r_[2.0 * f2[0], f2[1:-1]] / (2.0 * h)
@@ -96,4 +97,4 @@ class DriftData:
 def apply_B(drift: DriftData, y) -> np.ndarray:
     """f'' * (green(y))' - 2 f' * y, nodewise."""
     return (drift.f2 * poisson_gradient(drift.grid, y)
-            - 2.0 * drift.f1 * np.asarray(y, dtype=float))
+            - drift._two_f1 * np.asarray(y, dtype=float))

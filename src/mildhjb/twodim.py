@@ -76,8 +76,8 @@ class Problem2D:
             raise ValueError(f"factor matrix needs 2 rows, got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("a contains non-finite entries")
-        b = self.b
-        if np.linalg.eigvalsh(b).min() <= 0:
+        b = self.b  # a 2x2 symmetric b is positive definite iff:
+        if not (b[0, 0] > 0 and b[0, 0] * b[1, 1] - b[0, 1]**2 > 0):
             raise ValueError("a a^T must be positive definite")
         sigma0 = np.asarray(self.sigma0, dtype=float)
         object.__setattr__(self, "sigma0", sigma0)

@@ -171,6 +171,25 @@ def test_factor_matrix_validation():
         make_problem(g, np.array([[1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("a, accepted", [
+    ([[1.0, 0.3], [0.0, 1.0]], True),  # the planar benchmark's factor
+    ([[1.2, 0.0], [0.3, 1.0]], True),
+    ([[1.0, 0.5, 0.2], [-0.3, 1.0, 0.0]], True),
+    ([[1.0, 2.0], [2.0, 4.0]], False),  # rank one: det(a a^T) is 0
+    ([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]], False),
+    ([[0.0, 0.0], [0.0, 1.0]], False),  # b11 = 0
+    ([[0.1, 0.3], [0.1, 0.3]], False),
+])
+def test_positive_definiteness_of_a_a_transpose(a, accepted):
+    # the closed-form 2x2 test; eigvalsh would load numpy.linalg's LAPACK
+    g = Grid2D(3.0, 11)
+    if accepted:
+        make_problem(g, np.array(a))
+    else:
+        with pytest.raises(ValueError, match="a a\\^T must be positive"):
+            make_problem(g, np.array(a))
+
+
 def test_vanishing_volatility_rejected():
     g = Grid2D(3.0, 11)
     sigma0 = np.full((g.n, g.n), np.sqrt(2.0))
