@@ -1,10 +1,10 @@
 """SHA-256 of every artifact the benchmark configs and the pinned CLI runs
 write, for diffing two checkouts.
 
-Run as ``python tests/artifact_bytes.py [--seed S] [--fork-fails]`` (seed 1
-by default); without a ``test_`` prefix it is not part of the test suite.
-Each config in ``perfbench/configs``, and each run of ``PINNED_RUNS`` in
-``test_cli.py``, runs through ``cli.run`` at that seed into a temporary
+Run as ``python tests/artifact_bytes.py [--seed S] [--fork-fails|--serial]``
+(seed 1 by default); without a ``test_`` prefix it is not part of the test
+suite.  Each config in ``perfbench/configs``, and each run of ``PINNED_RUNS``
+in ``test_cli.py``, runs through ``cli.run`` at that seed into a temporary
 directory, and one ``sha256  run/relative/path`` line is printed per
 artifact, the ``#`` lines of ``manifest.txt`` (versions and timing) left
 out.  A benchmark run is named by its config's stem, a pinned run
@@ -14,8 +14,9 @@ same bytes.
 With ``--fork-fails``, ``mildhjb._fork.cores`` returns 2 and every
 ``os.fork`` raises ``BlockingIOError(EAGAIN)``, so each user of ``_fork``
 takes the path where ``join`` does a failed worker's task itself, on any
-host.  Its output must ``diff`` empty against a normal run of the same
-checkout.
+host.  With ``--serial``, ``mildhjb._fork.cores`` returns 1, so no user of
+``_fork`` forks and each runs its unforked path.  Either output must
+``diff`` empty against a normal run of the same checkout.
 """
 
 import argparse
@@ -74,9 +75,14 @@ def runs():
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--fork-fails", action="store_true",
-                        help="make every fork raise EAGAIN on two cores")
+    forks = parser.add_mutually_exclusive_group()
+    forks.add_argument("--fork-fails", action="store_true",
+                       help="make every fork raise EAGAIN on two cores")
+    forks.add_argument("--serial", action="store_true",
+                       help="run on one core: nothing forks")
     args = parser.parse_args()
+    if args.serial:
+        _fork.cores = lambda: 1
     if args.fork_fails:
         def no_fork():
             raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))

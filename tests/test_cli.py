@@ -828,10 +828,19 @@ def test_streamed_field_tables_match_per_row_reference(tmp_path):
 
 @pytest.mark.parametrize("snapshots", [4, 7], ids=["even", "odd"])
 @pytest.mark.parametrize("worker", ["formats", "dies"])
+@pytest.mark.parametrize("source", ["array", "stored"])
 def test_split_field_table_is_the_serial_bytes(tmp_path, monkeypatch,
-                                               worker, snapshots):
-    table = np.concatenate((AWKWARD, -AWKWARD))[:snapshots]
-    times, xs = np.linspace(0.0, 3.0, snapshots), AWKWARD[0]
+                                               source, worker, snapshots):
+    if source == "array":
+        table = np.concatenate((AWKWARD, -AWKWARD))[:snapshots]
+        times, xs = np.linspace(0.0, 3.0, snapshots), AWKWARD[0]
+    else:  # a run in a file, which the worker reads through its descriptor
+        problem = conftest.heat_problem(Grid1D(1.0, 5),
+                                        horizon=0.25 * (snapshots - 1))
+        with open(tmp_path / "run.bin", "w+b") as out:
+            table = stepper.mild_solve(problem, 0.25, out=out)
+        times, xs = table.times, table.grid.x
+    size = len(times) * len(xs)
 
     def written(name):
         path = tmp_path / name
@@ -841,28 +850,35 @@ def test_split_field_table_is_the_serial_bytes(tmp_path, monkeypatch,
 
     monkeypatch.setattr(_fork, "cores", lambda: 1)
     serial = written("serial.csv")
-    forks = []
-    forked = _fork.forked
+    forks, statuses = [], []
+    forked, waitpid = _fork.forked, os.waitpid
 
     def counted(*tasks):
         forks.append(len(tasks))
         return forked(*tasks)
 
+    def reaped(pid, options):
+        statuses.append(waitpid(pid, options)[1])
+        return pid, statuses[-1]
+
     monkeypatch.setattr(_fork, "forked", counted)
+    monkeypatch.setattr(_fork.os, "waitpid", reaped)
     monkeypatch.setattr(_fork, "cores", lambda: 2)
-    monkeypatch.setattr(cli, "_MIN_SPLIT", table.size + 1)
+    monkeypatch.setattr(cli, "_MIN_SPLIT", size + 1)
     assert written("below.csv") == serial and sum(forks) == 0
-    monkeypatch.setattr(cli, "_MIN_SPLIT", table.size)
+    monkeypatch.setattr(cli, "_MIN_SPLIT", size)
     if worker == "dies":
         caller, joined = os.getpid(), cli._joined_rows
 
-        def dying(blocks):
+        def dying(blocks):  # a generator: this runs where it is iterated
             if os.getpid() != caller:
                 os._exit(3)
-            return joined(blocks)
+            yield from joined(blocks)
 
         monkeypatch.setattr(cli, "_joined_rows", dying)
     assert written("split.csv") == serial and sum(forks) == 1
+    assert [os.waitstatus_to_exitcode(s) for s in statuses] == \
+        [3 if worker == "dies" else 0]
 
 
 SWEEP_EPS = SOLVE.format(T=0.1).replace(
@@ -875,6 +891,7 @@ SWEEP_EPS = SOLVE.format(T=0.1).replace(
 def test_sweep_eps_leaves_no_child(tmp_path, monkeypatch, capsys, case):
     tol = 1.0 if case == "early-convergence" else 1e-9
     cfg = str(write(tmp_path, "w.cfg", SWEEP_EPS.format(tol=tol)))
+    fds = sorted(os.listdir("/proc/self/fd"))  # each level's file is closed
     monkeypatch.setattr(_fork, "cores", lambda: 1)
     assert run("sweep-eps", cfg, out_dir=str(tmp_path / "serial"),
                quiet=True) == 0
@@ -898,6 +915,7 @@ def test_sweep_eps_leaves_no_child(tmp_path, monkeypatch, capsys, case):
         rc = run("sweep-eps", cfg, out_dir=str(tmp_path / "out"), quiet=True)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
     if case == "coarse-error":
         assert rc == 1
         assert "type: ArithmeticError" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import os
 import re
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -361,6 +362,50 @@ def test_refine_until_certifies_a_2d_run(monkeypatch):
         assert sol.snapshots.shape == (steps + 1, 11, 11)
         assert len(sol.diagnostics) == steps
     assert result.solution is runs[-1]
+
+
+@pytest.mark.parametrize("cores", [1, 2], ids=["serial", "forked"])
+def test_refine_holds_states_not_whole_levels(monkeypatch, cores):
+    # each level is read from its file a slice at a time: from 3 to 5
+    # levels, this process's peak grows by less than one snapshot (8 bytes
+    # a node) per step of the finest level, where holding the finest level
+    # and the one before it grew by 12 bytes a node or more
+    problem = heat_problem(Grid1D(10.0, 41), horizon=0.1)
+    monkeypatch.setattr(_fork, "cores", lambda: cores)
+    peaks = []
+    for levels in (3, 5):
+        tracemalloc.start()
+        try:
+            refine_until(problem, 1e-12, 0.1 / 64, max_levels=levels)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    steps = 64 * (2**5 - 2**3)  # more steps of the finest level
+    assert peaks[1] - peaks[0] < 8 * 41 * steps
+
+
+@pytest.mark.parametrize("make, eps", [
+    (lambda: quad_problem(Grid1D(10.0, 41), horizon=0.1,
+                          drift=tanh_drift(Grid1D(10.0, 41))), 2.0**-9),
+    (planar_problem, 0.01),
+], ids=["1d", "2d"])
+def test_stored_run_is_the_run_in_memory(tmp_path, make, eps):
+    problem = make()
+    here = mild_solve(problem, eps)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with open(tmp_path / "run.bin", "w+b") as out:
+        stored = mild_solve(problem, eps, out=out)
+    np.testing.assert_array_equal(stored.times, here.times)
+    np.testing.assert_array_equal(stored.snapshots, here.snapshots)
+    np.testing.assert_array_equal(stored.final, here.final)
+    assert stored.diagnostics == here.diagnostics
+    rows = np.array([1, 2, 2, 5, len(here.times) - 1])
+    np.testing.assert_array_equal(stored.read(rows), here.read(rows))
+    half = mild_solve(problem, 2 * eps)
+    assert sup_time_gap(half, stored).hex() == \
+        sup_time_gap(half, here).hex()
+    del stored  # its descriptor closes with it
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 def levels_marched_here(monkeypatch, *args, **kwargs):
