@@ -26,6 +26,6 @@ from .stepper import (EnergyReport, MildSolution, RefineResult,
                       refine_until, step, sup_time_gap)
 from .twodim import PlanarProblem, Problem2D, solve_L
 from .value import (FeedbackPolicy, ValueFunction, interpolate_policy,
-                    reconstruct_value, synthesize_feedback)
+                    reconstruct_value, start_value, synthesize_feedback)
 
 __version__ = "0.1.0"

@@ -30,17 +30,23 @@ from .montecarlo import (SEED_RANGE, SimConfig, compare_policies,
 from .stepper import (energy_report, march, mild_solve, refine_until,
                       step_times)
 from .twodim import solve_L
-from .value import reconstruct_value, synthesize_feedback
+from .value import reconstruct_value, start_value, synthesize_feedback
 
 __all__ = ["main", "run"]
 
-# the 2-D runner reads the march step by step under this name, which
-# perfbench/layers.py wraps
-mild_solve_2d = march
-
-# the fewest values of a field table split with a forked worker: at 1.6 us
-# a value its half takes 13 ms, five times a fork and reap (2.7 ms, 40 MB)
+# the fewest values of a field table split with a forked worker: a value of
+# a mostly-zero table formats in 0.3-0.45 us, so half of 2^14 takes about a
+# fork and reap (2.7 ms, 40 MB); kept, as no benchmark table has 2^14-2^16
 _MIN_SPLIT = 2**14
+
+
+def mild_solve_2d(problem, eps, cfg):
+    """The 2-D runner's march, one traced span: final state, every mass."""
+    grid = problem.operands.grid
+    final, masses = problem.initial, [grid.integral(problem.initial)]
+    for final in (res.y for res in march(problem, eps, cfg)):
+        masses.append(grid.integral(final))
+    return final, masses
 
 
 def _fmt(value) -> str:
@@ -198,9 +204,8 @@ def _run_simulate(cfg: RunConfig, out: Path, quiet: bool) -> None:
     policy = synthesize_feedback(sol)
     _write_policy(policy, out)
     sim = SimConfig(n_paths=cfg.paths, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0)
-    vf = reconstruct_value(sol)
-    pde_value = np.interp(sim.x0, vf.grid.x, vf.phi[0])
-    del sol, vf  # the run's tables need not live through the Monte Carlo
+    pde_value = np.interp(sim.x0, sol.grid.x, start_value(sol))
+    del sol  # the run's tables need not live through the Monte Carlo
     comparison = compare_policies(cfg.problem, policy, cfg.baselines, sim,
                                   keep_samples=cfg.dump_paths)
     if cfg.dump_paths:
@@ -274,14 +279,9 @@ def _run_sweep_degenerate(cfg: RunConfig, out: Path, quiet: bool) -> None:
 
 
 def _run_solve_2d(cfg: RunConfig, out: Path, quiet: bool) -> None:
-    # only the final state and one mass per step are kept, not every step
     grid = cfg.grid
     problem = cfg.problem.discretize(grid)
-    final, masses = problem.initial, [grid.integral(problem.initial)]
-    for res in mild_solve_2d(problem, cfg.eps, cfg=cfg.solver):
-        final = res.y
-        masses.append(grid.integral(final))
-
+    final, masses = mild_solve_2d(problem, cfg.eps, cfg.solver)
     _write_csv(out / "fields" / "y2d_initial.csv",
                "initial transformed state; columns: i, j, x, y, value",
                ["i", "j", "x", "y", "value"],

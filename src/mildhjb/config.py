@@ -265,8 +265,8 @@ class _Validator:
             self.error(line, f"[{section}] {key}", f"empty list ({describe})")
         return values
 
-    def matrix(self, section, key, rows, required=False):
-        raw, line = self.get(section, key, required)
+    def matrix(self, section, key):  # a required 2-row matrix
+        raw, line = self.get(section, key, True)
         if raw is None:
             return None
         data = [[_finite(v) for v in row.replace(",", " ").split()]
@@ -276,9 +276,9 @@ class _Validator:
                        f"finite numbers: {raw!r}")
             return None
         widths = {len(r) for r in data}
-        if len(data) != rows or len(widths) != 1 or 0 in widths:
+        if len(data) != 2 or len(widths) != 1 or 0 in widths:
             self.error(line, f"[{section}] {key}",
-                       f"need {rows} rows of equal length, ';'-separated")
+                       "need 2 rows of equal length, ';'-separated")
             return None
         return np.array(data)
 
@@ -416,7 +416,7 @@ def parse_config(text: str, mode_override: Optional[str] = None
     if planar:
         problem["horizon"] = v.number("2d", "T", required=True,
                                       check=lambda t: t > 0, describe="T > 0")
-        problem["a"] = v.matrix("2d", "a", rows=2, required=True)
+        problem["a"] = v.matrix("2d", "a")
         problem["sigma0"], _ = v.expression("2d", "sigma0",
                                             variables=("x", "y"),
                                             required=True)

@@ -34,6 +34,7 @@ __all__ = [
 
 
 _PROBE_MAX = 10.0  # the bound and convexity are sampled on [0, _PROBE_MAX]
+_SAMPLE_TOL = 1e-9  # relative slack of both sampled checks
 
 
 class CostValidationError(ValueError):
@@ -97,20 +98,20 @@ class RunningCost:
                             ).reshape(u.shape)
         return float(vals) if u.ndim == 0 else vals
 
-    def _validate_samples(self, tol: float = 1e-9):
+    def _validate_samples(self):
         u = np.linspace(0.0, _PROBE_MAX, 201)
         vals = self.evaluate(u)
         if not np.all(np.isfinite(vals)):
             raise CostValidationError("cost is not finite on the probe grid")
         lower = self.alpha1 * u * u + self.alpha2
         scale = 1.0 + np.abs(vals)
-        if np.any(vals < lower - tol * scale):
+        if np.any(vals < lower - _SAMPLE_TOL * scale):
             k = int(np.argmax(lower - vals))
             raise CostValidationError(
                 f"coercivity bound fails at u={u[k]:g}: h={vals[k]:g} < "
                 f"{lower[k]:g}")
         mid = 0.5 * (vals[:-2] + vals[2:])
-        if np.any(vals[1:-1] > mid + tol * scale[1:-1]):
+        if np.any(vals[1:-1] > mid + _SAMPLE_TOL * scale[1:-1]):
             k = 1 + int(np.argmax(vals[1:-1] - mid))
             raise CostValidationError(f"midpoint convexity fails near u={u[k]:g}")
 

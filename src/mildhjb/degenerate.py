@@ -6,8 +6,8 @@ gaps between adjacent levels are reported (convergence is exhibited, never
 asserted with a rate).  Each level also gets a sup-norm certificate: a
 constant barrier M computed from the flux curvature bound and the volatility
 derivative norms (and ``drift``'s ``barrier_terms``) must dominate every
-snapshot.  The certificate reads the level's weight, through the flux
-multiplier, from the run itself.
+snapshot.  The certificate reads off the run the level's weight, through the
+flux multiplier, and each step's right-hand side, through ``problem.rhs``.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class BoundReport:
 
 def check_linf_bound(sol: MildSolution, vol: VolatilityData) -> BoundReport:
     """Certify every step of a run against its constant barrier, each
-    step's ``eta`` formed from the snapshots as ``mild_solve`` forms it and
+    step's ``eta`` the right-hand side ``problem.rhs`` gave the step and
     the flux multiplier read off the run; ``vol`` is on the run's grid.
     A drift lowers each shift and raises each ``eta_inf`` by its
     ``barrier_terms``."""
@@ -119,7 +119,7 @@ def check_linf_bound(sol: MildSolution, vol: VolatilityData) -> BoundReport:
         raise ValueError("a run that takes no step has no step to certify")
     steps = np.array(step_lengths(sol.problem.horizon, sol.eps))[:, None]
     ys = sol.snapshots
-    eta_inf = np.abs(sol.problem.source + ys[:-1] / steps).max(axis=1)
+    eta_inf = np.abs(sol.problem.rhs(ys[:-1], steps)).max(axis=1)
     y_inf = np.abs(ys[1:]).max(axis=1)
     lams = shifts = 1.0 / steps[:, 0]
     if sol.operands.drift is not None:

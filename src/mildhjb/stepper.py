@@ -14,10 +14,11 @@ result and keeps none, so a caller holds only the states it reads;
 ``mild_solve`` stores every step, in memory or in a file that a
 ``StoredSolution`` reads a slice at a time.  A ``TransformedProblem`` holds the
 data (initial state, source, horizon) on any operand of ``solve_resolvent``
-(``EllipticOperands``, ``twodim.Problem2D``), which holds no data; a
-``MildSolution`` holds its problem and derives its shortened last step from
-it.  ``step_lengths`` is the one check of a schedule, and ``step_times`` gives
-its step times.  ``energy_report`` (1-D only) computes, per snapshot, the
+(``EllipticOperands``, ``twodim.Problem2D``), which holds no data, and forms
+each step's right-hand side, ``rhs``, for ``step`` and ``degenerate``'s
+barrier; a ``MildSolution`` holds its problem and derives its shortened last
+step from it.  ``step_lengths`` is the one check of a schedule, ``step_times``
+gives its times.  ``energy_report`` (1-D only) computes, per snapshot, the
 potential integral ``h * sum j(m*y)/sigma^2`` and the flux dissipation
 ``h * sum ((value(m*y))_x)^2``.
 """
@@ -71,6 +72,10 @@ class TransformedProblem:
             raise ValueError(
                 f"horizon must be positive and finite, got {self.horizon}")
 
+    def rhs(self, y_prev: np.ndarray, dt) -> np.ndarray:
+        """``source + y_prev/dt``; dt is a column for a stack of states."""
+        return self.source + y_prev / dt
+
 
 @dataclass(frozen=True, slots=True)
 class StepDiagnostics:
@@ -111,7 +116,7 @@ class MildSolution:
 
     @property
     def final(self) -> np.ndarray:
-        return self.snapshots[-1]
+        return self.read(np.array([len(self.times) - 1]))[0]
 
     def read(self, rows: np.ndarray) -> np.ndarray:  # ascending indices
         return self.snapshots[rows]
@@ -149,7 +154,7 @@ def step(problem: TransformedProblem, eps: float, prev,
          cfg: Optional[ResolventConfig] = None) -> ResolventResult:
     """One implicit step of length eps from ``prev``, the state ``y_prev``
     or the result whose ``y`` it is: a single resolvent solve with shift
-    ``1/eps`` and right-hand side ``source + y_prev/eps``, started from
+    ``1/eps`` and right-hand side ``problem.rhs(y_prev, eps)``, started from
     ``prev`` (a result lends its stored operator terms)."""
     if not 0 < eps < math.inf:
         raise ValueError(f"step size must be positive and finite, got {eps}")
@@ -159,8 +164,8 @@ def step(problem: TransformedProblem, eps: float, prev,
             f"step size {eps:g} too large for the drift slope bound; "
             f"need eps < {1.0 / floor:g}")
     y_prev = prev.y if isinstance(prev, ResolventResult) else prev
-    eta = problem.source + y_prev / eps
-    return solve_resolvent(problem.operands, 1.0 / eps, eta, cfg, prev)
+    return solve_resolvent(problem.operands, 1.0 / eps,
+                           problem.rhs(y_prev, eps), cfg, prev)
 
 
 def step_lengths(horizon: float, eps: float) -> list[float]:

@@ -9,9 +9,10 @@ reversed time, so the value and its slope come back through the Green solve
 
 making ``diff2(value) == -y`` an identity of the discretization and the
 terminal slice reproduce the terminal cost up to the truncation offset.  The
-optimal control is the conjugate derivative at minus half the squared
-volatility times the curvature, which the normal cone clamps at 0.  Both
-read nothing but the run, and the control needs no Green solve.
+curvature is the run's own ``-snapshots[::-1]``, and ``start_value`` is phi at
+t = 0 alone.  The optimal control is the conjugate derivative at minus half
+the squared volatility times the curvature, which the normal cone clamps at
+0.  All read nothing but the run, and the control needs no Green solve.
 """
 
 from __future__ import annotations
@@ -30,24 +31,20 @@ __all__ = [
     "ValueFunction",
     "interpolate_policy",
     "reconstruct_value",
+    "start_value",
     "synthesize_feedback",
 ]
 
 
 @dataclass
 class ValueFunction:
-    """Value snapshots phi(t_i, x_k) with slope and curvature tables.
-
-    ``times`` ascend to the horizon, ``times[-1]``; ``curvature`` is minus
-    the forward unknown by construction, so ``diff2(phi) == -y`` holds to
-    round-off at interior nodes.
-    """
+    """Value snapshots phi(t_i, x_k) and their slope table; ``times`` ascend
+    to the horizon, ``times[-1]``."""
 
     grid: Grid1D
     times: np.ndarray
     phi: np.ndarray
     phi_x: np.ndarray
-    curvature: np.ndarray
 
     def sup_norms(self) -> tuple[float, float]:
         """(sup|phi|, sup|phi_x|) over the whole table."""
@@ -67,7 +64,14 @@ def reconstruct_value(sol: MildSolution) -> ValueFunction:
     times, ys = _reversed(sol, "reconstruct_value")
     phi = poisson_solve(sol.grid, ys)
     return ValueFunction(grid=sol.grid, times=times, phi=phi,
-                         phi_x=diff1_central(sol.grid, phi), curvature=-ys)
+                         phi_x=diff1_central(sol.grid, phi))
+
+
+def start_value(sol: MildSolution) -> np.ndarray:
+    """phi(0, .), the Green solve of the run's last state (1-D only)."""
+    if sol.grid.dim != 1:
+        raise ValueError("start_value is 1-D only; use twodim.solve_L")
+    return poisson_solve(sol.grid, sol.final)
 
 
 @dataclass

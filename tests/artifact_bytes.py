@@ -1,13 +1,13 @@
 """SHA-256 of every artifact the benchmark configs and the pinned CLI runs
 write, for diffing two checkouts.
 
-Run as ``python tests/artifact_bytes.py [--seed S] [--fork-fails|--serial]``
-(seed 1 by default); without a ``test_`` prefix it is not part of the test
-suite.  Each config in ``perfbench/configs``, and each run of ``PINNED_RUNS``
-in ``test_cli.py``, runs through ``cli.run`` at that seed into a temporary
-directory, and one ``sha256  run/relative/path`` line is printed per
-artifact, the ``#`` lines of ``manifest.txt`` (versions and timing) left
-out.  A benchmark run is named by its config's stem, a pinned run
+Run as ``python tests/artifact_bytes.py [--seed S]
+[--fork-fails|--serial|--paths]`` (seed 1 by default); without a ``test_``
+prefix it is not part of the test suite.  Each config in
+``perfbench/configs``, and each run of ``PINNED_RUNS`` in ``test_cli.py``,
+runs through ``cli.run`` at that seed into a temporary directory, and one
+``sha256  run/relative/path`` line is printed per artifact, the ``#`` lines
+of ``manifest.txt`` (versions and timing) left out.  A benchmark run is named by its config's stem, a pinned run
 ``pinned/<name>``.  Two checkouts whose outputs ``diff`` equal wrote the
 same bytes.
 
@@ -16,7 +16,10 @@ With ``--fork-fails``, ``mildhjb._fork.cores`` returns 2 and every
 takes the path where ``join`` does a failed worker's task itself, on any
 host.  With ``--serial``, ``mildhjb._fork.cores`` returns 1, so no user of
 ``_fork`` forks and each runs its unforked path.  Either output must
-``diff`` empty against a normal run of the same checkout.
+``diff`` empty against a normal run of the same checkout.  With ``--paths``,
+one invocation makes the normal, ``--serial`` and ``--fork-fails`` passes,
+prints the normal one, and exits 1 naming on stderr every artifact whose
+hash differs between them.
 """
 
 import argparse
@@ -25,6 +28,7 @@ import hashlib
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,6 +76,40 @@ def runs():
         yield f"pinned/{name}", mode, text
 
 
+def no_fork():
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+@contextmanager
+def fork_pass(name: str):
+    """``_fork`` as the pass ``name`` sees it: ``normal`` leaves it as it is,
+    ``serial`` reports one core, ``fork-fails`` two cores and a failing
+    ``os.fork``; both are restored on exit."""
+    cores, fork = _fork.cores, _fork.os.fork
+    if name == "serial":
+        _fork.cores = lambda: 1
+    if name == "fork-fails":
+        _fork.cores, _fork.os.fork = (lambda: 2), no_fork
+    try:
+        yield
+    finally:
+        _fork.cores, _fork.os.fork = cores, fork
+
+
+def pass_digests(name: str, seed: int, echo: bool) -> dict[str, str]:
+    """``{run/relative/path: sha256}`` of every run in pass ``name``, each
+    run's lines printed as it finishes when ``echo``."""
+    digests = {}
+    with fork_pass(name):
+        for run, mode, text in runs():
+            lines = artifact_digests(run, mode, text, seed)
+            if echo:
+                print("\n".join(lines), flush=True)
+            digests.update((path, digest) for digest, path in
+                           (line.split("  ", 1) for line in lines))
+    return digests
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -80,18 +118,24 @@ def main() -> None:
                        help="make every fork raise EAGAIN on two cores")
     forks.add_argument("--serial", action="store_true",
                        help="run on one core: nothing forks")
+    forks.add_argument("--paths", action="store_true",
+                       help="run all three passes and compare them")
     args = parser.parse_args()
-    if args.serial:
-        _fork.cores = lambda: 1
-    if args.fork_fails:
-        def no_fork():
-            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        _fork.cores = lambda: 2
-        _fork.os.fork = no_fork
-    for name, mode, text in runs():
-        print("\n".join(artifact_digests(name, mode, text, args.seed)),
-              flush=True)
+    if not args.paths:
+        name = ("serial" if args.serial else
+                "fork-fails" if args.fork_fails else "normal")
+        pass_digests(name, args.seed, echo=True)
+        return
+    normal = pass_digests("normal", args.seed, echo=True)
+    others = {name: pass_digests(name, args.seed, echo=False)
+              for name in ("serial", "fork-fails")}
+    differ = [f"{path}: differs in the {name} pass"
+              for name, digests in others.items()
+              for path in sorted(normal.keys() | digests.keys())
+              if normal.get(path) != digests.get(path)]
+    if differ:
+        print("\n".join(differ), file=sys.stderr)
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

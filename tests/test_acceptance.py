@@ -141,6 +141,7 @@ def test_criterion_6_feedback_argmin_certificate(desk_runs):
     started = time.perf_counter()
     grid, problem, runs, _ = desk_runs
     vf = reconstruct_value(runs[5e-3])
+    curvature = -runs[5e-3].snapshots[::-1]  # phi_xx at the value's times
     policy = synthesize_feedback(runs[5e-3])
     cost = RunningCost.quadratic(1.0, 0.0)
     u_max = max(2.0 * float(np.max(policy.u)), 1.0)
@@ -151,7 +152,7 @@ def test_criterion_6_feedback_argmin_certificate(desk_runs):
     for _ in range(200):
         i = int(rng.integers(0, len(vf.times)))
         k = int(rng.integers(0, grid.n))
-        q = problem.operands.half_sigma_sq[k] * vf.curvature[i, k]
+        q = problem.operands.half_sigma_sq[k] * curvature[i, k]
         best = float(np.min(q * probe + probe_cost))
         star = q * policy.u[i, k] + float(cost.evaluate(policy.u[i, k]))
         worst = max(worst, star - best)

@@ -464,6 +464,17 @@ def test_artifact_bytes_are_pinned(tmp_path, name):
     assert got == PINNED_HASHES[name], f"new hashes: {name!r}: {got!r},"
 
 
+def test_simulate_reads_the_start_value_without_the_value_table(
+        tmp_path, monkeypatch):
+    # pde_value_at_x0 is one Green solve of the last state, bit for bit the
+    # first row of the whole reconstruction
+    def whole_table(sol):
+        raise AssertionError("simulate reconstructed every snapshot")
+
+    monkeypatch.setattr(cli, "reconstruct_value", whole_table)
+    assert artifact_hashes(tmp_path, "simulate") == PINNED_HASHES["simulate"]
+
+
 def test_manifest_names_the_lapack_that_served_the_run(tmp_path):
     # a "#" line, so the pinned hashes and artifact_bytes.py leave it out
     cfg = write(tmp_path, "s.cfg", SOLVE.format(T=0.04))
@@ -730,7 +741,7 @@ def test_simulate_optional_path_dump(tmp_path):
 
 @pytest.mark.parametrize("x0", [0.0, 0.1])
 def test_simulate_summary_reports_the_pde_value_at_x0(tmp_path, x0):
-    # phi(0, x0) from the same reconstruction that value mode writes
+    # phi(0, x0) bit for bit as the first row value mode writes
     text = SIMULATE.replace("x0 = 0.0", f"x0 = {x0}")
     cfg = write(tmp_path, "m.cfg", text)
     assert run("simulate", str(cfg), out_dir=str(tmp_path / "sim"),

@@ -89,6 +89,23 @@ def test_bound_report_certifies_each_step():
     np.testing.assert_allclose(recomputed.bounds, report.bounds)
 
 
+def test_bound_report_certifies_the_right_hand_side_of_the_step(
+        monkeypatch):
+    # each step's eta is the problem's rhs, the one the step solved: moving
+    # what rhs returns moves the barriers
+    grid = Grid1D(8.0, 81)
+    sol = mild_solve(bump_problem().discretize(grid, regularization=0.1),
+                     0.025)
+    vol = pinched_volatility(grid)
+    before = check_linf_bound(sol, vol).bounds
+    rhs = TransformedProblem.rhs
+    monkeypatch.setattr(TransformedProblem, "rhs",
+                        lambda self, y_prev, dt: rhs(self, y_prev, dt) + 1.0)
+    after = check_linf_bound(sol, vol).bounds
+    assert np.all(np.isfinite(before))
+    assert np.all(after > before)
+
+
 def test_volatility_from_another_grid_is_rejected():
     # a run on 41 nodes was once certified against 81-node volatility
     grid, other = Grid1D(5.0, 41), Grid1D(5.0, 81)

@@ -408,6 +408,24 @@ def test_stored_run_is_the_run_in_memory(tmp_path, make, eps):
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
+def test_final_of_a_stored_run_reads_one_row(tmp_path):
+    # the last of 4,097 snapshots is read alone: one row read and one row
+    # copied, and a few KiB of Python objects whatever the row size
+    problem = heat_problem(Grid1D(10.0, 101), horizon=0.5)
+    with open(tmp_path / "run.bin", "w+b") as out:
+        stored = mild_solve(problem, 2.0**-13, out=out)
+    assert len(stored.times) == 4097
+    tracemalloc.start()
+    try:
+        final = stored.final
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = 8 * 101
+    assert peak <= 2 * row + 4096
+    np.testing.assert_array_equal(final, stored.read(np.array([4096]))[0])
+
+
 def levels_marched_here(monkeypatch, *args, **kwargs):
     """``refine_until(*args, **kwargs)`` and the eps of each level this
     process marched itself."""

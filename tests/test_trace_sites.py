@@ -84,21 +84,12 @@ tracer = layers.install()
 from mildhjb import cli
 
 assert cli.run("solve-2d", sys.argv[3], out_dir=sys.argv[4], quiet=True) == 0
-print(json.dumps(tracer.summary()["calls"]))
+print(json.dumps(tracer.summary()))
 """
 
 
-def test_traced_2d_names_are_the_generic_functions():
-    # the trace wraps these aliases as the 2-D march and resolvent; a
-    # forwarder behind either name would fork the 2-D path from the 1-D one
-    from mildhjb import cli, resolvent, stepper, twodim
-    assert cli.mild_solve_2d is stepper.march
-    assert twodim.solve_resolvent_2d is resolvent.solve_resolvent
-
-
-def test_traced_2d_run_reaches_the_2d_sites(tmp_path):
-    # the trace times the 2-D march and its Green solve through the names
-    # cli.mild_solve_2d and cli.solve_L
+def traced_2d(tmp_path):
+    """The tracer's summary of a small ``solve-2d`` run."""
     config = tmp_path / "planar.cfg"
     config.write_text(SOLVE_2D)
     proc = subprocess.run(
@@ -106,5 +97,28 @@ def test_traced_2d_run_reaches_the_2d_sites(tmp_path):
          str(ROOT / "perfbench"), str(config), str(tmp_path / "out")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    calls = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_2d_names_are_the_generic_functions():
+    # the trace wraps cli.mild_solve_2d as the 2-D march, which steps
+    # through the one march loop, and this alias as the 2-D resolvent; a
+    # loop of its own behind either would fork the 2-D path from the 1-D one
+    from mildhjb import cli, resolvent, stepper, twodim
+    assert "march" in cli.mild_solve_2d.__code__.co_names
+    assert cli.march is stepper.march
+    assert twodim.solve_resolvent_2d is resolvent.solve_resolvent
+
+
+def test_traced_2d_run_reaches_the_2d_sites(tmp_path):
+    # the trace times the 2-D march and its Green solve through the names
+    # cli.mild_solve_2d and cli.solve_L
+    calls = traced_2d(tmp_path)["calls"]
     assert calls["twodim.mild_solve"] == calls["twodim.solve_L"] == 1
+
+
+def test_traced_2d_march_span_covers_its_solves(tmp_path):
+    # every resolvent solve of the run happens inside the march's span, so
+    # a span that closed before the march ran would read as nearly free
+    total = traced_2d(tmp_path)["total"]
+    assert total["twodim.mild_solve"] >= total["resolvent.solve"] > 0

@@ -12,7 +12,7 @@ from mildhjb.stepper import TransformedProblem, energy_report, mild_solve
 import mildhjb.twodim as twodim
 from mildhjb._lapack import csr_matvec
 from mildhjb.twodim import Grid2D, PlanarProblem, Problem2D, solve_L
-from mildhjb.value import reconstruct_value
+from mildhjb.value import reconstruct_value, start_value
 
 CONJ = ConjugateHamiltonian.quadratic()
 
@@ -267,7 +267,8 @@ def test_planar_problem_discretizes_as_the_inline_assembly():
     assert problem.horizon == 0.5
 
 
-@pytest.mark.parametrize("pipeline", [reconstruct_value, energy_report])
+@pytest.mark.parametrize("pipeline",
+                         [reconstruct_value, start_value, energy_report])
 def test_1d_value_pipeline_rejects_a_2d_run(pipeline):
     # its Green solve and slopes act along the last axis only, so a 2-D run
     # would get a wrong value or an unrelated broadcast error

@@ -51,12 +51,11 @@ def test_terminal_value_recovers_terminal_cost():
 
 
 def test_curvature_consistency():
+    # the run holds the curvature: phi_xx(t) = -y(T - t)
     _, sol, vf = desk_value()
-    for phi, curv in zip(vf.phi, vf.curvature):
+    for phi, curv in zip(vf.phi, -sol.snapshots[::-1]):
         np.testing.assert_allclose(diff2(vf.grid, phi)[1:-1], curv[1:-1],
                                    atol=1e-9)
-    np.testing.assert_allclose(vf.curvature[-1], -sol.snapshots[0],
-                               atol=1e-14)
 
 
 def test_value_slope_is_the_centered_difference_of_the_value():
@@ -110,12 +109,13 @@ def test_argmin_certificate_on_desk_problem():
     problem, sol, vf = desk_value()
     ops = problem.operands
     policy = synthesize_feedback(sol)
+    curvature = -sol.snapshots[::-1]  # phi_xx at the value's times
     rng = np.random.default_rng(17)
     us = np.linspace(0.0, 8.0, 10001)
     for _ in range(40):
         i = rng.integers(0, len(vf.times))
         k = rng.integers(0, vf.grid.n)
-        q = ops.half_sigma_sq[k] * vf.curvature[i, k]
+        q = ops.half_sigma_sq[k] * curvature[i, k]
         cost = RunningCost.quadratic(1.0, 0.0)
         values = q * us + cost.evaluate(us)
         best = float(np.min(values))
