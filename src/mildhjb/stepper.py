@@ -11,32 +11,35 @@ limit; a forked worker (``_fork``) marches its finest level speculatively,
 killed if the sweep converges before it, and its CPU time and memory show only
 in ``RUSAGE_CHILDREN``.  ``march`` is the one march loop: it yields each step's
 result and keeps none, so a caller holds only the states it reads;
-``mild_solve`` stores every step, in memory or in a file that a
-``StoredSolution`` reads a slice at a time.  A ``TransformedProblem`` holds the
-data (initial state, source, horizon) on any operand of ``solve_resolvent``
-(``EllipticOperands``, ``twodim.Problem2D``), which holds no data, and forms
-each step's right-hand side, ``rhs``, for ``step`` and ``degenerate``'s
-barrier; a ``MildSolution`` holds its problem and derives its shortened last
-step from it.  ``step_lengths`` is the one check of a schedule, ``step_times``
-gives its times.  ``energy_report`` (1-D only) computes, per snapshot, the
-potential integral ``h * sum j(m*y)/sigma^2`` and the flux dissipation
+``mild_solve`` writes every step to a file, the caller's or an unlinked one
+in ``tempfile``'s directory, that the one run type, ``MildSolution``, reads
+a slice at a time.  A ``TransformedProblem`` holds the data (initial state,
+source, horizon) on any operand of ``solve_resolvent`` (``EllipticOperands``,
+``twodim.Problem2D``), which holds no data, and forms each step's right-hand
+side, ``rhs``, for ``step`` and ``degenerate``'s barrier; a ``MildSolution``
+holds its problem and derives its shortened last step from it.
+``step_lengths`` is the one check of a schedule, ``step_times`` gives its
+times.  ``energy_report`` (1-D only) computes, per snapshot, the potential
+integral ``h * sum j(m*y)/sigma^2`` and the flux dissipation
 ``h * sum ((value(m*y))_x)^2``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
 import tempfile
 import weakref
 from dataclasses import dataclass
+from operator import eq
 from typing import Optional
 
 import numpy as np
 
 from . import _fork
-from .grid import Grid1D, check_table, diff1_central, is_count
+from .grid import check_table, diff1_central, is_count
 from .resolvent import (EllipticOperands, ResolventConfig, ResolventResult,
                         shift_floor, solve_resolvent)
 
@@ -85,52 +88,16 @@ class StepDiagnostics:
     out_of_table: bool
 
 
-@dataclass
 class MildSolution:
-    """Every snapshot of one implicit run plus per-step diagnostics.
+    """Every snapshot of one implicit run plus per-step diagnostics, in the
+    file ``mild_solve`` wrote: snapshots, then the pickled diagnostics.
 
     ``snapshots[i]`` is the state at ``times[i] = min(i*eps, horizon)``; the
     times cover every step taken, including a shortened final step when the
-    horizon is not a multiple of ``eps``.
+    horizon is not a multiple of ``eps``.  Rows are read by ``os.preadv`` (a
+    memory map's pages would stay resident) through the run's own
+    descriptor, closed with it.
     """
-
-    eps: float
-    problem: TransformedProblem
-    times: np.ndarray
-    snapshots: np.ndarray
-    diagnostics: list[StepDiagnostics]
-
-    @property
-    def partial_step(self) -> float:
-        """Length of the shortened final step, 0.0 when there is none."""
-        last = step_lengths(self.problem.horizon, self.eps)[-1:]
-        return last[0] if last and last[0] != self.eps else 0.0
-
-    @property
-    def operands(self) -> EllipticOperands:
-        return self.problem.operands
-
-    @property
-    def grid(self) -> Grid1D:
-        return self.operands.grid
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.read(np.array([len(self.times) - 1]))[0]
-
-    def read(self, rows: np.ndarray) -> np.ndarray:  # ascending indices
-        return self.snapshots[rows]
-
-    @property
-    def masses(self) -> np.ndarray:
-        """Discrete integral of every snapshot."""
-        return np.array([self.grid.integral(y) for y in self.snapshots])
-
-
-class StoredSolution(MildSolution):
-    """A run that ``mild_solve`` wrote to a file, snapshots then pickled
-    diagnostics, read by ``os.preadv`` (a memory map's pages would stay
-    resident) through its own descriptor, closed with it."""
 
     def __init__(self, eps: float, problem: TransformedProblem, file):
         self.eps, self.problem = eps, problem
@@ -139,15 +106,38 @@ class StoredSolution(MildSolution):
         self._fd = os.dup(file.fileno())
         weakref.finalize(self, os.close, self._fd)
 
-    def read(self, rows: np.ndarray) -> np.ndarray:
-        out = np.empty((rows[-1] + 1 - rows[0], *self.operands.shape))
-        if os.preadv(self._fd, [out], rows[0] * self._row) != out.nbytes:
-            raise EOFError(f"snapshot {rows[-1]} is not in the file")
-        return out[rows - rows[0]]
+    @property
+    def partial_step(self) -> float:
+        """Length of the shortened final step, 0.0 when there is none."""
+        last = step_lengths(self.problem.horizon, self.eps)[-1:]
+        return last[0] if last and last[0] != self.eps else 0.0
 
-    snapshots = property(lambda self: self.read(np.arange(len(self.times))))
+    operands = property(lambda self: self.problem.operands)
+    grid = property(lambda self: self.operands.grid)
+    final = property(lambda self: self.read([len(self.times) - 1])[0])
+
+    def read(self, rows: np.ndarray) -> np.ndarray:
+        """The snapshots of ascending ``rows``, from one read of the rows
+        they span, gathered only where ``rows`` skips or repeats one (seen
+        in Python: a numpy kernel's first use raises a run's peak RSS)."""
+        out = self._span(rows[0], rows[-1] + 1)
+        gather = len(out) != len(rows) or any(map(eq, rows, rows[1:]))
+        return out[rows - rows[0]] if gather else out
+
+    def _span(self, start, stop) -> np.ndarray:
+        out = np.empty((stop - start, *self.operands.shape))
+        if os.preadv(self._fd, [out], start * self._row) != out.nbytes:
+            raise EOFError(f"snapshot {stop - 1} is not in the file")
+        return out
+
+    snapshots = property(lambda self: self._span(0, len(self.times)))
     diagnostics = property(lambda self: pickle.loads(os.pread(
         self._fd, os.fstat(self._fd).st_size, len(self.times) * self._row)))
+
+    @property
+    def masses(self) -> np.ndarray:
+        """Discrete integral of every snapshot."""
+        return np.array([self.grid.integral(y) for y in self.snapshots])
 
 
 def step(problem: TransformedProblem, eps: float, prev,
@@ -207,28 +197,26 @@ def march(problem: TransformedProblem, eps: float,
 def mild_solve(problem: TransformedProblem, eps: float,
                cfg: Optional[ResolventConfig] = None,
                out=None) -> MildSolution:
-    """Store every step of ``march``, in memory or, as it comes, in ``out``
-    (a binary file at its start) that the returned ``StoredSolution`` reads.
+    """Write every step of ``march`` as it comes to ``out`` (a binary file at
+    its start), or to an unlinked temporary file, and return the run that
+    reads it.
 
     A shortened final step shows in ``times`` (``step_times``) and in the
     derived ``partial_step``.  The snapshots take (steps + 1) * 8 bytes a node.
     """
-    times = step_times(problem.horizon, eps)
-    ys = np.empty((1 if out else len(times), *problem.operands.shape))
-    ys[0] = problem.initial
-    write = out.write if out else lambda row: None  # else ys keeps each row
-    write(ys[0])
-    diags: list[StepDiagnostics] = []
-    for i, res in enumerate(march(problem, eps, cfg), start=1):
-        ys[0 if out else i] = res.y
-        write(ys[0 if out else i])
-        diags.append(StepDiagnostics(res.residual, res.iterations,
-                                     res.fallback, res.out_of_table))
-    if not out:
-        return MildSolution(eps, problem, times, ys, diags)
-    pickle.dump(diags, out, protocol=5)
-    out.flush()
-    return StoredSolution(eps, problem, out)
+    stored = contextlib.nullcontext(out) if out else tempfile.TemporaryFile()
+    with stored as file:
+        row = np.array(problem.initial, dtype=float)  # each state's bytes
+        file.write(row)
+        diags: list[StepDiagnostics] = []
+        for res in march(problem, eps, cfg):
+            row[...] = res.y
+            file.write(row)
+            diags.append(StepDiagnostics(res.residual, res.iterations,
+                                         res.fallback, res.out_of_table))
+        pickle.dump(diags, file, protocol=5)
+        file.flush()
+        return MildSolution(eps, problem, file)
 
 
 @dataclass
@@ -269,28 +257,28 @@ def refine_until(problem: TransformedProblem, tol: float, eps0: float,
                  max_levels: int = 8) -> RefineResult:
     """Halve eps until successive runs differ by at most tol in sup-time L1.
 
-    A forked worker marches the finest level (see the module docstring);
-    ``join`` marches it here if the worker fails: the bits are serial."""
+    Each level is a run stored in an unlinked file in ``tempfile``'s
+    directory, so this process holds a few states and slices, not whole
+    levels.  A forked worker marches the finest level (see the module
+    docstring); ``join`` marches it here if the worker fails: the bits are
+    serial."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if not is_count(max_levels, 1):
         raise ValueError(f"max_levels must be an integer >= 1: {max_levels!r}")
     step_lengths(problem.horizon, eps0)  # rejects a bad eps0 before the fork
 
-    def level(eps):  # stored in an unlinked temporary file
-        with tempfile.TemporaryFile() as out:
-            return mild_solve(problem, eps, cfg, out)
-
     def march_finest(out):  # at the eps the halving reaches, bit for bit
         mild_solve(problem, eps0 * 0.5**max_levels, cfg, out)
 
     with _fork.forked(*[march_finest] if _fork.cores() > 1 else []) as workers:
-        prev = level(eps0)
+        prev = mild_solve(problem, eps0, cfg)
         levels, gaps = [eps0], []
         for k in range(1, max_levels + 1):
             eps = levels[-1] * 0.5
-            cur = (StoredSolution(eps, problem, workers[0].join())
-                   if workers and k == max_levels else level(eps))
+            cur = (MildSolution(eps, problem, workers[0].join())
+                   if workers and k == max_levels
+                   else mild_solve(problem, eps, cfg))
             levels.append(eps)
             gaps.append(sup_time_gap(prev, cur))
             prev = cur

@@ -13,10 +13,10 @@ mesh rows the field reaches.  As in 1-D,
 into a ``stepper.TransformedProblem``, which ``stepper.march`` marches.
 The implicit step solves ``lam*y - L(value(m0*y)) = eta`` through
 ``resolvent.solve_resolvent``: one Newton solver, one residual
-certificate, one march loop (``stepper.march``) and one solution type
-(``stepper.mild_solve``'s, which stores every step) serve both 1-D and
-2-D; the ``solve-2d`` runner reads the march step by step and keeps only
-the final state and the masses.
+certificate, one march loop (``stepper.march``) and one run type
+(``stepper.MildSolution``, every step in a file in ``tempfile``'s
+directory) serve both 1-D and 2-D; the ``solve-2d`` runner reads the march
+step by step and keeps only the final state and the masses.
 Without drift the resolvent is an L1 contraction with constant exactly
 ``1/lam``.
 

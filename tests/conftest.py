@@ -1,6 +1,8 @@
 import contextlib
 import os
+import pickle
 import signal
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from mildhjb.drift import DriftData
 from mildhjb.grid import Grid1D
 from mildhjb.problem import ControlProblem
 from mildhjb.resolvent import EllipticOperands
-from mildhjb.stepper import TransformedProblem
+from mildhjb.stepper import MildSolution, TransformedProblem
 from mildhjb.value import FeedbackPolicy
 
 
@@ -132,6 +134,18 @@ def heat_problem(grid: Grid1D, width: float = 0.5,
     ops = elliptic_operands(grid, linear_conjugate(), np.sqrt(2.0))
     y0 = np.exp(-grid.x**2 / (2.0 * width**2)) / np.sqrt(2 * np.pi * width**2)
     return TransformedProblem(ops, y0, np.zeros(grid.n), horizon)
+
+
+def stored_run(problem: TransformedProblem, eps: float, states,
+               diagnostics=()) -> MildSolution:
+    """The run of ``problem`` at ``eps`` that holds ``states`` (one per time
+    of its schedule) and ``diagnostics``, written to an unlinked temporary
+    file as ``mild_solve`` writes a run."""
+    with tempfile.TemporaryFile() as file:
+        file.write(np.ascontiguousarray(states, dtype=float))
+        pickle.dump(list(diagnostics), file, protocol=5)
+        file.flush()
+        return MildSolution(eps, problem, file)
 
 
 def heat_exact(grid: Grid1D, width: float, t: float) -> np.ndarray:

@@ -3,6 +3,7 @@ import io
 import os
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -936,6 +937,27 @@ def test_sweep_eps_leaves_no_child(tmp_path, monkeypatch, capsys, case):
                  "reports/summary.txt"):
         assert (tmp_path / "out" / name).read_bytes() == \
             (tmp_path / "serial" / name).read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["solve", "value", "policy", "simulate",
+                                  "sweep-eps", "sweep-degenerate"])
+def test_no_descriptor_outlives_a_run(tmp_path, monkeypatch, mode):
+    # every marching mode reads its runs from files, each through its own
+    # descriptor, and closes them all before it returns
+    text = {"simulate": SIMULATE, "sweep-eps": SWEEP_EPS.format(tol=1e-9),
+            "sweep-degenerate": DEGENERATE}.get(mode, SOLVE.format(T=0.1))
+    opened, init = [], stepper.MildSolution.__init__
+
+    def recorded(sol, *args):
+        init(sol, *args)
+        opened.append(weakref.ref(sol))
+
+    monkeypatch.setattr(stepper.MildSolution, "__init__", recorded)
+    cfg = str(write(tmp_path, "run.cfg", text))
+    fds = sorted(os.listdir("/proc/self/fd"))
+    assert run(mode, cfg, out_dir=str(tmp_path / "out"), quiet=True) == 0
+    assert opened and all(ref() is None for ref in opened)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 def test_write_error_kills_the_table_worker(tmp_path, monkeypatch, capsys):

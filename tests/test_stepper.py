@@ -10,7 +10,7 @@ import pytest
 import mildhjb.stepper as stepper
 from mildhjb import _fork
 from conftest import (deadline, desk_problem, elliptic_operands, heat_exact,
-                      heat_problem, tanh_drift)
+                      heat_problem, stored_run, tanh_drift)
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
 from mildhjb.grid import Grid1D, Grid2D, diff1_central
 from mildhjb.stepper import (StepDiagnostics, TransformedProblem,
@@ -220,7 +220,9 @@ def test_energy_report_equals_per_snapshot_sums_bit_for_bit():
 def test_energy_report_rejects_a_non_finite_series():
     g = Grid1D(10.0, 101)
     sol = mild_solve(quad_problem(g, horizon=0.05), 0.01)
-    sol.snapshots[-1, g.n // 2] = np.nan
+    snapshots = sol.snapshots
+    snapshots[-1, g.n // 2] = np.nan
+    sol = stored_run(sol.problem, sol.eps, snapshots, sol.diagnostics)
     with pytest.raises(ArithmeticError, match="non-finite"):
         energy_report(sol)
 
@@ -323,9 +325,9 @@ def test_sup_time_gap_of_a_non_finite_snapshot_is_nan():
     fine = mild_solve(problem, 2.0**-12)
     for run in (coarse, fine):
         for k in (0, len(run.snapshots) // 2, -1):
-            snapshots = run.snapshots.copy()
+            snapshots = run.snapshots
             snapshots[k, 3] = np.nan
-            broken = replace(run, snapshots=snapshots)
+            broken = stored_run(run.problem, run.eps, snapshots)
             pair = (broken, fine) if run is coarse else (coarse, broken)
             assert np.isnan(sup_time_gap(*pair))
 
@@ -389,23 +391,46 @@ def test_refine_holds_states_not_whole_levels(monkeypatch, cores):
                           drift=tanh_drift(Grid1D(10.0, 41))), 2.0**-9),
     (planar_problem, 0.01),
 ], ids=["1d", "2d"])
-def test_stored_run_is_the_run_in_memory(tmp_path, make, eps):
+def test_run_reads_back_the_march(tmp_path, make, eps):
+    # in a temporary file or the caller's, a run reads back the states and
+    # certificates march yields, whole, by row, and by the repeated rows
+    # that sup_time_gap asks of a coarser run; its descriptor closes with it
     problem = make()
-    here = mild_solve(problem, eps)
+    results = list(stepper.march(problem, eps))
+    ys = np.array([problem.initial, *(res.y for res in results)])
+    diags = [StepDiagnostics(res.residual, res.iterations, res.fallback,
+                             res.out_of_table) for res in results]
+    rows = np.array([1, 2, 2, 5, len(ys) - 1])
     fds = sorted(os.listdir("/proc/self/fd"))
     with open(tmp_path / "run.bin", "w+b") as out:
-        stored = mild_solve(problem, eps, out=out)
-    np.testing.assert_array_equal(stored.times, here.times)
-    np.testing.assert_array_equal(stored.snapshots, here.snapshots)
-    np.testing.assert_array_equal(stored.final, here.final)
-    assert stored.diagnostics == here.diagnostics
-    rows = np.array([1, 2, 2, 5, len(here.times) - 1])
-    np.testing.assert_array_equal(stored.read(rows), here.read(rows))
-    half = mild_solve(problem, 2 * eps)
-    assert sup_time_gap(half, stored).hex() == \
-        sup_time_gap(half, here).hex()
-    del stored  # its descriptor closes with it
+        runs = [mild_solve(problem, eps), mild_solve(problem, eps, out=out)]
+    for run in runs:
+        assert run.times.tobytes() == \
+            stepper.step_times(problem.horizon, eps).tobytes()
+        assert run.snapshots.tobytes() == ys.tobytes()
+        assert run.final.tobytes() == ys[-1].tobytes()
+        assert run.diagnostics == diags
+        assert run.read(rows).tobytes() == ys[rows].tobytes()
+    del runs, run
     assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_a_contiguous_read_is_held_once(tmp_path):
+    # 256 contiguous rows at n=101 (206,848 B) are filled in place, not
+    # gathered into a second copy; nor is a whole-run snapshots read
+    problem = heat_problem(Grid1D(10.0, 101), horizon=0.5)
+    with open(tmp_path / "run.bin", "w+b") as out:
+        run = mild_solve(problem, 2.0**-10, out=out)
+    row, rows = 8 * 101, np.arange(100, 356)
+    for read, size in ((lambda: run.read(rows), 256 * row),
+                       (lambda: run.snapshots, len(run.times) * row)):
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= size + 8192
 
 
 def test_final_of_a_stored_run_reads_one_row(tmp_path):

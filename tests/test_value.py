@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_policy, desk_problem, elliptic_operands
+from conftest import (constant_policy, desk_problem, elliptic_operands,
+                      stored_run)
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
 from mildhjb.grid import Grid1D, diff1_central, diff2
-from mildhjb.stepper import MildSolution, TransformedProblem, mild_solve
+from mildhjb.stepper import TransformedProblem, mild_solve
 from mildhjb.value import (FeedbackPolicy, interpolate_policy,
                            reconstruct_value, synthesize_feedback)
 
@@ -24,7 +25,7 @@ def run_of(ops, curvature):
     """A one-step run on [0, 1] whose value has the given curvature rows."""
     ys = -curvature[::-1]
     problem = TransformedProblem(ops, ys[0], np.zeros(ops.grid.n), 1.0)
-    return MildSolution(1.0, problem, np.array([0.0, 1.0]), ys, [])
+    return stored_run(problem, 1.0, ys)
 
 
 def test_zero_snapshots_give_zero_value():
