@@ -3,10 +3,12 @@
 Grid functions ("fields") are plain float arrays aligned with ``Grid1D.x``
 or ``Grid2D.mesh``; the grid object carries the geometry and the discrete
 norms.  All stencils close with zero ghost values outside the mesh, the
-discrete counterpart of integrable data decaying at infinity.  The drift's
-transport stencil is in ``drift``, which owns every drift formula.  The
-Green solve of the three-point -psi'' with zero end values is a closed
-form (a double prefix sum), so its stability constants are exact too.
+discrete counterpart of integrable data decaying at infinity.  The flux
+``value(m*y)`` is the exception: its ghost value is ``value(0)``, which
+``resolvent`` and ``twodim`` put back.  The drift's transport stencil is
+in ``drift``, which owns every drift formula.  The Green solve of the
+three-point -psi'' with zero end values is a closed form (a double prefix
+sum), so its stability constants are exact too.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ system
     lam*y - (value(m*y))'' - f*y' + perturbation(y) = eta,       m = sigma^2/2,
 
 with the nonlinear flux ``value`` from the conjugate machinery, the drift
-terms that ``drift`` computes, and zero ghost values, by damped Newton
-with the exact Jacobian, which reads the conjugate's ``slope`` (semismooth
-where the conjugate has kinks; a table's chord slopes).  A start other than
+terms that ``drift`` computes, and zero ghost values of ``y``, so the
+flux's ghost value is ``value(0)``, by damped Newton with the exact
+Jacobian, which reads the conjugate's ``slope`` (semismooth where the
+conjugate has kinks; a table's chord slopes).  A start other than
 ``eta/lam`` from which Newton stalls is restarted once from ``eta/lam``.
 
 The 1-D Jacobian is the flux's tridiagonal plus ``drift.jacobian``'s
@@ -106,11 +107,17 @@ class EllipticOperands:
     def shape(self) -> tuple[int]:
         return (self.grid.n,)
 
+    @cached_property
+    def _ghost(self) -> float:  # the end rows' share of the ghost value(0)
+        return float(self.conj.value(0.0)) / self.grid.h**2
+
     def terms(self, y) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """``A(y) = -(value(m*y))''`` plus ``drift.transport(y)``, and
         ``B(y) = apply_B(drift, y)``, or ``None`` for B when it is off."""
         y = np.asarray(y, dtype=float)
         a = -diff2(self.grid, self.conj.value(self.half_sigma_sq * y))
+        a[0] -= self._ghost  # two scalar updates: terms runs every iteration
+        a[-1] -= self._ghost
         if self.drift is None:
             return a, None
         a += self.drift.transport(y)

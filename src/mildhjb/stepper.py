@@ -11,16 +11,17 @@ limit; a forked worker (``_fork``) marches its finest level speculatively,
 killed if the sweep converges before it, and its CPU time and memory show only
 in ``RUSAGE_CHILDREN``.  ``march`` is the one march loop: it yields each step's
 result and keeps none, so a caller holds only the states it reads;
-``mild_solve`` writes every step to a file, the caller's or an unlinked one
-in ``tempfile``'s directory, that the one run type, ``MildSolution``, reads
-a slice at a time.  A ``TransformedProblem`` holds the data (initial state,
-source, horizon) on any operand of ``solve_resolvent`` (``EllipticOperands``,
-``twodim.Problem2D``), which holds no data, and forms each step's right-hand
-side, ``rhs``, for ``step`` and ``degenerate``'s barrier; a ``MildSolution``
-holds its problem and derives its shortened last step from it.
-``step_lengths`` is the one check of a schedule, ``step_times`` gives its
-times.  ``energy_report`` (1-D only) computes, per snapshot, the potential
-integral ``h * sum j(m*y)/sigma^2`` and the flux dissipation
+``mild_solve`` writes every state, then every step's ``STEP`` record, to a
+file, the caller's or an unlinked one in ``tempfile``'s directory, that the
+one run type, ``MildSolution``, reads a slice at a time.  A
+``TransformedProblem`` holds the data (initial state, source, horizon) on any
+operand of ``solve_resolvent`` (``EllipticOperands``, ``twodim.Problem2D``),
+which holds no data, and forms each step's right-hand side, ``rhs``, for
+``step`` and ``degenerate``'s barrier; a ``MildSolution`` holds its problem
+and derives its shortened last step from it.  ``step_lengths`` is the one
+check of a schedule, ``step_times`` gives its times.  ``energy_report`` (1-D
+only) computes, per snapshot, the potential integral
+``h * sum j(m*y)/sigma^2`` and the flux dissipation
 ``h * sum ((value(m*y))_x)^2``.
 """
 
@@ -29,7 +30,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import pickle
 import tempfile
 import weakref
 from dataclasses import dataclass
@@ -47,7 +47,7 @@ __all__ = [
     "EnergyReport",
     "MildSolution",
     "RefineResult",
-    "StepDiagnostics",
+    "STEP",
     "TransformedProblem",
     "energy_report",
     "march",
@@ -80,21 +80,18 @@ class TransformedProblem:
         return self.source + y_prev / dt
 
 
-@dataclass(frozen=True, slots=True)
-class StepDiagnostics:
-    residual: float
-    iterations: int
-    fallback: str
-    out_of_table: bool
+# a step's certificate; Newton's one fallback is its restart from eta/lam
+STEP = np.dtype([("residual", "f8"), ("iterations", "i8"),
+                 ("restart", "?"), ("out_of_table", "?")])
 
 
 class MildSolution:
-    """Every snapshot of one implicit run plus per-step diagnostics, in the
-    file ``mild_solve`` wrote: snapshots, then the pickled diagnostics.
+    """One implicit run, as ``mild_solve`` wrote it: two raw arrays, the
+    ``(steps + 1)`` snapshots, then ``diagnostics``, a ``STEP`` record a step.
 
     ``snapshots[i]`` is the state at ``times[i] = min(i*eps, horizon)``; the
     times cover every step taken, including a shortened final step when the
-    horizon is not a multiple of ``eps``.  Rows are read by ``os.preadv`` (a
+    horizon is not a multiple of ``eps``.  Both are read by ``os.preadv`` (a
     memory map's pages would stay resident) through the run's own
     descriptor, closed with it.
     """
@@ -102,7 +99,7 @@ class MildSolution:
     def __init__(self, eps: float, problem: TransformedProblem, file):
         self.eps, self.problem = eps, problem
         self.times = step_times(problem.horizon, eps)
-        self._row = 8 * math.prod(problem.operands.shape)  # bytes a snapshot
+        self._row = np.dtype((float, problem.operands.shape))  # a snapshot
         self._fd = os.dup(file.fileno())
         weakref.finalize(self, os.close, self._fd)
 
@@ -120,19 +117,21 @@ class MildSolution:
         """The snapshots of ascending ``rows``, from one read of the rows
         they span, gathered only where ``rows`` skips or repeats one (seen
         in Python: a numpy kernel's first use raises a run's peak RSS)."""
-        out = self._span(rows[0], rows[-1] + 1)
+        out = self._read(rows[0], rows[-1] + 1 - rows[0], self._row)
         gather = len(out) != len(rows) or any(map(eq, rows, rows[1:]))
         return out[rows - rows[0]] if gather else out
 
-    def _span(self, start, stop) -> np.ndarray:
-        out = np.empty((stop - start, *self.operands.shape))
-        if os.preadv(self._fd, [out], start * self._row) != out.nbytes:
-            raise EOFError(f"snapshot {stop - 1} is not in the file")
+    def _read(self, row: int, count: int, dtype: np.dtype) -> np.ndarray:
+        """``count`` items of ``dtype`` from the file, snapshot ``row`` on."""
+        out = np.empty(count, dtype)
+        if os.preadv(self._fd, [out], row * self._row.itemsize) != out.nbytes:
+            raise EOFError(f"the file ends before row {row} + {count} items")
         return out
 
-    snapshots = property(lambda self: self._span(0, len(self.times)))
-    diagnostics = property(lambda self: pickle.loads(os.pread(
-        self._fd, os.fstat(self._fd).st_size, len(self.times) * self._row)))
+    snapshots = property(lambda self: self._read(0, len(self.times),
+                                                 self._row))
+    diagnostics = property(lambda self: self._read(
+        len(self.times), len(self.times) - 1, STEP))
 
     @property
     def masses(self) -> np.ndarray:
@@ -197,24 +196,24 @@ def march(problem: TransformedProblem, eps: float,
 def mild_solve(problem: TransformedProblem, eps: float,
                cfg: Optional[ResolventConfig] = None,
                out=None) -> MildSolution:
-    """Write every step of ``march`` as it comes to ``out`` (a binary file at
-    its start), or to an unlinked temporary file, and return the run that
-    reads it.
+    """Write every state of ``march`` as it comes to ``out`` (a binary file
+    at its start), or to an unlinked temporary file, then every step's
+    ``STEP`` record, and return the run that reads it.
 
     A shortened final step shows in ``times`` (``step_times``) and in the
-    derived ``partial_step``.  The snapshots take (steps + 1) * 8 bytes a node.
+    derived ``partial_step``.  The file's layout is ``MildSolution``'s.
     """
     stored = contextlib.nullcontext(out) if out else tempfile.TemporaryFile()
     with stored as file:
         row = np.array(problem.initial, dtype=float)  # each state's bytes
         file.write(row)
-        diags: list[StepDiagnostics] = []
-        for res in march(problem, eps, cfg):
+        steps = np.empty(len(step_lengths(problem.horizon, eps)), STEP)
+        for k, res in enumerate(march(problem, eps, cfg)):
             row[...] = res.y
             file.write(row)
-            diags.append(StepDiagnostics(res.residual, res.iterations,
-                                         res.fallback, res.out_of_table))
-        pickle.dump(diags, file, protocol=5)
+            steps[k] = (res.residual, res.iterations, bool(res.fallback),
+                        res.out_of_table)
+        file.write(steps)
         file.flush()
         return MildSolution(eps, problem, file)
 

@@ -6,9 +6,10 @@ The elliptic operator is built from the factor matrix ``a`` through
     L z = b11 z_xx + 2 b12 z_xy + b22 z_yy,
 
 discretized with 3-point stencils on the axes and the 4-corner centered
-stencil for the cross term, all closed by zero ghosts, and applied as one
-CSR matvec (``Problem2D.csr``, scipy's compiled kernel) over the slab of
-mesh rows the field reaches.  As in 1-D,
+stencil for the cross term, all closed by zero ghosts (the flux's ghost is
+``value(0)``, so ``terms`` applies ``L`` to ``value(m0*y) - value(0)``), and
+applied as one CSR matvec (``Problem2D.csr``, scipy's compiled kernel) over
+the slab of mesh rows the field reaches.  As in 1-D,
 ``PlanarProblem.discretize`` puts the operand ``Problem2D`` and the data
 into a ``stepper.TransformedProblem``, which ``stepper.march`` marches.
 The implicit step solves ``lam*y - L(value(m0*y)) = eta`` through
@@ -162,9 +163,13 @@ class Problem2D:
                        data, z.ravel(), out.ravel()[first:last])
         return out
 
+    @cached_property
+    def _ghost(self) -> float:  # the flux outside the mesh, where y = 0
+        return float(self.conj.value(0.0))
+
     def terms(self, y) -> tuple[np.ndarray, None]:
-        """``-L(value(m0*y))``, and no B term."""
-        w = self.conj.value(self.half_sigma_sq * y)
+        """``-L(value(m0*y))`` with ghost values ``value(0)``; no B term."""
+        w = self.conj.value(self.half_sigma_sq * y) - self._ghost
         return -self._apply_matrix(w), None
 
     def active_band(self, lam, active, root) -> np.ndarray:

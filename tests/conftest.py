@@ -1,6 +1,5 @@
 import contextlib
 import os
-import pickle
 import signal
 import tempfile
 
@@ -12,7 +11,7 @@ from mildhjb.drift import DriftData
 from mildhjb.grid import Grid1D
 from mildhjb.problem import ControlProblem
 from mildhjb.resolvent import EllipticOperands
-from mildhjb.stepper import MildSolution, TransformedProblem
+from mildhjb.stepper import STEP, MildSolution, TransformedProblem
 from mildhjb.value import FeedbackPolicy
 
 
@@ -136,14 +135,21 @@ def heat_problem(grid: Grid1D, width: float = 0.5,
     return TransformedProblem(ops, y0, np.zeros(grid.n), horizon)
 
 
+def step_records(results) -> np.ndarray:
+    """The ``STEP`` record of each step's ``ResolventResult``, as
+    ``mild_solve`` stores it."""
+    return np.array([(res.residual, res.iterations, bool(res.fallback),
+                      res.out_of_table) for res in results], dtype=STEP)
+
+
 def stored_run(problem: TransformedProblem, eps: float, states,
-               diagnostics=()) -> MildSolution:
+               diagnostics=np.empty(0, STEP)) -> MildSolution:
     """The run of ``problem`` at ``eps`` that holds ``states`` (one per time
-    of its schedule) and ``diagnostics``, written to an unlinked temporary
-    file as ``mild_solve`` writes a run."""
+    of its schedule) and ``diagnostics`` (``STEP`` records), written to an
+    unlinked temporary file as ``mild_solve`` writes a run."""
     with tempfile.TemporaryFile() as file:
         file.write(np.ascontiguousarray(states, dtype=float))
-        pickle.dump(list(diagnostics), file, protocol=5)
+        file.write(diagnostics)
         file.flush()
         return MildSolution(eps, problem, file)
 

@@ -1,4 +1,5 @@
 import os
+import pickle
 import re
 import time
 import tracemalloc
@@ -10,12 +11,12 @@ import pytest
 import mildhjb.stepper as stepper
 from mildhjb import _fork
 from conftest import (deadline, desk_problem, elliptic_operands, heat_exact,
-                      heat_problem, stored_run, tanh_drift)
+                      heat_problem, step_records, stored_run, tanh_drift)
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
 from mildhjb.grid import Grid1D, Grid2D, diff1_central
-from mildhjb.stepper import (StepDiagnostics, TransformedProblem,
-                             energy_report, mild_solve, refine_until, step,
-                             step_lengths, sup_time_gap)
+from mildhjb.stepper import (MildSolution, TransformedProblem, energy_report,
+                             mild_solve, refine_until, step, step_lengths,
+                             sup_time_gap)
 from mildhjb.twodim import Problem2D
 
 
@@ -398,8 +399,7 @@ def test_run_reads_back_the_march(tmp_path, make, eps):
     problem = make()
     results = list(stepper.march(problem, eps))
     ys = np.array([problem.initial, *(res.y for res in results)])
-    diags = [StepDiagnostics(res.residual, res.iterations, res.fallback,
-                             res.out_of_table) for res in results]
+    diags = step_records(results)
     rows = np.array([1, 2, 2, 5, len(ys) - 1])
     fds = sorted(os.listdir("/proc/self/fd"))
     with open(tmp_path / "run.bin", "w+b") as out:
@@ -409,10 +409,46 @@ def test_run_reads_back_the_march(tmp_path, make, eps):
             stepper.step_times(problem.horizon, eps).tobytes()
         assert run.snapshots.tobytes() == ys.tobytes()
         assert run.final.tobytes() == ys[-1].tobytes()
-        assert run.diagnostics == diags
+        assert run.diagnostics.dtype == stepper.STEP
+        assert run.diagnostics.tobytes() == diags.tobytes()
         assert run.read(rows).tobytes() == ys[rows].tobytes()
     del runs, run
     assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+LOADED = []
+
+
+def record_load(what):
+    LOADED.append(what)
+
+
+class LoadRecorder:
+    """Pickles as a call of ``record_load``, made when it is loaded."""
+
+    def __reduce__(self):
+        return record_load, ("a run file",)
+
+
+def test_reading_a_run_never_executes_its_file(tmp_path):
+    # a run file is two raw arrays: the states, then STEP.itemsize bytes a
+    # step; a file whose records are a pickle that would call record_load
+    # reads short, and nothing in it runs
+    problem = heat_problem(Grid1D(10.0, 21), horizon=0.1)
+    with open(tmp_path / "run.bin", "w+b") as out:
+        sol = mild_solve(problem, 0.01, out=out)
+    with open(tmp_path / "hostile.bin", "w+b") as file:
+        file.write(sol.snapshots)
+        pickle.dump([LoadRecorder()], file)  # shorter than 10 records
+        file.flush()
+        hostile = MildSolution(sol.eps, problem, file)
+    with pytest.raises(EOFError):
+        hostile.diagnostics
+    assert LOADED == []
+    assert hostile.snapshots.tobytes() == sol.snapshots.tobytes()
+    steps = len(sol.times) - 1
+    assert os.path.getsize(tmp_path / "run.bin") == \
+        (steps + 1) * 8 * 21 + steps * stepper.STEP.itemsize
 
 
 def test_a_contiguous_read_is_held_once(tmp_path):
@@ -485,8 +521,8 @@ def test_forked_finest_level_is_the_serial_run(monkeypatch, make, eps0,
         (serial.eps_levels, serial.gaps, serial.converged)
     a, b = forked.solution, serial.solution
     assert a.problem is b.problem is problem
-    assert (a.eps, a.partial_step, a.diagnostics) == \
-        (b.eps, b.partial_step, b.diagnostics)
+    assert (a.eps, a.partial_step, a.diagnostics.tobytes()) == \
+        (b.eps, b.partial_step, b.diagnostics.tobytes())
     np.testing.assert_array_equal(a.times, b.times)
     np.testing.assert_array_equal(a.snapshots, b.snapshots)
 
@@ -548,7 +584,8 @@ def test_level_of_a_dead_worker_is_marched_here(monkeypatch):
     assert result.gaps == serial.gaps
     np.testing.assert_array_equal(result.solution.snapshots,
                                   serial.solution.snapshots)
-    assert result.solution.diagnostics == serial.solution.diagnostics
+    assert result.solution.diagnostics.tobytes() == \
+        serial.solution.diagnostics.tobytes()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -575,20 +612,18 @@ def test_every_step_carries_a_residual_certificate():
     assert len(sol.diagnostics) == len(steps) > 0
     for d, y_prev, dt in zip(sol.diagnostics, sol.snapshots, steps):
         eta = problem.source + y_prev / dt
-        assert d.residual <= 1e-10 * max(1.0, g.norm1(eta))
-        assert d.iterations >= 1
+        assert d["residual"] <= 1e-10 * max(1.0, g.norm1(eta))
+        assert d["iterations"] >= 1
 
 
 def cold_march(problem, eps):
     """Reference march: a plain ``step`` per step, each forming its own
     ``eta`` and evaluating its start."""
-    ys, diags = [problem.initial], []
+    ys, results = [problem.initial], []
     for dt in step_lengths(problem.horizon, eps):
-        res = step(problem, dt, ys[-1])
-        ys.append(res.y)
-        diags.append(StepDiagnostics(res.residual, res.iterations,
-                                     res.fallback, res.out_of_table))
-    return np.array(ys), diags
+        results.append(step(problem, dt, ys[-1]))
+        ys.append(results[-1].y)
+    return np.array(ys), step_records(results)
 
 
 # a drifted 1-D run and a 2-D run, each with a shortened last step
@@ -607,7 +642,7 @@ def test_warm_started_march_equals_a_cold_march_bit_for_bit(make, eps):
     assert sol.partial_step > 0
     ys, diags = cold_march(problem, eps)
     assert sol.snapshots.tobytes() == ys.tobytes()
-    assert sol.diagnostics == diags
+    assert sol.diagnostics.tobytes() == diags.tobytes()
 
 
 @SHORTENED_RUNS
@@ -620,8 +655,6 @@ def test_march_yields_the_stored_steps_bit_for_bit(make, eps):
     assert sol.partial_step > 0
     ys = np.array([problem.initial, *(res.y for res in results)])
     assert ys.tobytes() == sol.snapshots.tobytes()
-    assert [StepDiagnostics(res.residual, res.iterations, res.fallback,
-                            res.out_of_table)
-            for res in results] == sol.diagnostics
+    assert step_records(results).tobytes() == sol.diagnostics.tobytes()
     times = stepper.step_times(problem.horizon, eps)
     assert times.tobytes() == sol.times.tobytes()

@@ -267,6 +267,21 @@ def test_planar_problem_discretizes_as_the_inline_assembly():
     assert problem.horizon == 0.5
 
 
+def test_a_constant_in_the_cost_leaves_the_march():
+    # with zero ghosts, alpha2 = 0.3 moved the final state by 0.593: the
+    # flux outside the mesh is value(0) = -alpha2, not 0
+    parts = tuple(lambda x, y, k=k: gauss_parts(x, y)[k] for k in range(3))
+
+    def final(alpha2):
+        planar = PlanarProblem(
+            a=np.array([[1.0, 0.3], [0.0, 1.0]]),
+            sigma0=lambda x, y: np.sqrt(2.0), g_parts=parts, g0_parts=parts,
+            cost=RunningCost.quadratic(1.0, alpha2), horizon=0.1)
+        return mild_solve(planar.discretize(Grid2D(6.0, 41)), 0.01).final
+
+    assert np.max(np.abs(final(0.3) - final(0.0))) <= 1e-12
+
+
 @pytest.mark.parametrize("pipeline",
                          [reconstruct_value, start_value, energy_report])
 def test_1d_value_pipeline_rejects_a_2d_run(pipeline):

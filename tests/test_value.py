@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -261,3 +262,19 @@ def test_value_sup_norm_proxy_is_finite():
     sup_phi, sup_slope = vf.sup_norms()
     assert np.isfinite(sup_phi) and np.isfinite(sup_slope)
     assert sup_phi > 0 and sup_slope > 0
+
+
+@pytest.mark.parametrize("cost, shifted, tol", [
+    (RunningCost.quadratic(), RunningCost.quadratic(1.0, 0.3), 1e-12),
+    (RunningCost.from_callable(lambda u: u * u, 1.0),
+     RunningCost.from_callable(lambda u: u * u + 1.0, 1.0), 1e-7),
+], ids=["alpha2", "tabulated"])
+def test_a_constant_in_the_cost_leaves_the_feedback(cost, shifted, tol):
+    # outside the mesh y = 0 and the flux is value(0) = -min h; closed
+    # with zero ghosts, each step put value(0)/h^2 into the end rows, and
+    # these constants moved the feedback by 0.445 and 0.879
+    grid = Grid1D(10.0, 201)
+    u = [synthesize_feedback(mild_solve(
+        replace(desk_problem(), cost=c).discretize(grid), 0.01)).u
+        for c in (cost, shifted)]
+    assert np.max(np.abs(u[1] - u[0])) <= tol
