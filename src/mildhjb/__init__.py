@@ -11,8 +11,8 @@ constant-control baselines.
 
 from .conjugate import (ConjugateHamiltonian, CostValidationError,
                         NonConvexCostError, RunningCost)
-from .degenerate import (DegenerateSweep, VolatilityData, check_linf_bound,
-                         solve_degenerate, sup_bound)
+from .degenerate import (DegenerateSweep, check_linf_bound, solve_degenerate,
+                         sup_bound)
 from .drift import DriftData, apply_B
 from .grid import (Grid1D, Grid2D, diff1_central, diff2, green_constants,
                    poisson_gradient, poisson_solve)

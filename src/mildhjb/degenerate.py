@@ -4,10 +4,12 @@ The squared volatility is lifted by a regularization weight, the standard
 stepper runs at each level of a decreasing ladder, and the sup-in-time L1
 gaps between adjacent levels are reported (convergence is exhibited, never
 asserted with a rate).  Each level also gets a sup-norm certificate: a
-constant barrier M computed from the flux curvature bound and the volatility
-derivative norms (and ``drift``'s ``barrier_terms``) must dominate every
-snapshot.  The certificate reads off the run the level's weight, through the
-flux multiplier, and each step's right-hand side, through ``problem.rhs``.
+constant barrier M computed from the flux curvature bound and the two slopes
+of the flux multiplier (and ``drift``'s ``barrier_terms``) must dominate
+every snapshot.  The certificate reads off the run the level's weight,
+through the flux multiplier, and each step's right-hand side, through
+``problem.rhs``; the slopes come from the ``ControlProblem``, tabulated on
+the run's own grid.
 """
 
 from __future__ import annotations
@@ -19,50 +21,20 @@ from typing import Optional
 import numpy as np
 
 from .conjugate import ConjugateHamiltonian
-from .grid import Grid1D, check_table, tabulate
+from .grid import Grid1D
 from .resolvent import ResolventConfig
 from .stepper import MildSolution, mild_solve, step_lengths, sup_time_gap
 
 __all__ = [
     "BoundReport",
     "DegenerateSweep",
-    "VolatilityData",
     "check_linf_bound",
     "solve_degenerate",
     "sup_bound",
 ]
 
 
-@dataclass(frozen=True)
-class VolatilityData:
-    """Volatility with two derivatives tabulated (C_b^2 surrogate)."""
-
-    grid: Grid1D
-    sigma: np.ndarray
-    sigma1: np.ndarray
-    sigma2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("sigma", "sigma1", "sigma2"):
-            check_table(name, getattr(self, name), (self.grid.n,))
-
-    @classmethod
-    def from_callables(cls, grid, sigma, sigma1=None, sigma2=None):
-        return cls(grid, *tabulate(grid, sigma, sigma1, sigma2))
-
-    @property
-    def slope_product_sup(self) -> float:
-        """sup |sigma * sigma'|."""
-        return float(np.max(np.abs(self.sigma * self.sigma1)))
-
-    @property
-    def curvature_product_sup(self) -> float:
-        """sup |sigma * sigma'' + (sigma')^2|."""
-        return float(np.max(np.abs(self.sigma * self.sigma2
-                                   + self.sigma1**2)))
-
-
-def sup_bound(conj: ConjugateHamiltonian, vol: VolatilityData,
+def sup_bound(conj: ConjugateHamiltonian, slopes: tuple[float, float],
               s_max: float, lam: float, eta_inf: float) -> Optional[float]:
     """Smallest constant barrier M certifying -M <= y <= M for one solve.
 
@@ -70,17 +42,17 @@ def sup_bound(conj: ConjugateHamiltonian, vol: VolatilityData,
 
         lam*M >= eta_inf + (value(s*M))'' evaluated through the chain rule,
 
-    with s the run's ``half_sigma_sq`` (at most ``s_max``), s' = sigma*sigma'
-    and s'' = sigma*sigma'' + (sigma')^2.  Bounding the derivative of the
+    with s the run's ``half_sigma_sq`` (at most ``s_max``) and ``slopes``
+    the pair (sup|s'|, sup|s''|) = (sup|sigma*sigma'|,
+    sup|sigma*sigma'' + (sigma')^2|).  Bounding the derivative of the
     value at argument s*M by its slope at 0 plus the Lipschitz constant times
     the argument turns this into a quadratic inequality in M; the smallest
     root is returned, or None when no constant barrier is certifiable at
     this shift (with a drift, the net shift ``check_linf_bound`` derives).
     """
-    hxx = conj.derivative_lipschitz
-    c2 = hxx * (vol.slope_product_sup**2
-                + s_max * vol.curvature_product_sup)
-    c1 = float(conj.derivative(0.0)) * vol.curvature_product_sup
+    slope, curvature = slopes
+    c2 = conj.derivative_lipschitz * (slope**2 + s_max * curvature)
+    c1 = float(conj.derivative(0.0)) * curvature
     if lam <= c1:
         return None
     if c2 <= 0:
@@ -107,14 +79,12 @@ class BoundReport:
     min_slack: float
 
 
-def check_linf_bound(sol: MildSolution, vol: VolatilityData) -> BoundReport:
-    """Certify every step of a run against its constant barrier, each
-    step's ``eta`` the right-hand side ``problem.rhs`` gave the step and
-    the flux multiplier read off the run; ``vol`` is on the run's grid.
-    A drift lowers each shift and raises each ``eta_inf`` by its
-    ``barrier_terms``."""
-    if vol.grid != sol.grid:
-        raise ValueError(f"volatility on {vol.grid}, run on {sol.grid}")
+def check_linf_bound(sol: MildSolution, problem) -> BoundReport:
+    """Certify every step of a run of the ``ControlProblem`` ``problem``
+    against its constant barrier, each step's ``eta`` the right-hand side
+    ``sol.problem.rhs`` gave the step, the flux multiplier read off the run
+    and its slopes off ``problem`` on the run's grid.  A drift lowers each
+    shift and raises each ``eta_inf`` by its ``barrier_terms``."""
     if len(sol.times) < 2:
         raise ValueError("a run that takes no step has no step to certify")
     steps = np.array(step_lengths(sol.problem.horizon, sol.eps))[:, None]
@@ -126,12 +96,13 @@ def check_linf_bound(sol: MildSolution, vol: VolatilityData) -> BoundReport:
         drop, rhs = sol.operands.drift.barrier_terms(ys[1:])
         shifts, eta_inf = lams - drop, eta_inf + rhs
     s_max = float(np.max(sol.operands.half_sigma_sq))
-    bounds = [sup_bound(sol.operands.conj, vol, s_max, lam, e)
+    slopes = problem.multiplier_slopes(sol.grid)
+    bounds = [sup_bound(sol.operands.conj, slopes, s_max, lam, e)
               for lam, e in zip(shifts, eta_inf)]
     certified = np.array([m is not None for m in bounds], dtype=bool)
     bounds = np.array([np.inf if m is None else m for m in bounds])
     ok = bool(np.all(certified) and np.all(y_inf <= bounds))
-    slack = float(np.min(bounds - y_inf)) if bounds.size else np.inf
+    slack = float(np.min(bounds - y_inf))
     return BoundReport(lams=lams, bounds=bounds, y_inf=y_inf,
                        certified=certified, passed=ok, min_slack=slack)
 
@@ -161,8 +132,7 @@ def solve_degenerate(problem, grid: Grid1D, eps: float, ladder,
     conj = ConjugateHamiltonian.for_cost(problem.cost)
     solutions = [mild_solve(problem.discretize(grid, conj, w), eps, cfg=cfg)
                  for w in levels]
-    vol = problem.volatility_data(grid)
-    reports = [check_linf_bound(sol, vol) for sol in solutions]
+    reports = [check_linf_bound(sol, problem) for sol in solutions]
     gaps = [sup_time_gap(a, b) for a, b in zip(solutions, solutions[1:])]
     monotone = all(b < a or a == b == 0.0 for a, b in zip(gaps, gaps[1:]))
     if not monotone:

@@ -61,12 +61,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransformedProblem:
-    """Initial state, forcing, and horizon on any resolvent operand."""
+    """Initial state, forcing, and horizon on any resolvent operand, and
+    the 1-D far field the value reads at x = -L and L: ``far_value``
+    (g0 there) plus ``horizon - t`` times ``far_rate`` (g - value(0)
+    there).  Both are zero by default, for data that vanish at the ends."""
 
     operands: EllipticOperands
     initial: np.ndarray
     source: np.ndarray
     horizon: float
+    far_value: tuple[float, float] = (0.0, 0.0)
+    far_rate: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         for name in ("initial", "source"):

@@ -2,13 +2,16 @@
 
 The forward unknown is minus the second space derivative of the value at
 reversed time, so the value and its slope come back through the Green solve
-(which inverts minus the second derivative):
+(which inverts minus the second derivative) plus the far field:
 
-    value(t)   = green(y(T - t)),
+    value(t)   = green(y(T - t)) + ell(t),
     curvature  = -y(T - t)          (exact, no re-differentiation),
 
-making ``diff2(value) == -y`` an identity of the discretization and the
-terminal slice reproduce the terminal cost up to the truncation offset.  The
+with ``ell(t)`` the line through the value at x = -L and L, where the
+curvature vanishes: ``g0 + (T - t)*(g - value(0))`` there, which the
+``TransformedProblem`` carries.  This makes ``diff2(value) == -y`` an
+identity of the discretization away from the ends, and the terminal slice
+reproduce the terminal cost up to the truncation offset.  The
 curvature is the run's own ``-snapshots[::-1]``, and ``start_value`` is phi at
 t = 0 alone.  The optimal control is the conjugate derivative at minus half
 the squared volatility times the curvature, which the normal cone clamps at
@@ -59,19 +62,32 @@ def _reversed(sol: MildSolution, name: str):
     return sol.problem.horizon - sol.times[::-1], sol.snapshots[::-1]
 
 
+def _far_field(sol: MildSolution, t) -> np.ndarray:
+    """``ell`` at the times ``t`` (a column for several): the line through
+    phi(t, -L) and phi(t, L), exact at both ends."""
+    p = sol.problem
+    left, right = (v + (p.horizon - t) * r
+                   for v, r in zip(p.far_value, p.far_rate))
+    ramp = sol.grid._ramp
+    return left * (1.0 - ramp) + right * ramp
+
+
 def reconstruct_value(sol: MildSolution) -> ValueFunction:
-    """Green-solve every stored snapshot once and reverse the time axis."""
+    """Green-solve every stored snapshot once, add the far field, and
+    reverse the time axis."""
     times, ys = _reversed(sol, "reconstruct_value")
     phi = poisson_solve(sol.grid, ys)
+    phi += _far_field(sol, times[:, None])
     return ValueFunction(grid=sol.grid, times=times, phi=phi,
                          phi_x=diff1_central(sol.grid, phi))
 
 
 def start_value(sol: MildSolution) -> np.ndarray:
-    """phi(0, .), the Green solve of the run's last state (1-D only)."""
+    """phi(0, .), the Green solve of the run's last state plus the far
+    field (1-D only)."""
     if sol.grid.dim != 1:
         raise ValueError("start_value is 1-D only; use twodim.solve_L")
-    return poisson_solve(sol.grid, sol.final)
+    return poisson_solve(sol.grid, sol.final) + _far_field(sol, 0.0)
 
 
 @dataclass

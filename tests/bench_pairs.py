@@ -13,8 +13,19 @@ side's median, quartiles (inclusive), min and max, the pairs in which the
 change read lower, and the change's median less the parent's.  The same
 table is printed.  An ``--out`` that exists gains the new sitting, named
 ``all<S>``, beside the ones it holds, so one file keeps every run made.
-The exit status is 1 if any run exits non-zero, prints no result, is not
-``correct`` or has a failed operation.
+
+Each end-to-end metric of ``BENCHMARK.json`` (read from the parent
+checkout, never written) also gets a verdict against its ``bound``, in the
+metric's own unit, so ``peak_rss_mb``'s 0.1 is read as 0.1 MB: ``worse``
+when the change's median is worse than the parent's by more than the bound;
+``unresolved`` when the parent's quartile spread q3 - q1 exceeds the bound
+and not every run of the change is better than every run of the parent;
+``no worse`` otherwise.  ``gain`` says whether a gain would count: the
+change better in at least nine tenths of the pairs (ties count for
+neither), and its median better by more than the parent's q3 - q1.  Both
+are printed and recorded in ``summary``, and neither sets the exit status:
+it is 1 if any run exits non-zero, prints no result, is not ``correct`` or
+has a failed operation.
 
 Give the two checkouts paths of equal length: a path is part of what each
 run imports and writes.  Nothing under ``perfbench/`` is changed.
@@ -57,9 +68,29 @@ def spread(values: list[float]) -> dict:
             "max": round(max(values), 4), "runs": len(values)}
 
 
-def summarize(runs: list[dict]) -> dict:
+def judge(pairs: list[tuple[float, float]], better: str,
+          bound: float) -> dict:
+    """The verdict and the gain test of one end-to-end metric, from its
+    (parent, change) pairs; ``better`` is ``"lower"`` or ``"higher"``."""
+    sign = 1.0 if better == "lower" else -1.0
+    pa, ch = ([sign * v for v in values] for values in zip(*pairs))
+    q1, median, q3 = statistics.quantiles(pa, n=4, method="inclusive")
+    worse_by = statistics.median(ch) - median
+    if worse_by > bound:
+        verdict = "worse"
+    elif q3 - q1 > bound and not max(ch) < min(pa):
+        verdict = "unresolved"
+    else:
+        verdict = "no worse"
+    won = sum(c < p for p, c in zip(pa, ch))
+    return {"verdict": verdict, "bound": bound,
+            "gain": 10 * won >= 9 * len(pairs) and -worse_by > q3 - q1}
+
+
+def summarize(runs: list[dict], bounds: dict) -> dict:
     """Per metric: each side's spread, and how the change compares by
-    pair and by median."""
+    pair and by median; an end-to-end metric of ``bounds`` (name to
+    ``(better, bound)``) also gets ``judge``'s verdict."""
     by_pair = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = \
@@ -80,6 +111,9 @@ def summarize(runs: list[dict]) -> dict:
             "pa": pa, "ch": ch, "pairs": len(pairs),
             "ch_lower_in_pairs": sum(c < p for p, c in pairs),
             "median_delta": round(ch["median"] - pa["median"], 4)}
+        metric = name.rsplit(".", 1)[-1]
+        if metric in bounds:
+            summary[name].update(judge(pairs, *bounds[metric]))
     return summary
 
 
@@ -119,7 +153,9 @@ def main() -> None:
             print(f"pair {pair + 1} seed {seed} {side}: "
                   f"correct={result.get('correct')} "
                   f"failed={result.get('failed')}", flush=True)
-    summary = summarize(runs)
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    summary = summarize(runs, {m["name"]: (m["better"], m["bound"])
+                               for m in spec["end_to_end"]})
     versions = ", ".join(f"{name} {metadata.version(name)}"
                          for name in ("numpy", "scipy"))
     record.update(
@@ -138,14 +174,18 @@ def main() -> None:
     record["runs"] += runs
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"{'metric':<24}{'pa median [q1, q3]':>28}"
-          f"{'ch median [q1, q3]':>28}{'ch lower':>10}{'delta':>10}")
+          f"{'ch median [q1, q3]':>28}{'ch lower':>10}{'delta':>10}"
+          f"  verdict (bound), gain")
     for name, row in summary.items():
         pa, ch = row["pa"], row["ch"]
+        judged = (f"  {row['verdict']} ({row['bound']:g}), "
+                  f"gain {'yes' if row['gain'] else 'no'}"
+                  if "verdict" in row else "")
         print(f"{name:<24}"
               f"{pa['median']:>10.4f} [{pa['q1']:.4f}, {pa['q3']:.4f}]"
               f"{ch['median']:>10.4f} [{ch['q1']:.4f}, {ch['q3']:.4f}]"
               f"{row['ch_lower_in_pairs']:>6}/{row['pairs']:<3}"
-              f"{row['median_delta']:>+10.4f}")
+              f"{row['median_delta']:>+10.4f}{judged}")
     bad = [f"pair {run['pair']} {run['side']}" for run in runs
            if not run["result"].get("correct") or run["result"].get("failed")]
     if bad:

@@ -1,9 +1,13 @@
 import errno
 import io
 import os
+import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,44 @@ def test_manifest_round_trip_reproduces_artifacts(tmp_path, mode, text, tops):
     first = artifacts(out1)
     assert {path.parts[0] for path in first} == tops
     assert artifacts(out2) == first
+
+
+SWEEP_EPS = in_mode("sweep-eps").replace(
+    "eps = 0.02", "eps = 0.02\nrefine_tol = 1e-3\nrefine_levels = 2")
+GAPS = r"\d\.\d{3}e[-+]\d\d"
+
+
+@pytest.mark.parametrize("mode, text, line", [
+    ("solve", SOLVE.format(T=0.1), r"solved 5 steps; artifacts in \S+"),
+    ("value", in_mode("value"),
+     r"value reconstructed; sup\|phi\| = \S+, sup\|phi_x\| = \S+"),
+    ("policy", in_mode("policy"), r"policy table written; max control = \S+"),
+    ("simulate", SIMULATE,
+     r"feedback \S+ vs best baseline \S+ \(constant 0(\.5)?\)"),
+    ("sweep-eps", SWEEP_EPS, rf"gaps: {GAPS}(, {GAPS})*"),
+    ("sweep-degenerate", DEGENERATE, rf"ladder gaps: {GAPS}, {GAPS}"),
+    ("solve-2d", SOLVE_2D, r"2-D run complete; mass drift \S+"),
+    ("conjugate-table", TABLE, r"conjugate table with 201 rows written"),
+], ids=["solve", "value", "policy", "simulate", "sweep-eps",
+        "sweep-degenerate", "solve-2d", "conjugate-table"])
+def test_each_mode_prints_one_summary_line(tmp_path, capsys, mode, text,
+                                           line):
+    cfg = write(tmp_path, "s.cfg", text)
+    assert run(mode, str(cfg), out_dir=str(tmp_path / "out")) == 0
+    assert re.fullmatch(line + "\n", capsys.readouterr().out)
+
+
+def test_the_module_runs_as_a_program(tmp_path):
+    cfg = write(tmp_path, "t.cfg", TABLE)
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mildhjb.cli", "conjugate-table", "--config",
+         str(cfg), "--out", str(out), "--quiet"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert (out / "reports" / "conjugate_table.csv").is_file()
 
 
 # Every mode on this module's configs, and the SHA-256 of each artifact it
@@ -762,6 +804,23 @@ def test_simulate_summary_reports_the_pde_value_at_x0(tmp_path, x0):
             expected, rel=1e-12)
 
 
+def test_simulate_value_meets_the_sampled_cost_of_a_cost_that_levels_off(
+        tmp_path):
+    # g = 1 + exp(-x^2) adds T = 0.2 to every policy's cost; without the far
+    # field the value dropped it and sat 17 standard errors below
+    text = SIMULATE.replace("f = tanh(x)\n", "").replace(
+        "g = exp(-x^2)\n", "g = 1 + exp(-x^2)\n", 1)
+    cfg = write(tmp_path, "m.cfg", text)
+    assert run("simulate", str(cfg), out_dir=str(tmp_path / "sim"),
+               quiet=True) == 0
+    lines = (tmp_path / "sim" / "reports" / "summary.txt").read_text()
+    summary = dict(line.split(" = ") for line in lines.splitlines())
+    _, data = read_table(tmp_path / "sim" / "reports" / "mc_comparison.csv")
+    feedback = {r[0]: r for r in data}["feedback"]
+    mean, stderr = float(feedback[1]), float(feedback[2])
+    assert abs(float(summary["pde_value_at_x0"]) - mean) <= 3.0 * stderr
+
+
 def test_start_point_off_the_mesh_is_a_validation_error(tmp_path, capsys):
     # off [-L, L] the value at x0 would be the boundary value 0, not phi
     text = SIMULATE.replace("x0 = 0.0", "x0 = 12.0")
@@ -1030,10 +1089,6 @@ def test_failed_fork_falls_back_to_serial(tmp_path, monkeypatch):
 def loaded_by_cli_import(module, *argv):
     """Whether a fresh ``import mildhjb.cli``, followed by ``main(argv)``
     when ``argv`` is given, loads ``module``."""
-    import subprocess
-    import sys
-    from pathlib import Path
-
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys\nsys.path.insert(0, sys.argv[1])\nimport mildhjb.cli\n"
             "if sys.argv[3:] and mildhjb.cli.main(sys.argv[3:]):\n"

@@ -293,6 +293,13 @@ def test_cost_evaluates_arrays_of_any_shape():
     assert isinstance(scalar.evaluate(2.0), float)
 
 
+def test_cost_whose_array_call_changes_the_shape_is_evaluated_pointwise():
+    # np.mean runs on an array but returns one number for all of it
+    cost = RunningCost.from_callable(lambda u: np.mean(u * u), alpha1=1.0)
+    u = np.linspace(0.0, 3.0, 12).reshape(3, 4)
+    np.testing.assert_array_equal(cost.evaluate(u), u * u)
+
+
 def test_nonconvex_cost_detected_when_tabulating(monkeypatch):
     monkeypatch.setattr(conjugate, "_PROBE_MAX", 2.0)
     dipped = RunningCost.from_callable(

@@ -1,4 +1,3 @@
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +5,8 @@ import pytest
 
 from conftest import desk_problem, linear_conjugate
 from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
-from mildhjb.degenerate import (VolatilityData, check_linf_bound,
-                                solve_degenerate, sup_bound)
-from mildhjb.grid import Grid1D, green_constants
+from mildhjb.degenerate import check_linf_bound, solve_degenerate, sup_bound
+from mildhjb.grid import Grid1D, green_constants, tabulate
 from mildhjb.problem import ControlProblem
 from mildhjb.resolvent import EllipticOperands
 from mildhjb.stepper import (TransformedProblem, mild_solve, step_lengths,
@@ -20,13 +18,15 @@ PINCHED = dict(
     sigma_xx=lambda x: (4.0 * x**3 - 6.0 * x) * np.exp(-x**2))
 
 
-def pinched_volatility(grid):
-    return VolatilityData.from_callables(grid, *PINCHED.values())
+def pinched_slopes(grid):
+    """(sup|sigma*sigma'|, sup|sigma*sigma'' + sigma'^2|) of the pinched
+    volatility on ``grid``."""
+    return bump_problem().multiplier_slopes(grid)
 
 
-def s_max(vol, weight):
+def s_max(problem, grid, weight):
     """sup of the flux multiplier (sigma^2 + weight)/2 a level marches."""
-    return 0.5 * (float(np.max(vol.sigma**2)) + weight)
+    return 0.5 * (float(np.max(tabulate(grid, problem.sigma)[0]**2)) + weight)
 
 
 def bump_problem(**volatility):
@@ -85,7 +85,7 @@ def test_bound_report_certifies_each_step():
     np.testing.assert_array_equal(
         report.y_inf, np.max(np.abs(sol.snapshots[1:]), axis=1))
     assert np.all(report.y_inf <= report.bounds)
-    recomputed = check_linf_bound(sol, pinched_volatility(grid))
+    recomputed = check_linf_bound(sol, bump_problem())
     np.testing.assert_allclose(recomputed.bounds, report.bounds)
 
 
@@ -96,24 +96,13 @@ def test_bound_report_certifies_the_right_hand_side_of_the_step(
     grid = Grid1D(8.0, 81)
     sol = mild_solve(bump_problem().discretize(grid, regularization=0.1),
                      0.025)
-    vol = pinched_volatility(grid)
-    before = check_linf_bound(sol, vol).bounds
+    before = check_linf_bound(sol, bump_problem()).bounds
     rhs = TransformedProblem.rhs
     monkeypatch.setattr(TransformedProblem, "rhs",
                         lambda self, y_prev, dt: rhs(self, y_prev, dt) + 1.0)
-    after = check_linf_bound(sol, vol).bounds
+    after = check_linf_bound(sol, bump_problem()).bounds
     assert np.all(np.isfinite(before))
     assert np.all(after > before)
-
-
-def test_volatility_from_another_grid_is_rejected():
-    # a run on 41 nodes was once certified against 81-node volatility
-    grid, other = Grid1D(5.0, 41), Grid1D(5.0, 81)
-    sol = mild_solve(bump_problem().discretize(grid, regularization=0.1),
-                     0.025)
-    message = re.escape(f"volatility on {other}, run on {grid}")
-    with pytest.raises(ValueError, match=message):
-        check_linf_bound(sol, pinched_volatility(other))
 
 
 def test_bound_report_equals_sup_bound_step_by_step():
@@ -123,7 +112,7 @@ def test_bound_report_equals_sup_bound_step_by_step():
     cost = RunningCost.from_callable(lambda u: 2.0 * u * u - u + 0.25, 1.0)
     problem = replace(bump_problem(), cost=cost, horizon=0.06)
     grid = Grid1D(8.0, 81)
-    vol = pinched_volatility(grid)
+    slopes = pinched_slopes(grid)
     sweep = solve_degenerate(problem, grid, 0.025, (1e-1,))
     sol, report = sweep.solutions[0], sweep.bound_reports[0]
     conj = sol.operands.conj
@@ -134,8 +123,8 @@ def test_bound_report_equals_sup_bound_step_by_step():
     bounds, y_inf = [], []
     for i, dt in enumerate(steps, start=1):
         eta = sol.problem.source + sol.snapshots[i - 1] / dt
-        bounds.append(sup_bound(conj, vol, s_max(vol, 1e-1), 1.0 / dt,
-                                float(np.abs(eta).max())))
+        bounds.append(sup_bound(conj, slopes, s_max(problem, grid, 1e-1),
+                                1.0 / dt, float(np.abs(eta).max())))
         y_inf.append(float(np.abs(sol.snapshots[i]).max()))
     assert report.lams.tolist() == [1.0 / dt for dt in steps]
     assert report.bounds.tolist() == bounds
@@ -146,31 +135,31 @@ def test_bound_report_equals_sup_bound_step_by_step():
 def test_sup_bound_reads_the_slope_at_zero_from_the_derivative():
     # the identity conjugate has slope 1 everywhere and no curvature, so the
     # barrier solves lam*M = eta_inf + M * sup|sigma*sigma'' + sigma'^2|
-    vol = pinched_volatility(Grid1D(8.0, 161))
-    bound = sup_bound(linear_conjugate(), vol, s_max(vol, 1e-2), lam=50.0,
+    grid = Grid1D(8.0, 161)
+    slopes = pinched_slopes(grid)
+    bound = sup_bound(linear_conjugate(), slopes,
+                      s_max(bump_problem(), grid, 1e-2), lam=50.0,
                       eta_inf=3.0)
-    assert bound == 3.0 / (50.0 - vol.curvature_product_sup)
+    assert bound == 3.0 / (50.0 - slopes[1])
 
 
 def test_sup_bound_grows_as_shift_shrinks():
     grid = Grid1D(8.0, 161)
-    vol = pinched_volatility(grid)
+    slopes, top = pinched_slopes(grid), s_max(bump_problem(), grid, 1e-2)
     conj = ConjugateHamiltonian.quadratic()
-    loose = sup_bound(conj, vol, s_max(vol, 1e-2), lam=5.0, eta_inf=3.0)
-    tight = sup_bound(conj, vol, s_max(vol, 1e-2), lam=50.0, eta_inf=3.0)
+    loose = sup_bound(conj, slopes, top, lam=5.0, eta_inf=3.0)
+    tight = sup_bound(conj, slopes, top, lam=50.0, eta_inf=3.0)
     assert loose is not None and tight is not None
     assert loose > tight
 
 
 def test_sup_bound_not_certifiable_for_tiny_shift():
     grid = Grid1D(8.0, 161)
-    vol = pinched_volatility(grid)
+    slopes, top = pinched_slopes(grid), s_max(bump_problem(), grid, 1e-2)
     conj = ConjugateHamiltonian.quadratic()
-    assert sup_bound(conj, vol, s_max(vol, 1e-2), lam=1e-3,
-                     eta_inf=100.0) is None
+    assert sup_bound(conj, slopes, top, lam=1e-3, eta_inf=100.0) is None
     # a conjugate rising at 0 needs a shift above slope * curvature sup
-    c1 = vol.curvature_product_sup
-    assert sup_bound(linear_conjugate(), vol, s_max(vol, 1e-2), c1,
+    assert sup_bound(linear_conjugate(), slopes, top, slopes[1],
                      eta_inf=0.0) is None
 
 
@@ -215,13 +204,12 @@ def test_each_level_marches_the_lifted_operands():
     ladder = (1e-1, 1e-2)
     sweep = solve_degenerate(problem, grid, 0.025, ladder)
     conj = ConjugateHamiltonian.quadratic()
-    sigma = problem.volatility_data(grid).sigma
-    initial, source = problem.transformed_data(grid)
+    sigma = tabulate(grid, problem.sigma)[0]
+    data = problem.discretize(grid, conj)
     for level, sol in zip(ladder, sweep.solutions):
         ops = EllipticOperands(grid, conj, 0.5 * (sigma**2 + level),
                                problem.drift_data(grid))
-        march = mild_solve(TransformedProblem(ops, initial, source, 0.1),
-                           0.025)
+        march = mild_solve(replace(data, operands=ops), 0.025)
         np.testing.assert_array_equal(sol.snapshots, march.snapshots)
 
 
@@ -248,7 +236,6 @@ def test_each_level_satisfies_energy_finiteness():
 def test_shortened_last_step_is_certified_at_its_own_shift(eps):
     grid = Grid1D(10.0, 101)
     control = desk_problem(horizon=0.5)
-    vol = control.volatility_data(grid)
     conj = ConjugateHamiltonian.quadratic()
     sweep = solve_degenerate(control, grid, eps, ladder=(0.1,))
     sol, report = sweep.solutions[0], sweep.bound_reports[0]
@@ -259,7 +246,8 @@ def test_shortened_last_step_is_certified_at_its_own_shift(eps):
     eta = sol.problem.source + sol.snapshots[-2] / sol.partial_step
     curvature = (float(np.max(np.abs(drift.f2))) * green_constants(grid)[1]
                  * grid.norm1(sol.snapshots[-1]))
-    last = sup_bound(conj, vol, s_max(vol, 0.1),
+    last = sup_bound(conj, control.multiplier_slopes(grid),
+                     s_max(control, grid, 0.1),
                      1.0 / sol.partial_step - 2.0 * drift.slope_sup,
                      float(np.abs(eta).max()) + curvature)
     assert report.bounds[-1] == last

@@ -1,10 +1,11 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import desk_problem
 from mildhjb.conjugate import ConjugateHamiltonian
-from mildhjb.degenerate import VolatilityData
 from mildhjb.drift import DriftData
 from mildhjb.grid import (Grid1D, Grid2D, diff1_central, diff2,
                           green_constants, poisson_gradient, poisson_solve)
@@ -147,9 +148,6 @@ TABLE_SITES = {
                                                  1.0)),
     "DriftData": ("f1", (LINE.n,), lambda t:
                   DriftData(LINE, np.zeros(LINE.n), t, np.zeros(LINE.n))),
-    "VolatilityData": ("sigma", (LINE.n,), lambda t:
-                       VolatilityData(LINE, t, np.zeros(LINE.n),
-                                      np.zeros(LINE.n))),
     "Problem2D": ("sigma0", OPS_2D.shape, lambda t:
                   Problem2D(SQUARE, np.eye(2), t, CONJ)),
     "EllipticOperands": ("half_sigma_sq", (LINE.n,), lambda t:
@@ -172,3 +170,13 @@ def test_every_grid_table_is_checked_by_name(site, defect):
         message = f"{name} contains non-finite entries"
     with pytest.raises(ValueError, match=re.escape(message)):
         build(table)
+
+
+@pytest.mark.parametrize("name", ["sigma", "sigma_x", "sigma_xx"])
+def test_multiplier_slopes_check_every_table_by_name(name):
+    # the barrier's slopes are tabulated on the run's grid; a NaN in any of
+    # the three tables is named, not carried into the bound
+    problem = replace(desk_problem(), **{name: lambda x: np.where(
+        x == 0.0, np.nan, 1.0 + 0.0 * x)})
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite"):
+        problem.multiplier_slopes(LINE)

@@ -155,6 +155,18 @@ def test_two_grid_consistency():
     assert gap_fine < gap_coarse
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
+def test_a_schedule_rejects_a_bad_horizon(horizon):
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        step_lengths(horizon, 0.1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan])
+def test_refine_until_rejects_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        refine_until(quad_problem(Grid1D(10.0, 41)), tol, 0.02)
+
+
 def test_refine_until_stationary_zero():
     g = Grid1D(10.0, 201)
     problem = quad_problem(g, y0=np.zeros(g.n), source=np.zeros(g.n),

@@ -12,7 +12,8 @@ from mildhjb.conjugate import ConjugateHamiltonian, RunningCost
 from mildhjb.grid import Grid1D, diff1_central, diff2
 from mildhjb.stepper import TransformedProblem, mild_solve
 from mildhjb.value import (FeedbackPolicy, interpolate_policy,
-                           reconstruct_value, synthesize_feedback)
+                           reconstruct_value, start_value,
+                           synthesize_feedback)
 
 
 def desk_value(horizon=0.2, eps=0.01, n=201):
@@ -278,3 +279,46 @@ def test_a_constant_in_the_cost_leaves_the_feedback(cost, shifted, tol):
         replace(desk_problem(), cost=c).discretize(grid), 0.01)).u
         for c in (cost, shifted)]
     assert np.max(np.abs(u[1] - u[0])) <= tol
+
+
+def desk_run(**changes):
+    """The desk problem's run at n = 201, T = 0.5 and eps = 0.01."""
+    problem = replace(desk_problem(), **changes)
+    return mild_solve(problem.discretize(Grid1D(10.0, 201)), 0.01)
+
+
+@pytest.mark.parametrize("changes, c", [
+    (dict(g=lambda x: np.exp(-x * x) + 0.7), 0.7),
+    (dict(cost=RunningCost.quadratic(1.0, 0.3)), 0.3),
+], ids=["g", "alpha2"])
+def test_a_constant_in_the_running_cost_raises_the_value_by_its_time_to_go(
+        changes, c):
+    # every policy's cost rises by c*(T - t); the Green solve's zero end
+    # values once dropped it, and phi(0, 0) moved by -3.1e-15 for alpha2
+    base, shifted = desk_run(), desk_run(**changes)
+    vf, moved = reconstruct_value(base), reconstruct_value(shifted)
+    np.testing.assert_allclose(moved.phi - vf.phi,
+                               c * (0.5 - vf.times)[:, None] + 0.0 * vf.phi,
+                               rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(synthesize_feedback(shifted).u
+                         - synthesize_feedback(base).u)) <= 1e-12
+
+
+def test_a_constant_in_the_terminal_cost_raises_the_value_by_it():
+    vf = reconstruct_value(desk_run())
+    moved = reconstruct_value(desk_run(g0=lambda x: np.exp(-x * x) + 0.7))
+    assert np.max(np.abs(moved.phi - vf.phi - 0.7)) <= 1e-12
+
+
+def test_a_terminal_cost_with_two_limits_is_reconstructed_to_its_ends():
+    # g0 = (1 + tanh x)/2 levels off at 0 and 1; with zero end values the
+    # terminal slice missed it by 1.0 at x = L
+    g0 = lambda x: 0.5 * (1.0 + np.tanh(x))  # noqa: E731
+    sol = desk_run(g0=g0, g0_xx=lambda x: -np.tanh(x) / np.cosh(x) ** 2)
+    vf, x = reconstruct_value(sol), sol.grid.x
+    assert np.max(np.abs(vf.phi[-1] - g0(x))) <= 1e-3
+    # phi(0, +-L) = g0(+-L) + T*(g(+-L) - value(0)), with value(0) = 0
+    phi0 = start_value(sol)
+    assert phi0[0] == g0(x[0]) + 0.5 * np.exp(-x[0] ** 2)
+    assert phi0[-1] == g0(x[-1]) + 0.5 * np.exp(-x[-1] ** 2)
+    np.testing.assert_array_equal(phi0, vf.phi[0])
